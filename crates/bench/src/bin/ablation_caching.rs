@@ -12,60 +12,46 @@
 //! the modeled time).
 
 use cstf_bench::*;
-use cstf_core::{CpAls, Strategy};
-use cstf_dataflow::prelude::*;
+use cstf_core::Strategy;
 use cstf_tensor::datasets::DELICIOUS3D;
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let nodes: usize = args.parse("nodes", 8);
-    let iters: usize = args.parse("iters", 3);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(4000.0, 8);
+    let Setup {
+        scale, seed, nodes, ..
+    } = setup;
+    let iters: usize = setup.args.parse("iters", 3);
     let spark = spark_model(scale);
 
     let tensor = DELICIOUS3D.generate(scale, seed);
     println!(
-        "Caching ablation: delicious3d (nnz {}), {} nodes, {} iterations, CSTF-COO\n",
-        tensor.nnz(),
-        nodes,
-        iters
+        "Caching ablation: delicious3d (nnz {}), {nodes} nodes, {iters} iterations, CSTF-COO\n",
+        tensor.nnz()
     );
 
-    let mut rows = Vec::new();
+    let mut report = Report::new([
+        Col::new("tensor RDD", "mode"),
+        Col::new("pipeline records computed", "pipeline_records"),
+        Col::new("modeled time/iter", "secs_per_iter"),
+    ]);
+    let spec = RunSpec::new(Strategy::Coo, nodes, iters, seed);
     for cached in [true, false] {
-        let cluster = Cluster::new(ClusterConfig::auto().nodes(nodes));
-        let builder = CpAls::new(PAPER_RANK)
-            .strategy(Strategy::Coo)
-            .max_iterations(iters)
-            .skip_fit()
-            .seed(seed);
-        let builder = if cached {
-            builder
+        let cluster = spec.cluster();
+        let solver = if cached {
+            spec.solver()
         } else {
-            builder.no_tensor_cache()
+            spec.solver().no_tensor_cache()
         };
-        let _ = builder.run(&cluster, &tensor).expect("run failed");
+        let _ = solver.run(&cluster, &tensor).expect("run failed");
         let m = cluster.metrics().snapshot();
         let pipeline_records: u64 = m.stages().map(|s| s.records_computed).sum();
         let secs = per_iteration_secs_amortized(&spark, &m, iters);
-        rows.push(vec![
-            if cached { "cached" } else { "uncached" }.to_string(),
-            pipeline_records.to_string(),
-            format!("{:.1} s", secs),
+        report.row(vec![
+            if cached { "cached" } else { "uncached" }.into(),
+            pipeline_records.into(),
+            format!("{secs:.1} s").into(),
         ]);
     }
-    print_table(
-        &[
-            "tensor RDD",
-            "pipeline records computed",
-            "modeled time/iter",
-        ],
-        &rows,
-    );
-    write_csv(
-        "ablation_caching",
-        &["mode", "pipeline_records", "secs_per_iter"],
-        &rows,
-    );
+    report.print();
+    report.write_csv(&setup.results_dir(), "ablation_caching");
 }

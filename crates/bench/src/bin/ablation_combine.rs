@@ -17,34 +17,24 @@ use cstf_core::factors::tensor_to_rdd;
 use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::datasets::THIRD_ORDER;
-use cstf_tensor::DenseMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(4000.0, 8);
 
-    for spec in THIRD_ORDER {
-        let tensor = spec.generate(scale, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let factors: Vec<DenseMatrix> = tensor
-            .shape()
-            .iter()
-            .map(|&s| DenseMatrix::random(s as usize, PAPER_RANK, &mut rng))
-            .collect();
-        println!(
-            "\n=== Combine ablation: {} (shape {:?}, nnz {}) ===",
-            spec.name,
-            tensor.shape(),
-            tensor.nnz()
-        );
+    for (name, tensor) in setup.paper_datasets(&THIRD_ORDER) {
+        let factors = random_factors(tensor.shape(), PAPER_RANK, setup.seed);
+        heading("Combine ablation", &name, &tensor);
 
         let cluster = Cluster::new(ClusterConfig::auto().nodes(8));
         let rdd = tensor_to_rdd(&cluster, &tensor, 32).persist(StorageLevel::MemoryRaw);
         let _ = rdd.count();
-        let mut rows = Vec::new();
+        let mut report = Report::new([
+            Col::new("output mode", "mode"),
+            Col::new("distinct indices", "distinct"),
+            Col::new("reduce bytes (paper acct.)", "plain_bytes"),
+            Col::new("reduce bytes (Spark combine)", "combined_bytes"),
+            Col::new("reduction", "reduction"),
+        ]);
         for mode in 0..3 {
             let reduce_bytes = |combine: bool| -> u64 {
                 cluster.metrics().reset();
@@ -71,34 +61,15 @@ fn main() {
             };
             let plain = reduce_bytes(false);
             let combined = reduce_bytes(true);
-            rows.push(vec![
-                format!("mode {}", mode + 1),
-                tensor.distinct_indices(mode).to_string(),
-                format!("{:.2} MB", plain as f64 / 1e6),
-                format!("{:.2} MB", combined as f64 / 1e6),
-                format!("{:.1}%", (1.0 - combined as f64 / plain as f64) * 100.0),
+            report.row(vec![
+                format!("mode {}", mode + 1).into(),
+                tensor.distinct_indices(mode).into(),
+                format!("{:.2} MB", plain as f64 / 1e6).into(),
+                format!("{:.2} MB", combined as f64 / 1e6).into(),
+                format!("{:.1}%", (1.0 - combined as f64 / plain as f64) * 100.0).into(),
             ]);
         }
-        print_table(
-            &[
-                "output mode",
-                "distinct indices",
-                "reduce bytes (paper acct.)",
-                "reduce bytes (Spark combine)",
-                "reduction",
-            ],
-            &rows,
-        );
-        write_csv(
-            &format!("ablation_combine_{}", spec.name),
-            &[
-                "mode",
-                "distinct",
-                "plain_bytes",
-                "combined_bytes",
-                "reduction",
-            ],
-            &rows,
-        );
+        report.print();
+        report.write_csv(&setup.results_dir(), &format!("ablation_combine_{name}"));
     }
 }

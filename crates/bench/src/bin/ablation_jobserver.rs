@@ -24,16 +24,16 @@
 //!   improve short-job p99 latency without losing throughput.
 //!
 //! `--tiny` is the CI smoke configuration (fewer interleavings and
-//! sweep jobs). Results land in `results/BENCH_jobserver.json`.
+//! sweep jobs, written under `target/bench-tiny/`). Results land in
+//! `results/BENCH_jobserver.json`: the burst's queue delays are measured
+//! on the host, the offered-load sweep is modeled.
 
 use cstf_bench::*;
-use cstf_core::{CpAls, Strategy};
+use cstf_core::{CpResult, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::sim::{OfferedJob, OfferedLoadStats};
 use cstf_tensor::random::RandomTensor;
 use cstf_tensor::CooTensor;
-
-type Bits = (Vec<u64>, Vec<Vec<u64>>);
 
 /// Concurrent jobs per interleaving in the determinism part.
 const MIX: u64 = 4;
@@ -53,60 +53,33 @@ fn big_tensor(seed: u64) -> CooTensor {
 }
 
 /// One job variant: tenants alternate strategy and differ in init seed,
-/// so concurrent jobs are genuinely distinct workloads.
-fn run_variant(c: &Cluster, t: &CooTensor, variant: u64) -> Bits {
-    run_job(c, t, 1, variant)
-}
-
-fn run_job(c: &Cluster, t: &CooTensor, iters: usize, variant: u64) -> Bits {
+/// so concurrent jobs are genuinely distinct workloads. Jobs run on the
+/// cluster they are handed (`run_on`), so the spec's node count is unused.
+fn tenant_job(variant: u64, iters: usize) -> RunSpec {
     let strategy = if variant.is_multiple_of(2) {
         Strategy::Coo
     } else {
         Strategy::Qcoo
     };
-    let k = CpAls::new(PAPER_RANK)
-        .strategy(strategy)
-        .max_iterations(iters)
-        .skip_fit()
-        .seed(100 + variant)
-        .run(c, t)
-        .expect("CP-ALS run failed")
-        .kruskal;
-    (
-        k.weights.iter().map(|w| w.to_bits()).collect(),
-        k.factors
-            .iter()
-            .map(|f| f.data().iter().map(|x| x.to_bits()).collect())
-            .collect(),
-    )
+    RunSpec::new(strategy, 0, iters, 100 + variant)
 }
 
-/// Solo baselines on quiet forced-sequential clusters, one per variant.
-fn baselines(t: &CooTensor, nodes: usize) -> Vec<Bits> {
-    (0..MIX)
-        .map(|v| {
-            let c = Cluster::new(ClusterConfig::local(4).nodes(nodes).sequential_stages());
-            run_variant(&c, t, v)
-        })
-        .collect()
-}
-
-/// Runs `MIX` concurrent jobs through a fair server on `config` and
-/// asserts each matches its solo baseline bit-for-bit.
-fn assert_interleaving(config: ClusterConfig, t: &CooTensor, reference: &[Bits], what: &str) {
+/// Runs `MIX` concurrent one-iteration jobs through a fair server on
+/// `config` and asserts each matches its solo baseline bit-for-bit.
+fn assert_interleaving(config: ClusterConfig, t: &CooTensor, reference: &[CpResult], what: &str) {
     let c = Cluster::new(config);
     let server = JobServer::new(&c, JobServerConfig::fair(MIX as usize));
     let handles: Vec<_> = (0..MIX)
         .map(|v| {
             let t = t.clone();
             server.submit(&format!("tenant-{v}"), move |c: &Cluster| {
-                run_variant(c, &t, v)
+                tenant_job(v, 1).run_on(c, &t)
             })
         })
         .collect();
     for (v, h) in handles.into_iter().enumerate() {
         let got = h.join().completed().expect("job completed");
-        assert_eq!(got, reference[v], "{what}: job {v} drifted from solo run");
+        assert_bit_identical(&reference[v], &got, &format!("{what}: job {v} vs solo run"));
     }
     server.shutdown();
 }
@@ -120,7 +93,7 @@ struct Burst {
 
 /// Loads a paused cap-1 server with long jobs ahead of short ones,
 /// releases it, and measures per-pool queue delays from the JOBS log.
-fn run_burst(fair: bool, nodes: usize, seed: u64) -> Burst {
+fn measure_burst(fair: bool, nodes: usize, seed: u64) -> Burst {
     let c = Cluster::new(ClusterConfig::local(4).nodes(nodes));
     let base = if fair {
         JobServerConfig::fair(1)
@@ -133,11 +106,15 @@ fn run_burst(fair: bool, nodes: usize, seed: u64) -> Burst {
     let mut handles = Vec::new();
     for v in 0..3u64 {
         let t = long.clone();
-        handles.push(server.submit("long", move |c: &Cluster| run_job(c, &t, 3, v % 2)));
+        handles.push(server.submit("long", move |c: &Cluster| {
+            tenant_job(v % 2, 3).run_on(c, &t)
+        }));
     }
     for v in 0..3u64 {
         let t = short.clone();
-        handles.push(server.submit("short", move |c: &Cluster| run_job(c, &t, 1, v % 2)));
+        handles.push(server.submit("short", move |c: &Cluster| {
+            tenant_job(v % 2, 1).run_on(c, &t)
+        }));
     }
     server.resume();
     for h in handles {
@@ -156,46 +133,46 @@ fn run_burst(fair: bool, nodes: usize, seed: u64) -> Burst {
     }
 }
 
-fn json_load_point(stats: &OfferedLoadStats) -> String {
-    let pools: Vec<String> = stats
-        .pools
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "{{\"pool\": {}, \"jobs\": {}, \"p50_latency_secs\": {:.6}, ",
-                    "\"p99_latency_secs\": {:.6}, \"mean_queue_delay_secs\": {:.6}}}"
-                ),
-                p.pool, p.jobs, p.p50_latency_secs, p.p99_latency_secs, p.mean_queue_delay_secs
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"throughput_jobs_per_sec\": {:.6}, \"p50_latency_secs\": {:.6}, ",
-            "\"p99_latency_secs\": {:.6}, \"pools\": [{}]}}"
+fn json_load_point(stats: &OfferedLoadStats) -> Json {
+    let secs = |x: f64| Json::Fixed(x, 6);
+    let pools = stats.pools.iter().map(|p| {
+        Json::obj([
+            ("pool", Json::from(p.pool)),
+            ("jobs", p.jobs.into()),
+            ("p50_latency_secs", secs(p.p50_latency_secs)),
+            ("p99_latency_secs", secs(p.p99_latency_secs)),
+            ("mean_queue_delay_secs", secs(p.mean_queue_delay_secs)),
+        ])
+    });
+    Json::obj([
+        (
+            "throughput_jobs_per_sec",
+            secs(stats.throughput_jobs_per_sec),
         ),
-        stats.throughput_jobs_per_sec,
-        stats.p50_latency_secs,
-        stats.p99_latency_secs,
-        pools.join(", ")
-    )
+        ("p50_latency_secs", secs(stats.p50_latency_secs)),
+        ("p99_latency_secs", secs(stats.p99_latency_secs)),
+        ("pools", Json::Arr(pools.collect())),
+    ])
 }
 
 fn main() {
-    let args = Args::from_env();
-    let seed: u64 = args.parse("seed", 0);
-    let nodes: usize = args.parse("nodes", 4);
-    let tiny = args.flag("tiny");
-    let interleavings: usize = args.parse("interleavings", if tiny { 5 } else { 20 });
-    let sweep_jobs: usize = args.parse("jobs", if tiny { 60 } else { 200 });
+    // Synthetic tensors: --scale is not read (the time model below is fixed).
+    let setup = Setup::from_env(10.0, 4);
+    let Setup {
+        seed, nodes, tiny, ..
+    } = setup;
+    let interleavings: usize = setup.args.parse("interleavings", if tiny { 5 } else { 20 });
+    let sweep_jobs: usize = setup.args.parse("jobs", if tiny { 60 } else { 200 });
+    let solo = || Cluster::new(ClusterConfig::local(4).nodes(nodes).sequential_stages());
 
     // --- Part 1: determinism across seeded interleavings -------------
     let t = small_tensor(seed.wrapping_add(71));
-    let reference = baselines(&t, nodes);
+    // Solo baselines on quiet forced-sequential clusters, one per variant.
+    let reference: Vec<CpResult> = (0..MIX)
+        .map(|v| tenant_job(v, 1).run_on(&solo(), &t))
+        .collect();
     println!(
-        "=== Job-server ablation: {} quiet + {} chaos interleavings of {} concurrent jobs ===",
-        interleavings, interleavings, MIX
+        "=== Job-server ablation: {interleavings} quiet + {interleavings} chaos interleavings of {MIX} concurrent jobs ==="
     );
     for i in 0..interleavings as u64 {
         // Quiet: delay jitter reorders cross-job commits without faults.
@@ -215,37 +192,29 @@ fn main() {
         assert_interleaving(chaos, &t, &reference, &format!("chaos interleaving {i}"));
     }
     println!(
-        "bit-identical: {} interleavings x {} jobs, quiet and under chaos",
-        2 * interleavings,
-        MIX
+        "bit-identical: {} interleavings x {MIX} jobs, quiet and under chaos",
+        2 * interleavings
     );
 
     // --- Part 2: measured burst, FIFO vs fair -------------------------
-    let fifo = run_burst(false, nodes, seed);
-    let fair = run_burst(true, nodes, seed);
+    let fifo = measure_burst(false, nodes, seed);
+    let fair = measure_burst(true, nodes, seed);
     println!("\n=== Burst: 3 long then 3 short jobs through a cap-1 server ===");
-    print_table(
-        &[
-            "policy",
-            "dispatch order",
-            "short mean delay",
-            "long mean delay",
-        ],
-        &[
-            vec![
-                "fifo".into(),
-                fifo.order.join(","),
-                format!("{:.1} ms", fifo.short_mean_delay * 1e3),
-                format!("{:.1} ms", fifo.long_mean_delay * 1e3),
-            ],
-            vec![
-                "fair".into(),
-                fair.order.join(","),
-                format!("{:.1} ms", fair.short_mean_delay * 1e3),
-                format!("{:.1} ms", fair.long_mean_delay * 1e3),
-            ],
-        ],
-    );
+    let mut burst = Report::new([
+        Col::table("policy"),
+        Col::table("dispatch order"),
+        Col::table("short mean delay"),
+        Col::table("long mean delay"),
+    ]);
+    for (policy, b) in [("fifo", &fifo), ("fair", &fair)] {
+        burst.row(vec![
+            policy.into(),
+            b.order.join(",").into(),
+            format!("{:.1} ms", b.short_mean_delay * 1e3).into(),
+            format!("{:.1} ms", b.long_mean_delay * 1e3).into(),
+        ]);
+    }
+    burst.print();
     assert!(
         fair.short_mean_delay < fifo.short_mean_delay,
         "fair pools failed to protect the short pool's queue delay"
@@ -256,8 +225,8 @@ fn main() {
     // graph, then sweep submission rates around the saturation point.
     let model = spark_model(10.0);
     let price = |t: &CooTensor, iters: usize, variant: u64| {
-        let c = Cluster::new(ClusterConfig::local(4).nodes(nodes).sequential_stages());
-        run_job(&c, t, iters, variant);
+        let c = solo();
+        tenant_job(variant, iters).run_on(&c, t);
         model.job_time(&c.metrics().snapshot())
     };
     let short_secs = price(&small_tensor(seed), 1, 0);
@@ -275,46 +244,38 @@ fn main() {
     let multiples = [0.25, 0.5, 1.0, 2.0, 4.0];
 
     println!(
-        "\n=== Offered load: short {:.3}s / long {:.3}s service, cap {}, saturation {:.2} jobs/s ===",
-        short_secs, long_secs, cap, saturation
+        "\n=== Offered load: short {short_secs:.3}s / long {long_secs:.3}s service, cap {cap}, saturation {saturation:.2} jobs/s ==="
     );
-    let mut rows = Vec::new();
-    let mut json_points = Vec::new();
+    let mut sweep = Report::new([
+        Col::new("load", "rate_multiple"),
+        Col::new("rate/s", "rate_jobs_per_sec"),
+        Col::table("tput/s"),
+        Col::table("fifo short p99"),
+        Col::table("fair short p99"),
+        Col::table("fifo p99"),
+        Col::table("fair p99"),
+        Col::data("fifo"),
+        Col::data("fair"),
+    ]);
     let mut last: Option<(OfferedLoadStats, OfferedLoadStats)> = None;
     for &mult in &multiples {
         let rate = mult * saturation;
         let fifo = model.offered_load(&jobs, &weights, rate, cap, false);
         let fair = model.offered_load(&jobs, &weights, rate, cap, true);
-        rows.push(vec![
-            format!("{mult:.2}x"),
-            format!("{rate:.2}"),
-            format!("{:.2}", fifo.throughput_jobs_per_sec),
-            format!("{:.3} s", fifo.pools[0].p99_latency_secs),
-            format!("{:.3} s", fair.pools[0].p99_latency_secs),
-            format!("{:.3} s", fifo.p99_latency_secs),
-            format!("{:.3} s", fair.p99_latency_secs),
+        sweep.row(vec![
+            Cell::new(format!("{mult:.2}x"), Json::Fixed(mult, 2)),
+            Cell::new(format!("{rate:.2}"), Json::Fixed(rate, 6)),
+            Cell::fixed(fifo.throughput_jobs_per_sec, 2),
+            format!("{:.3} s", fifo.pools[0].p99_latency_secs).into(),
+            format!("{:.3} s", fair.pools[0].p99_latency_secs).into(),
+            format!("{:.3} s", fifo.p99_latency_secs).into(),
+            format!("{:.3} s", fair.p99_latency_secs).into(),
+            json_load_point(&fifo).into(),
+            json_load_point(&fair).into(),
         ]);
-        json_points.push(format!(
-            "      {{\"rate_multiple\": {:.2}, \"rate_jobs_per_sec\": {:.6}, \"fifo\": {}, \"fair\": {}}}",
-            mult,
-            rate,
-            json_load_point(&fifo),
-            json_load_point(&fair)
-        ));
         last = Some((fifo, fair));
     }
-    print_table(
-        &[
-            "load",
-            "rate/s",
-            "tput/s",
-            "fifo short p99",
-            "fair short p99",
-            "fifo p99",
-            "fair p99",
-        ],
-        &rows,
-    );
+    sweep.print();
     // Acceptance bar: at the top offered load fair pools improve the
     // short pool's p99 latency without giving up throughput.
     let (fifo_top, fair_top) = last.expect("sweep ran");
@@ -327,50 +288,57 @@ fn main() {
         "fair pools gave up throughput at high offered load"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"ablation_jobserver\",\n",
-            "  \"rank\": {},\n  \"seed\": {},\n  \"nodes\": {},\n  \"tiny\": {},\n",
-            "  \"determinism\": {{\"interleavings_quiet\": {}, \"interleavings_chaos\": {}, ",
-            "\"concurrent_jobs\": {}, \"bit_identical\": true}},\n",
-            "  \"burst\": {{\"fifo_short_mean_queue_delay_secs\": {:.6}, ",
-            "\"fair_short_mean_queue_delay_secs\": {:.6}, ",
-            "\"fifo_long_mean_queue_delay_secs\": {:.6}, ",
-            "\"fair_long_mean_queue_delay_secs\": {:.6}, ",
-            "\"fifo_order\": [{}], \"fair_order\": [{}]}},\n",
-            "  \"offered_load\": {{\n",
-            "    \"short_service_secs\": {:.6}, \"long_service_secs\": {:.6},\n",
-            "    \"max_concurrent_jobs\": {}, \"saturation_rate_jobs_per_sec\": {:.6},\n",
-            "    \"sweep\": [\n{}\n    ]\n  }}\n}}\n"
+    let secs = |x: f64| Json::Fixed(x, 6);
+    let doc = Json::obj([
+        ("experiment", Json::from("ablation_jobserver")),
+        ("rank", PAPER_RANK.into()),
+        ("seed", seed.into()),
+        ("nodes", nodes.into()),
+        ("tiny", tiny.into()),
+        (
+            "determinism",
+            Json::obj([
+                ("interleavings_quiet", Json::from(interleavings)),
+                ("interleavings_chaos", interleavings.into()),
+                ("concurrent_jobs", MIX.into()),
+                ("bit_identical", true.into()),
+            ]),
         ),
-        PAPER_RANK,
-        seed,
-        nodes,
-        tiny,
-        interleavings,
-        interleavings,
-        MIX,
-        fifo.short_mean_delay,
-        fair.short_mean_delay,
-        fifo.long_mean_delay,
-        fair.long_mean_delay,
-        fifo.order
-            .iter()
-            .map(|p| format!("\"{p}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-        fair.order
-            .iter()
-            .map(|p| format!("\"{p}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-        short_secs,
-        long_secs,
-        cap,
-        saturation,
-        json_points.join(",\n")
-    );
-    let path = results_dir().join("BENCH_jobserver.json");
-    std::fs::write(&path, json).expect("write JSON report");
-    println!("\n[wrote {}]", path.display());
+        (
+            // Host-measured wall-clock delays; everything else in this
+            // report is counted or modeled.
+            "burst",
+            Json::obj([
+                (
+                    "fifo_short_mean_queue_delay_secs",
+                    secs(fifo.short_mean_delay),
+                ),
+                (
+                    "fair_short_mean_queue_delay_secs",
+                    secs(fair.short_mean_delay),
+                ),
+                (
+                    "fifo_long_mean_queue_delay_secs",
+                    secs(fifo.long_mean_delay),
+                ),
+                (
+                    "fair_long_mean_queue_delay_secs",
+                    secs(fair.long_mean_delay),
+                ),
+                ("fifo_order", fifo.order.into()),
+                ("fair_order", fair.order.into()),
+            ]),
+        ),
+        (
+            "offered_load",
+            Json::obj([
+                ("short_service_secs", secs(short_secs)),
+                ("long_service_secs", secs(long_secs)),
+                ("max_concurrent_jobs", cap.into()),
+                ("saturation_rate_jobs_per_sec", secs(saturation)),
+                ("sweep", sweep.json_rows()),
+            ]),
+        ),
+    ]);
+    write_json(&setup.results_dir(), "jobserver", &doc);
 }

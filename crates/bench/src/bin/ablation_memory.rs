@@ -15,165 +15,102 @@
 //! aborts otherwise.
 //!
 //! `--tiny` replaces the paper datasets with one small synthetic tensor
-//! (the CI smoke configuration). Results land in
-//! `results/BENCH_memory.json`.
+//! (the CI smoke configuration) and writes under `target/bench-tiny/`.
+//! Results land in `results/BENCH_memory.json`; every number in it is
+//! counted (bytes, recomputes) or modeled (seconds).
 
 use cstf_bench::*;
-use cstf_core::{CpAls, CpResult, Strategy};
+use cstf_core::Strategy;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::datasets::THIRD_ORDER;
-use cstf_tensor::random::RandomTensor;
-use cstf_tensor::CooTensor;
 
 const FRACTIONS: [Option<f64>; 4] = [None, Some(1.0), Some(0.5), Some(0.25)];
 
-fn run_budget(
-    tensor: &CooTensor,
-    budget: Option<u64>,
-    nodes: usize,
-    iters: usize,
-    seed: u64,
-) -> (Cluster, CpResult) {
-    let mut config = ClusterConfig::auto().nodes(nodes);
-    if let Some(b) = budget {
-        config = config.memory_budget(b);
-    }
-    let cluster = Cluster::new(config);
-    let result = CpAls::new(PAPER_RANK)
-        .strategy(Strategy::Qcoo)
-        .tensor_storage(StorageLevel::MemoryAndDisk)
-        .max_iterations(iters)
-        .skip_fit()
-        .seed(seed)
-        .run(&cluster, tensor)
-        .expect("CP-ALS run failed");
-    (cluster, result)
-}
-
-fn assert_bit_identical(a: &CpResult, b: &CpResult, what: &str) {
-    for (fa, fb) in a.kruskal.factors.iter().zip(b.kruskal.factors.iter()) {
-        for (x, y) in fa.data().iter().zip(fb.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: factors diverged");
-        }
-    }
-}
-
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let seed: u64 = args.parse("seed", 0);
-    let nodes: usize = args.parse("nodes", 8);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let tiny = args.flag("tiny");
-
-    let datasets: Vec<(String, CooTensor)> = if tiny {
-        vec![(
-            "tiny_synth".to_string(),
-            RandomTensor::new(vec![30, 24, 18])
-                .nnz(800)
-                .seed(seed)
-                .build(),
-        )]
-    } else {
-        THIRD_ORDER
-            .iter()
-            .map(|spec| (spec.name.to_string(), spec.generate(scale, seed)))
-            .collect()
-    };
+    let setup = Setup::from_env(4000.0, 8);
+    let Setup {
+        scale,
+        seed,
+        nodes,
+        iters,
+        tiny,
+        ..
+    } = setup;
+    let model = spark_model(scale);
 
     let mut json_datasets = Vec::new();
-    for (name, tensor) in &datasets {
-        println!(
-            "\n=== Memory ablation: {} (shape {:?}, nnz {}, {} nodes, {} iters) ===",
-            name,
-            tensor.shape(),
-            tensor.nnz(),
-            nodes,
-            iters
-        );
-        let model = spark_model(scale);
+    for (name, tensor) in setup.datasets(&THIRD_ORDER) {
+        heading("Memory ablation", &name, &tensor);
+        let under = |budget| RunSpec {
+            storage: StorageLevel::MemoryAndDisk,
+            budget,
+            ..RunSpec::new(Strategy::Qcoo, nodes, iters, seed)
+        };
 
         // Unbounded reference: fixes the bit-identity baseline and the
         // working-set size the budget fractions are cut from.
-        let (ref_cluster, reference) = run_budget(tensor, None, nodes, iters, seed);
+        let unbounded = under(None);
+        let ref_cluster = unbounded.cluster();
+        let reference = unbounded.run_on(&ref_cluster, &tensor);
         let working_set = ref_cluster.block_manager().peak_memory_bytes();
         assert!(working_set > 0, "reference run cached nothing");
         println!("working set (peak resident bytes): {working_set}");
 
-        let mut rows = Vec::new();
-        let mut json_budgets = Vec::new();
+        let mut report = Report::new([
+            Col::new("budget", "fraction"),
+            Col::new("budget bytes", "budget_bytes"),
+            Col::new("evicted bytes", "evicted_bytes"),
+            Col::new("spilled bytes", "spilled_bytes"),
+            Col::data("spill_read_bytes"),
+            Col::new("recomputes", "recompute_count"),
+            Col::new("sim time", "sim_secs"),
+            Col::data("bit_identical"),
+        ]);
         for fraction in FRACTIONS {
             let budget = fraction.map(|f| (working_set as f64 * f).ceil() as u64);
-            let (cluster, result) = run_budget(tensor, budget, nodes, iters, seed);
+            let spec = under(budget);
+            let cluster = spec.cluster();
+            let result = spec.run_on(&cluster, &tensor);
             let label = match fraction {
                 None => "unbounded".to_string(),
                 Some(f) => format!("{f:.2}x"),
             };
             assert_bit_identical(&reference, &result, &format!("{name}/{label}"));
 
+            // The block manager's own counters: cached blocks only, where
+            // the metrics log also counts spilled shuffle outputs.
             let bm = cluster.block_manager();
-            let metrics = cluster.metrics().snapshot();
-            let secs = model.job_time(&metrics);
-            rows.push(vec![
-                label,
-                budget.map_or("-".to_string(), |b| b.to_string()),
-                bm.evicted_bytes().to_string(),
-                bm.spilled_bytes().to_string(),
-                bm.recompute_count().to_string(),
-                format!("{secs:.2} s"),
+            let secs = model.job_time(&cluster.metrics().snapshot());
+            report.row(vec![
+                Cell::new(label, fraction),
+                Cell::new(budget.map_or("-".to_string(), |b| b.to_string()), budget),
+                bm.evicted_bytes().into(),
+                bm.spilled_bytes().into(),
+                bm.spill_read_bytes().into(),
+                bm.recompute_count().into(),
+                Cell::new(format!("{secs:.2} s"), Json::Fixed(secs, 6)),
+                true.into(),
             ]);
-            json_budgets.push(format!(
-                concat!(
-                    "      {{\"fraction\": {}, \"budget_bytes\": {}, ",
-                    "\"evicted_bytes\": {}, \"spilled_bytes\": {}, ",
-                    "\"spill_read_bytes\": {}, \"recompute_count\": {}, ",
-                    "\"sim_secs\": {:.6}, \"bit_identical\": true}}"
-                ),
-                fraction.map_or("null".to_string(), |f| format!("{f}")),
-                budget.map_or("null".to_string(), |b| b.to_string()),
-                bm.evicted_bytes(),
-                bm.spilled_bytes(),
-                bm.spill_read_bytes(),
-                bm.recompute_count(),
-                secs
-            ));
         }
-        print_table(
-            &[
-                "budget",
-                "budget bytes",
-                "evicted bytes",
-                "spilled bytes",
-                "recomputes",
-                "sim time",
-            ],
-            &rows,
-        );
-        json_datasets.push(format!(
-            "    {{\"dataset\": \"{}\", \"nnz\": {}, \"working_set_bytes\": {}, \"budgets\": [\n{}\n    ]}}",
-            name,
-            tensor.nnz(),
-            working_set,
-            json_budgets.join(",\n")
-        ));
+        report.print();
+        json_datasets.push(Json::obj([
+            ("dataset", Json::from(name)),
+            ("nnz", tensor.nnz().into()),
+            ("working_set_bytes", working_set.into()),
+            ("budgets", report.json_rows()),
+        ]));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"ablation_memory\",\n",
-            "  \"strategy\": \"QCOO\",\n  \"storage\": \"MemoryAndDisk\",\n",
-            "  \"rank\": {},\n  \"nodes\": {},\n",
-            "  \"iterations\": {},\n  \"seed\": {},\n  \"tiny\": {},\n",
-            "  \"datasets\": [\n{}\n  ]\n}}\n"
-        ),
-        PAPER_RANK,
-        nodes,
-        iters,
-        seed,
-        tiny,
-        json_datasets.join(",\n")
-    );
-    let path = results_dir().join("BENCH_memory.json");
-    std::fs::write(&path, json).expect("write JSON report");
-    println!("\n[wrote {}]", path.display());
+    let doc = Json::obj([
+        ("experiment", Json::from("ablation_memory")),
+        ("strategy", "QCOO".into()),
+        ("storage", "MemoryAndDisk".into()),
+        ("rank", PAPER_RANK.into()),
+        ("nodes", nodes.into()),
+        ("iterations", iters.into()),
+        ("seed", seed.into()),
+        ("tiny", tiny.into()),
+        ("datasets", Json::Arr(json_datasets)),
+    ]);
+    write_json(&setup.results_dir(), "memory", &doc);
 }

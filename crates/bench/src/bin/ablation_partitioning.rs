@@ -15,15 +15,13 @@
 //! cluster and under injected task crashes; the run aborts otherwise.
 //!
 //! `--tiny` replaces the paper datasets with one small synthetic tensor
-//! (the CI smoke configuration). Results land in
-//! `results/BENCH_partitioning.json`.
+//! (the CI smoke configuration) and writes under `target/bench-tiny/`.
+//! Results land in `results/BENCH_partitioning.json`; every number in it
+//! is counted (stages, bytes) or modeled (seconds).
 
 use cstf_bench::*;
-use cstf_core::{CpAls, CpResult, Partitioning, Strategy};
-use cstf_dataflow::prelude::*;
+use cstf_core::{Partitioning, Strategy};
 use cstf_tensor::datasets::THIRD_ORDER;
-use cstf_tensor::random::RandomTensor;
-use cstf_tensor::CooTensor;
 
 const LEVELS: [Partitioning; 3] = [
     Partitioning::None,
@@ -31,145 +29,76 @@ const LEVELS: [Partitioning; 3] = [
     Partitioning::PrePartitionedTensor,
 ];
 
-fn run_level(
-    tensor: &CooTensor,
-    level: Partitioning,
-    nodes: usize,
-    iters: usize,
-    seed: u64,
-    faults: Option<FaultConfig>,
-) -> (JobMetrics, CpResult) {
-    let mut config = ClusterConfig::auto().nodes(nodes);
-    if let Some(f) = faults {
-        config = config.max_task_attempts(4).faults(f);
-    }
-    let cluster = Cluster::new(config);
-    let result = CpAls::new(PAPER_RANK)
-        .strategy(Strategy::Coo)
-        .partitioning(level)
-        .max_iterations(iters)
-        .skip_fit()
-        .seed(seed)
-        .run(&cluster, tensor)
-        .expect("CP-ALS run failed");
-    (cluster.metrics().snapshot(), result)
-}
-
-fn assert_bit_identical(a: &CpResult, b: &CpResult, what: &str) {
-    for (fa, fb) in a.kruskal.factors.iter().zip(b.kruskal.factors.iter()) {
-        for (x, y) in fa.data().iter().zip(fb.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: factors diverged");
-        }
-    }
-}
-
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let seed: u64 = args.parse("seed", 0);
-    let nodes: usize = args.parse("nodes", 8);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let tiny = args.flag("tiny");
-
-    let datasets: Vec<(String, CooTensor)> = if tiny {
-        vec![(
-            "tiny_synth".to_string(),
-            RandomTensor::new(vec![30, 24, 18])
-                .nnz(800)
-                .seed(seed)
-                .build(),
-        )]
-    } else {
-        THIRD_ORDER
-            .iter()
-            .map(|spec| (spec.name.to_string(), spec.generate(scale, seed)))
-            .collect()
-    };
+    let setup = Setup::from_env(4000.0, 8);
+    let Setup {
+        scale,
+        seed,
+        nodes,
+        iters,
+        tiny,
+        ..
+    } = setup;
+    let model = spark_model(scale);
 
     let mut json_datasets = Vec::new();
-    for (name, tensor) in &datasets {
-        println!(
-            "\n=== Partitioning ablation: {} (shape {:?}, nnz {}, {} nodes, {} iters) ===",
-            name,
-            tensor.shape(),
-            tensor.nnz(),
-            nodes,
-            iters
-        );
-        let model = spark_model(scale);
-
+    for (name, tensor) in setup.datasets(&THIRD_ORDER) {
+        heading("Partitioning ablation", &name, &tensor);
+        let at = |partitioning| RunSpec {
+            partitioning,
+            ..RunSpec::new(Strategy::Coo, nodes, iters, seed)
+        };
         // Reference run for the bit-identity check (quiet + chaos).
-        let (_, reference) = run_level(tensor, Partitioning::None, nodes, iters, seed, None);
+        let (_, reference) = at(Partitioning::None).run(&tensor);
 
-        let mut rows = Vec::new();
-        let mut json_levels = Vec::new();
+        let mut report = Report::new([
+            Col::new("partitioning", "level"),
+            Col::new("shuffle stages/iter", "shuffle_stages_per_iter"),
+            Col::new("skipped/iter", "skipped_shuffles_per_iter"),
+            Col::new("shuffle bytes/iter", "shuffle_bytes_per_iter"),
+            Col::new("sim time/iter", "sim_secs_per_iter"),
+            Col::data("bit_identical"),
+        ]);
         for level in LEVELS {
-            let (metrics, result) = run_level(tensor, level, nodes, iters, seed, None);
+            let (metrics, result) = at(level).run(&tensor);
             assert_bit_identical(&reference, &result, &format!("{name}/{level} quiet"));
-            let (_, chaotic) = run_level(
-                tensor,
-                level,
-                nodes,
-                iters,
-                seed,
-                Some(FaultConfig::crashes(seed.wrapping_add(17), 0.1)),
-            );
+            let (_, chaotic) = at(level).under_chaos().run(&tensor);
             assert_bit_identical(&reference, &chaotic, &format!("{name}/{level} chaos"));
 
             let it = iters.max(1) as f64;
             let stages_per_iter = metrics.shuffle_count() as f64 / it;
             let skipped_per_iter = metrics.skipped_shuffle_count() as f64 / it;
             let bytes_per_iter = metrics.total_shuffle_bytes() as f64 / it;
-            let secs_per_iter = per_iteration_secs(&model, &metrics, iters);
-            rows.push(vec![
-                level.to_string(),
-                format!("{stages_per_iter:.1}"),
-                format!("{skipped_per_iter:.1}"),
-                format!("{:.3} MB", bytes_per_iter / 1e6),
-                format!("{secs_per_iter:.2} s"),
-            ]);
-            json_levels.push(format!(
-                concat!(
-                    "      {{\"level\": \"{}\", \"shuffle_stages_per_iter\": {}, ",
-                    "\"skipped_shuffles_per_iter\": {}, \"shuffle_bytes_per_iter\": {}, ",
-                    "\"sim_secs_per_iter\": {:.6}, \"bit_identical\": true}}"
+            let secs_per_iter = model.job_time(&metrics) / it;
+            report.row(vec![
+                level.to_string().into(),
+                Cell::new(format!("{stages_per_iter:.1}"), stages_per_iter),
+                Cell::new(format!("{skipped_per_iter:.1}"), skipped_per_iter),
+                Cell::new(format!("{:.3} MB", bytes_per_iter / 1e6), bytes_per_iter),
+                Cell::new(
+                    format!("{secs_per_iter:.2} s"),
+                    Json::Fixed(secs_per_iter, 6),
                 ),
-                level, stages_per_iter, skipped_per_iter, bytes_per_iter, secs_per_iter
-            ));
+                true.into(),
+            ]);
         }
-        print_table(
-            &[
-                "partitioning",
-                "shuffle stages/iter",
-                "skipped/iter",
-                "shuffle bytes/iter",
-                "sim time/iter",
-            ],
-            &rows,
-        );
-        json_datasets.push(format!(
-            "    {{\"dataset\": \"{}\", \"nnz\": {}, \"levels\": [\n{}\n    ]}}",
-            name,
-            tensor.nnz(),
-            json_levels.join(",\n")
-        ));
+        report.print();
+        json_datasets.push(Json::obj([
+            ("dataset", Json::from(name)),
+            ("nnz", tensor.nnz().into()),
+            ("levels", report.json_rows()),
+        ]));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"ablation_partitioning\",\n",
-            "  \"strategy\": \"COO\",\n  \"rank\": {},\n  \"nodes\": {},\n",
-            "  \"iterations\": {},\n  \"seed\": {},\n  \"tiny\": {},\n",
-            "  \"datasets\": [\n{}\n  ]\n}}\n"
-        ),
-        PAPER_RANK,
-        nodes,
-        iters,
-        seed,
-        tiny,
-        json_datasets.join(",\n")
-    );
-    let path = results_dir().join("BENCH_partitioning.json");
-    std::fs::write(&path, json).expect("write JSON report");
-    println!("\n[wrote {}]", path.display());
+    let doc = Json::obj([
+        ("experiment", Json::from("ablation_partitioning")),
+        ("strategy", "COO".into()),
+        ("rank", PAPER_RANK.into()),
+        ("nodes", nodes.into()),
+        ("iterations", iters.into()),
+        ("seed", seed.into()),
+        ("tiny", tiny.into()),
+        ("datasets", Json::Arr(json_datasets)),
+    ]);
+    write_json(&setup.results_dir(), "partitioning", &doc);
 }

@@ -14,72 +14,45 @@
 //! EXPERIMENTS.md.
 
 use cstf_bench::*;
-use cstf_dataflow::prelude::*;
+use cstf_core::cost::qcoo_savings;
+use cstf_core::Strategy;
 use cstf_tensor::datasets::{DELICIOUS3D, FLICKR};
-use cstf_tensor::CooTensor;
-
-fn mttkrp_bytes(tensor: &CooTensor, strategy: cstf_core::Strategy, rank: usize, seed: u64) -> u64 {
-    let cluster = Cluster::new(ClusterConfig::auto().nodes(8));
-    let _ = cstf_core::CpAls::new(rank)
-        .strategy(strategy)
-        .max_iterations(2)
-        .skip_fit()
-        .seed(seed)
-        .run(&cluster, tensor)
-        .expect("run failed");
-    let m = cluster.metrics().snapshot();
-    m.shuffle_bytes_by_scope()
-        .into_iter()
-        .filter(|(s, _, _)| s.starts_with("MTTKRP"))
-        .map(|(_, r, l)| r + l)
-        .sum::<u64>()
-        / 2 // two iterations ran
-}
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(4000.0, 8);
+    let seed = setup.seed;
 
-    for spec in [DELICIOUS3D, FLICKR] {
-        let tensor = spec.generate(scale, seed);
-        println!(
-            "\n=== Rank ablation: {} (order {}, nnz {}) — per-iteration MTTKRP shuffle bytes ===",
-            spec.name,
-            tensor.order(),
-            tensor.nnz()
-        );
-        let mut rows = Vec::new();
+    for (name, tensor) in setup.paper_datasets(&[DELICIOUS3D, FLICKR]) {
+        heading("Rank ablation, MTTKRP shuffle bytes/iter", &name, &tensor);
+        let mut report = Report::new([
+            Col::new("R", "rank"),
+            Col::new("COO bytes", "coo_bytes"),
+            Col::new("QCOO bytes", "qcoo_bytes"),
+            Col::new("measured saving", "saving"),
+            Col::new("paper model", "model"),
+        ]);
         for rank in [2usize, 4, 8, 16] {
-            let coo = mttkrp_bytes(&tensor, cstf_core::Strategy::Coo, rank, seed);
-            let qcoo = mttkrp_bytes(&tensor, cstf_core::Strategy::Qcoo, rank, seed);
+            // Two iterations on 8 nodes, whatever `--nodes`/`--iters` say.
+            let bytes_per_iter = |strategy| {
+                let spec = RunSpec {
+                    rank,
+                    ..RunSpec::new(strategy, 8, 2, seed)
+                };
+                mttkrp_shuffle_bytes(&spec.run(&tensor).0) / 2
+            };
+            let coo = bytes_per_iter(Strategy::Coo);
+            let qcoo = bytes_per_iter(Strategy::Qcoo);
             let saving = 1.0 - qcoo as f64 / coo as f64;
-            rows.push(vec![
-                rank.to_string(),
-                format!("{:.2} MB", coo as f64 / 1e6),
-                format!("{:.2} MB", qcoo as f64 / 1e6),
-                format!("{:+.1}%", saving * 100.0),
-                format!(
-                    "{:.0}%",
-                    cstf_core::cost::qcoo_savings(tensor.order()) * 100.0
-                ),
+            report.row(vec![
+                rank.into(),
+                format!("{:.2} MB", coo as f64 / 1e6).into(),
+                format!("{:.2} MB", qcoo as f64 / 1e6).into(),
+                format!("{:+.1}%", saving * 100.0).into(),
+                format!("{:.0}%", qcoo_savings(tensor.order()) * 100.0).into(),
             ]);
         }
-        print_table(
-            &[
-                "R",
-                "COO bytes",
-                "QCOO bytes",
-                "measured saving",
-                "paper model",
-            ],
-            &rows,
-        );
-        write_csv(
-            &format!("ablation_rank_{}", spec.name),
-            &["rank", "coo_bytes", "qcoo_bytes", "saving", "model"],
-            &rows,
-        );
+        report.print();
+        report.write_csv(&setup.results_dir(), &format!("ablation_rank_{name}"));
     }
     println!(
         "\nFinding: the element model's 1/N saving is not R-invariant in a real\n\

@@ -22,187 +22,99 @@
 //! forced-sequential schedulers, quiet and under injected crashes; the
 //! run aborts otherwise. `--tiny` is the CI smoke configuration (one
 //! small synthetic tensor at `--nodes`); the full run sweeps the paper's
-//! 4–32 node counts. Results land in `results/BENCH_scheduler.json`.
+//! 4–32 node counts. Results land in `results/BENCH_scheduler.json`
+//! (`target/bench-tiny/` under `--tiny`); its seconds are all modeled.
 
 use cstf_bench::*;
-use cstf_core::{CpAls, CpResult, Partitioning, Strategy};
-use cstf_dataflow::prelude::*;
+use cstf_core::{Partitioning, Strategy};
 use cstf_tensor::datasets::THIRD_ORDER;
-use cstf_tensor::random::RandomTensor;
-use cstf_tensor::CooTensor;
 
 const VARIANTS: [(Strategy, Partitioning); 2] = [
     (Strategy::Coo, Partitioning::None),
     (Strategy::Qcoo, Partitioning::CoPartitionedFactors),
 ];
 
-struct Run {
-    metrics: JobMetrics,
-    result: CpResult,
-}
-
-fn run_variant(
-    tensor: &CooTensor,
-    variant: (Strategy, Partitioning),
-    nodes: usize,
-    iters: usize,
-    seed: u64,
-    sequential: bool,
-    faults: Option<FaultConfig>,
-) -> Run {
-    let mut config = ClusterConfig::auto().nodes(nodes);
-    if sequential {
-        config = config.sequential_stages();
-    }
-    if let Some(f) = faults {
-        config = config.max_task_attempts(4).faults(f);
-    }
-    let cluster = Cluster::new(config);
-    let result = CpAls::new(PAPER_RANK)
-        .strategy(variant.0)
-        .partitioning(variant.1)
-        .max_iterations(iters)
-        .skip_fit()
-        .seed(seed)
-        .run(&cluster, tensor)
-        .expect("CP-ALS run failed");
-    Run {
-        metrics: cluster.metrics().snapshot(),
-        result,
-    }
-}
-
-fn assert_bit_identical(a: &CpResult, b: &CpResult, what: &str) {
-    for (fa, fb) in a.kruskal.factors.iter().zip(b.kruskal.factors.iter()) {
-        for (x, y) in fa.data().iter().zip(fb.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: factors diverged");
-        }
-    }
-}
-
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let seed: u64 = args.parse("seed", 0);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let tiny = args.flag("tiny");
-
-    let node_counts: Vec<usize> = if tiny {
-        vec![args.parse("nodes", 4)]
+    let setup = Setup::from_env(4000.0, 4);
+    let Setup {
+        scale,
+        seed,
+        iters,
+        tiny,
+        ..
+    } = setup;
+    let model = spark_model(scale);
+    let node_counts = if tiny {
+        vec![setup.nodes]
     } else {
         PAPER_NODE_COUNTS.to_vec()
     };
-    let datasets: Vec<(String, CooTensor)> = if tiny {
-        vec![(
-            "tiny_synth".to_string(),
-            RandomTensor::new(vec![30, 24, 18])
-                .nnz(800)
-                .seed(seed)
-                .build(),
-        )]
-    } else {
-        THIRD_ORDER
-            .iter()
-            .map(|spec| (spec.name.to_string(), spec.generate(scale, seed)))
-            .collect()
-    };
 
     let mut json_datasets = Vec::new();
-    for (name, tensor) in &datasets {
-        println!(
-            "\n=== Scheduler ablation: {} (shape {:?}, nnz {}, {} iters) ===",
-            name,
-            tensor.shape(),
-            tensor.nnz(),
-            iters
-        );
-        let model = spark_model(scale);
-        let mut rows = Vec::new();
-        let mut json_rows = Vec::new();
+    for (name, tensor) in setup.datasets(&THIRD_ORDER) {
+        heading("Scheduler ablation", &name, &tensor);
+        let mut report = Report::new([
+            Col::new("strategy", "strategy"),
+            Col::data("partitioning"),
+            Col::new("nodes", "nodes"),
+            Col::new("serialized/iter", "sim_secs_serialized_per_iter"),
+            Col::new("critical-path/iter", "sim_secs_critical_path_per_iter"),
+            Col::new("ratio", "critical_over_serialized"),
+            Col::data("bit_identical"),
+        ]);
         for &nodes in &node_counts {
-            for variant in VARIANTS {
-                let (strategy, partitioning) = variant;
-                let run = run_variant(tensor, variant, nodes, iters, seed, false, None);
+            for (strategy, partitioning) in VARIANTS {
+                let concurrent = RunSpec {
+                    partitioning,
+                    ..RunSpec::new(strategy, nodes, iters, seed)
+                };
+                let (metrics, result) = concurrent.run(&tensor);
                 // Bit-identity bar: the concurrent scheduler must match
                 // the forced-sequential baseline, quiet and under chaos.
-                let sequential = run_variant(tensor, variant, nodes, iters, seed, true, None);
-                assert_bit_identical(
-                    &sequential.result,
-                    &run.result,
-                    &format!("{name}/{strategy}/{nodes}n quiet"),
-                );
-                let chaotic = run_variant(
-                    tensor,
-                    variant,
-                    nodes,
-                    iters,
-                    seed,
-                    false,
-                    Some(FaultConfig::crashes(seed.wrapping_add(17), 0.1)),
-                );
-                assert_bit_identical(
-                    &sequential.result,
-                    &chaotic.result,
-                    &format!("{name}/{strategy}/{nodes}n chaos"),
-                );
+                let sequential = RunSpec {
+                    sequential: true,
+                    ..concurrent.clone()
+                };
+                let (_, baseline) = sequential.run(&tensor);
+                let what = format!("{name}/{strategy}/{nodes}n");
+                assert_bit_identical(&baseline, &result, &format!("{what} quiet"));
+                let (_, shaken) = concurrent.under_chaos().run(&tensor);
+                assert_bit_identical(&baseline, &shaken, &format!("{what} chaos"));
 
                 let it = iters.max(1) as f64;
-                let critical = model.job_time(&run.metrics) / it;
-                let serialized = model.job_time_serialized(&run.metrics) / it;
+                let critical = model.job_time(&metrics) / it;
+                let serialized = model.job_time_serialized(&metrics) / it;
                 assert!(
                     critical <= serialized + 1e-9,
-                    "{name}/{strategy}/{nodes}n: critical path above serial sum"
+                    "{what}: critical path above serial sum"
                 );
                 let ratio = critical / serialized;
-                rows.push(vec![
-                    strategy.to_string(),
-                    nodes.to_string(),
-                    format!("{serialized:.2} s"),
-                    format!("{critical:.2} s"),
-                    format!("{ratio:.3}"),
+                report.row(vec![
+                    strategy.to_string().into(),
+                    partitioning.to_string().into(),
+                    nodes.into(),
+                    Cell::new(format!("{serialized:.2} s"), Json::Fixed(serialized, 6)),
+                    Cell::new(format!("{critical:.2} s"), Json::Fixed(critical, 6)),
+                    Cell::new(format!("{ratio:.3}"), Json::Fixed(ratio, 6)),
+                    true.into(),
                 ]);
-                json_rows.push(format!(
-                    concat!(
-                        "      {{\"strategy\": \"{}\", \"partitioning\": \"{}\", ",
-                        "\"nodes\": {}, \"sim_secs_serialized_per_iter\": {:.6}, ",
-                        "\"sim_secs_critical_path_per_iter\": {:.6}, ",
-                        "\"critical_over_serialized\": {:.6}, \"bit_identical\": true}}"
-                    ),
-                    strategy, partitioning, nodes, serialized, critical, ratio
-                ));
             }
         }
-        print_table(
-            &[
-                "strategy",
-                "nodes",
-                "serialized/iter",
-                "critical-path/iter",
-                "ratio",
-            ],
-            &rows,
-        );
-        json_datasets.push(format!(
-            "    {{\"dataset\": \"{}\", \"nnz\": {}, \"runs\": [\n{}\n    ]}}",
-            name,
-            tensor.nnz(),
-            json_rows.join(",\n")
-        ));
+        report.print();
+        json_datasets.push(Json::obj([
+            ("dataset", Json::from(name)),
+            ("nnz", tensor.nnz().into()),
+            ("runs", report.json_rows()),
+        ]));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"ablation_scheduler\",\n",
-            "  \"rank\": {},\n  \"iterations\": {},\n  \"seed\": {},\n",
-            "  \"tiny\": {},\n  \"datasets\": [\n{}\n  ]\n}}\n"
-        ),
-        PAPER_RANK,
-        iters,
-        seed,
-        tiny,
-        json_datasets.join(",\n")
-    );
-    let path = results_dir().join("BENCH_scheduler.json");
-    std::fs::write(&path, json).expect("write JSON report");
-    println!("\n[wrote {}]", path.display());
+    let doc = Json::obj([
+        ("experiment", Json::from("ablation_scheduler")),
+        ("rank", PAPER_RANK.into()),
+        ("iterations", iters.into()),
+        ("seed", seed.into()),
+        ("tiny", tiny.into()),
+        ("datasets", Json::Arr(json_datasets)),
+    ]);
+    write_json(&setup.results_dir(), "scheduler", &doc);
 }

@@ -13,9 +13,8 @@
 //! This experiment measures both: the max/mean records-per-partition
 //! ratio of the nonzero layout vs a mode-keyed repartition, for the
 //! skewed crawled datasets and the uniform synthetic one. Results land in
-//! `results/ablation_skew.csv` and `results/BENCH_skew.json`; the JSON's
-//! per-mode `hub_frequency` is the statistic the kernel's heavy-key split
-//! threshold (`SplitConfig::frequency`) is calibrated against.
+//! `results/ablation_skew.csv` and `results/BENCH_skew.json` (the same
+//! counted rows; `hub_frequency` is the hub index's share of the nonzeros).
 
 use cstf_bench::*;
 use cstf_core::factors::tensor_to_rdd;
@@ -23,15 +22,21 @@ use cstf_dataflow::prelude::*;
 use cstf_tensor::datasets::{DELICIOUS3D, NELL1, SYNT3D};
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 2000.0);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(2000.0, 8);
     let partitions = 32usize;
 
-    let mut rows = Vec::new();
+    let mut report = Report::new([
+        Col::label("dataset", "dataset"),
+        Col::new("keyed mode", "mode"),
+        Col::new("distinct idx", "distinct_indices"),
+        Col::new("hub nnz", "hub_nnz"),
+        Col::data("hub_frequency"),
+        Col::new("nonzero layout", "nonzero_layout_ratio"),
+        Col::new("mode-keyed layout", "mode_keyed_ratio"),
+        Col::new("max part (keyed)", "mode_keyed_max"),
+    ]);
     let mut json_datasets = Vec::new();
-    for spec in [DELICIOUS3D, NELL1, SYNT3D] {
-        let tensor = spec.generate(scale, seed);
+    for (name, tensor) in setup.paper_datasets(&[DELICIOUS3D, NELL1, SYNT3D]) {
         let cluster = Cluster::new(ClusterConfig::auto().nodes(8));
         let rdd = tensor_to_rdd(&cluster, &tensor, partitions);
 
@@ -47,7 +52,7 @@ fn main() {
 
         // Mode-keyed layout for every mode (what a per-mode hash shuffle
         // produces).
-        let mut json_modes = Vec::new();
+        let first_row = report.rows();
         for mode in 0..tensor.order() {
             let keyed_sizes: Vec<usize> = rdd
                 .map(move |rec| (rec.coord[mode], rec))
@@ -56,55 +61,26 @@ fn main() {
                 .collect();
             let (key_ratio, key_max) = imbalance(keyed_sizes);
             let hub = tensor.mode_histogram(mode).into_iter().max().unwrap_or(0);
-            // The hub frequency is what the sorted-runs kernel's heavy-key
-            // split threshold (`SplitConfig::frequency`) is calibrated
-            // against: any key above it gets chunked across subtasks.
             let hub_frequency = hub as f64 / tensor.nnz().max(1) as f64;
-            rows.push(vec![
-                spec.name.to_string(),
-                format!("mode {}", mode + 1),
-                format!("{}", tensor.distinct_indices(mode)),
-                hub.to_string(),
-                format!("{nz_ratio:.2}"),
-                format!("{key_ratio:.2}"),
-                key_max.to_string(),
+            report.row(vec![
+                name.as_str().into(),
+                Cell::new(format!("mode {}", mode + 1), mode + 1),
+                tensor.distinct_indices(mode).into(),
+                hub.into(),
+                Cell::fixed(hub_frequency, 6),
+                Cell::new(format!("{nz_ratio:.2}"), Json::Fixed(nz_ratio, 6)),
+                Cell::new(format!("{key_ratio:.2}"), Json::Fixed(key_ratio, 6)),
+                key_max.into(),
             ]);
-            json_modes.push(format!(
-                concat!(
-                    "      {{\"mode\": {}, \"distinct_indices\": {}, ",
-                    "\"hub_nnz\": {}, \"hub_frequency\": {:.6}, ",
-                    "\"nonzero_layout_ratio\": {:.6}, ",
-                    "\"mode_keyed_ratio\": {:.6}, \"mode_keyed_max\": {}}}"
-                ),
-                mode + 1,
-                tensor.distinct_indices(mode),
-                hub,
-                hub_frequency,
-                nz_ratio,
-                key_ratio,
-                key_max
-            ));
         }
-        json_datasets.push(format!(
-            "    {{\"dataset\": \"{}\", \"nnz\": {}, \"modes\": [\n{}\n    ]}}",
-            spec.name,
-            tensor.nnz(),
-            json_modes.join(",\n")
-        ));
+        json_datasets.push(Json::obj([
+            ("dataset", Json::from(name)),
+            ("nnz", tensor.nnz().into()),
+            ("modes", report.json_rows_from(first_row)),
+        ]));
     }
     println!("Partition load imbalance (max/mean records per partition), 32 partitions:\n");
-    print_table(
-        &[
-            "dataset",
-            "keyed mode",
-            "distinct idx",
-            "hub nnz",
-            "nonzero layout",
-            "mode-keyed layout",
-            "max part (keyed)",
-        ],
-        &rows,
-    );
+    report.print();
     println!(
         "\nThe nonzero layout stays near 1.0 regardless of skew; mode-keyed\n\
          layouts inherit the hub structure of crawled data. This is why CSTF's\n\
@@ -112,31 +88,14 @@ fn main() {
          tensors — and why the shuffles inside joins are the skew-sensitive\n\
          part of the pipeline."
     );
-    write_csv(
-        "ablation_skew",
-        &[
-            "dataset",
-            "mode",
-            "distinct",
-            "hub_nnz",
-            "nonzero_ratio",
-            "keyed_ratio",
-            "keyed_max",
-        ],
-        &rows,
-    );
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"ablation_skew\",\n",
-            "  \"partitions\": {},\n  \"scale\": {},\n  \"seed\": {},\n",
-            "  \"datasets\": [\n{}\n  ]\n}}\n"
-        ),
-        partitions,
-        scale,
-        seed,
-        json_datasets.join(",\n")
-    );
-    let path = results_dir().join("BENCH_skew.json");
-    std::fs::write(&path, json).expect("write JSON report");
-    println!("[wrote {}]", path.display());
+    let dir = setup.results_dir();
+    report.write_csv(&dir, "ablation_skew");
+    let doc = Json::obj([
+        ("experiment", Json::from("ablation_skew")),
+        ("partitions", partitions.into()),
+        ("scale", setup.scale.into()),
+        ("seed", setup.seed.into()),
+        ("datasets", Json::Arr(json_datasets)),
+    ]);
+    write_json(&dir, "skew", &doc);
 }

@@ -17,9 +17,11 @@
 //! ([`cost::iteration_communication`]) and the exact per-mode
 //! [`cost::spmv_mttkrp_communication`] fed by the real fiber counts
 //! ([`cstf_tensor::spmv::fiber_counts`]). Results land in
-//! `results/BENCH_spmv.json`.
+//! `results/BENCH_spmv.json`: counted shuffles and bytes, predicted
+//! elements, modeled seconds.
 //!
-//! `--tiny` shrinks every tensor to the CI smoke configuration.
+//! `--tiny` shrinks every tensor to the CI smoke configuration and writes
+//! under `target/bench-tiny/`.
 
 use cstf_bench::*;
 use cstf_core::cost;
@@ -51,21 +53,22 @@ fn predicted_elements(strategy: Strategy, tensor: &CooTensor) -> u64 {
 }
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let nodes: usize = args.parse("nodes", 8);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let seed: u64 = args.parse("seed", 0);
-    let tiny = args.flag("tiny");
-    let spark = spark_model(scale);
+    let mut setup = Setup::from_env(4000.0, 8);
+    let Setup {
+        nodes,
+        iters,
+        seed,
+        tiny,
+        ..
+    } = setup;
+    let spark = spark_model(setup.scale);
 
-    let mut datasets: Vec<(String, CooTensor)> = THIRD_ORDER
-        .iter()
-        .map(|spec| {
-            let s = if tiny { scale.max(40_000.0) } else { scale };
-            (spec.name.to_string(), spec.generate(s, seed))
-        })
-        .collect();
+    // This experiment's smoke mode keeps the paper datasets (fiber
+    // compression is the point) and shrinks them instead.
+    if tiny {
+        setup.scale = setup.scale.max(40_000.0);
+    }
+    let mut datasets = setup.paper_datasets(&THIRD_ORDER);
     let (shape4, nnz4) = if tiny {
         (vec![14u32, 12, 10, 8], 700usize)
     } else {
@@ -76,92 +79,54 @@ fn main() {
         RandomTensor::new(shape4).nnz(nnz4).seed(seed).build(),
     ));
 
-    let strategies = [Strategy::Coo, Strategy::Qcoo, Strategy::DfactoSpmv];
     let mut json_datasets = Vec::new();
-    for (name, tensor) in &datasets {
-        println!(
-            "\n=== SpMV ablation: {} (shape {:?}, nnz {}), {} nodes ===",
-            name,
-            tensor.shape(),
-            tensor.nnz(),
-            nodes
-        );
-        let mut rows = Vec::new();
-        let mut json_strategies = Vec::new();
-        let mut bytes_by_strategy = Vec::new();
-        for strategy in strategies {
-            let (m, _) = run_cstf(tensor, strategy, nodes, iters, seed);
-            let shuffle_bytes: u64 = m
-                .shuffle_bytes_by_scope()
-                .into_iter()
-                .filter(|(s, _, _)| s.starts_with("MTTKRP"))
-                .map(|(_, r, l)| r + l)
-                .sum::<u64>()
-                / iters as u64;
-            let shuffles = m.shuffle_count() / iters;
+    for (name, tensor) in datasets {
+        heading("SpMV ablation", &name, &tensor);
+        let mut report = Report::new([
+            Col::new("strategy", "strategy"),
+            Col::new("shuffles/iter", "shuffles_per_iter"),
+            Col::new("shuffle bytes/iter", "shuffle_bytes_per_iter"),
+            Col::new("predicted elems/iter", "predicted_elements_per_iter"),
+            Col::new("modeled time/iter", "modeled_secs_per_iter"),
+        ]);
+        let mut bytes_of = Vec::new();
+        for strategy in [Strategy::Coo, Strategy::Qcoo, Strategy::DfactoSpmv] {
+            let (m, _) = RunSpec::new(strategy, nodes, iters, seed).run(&tensor);
+            let shuffle_bytes = mttkrp_shuffle_bytes(&m) / iters as u64;
             let secs = per_iteration_secs_amortized(&spark, &m, iters);
-            let predicted = predicted_elements(strategy, tensor);
-            bytes_by_strategy.push((strategy, shuffle_bytes, secs));
-            rows.push(vec![
-                strategy.to_string(),
-                shuffles.to_string(),
-                format!("{:.2} MB", shuffle_bytes as f64 / 1e6),
-                format!("{:.2} M elems", predicted as f64 / 1e6),
-                format!("{secs:.1} s"),
-            ]);
-            json_strategies.push(format!(
-                concat!(
-                    "      {{\"strategy\": \"{}\", \"shuffles_per_iter\": {}, ",
-                    "\"shuffle_bytes_per_iter\": {}, ",
-                    "\"predicted_elements_per_iter\": {}, ",
-                    "\"modeled_secs_per_iter\": {:.6}}}"
+            let predicted = predicted_elements(strategy, &tensor);
+            bytes_of.push(shuffle_bytes);
+            report.row(vec![
+                strategy.to_string().into(),
+                (m.shuffle_count() / iters).into(),
+                Cell::new(
+                    format!("{:.2} MB", shuffle_bytes as f64 / 1e6),
+                    shuffle_bytes,
                 ),
-                strategy, shuffles, shuffle_bytes, predicted, secs
-            ));
+                Cell::new(format!("{:.2} M elems", predicted as f64 / 1e6), predicted),
+                Cell::new(format!("{secs:.1} s"), Json::Fixed(secs, 6)),
+            ]);
         }
-        print_table(
-            &[
-                "strategy",
-                "shuffles/iter",
-                "shuffle bytes/iter",
-                "predicted elems/iter",
-                "modeled time/iter",
-            ],
-            &rows,
-        );
-        let coo_bytes = bytes_by_strategy[0].1;
-        let spmv_bytes = bytes_by_strategy[2].1;
-        println!(
-            "SpMV shuffle bytes vs COO: {:.2}x",
-            spmv_bytes as f64 / (coo_bytes as f64).max(1.0)
-        );
-        json_datasets.push(format!(
-            concat!(
-                "    {{\"dataset\": \"{}\", \"order\": {}, \"nnz\": {}, ",
-                "\"spmv_vs_coo_bytes\": {:.6}, \"strategies\": [\n{}\n    ]}}"
-            ),
-            name,
-            tensor.order(),
-            tensor.nnz(),
-            spmv_bytes as f64 / (coo_bytes as f64).max(1.0),
-            json_strategies.join(",\n")
-        ));
+        report.print();
+        let spmv_vs_coo = bytes_of[2] as f64 / (bytes_of[0] as f64).max(1.0);
+        println!("SpMV shuffle bytes vs COO: {spmv_vs_coo:.2}x");
+        json_datasets.push(Json::obj([
+            ("dataset", Json::from(name)),
+            ("order", tensor.order().into()),
+            ("nnz", tensor.nnz().into()),
+            ("spmv_vs_coo_bytes", Json::Fixed(spmv_vs_coo, 6)),
+            ("strategies", report.json_rows()),
+        ]));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"ablation_spmv\",\n",
-            "  \"rank\": {},\n  \"nodes\": {},\n  \"iterations\": {},\n",
-            "  \"seed\": {},\n  \"tiny\": {},\n  \"datasets\": [\n{}\n  ]\n}}\n"
-        ),
-        PAPER_RANK,
-        nodes,
-        iters,
-        seed,
-        tiny,
-        json_datasets.join(",\n")
-    );
-    let path = results_dir().join("BENCH_spmv.json");
-    std::fs::write(&path, json).expect("write JSON report");
-    println!("\n[wrote {}]", path.display());
+    let doc = Json::obj([
+        ("experiment", Json::from("ablation_spmv")),
+        ("rank", PAPER_RANK.into()),
+        ("nodes", nodes.into()),
+        ("iterations", iters.into()),
+        ("seed", seed.into()),
+        ("tiny", tiny.into()),
+        ("datasets", Json::Arr(json_datasets)),
+    ]);
+    write_json(&setup.results_dir(), "spmv", &doc);
 }

@@ -17,69 +17,44 @@ use cstf_core::Strategy;
 use cstf_tensor::datasets::THIRD_ORDER;
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let nodes: usize = args.parse("nodes", 8);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(4000.0, 8);
+    let Setup {
+        scale,
+        seed,
+        nodes,
+        iters,
+        ..
+    } = setup;
     let spark = spark_model(scale);
 
-    for spec in THIRD_ORDER {
-        let tensor = spec.generate(scale, seed);
-        println!(
-            "\n=== Strategy ablation: {} (nnz {}), {} nodes ===",
-            spec.name,
-            tensor.nnz(),
-            nodes
-        );
-        let mut rows = Vec::new();
+    for (name, tensor) in setup.paper_datasets(&THIRD_ORDER) {
+        heading("Strategy ablation", &name, &tensor);
+        let mut report = Report::new([
+            Col::new("strategy", "strategy"),
+            Col::new("tensor shuffles/iter", "shuffles"),
+            Col::new("shuffle bytes/iter", "shuffle_bytes"),
+            Col::new("broadcast bytes/iter", "broadcast_bytes"),
+            Col::new("modeled time/iter", "secs"),
+        ]);
         for strategy in [
             Strategy::Coo,
             Strategy::Qcoo,
             Strategy::CooBroadcast,
             Strategy::DfactoSpmv,
         ] {
-            let (m, _) = run_cstf(&tensor, strategy, nodes, iters, seed);
-            let shuffle_bytes: u64 = m
-                .shuffle_bytes_by_scope()
-                .into_iter()
-                .filter(|(s, _, _)| s.starts_with("MTTKRP"))
-                .map(|(_, r, l)| r + l)
-                .sum::<u64>()
-                / iters as u64;
+            let (m, _) = RunSpec::new(strategy, nodes, iters, seed).run(&tensor);
+            let shuffle_bytes = mttkrp_shuffle_bytes(&m) / iters as u64;
             let broadcast = m.total_broadcast_bytes() / iters as u64;
             let secs = per_iteration_secs_amortized(&spark, &m, iters);
-            rows.push(vec![
-                strategy.to_string(),
-                format!(
-                    "{}",
-                    m.significant_shuffle_count(tensor.nnz() as u64 / 2) / iters
-                ),
-                format!("{:.2} MB", shuffle_bytes as f64 / 1e6),
-                format!("{:.2} MB", broadcast as f64 / 1e6),
-                format!("{secs:.1} s"),
+            report.row(vec![
+                strategy.to_string().into(),
+                (m.significant_shuffle_count(tensor.nnz() as u64 / 2) / iters).into(),
+                format!("{:.2} MB", shuffle_bytes as f64 / 1e6).into(),
+                format!("{:.2} MB", broadcast as f64 / 1e6).into(),
+                format!("{secs:.1} s").into(),
             ]);
         }
-        print_table(
-            &[
-                "strategy",
-                "tensor shuffles/iter",
-                "shuffle bytes/iter",
-                "broadcast bytes/iter",
-                "modeled time/iter",
-            ],
-            &rows,
-        );
-        write_csv(
-            &format!("ablation_strategies_{}", spec.name),
-            &[
-                "strategy",
-                "shuffles",
-                "shuffle_bytes",
-                "broadcast_bytes",
-                "secs",
-            ],
-            &rows,
-        );
+        report.print();
+        report.write_csv(&setup.results_dir(), &format!("ablation_strategies_{name}"));
     }
 }

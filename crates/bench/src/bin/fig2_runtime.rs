@@ -18,81 +18,10 @@
 //! 32 nodes; QCOO ≈ COO at 4 nodes, ahead at 16–32.
 
 use cstf_bench::*;
-use cstf_core::Strategy;
-use cstf_tensor::datasets::{DatasetSpec, THIRD_ORDER};
+use cstf_tensor::datasets::THIRD_ORDER;
 
 fn main() {
-    let args = Args::from_env();
-    let dataset_arg = args.get("dataset", "all");
-    let scale: f64 = args.parse("scale", 2000.0);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let seed: u64 = args.parse("seed", 0);
-    let nodes: Vec<usize> = args
-        .get("nodes", "4,8,16,32")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-
-    let datasets: Vec<DatasetSpec> = if dataset_arg == "all" {
-        THIRD_ORDER.to_vec()
-    } else {
-        vec![DatasetSpec::by_name(&dataset_arg)
-            .unwrap_or_else(|| panic!("unknown 3rd-order dataset {dataset_arg:?}"))]
-    };
-
-    for spec in datasets {
-        let tensor = spec.generate(scale, seed);
-        println!(
-            "\n=== Figure 2: {} @ 1/{scale:.0} (shape {:?}, nnz {}) ===",
-            spec.name,
-            tensor.shape(),
-            tensor.nnz()
-        );
-        let spark = spark_model(scale);
-        let hadoop = hadoop_model(scale);
-
-        let mut rows = Vec::new();
-        for &n in &nodes {
-            let (m_coo, _) = run_cstf(&tensor, Strategy::Coo, n, iters, seed);
-            let (m_qcoo, _) = run_cstf(&tensor, Strategy::Qcoo, n, iters, seed);
-            let (m_big, _) = run_bigtensor(&tensor, n, iters, seed);
-            let t_coo = per_iteration_secs_amortized(&spark, &m_coo, iters);
-            let t_qcoo = per_iteration_secs_amortized(&spark, &m_qcoo, iters);
-            let t_big = per_iteration_secs_amortized(&hadoop, &m_big, iters);
-            rows.push(vec![
-                n.to_string(),
-                format!("{t_coo:.1}"),
-                format!("{t_qcoo:.1}"),
-                format!("{t_big:.1}"),
-                format!("{:.2}", t_big / t_coo),
-                format!("{:.2}", t_big / t_qcoo),
-                format!("{:.2}", t_coo / t_qcoo),
-            ]);
-        }
-        print_table(
-            &[
-                "nodes",
-                "COO (s)",
-                "QCOO (s)",
-                "BIGtensor (s)",
-                "COO speedup",
-                "QCOO speedup",
-                "QCOO vs COO",
-            ],
-            &rows,
-        );
-        write_csv(
-            &format!("fig2_{}", spec.name),
-            &[
-                "nodes",
-                "coo_s",
-                "qcoo_s",
-                "bigtensor_s",
-                "coo_speedup",
-                "qcoo_speedup",
-                "qcoo_vs_coo",
-            ],
-            &rows,
-        );
-    }
+    // The node count is swept (`--nodes 4,8,16,32`), not set.
+    let setup = Setup::from_env(2000.0, PAPER_NODE_COUNTS[0]);
+    runtime_vs_nodes("Figure 2", "fig2", &setup, &THIRD_ORDER, true);
 }

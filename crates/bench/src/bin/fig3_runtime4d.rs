@@ -13,56 +13,10 @@
 //! 1.06×–1.67× for delicious4d, 0.98×–1.27× for flickr).
 
 use cstf_bench::*;
-use cstf_core::Strategy;
-use cstf_tensor::datasets::{DatasetSpec, FOURTH_ORDER};
+use cstf_tensor::datasets::FOURTH_ORDER;
 
 fn main() {
-    let args = Args::from_env();
-    let dataset_arg = args.get("dataset", "all");
-    let scale: f64 = args.parse("scale", 4000.0);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let seed: u64 = args.parse("seed", 0);
-    let nodes: Vec<usize> = args
-        .get("nodes", "4,8,16,32")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-
-    let datasets: Vec<DatasetSpec> = if dataset_arg == "all" {
-        FOURTH_ORDER.to_vec()
-    } else {
-        vec![DatasetSpec::by_name(&dataset_arg)
-            .unwrap_or_else(|| panic!("unknown 4th-order dataset {dataset_arg:?}"))]
-    };
-
-    for spec in datasets {
-        let tensor = spec.generate(scale, seed);
-        println!(
-            "\n=== Figure 3: {} @ 1/{scale:.0} (shape {:?}, nnz {}) ===",
-            spec.name,
-            tensor.shape(),
-            tensor.nnz()
-        );
-        let spark = spark_model(scale);
-
-        let mut rows = Vec::new();
-        for &n in &nodes {
-            let (m_coo, _) = run_cstf(&tensor, Strategy::Coo, n, iters, seed);
-            let (m_qcoo, _) = run_cstf(&tensor, Strategy::Qcoo, n, iters, seed);
-            let t_coo = per_iteration_secs_amortized(&spark, &m_coo, iters);
-            let t_qcoo = per_iteration_secs_amortized(&spark, &m_qcoo, iters);
-            rows.push(vec![
-                n.to_string(),
-                format!("{t_coo:.1}"),
-                format!("{t_qcoo:.1}"),
-                format!("{:.2}", t_coo / t_qcoo),
-            ]);
-        }
-        print_table(&["nodes", "COO (s)", "QCOO (s)", "QCOO speedup"], &rows);
-        write_csv(
-            &format!("fig3_{}", spec.name),
-            &["nodes", "coo_s", "qcoo_s", "qcoo_speedup"],
-            &rows,
-        );
-    }
+    // The node count is swept (`--nodes 4,8,16,32`), not set.
+    let setup = Setup::from_env(4000.0, PAPER_NODE_COUNTS[0]);
+    runtime_vs_nodes("Figure 3", "fig3", &setup, &FOURTH_ORDER, false);
 }

@@ -23,31 +23,34 @@
 
 use cstf_bench::*;
 use cstf_core::Strategy;
-use cstf_tensor::datasets::{DatasetSpec, DELICIOUS3D, FLICKR};
+use cstf_tensor::datasets::{DELICIOUS3D, FLICKR};
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 2000.0);
-    let nodes: usize = args.parse("nodes", 8);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let seed: u64 = args.parse("seed", 0);
-    let datasets: [DatasetSpec; 2] = [DELICIOUS3D, FLICKR];
+    let setup = Setup::from_env(2000.0, 8);
+    let Setup {
+        scale,
+        nodes,
+        iters,
+        seed,
+        ..
+    } = setup;
 
-    let mut csv = Vec::new();
-    for spec in datasets {
-        let tensor = spec.generate(scale, seed);
-        println!(
-            "\n=== Figure 4: {} @ 1/{scale:.0} (nnz {}), per CP-ALS iteration, {} nodes ===",
-            spec.name,
-            tensor.nnz(),
-            nodes
+    let mut report = Report::new([
+        Col::new("dataset", "dataset"),
+        Col::new("strategy", "strategy"),
+        Col::new("scope", "scope"),
+        Col::new("remote MB", "remote_bytes_per_iter"),
+        Col::new("local MB", "local_bytes_per_iter"),
+    ]);
+    for (name, tensor) in setup.paper_datasets(&[DELICIOUS3D, FLICKR]) {
+        heading(
+            &format!("Figure 4 @ 1/{scale:.0}, {nodes} nodes"),
+            &name,
+            &tensor,
         );
-
         let mut totals = Vec::new();
         for strategy in [Strategy::Coo, Strategy::Qcoo] {
-            let (metrics, _) = run_cstf(&tensor, strategy, nodes, iters, seed);
-            println!("\n{strategy} (per iteration):");
-            let mut rows = Vec::new();
+            let (metrics, _) = RunSpec::new(strategy, nodes, iters, seed).run(&tensor);
             let (mut remote_total, mut local_total) = (0.0f64, 0.0f64);
             for (scope, remote, local) in metrics.shuffle_bytes_by_scope() {
                 let div = if scope.starts_with("MTTKRP") {
@@ -56,51 +59,36 @@ fn main() {
                     PAPER_ITERATIONS as f64
                 };
                 let (r, l) = (remote as f64 / div, local as f64 / div);
-                rows.push(vec![
-                    scope.clone(),
-                    format!("{:.3}", r / 1e6),
-                    format!("{:.3}", l / 1e6),
+                report.row(vec![
+                    name.as_str().into(),
+                    strategy.to_string().into(),
+                    scope.into(),
+                    Cell::new(format!("{:.3}", r / 1e6), Json::Fixed(r, 0)),
+                    Cell::new(format!("{:.3}", l / 1e6), Json::Fixed(l, 0)),
                 ]);
                 remote_total += r;
                 local_total += l;
-                csv.push(vec![
-                    spec.name.to_string(),
-                    strategy.to_string(),
-                    scope,
-                    format!("{r:.0}"),
-                    format!("{l:.0}"),
-                ]);
             }
-            rows.push(vec![
-                "TOTAL".into(),
-                format!("{:.3}", remote_total / 1e6),
-                format!("{:.3}", local_total / 1e6),
-            ]);
-            print_table(&["scope", "remote MB", "local MB"], &rows);
+            println!(
+                "{strategy}: {:.3} MB remote, {:.3} MB local per iteration",
+                remote_total / 1e6,
+                local_total / 1e6
+            );
             totals.push((remote_total, local_total));
         }
 
         let remote_saving = 1.0 - totals[1].0 / totals[0].0;
         let local_saving = 1.0 - totals[1].1 / totals[0].1;
         println!(
-            "\n{}: QCOO reduces remote bytes by {:.1}% and local bytes by {:.1}% \
+            "{name}: QCOO reduces remote bytes by {:.1}% and local bytes by {:.1}% \
              (paper: {}% remote / {}% local)",
-            spec.name,
             remote_saving * 100.0,
             local_saving * 100.0,
-            if spec.name == "delicious3d" { 35 } else { 31 },
-            if spec.name == "delicious3d" { 36 } else { 35 },
+            if name == "delicious3d" { 35 } else { 31 },
+            if name == "delicious3d" { 36 } else { 35 },
         );
     }
-    write_csv(
-        "fig4_comm",
-        &[
-            "dataset",
-            "strategy",
-            "scope",
-            "remote_bytes_per_iter",
-            "local_bytes_per_iter",
-        ],
-        &csv,
-    );
+    println!("\nStacked segments (per iteration):\n");
+    report.print();
+    report.write_csv(&setup.results_dir(), "fig4_comm");
 }

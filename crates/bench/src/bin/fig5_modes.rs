@@ -18,49 +18,33 @@
 
 use cstf_bench::*;
 use cstf_core::Strategy;
-use cstf_tensor::datasets::DatasetSpec;
+use cstf_dataflow::prelude::*;
+use cstf_tensor::datasets::{DELICIOUS3D, NELL1};
 
 fn main() {
-    let args = Args::from_env();
-    let dataset_arg = args.get("dataset", "all");
-    let scale: f64 = args.parse("scale", 4000.0);
-    let nodes: usize = args.parse("nodes", 4);
-    let iters: usize = args.parse("iters", DEFAULT_ITERATIONS);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(4000.0, 4);
+    let Setup {
+        scale,
+        nodes,
+        iters,
+        seed,
+        ..
+    } = setup;
+    let spark = spark_model(scale);
+    let hadoop = hadoop_model(scale);
 
-    let names: Vec<&str> = if dataset_arg == "all" {
-        vec!["nell1", "delicious3d"]
-    } else {
-        vec![Box::leak(dataset_arg.clone().into_boxed_str()) as &str]
-    };
-
-    for name in names {
-        let spec = DatasetSpec::by_name(name).unwrap_or_else(|| panic!("unknown dataset {name:?}"));
-        let tensor = spec.generate(scale, seed);
-        println!(
-            "\n=== Figure 5: per-mode MTTKRP on {} @ 1/{scale:.0} (nnz {}), {} nodes ===",
-            spec.name,
-            tensor.nnz(),
-            nodes
+    for (name, tensor) in setup.paper_datasets(&setup.selected(&[NELL1, DELICIOUS3D])) {
+        heading(
+            &format!("Figure 5 @ 1/{scale:.0}, {nodes} nodes"),
+            &name,
+            &tensor,
         );
-        let spark = spark_model(scale);
-        let hadoop = hadoop_model(scale);
-
-        // scope → per-algorithm seconds.
-        let mut per_mode: Vec<Vec<f64>> = vec![Vec::new(); 3];
-
-        let (m_coo, _) = run_cstf(&tensor, Strategy::Coo, nodes, iters, seed);
-        let (m_qcoo, _) = run_cstf(&tensor, Strategy::Qcoo, nodes, iters, seed);
+        let (m_coo, _) = RunSpec::new(Strategy::Coo, nodes, iters, seed).run(&tensor);
+        let (m_qcoo, _) = RunSpec::new(Strategy::Qcoo, nodes, iters, seed).run(&tensor);
         let (m_big, _) = run_bigtensor(&tensor, nodes, iters, seed);
 
-        for (i, (model, metrics, charge_other_to_mode1)) in [
-            (&spark, &m_coo, false),
-            (&spark, &m_qcoo, true), // queue init charged to mode 1
-            (&hadoop, &m_big, false),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        // Per-mode seconds of one algorithm; `other` is the one-off cost.
+        let per_mode = |model: &TimeModel, metrics: &JobMetrics, charge_other_to_mode1: bool| {
             let mut other = 0.0;
             let mut modes = [0.0f64; 3];
             for (scope, secs) in model.scope_times(metrics) {
@@ -74,47 +58,35 @@ fn main() {
             if charge_other_to_mode1 {
                 modes[0] += other;
             }
-            for (m, &secs) in modes.iter().enumerate() {
-                per_mode[m].resize(i, 0.0);
-                per_mode[m].push(secs);
-            }
-        }
+            modes
+        };
+        let coo = per_mode(&spark, &m_coo, false);
+        let qcoo = per_mode(&spark, &m_qcoo, true); // queue init charged to mode 1
+        let big = per_mode(&hadoop, &m_big, false);
 
-        let mut rows = Vec::new();
-        let mut csv = Vec::new();
-        for (m, algs) in per_mode.iter().enumerate() {
-            rows.push(vec![
-                format!("mode {}", m + 1),
-                format!("{:.1}", algs[0]),
-                format!("{:.1}", algs[1]),
-                format!("{:.1}", algs[2]),
-                format!("{:.2}", algs[2] / algs[0]),
-                format!("{:.2}", algs[2] / algs[1]),
-            ]);
-            csv.push(vec![
-                spec.name.to_string(),
-                (m + 1).to_string(),
-                algs[0].to_string(),
-                algs[1].to_string(),
-                algs[2].to_string(),
+        let mut report = Report::new([
+            Col::data("dataset"),
+            Col::new("", "mode"),
+            Col::new("COO (s)", "coo_s"),
+            Col::new("QCOO (s)", "qcoo_s"),
+            Col::new("BIGtensor (s)", "bigtensor_s"),
+            Col::table("COO speedup"),
+            Col::table("QCOO speedup"),
+        ]);
+        let secs = |x: f64| Cell::new(format!("{x:.1}"), x);
+        for m in 0..3 {
+            report.row(vec![
+                name.as_str().into(),
+                Cell::new(format!("mode {}", m + 1), m + 1),
+                secs(coo[m]),
+                secs(qcoo[m]),
+                secs(big[m]),
+                Cell::fixed(big[m] / coo[m], 2),
+                Cell::fixed(big[m] / qcoo[m], 2),
             ]);
         }
-        print_table(
-            &[
-                "",
-                "COO (s)",
-                "QCOO (s)",
-                "BIGtensor (s)",
-                "COO speedup",
-                "QCOO speedup",
-            ],
-            &rows,
-        );
+        report.print();
         println!("(QCOO mode-1 includes the queue-initialization overhead, as in the paper)");
-        write_csv(
-            &format!("fig5_{}", spec.name),
-            &["dataset", "mode", "coo_s", "qcoo_s", "bigtensor_s"],
-            &csv,
-        );
+        report.write_csv(&setup.results_dir(), &format!("fig5_{name}"));
     }
 }

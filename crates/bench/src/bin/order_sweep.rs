@@ -18,70 +18,45 @@ use cstf_core::Strategy;
 use cstf_tensor::random::RandomTensor;
 
 fn main() {
-    let args = Args::from_env();
-    let nnz: usize = args.parse("nnz", 20_000);
-    let seed: u64 = args.parse("seed", 0);
+    // Synthetic tensors sized by --nnz on a fixed 8 nodes: only --seed is read.
+    let setup = Setup::from_env(1.0, 8);
+    let seed = setup.seed;
+    let nnz: usize = setup.args.parse("nnz", 20_000);
 
-    let mut rows = Vec::new();
+    let mut report = Report::new([
+        Col::new("order", "order"),
+        Col::new("COO elems (model)", "coo_model"),
+        Col::new("QCOO elems (model)", "qcoo_model"),
+        Col::new("saving (model)", "saving_model"),
+        Col::new("COO bytes", "coo_bytes"),
+        Col::new("QCOO bytes", "qcoo_bytes"),
+        Col::new("saving (measured)", "saving_measured"),
+    ]);
     for order in [3usize, 4, 5] {
         let shape: Vec<u32> = (0..order).map(|m| 200 - 20 * m as u32).collect();
         let tensor = RandomTensor::new(shape).nnz(nnz).seed(seed).build();
 
-        let (m_coo, _) = run_cstf(&tensor, Strategy::Coo, 8, 1, seed);
-        let (m_qcoo, _) = run_cstf(&tensor, Strategy::Qcoo, 8, 1, seed);
-        // Steady-state per-iteration traffic: exclude the one-off "Other"
-        // scope (tensor distribution + queue init).
-        let mttkrp_bytes = |m: &cstf_dataflow::JobMetrics| -> u64 {
-            m.shuffle_bytes_by_scope()
-                .into_iter()
-                .filter(|(scope, _, _)| scope.starts_with("MTTKRP"))
-                .map(|(_, r, l)| r + l)
-                .sum()
-        };
-        let coo_bytes = mttkrp_bytes(&m_coo);
-        let qcoo_bytes = mttkrp_bytes(&m_qcoo);
+        // One iteration each; steady-state traffic only (the one-off
+        // "Other" scope — tensor distribution + queue init — is excluded).
+        let (m_coo, _) = RunSpec::new(Strategy::Coo, 8, 1, seed).run(&tensor);
+        let (m_qcoo, _) = RunSpec::new(Strategy::Qcoo, 8, 1, seed).run(&tensor);
+        let coo_bytes = mttkrp_shuffle_bytes(&m_coo);
+        let qcoo_bytes = mttkrp_shuffle_bytes(&m_qcoo);
         let measured_saving = 1.0 - qcoo_bytes as f64 / coo_bytes as f64;
 
-        let coo_model =
-            iteration_communication(Algorithm::CstfCoo, order, nnz as u64, PAPER_RANK as u64);
-        let qcoo_model =
-            iteration_communication(Algorithm::CstfQcoo, order, nnz as u64, PAPER_RANK as u64);
-
-        rows.push(vec![
-            order.to_string(),
-            format!("{coo_model}"),
-            format!("{qcoo_model}"),
-            format!("{:.0}%", qcoo_savings(order) * 100.0),
-            format!("{:.1} MB", coo_bytes as f64 / 1e6),
-            format!("{:.1} MB", qcoo_bytes as f64 / 1e6),
-            format!("{:.1}%", measured_saving * 100.0),
+        let model = |alg| iteration_communication(alg, order, nnz as u64, PAPER_RANK as u64);
+        report.row(vec![
+            order.into(),
+            model(Algorithm::CstfCoo).to_string().into(),
+            model(Algorithm::CstfQcoo).to_string().into(),
+            format!("{:.0}%", qcoo_savings(order) * 100.0).into(),
+            format!("{:.1} MB", coo_bytes as f64 / 1e6).into(),
+            format!("{:.1} MB", qcoo_bytes as f64 / 1e6).into(),
+            format!("{:.1}%", measured_saving * 100.0).into(),
         ]);
     }
     println!("QCOO communication savings by tensor order (§5):\n");
-    print_table(
-        &[
-            "order",
-            "COO elems (model)",
-            "QCOO elems (model)",
-            "saving (model)",
-            "COO bytes",
-            "QCOO bytes",
-            "saving (measured)",
-        ],
-        &rows,
-    );
+    report.print();
     println!("\nPaper §5: up to 33% / 25% / 20% for orders 3 / 4 / 5.");
-    write_csv(
-        "order_sweep",
-        &[
-            "order",
-            "coo_model",
-            "qcoo_model",
-            "saving_model",
-            "coo_bytes",
-            "qcoo_bytes",
-            "saving_measured",
-        ],
-        &rows,
-    );
+    report.write_csv(&setup.results_dir(), "order_sweep");
 }

@@ -11,43 +11,35 @@
 //! bytes each shuffle moved, and where the stage boundaries fell.
 
 use cstf_bench::*;
-use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
+use cstf_core::cost::Algorithm;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::random::RandomTensor;
-use cstf_tensor::DenseMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn print_stages(title: &str, metrics: &JobMetrics) {
     println!("\n--- {title} ---");
-    let mut rows = Vec::new();
+    let mut report = Report::new([
+        Col::table("stage"),
+        Col::table("kind"),
+        Col::table("name"),
+        Col::table("tasks"),
+        Col::table("records"),
+        Col::table("shfl w recs"),
+        Col::table("shfl w bytes"),
+        Col::table("shfl r bytes"),
+    ]);
     for s in metrics.stages() {
-        rows.push(vec![
-            s.stage_id.to_string(),
-            format!("{:?}", s.kind),
-            s.name.clone(),
-            s.num_tasks.to_string(),
-            s.records_out.to_string(),
-            s.shuffle_write_records.to_string(),
-            s.shuffle_write_bytes.to_string(),
-            s.shuffle_read_bytes().to_string(),
+        report.row(vec![
+            s.stage_id.into(),
+            format!("{:?}", s.kind).into(),
+            s.name.as_str().into(),
+            s.num_tasks.into(),
+            s.records_out.into(),
+            s.shuffle_write_records.into(),
+            s.shuffle_write_bytes.into(),
+            s.shuffle_read_bytes().into(),
         ]);
     }
-    print_table(
-        &[
-            "stage",
-            "kind",
-            "name",
-            "tasks",
-            "records",
-            "shfl w recs",
-            "shfl w bytes",
-            "shfl r bytes",
-        ],
-        &rows,
-    );
+    report.print();
     println!(
         "shuffles: {} total, {} tensor-sized",
         metrics.shuffle_count(),
@@ -60,53 +52,18 @@ fn main() {
     let nnz: usize = args.parse("nnz", 500);
     let rank = PAPER_RANK;
     let tensor = RandomTensor::new(vec![40, 30, 50]).nnz(nnz).seed(1).build();
-    let mut rng = StdRng::seed_from_u64(2);
-    let factors: Vec<DenseMatrix> = tensor
-        .shape()
-        .iter()
-        .map(|&s| DenseMatrix::random(s as usize, rank, &mut rng))
-        .collect();
+    let factors = random_factors(tensor.shape(), rank, 2);
     println!(
         "Table 2 workflow traces: mode-1 MTTKRP, {} nonzeros, rank {rank}",
         tensor.nnz()
     );
-
-    // CSTF-COO.
-    {
+    for (algorithm, column) in [
+        (Algorithm::CstfCoo, "middle"),
+        (Algorithm::CstfQcoo, "right"),
+        (Algorithm::BigTensor, "left"),
+    ] {
         let c = Cluster::new(ClusterConfig::local(4).nodes(4).default_parallelism(8));
-        let rdd = tensor_to_rdd(&c, &tensor, 8).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        c.metrics().reset();
-        let _ = mttkrp_coo(
-            &c,
-            &rdd,
-            &factors,
-            tensor.shape(),
-            0,
-            &MttkrpOptions::default(),
-        )
-        .unwrap();
-        print_stages("CSTF-COO (Table 2, middle column)", &c.metrics().snapshot());
-    }
-
-    // CSTF-QCOO steady-state step.
-    {
-        let c = Cluster::new(ClusterConfig::local(4).nodes(4).default_parallelism(8));
-        let rdd = tensor_to_rdd(&c, &tensor, 8).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        let mut q = QcooState::init(&c, &rdd, &factors, tensor.shape(), rank, 8).unwrap();
-        c.metrics().reset();
-        let _ = q.step(&factors[2]).unwrap();
-        print_stages("CSTF-QCOO (Table 2, right column)", &c.metrics().snapshot());
-    }
-
-    // BIGtensor.
-    {
-        let c = Cluster::new(ClusterConfig::local(4).nodes(4).default_parallelism(8));
-        let rdd = tensor_to_rdd(&c, &tensor, 8);
-        c.metrics().reset();
-        let _ = cstf_core::bigtensor::bigtensor_mttkrp(&c, &rdd, &factors, tensor.shape(), 0, 8)
-            .unwrap();
-        print_stages("BIGtensor (Table 2, left column)", &c.metrics().snapshot());
+        let metrics = mode1_mttkrp(algorithm, &c, &tensor, &factors, 8);
+        print_stages(&format!("{algorithm} (Table 2, {column} column)"), &metrics);
     }
 }

@@ -19,96 +19,44 @@
 
 use cstf_bench::*;
 use cstf_core::cost::{mttkrp_cost, Algorithm};
-use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::datasets::SYNT3D;
-use cstf_tensor::DenseMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 4000.0);
-    let rank: usize = args.parse("rank", PAPER_RANK);
-    let seed: u64 = args.parse("seed", 0);
+    let setup = Setup::from_env(4000.0, 8);
+    let Setup { scale, seed, .. } = setup;
+    let rank: usize = setup.args.parse("rank", PAPER_RANK);
 
     let tensor = SYNT3D.generate(scale, seed);
     let nnz = tensor.nnz() as u64;
     println!(
         "Table 4 reproduction: synt3d @ 1/{scale:.0}, nnz = {nnz}, R = {rank}, mode-1 MTTKRP\n"
     );
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let factors: Vec<DenseMatrix> = tensor
-        .shape()
-        .iter()
-        .map(|&s| DenseMatrix::random(s as usize, rank, &mut rng))
-        .collect();
-
-    let mut rows = Vec::new();
-    let mut measured: Vec<(usize, u64)> = Vec::new(); // (shuffles, write bytes of carried state)
-
-    // CSTF-COO.
-    {
-        let c = Cluster::new(ClusterConfig::auto().nodes(8));
-        let rdd = tensor_to_rdd(&c, &tensor, 32).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        c.metrics().reset();
-        let _ = mttkrp_coo(
-            &c,
-            &rdd,
-            &factors,
-            tensor.shape(),
-            0,
-            &MttkrpOptions::default(),
-        )
-        .expect("COO MTTKRP");
-        let m = c.metrics().snapshot();
-        measured.push((
-            m.significant_shuffle_count(nnz / 2),
-            m.stages()
-                .filter(|s| s.name.contains("reduce_by_key"))
-                .map(|s| s.shuffle_write_bytes)
-                .sum(),
-        ));
-    }
-    // CSTF-QCOO (steady-state step; queue already initialized).
-    {
-        let c = Cluster::new(ClusterConfig::auto().nodes(8));
-        let rdd = tensor_to_rdd(&c, &tensor, 32).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        let mut q =
-            QcooState::init(&c, &rdd, &factors, tensor.shape(), rank, 32).expect("QCOO init");
-        c.metrics().reset();
-        let _ = q.step(&factors[2]).expect("QCOO step");
-        let m = c.metrics().snapshot();
-        measured.push((
-            m.significant_shuffle_count(nnz / 2),
-            m.stages()
-                .filter(|s| s.name.contains("cogroup-left"))
-                .map(|s| s.shuffle_write_bytes)
-                .sum(),
-        ));
-    }
-    // BIGtensor.
-    {
-        let c = Cluster::new(ClusterConfig::auto().nodes(8));
-        let rdd = tensor_to_rdd(&c, &tensor, 32);
-        c.metrics().reset();
-        let _ = cstf_core::bigtensor::bigtensor_mttkrp(&c, &rdd, &factors, tensor.shape(), 0, 32)
-            .expect("BIGtensor MTTKRP");
-        let m = c.metrics().snapshot();
-        measured.push((m.significant_shuffle_count(nnz / 2), 0));
-    }
-
-    let algs = [
-        (Algorithm::CstfCoo, measured[0]),
-        (Algorithm::CstfQcoo, measured[1]),
-        (Algorithm::BigTensor, measured[2]),
+    let factors = random_factors(tensor.shape(), rank, seed);
+    // (algorithm, stage whose shuffle carries the per-nonzero state)
+    let columns = [
+        (Algorithm::CstfCoo, Some("reduce_by_key")),
+        (Algorithm::CstfQcoo, Some("cogroup-left")), // steady-state step
+        (Algorithm::BigTensor, None),
     ];
-    for (alg, (meas_shuffles, state_bytes)) in algs {
+
+    let mut report = Report::new([
+        Col::new("algorithm", "algorithm"),
+        Col::new("flops (model)", "flops_model"),
+        Col::new("intermediate elems (model)", "intermediate_model"),
+        Col::new("shuffles (model)", "shuffles_model"),
+        Col::new("shuffles (measured)", "shuffles_measured"),
+        Col::table("state shuffle payload"),
+    ]);
+    for (alg, state_stage) in columns {
+        let c = Cluster::new(ClusterConfig::auto().nodes(8));
+        let m = mode1_mttkrp(alg, &c, &tensor, &factors, 32);
+        let meas_shuffles = m.significant_shuffle_count(nnz / 2);
+        let state_bytes: u64 = m
+            .stages()
+            .filter(|s| state_stage.is_some_and(|stage| s.name.contains(stage)))
+            .map(|s| s.shuffle_write_bytes)
+            .sum();
         let model = mttkrp_cost(alg, 3, nnz, rank as u64, tensor.shape());
         let carried_elems = if state_bytes > 0 {
             // Subtract the per-record fixed overhead (key + coord + value
@@ -120,37 +68,17 @@ fn main() {
         } else {
             "(matricized)".to_string()
         };
-        rows.push(vec![
-            alg.to_string(),
-            format!("{}", model.flops),
-            format!("{}", model.intermediate_elements),
-            model.shuffles.to_string(),
-            meas_shuffles.to_string(),
-            carried_elems,
+        report.row(vec![
+            alg.to_string().into(),
+            model.flops.to_string().into(),
+            model.intermediate_elements.to_string().into(),
+            model.shuffles.into(),
+            meas_shuffles.into(),
+            carried_elems.into(),
         ]);
     }
-    print_table(
-        &[
-            "algorithm",
-            "flops (model)",
-            "intermediate elems (model)",
-            "shuffles (model)",
-            "shuffles (measured)",
-            "state shuffle payload",
-        ],
-        &rows,
-    );
+    report.print();
     println!("\nPaper Table 4 (3rd order): BIGtensor 5nnzR / max(J+nnz,K+nnz) / 4 shuffles;");
     println!("CSTF-COO 3nnzR / nnzR / 3;  CSTF-QCOO 3nnzR / 2nnzR / 2.");
-    write_csv(
-        "table4_cost",
-        &[
-            "algorithm",
-            "flops_model",
-            "intermediate_model",
-            "shuffles_model",
-            "shuffles_measured",
-        ],
-        &rows.iter().map(|r| r[..5].to_vec()).collect::<Vec<_>>(),
-    );
+    report.write_csv(&setup.results_dir(), "table4_cost");
 }

@@ -9,64 +9,53 @@ use cstf_bench::*;
 use cstf_tensor::datasets::ALL;
 
 fn main() {
-    let args = Args::from_env();
-    let scale: f64 = args.parse("scale", 2000.0);
-    let seed: u64 = args.parse("seed", 0);
+    // Generates datasets only — no cluster, so no node count.
+    let setup = Setup::from_env(2000.0, 0);
+    let Setup { scale, seed, .. } = setup;
 
     println!("Table 5 — full-scale datasets (paper reference):\n");
-    let mut rows = Vec::new();
+    let mut paper = Report::new([
+        Col::table("Dataset"),
+        Col::table("Order"),
+        Col::table("Max mode size"),
+        Col::table("nnz"),
+        Col::table("Density"),
+    ]);
     for spec in ALL {
-        rows.push(vec![
-            spec.name.to_string(),
-            spec.order().to_string(),
+        paper.row(vec![
+            spec.name.into(),
+            spec.order().into(),
             format!(
                 "{:.1}M",
                 *spec.full_shape.iter().max().unwrap() as f64 / 1e6
-            ),
-            format!("{:.0}M", spec.full_nnz as f64 / 1e6),
-            format!("{:.1e}", spec.full_density()),
+            )
+            .into(),
+            format!("{:.0}M", spec.full_nnz as f64 / 1e6).into(),
+            format!("{:.1e}", spec.full_density()).into(),
         ]);
     }
-    print_table(
-        &["Dataset", "Order", "Max mode size", "nnz", "Density"],
-        &rows,
-    );
+    paper.print();
 
     println!("\nGenerated stand-ins @ 1/{scale:.0} (what the experiments run):\n");
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut generated = Report::new([
+        Col::new("Dataset", "dataset"),
+        Col::new("Order", "order"),
+        Col::new("Max mode size", "max_mode"),
+        Col::new("nnz", "nnz"),
+        Col::new("Density", "density"),
+        Col::table("Index skew"),
+    ]);
     for spec in ALL {
         let t = spec.generate(scale, seed);
-        rows.push(vec![
-            spec.name.to_string(),
-            t.order().to_string(),
-            format!("{}", t.max_mode_size()),
-            t.nnz().to_string(),
-            format!("{:.1e}", t.density()),
-            format!("{:?}", spec.distribution),
-        ]);
-        csv.push(vec![
-            spec.name.to_string(),
-            t.order().to_string(),
-            t.max_mode_size().to_string(),
-            t.nnz().to_string(),
-            format!("{:e}", t.density()),
+        generated.row(vec![
+            spec.name.into(),
+            t.order().into(),
+            t.max_mode_size().into(),
+            t.nnz().into(),
+            Cell::new(format!("{:.1e}", t.density()), format!("{:e}", t.density())),
+            format!("{:?}", spec.distribution).into(),
         ]);
     }
-    print_table(
-        &[
-            "Dataset",
-            "Order",
-            "Max mode size",
-            "nnz",
-            "Density",
-            "Index skew",
-        ],
-        &rows,
-    );
-    write_csv(
-        "table5_datasets",
-        &["dataset", "order", "max_mode", "nnz", "density"],
-        &csv,
-    );
+    generated.print();
+    generated.write_csv(&setup.results_dir(), "table5_datasets");
 }

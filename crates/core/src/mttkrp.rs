@@ -45,9 +45,7 @@
 //! but nothing left for the scheduler to overlap.
 
 use crate::factors::{factor_to_rdd, rows_to_matrix};
-use crate::records::{
-    add_rows, hadamard_rows, hadamard_rows_pooled, row_kernel_ops, scale_row, CooRecord, Row,
-};
+use crate::records::{add_rows, hadamard_rows, row_kernel_ops, scale_row, CooRecord, Row};
 use crate::{CstfError, Result};
 use cstf_dataflow::kernel::pool;
 use cstf_dataflow::prelude::*;
@@ -237,20 +235,13 @@ fn mttkrp_coo_keyed(
         .map(move |(_, (rec, row))| (rec.coord[next_key_mode], (rec, row)));
 
     // STAGES 2..N-1: join remaining factors, folding rows into the partial
-    // Hadamard product. The pooled variant feeds consumed rows back into
-    // the kernel arena (same products, bit for bit).
-    let pooled = opts.kernel.is_sorted();
+    // Hadamard product (consumed rows go back into the kernel arena).
     for (idx, &m) in joins.iter().enumerate().skip(1) {
         let factor_rdd = ctx.factor_rdd(cluster, &factors[m]);
         let next_key_mode = *joins.get(idx + 1).unwrap_or(&mode);
         state = state.join_by(&factor_rdd, ctx.partitioner.clone()).map(
             move |(_, ((rec, partial), row))| {
-                let combined = if pooled {
-                    hadamard_rows_pooled(partial, row)
-                } else {
-                    hadamard_rows(&partial, &row)
-                };
-                (rec.coord[next_key_mode], (rec, combined))
+                (rec.coord[next_key_mode], (rec, hadamard_rows(partial, row)))
             },
         );
     }
@@ -305,20 +296,13 @@ pub fn mttkrp_coo_broadcast(
         factors: non_target,
     });
 
-    let pooled = opts.kernel.is_sorted();
     let rows = tensor
         .map(move |rec| {
             let set = bcast.value();
-            // The arena-backed accumulator is filled with `rec.val` before
-            // the in-order multiplies — same op sequence as the allocating
-            // `vec![rec.val; rank]` path.
-            let mut acc: Row = if pooled {
-                let mut a = pool::take_row(rank);
-                a.fill(rec.val);
-                a
-            } else {
-                vec![rec.val; rank].into_boxed_slice()
-            };
+            // Arena rows come back stale: fill with `rec.val` before the
+            // in-order multiplies.
+            let mut acc: Row = pool::take_row(rank);
+            acc.fill(rec.val);
             for (&m, f) in set.modes.iter().zip(&set.factors) {
                 let row = f.row(rec.coord[m] as usize);
                 for (a, &x) in acc.iter_mut().zip(row) {
@@ -566,12 +550,9 @@ mod tests {
         };
         let (legacy, legacy_m) = run(KernelStrategy::RecordAtATime);
         let (sorted, sorted_m) = run(KernelStrategy::SortedRuns);
-        let (split, split_m) = run(KernelStrategy::split(0.05));
-        for mode_out in [&sorted, &split] {
-            for i in 0..legacy.rows() {
-                for (a, b) in legacy.row(i).iter().zip(mode_out.row(i)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-                }
+        for i in 0..legacy.rows() {
+            for (a, b) in legacy.row(i).iter().zip(sorted.row(i)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
             }
         }
         // Kernel counters appear only on kernel runs; mode 0 has 6
@@ -579,14 +560,6 @@ mod tests {
         assert_eq!(legacy_m.total_kernel_runs(), 0);
         assert_eq!(sorted_m.total_kernel_runs(), 6);
         assert!(sorted_m.total_arena_hits() > 0, "arena never reused");
-        // Splitting bounds the largest combine chunk below the unsplit one.
-        assert!(split_m.total_kernel_split_keys() > 0);
-        assert!(
-            split_m.max_kernel_subtask_records() <= sorted_m.max_kernel_subtask_records(),
-            "split {} vs unsplit {}",
-            split_m.max_kernel_subtask_records(),
-            sorted_m.max_kernel_subtask_records()
-        );
     }
 
     #[test]

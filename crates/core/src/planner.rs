@@ -132,9 +132,6 @@ pub struct StrategyCapabilities {
     pub pre_partitioned_tensor: bool,
     /// Ships factor matrices by broadcast instead of shuffle joins.
     pub broadcast_factors: bool,
-    /// Its reduces ride the sorted-runs task kernels
-    /// ([`KernelStrategy`]).
-    pub kernel_combine: bool,
     /// Carries distributed state across MTTKRP calls (modes must be
     /// requested in cyclic order `0, 1, …, N−1, 0, …`).
     pub carried_state: bool,
@@ -147,25 +144,21 @@ impl Strategy {
             Strategy::Coo => StrategyCapabilities {
                 pre_partitioned_tensor: true,
                 broadcast_factors: false,
-                kernel_combine: true,
                 carried_state: false,
             },
             Strategy::Qcoo => StrategyCapabilities {
                 pre_partitioned_tensor: false,
                 broadcast_factors: false,
-                kernel_combine: true,
                 carried_state: true,
             },
             Strategy::CooBroadcast => StrategyCapabilities {
                 pre_partitioned_tensor: false,
                 broadcast_factors: true,
-                kernel_combine: true,
                 carried_state: false,
             },
             Strategy::DfactoSpmv => StrategyCapabilities {
                 pre_partitioned_tensor: true,
                 broadcast_factors: false,
-                kernel_combine: true,
                 carried_state: false,
             },
         }
@@ -609,9 +602,6 @@ mod tests {
         assert!(!Strategy::CooBroadcast.capabilities().pre_partitioned_tensor);
         assert!(Strategy::Qcoo.capabilities().carried_state);
         assert!(Strategy::CooBroadcast.capabilities().broadcast_factors);
-        for s in ALL_STRATEGIES {
-            assert!(s.capabilities().kernel_combine);
-        }
     }
 
     #[test]

@@ -233,18 +233,13 @@ impl QcooState {
         );
         let factor_rdd = ctx.factor_rdd(&self.cluster, factor_of_key_mode);
         // STAGE 1 (join) + STAGE 2 (rotate & re-key) — one shuffle (the
-        // factor side is narrow when co-partitioned). The pooled rotation
+        // factor side is narrow when co-partitioned). The rotation
         // recycles each dequeued stale row into the kernel arena.
-        let pooled = self.kernel.is_sorted();
         let rotated_raw =
             self.state
                 .join_by(&factor_rdd, ctx.partitioner)
                 .map(move |(_, (mut q, row))| {
-                    if pooled {
-                        q.rotate_pooled(row, capacity);
-                    } else {
-                        q.rotate(row, capacity);
-                    }
+                    q.rotate(row, capacity);
                     (q.entry.coord[out_mode], q)
                 });
         // Periodic lineage truncation; otherwise persistence at the
@@ -259,20 +254,16 @@ impl QcooState {
 
         // STAGE 3: reduce queues and sum per output row — second shuffle.
         // Running this action also materializes (and caches) `rotated`.
-        // The pooled reduction draws its output row from the arena and
-        // recycles the (owned clone of the) queue's rows after reducing.
+        // The reduction draws its output row from the arena and recycles
+        // the (owned clone of the) queue's rows after reducing.
         let rank = self.rank;
         let rows = rotated
             .map_values(move |mut q| {
-                if pooled {
-                    let out = q.reduce_queue_pooled(rank);
-                    for row in q.queue.drain(..) {
-                        pool::give_row(row);
-                    }
-                    out
-                } else {
-                    q.reduce_queue(rank)
+                let out = q.reduce_queue(rank);
+                for row in q.queue.drain(..) {
+                    pool::give_row(row);
                 }
+                out
             })
             .reduce_by_key_kernel(
                 self.partitions,
@@ -494,10 +485,9 @@ mod tests {
 
     #[test]
     fn kernel_strategies_bit_identical_over_full_cycle() {
-        // The sorted-runs kernel (pooled rotation/reduction + sorted-run
-        // combine, with and without heavy-key splitting) must reproduce the
-        // record-at-a-time step outputs bit for bit across a full mode
-        // cycle, because the per-key operation sequence is unchanged.
+        // The sorted-runs kernel must reproduce the record-at-a-time step
+        // outputs bit for bit across a full mode cycle, because the per-key
+        // operation sequence is unchanged.
         let t = RandomTensor::new(vec![8, 20, 20]).nnz(350).seed(41).build();
         let c = cluster();
         let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
@@ -523,19 +513,11 @@ mod tests {
 
         let (legacy, legacy_m) = run(KernelStrategy::RecordAtATime);
         let (sorted, sorted_m) = run(KernelStrategy::SortedRuns);
-        let (split, split_m) = run(KernelStrategy::split(0.05));
 
         for (step, (a, b)) in legacy.iter().zip(sorted.iter()).enumerate() {
             for i in 0..a.rows() {
                 for (x, y) in a.row(i).iter().zip(b.row(i)) {
                     assert_eq!(x.to_bits(), y.to_bits(), "step {step} row {i}");
-                }
-            }
-        }
-        for (a, b) in legacy.iter().zip(split.iter()) {
-            for i in 0..a.rows() {
-                for (x, y) in a.row(i).iter().zip(b.row(i)) {
-                    assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
         }
@@ -552,7 +534,6 @@ mod tests {
             .sum();
         assert_eq!(sorted_m.total_kernel_runs(), distinct);
         assert!(sorted_m.total_arena_hits() > 0, "pooled rows never reused");
-        assert!(split_m.total_kernel_subtasks() >= sorted_m.total_kernel_subtasks());
     }
 
     #[test]

@@ -66,17 +66,9 @@ impl QRecord {
 
     /// Enqueues `row` and drops the oldest row, keeping the queue at
     /// `capacity` entries. Rows are only dropped once the queue is full,
-    /// so initialization can grow the queue without losses.
+    /// so initialization can grow the queue without losses. Dropped rows
+    /// are recycled into the kernel row arena.
     pub fn rotate(&mut self, row: Row, capacity: usize) {
-        self.queue.push_back(row);
-        while self.queue.len() > capacity {
-            self.queue.pop_front();
-        }
-    }
-
-    /// [`QRecord::rotate`] with stale rows recycled into the kernel row
-    /// arena instead of freed. Queue contents end up identical.
-    pub fn rotate_pooled(&mut self, row: Row, capacity: usize) {
         self.queue.push_back(row);
         while self.queue.len() > capacity {
             if let Some(stale) = self.queue.pop_front() {
@@ -87,22 +79,10 @@ impl QRecord {
 
     /// Reduces the queue: Hadamard product of all queued rows scaled by the
     /// tensor value — the `mapValues` of STAGE 3 in Table 2
-    /// (`B(j,:) ∗ C(k,:) ∗ X(i,j,k)`).
+    /// (`B(j,:) ∗ C(k,:) ∗ X(i,j,k)`). The output row comes from the
+    /// kernel row arena and is fully overwritten (`fill(val)`, then the
+    /// in-order multiplies), so stale contents never leak.
     pub fn reduce_queue(&self, rank: usize) -> Row {
-        let mut acc: Vec<f64> = vec![self.entry.val; rank];
-        for row in &self.queue {
-            debug_assert_eq!(row.len(), rank);
-            for (a, &r) in acc.iter_mut().zip(row.iter()) {
-                *a *= r;
-            }
-        }
-        acc.into_boxed_slice()
-    }
-
-    /// [`QRecord::reduce_queue`] with the output row taken from the kernel
-    /// row arena: `fill(val)` then the same in-order multiplies, so the
-    /// result is bit-identical to the allocating variant.
-    pub fn reduce_queue_pooled(&self, rank: usize) -> Row {
         let mut acc = pool::take_row(rank);
         acc.fill(self.entry.val);
         for row in &self.queue {
@@ -121,17 +101,10 @@ impl EstimateSize for QRecord {
     }
 }
 
-/// Element-wise product of two rows, producing a new row.
-pub fn hadamard_rows(a: &[f64], b: &[f64]) -> Row {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).collect()
-}
-
-/// [`hadamard_rows`] through the kernel row arena: the output buffer comes
-/// from the pool (fully overwritten, so stale contents never leak) and both
-/// consumed inputs are recycled into it. Bit-identical to the allocating
-/// variant.
-pub fn hadamard_rows_pooled(a: Row, b: Row) -> Row {
+/// Element-wise product of two rows through the kernel row arena: the
+/// output buffer comes from the pool (fully overwritten, so stale contents
+/// never leak) and both consumed inputs are recycled into it.
+pub fn hadamard_rows(a: Row, b: Row) -> Row {
     debug_assert_eq!(a.len(), b.len());
     let mut out = pool::take_row(a.len());
     for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
@@ -248,34 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_variants_bit_identical() {
-        let a: Row = vec![1.25, -2.5e7].into_boxed_slice();
-        let b: Row = vec![3.5, 4.75e-3].into_boxed_slice();
-        let plain = hadamard_rows(&a, &b);
-        let pooled = hadamard_rows_pooled(a.clone(), b.clone());
-        for (x, y) in plain.iter().zip(pooled.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-
-        let mut q = QRecord::new(rec());
-        let mut qp = QRecord::new(rec());
-        for v in [3.0, 5.0, 7.0] {
-            q.rotate(vec![v, v + 0.5].into_boxed_slice(), 2);
-            qp.rotate_pooled(vec![v, v + 0.5].into_boxed_slice(), 2);
-        }
-        assert_eq!(q.queue, qp.queue);
-        let plain = q.reduce_queue(2);
-        let pooled = q.reduce_queue_pooled(2);
-        for (x, y) in plain.iter().zip(pooled.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn row_helpers() {
         let a: Row = vec![1.0, 2.0].into_boxed_slice();
         let b: Row = vec![3.0, 4.0].into_boxed_slice();
-        assert_eq!(hadamard_rows(&a, &b).as_ref(), &[3.0, 8.0]);
+        assert_eq!(hadamard_rows(a.clone(), b.clone()).as_ref(), &[3.0, 8.0]);
         assert_eq!(add_rows(a.clone(), b).as_ref(), &[4.0, 6.0]);
         assert_eq!(scale_row(a, 2.0).as_ref(), &[2.0, 4.0]);
     }

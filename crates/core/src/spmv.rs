@@ -29,9 +29,7 @@
 
 use crate::factors::rows_to_matrix;
 use crate::mttkrp::{check, join_order, JoinContext, MttkrpOptions};
-use crate::records::{
-    add_rows, hadamard_rows, hadamard_rows_pooled, row_kernel_ops, CooRecord, Row,
-};
+use crate::records::{add_rows, hadamard_rows, row_kernel_ops, CooRecord, Row};
 use crate::Result;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::spmv::FiberSpace;
@@ -88,7 +86,6 @@ fn mttkrp_spmv_keyed(
     let ctx = JoinContext::from_opts(cluster, opts);
     let partitions = ctx.partitions;
     let joins = join_order(shape.len(), mode);
-    let pooled = opts.kernel.is_sorted();
 
     // SpMV 1: join the first contraction factor, scale each row by the
     // nonzero value, and sum per fiber.
@@ -159,11 +156,7 @@ fn mttkrp_spmv_keyed(
             // Final contraction: only the target component survives.
             let rows = joined
                 .map(move |(_, ((key, partial), frow))| {
-                    let combined = if pooled {
-                        hadamard_rows_pooled(partial, frow)
-                    } else {
-                        hadamard_rows(&partial, &frow)
-                    };
+                    let combined = hadamard_rows(partial, frow);
                     (drop.extract(drop.drop_mode(key, m), mode), combined)
                 })
                 .reduce_by_key_kernel(
@@ -179,12 +172,7 @@ fn mttkrp_spmv_keyed(
         fibers = canonical(
             joined
                 .map(move |(_, ((key, partial), frow))| {
-                    let combined = if pooled {
-                        hadamard_rows_pooled(partial, frow)
-                    } else {
-                        hadamard_rows(&partial, &frow)
-                    };
-                    (drop.drop_mode(key, m), combined)
+                    (drop.drop_mode(key, m), hadamard_rows(partial, frow))
                 })
                 .reduce_by_key_kernel(
                     partitions,
@@ -374,12 +362,10 @@ mod tests {
             .unwrap()
         };
         let legacy = run(KernelStrategy::RecordAtATime);
-        for kernel in [KernelStrategy::SortedRuns, KernelStrategy::split(0.05)] {
-            let got = run(kernel);
-            for i in 0..legacy.rows() {
-                for (a, b) in legacy.row(i).iter().zip(got.row(i)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-                }
+        let got = run(KernelStrategy::SortedRuns);
+        for i in 0..legacy.rows() {
+            for (a, b) in legacy.row(i).iter().zip(got.row(i)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
             }
         }
     }

@@ -320,8 +320,13 @@ where
         }
     }
 
-    /// Wakes everyone up to exit.
+    /// Wakes everyone up to exit. The store and the notify happen under
+    /// the queue lock: a worker checks `done` and parks while holding that
+    /// lock, so it either sees the flag or is already parked when the
+    /// notification goes out — it can never check, miss the only wakeup,
+    /// and then park forever.
     fn finish(&self) {
+        let _queue = self.queue.lock();
         self.done.store(true, Ordering::Release);
         self.available.notify_all();
     }
@@ -568,50 +573,6 @@ impl Executor {
         self.threads
     }
 
-    /// Runs every task, returning results in task order. Blocks until all
-    /// tasks finish.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first worker panic (after all threads have stopped).
-    pub fn run<F, R>(&self, tasks: Vec<F>) -> Vec<R>
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Single-thread or single-task fast path: run inline.
-        if self.threads == 1 || n == 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-
-        let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let task = slots[i].lock().take().expect("task taken twice");
-                    let out = task();
-                    *results[i].lock() = Some(out);
-                });
-            }
-        });
-
-        results
-            .into_iter()
-            .map(|r| r.into_inner().expect("worker dropped a result"))
-            .collect()
-    }
-
     /// Runs every task with bounded retries and optional speculative
     /// execution, returning results in task order plus recovery
     /// statistics.
@@ -759,30 +720,6 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn results_preserve_task_order() {
-        let ex = Executor::new(4);
-        let tasks: Vec<_> = (0..100).map(|i| move || i * i).collect();
-        let out = ex.run(tasks);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_batch() {
-        let ex = Executor::new(4);
-        let out: Vec<u32> = ex.run(Vec::<fn() -> u32>::new());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_thread_inline() {
-        let ex = Executor::new(1);
-        assert_eq!(ex.threads(), 1);
-        let out = ex.run(vec![|| 1, || 2]);
-        assert_eq!(out, vec![1, 2]);
-    }
 
     #[test]
     fn zero_thread_request_clamped() {
@@ -790,19 +727,12 @@ mod tests {
     }
 
     #[test]
-    fn every_task_runs_exactly_once() {
-        let count = AtomicU64::new(0);
-        let ex = Executor::new(8);
-        let tasks: Vec<_> = (0..500)
-            .map(|_| {
-                let c = &count;
-                move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .collect();
-        ex.run(tasks);
-        assert_eq!(count.load(Ordering::Relaxed), 500);
+    fn results_preserve_task_order() {
+        let ex = Executor::new(4);
+        let tasks: Vec<_> = (0..100).map(|i| move |_attempt: usize| Ok(i * i)).collect();
+        let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(stats, RunStats::default());
     }
 
     #[test]
@@ -812,48 +742,11 @@ mod tests {
         let tasks: Vec<_> = (0..4)
             .map(|i| {
                 let d = &data;
-                move || d[i] * 10
+                move |_attempt: usize| Ok(d[i] * 10)
             })
             .collect();
-        let out = ex.run(tasks);
+        let (out, _) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
         assert_eq!(out, vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn actually_parallel() {
-        // With 4 threads, 4 tasks that each wait for the others via a
-        // barrier can only complete if they run concurrently.
-        let barrier = std::sync::Barrier::new(4);
-        let ex = Executor::new(4);
-        let tasks: Vec<_> = (0..4)
-            .map(|_| {
-                let b = &barrier;
-                move || {
-                    b.wait();
-                    1u32
-                }
-            })
-            .collect();
-        let out = ex.run(tasks);
-        assert_eq!(out.iter().sum::<u32>(), 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn worker_panic_propagates() {
-        let ex = Executor::new(2);
-        let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("task failure"))];
-        ex.run(tasks);
-    }
-
-    #[test]
-    fn fallible_happy_path_matches_run() {
-        let ex = Executor::new(4);
-        let tasks: Vec<_> = (0..50).map(|i| move |_attempt: usize| Ok(i * 3)).collect();
-        let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
-        assert_eq!(out, (0..50).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(stats, RunStats::default());
     }
 
     #[test]

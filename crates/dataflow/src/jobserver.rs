@@ -60,9 +60,9 @@ use crate::metrics::{JobOutcomeKind, JobRecord};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use crate::config::{JobServerConfig, PoolConfig, SchedulingMode};
 
@@ -136,6 +136,8 @@ impl<T> HandleShared<T> {
         }
     }
 
+    /// The outcome is stored under the lock `join` checks and parks under,
+    /// so a joiner either sees it or is already parked when notified.
     fn finish(&self, outcome: JobOutcome<T>) {
         *self.state.lock() = HandleState::Finished(Some(outcome));
         self.ready.notify_all();
@@ -179,6 +181,9 @@ impl<T> JobHandle<T> {
     pub fn cancel(&self) {
         self.shared.cancel.cancel();
         if let Some(server) = self.server.upgrade() {
+            // Signal under `state`: the dispatcher scans the cancel tokens
+            // and parks while holding it, so it cannot miss this wakeup.
+            let _st = server.state.lock();
             server.wake.notify_all();
         }
     }
@@ -239,6 +244,8 @@ struct Pool {
 struct ServerState {
     pools: Vec<Pool>,
     paused: bool,
+    /// Set by [`JobServer::stop`]; the dispatcher exits when it sees it.
+    shutdown: bool,
     /// Jobs currently dispatched (admission-controlled: ≤ cap).
     running: usize,
     next_job: usize,
@@ -252,9 +259,10 @@ struct ServerInner {
     mode: SchedulingMode,
     cap: usize,
     state: Mutex<ServerState>,
-    /// Signalled on submission, job completion, cancel and shutdown.
+    /// Signalled on submission, job completion, cancel and shutdown —
+    /// always after the signalled change was made under `state`, which the
+    /// dispatcher holds from its check to its park.
     wake: Condvar,
-    shutdown: AtomicBool,
     /// Dispatch order across the whole server (JobRecord `start_seq`).
     next_start_seq: AtomicUsize,
     /// High-water mark of concurrently running jobs (cap audit).
@@ -389,9 +397,10 @@ impl ServerInner {
         loop {
             let action = {
                 let mut st = self.state.lock();
-                if self.shutdown.load(Ordering::Acquire) {
-                    Action::Stop
-                } else {
+                loop {
+                    if st.shutdown {
+                        break Action::Stop;
+                    }
                     let mut dropped = Vec::new();
                     for pool in &mut st.pools {
                         let mut kept = VecDeque::with_capacity(pool.queue.len());
@@ -405,31 +414,16 @@ impl ServerInner {
                         pool.queue = kept;
                     }
                     if !dropped.is_empty() {
-                        Action::Drain(dropped)
-                    } else if !st.paused && st.running < self.cap {
-                        match self.pick(&mut st) {
-                            Some(job) => {
-                                st.running += 1;
-                                self.peak_running.fetch_max(st.running, Ordering::Relaxed);
-                                Action::Launch(job)
-                            }
-                            None => {
-                                let (guard, _) = self
-                                    .wake
-                                    .wait_timeout(st, Duration::from_millis(5))
-                                    .expect("dispatcher poisoned");
-                                drop(guard);
-                                continue;
-                            }
-                        }
-                    } else {
-                        let (guard, _) = self
-                            .wake
-                            .wait_timeout(st, Duration::from_millis(5))
-                            .expect("dispatcher poisoned");
-                        drop(guard);
-                        continue;
+                        break Action::Drain(dropped);
                     }
+                    if !st.paused && st.running < self.cap {
+                        if let Some(job) = self.pick(&mut st) {
+                            st.running += 1;
+                            self.peak_running.fetch_max(st.running, Ordering::Relaxed);
+                            break Action::Launch(job);
+                        }
+                    }
+                    st = self.wake.wait(st).expect("dispatcher poisoned");
                 }
             };
             match action {
@@ -477,13 +471,13 @@ impl JobServer {
             state: Mutex::new(ServerState {
                 pools,
                 paused: config.start_paused,
+                shutdown: false,
                 running: 0,
                 next_job: 0,
                 next_submit: 0,
                 drivers: Vec::new(),
             }),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             next_start_seq: AtomicUsize::new(0),
             peak_running: AtomicUsize::new(0),
         });
@@ -605,7 +599,7 @@ impl JobServer {
     }
 
     fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.state.lock().shutdown = true;
         self.inner.wake.notify_all();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
@@ -651,6 +645,7 @@ impl std::fmt::Debug for JobServer {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use std::sync::atomic::AtomicBool;
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::local(4))

@@ -1,6 +1,5 @@
-//! Raw-speed task kernels: sorted-runs combining over SoA tiles, a
-//! thread-local arena of reusable row buffers, and skew-aware heavy-key
-//! splitting.
+//! Raw-speed task kernels: sorted-runs combining over SoA tiles and a
+//! thread-local arena of reusable row buffers.
 //!
 //! The record-at-a-time combine path ([`crate::rdd::Rdd::reduce_by_key`])
 //! clones every fetched record out of its shared shuffle bucket and folds
@@ -20,15 +19,6 @@
 //! * **Arena** ([`pool`]) — row buffers released by one operation are
 //!   reused by the next, turning steady-state tasks into near-zero
 //!   allocation loops.
-//! * **Heavy-key splitting** — with
-//!   [`KernelStrategy::SortedRunsSplit`], keys whose run exceeds a
-//!   frequency threshold of the partition are split across bounded
-//!   subtask chunks. The chunks bound the largest schedulable unit of
-//!   combine work (reported per stage as
-//!   [`crate::metrics::StageMetrics::kernel_max_subtask_records`]); their
-//!   merge is deterministic — chunk order, with the accumulation carried
-//!   sequentially across chunk boundaries — so the floating-point op
-//!   sequence is *identical* to the unsplit kernel.
 //!
 //! # Determinism
 //!
@@ -45,64 +35,15 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Which combine kernel a `reduceByKey`-style operation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelStrategy {
-    /// The legacy hash-map path: clone every record, probe per record.
+    /// The hash-map path: clone every record, probe per record. Kept as
+    /// the oracle the sorted kernel is proven bit-identical against.
     RecordAtATime,
     /// Sorted-runs SoA kernel (default): stable-sorted tile, one
     /// accumulator allocation per distinct key, in-place merges.
     #[default]
     SortedRuns,
-    /// [`KernelStrategy::SortedRuns`] plus heavy-key splitting: runs above
-    /// the configured frequency threshold are split across bounded
-    /// subtask chunks with a deterministic (order-preserving) merge.
-    SortedRunsSplit(SplitConfig),
-}
-
-impl KernelStrategy {
-    /// Sorted runs with heavy-key splitting: keys whose run exceeds
-    /// `frequency` of a partition's records are chunked across subtasks.
-    pub fn split(frequency: f64) -> Self {
-        KernelStrategy::SortedRunsSplit(SplitConfig { frequency })
-    }
-
-    /// True for the sorted kernels (anything but the legacy path).
-    pub fn is_sorted(&self) -> bool {
-        !matches!(self, KernelStrategy::RecordAtATime)
-    }
-
-    /// The splitting configuration, when heavy-key splitting is on.
-    pub fn split_config(&self) -> Option<SplitConfig> {
-        match self {
-            KernelStrategy::SortedRunsSplit(c) => Some(*c),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for KernelStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelStrategy::RecordAtATime => write!(f, "record-at-a-time"),
-            KernelStrategy::SortedRuns => write!(f, "sorted-runs"),
-            KernelStrategy::SortedRunsSplit(c) => write!(f, "sorted-runs+split({})", c.frequency),
-        }
-    }
-}
-
-/// Heavy-key splitting configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SplitConfig {
-    /// A key is *heavy* when its run holds more than `frequency` of the
-    /// partition's records; subtask chunks are capped at
-    /// `max(1, frequency × records)`.
-    pub frequency: f64,
-}
-
-impl Default for SplitConfig {
-    fn default() -> Self {
-        SplitConfig { frequency: 0.10 }
-    }
 }
 
 /// Counters one kernel invocation reports into its stage's metrics.
@@ -110,12 +51,8 @@ impl Default for SplitConfig {
 pub struct KernelCounters {
     /// Contiguous key runs combined (= distinct keys seen).
     pub runs: u64,
-    /// Heavy keys whose run was split across subtask chunks.
-    pub split_keys: u64,
-    /// Subtask chunks the combine was metered into (1 without splitting).
-    pub subtasks: u64,
-    /// Records in the largest single subtask chunk — the straggler bound
-    /// heavy-key splitting enforces.
+    /// Records this combine folded: a combine is one schedulable unit, so
+    /// the largest value over a stage's tasks is its straggler bound.
     pub max_subtask_records: u64,
 }
 
@@ -175,96 +112,24 @@ impl<C: Clone + 'static> KernelOps<C> {
     }
 }
 
-/// A fully-resolved kernel for one shuffle: strategy, an erased key
+/// A fully-resolved sorted-runs kernel for one shuffle: an erased key
 /// comparator (captured where `K: Ord` is known, so the generic RDD nodes
 /// need no extra bounds), and the combiner ops.
 pub struct KernelPlan<K, C> {
-    pub(crate) strategy: KernelStrategy,
     pub(crate) cmp: CmpFn<K>,
     pub(crate) ops: KernelOps<C>,
 }
 
 impl<K, C> KernelPlan<K, C> {
     /// Builds a plan, capturing `K: Ord` into the erased comparator.
-    pub fn new(strategy: KernelStrategy, ops: KernelOps<C>) -> Self
+    pub fn new(ops: KernelOps<C>) -> Self
     where
         K: Ord + 'static,
     {
         KernelPlan {
-            strategy,
             cmp: Arc::new(|a: &K, b: &K| a.cmp(b)),
             ops,
         }
-    }
-}
-
-/// Meters sorted runs into bounded subtask chunks (heavy-key splitting).
-/// Pure accounting: the accumulation itself stays sequential, so chunk
-/// boundaries never change the floating-point op sequence.
-struct ChunkMeter {
-    /// Chunk capacity in records; `0` disables splitting.
-    cap: usize,
-    used: usize,
-    subtasks: u64,
-    split_keys: u64,
-    max_subtask: u64,
-}
-
-impl ChunkMeter {
-    fn new(total: usize, split: Option<SplitConfig>) -> Self {
-        let cap = split
-            .map(|c| ((c.frequency * total as f64).ceil() as usize).max(1))
-            .unwrap_or(0);
-        ChunkMeter {
-            cap,
-            used: 0,
-            subtasks: 0,
-            split_keys: 0,
-            max_subtask: 0,
-        }
-    }
-
-    fn close_chunk(&mut self) {
-        if self.used > 0 {
-            self.subtasks += 1;
-            self.max_subtask = self.max_subtask.max(self.used as u64);
-            self.used = 0;
-        }
-    }
-
-    fn add_run(&mut self, mut len: usize) {
-        if self.cap == 0 {
-            // No splitting: the whole combine is one subtask.
-            self.used += len;
-            return;
-        }
-        if len <= self.cap {
-            // Light key: never split — close the chunk if it would not fit.
-            if self.used + len > self.cap {
-                self.close_chunk();
-            }
-            self.used += len;
-        } else {
-            // Heavy key (above the frequency threshold): split its
-            // accumulation across capacity-bounded chunks.
-            self.split_keys += 1;
-            while len > 0 {
-                if self.used == self.cap {
-                    self.close_chunk();
-                }
-                let take = len.min(self.cap - self.used);
-                self.used += take;
-                len -= take;
-            }
-        }
-    }
-
-    fn finish_into(mut self, mut counters: KernelCounters) -> KernelCounters {
-        self.close_chunk();
-        counters.subtasks = self.subtasks;
-        counters.split_keys = self.split_keys;
-        counters.max_subtask_records = self.max_subtask;
-        counters
     }
 }
 
@@ -308,8 +173,10 @@ pub(crate) fn combine_fetched<K: Clone, C>(
     let mut order: Vec<u32> = (0..total as u32).collect();
     order.sort_by(|&a, &b| (plan.cmp)(&keys[a as usize], &keys[b as usize]));
 
-    let mut meter = ChunkMeter::new(total, plan.strategy.split_config());
-    let mut counters = KernelCounters::default();
+    let mut counters = KernelCounters {
+        runs: 0,
+        max_subtask_records: total as u64,
+    };
     let mut out: Vec<(K, C)> = Vec::new();
     let mut i = 0usize;
     while i < total {
@@ -321,10 +188,9 @@ pub(crate) fn combine_fetched<K: Clone, C>(
         }
         out.push((keys[first].clone(), acc));
         counters.runs += 1;
-        meter.add_run(j - i);
         i = j;
     }
-    (out, meter.finish_into(counters))
+    (out, counters)
 }
 
 /// Sorted-runs combine over *owned* records (map-side combine and the
@@ -347,8 +213,10 @@ pub(crate) fn combine_owned<K: Clone, C>(
     order.sort_by(|&a, &b| (plan.cmp)(&keys[a as usize], &keys[b as usize]));
 
     let mut slots: Vec<Option<(K, C)>> = data.into_iter().map(Some).collect();
-    let mut meter = ChunkMeter::new(total, plan.strategy.split_config());
-    let mut counters = KernelCounters::default();
+    let mut counters = KernelCounters {
+        runs: 0,
+        max_subtask_records: total as u64,
+    };
     let mut out: Vec<(K, C)> = Vec::new();
     let mut i = 0usize;
     while i < total {
@@ -363,10 +231,9 @@ pub(crate) fn combine_owned<K: Clone, C>(
         }
         out.push((k, acc));
         counters.runs += 1;
-        meter.add_run(j - i);
         i = j;
     }
-    (out, meter.finish_into(counters))
+    (out, counters)
 }
 
 pub mod pool {
@@ -457,8 +324,8 @@ mod tests {
     use super::*;
     use crate::hash::FxHashMap;
 
-    fn plan(strategy: KernelStrategy) -> KernelPlan<u32, f64> {
-        KernelPlan::new(strategy, KernelOps::new(|a: &mut f64, b: &f64| *a += b))
+    fn plan() -> KernelPlan<u32, f64> {
+        KernelPlan::new(KernelOps::new(|a: &mut f64, b: &f64| *a += b))
     }
 
     /// Record-at-a-time reference: hash-map fold in arrival order.
@@ -484,7 +351,7 @@ mod tests {
         // arrival order, but −1e16 + 1e16 + 1.0 = 1.0 reversed. The kernel
         // must replay arrival order exactly.
         let data = vec![(7u32, 1.0f64), (7, 1e16), (7, -1e16)];
-        let (out, c) = combine_owned(&plan(KernelStrategy::SortedRuns), data.clone());
+        let (out, c) = combine_owned(&plan(), data.clone());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 7);
         assert_eq!(out[0].1.to_bits(), 0.0f64.to_bits());
@@ -500,7 +367,7 @@ mod tests {
             Arc::new(vec![(7u32, 1.0f64)]),
             Arc::new(vec![(7u32, 1e16), (7, -1e16)]),
         ];
-        let (out, _) = combine_fetched(&plan(KernelStrategy::SortedRuns), &buckets);
+        let (out, _) = combine_fetched(&plan(), &buckets);
         assert_eq!(out[0].1.to_bits(), 0.0f64.to_bits());
     }
 
@@ -522,59 +389,22 @@ mod tests {
             data.push((k, v));
         }
         let expect = reference(&data);
-        for strategy in [KernelStrategy::SortedRuns, KernelStrategy::split(0.10)] {
-            let (out, c) = combine_owned(&plan(strategy), data.clone());
-            assert_eq!(out.len(), expect.len());
-            assert_eq!(c.runs as usize, expect.len());
-            for (k, v) in &out {
-                assert_eq!(v.to_bits(), expect[k].to_bits(), "key {k} ({strategy})");
-            }
-            // Sorted emit order.
-            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-
-            let buckets: Vec<Arc<Vec<(u32, f64)>>> =
-                data.chunks(123).map(|c| Arc::new(c.to_vec())).collect();
-            let (fetched, _) = combine_fetched(&plan(strategy), &buckets);
-            assert_eq!(fetched.len(), out.len());
-            for ((k1, v1), (k2, v2)) in fetched.iter().zip(&out) {
-                assert_eq!(k1, k2);
-                assert_eq!(v1.to_bits(), v2.to_bits());
-            }
+        let (out, c) = combine_owned(&plan(), data.clone());
+        assert_eq!(out.len(), expect.len());
+        assert_eq!(c.runs as usize, expect.len());
+        assert_eq!(c.max_subtask_records, 500);
+        for (k, v) in &out {
+            assert_eq!(v.to_bits(), expect[k].to_bits(), "key {k}");
         }
-    }
+        // Sorted emit order.
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
 
-    #[test]
-    fn heavy_key_splitting_bounds_subtasks() {
-        // One hub key holding 80% of the records, many light keys.
-        let mut data = Vec::new();
-        for i in 0..800u32 {
-            data.push((42u32, i as f64));
-        }
-        for i in 0..200u32 {
-            data.push((i % 40, 1.0));
-        }
-        let unsplit = combine_owned(&plan(KernelStrategy::SortedRuns), data.clone());
-        assert_eq!(unsplit.1.subtasks, 1);
-        assert_eq!(unsplit.1.split_keys, 0);
-        assert_eq!(unsplit.1.max_subtask_records, 1000);
-
-        let split = combine_owned(
-            &plan(KernelStrategy::SortedRunsSplit(SplitConfig {
-                frequency: 0.10,
-            })),
-            data,
-        );
-        // Cap = 100 records per chunk: the hub is split, chunks bounded.
-        assert_eq!(split.1.split_keys, 1);
-        assert!(split.1.subtasks >= 10, "subtasks {}", split.1.subtasks);
-        assert!(
-            split.1.max_subtask_records <= 100,
-            "max chunk {}",
-            split.1.max_subtask_records
-        );
-        // Splitting is accounting only: results identical.
-        assert_eq!(unsplit.0.len(), split.0.len());
-        for ((k1, v1), (k2, v2)) in unsplit.0.iter().zip(&split.0) {
+        let buckets: Vec<Arc<Vec<(u32, f64)>>> =
+            data.chunks(123).map(|c| Arc::new(c.to_vec())).collect();
+        let (fetched, c) = combine_fetched(&plan(), &buckets);
+        assert_eq!(c.max_subtask_records, 500);
+        assert_eq!(fetched.len(), out.len());
+        for ((k1, v1), (k2, v2)) in fetched.iter().zip(&out) {
             assert_eq!(k1, k2);
             assert_eq!(v1.to_bits(), v2.to_bits());
         }
@@ -587,7 +417,7 @@ mod tests {
         let ops = KernelOps::new(|a: &mut f64, b: &f64| *a += b).with_recycle(|_c| {
             RECYCLED.fetch_add(1, Ordering::Relaxed);
         });
-        let plan = KernelPlan::new(KernelStrategy::SortedRuns, ops);
+        let plan = KernelPlan::new(ops);
         let data = vec![(1u32, 1.0), (1, 2.0), (1, 3.0), (2, 4.0)];
         let (out, _) = combine_owned(&plan, data);
         assert_eq!(out.len(), 2);
@@ -597,12 +427,12 @@ mod tests {
 
     #[test]
     fn empty_input_combines_to_nothing() {
-        let (out, c) = combine_owned(&plan(KernelStrategy::split(0.10)), Vec::new());
+        let (out, c) = combine_owned(&plan(), Vec::new());
         assert!(out.is_empty());
         assert_eq!(c, KernelCounters::default());
-        let (out, c) = combine_fetched(&plan(KernelStrategy::SortedRuns), &[]);
+        let (out, c) = combine_fetched(&plan(), &[]);
         assert!(out.is_empty());
-        assert_eq!(c.subtasks, 0);
+        assert_eq!(c, KernelCounters::default());
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use context::{Cluster, TaskContext};
 pub use executor::{CancelToken, RunPolicy, RunStats, SpeculationPolicy, TaskError, WaveError};
 pub use fault::{FaultConfig, FaultInjector, InjectedFault};
 pub use jobserver::{JobHandle, JobOutcome, JobServer, JobStatus};
-pub use kernel::{KernelCounters, KernelOps, KernelStrategy, SplitConfig};
+pub use kernel::{KernelCounters, KernelOps, KernelStrategy};
 pub use metrics::{
     JobMetrics, JobOutcomeKind, JobRecord, MetricsRegistry, StageKind, StageMetrics,
 };
@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::executor::{RunPolicy, SpeculationPolicy};
     pub use crate::fault::FaultConfig;
     pub use crate::jobserver::{JobHandle, JobOutcome, JobServer, JobStatus};
-    pub use crate::kernel::{KernelOps, KernelStrategy, SplitConfig};
+    pub use crate::kernel::{KernelOps, KernelStrategy};
     pub use crate::metrics::{JobMetrics, JobOutcomeKind, JobRecord, StageKind};
     pub use crate::partitioner::{
         HashPartitioner, KeyPartitioner, PartitionerRef, PartitionerSig, RangePartitioner,

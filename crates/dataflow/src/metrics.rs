@@ -137,13 +137,8 @@ pub struct StageMetrics {
     /// Sorted-runs kernel: contiguous key runs combined (= distinct keys
     /// the kernel reduced). Zero on record-at-a-time stages.
     pub kernel_runs: u64,
-    /// Sorted-runs kernel: heavy keys split across subtask chunks.
-    pub kernel_split_keys: u64,
-    /// Sorted-runs kernel: subtask chunks the combines were metered into
-    /// (one per kernel invocation without splitting).
-    pub kernel_subtasks: u64,
-    /// Sorted-runs kernel: records in the largest single subtask chunk —
-    /// the straggler bound heavy-key splitting enforces (max over tasks).
+    /// Sorted-runs kernel: records folded by the largest single combine —
+    /// the stage's straggler bound (max over tasks).
     pub kernel_max_subtask_records: u64,
     /// Row-arena hits inside this stage's winning task attempts: row
     /// buffers reused from the [`crate::kernel::pool`] instead of
@@ -175,8 +170,6 @@ impl StageMetrics {
             speculative_won: 0,
             wasted_task_secs: 0.0,
             kernel_runs: 0,
-            kernel_split_keys: 0,
-            kernel_subtasks: 0,
             kernel_max_subtask_records: 0,
             kernel_arena_hits: 0,
         }
@@ -239,8 +232,6 @@ impl StageCollector {
         m.local_bytes_read += s.local_bytes_read;
         m.shuffle_read_records += s.shuffle_read_records;
         m.kernel_runs += s.kernel_runs;
-        m.kernel_split_keys += s.kernel_split_keys;
-        m.kernel_subtasks += s.kernel_subtasks;
         m.kernel_max_subtask_records = m
             .kernel_max_subtask_records
             .max(s.kernel_max_subtask_records);
@@ -294,8 +285,6 @@ impl StageCollector {
     pub fn add_kernel(&self, counters: &KernelCounters) {
         let mut m = self.inner.lock();
         m.kernel_runs += counters.runs;
-        m.kernel_split_keys += counters.split_keys;
-        m.kernel_subtasks += counters.subtasks;
         m.kernel_max_subtask_records = m
             .kernel_max_subtask_records
             .max(counters.max_subtask_records);
@@ -617,22 +606,12 @@ impl JobMetrics {
         self.stages().map(|s| s.kernel_runs).sum()
     }
 
-    /// Total heavy keys split by the kernel across all stages.
-    pub fn total_kernel_split_keys(&self) -> u64 {
-        self.stages().map(|s| s.kernel_split_keys).sum()
-    }
-
-    /// Total kernel subtask chunks across all stages.
-    pub fn total_kernel_subtasks(&self) -> u64 {
-        self.stages().map(|s| s.kernel_subtasks).sum()
-    }
-
     /// Total row-arena reuse hits across all stages.
     pub fn total_arena_hits(&self) -> u64 {
         self.stages().map(|s| s.kernel_arena_hits).sum()
     }
 
-    /// Largest single kernel subtask chunk observed in any stage.
+    /// Records folded by the largest single kernel combine in any stage.
     pub fn max_kernel_subtask_records(&self) -> u64 {
         self.stages()
             .map(|s| s.kernel_max_subtask_records)
@@ -942,10 +921,8 @@ impl JobMetrics {
         if self.total_kernel_runs() > 0 || self.total_arena_hits() > 0 {
             let _ = writeln!(
                 out,
-                "KERNEL {} runs | {} split keys | {} subtasks (max {} records) | {} arena hits",
+                "KERNEL {} runs | largest combine {} records | {} arena hits",
                 self.total_kernel_runs(),
-                self.total_kernel_split_keys(),
-                self.total_kernel_subtasks(),
                 self.max_kernel_subtask_records(),
                 self.total_arena_hits(),
             );
@@ -1334,8 +1311,6 @@ mod tests {
         winner.add_shuffle_read(7, 3, 5);
         winner.add_kernel(&KernelCounters {
             runs: 4,
-            split_keys: 1,
-            subtasks: 3,
             max_subtask_records: 9,
         });
         winner.add_arena_hits(6);
@@ -1356,14 +1331,14 @@ mod tests {
         assert_eq!(s.local_bytes_read, 3);
         assert_eq!(s.shuffle_read_records, 5);
         assert_eq!(s.kernel_runs, 4);
-        assert_eq!(s.kernel_split_keys, 1);
-        assert_eq!(s.kernel_subtasks, 3);
         assert_eq!(s.kernel_max_subtask_records, 9);
         assert_eq!(s.kernel_arena_hits, 6);
         assert_eq!(m.total_kernel_runs(), 4);
         assert_eq!(m.max_kernel_subtask_records(), 9);
         assert_eq!(m.total_arena_hits(), 6);
-        assert!(m.render_report().contains("KERNEL 4 runs | 1 split keys"));
+        assert!(m
+            .render_report()
+            .contains("KERNEL 4 runs | largest combine 9"));
     }
 
     #[test]

@@ -647,9 +647,7 @@ where
 
     /// `reduceByKey` running the sorted-runs task kernel (see
     /// [`crate::kernel`]): combines walk contiguous key runs of a
-    /// stable-sorted SoA tile instead of probing a hash map per record,
-    /// and — with [`KernelStrategy::SortedRunsSplit`] — heavy keys are
-    /// metered into bounded subtask chunks.
+    /// stable-sorted SoA tile instead of probing a hash map per record.
     ///
     /// `ops.merge_in_place` must perform exactly the operations of
     /// `f(acc, v)`, in the same order; the kernel then reproduces the
@@ -668,9 +666,8 @@ where
     where
         K: Ord,
     {
-        let kernel = strategy
-            .is_sorted()
-            .then(|| Arc::new(KernelPlan::new(strategy, ops)));
+        let kernel =
+            (strategy == KernelStrategy::SortedRuns).then(|| Arc::new(KernelPlan::new(ops)));
         self.reduce_by_key_impl(
             partitions,
             map_side_combine,

@@ -1,10 +1,126 @@
 //! Stress tests for the fault-aware executor: hundreds of tasks on many
 //! threads with injected panics, verifying exactly-once commit semantics,
-//! task-order-preserving results, and clean abort on retry exhaustion.
+//! task-order-preserving results, and clean abort on retry exhaustion —
+//! and thousands of tiny waves and job-server rounds under a deadline,
+//! verifying that no condvar wakeup is ever lost.
 
 use cstf_dataflow::executor::{Executor, RunPolicy, SpeculationPolicy};
+use cstf_dataflow::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
+
+/// Runs `body` on a helper thread and fails the test if it has not
+/// returned within `limit`: a lost wakeup parks threads forever, and a
+/// test that hangs names nothing — one that misses a deadline names itself.
+fn within(limit: Duration, what: &str, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        // Returned or panicked: join to surface the helper's own failure.
+        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: still running after {limit:?} — every thread parked on a lost wakeup?")
+        }
+    }
+}
+
+#[test]
+fn thousands_of_tiny_waves_never_lose_the_finish_wakeup() {
+    // A wave whose last commit lands between another worker's `done`
+    // check and its park used to hang that worker. Only a two-worker wave
+    // can lose that wakeup, and it is likeliest when a late-starting
+    // worker is preempted inside the window, so several two-on-two loops
+    // run beside the one-thread and one-task shapes to oversubscribe the
+    // cores.
+    const WAVES: usize = 20_000;
+    const SHAPES: [(usize, usize); 8] = [
+        (1, 1),
+        (1, 2),
+        (2, 1),
+        (2, 2),
+        (2, 2),
+        (2, 2),
+        (2, 2),
+        (2, 2),
+    ];
+    within(
+        Duration::from_secs(300),
+        "20000 one- and two-task waves on one and two threads",
+        || {
+            std::thread::scope(|scope| {
+                for (threads, tasks) in SHAPES {
+                    scope.spawn(move || {
+                        let ex = Executor::new(threads);
+                        let policy = RunPolicy::default();
+                        for wave in 0..WAVES {
+                            let batch: Vec<_> = (0..tasks)
+                                .map(|t| move |_attempt: usize| Ok::<_, String>(wave * 2 + t))
+                                .collect();
+                            let (out, _) = ex.run_fallible(batch, &policy).unwrap();
+                            assert_eq!(out, (0..tasks).map(|t| wave * 2 + t).collect::<Vec<_>>());
+                        }
+                    });
+                }
+            });
+        },
+    );
+}
+
+#[test]
+fn jobserver_submit_cancel_shutdown_rounds_always_return() {
+    // The dispatcher parks on a condvar with no timeout, so each of
+    // submit, completion, cancel and shutdown must wake it by itself:
+    // a cancelled job on a *paused* server resolves only if `cancel`
+    // signals, and a paused server stops only if `shutdown` does.
+    const ROUNDS: u64 = 500;
+    within(
+        Duration::from_secs(300),
+        "job-server submit/cancel/shutdown rounds",
+        || {
+            let cluster = Cluster::new(ClusterConfig::local(2));
+            let count = |c: &Cluster| c.parallelize(vec![1u64, 2, 3, 4], 2).count();
+            for round in 0..ROUNDS {
+                let paused = round % 2 == 0;
+                let config = JobServerConfig::fair(1 + (round % 2) as usize);
+                let server = JobServer::new(
+                    &cluster,
+                    if paused {
+                        config.start_paused()
+                    } else {
+                        config
+                    },
+                );
+                let cancelled = server.submit("a", count);
+                let kept = server.submit("b", count);
+                cancelled.cancel();
+                // Resolves while the server is still paused on even rounds.
+                let outcome = cancelled.join();
+                assert!(
+                    paused && matches!(outcome, JobOutcome::Cancelled)
+                        || !paused && !matches!(outcome, JobOutcome::Failed(_)),
+                    "round {round}: cancelled job ended as {:?}",
+                    outcome.kind()
+                );
+                if paused {
+                    // Never resumed: shutdown alone must wake the dispatcher.
+                    server.shutdown();
+                    assert!(matches!(kept.join(), JobOutcome::Cancelled));
+                } else {
+                    assert_eq!(kept.join().completed(), Some(4));
+                    server.shutdown();
+                }
+            }
+        },
+    );
+}
 
 #[test]
 fn hundreds_of_tasks_with_injected_panics_commit_exactly_once() {

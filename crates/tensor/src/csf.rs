@@ -8,9 +8,8 @@
 //! holds the distinct root-mode indices, each deeper level the child
 //! indices of the level above, and the leaves the values.
 //!
-//! It serves two roles here: a fast local MTTKRP for validation, and the
-//! subject of the `mttkrp` criterion benchmark comparing fiber-amortized
-//! vs. flat-COO sequential MTTKRP.
+//! It serves as a fast local MTTKRP for validation: fiber-amortized
+//! instead of flat-COO sequential MTTKRP.
 
 use crate::{CooTensor, DenseMatrix, Result, TensorError};
 

@@ -123,7 +123,7 @@ fn qcoo_full_mode_cycle_bit_identical_under_faults() {
     }
 }
 
-/// Acceptance criterion: a full CP-ALS iteration produces bit-identical
+/// Acceptance bar: a full CP-ALS iteration produces bit-identical
 /// factor matrices and weights with and without injected faults.
 #[test]
 fn cp_als_iteration_bit_identical_under_faults() {

@@ -1,7 +1,6 @@
-//! Kernel bit-identity suite: the sorted-runs task kernel — with and
-//! without heavy-key splitting — must reproduce the record-at-a-time
-//! combine bit for bit. The kernel changes *how* each task iterates
-//! (sorted SoA runs, arena-backed accumulator rows, chunked heavy keys),
+//! Kernel bit-identity suite: the sorted-runs task kernel must reproduce
+//! the record-at-a-time combine bit for bit. The kernel changes *how*
+//! each task iterates (sorted SoA runs, arena-backed accumulator rows),
 //! never the per-key operation sequence, so any bit drift is a bug. The
 //! property runs over arbitrary tensors, every mode, random partition
 //! counts and both map-side-combine settings; the chaos half demands the
@@ -50,16 +49,15 @@ fn arb_tensor() -> impl Strategy<Value = CooTensor> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// SortedRuns and SortedRunsSplit ≡ RecordAtATime, bitwise, for every
-    /// mode of arbitrary tensors under arbitrary partitioning.
+    /// SortedRuns ≡ RecordAtATime, bitwise, for every mode of arbitrary
+    /// tensors under arbitrary partitioning.
     #[test]
-    fn sorted_kernels_match_record_at_a_time(
+    fn sorted_kernel_matches_record_at_a_time(
         t in arb_tensor(),
         rank in 1usize..4,
         fseed in any::<u64>(),
         partitions in 1usize..9,
         map_side_combine in any::<bool>(),
-        frequency in 0.02f64..0.5,
     ) {
         let c = test_cluster(3);
         let rdd = tensor_to_rdd(&c, &t, 4).persist(StorageLevel::MemoryRaw);
@@ -75,16 +73,14 @@ proptest! {
                 mttkrp_coo(&c, &rdd, &factors, t.shape(), mode, &opts).unwrap()
             };
             let reference = run(KernelStrategy::RecordAtATime);
-            for kernel in [KernelStrategy::SortedRuns, KernelStrategy::split(frequency)] {
-                let got = run(kernel);
-                prop_assert_eq!(reference.rows(), got.rows());
-                for i in 0..got.rows() {
-                    for (x, y) in reference.row(i).iter().zip(got.row(i)) {
-                        prop_assert_eq!(
-                            x.to_bits(), y.to_bits(),
-                            "mode {} row {} ({} vs {})", mode, i, x, y
-                        );
-                    }
+            let got = run(KernelStrategy::SortedRuns);
+            prop_assert_eq!(reference.rows(), got.rows());
+            for i in 0..got.rows() {
+                for (x, y) in reference.row(i).iter().zip(got.row(i)) {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "mode {} row {} ({} vs {})", mode, i, x, y
+                    );
                 }
             }
         }
@@ -129,15 +125,10 @@ fn sorted_kernel_bit_identical_across_twenty_fault_schedules() {
     for seed in 0..20u64 {
         let c = chaos_cluster(seed, 0.7);
         let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        for kernel in [KernelStrategy::SortedRuns, KernelStrategy::split(0.05)] {
-            let opts = MttkrpOptions {
-                kernel,
-                ..MttkrpOptions::default()
-            };
-            for (mode, expect) in quiet_reference.iter().enumerate() {
-                let got = mttkrp_coo(&c, &rdd, &factors, t.shape(), mode, &opts).unwrap();
-                assert_bit_identical(&got, expect, &format!("seed {seed} {kernel} mode {mode}"));
-            }
+        let opts = MttkrpOptions::default(); // sorted-runs kernel
+        for (mode, expect) in quiet_reference.iter().enumerate() {
+            let got = mttkrp_coo(&c, &rdd, &factors, t.shape(), mode, &opts).unwrap();
+            assert_bit_identical(&got, expect, &format!("seed {seed} mode {mode}"));
         }
         let m = c.metrics().snapshot();
         assert!(
@@ -147,9 +138,9 @@ fn sorted_kernel_bit_identical_across_twenty_fault_schedules() {
     }
 }
 
-/// QCOO's pooled rotation/reduction path (persisted queue state, two
-/// shuffles per step) survives crash injection bit-identically against a
-/// quiet record-at-a-time cycle.
+/// QCOO's sorted-runs path (persisted queue state, two shuffles per
+/// step) survives crash injection bit-identically against a quiet
+/// record-at-a-time cycle.
 #[test]
 fn qcoo_sorted_kernel_bit_identical_under_faults() {
     let t = RandomTensor::new(vec![12, 11, 10])
@@ -175,7 +166,7 @@ fn qcoo_sorted_kernel_bit_identical_under_faults() {
     let reference = run(&test_cluster(4), KernelStrategy::RecordAtATime);
     for seed in [5u64, 23, 58, 71, 104] {
         let c = chaos_cluster(seed, 0.6);
-        let faulty = run(&c, KernelStrategy::split(0.05));
+        let faulty = run(&c, KernelStrategy::SortedRuns);
         for (mode, (got, expect)) in faulty.iter().zip(&reference).enumerate() {
             assert_bit_identical(got, expect, &format!("seed {seed} qcoo mode {mode}"));
         }

@@ -1,4 +1,4 @@
-//! Memory-governed CP-ALS across crates: the acceptance criterion for the
+//! Memory-governed CP-ALS across crates: the acceptance bar for the
 //! budgeted block manager. With `memory_budget` pinned to 25% of the
 //! unbounded run's working set, a 3rd-order decomposition must still
 //! complete, must actually evict and spill (otherwise the budget proved

@@ -156,7 +156,7 @@ fn counters_are_concurrency_invariant() {
     assert_eq!(traffic(&seq), traffic(&conc));
 }
 
-/// Acceptance criterion: CP-ALS factors are bit-identical between the
+/// Acceptance bar: CP-ALS factors are bit-identical between the
 /// sequential and concurrent schedulers, quiet and under 20 distinct
 /// seeded chaos schedules. `Partitioning::None` keeps the factor-side
 /// shuffles alive, so the concurrent scheduler genuinely overlaps stages
