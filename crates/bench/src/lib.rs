@@ -187,7 +187,7 @@ impl Setup {
     }
 
     /// Directory artifacts (CSV, JSON) are written to (created on demand):
-    /// see [`artifact_dir`], with `CSTF_RESULTS_DIR` as the override.
+    /// see `artifact_dir`, with `CSTF_RESULTS_DIR` as the override.
     pub fn results_dir(&self) -> PathBuf {
         let dir = artifact_dir(std::env::var("CSTF_RESULTS_DIR").ok(), self.tiny);
         std::fs::create_dir_all(&dir)
@@ -216,8 +216,6 @@ pub struct RunSpec {
     pub strategy: Strategy,
     /// Partitioner-awareness level.
     pub partitioning: Partitioning,
-    /// Combine kernel.
-    pub kernel: KernelStrategy,
     /// Storage level of the run's persisted datasets.
     pub storage: StorageLevel,
     /// Decomposition rank.
@@ -238,12 +236,11 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// The paper's configuration: rank [`PAPER_RANK`], a quiet unbounded
-    /// cluster, and the solver's default partitioning, kernel and storage.
+    /// cluster, and the solver's default partitioning and storage.
     pub fn new(strategy: Strategy, nodes: usize, iters: usize, seed: u64) -> RunSpec {
         RunSpec {
             strategy,
             partitioning: Partitioning::CoPartitionedFactors,
-            kernel: KernelStrategy::default(),
             storage: StorageLevel::MemoryRaw,
             rank: PAPER_RANK,
             nodes,
@@ -284,7 +281,6 @@ impl RunSpec {
         CpAls::new(self.rank)
             .strategy(self.strategy)
             .partitioning(self.partitioning)
-            .kernel(self.kernel)
             .tensor_storage(self.storage)
             .max_iterations(self.iters)
             .skip_fit()
@@ -571,10 +567,6 @@ mod tests {
         let base = RunSpec::new(Strategy::Coo, 4, 2, 5);
         let (_, reference) = base.run(&t);
         let variants = [
-            RunSpec {
-                kernel: KernelStrategy::RecordAtATime,
-                ..base.clone()
-            },
             RunSpec {
                 partitioning: Partitioning::PrePartitionedTensor,
                 sequential: true,

@@ -7,7 +7,7 @@
 //! factor is only computed once per CP-ALS iteration", §4.2); columns are
 //! normalized after every update with the norms kept as `λ`.
 
-use crate::planner::{plan, PlanConfig};
+use crate::planner::{plan, MttkrpStrategy, PlanConfig};
 use crate::{CstfError, Result};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::linalg::solve_normal_equations;
@@ -16,6 +16,22 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub use crate::planner::{Partitioning, Strategy};
+
+/// What a run holds on the (possibly shared) cluster — the plan's
+/// persisted datasets and the metrics scope — given back on every exit
+/// path: normal return, `?`, or a panic unwinding out of an aborted or
+/// cancelled stage.
+struct RunGuard<'a> {
+    cluster: &'a Cluster,
+    plan: Box<dyn MttkrpStrategy>,
+}
+
+impl Drop for RunGuard<'_> {
+    fn drop(&mut self) {
+        self.plan.release();
+        self.cluster.metrics().clear_scope();
+    }
+}
 
 /// Configurable CP-ALS decomposition (builder style).
 ///
@@ -174,8 +190,6 @@ impl CpAls {
             .partitions
             .unwrap_or(cluster.config().default_parallelism);
 
-        cluster.metrics().set_scope("Other");
-
         // Factor initialization: warm start or seeded random. Runs before
         // planning (pure driver-side work, no cluster jobs) because
         // carried-state strategies consume the initial factors in their
@@ -222,7 +236,8 @@ impl CpAls {
         // the tensor in whatever layout its capabilities call for and runs
         // any prologue (QCOO's N-shuffle queue initialization). From here
         // on the driver is strategy-agnostic.
-        let mut mttkrp_plan = plan(
+        cluster.metrics().set_scope("Other");
+        let mttkrp_plan = plan(
             cluster,
             tensor,
             self.strategy,
@@ -236,6 +251,10 @@ impl CpAls {
             },
             &factors,
         )?;
+        let mut run = RunGuard {
+            cluster,
+            plan: mttkrp_plan,
+        };
 
         let mut fits: Vec<f64> = Vec::new();
         let mut prev_fit = f64::NEG_INFINITY;
@@ -244,7 +263,7 @@ impl CpAls {
         'outer: for _iter in 0..self.max_iterations {
             for mode in 0..order {
                 cluster.metrics().set_scope(format!("MTTKRP-{}", mode + 1));
-                let m = mttkrp_plan.mttkrp(&factors, mode)?;
+                let m = run.plan.mttkrp(&factors, mode)?;
 
                 // Driver-side normal equations: V = ∗_{m≠n} Gₘ, Aₙ = M V⁺.
                 let mut v =
@@ -299,8 +318,7 @@ impl CpAls {
             }
         }
 
-        mttkrp_plan.release();
-        cluster.metrics().clear_scope();
+        drop(run);
 
         let final_fit = fits.last().copied().unwrap_or(f64::NAN);
         let kruskal = KruskalTensor::new(lambda, factors)?;
@@ -823,5 +841,30 @@ mod tests {
             .run(&c, &t)
             .unwrap();
         assert_eq!(c.block_manager().len(), before, "blocks leaked");
+    }
+
+    #[test]
+    fn failed_run_releases_its_datasets() {
+        // One NaN nonzero poisons the first factor update, so the run
+        // fails from inside the mode loop, after the plan persisted its
+        // datasets and set the mode's scope.
+        let mut t = RandomTensor::new(vec![8, 8, 8]).nnz(100).seed(53).build();
+        t.push(&[1, 2, 3], f64::NAN).unwrap();
+        for strategy in [
+            Strategy::Coo,
+            Strategy::Qcoo,
+            Strategy::CooBroadcast,
+            Strategy::DfactoSpmv,
+        ] {
+            let c = cluster();
+            let state = |c: &Cluster| {
+                let blocks = c.block_manager();
+                (blocks.len(), blocks.memory_bytes(), c.metrics().scope())
+            };
+            let before = state(&c);
+            let failed = CpAls::new(2).strategy(strategy).run(&c, &t);
+            assert!(failed.is_err(), "{strategy}: NaN input must fail the run");
+            assert_eq!(state(&c), before, "{strategy}: failed run leaked");
+        }
     }
 }

@@ -119,40 +119,37 @@ pub fn join_order(order: usize, mode: usize) -> Vec<usize> {
     (0..order).rev().filter(|&m| m != mode).collect()
 }
 
-/// Shared preamble of every join-based MTTKRP pipeline (COO, QCOO, SpMV):
-/// the resolved partition count, the single join partitioner threaded
-/// through all stages, and pre-hashed factor-row emission. Previously this
-/// setup was copy-pasted into each pipeline; the planner now builds one
-/// context per pipeline invocation.
+/// Shared frame of every MTTKRP pipeline (COO, QCOO, SpMV, broadcast): the
+/// resolved partition count, the single join partitioner threaded through
+/// all stages, pre-hashed factor-row emission, and the reduce tail that
+/// sums rows per output index.
 pub(crate) struct JoinContext {
-    pub(crate) partitions: usize,
+    partitions: usize,
     pub(crate) partitioner: Arc<dyn KeyPartitioner<u32>>,
     pref: PartitionerRef,
     co_partition_factors: bool,
+    map_side_combine: bool,
+    kernel: KernelStrategy,
 }
 
 impl JoinContext {
-    /// Resolves `partitions` against the cluster default and builds the
-    /// shared hash partitioner (+ provenance ref for narrow factor sides).
-    pub(crate) fn new(
-        cluster: &Cluster,
-        partitions: Option<usize>,
-        co_partition_factors: bool,
-    ) -> Self {
-        let partitions = partitions.unwrap_or(cluster.config().default_parallelism);
+    /// Resolves `opts.partitions` against the cluster default and builds
+    /// the shared hash partitioner (+ provenance ref for narrow factor
+    /// sides).
+    pub(crate) fn new(cluster: &Cluster, opts: &MttkrpOptions) -> Self {
+        let partitions = opts
+            .partitions
+            .unwrap_or(cluster.config().default_parallelism);
         let partitioner: Arc<dyn KeyPartitioner<u32>> = Arc::new(HashPartitioner::new(partitions));
         let pref = PartitionerRef::of(partitioner.clone());
         JoinContext {
             partitions,
             partitioner,
             pref,
-            co_partition_factors,
+            co_partition_factors: opts.co_partition_factors,
+            map_side_combine: opts.map_side_combine,
+            kernel: opts.kernel,
         }
-    }
-
-    /// Context from [`MttkrpOptions`].
-    pub(crate) fn from_opts(cluster: &Cluster, opts: &MttkrpOptions) -> Self {
-        Self::new(cluster, opts.partitions, opts.co_partition_factors)
     }
 
     /// Emits a factor matrix as a row RDD, pre-partitioned by the join
@@ -165,6 +162,37 @@ impl JoinContext {
             self.partitions,
             self.co_partition_factors.then_some(&self.pref),
         )
+    }
+
+    /// The reduce every pipeline ends its stages with: sums rows per key
+    /// through the configured combine kernel. The sorted-runs kernel emits
+    /// rows in key order instead of hash order, so callers consume the
+    /// result order-insensitively (or canonicalize it, as SpMV's
+    /// intermediate reduces do).
+    pub(crate) fn reduce_rows<K>(&self, rows: Rdd<(K, Row)>) -> Rdd<(K, Row)>
+    where
+        K: Key + Ord + EstimateSize,
+    {
+        rows.reduce_by_key_kernel(
+            self.partitions,
+            self.map_side_combine,
+            self.kernel,
+            add_rows,
+            row_kernel_ops(),
+        )
+    }
+
+    /// The tail of every MTTKRP: [`JoinContext::reduce_rows`] keyed by
+    /// output index, collected and assembled into the dense
+    /// `num_rows × rank` result on the driver (`rows_to_matrix` is
+    /// index-addressed, so the emit order does not matter).
+    pub(crate) fn sum_rows(
+        &self,
+        rows: Rdd<(u32, Row)>,
+        num_rows: usize,
+        rank: usize,
+    ) -> DenseMatrix {
+        rows_to_matrix(self.reduce_rows(rows).collect(), num_rows, rank)
     }
 }
 
@@ -221,8 +249,7 @@ fn mttkrp_coo_keyed(
 ) -> Result<DenseMatrix> {
     // One shared partitioner threads through every stage; with
     // `co_partition_factors` the factor side of each join is narrow.
-    let ctx = JoinContext::from_opts(cluster, opts);
-    let partitions = ctx.partitions;
+    let ctx = JoinContext::new(cluster, opts);
 
     let joins = join_order(shape.len(), mode);
 
@@ -247,21 +274,8 @@ fn mttkrp_coo_keyed(
     }
 
     // STAGE N: scale by the tensor value and sum rows per output index.
-    // The sorted-runs kernel emits rows in index order instead of hash
-    // order — `rows_to_matrix` is index-addressed, so the assembled matrix
-    // is unchanged.
-    let rows = state
-        .map_values(|(rec, partial)| scale_row(partial, rec.val))
-        .reduce_by_key_kernel(
-            partitions,
-            opts.map_side_combine,
-            opts.kernel,
-            add_rows,
-            row_kernel_ops(),
-        )
-        .collect();
-
-    Ok(rows_to_matrix(rows, shape[mode] as usize, rank))
+    let scaled = state.map_values(|(rec, partial)| scale_row(partial, rec.val));
+    Ok(ctx.sum_rows(scaled, shape[mode] as usize, rank))
 }
 
 /// Broadcast-join MTTKRP — an extension beyond the paper.
@@ -283,7 +297,7 @@ pub fn mttkrp_coo_broadcast(
     opts: &MttkrpOptions,
 ) -> Result<DenseMatrix> {
     let rank = check(factors, shape, mode)?;
-    let partitions = JoinContext::from_opts(cluster, opts).partitions;
+    let ctx = JoinContext::new(cluster, opts);
 
     // Broadcast the non-target factors (metered by the engine).
     let non_target: Vec<DenseMatrix> = (0..shape.len())
@@ -296,30 +310,21 @@ pub fn mttkrp_coo_broadcast(
         factors: non_target,
     });
 
-    let rows = tensor
-        .map(move |rec| {
-            let set = bcast.value();
-            // Arena rows come back stale: fill with `rec.val` before the
-            // in-order multiplies.
-            let mut acc: Row = pool::take_row(rank);
-            acc.fill(rec.val);
-            for (&m, f) in set.modes.iter().zip(&set.factors) {
-                let row = f.row(rec.coord[m] as usize);
-                for (a, &x) in acc.iter_mut().zip(row) {
-                    *a *= x;
-                }
+    let rows = tensor.map(move |rec| {
+        let set = bcast.value();
+        // Arena rows come back stale: fill with `rec.val` before the
+        // in-order multiplies.
+        let mut acc: Row = pool::take_row(rank);
+        acc.fill(rec.val);
+        for (&m, f) in set.modes.iter().zip(&set.factors) {
+            let row = f.row(rec.coord[m] as usize);
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a *= x;
             }
-            (rec.coord[mode], acc)
-        })
-        .reduce_by_key_kernel(
-            partitions,
-            opts.map_side_combine,
-            opts.kernel,
-            add_rows,
-            row_kernel_ops(),
-        )
-        .collect();
-    Ok(rows_to_matrix(rows, shape[mode] as usize, rank))
+        }
+        (rec.coord[mode], acc)
+    });
+    Ok(ctx.sum_rows(rows, shape[mode] as usize, rank))
 }
 
 /// The broadcast payload: non-target factor matrices plus their modes.

@@ -256,19 +256,8 @@ pub fn plan(
     let shape = tensor.shape().to_vec();
 
     Ok(match strategy {
-        Strategy::Coo => Box::new(CooPlan {
-            cluster: cluster.clone(),
-            shape,
-            opts: config.mttkrp_options(),
-            data,
-        }),
-        Strategy::DfactoSpmv => Box::new(SpmvPlan {
-            cluster: cluster.clone(),
-            shape,
-            opts: config.mttkrp_options(),
-            data,
-        }),
-        Strategy::CooBroadcast => Box::new(BroadcastPlan {
+        Strategy::Coo | Strategy::DfactoSpmv | Strategy::CooBroadcast => Box::new(StatelessPlan {
+            strategy,
             cluster: cluster.clone(),
             shape,
             opts: config.mttkrp_options(),
@@ -291,6 +280,17 @@ pub fn plan(
             Box::new(QcooPlan { state, data })
         }
     })
+}
+
+/// `rdd` persisted at the configured level and eagerly materialized, when
+/// the plan caches its tensor datasets at all.
+fn cached<T: Data + EstimateSize>(rdd: Rdd<T>, config: &PlanConfig) -> Rdd<T> {
+    if !config.cache_tensor {
+        return rdd;
+    }
+    let rdd = rdd.persist(config.storage);
+    let _ = rdd.count();
+    rdd
 }
 
 /// The distributed tensor datasets a plan owns: either the plain COO
@@ -319,14 +319,7 @@ impl TensorData {
                         config.partitions,
                         Some(&pref),
                     );
-                    let rdd = if config.cache_tensor {
-                        let rdd = rdd.persist(config.storage);
-                        let _ = rdd.count();
-                        rdd
-                    } else {
-                        rdd
-                    };
-                    (key_mode, rdd)
+                    (key_mode, cached(rdd, config))
                 })
                 .collect();
             TensorData {
@@ -335,15 +328,8 @@ impl TensorData {
             }
         } else {
             let rdd = tensor_to_rdd(cluster, tensor, config.partitions);
-            let rdd = if config.cache_tensor {
-                let rdd = rdd.persist(config.storage);
-                let _ = rdd.count();
-                rdd
-            } else {
-                rdd
-            };
             TensorData {
-                plain: Some(rdd),
+                plain: Some(cached(rdd, config)),
                 pre_keyed: Vec::new(),
             }
         }
@@ -378,110 +364,43 @@ impl TensorData {
     }
 }
 
-/// CSTF-COO plan (plain or pre-partitioned tensor).
-struct CooPlan {
+/// Plan of the strategies that carry no state between calls — COO,
+/// DFacTo-SpMV (both over the plain or the pre-partitioned tensor) and
+/// broadcast COO (plain only): each call runs the strategy's pipeline
+/// function over the plan's tensor datasets.
+struct StatelessPlan {
+    strategy: Strategy,
     cluster: Cluster,
     shape: Vec<u32>,
     opts: MttkrpOptions,
     data: TensorData,
 }
 
-impl MttkrpStrategy for CooPlan {
+impl MttkrpStrategy for StatelessPlan {
     fn strategy(&self) -> Strategy {
-        Strategy::Coo
+        self.strategy
     }
 
     fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
+        let (cluster, shape, opts) = (&self.cluster, &self.shape[..], &self.opts);
         if self.data.is_pre() {
-            let first = join_order(self.shape.len(), mode)[0];
-            mttkrp_coo_pre(
-                &self.cluster,
-                self.data.keyed_by(first),
-                factors,
-                &self.shape,
-                mode,
-                &self.opts,
-            )
+            let keyed = self.data.keyed_by(join_order(shape.len(), mode)[0]);
+            match self.strategy {
+                Strategy::Coo => mttkrp_coo_pre(cluster, keyed, factors, shape, mode, opts),
+                Strategy::DfactoSpmv => mttkrp_spmv_pre(cluster, keyed, factors, shape, mode, opts),
+                other => unreachable!("{other} has no pre-partitioned pipeline"),
+            }
         } else {
-            mttkrp_coo(
-                &self.cluster,
-                self.data.plain(),
-                factors,
-                &self.shape,
-                mode,
-                &self.opts,
-            )
+            let plain = self.data.plain();
+            match self.strategy {
+                Strategy::Coo => mttkrp_coo(cluster, plain, factors, shape, mode, opts),
+                Strategy::DfactoSpmv => mttkrp_spmv(cluster, plain, factors, shape, mode, opts),
+                Strategy::CooBroadcast => {
+                    mttkrp_coo_broadcast(cluster, plain, factors, shape, mode, opts)
+                }
+                Strategy::Qcoo => unreachable!("QCOO carries state and plans as QcooPlan"),
+            }
         }
-    }
-
-    fn release(&self) {
-        self.data.release();
-    }
-}
-
-/// DFacTo-SpMV plan (plain or pre-partitioned tensor).
-struct SpmvPlan {
-    cluster: Cluster,
-    shape: Vec<u32>,
-    opts: MttkrpOptions,
-    data: TensorData,
-}
-
-impl MttkrpStrategy for SpmvPlan {
-    fn strategy(&self) -> Strategy {
-        Strategy::DfactoSpmv
-    }
-
-    fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
-        if self.data.is_pre() {
-            let first = join_order(self.shape.len(), mode)[0];
-            mttkrp_spmv_pre(
-                &self.cluster,
-                self.data.keyed_by(first),
-                factors,
-                &self.shape,
-                mode,
-                &self.opts,
-            )
-        } else {
-            mttkrp_spmv(
-                &self.cluster,
-                self.data.plain(),
-                factors,
-                &self.shape,
-                mode,
-                &self.opts,
-            )
-        }
-    }
-
-    fn release(&self) {
-        self.data.release();
-    }
-}
-
-/// Broadcast-join COO plan.
-struct BroadcastPlan {
-    cluster: Cluster,
-    shape: Vec<u32>,
-    opts: MttkrpOptions,
-    data: TensorData,
-}
-
-impl MttkrpStrategy for BroadcastPlan {
-    fn strategy(&self) -> Strategy {
-        Strategy::CooBroadcast
-    }
-
-    fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
-        mttkrp_coo_broadcast(
-            &self.cluster,
-            self.data.plain(),
-            factors,
-            &self.shape,
-            mode,
-            &self.opts,
-        )
     }
 
     fn release(&self) {

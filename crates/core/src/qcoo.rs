@@ -25,9 +25,8 @@
 //! scheduling neither helps nor hurts it (the `ablation_scheduler`
 //! experiment shows ratio 1.0, against COO's strict improvement).
 
-use crate::factors::rows_to_matrix;
-use crate::mttkrp::JoinContext;
-use crate::records::{add_rows, row_kernel_ops, CooRecord, QRecord};
+use crate::mttkrp::{JoinContext, MttkrpOptions};
+use crate::records::{CooRecord, QRecord};
 use crate::{CstfError, Result};
 use cstf_dataflow::kernel::pool;
 use cstf_dataflow::prelude::*;
@@ -72,7 +71,9 @@ pub struct QcooState {
     state: Rdd<(u32, QRecord)>,
     shape: Vec<u32>,
     rank: usize,
-    partitions: usize,
+    /// Partition count, factor co-partitioning and task kernel of every
+    /// step's join and reduce (never combined map-side, as Table 4 counts).
+    join_opts: MttkrpOptions,
     /// Mode whose index currently keys the state — also the mode whose
     /// factor the next [`QcooState::step`] joins.
     key_mode: usize,
@@ -82,13 +83,8 @@ pub struct QcooState {
     /// ever-growing lineage chain (standard practice for iterative Spark
     /// jobs). `0` disables checkpointing.
     checkpoint_interval: u64,
-    /// Pre-partition factor-row RDDs by the join partitioner so the factor
-    /// side of every join is narrow (no shuffle-map stage).
-    co_partition_factors: bool,
     /// Storage level applied to each rotated state RDD.
     storage: StorageLevel,
-    /// Task kernel for the step's hot loops and final combine.
-    kernel: KernelStrategy,
 }
 
 impl QcooState {
@@ -140,7 +136,13 @@ impl QcooState {
             )));
         }
         let capacity = order - 1;
-        let ctx = JoinContext::new(cluster, Some(partitions), opts.co_partition_factors);
+        let join_opts = MttkrpOptions {
+            partitions: Some(partitions),
+            map_side_combine: false,
+            co_partition_factors: opts.co_partition_factors,
+            kernel: opts.kernel,
+        };
+        let ctx = JoinContext::new(cluster, &join_opts);
         let mut state: Rdd<(u32, QRecord)> = tensor.map(|rec| (rec.coord[0], QRecord::new(rec)));
         for (m, factor) in factors.iter().enumerate().take(order - 1) {
             let factor_rdd = ctx.factor_rdd(cluster, factor);
@@ -162,13 +164,11 @@ impl QcooState {
             state,
             shape: shape.to_vec(),
             rank,
-            partitions,
+            join_opts,
             key_mode: order - 1,
             steps_taken: 0,
             checkpoint_interval: 8,
-            co_partition_factors: opts.co_partition_factors,
             storage: opts.storage,
-            kernel: opts.kernel,
         })
     }
 
@@ -226,22 +226,18 @@ impl QcooState {
         }
 
         let capacity = order - 1;
-        let ctx = JoinContext::new(
-            &self.cluster,
-            Some(self.partitions),
-            self.co_partition_factors,
-        );
+        let ctx = JoinContext::new(&self.cluster, &self.join_opts);
         let factor_rdd = ctx.factor_rdd(&self.cluster, factor_of_key_mode);
         // STAGE 1 (join) + STAGE 2 (rotate & re-key) — one shuffle (the
         // factor side is narrow when co-partitioned). The rotation
         // recycles each dequeued stale row into the kernel arena.
-        let rotated_raw =
-            self.state
-                .join_by(&factor_rdd, ctx.partitioner)
-                .map(move |(_, (mut q, row))| {
-                    q.rotate(row, capacity);
-                    (q.entry.coord[out_mode], q)
-                });
+        let rotated_raw = self
+            .state
+            .join_by(&factor_rdd, ctx.partitioner.clone())
+            .map(move |(_, (mut q, row))| {
+                q.rotate(row, capacity);
+                (q.entry.coord[out_mode], q)
+            });
         // Periodic lineage truncation; otherwise persistence at the
         // configured level, as §4.2 describes.
         let rotated = if self.checkpoint_interval > 0
@@ -257,23 +253,14 @@ impl QcooState {
         // The reduction draws its output row from the arena and recycles
         // the (owned clone of the) queue's rows after reducing.
         let rank = self.rank;
-        let rows = rotated
-            .map_values(move |mut q| {
-                let out = q.reduce_queue(rank);
-                for row in q.queue.drain(..) {
-                    pool::give_row(row);
-                }
-                out
-            })
-            .reduce_by_key_kernel(
-                self.partitions,
-                false,
-                self.kernel,
-                add_rows,
-                row_kernel_ops(),
-            )
-            .collect();
-        let m = rows_to_matrix(rows, self.shape[out_mode] as usize, self.rank);
+        let rows = rotated.map_values(move |mut q| {
+            let out = q.reduce_queue(rank);
+            for row in q.queue.drain(..) {
+                pool::give_row(row);
+            }
+            out
+        });
+        let m = ctx.sum_rows(rows, self.shape[out_mode] as usize, self.rank);
 
         // Swap in the rotated state; drop the old one from the cache
         // ("removed from the cache by explicitly asking Spark to unpersist

@@ -27,9 +27,8 @@
 //! kernel reduces emit per-partition records in a fixed order, so results
 //! are bit-identical across retries, speculation, and kernel choices.
 
-use crate::factors::rows_to_matrix;
 use crate::mttkrp::{check, join_order, JoinContext, MttkrpOptions};
-use crate::records::{add_rows, hadamard_rows, row_kernel_ops, CooRecord, Row};
+use crate::records::{hadamard_rows, scale_row, CooRecord, Row};
 use crate::Result;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::spmv::FiberSpace;
@@ -83,8 +82,7 @@ fn mttkrp_spmv_keyed(
     rank: usize,
     opts: &MttkrpOptions,
 ) -> Result<DenseMatrix> {
-    let ctx = JoinContext::from_opts(cluster, opts);
-    let partitions = ctx.partitions;
+    let ctx = JoinContext::new(cluster, opts);
     let joins = join_order(shape.len(), mode);
 
     // SpMV 1: join the first contraction factor, scale each row by the
@@ -95,17 +93,8 @@ fn mttkrp_spmv_keyed(
     if joins.len() == 1 {
         // Order 2 degenerates to a single SpMV: the "fiber" is the target
         // index itself, so reduce directly on it.
-        let rows = joined
-            .map(move |(_, (rec, row))| (rec.coord[mode], crate::records::scale_row(row, rec.val)))
-            .reduce_by_key_kernel(
-                partitions,
-                opts.map_side_combine,
-                opts.kernel,
-                add_rows,
-                row_kernel_ops(),
-            )
-            .collect();
-        return Ok(rows_to_matrix(rows, shape[mode] as usize, rank));
+        let rows = joined.map(move |(_, (rec, row))| (rec.coord[mode], scale_row(row, rec.val)));
+        return Ok(ctx.sum_rows(rows, shape[mode] as usize, rank));
     }
 
     // Intermediate reduces feed further joins + reduces, so their emit
@@ -123,22 +112,9 @@ fn mttkrp_spmv_keyed(
 
     let space = FiberSpace::new(shape, joins[0]);
     let enc = space.clone();
-    let mut fibers: Rdd<(u64, Row)> = canonical(
-        joined
-            .map(move |(_, (rec, row))| {
-                (
-                    enc.encode(&rec.coord),
-                    crate::records::scale_row(row, rec.val),
-                )
-            })
-            .reduce_by_key_kernel(
-                partitions,
-                opts.map_side_combine,
-                opts.kernel,
-                add_rows,
-                row_kernel_ops(),
-            ),
-    );
+    let mut fibers: Rdd<(u64, Row)> = canonical(ctx.reduce_rows(
+        joined.map(move |(_, (rec, row))| (enc.encode(&rec.coord), scale_row(row, rec.val))),
+    ));
 
     // SpMV 2..N−1: contract one further mode per round. The fiber key
     // carries every remaining coordinate, so each round extracts the join
@@ -154,33 +130,16 @@ fn mttkrp_spmv_keyed(
         let drop = space.clone();
         if idx + 1 == joins.len() {
             // Final contraction: only the target component survives.
-            let rows = joined
-                .map(move |(_, ((key, partial), frow))| {
-                    let combined = hadamard_rows(partial, frow);
-                    (drop.extract(drop.drop_mode(key, m), mode), combined)
-                })
-                .reduce_by_key_kernel(
-                    partitions,
-                    opts.map_side_combine,
-                    opts.kernel,
-                    add_rows,
-                    row_kernel_ops(),
-                )
-                .collect();
-            return Ok(rows_to_matrix(rows, shape[mode] as usize, rank));
+            let rows = joined.map(move |(_, ((key, partial), frow))| {
+                let combined = hadamard_rows(partial, frow);
+                (drop.extract(drop.drop_mode(key, m), mode), combined)
+            });
+            return Ok(ctx.sum_rows(rows, shape[mode] as usize, rank));
         }
         fibers = canonical(
-            joined
-                .map(move |(_, ((key, partial), frow))| {
-                    (drop.drop_mode(key, m), hadamard_rows(partial, frow))
-                })
-                .reduce_by_key_kernel(
-                    partitions,
-                    opts.map_side_combine,
-                    opts.kernel,
-                    add_rows,
-                    row_kernel_ops(),
-                ),
+            ctx.reduce_rows(joined.map(move |(_, ((key, partial), frow))| {
+                (drop.drop_mode(key, m), hadamard_rows(partial, frow))
+            })),
         );
     }
     unreachable!("joins.len() >= 2 always returns from the final round")

@@ -8,13 +8,17 @@
 //! `(rdd_id, partition)`.
 //!
 //! Storage is governed by an optional byte budget
-//! ([`crate::ClusterConfig::memory_budget`]): when resident bytes exceed it,
-//! the least-recently-used block is *evicted*. What eviction means depends on
-//! the block's [`StorageLevel`]:
+//! ([`crate::ClusterConfig::memory_budget`]): when the block manager's
+//! resident bytes exceed it, the least-recently-used block is *evicted*.
+//! The ledger is the block manager's own — the shuffle service is handed
+//! the same figure and keeps a second, separate ledger
+//! ([`crate::shuffle`]), so "resident ≤ budget" holds per store and the
+//! two together are bounded by twice the budget. What eviction means
+//! depends on the block's [`StorageLevel`]:
 //!
-//! * memory-only levels drop the data — a later read misses and the owning
-//!   [`crate::rdd::nodes::CachedNode`] recomputes the partition from lineage,
-//!   exactly like recovery after a lost node;
+//! * [`StorageLevel::MemoryRaw`] blocks are dropped — a later read misses
+//!   and the owning [`crate::rdd::nodes::CachedNode`] recomputes the
+//!   partition from lineage, exactly like recovery after a lost node;
 //! * [`StorageLevel::MemoryAndDisk`] blocks are *spilled* to a temp-dir
 //!   [`DiskStore`] and transparently reloaded (and promoted back to memory)
 //!   on the next read, with the modeled serialization cost charged through
@@ -31,17 +35,13 @@ use std::sync::Arc;
 
 /// Where/how a cached partition is stored, mirroring Spark's storage levels.
 /// All data lives in this process (the cluster is simulated); the levels
-/// differ in how they behave under the memory budget and which byte
-/// footprint they report. The paper uses raw caching ("we cache the tensors
-/// using the raw format", §4.1).
+/// differ in how they behave under the memory budget. The paper uses raw
+/// caching ("we cache the tensors using the raw format", §4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageLevel {
     /// Raw object storage (Spark `MEMORY_ONLY`). Evicted blocks are
     /// dropped and recomputed from lineage on the next read.
     MemoryRaw,
-    /// Serialized storage — byte footprint tracked (Spark
-    /// `MEMORY_ONLY_SER`). Evicted blocks are dropped like `MemoryRaw`.
-    MemorySerialized,
     /// Memory first, spill to local disk under memory pressure (Spark
     /// `MEMORY_AND_DISK`). Evicted blocks are written to the
     /// [`DiskStore`] and promoted back to memory on the next read.
@@ -571,8 +571,8 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let bm = BlockManager::new();
-        bm.put(1, 0, vec![0u64; 4], 32, StorageLevel::MemorySerialized);
-        bm.put(1, 1, vec![0u64; 2], 16, StorageLevel::MemorySerialized);
+        bm.put(1, 0, vec![0u64; 4], 32, StorageLevel::MemoryRaw);
+        bm.put(1, 1, vec![0u64; 2], 16, StorageLevel::MemoryRaw);
         assert_eq!(bm.total_bytes(), 48);
         assert_eq!(bm.memory_bytes(), 48);
         assert!(!bm.is_empty());

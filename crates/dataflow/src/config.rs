@@ -33,12 +33,16 @@ pub struct ClusterConfig {
     pub speculation: Option<SpeculationPolicy>,
     /// Deterministic fault injection; `None` runs fault-free.
     pub faults: Option<FaultConfig>,
-    /// Byte budget governing cached blocks and shuffle map outputs held in
-    /// memory (Spark's storage/execution memory region). When resident
-    /// bytes exceed it, the block manager evicts LRU blocks — dropping
-    /// memory-only blocks (recomputed from lineage on the next read) and
-    /// spilling `MemoryAndDisk` blocks — and the shuffle service spills
-    /// its oldest map outputs. `None` (the default) is unbounded.
+    /// Byte budget applied to cached blocks and, separately, to shuffle
+    /// map outputs held in memory (Spark's storage/execution memory
+    /// region). The block manager and the shuffle service are each handed
+    /// this figure and keep their own ledger: when the block manager's
+    /// resident bytes exceed it, it evicts LRU blocks — dropping
+    /// `MemoryRaw` blocks (recomputed from lineage on the next read) and
+    /// spilling `MemoryAndDisk` blocks; when the shuffle service's do, it
+    /// spills its oldest map outputs. Each store stays within the budget,
+    /// so resident bytes overall are bounded by twice it. `None` (the
+    /// default) is unbounded.
     pub memory_budget: Option<u64>,
     /// Forces the DAG scheduler to run one stage at a time, in
     /// topological order, instead of submitting all stages of a wave
@@ -116,7 +120,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Bounds the bytes of cached blocks and shuffle map outputs held in
+    /// Bounds the bytes of cached blocks and — on a separate ledger, see
+    /// [`ClusterConfig::memory_budget`] — of shuffle map outputs held in
     /// memory; excess is LRU-evicted (dropped or spilled to disk,
     /// depending on each block's [`crate::StorageLevel`]).
     pub fn memory_budget(mut self, bytes: u64) -> Self {

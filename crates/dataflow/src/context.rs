@@ -109,7 +109,7 @@ pub(crate) struct JobSession {
 
 /// Handle to a simulated cluster. Cheap to clone (an `Arc` inside);
 /// all clones share executor, shuffle data, cache and metrics. A clone
-/// may additionally carry a [`JobSession`] when it is the driver handle
+/// may additionally carry a `JobSession` when it is the driver handle
 /// of a job-server job; RDDs built from it inherit that session.
 #[derive(Clone)]
 pub struct Cluster {
@@ -265,7 +265,7 @@ impl Cluster {
             let b = partitioner.partition_of(&k);
             buckets[b].push((k, v));
         }
-        let node = Arc::new(crate::rdd::nodes::ParallelizeNode::from_partitions(buckets));
+        let node = Arc::new(crate::rdd::nodes::SourceNode::new("parallelize", buckets));
         Rdd::from_node(self.clone(), node)
             .with_partitioner(Some(crate::partitioner::PartitionerRef::of(partitioner)))
     }

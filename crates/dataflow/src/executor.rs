@@ -551,7 +551,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Concurrent waves (one per running job on a shared cluster) each spawn
 /// their own scoped worker threads, but every task attempt must hold one
-/// of the executor-wide [`Slots`] for its duration — so total CPU-bound
+/// of the executor-wide `Slots` for its duration — so total CPU-bound
 /// concurrency stays at `threads` however many jobs are in flight.
 #[derive(Debug)]
 pub struct Executor {

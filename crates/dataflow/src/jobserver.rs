@@ -31,7 +31,7 @@
 //!
 //! Stages from distinct jobs interleave freely in the shared
 //! [`crate::executor::Executor`] task-slot pool, yet every job's results
-//! are bit-identical to a solo [`ClusterConfig::sequential_stages`] run
+//! are bit-identical to a solo [`crate::ClusterConfig::sequential_stages`] run
 //! (`crates/dataflow/tests/jobserver.rs` proves this over seeded
 //! interleavings, quiet and under fault injection). The argument is the
 //! scheduler's own determinism argument, applied per job: each job runs

@@ -191,9 +191,9 @@ impl StageMetrics {
 /// Under fault injection a task may run several attempts, only one of
 /// which commits. So that failed attempts and losing speculative
 /// duplicates never pollute the stage's counters, each *attempt* writes
-/// into its own private sink ([`StageCollector::attempt_sink`]); the
+/// into its own private sink (`StageCollector::attempt_sink`); the
 /// driver absorbs the sink into the real stage collector only for the
-/// winning attempt ([`StageCollector::absorb`]). Byte/record counts are
+/// winning attempt (`StageCollector::absorb`). Byte/record counts are
 /// therefore retry-invariant by construction.
 #[derive(Debug)]
 pub struct StageCollector {

@@ -144,8 +144,15 @@ impl<T: Data> Rdd<T> {
         self
     }
 
+    /// A dataset derived from this one: `node` on the same cluster.
+    /// Partitioner provenance is dropped; operators that preserve key
+    /// placement re-attach it.
+    pub(crate) fn derive<U: Data>(&self, node: impl RddNode<U> + 'static) -> Rdd<U> {
+        Rdd::from_node(self.cluster.clone(), Arc::new(node))
+    }
+
     pub(crate) fn parallelize(cluster: Cluster, data: Vec<T>, partitions: usize) -> Self {
-        let node = Arc::new(nodes::ParallelizeNode::new(data, partitions));
+        let node = Arc::new(nodes::SourceNode::parallelize(data, partitions));
         Rdd::from_node(cluster, node)
     }
 
@@ -210,30 +217,35 @@ impl<T: Data> Rdd<T> {
 
     // ---- narrow transformations -------------------------------------
 
+    /// The one narrow constructor: a [`nodes::NarrowNode`] named `name`
+    /// computing each partition as `f(index, parent records, context)`.
+    pub(crate) fn narrow<U: Data>(
+        &self,
+        name: impl Into<String>,
+        f: impl Fn(usize, Vec<T>, &TaskContext<'_>) -> Vec<U> + Send + Sync + 'static,
+    ) -> Rdd<U> {
+        self.derive(nodes::NarrowNode::new(name, self.node.clone(), f))
+    }
+
     /// Applies `f` to every record.
     pub fn map<U: Data>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Rdd<U> {
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::MapNode::new(self.node.clone(), f)),
-        )
+        self.narrow("map", move |_, data, _| data.into_iter().map(&f).collect())
     }
 
     /// Keeps records satisfying `f`. Preserves partitioning: dropping
     /// records never moves the survivors.
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::FilterNode::new(self.node.clone(), f)),
-        )
+        self.narrow("filter", move |_, data, _| {
+            data.into_iter().filter(&f).collect()
+        })
         .with_partitioner(self.partitioner.clone())
     }
 
     /// Applies `f` and flattens the results.
     pub fn flat_map<U: Data>(&self, f: impl Fn(T) -> Vec<U> + Send + Sync + 'static) -> Rdd<U> {
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::FlatMapNode::new(self.node.clone(), f)),
-        )
+        self.narrow("flat_map", move |_, data, _| {
+            data.into_iter().flat_map(&f).collect()
+        })
     }
 
     /// Transforms a whole partition at once; `f` receives the partition
@@ -242,10 +254,9 @@ impl<T: Data> Rdd<T> {
         &self,
         f: impl Fn(usize, Vec<T>) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::MapPartitionsNode::new(self.node.clone(), f)),
-        )
+        self.narrow("map_partitions", move |partition, data, _| {
+            f(partition, data)
+        })
     }
 
     /// Keys every record with `f(record)` (Spark `keyBy`).
@@ -258,10 +269,7 @@ impl<T: Data> Rdd<T> {
     /// `coalesce`). Requesting more partitions than the parent has is a
     /// no-op.
     pub fn coalesce(&self, partitions: usize) -> Rdd<T> {
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::CoalescedNode::new(self.node.clone(), partitions)),
-        )
+        self.derive(nodes::CoalescedNode::new(self.node.clone(), partitions))
     }
 
     /// Deterministic Bernoulli sample: keeps each record with probability
@@ -313,13 +321,10 @@ impl<T: Data> Rdd<T> {
 
     /// Concatenates this RDD's partitions with `other`'s.
     pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::UnionNode::new(vec![
-                self.node.clone(),
-                other.node.clone(),
-            ])),
-        )
+        self.derive(nodes::UnionNode::new(vec![
+            self.node.clone(),
+            other.node.clone(),
+        ]))
     }
 
     // ---- caching ------------------------------------------------------
@@ -331,16 +336,9 @@ impl<T: Data> Rdd<T> {
     /// graph. Iterative algorithms (like QCOO's rotating state) call this
     /// periodically to bound lineage depth.
     pub fn checkpoint(&self) -> Rdd<T> {
-        let parts: Vec<Vec<T>> = self.cluster.clone().run_job(
-            &self.node,
-            &format!("checkpoint({})", self.node.name()),
-            |_, d| d,
-        );
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(nodes::CheckpointNode::new(parts)),
-        )
-        .with_partitioner(self.partitioner.clone())
+        let parts: Vec<Vec<T>> = self.run_action("checkpoint", |_, d| d);
+        self.derive(nodes::SourceNode::new("checkpoint", parts))
+            .with_partitioner(self.partitioner.clone())
     }
 
     /// Drops this RDD's resident partitions — memory and spilled disk
@@ -360,25 +358,26 @@ impl<T: Data> Rdd<T> {
 
     // ---- actions --------------------------------------------------------
 
+    /// The one job runner: computes every partition (shuffle stages first)
+    /// and maps each through `f`, as the job `action(node name)`.
+    fn run_action<U: Send>(
+        &self,
+        action: &str,
+        f: impl Fn(usize, Vec<T>) -> U + Send + Sync,
+    ) -> Vec<U> {
+        let name = format!("{action}({})", self.node.name());
+        self.cluster.run_job(&self.node, &name, f)
+    }
+
     /// Computes and returns all records, in partition order.
     pub fn collect(&self) -> Vec<T> {
-        let parts = self.cluster.clone().run_job(
-            &self.node,
-            &format!("collect({})", self.node.name()),
-            |_, d| d,
-        );
+        let parts = self.run_action("collect", |_, d| d);
         parts.into_iter().flatten().collect()
     }
 
     /// Number of records.
     pub fn count(&self) -> u64 {
-        self.cluster
-            .clone()
-            .run_job(
-                &self.node,
-                &format!("count({})", self.node.name()),
-                |_, d| d.len() as u64,
-            )
+        self.run_action("count", |_, d| d.len() as u64)
             .into_iter()
             .sum()
     }
@@ -386,11 +385,7 @@ impl<T: Data> Rdd<T> {
     /// Reduces all records with an associative, commutative `f`. Returns
     /// `None` on an empty dataset.
     pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync) -> Option<T> {
-        let partials: Vec<Option<T>> = self.cluster.clone().run_job(
-            &self.node,
-            &format!("reduce({})", self.node.name()),
-            |_, d| d.into_iter().reduce(&f),
-        );
+        let partials = self.run_action("reduce", |_, d| d.into_iter().reduce(&f));
         partials.into_iter().flatten().reduce(&f)
     }
 
@@ -403,11 +398,7 @@ impl<T: Data> Rdd<T> {
         combine: impl Fn(U, U) -> U,
     ) -> U {
         let z = zero.clone();
-        let partials: Vec<U> = self.cluster.clone().run_job(
-            &self.node,
-            &format!("fold({})", self.node.name()),
-            move |_, d| d.into_iter().fold(z.clone(), &f),
-        );
+        let partials = self.run_action("fold", move |_, d| d.into_iter().fold(z.clone(), &f));
         partials.into_iter().fold(zero, combine)
     }
 
@@ -460,14 +451,11 @@ impl<T: Data + EstimateSize> Rdd<T> {
     /// assert_eq!(rdd.unpersist(), 4);    // drops 4 partitions
     /// ```
     pub fn persist(&self, level: StorageLevel) -> Rdd<T> {
-        Rdd::from_node(
+        self.derive(nodes::CachedNode::new(
+            self.node.clone(),
             self.cluster.clone(),
-            Arc::new(nodes::CachedNode::new(
-                self.node.clone(),
-                self.cluster.clone(),
-                level,
-            )),
-        )
+            level,
+        ))
         .with_partitioner(self.partitioner.clone())
     }
 }

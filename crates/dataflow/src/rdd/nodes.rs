@@ -1,4 +1,5 @@
-//! Narrow-transformation lineage nodes.
+//! Lineage nodes other than the shuffle ones ([`super::pair`]): sources,
+//! narrow transformations, union, coalesce and the caching wrapper.
 
 use super::{next_node_id, Dependency, NodeInfo, RddNode};
 use crate::cache::StorageLevel;
@@ -7,15 +8,32 @@ use crate::size::EstimateSize;
 use crate::Data;
 use std::sync::Arc;
 
-/// Source node: data distributed by the driver (Spark `parallelize`).
-pub struct ParallelizeNode<T: Data> {
+/// Source node: partitions held directly, **no dependencies**. Under the
+/// name `"parallelize"` it is data distributed by the driver (Spark
+/// `parallelize`); under `"checkpoint"` it is the materialized snapshot of
+/// an RDD, truncating lineage (Spark `checkpoint`) — iterative algorithms
+/// use that to bound the lineage depth recovery or recomputation would
+/// otherwise walk.
+pub struct SourceNode<T: Data> {
     id: usize,
+    name: &'static str,
     partitions: Vec<Arc<Vec<T>>>,
 }
 
-impl<T: Data> ParallelizeNode<T> {
+impl<T: Data> SourceNode<T> {
+    /// Holds explicitly assigned partitions (computed by a checkpoint job,
+    /// or bucketed by the driver for [`crate::Cluster::parallelize_by_key`]).
+    pub(crate) fn new(name: &'static str, partitions: Vec<Vec<T>>) -> Self {
+        assert!(!partitions.is_empty());
+        SourceNode {
+            id: next_node_id(),
+            name,
+            partitions: partitions.into_iter().map(Arc::new).collect(),
+        }
+    }
+
     /// Splits `data` into `partitions` contiguous, nearly-equal chunks.
-    pub fn new(data: Vec<T>, partitions: usize) -> Self {
+    pub(crate) fn parallelize(data: Vec<T>, partitions: usize) -> Self {
         assert!(partitions > 0);
         let n = data.len();
         let base = n / partitions;
@@ -24,32 +42,18 @@ impl<T: Data> ParallelizeNode<T> {
         let mut it = data.into_iter();
         for p in 0..partitions {
             let len = base + usize::from(p < rem);
-            chunks.push(Arc::new(it.by_ref().take(len).collect::<Vec<T>>()));
+            chunks.push(it.by_ref().take(len).collect::<Vec<T>>());
         }
-        ParallelizeNode {
-            id: next_node_id(),
-            partitions: chunks,
-        }
-    }
-
-    /// Uses explicitly pre-assigned partitions (the driver already
-    /// bucketed the data, e.g. by a [`crate::partitioner::KeyPartitioner`]
-    /// for [`crate::Cluster::parallelize_by_key`]).
-    pub fn from_partitions(partitions: Vec<Vec<T>>) -> Self {
-        assert!(!partitions.is_empty());
-        ParallelizeNode {
-            id: next_node_id(),
-            partitions: partitions.into_iter().map(Arc::new).collect(),
-        }
+        SourceNode::new("parallelize", chunks)
     }
 }
 
-impl<T: Data> NodeInfo for ParallelizeNode<T> {
+impl<T: Data> NodeInfo for SourceNode<T> {
     fn id(&self) -> usize {
         self.id
     }
     fn name(&self) -> &str {
-        "parallelize"
+        self.name
     }
     fn num_partitions(&self) -> usize {
         self.partitions.len()
@@ -59,7 +63,7 @@ impl<T: Data> NodeInfo for ParallelizeNode<T> {
     }
 }
 
-impl<T: Data> RddNode<T> for ParallelizeNode<T> {
+impl<T: Data> RddNode<T> for SourceNode<T> {
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T> {
         let out = self.partitions[partition].as_ref().clone();
         ctx.stage.add_records_computed(out.len() as u64);
@@ -67,32 +71,42 @@ impl<T: Data> RddNode<T> for ParallelizeNode<T> {
     }
 }
 
-/// Element-wise `map`.
-pub struct MapNode<T: Data, U: Data> {
+type PartitionFn<T, U> = Box<dyn Fn(usize, Vec<T>, &TaskContext<'_>) -> Vec<U> + Send + Sync>;
+
+/// One-to-one narrow transformation: partition `p` is
+/// `f(p, parent partition p, task context)`. Every element-wise operator
+/// (`map`, `filter`, `flat_map`, `map_partitions`) and the shuffle-free
+/// local combine of a co-partitioned wide operator is this node under its
+/// own name; the operator's closure runs statically inside `f`, so a
+/// partition costs one dynamic call, not one per record.
+pub struct NarrowNode<T: Data, U: Data> {
     id: usize,
+    name: String,
     parent: Arc<dyn RddNode<T>>,
-    f: Arc<dyn Fn(T) -> U + Send + Sync>,
+    f: PartitionFn<T, U>,
 }
 
-impl<T: Data, U: Data> MapNode<T, U> {
+impl<T: Data, U: Data> NarrowNode<T, U> {
     pub(crate) fn new(
+        name: impl Into<String>,
         parent: Arc<dyn RddNode<T>>,
-        f: impl Fn(T) -> U + Send + Sync + 'static,
+        f: impl Fn(usize, Vec<T>, &TaskContext<'_>) -> Vec<U> + Send + Sync + 'static,
     ) -> Self {
-        MapNode {
+        NarrowNode {
             id: next_node_id(),
+            name: name.into(),
             parent,
-            f: Arc::new(f),
+            f: Box::new(f),
         }
     }
 }
 
-impl<T: Data, U: Data> NodeInfo for MapNode<T, U> {
+impl<T: Data, U: Data> NodeInfo for NarrowNode<T, U> {
     fn id(&self) -> usize {
         self.id
     }
     fn name(&self) -> &str {
-        "map"
+        &self.name
     }
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
@@ -102,153 +116,9 @@ impl<T: Data, U: Data> NodeInfo for MapNode<T, U> {
     }
 }
 
-impl<T: Data, U: Data> RddNode<U> for MapNode<T, U> {
+impl<T: Data, U: Data> RddNode<U> for NarrowNode<T, U> {
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<U> {
-        let out: Vec<U> = self
-            .parent
-            .compute(partition, ctx)
-            .into_iter()
-            .map(|t| (self.f)(t))
-            .collect();
-        ctx.stage.add_records_computed(out.len() as u64);
-        out
-    }
-}
-
-/// Element-wise `filter`.
-pub struct FilterNode<T: Data> {
-    id: usize,
-    parent: Arc<dyn RddNode<T>>,
-    f: Arc<dyn Fn(&T) -> bool + Send + Sync>,
-}
-
-impl<T: Data> FilterNode<T> {
-    pub(crate) fn new(
-        parent: Arc<dyn RddNode<T>>,
-        f: impl Fn(&T) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        FilterNode {
-            id: next_node_id(),
-            parent,
-            f: Arc::new(f),
-        }
-    }
-}
-
-impl<T: Data> NodeInfo for FilterNode<T> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        "filter"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        vec![Dependency::Narrow(self.parent.clone())]
-    }
-}
-
-impl<T: Data> RddNode<T> for FilterNode<T> {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T> {
-        let out: Vec<T> = self
-            .parent
-            .compute(partition, ctx)
-            .into_iter()
-            .filter(|t| (self.f)(t))
-            .collect();
-        ctx.stage.add_records_computed(out.len() as u64);
-        out
-    }
-}
-
-/// Element-wise `flat_map`.
-pub struct FlatMapNode<T: Data, U: Data> {
-    id: usize,
-    parent: Arc<dyn RddNode<T>>,
-    f: Arc<dyn Fn(T) -> Vec<U> + Send + Sync>,
-}
-
-impl<T: Data, U: Data> FlatMapNode<T, U> {
-    pub(crate) fn new(
-        parent: Arc<dyn RddNode<T>>,
-        f: impl Fn(T) -> Vec<U> + Send + Sync + 'static,
-    ) -> Self {
-        FlatMapNode {
-            id: next_node_id(),
-            parent,
-            f: Arc::new(f),
-        }
-    }
-}
-
-impl<T: Data, U: Data> NodeInfo for FlatMapNode<T, U> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        "flat_map"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        vec![Dependency::Narrow(self.parent.clone())]
-    }
-}
-
-impl<T: Data, U: Data> RddNode<U> for FlatMapNode<T, U> {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<U> {
-        let out: Vec<U> = self
-            .parent
-            .compute(partition, ctx)
-            .into_iter()
-            .flat_map(|t| (self.f)(t))
-            .collect();
-        ctx.stage.add_records_computed(out.len() as u64);
-        out
-    }
-}
-
-/// Whole-partition transformation.
-pub struct MapPartitionsNode<T: Data, U: Data> {
-    id: usize,
-    parent: Arc<dyn RddNode<T>>,
-    f: Arc<dyn Fn(usize, Vec<T>) -> Vec<U> + Send + Sync>,
-}
-
-impl<T: Data, U: Data> MapPartitionsNode<T, U> {
-    pub(crate) fn new(
-        parent: Arc<dyn RddNode<T>>,
-        f: impl Fn(usize, Vec<T>) -> Vec<U> + Send + Sync + 'static,
-    ) -> Self {
-        MapPartitionsNode {
-            id: next_node_id(),
-            parent,
-            f: Arc::new(f),
-        }
-    }
-}
-
-impl<T: Data, U: Data> NodeInfo for MapPartitionsNode<T, U> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        "map_partitions"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        vec![Dependency::Narrow(self.parent.clone())]
-    }
-}
-
-impl<T: Data, U: Data> RddNode<U> for MapPartitionsNode<T, U> {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<U> {
-        let out = (self.f)(partition, self.parent.compute(partition, ctx));
+        let out = (self.f)(partition, self.parent.compute(partition, ctx), ctx);
         ctx.stage.add_records_computed(out.len() as u64);
         out
     }
@@ -304,47 +174,6 @@ impl<T: Data> RddNode<T> for UnionNode<T> {
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T> {
         let (parent, local) = self.locate(partition);
         self.parents[parent].compute(local, ctx)
-    }
-}
-
-/// Materialized snapshot of an RDD: holds the computed partitions
-/// directly and reports **no dependencies**, truncating lineage (Spark
-/// `checkpoint`). Iterative algorithms use this to bound the lineage
-/// depth that recovery or recomputation would otherwise walk.
-pub struct CheckpointNode<T: Data> {
-    id: usize,
-    partitions: Vec<Arc<Vec<T>>>,
-}
-
-impl<T: Data> CheckpointNode<T> {
-    pub(crate) fn new(partitions: Vec<Vec<T>>) -> Self {
-        CheckpointNode {
-            id: next_node_id(),
-            partitions: partitions.into_iter().map(Arc::new).collect(),
-        }
-    }
-}
-
-impl<T: Data> NodeInfo for CheckpointNode<T> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        "checkpoint"
-    }
-    fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        Vec::new() // lineage truncated by construction
-    }
-}
-
-impl<T: Data> RddNode<T> for CheckpointNode<T> {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T> {
-        let out = self.partitions[partition].as_ref().clone();
-        ctx.stage.add_records_computed(out.len() as u64);
-        out
     }
 }
 
@@ -429,7 +258,6 @@ impl<T: Data + EstimateSize> NodeInfo for CachedNode<T> {
     fn name(&self) -> &str {
         match self.level {
             StorageLevel::MemoryRaw => "cached",
-            StorageLevel::MemorySerialized => "cached_ser",
             StorageLevel::MemoryAndDisk => "cached_mem_disk",
             StorageLevel::DiskOnly => "cached_disk",
         }

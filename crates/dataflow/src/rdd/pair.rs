@@ -6,15 +6,24 @@
 //! [`ShuffleDep`]; the scheduler materializes it as a shuffle-map stage and
 //! reducers fetch buckets with remote/local byte attribution.
 //!
+//! **One core.** Every public operator here is a thin default over three
+//! private constructors — `wide` (the combining operators: `reduce_by_key*`,
+//! `group_by_key*`, `combine_by_key`, `aggregate_by_key`), `repartition`
+//! (`partition_by*`) and `co_side` (the two inputs of `cogroup*`, which
+//! every join flattens) — and every per-key fold, map-side, reduce-side or
+//! shuffle-free, hash or sorted-runs, is one of the two methods of the
+//! private `Combiner`. A reduce partition is fetched in one place,
+//! `ShuffleDep::read`.
+//!
 //! **Partitioner-aware scheduling.** Every wide operation records the
 //! [`KeyPartitioner`] that produced its output on the resulting [`Rdd`],
-//! and `cogroup`/`join`/`reduce_by_key`/`partition_by` compare each
-//! input's recorded partitioner against the one they were asked to use: a
-//! side that already matches is read through a narrow one-to-one
-//! dependency instead of a fresh shuffle (Spark's `CoGroupedRDD` with
-//! matching partitioners). A fully co-partitioned join therefore runs as
-//! a zero-shuffle narrow stage; each elided shuffle-map stage is counted
-//! in [`crate::metrics::JobMetrics::skipped_shuffle_count`].
+//! and each of the three constructors compares its input's recorded
+//! partitioner against the one it was asked to use: an input that already
+//! matches is read through a narrow one-to-one dependency instead of a
+//! fresh shuffle (Spark's `combineByKeyWithClassTag` and `CoGroupedRDD`
+//! with matching partitioners). A fully co-partitioned join therefore
+//! runs as a zero-shuffle narrow stage; each elided shuffle-map stage is
+//! counted in [`crate::metrics::JobMetrics::skipped_shuffle_count`].
 //!
 //! By default `reduce_by_key` does **not** combine map-side. This matches
 //! the paper's cost accounting (Table 4 charges the final `reduceByKey` a
@@ -81,6 +90,88 @@ impl<V: Data> Aggregator<V, V> {
     }
 }
 
+/// How one wide operation folds records per key: the [`Aggregator`] plus,
+/// when the caller opted into [`Rdd::reduce_by_key_kernel`], the
+/// sorted-runs [`KernelPlan`] that replaces the hash fold (its callers
+/// must tolerate sorted instead of hash-order key emission). These two
+/// methods are the only per-key folds in the RDD layer.
+struct Combiner<K, V, C> {
+    agg: Aggregator<V, C>,
+    kernel: Option<KernelPlan<K, C>>,
+}
+
+impl<K: Key, V: Data> Combiner<K, V, V> {
+    /// Moves records without combining them (`partition_by`, `cogroup`).
+    fn repartition() -> Self {
+        Combiner {
+            agg: Aggregator::identity(),
+            kernel: None,
+        }
+    }
+}
+
+impl<K: Key, V: Data, C: Data> Combiner<K, V, C> {
+    /// Folds owned values into one combiner per key — a map-side bucket,
+    /// or a whole partition of a co-partitioned input. Per key, values
+    /// fold in scan order on either arm; only the emit order differs
+    /// (hash order, or ascending keys under the kernel).
+    fn fold_values(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
+        let Some(plan) = &self.kernel else {
+            return hash_fold(data, &*self.agg.create, &*self.agg.merge_value);
+        };
+        let created: Vec<(K, C)> = data
+            .into_iter()
+            .map(|(k, v)| (k, (self.agg.create)(v)))
+            .collect();
+        let (out, counters) = kernel::combine_owned(plan, created);
+        ctx.stage.add_kernel(&counters);
+        out
+    }
+
+    /// Merges one reduce partition's fetched combiners, walking the
+    /// buckets in map-partition order. Records are cloned straight out of
+    /// the buckets — still shared (`Arc`) with the shuffle service — with
+    /// no intermediate copy; the kernel clones only one accumulator per
+    /// distinct key.
+    fn merge_fetched(&self, buckets: &[Arc<Vec<(K, C)>>], ctx: &TaskContext<'_>) -> Vec<(K, C)> {
+        let Some(plan) = &self.kernel else {
+            let records = buckets.iter().flat_map(|b| b.iter().cloned());
+            return hash_fold(records, |c| c, &*self.agg.merge_combiners);
+        };
+        let (out, counters) = kernel::combine_fetched(plan, buckets);
+        ctx.stage.add_kernel(&counters);
+        out
+    }
+}
+
+/// The record-at-a-time fold: the first record of a key seeds its
+/// combiner with `create`, later ones `merge` into it in arrival order;
+/// keys emit in hash order. `Option<C>` slots let the entry API merge in
+/// place, so each record hashes exactly once instead of the
+/// remove-then-insert double lookup.
+fn hash_fold<K: Key, X, C>(
+    records: impl IntoIterator<Item = (K, X)>,
+    create: impl Fn(X) -> C,
+    merge: impl Fn(C, X) -> C,
+) -> Vec<(K, C)> {
+    let mut merged: FxHashMap<K, Option<C>> = FxHashMap::default();
+    for (k, x) in records {
+        match merged.entry(k) {
+            Entry::Occupied(mut slot) => {
+                let prev = slot.get_mut().take().expect("combiner present");
+                *slot.get_mut() = Some(merge(prev, x));
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Some(create(x)));
+            }
+        }
+    }
+    merged
+        .into_iter()
+        .map(|(k, c)| (k, c.expect("combiner present")))
+        .collect()
+}
+
 /// A shuffle boundary: repartitions `(K, V)` records from `parent` by key
 /// into `partitioner.num_partitions()` buckets, optionally combining
 /// map-side into combiners of type `C`.
@@ -89,13 +180,8 @@ pub struct ShuffleDep<K: Key, V: Data, C: Data> {
     name: String,
     parent: Arc<dyn RddNode<(K, V)>>,
     partitioner: Arc<dyn KeyPartitioner<K>>,
-    aggregator: Aggregator<V, C>,
+    combiner: Combiner<K, V, C>,
     map_side_combine: bool,
-    /// Sorted-runs kernel for this shuffle's combines (`None` runs the
-    /// legacy record-at-a-time hash-map path). Only set by
-    /// [`Rdd::reduce_by_key_kernel`], whose callers must tolerate sorted
-    /// (instead of hash-order) key emission.
-    kernel: Option<Arc<KernelPlan<K, C>>>,
     /// Cleanup handle: when the last reference to this dependency drops
     /// (its RDDs went out of scope), the shuffle's stored data is freed —
     /// the engine's ContextCleaner. Lineage that still needs the data
@@ -115,83 +201,49 @@ where
     V: Data,
     C: Data + EstimateSize,
 {
+    /// A shuffle of `input` onto `partitioner`, staged as
+    /// `shuffle-map(name)`.
     fn new(
-        cluster: &Cluster,
-        name: impl Into<String>,
-        parent: Arc<dyn RddNode<(K, V)>>,
+        input: &Rdd<(K, V)>,
+        name: &str,
         partitioner: Arc<dyn KeyPartitioner<K>>,
-        aggregator: Aggregator<V, C>,
+        combiner: Combiner<K, V, C>,
         map_side_combine: bool,
     ) -> Self {
         ShuffleDep {
-            shuffle_id: cluster.next_shuffle_id(),
+            shuffle_id: input.cluster.next_shuffle_id(),
             name: name.into(),
-            parent,
+            parent: input.node.clone(),
             partitioner,
-            aggregator,
+            combiner,
             map_side_combine,
-            kernel: None,
-            service: cluster.shuffle_service_arc(),
+            service: input.cluster.shuffle_service_arc(),
         }
     }
 
-    /// Buckets one map partition's records by reduce partition, combining
-    /// map-side when configured. Runs inside a (retryable) executor task.
-    fn bucket(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> (Vec<Vec<(K, C)>>, Vec<u64>) {
+    /// Scatters one map partition's records into per-reduce-partition
+    /// vectors in scan order, lifting each value with `lift`.
+    fn scatter<X>(&self, data: Vec<(K, V)>, lift: impl Fn(V) -> X) -> Vec<Vec<(K, X)>> {
         let num_reduce = self.partitioner.partition_count();
-        let kernel_plan = self.kernel.as_ref().filter(|_| self.map_side_combine);
-        let buckets: Vec<Vec<(K, C)>> = if let Some(plan) = kernel_plan {
-            // Sorted-runs map-side combine: partition records into per-
-            // reduce vectors of combiners, then combine each vector over
-            // sorted runs. Per key and bucket, values fold in data scan
-            // order — exactly the op sequence of the hash-map path — only
-            // the bucket's emit order changes (sorted, not hash order).
-            let mut raw: Vec<Vec<(K, C)>> = (0..num_reduce).map(|_| Vec::new()).collect();
-            for (k, v) in data {
-                let b = self.partitioner.partition_of(&k);
-                let c = (self.aggregator.create)(v);
-                raw[b].push((k, c));
-            }
-            raw.into_iter()
-                .map(|bucket| {
-                    let (combined, counters) = kernel::combine_owned(plan, bucket);
-                    ctx.stage.add_kernel(&counters);
-                    combined
-                })
-                .collect()
-        } else if self.map_side_combine {
-            // `Option<C>` slots let the entry API merge in place: each
-            // record hashes exactly once instead of the remove-then-insert
-            // double lookup.
-            let mut maps: Vec<FxHashMap<K, Option<C>>> =
-                (0..num_reduce).map(|_| FxHashMap::default()).collect();
-            for (k, v) in data {
-                let b = self.partitioner.partition_of(&k);
-                match maps[b].entry(k) {
-                    Entry::Occupied(mut slot) => {
-                        let prev = slot.get_mut().take().expect("combiner present");
-                        *slot.get_mut() = Some((self.aggregator.merge_value)(prev, v));
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(Some((self.aggregator.create)(v)));
-                    }
-                }
-            }
-            maps.into_iter()
-                .map(|m| {
-                    m.into_iter()
-                        .map(|(k, c)| (k, c.expect("combiner present")))
-                        .collect()
-                })
+        let mut buckets: Vec<Vec<(K, X)>> = (0..num_reduce).map(|_| Vec::new()).collect();
+        for (k, v) in data {
+            let b = self.partitioner.partition_of(&k);
+            buckets[b].push((k, lift(v)));
+        }
+        buckets
+    }
+
+    /// Buckets one map partition's records by reduce partition, combining
+    /// each bucket map-side when configured. Runs inside a (retryable)
+    /// executor task.
+    fn bucket(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> (Vec<Vec<(K, C)>>, Vec<u64>) {
+        let buckets: Vec<Vec<(K, C)>> = if self.map_side_combine {
+            self.scatter(data, |v| v)
+                .into_iter()
+                .map(|bucket| self.combiner.fold_values(bucket, ctx))
                 .collect()
         } else {
-            let mut buckets: Vec<Vec<(K, C)>> = (0..num_reduce).map(|_| Vec::new()).collect();
-            for (k, v) in data {
-                let b = self.partitioner.partition_of(&k);
-                let c = (self.aggregator.create)(v);
-                buckets[b].push((k, c));
-            }
-            buckets
+            self.scatter(data, &*self.combiner.agg.create)
         };
         let bucket_bytes: Vec<u64> = buckets
             .iter()
@@ -200,14 +252,12 @@ where
         (buckets, bucket_bytes)
     }
 
-    /// Fetches one reduce partition's buckets — still shared with the
-    /// shuffle service, in map-partition order — attributing bytes to
-    /// remote/local reads based on simulated node placement.
-    fn read_buckets(
-        &self,
-        reduce_partition: usize,
-        ctx: &TaskContext<'_>,
-    ) -> Vec<Arc<Vec<(K, C)>>> {
+    /// Reads one reduce partition: fetches its buckets — still shared
+    /// with the shuffle service, in map-partition order — attributing
+    /// bytes to remote/local reads based on simulated node placement, then
+    /// merges them per key when `combine`, or copies the records out in
+    /// bucket order.
+    fn read(&self, reduce_partition: usize, combine: bool, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
         let fetched = ctx
             .cluster
             .shuffle_service()
@@ -216,31 +266,23 @@ where
         let my_node = config.node_of(reduce_partition);
         let mut remote = 0u64;
         let mut local = 0u64;
-        let mut records = 0u64;
-        let mut out = Vec::with_capacity(fetched.len());
+        let mut records = 0usize;
+        let mut buckets = Vec::with_capacity(fetched.len());
         for bucket in fetched {
             if config.node_of(bucket.map_partition) == my_node {
                 local += bucket.bytes;
             } else {
                 remote += bucket.bytes;
             }
-            records += bucket.records.len() as u64;
-            out.push(bucket.records);
+            records += bucket.records.len();
+            buckets.push(bucket.records);
         }
-        ctx.stage.add_shuffle_read(remote, local, records);
-        out
-    }
-
-    /// Fetches one reduce partition's records as owned copies (the
-    /// record-at-a-time path; the sorted kernel combines straight out of
-    /// the shared buckets instead).
-    fn read(&self, reduce_partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
-        let buckets = self.read_buckets(reduce_partition, ctx);
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        let mut out = Vec::with_capacity(total);
+        ctx.stage.add_shuffle_read(remote, local, records as u64);
+        if combine {
+            return self.combiner.merge_fetched(&buckets, ctx);
+        }
+        let mut out = Vec::with_capacity(records);
         for bucket in &buckets {
-            // Buckets are shared (`Arc`) with the shuffle service; copy
-            // records outside the service lock.
             out.extend(bucket.iter().cloned());
         }
         out
@@ -319,7 +361,6 @@ where
 /// combiners for the same key.
 pub struct ShuffledRdd<K: Key, V: Data, C: Data> {
     id: usize,
-    name: String,
     dep: Arc<ShuffleDep<K, V, C>>,
     reduce_side_combine: bool,
 }
@@ -334,7 +375,7 @@ where
         self.id
     }
     fn name(&self) -> &str {
-        &self.name
+        &self.dep.name
     }
     fn num_partitions(&self) -> usize {
         self.dep.partitioner.partition_count()
@@ -351,40 +392,7 @@ where
     C: Data + EstimateSize,
 {
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
-        if self.reduce_side_combine {
-            if let Some(plan) = &self.dep.kernel {
-                // Sorted-runs kernel: combine straight out of the shared
-                // buckets — one accumulator allocation per distinct key,
-                // no per-record clone-out.
-                let buckets = self.dep.read_buckets(partition, ctx);
-                let (out, counters) = kernel::combine_fetched(plan, &buckets);
-                ctx.stage.add_kernel(&counters);
-                ctx.stage.add_records_computed(out.len() as u64);
-                return out;
-            }
-        }
-        let raw = self.dep.read(partition, ctx);
-        if !self.reduce_side_combine {
-            ctx.stage.add_records_computed(raw.len() as u64);
-            return raw;
-        }
-        // Entry-API merge: each record hashes once (see map-side combine).
-        let mut merged: FxHashMap<K, Option<C>> = FxHashMap::default();
-        for (k, c) in raw {
-            match merged.entry(k) {
-                Entry::Occupied(mut slot) => {
-                    let prev = slot.get_mut().take().expect("combiner present");
-                    *slot.get_mut() = Some((self.dep.aggregator.merge_combiners)(prev, c));
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(Some(c));
-                }
-            }
-        }
-        let out: Vec<(K, C)> = merged
-            .into_iter()
-            .map(|(k, c)| (k, c.expect("combiner present")))
-            .collect();
+        let out = self.dep.read(partition, self.reduce_side_combine, ctx);
         ctx.stage.add_records_computed(out.len() as u64);
         out
     }
@@ -417,7 +425,7 @@ where
     fn read(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, V)> {
         match self {
             CoSide::Narrow(parent) => parent.compute(partition, ctx),
-            CoSide::Shuffled(dep) => dep.read(partition, ctx),
+            CoSide::Shuffled(dep) => dep.read(partition, false, ctx),
         }
     }
 }
@@ -468,80 +476,6 @@ where
             groups.entry(k).or_default().1.push(w);
         }
         let out: Vec<CoGrouped<K, V, W>> = groups.into_iter().collect();
-        ctx.stage.add_records_computed(out.len() as u64);
-        out
-    }
-}
-
-/// Shuffle-free `reduceByKey`: the parent is already partitioned by the
-/// requested partitioner, so every key's records are co-located and each
-/// partition combines locally — a narrow one-to-one dependency.
-struct NarrowCombinedRdd<K: Key, V: Data, C: Data> {
-    id: usize,
-    name: String,
-    parent: Arc<dyn RddNode<(K, V)>>,
-    aggregator: Aggregator<V, C>,
-    /// Sorted-runs kernel for the local combine (see [`ShuffleDep`]).
-    kernel: Option<Arc<KernelPlan<K, C>>>,
-    partitions: usize,
-}
-
-impl<K, V, C> NodeInfo for NarrowCombinedRdd<K, V, C>
-where
-    K: Key + EstimateSize,
-    V: Data,
-    C: Data + EstimateSize,
-{
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn num_partitions(&self) -> usize {
-        self.partitions
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        vec![Dependency::Narrow(self.parent.clone())]
-    }
-}
-
-impl<K, V, C> RddNode<(K, C)> for NarrowCombinedRdd<K, V, C>
-where
-    K: Key + EstimateSize,
-    V: Data,
-    C: Data + EstimateSize,
-{
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
-        let raw = self.parent.compute(partition, ctx);
-        if let Some(plan) = &self.kernel {
-            // Sorted-runs local combine: create each value's combiner in
-            // scan order, then fold contiguous runs.
-            let created: Vec<(K, C)> = raw
-                .into_iter()
-                .map(|(k, v)| (k, (self.aggregator.create)(v)))
-                .collect();
-            let (out, counters) = kernel::combine_owned(plan, created);
-            ctx.stage.add_kernel(&counters);
-            ctx.stage.add_records_computed(out.len() as u64);
-            return out;
-        }
-        let mut merged: FxHashMap<K, Option<C>> = FxHashMap::default();
-        for (k, v) in raw {
-            match merged.entry(k) {
-                Entry::Occupied(mut slot) => {
-                    let prev = slot.get_mut().take().expect("combiner present");
-                    *slot.get_mut() = Some((self.aggregator.merge_value)(prev, v));
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(Some((self.aggregator.create)(v)));
-                }
-            }
-        }
-        let out: Vec<(K, C)> = merged
-            .into_iter()
-            .map(|(k, c)| (k, c.expect("combiner present")))
-            .collect();
         ctx.stage.add_records_computed(out.len() as u64);
         out
     }
@@ -611,9 +545,10 @@ where
         self.reduce_by_key_with(self.default_partitions(), true, f)
     }
 
-    /// True when this RDD's recorded partitioner matches `partitioner`, so
-    /// a shuffle onto `partitioner` can be skipped.
-    fn co_partitioned_with(&self, partitioner: &dyn KeyPartitioner<K>) -> bool {
+    /// Skips the shuffle `name` would run onto `partitioner` when this
+    /// RDD's recorded partitioner already matches it: counts the
+    /// skipped-shuffle event and returns `true`; otherwise does nothing.
+    fn skip_shuffle(&self, name: &str, partitioner: &dyn KeyPartitioner<K>) -> bool {
         match self.partitioner.as_ref() {
             Some(p) if p.matches(&partitioner.signature()) => {
                 assert_eq!(
@@ -621,10 +556,76 @@ where
                     partitioner.partition_count(),
                     "recorded partitioner disagrees with RDD partition count"
                 );
+                self.cluster.metrics().record_skipped_shuffle(name);
                 true
             }
             _ => false,
         }
+    }
+
+    /// The one shuffle constructor: a [`ShuffleDep`] named `name` read by
+    /// a [`ShuffledRdd`] that records `partitioner` as its provenance.
+    fn shuffled<C: Data + EstimateSize>(
+        &self,
+        name: &str,
+        partitioner: Arc<dyn KeyPartitioner<K>>,
+        combiner: Combiner<K, V, C>,
+        map_side_combine: bool,
+        reduce_side_combine: bool,
+    ) -> Rdd<(K, C)> {
+        let dep = ShuffleDep::new(self, name, partitioner.clone(), combiner, map_side_combine);
+        self.derive(ShuffledRdd {
+            id: next_node_id(),
+            dep: Arc::new(dep),
+            reduce_side_combine,
+        })
+        .with_partitioner(Some(PartitionerRef::of(partitioner)))
+    }
+
+    /// Every combining wide operation (Spark's `combineByKeyWithClassTag`):
+    /// one shuffle onto `partitioner`, merged reduce-side — unless the
+    /// input already follows `partitioner`, in which case every key's
+    /// records are co-located and each partition folds locally through a
+    /// narrow one-to-one dependency, no shuffle at all.
+    fn wide<C: Data + EstimateSize>(
+        &self,
+        name: &str,
+        partitioner: Arc<dyn KeyPartitioner<K>>,
+        combiner: Combiner<K, V, C>,
+        map_side_combine: bool,
+    ) -> Rdd<(K, C)> {
+        if self.skip_shuffle(name, partitioner.as_ref()) {
+            let fold = move |_, data, ctx: &TaskContext<'_>| combiner.fold_values(data, ctx);
+            return self
+                .narrow(format!("{name}(narrow)"), fold)
+                .with_partitioner(Some(PartitionerRef::of(partitioner)));
+        }
+        self.shuffled(name, partitioner, combiner, map_side_combine, true)
+    }
+
+    /// Moves every record to the partition `partitioner` assigns its key,
+    /// duplicates preserved. An input that already follows `partitioner`
+    /// is returned as is — no node, no shuffle.
+    fn repartition(&self, name: &str, partitioner: Arc<dyn KeyPartitioner<K>>) -> Rdd<(K, V)> {
+        if self.skip_shuffle(name, partitioner.as_ref()) {
+            return self.clone();
+        }
+        self.shuffled(name, partitioner, Combiner::repartition(), false, false)
+    }
+
+    /// This RDD as one input side of a cogroup on `partitioner`: read
+    /// narrowly when it already follows it, through a shuffle otherwise.
+    fn co_side(&self, name: &str, partitioner: &Arc<dyn KeyPartitioner<K>>) -> CoSide<K, V> {
+        if self.skip_shuffle(name, partitioner.as_ref()) {
+            return CoSide::Narrow(self.node.clone());
+        }
+        CoSide::Shuffled(Arc::new(ShuffleDep::new(
+            self,
+            name,
+            partitioner.clone(),
+            Combiner::repartition(),
+            false,
+        )))
     }
 
     /// `reduceByKey` with explicit partition count and map-side-combine
@@ -637,11 +638,13 @@ where
         map_side_combine: bool,
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
     ) -> Rdd<(K, V)> {
-        self.reduce_by_key_impl(
-            partitions,
+        let agg = Aggregator::from_reduce(f);
+        let combiner = Combiner { agg, kernel: None };
+        self.wide(
+            "reduce_by_key",
+            hashed(partitions),
+            combiner,
             map_side_combine,
-            Aggregator::from_reduce(f),
-            None,
         )
     }
 
@@ -666,60 +669,15 @@ where
     where
         K: Ord,
     {
-        let kernel =
-            (strategy == KernelStrategy::SortedRuns).then(|| Arc::new(KernelPlan::new(ops)));
-        self.reduce_by_key_impl(
-            partitions,
-            map_side_combine,
-            Aggregator::from_reduce(f),
-            kernel,
-        )
-    }
-
-    fn reduce_by_key_impl(
-        &self,
-        partitions: usize,
-        map_side_combine: bool,
-        agg: Aggregator<V, V>,
-        kernel: Option<Arc<KernelPlan<K, V>>>,
-    ) -> Rdd<(K, V)> {
-        let partitioner: Arc<dyn KeyPartitioner<K>> = Arc::new(HashPartitioner::new(partitions));
-        if self.co_partitioned_with(partitioner.as_ref()) {
-            self.cluster
-                .metrics()
-                .record_skipped_shuffle("reduce_by_key");
-            return Rdd::from_node(
-                self.cluster.clone(),
-                Arc::new(NarrowCombinedRdd {
-                    id: next_node_id(),
-                    name: "reduce_by_key(narrow)".into(),
-                    parent: self.node.clone(),
-                    aggregator: agg,
-                    kernel,
-                    partitions,
-                }),
-            )
-            .with_partitioner(Some(PartitionerRef::of(partitioner)));
-        }
-        let mut dep = ShuffleDep::new(
-            &self.cluster,
+        let agg = Aggregator::from_reduce(f);
+        let kernel = (strategy == KernelStrategy::SortedRuns).then(|| KernelPlan::new(ops));
+        let combiner = Combiner { agg, kernel };
+        self.wide(
             "reduce_by_key",
-            self.node.clone(),
-            partitioner.clone(),
-            agg,
+            hashed(partitions),
+            combiner,
             map_side_combine,
-        );
-        dep.kernel = kernel;
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(ShuffledRdd {
-                id: next_node_id(),
-                name: "reduce_by_key".into(),
-                dep: Arc::new(dep),
-                reduce_side_combine: true,
-            }),
         )
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
     }
 
     /// Groups all values per key (Spark `groupByKey`; no map-side combine,
@@ -741,56 +699,15 @@ where
                 a
             }),
         };
-        let partitioner: Arc<dyn KeyPartitioner<K>> = Arc::new(HashPartitioner::new(partitions));
-        let dep = Arc::new(ShuffleDep::new(
-            &self.cluster,
-            "group_by_key",
-            self.node.clone(),
-            partitioner.clone(),
-            agg,
-            false,
-        ));
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(ShuffledRdd {
-                id: next_node_id(),
-                name: "group_by_key".into(),
-                dep,
-                reduce_side_combine: true,
-            }),
-        )
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        let combiner = Combiner { agg, kernel: None };
+        self.wide("group_by_key", hashed(partitions), combiner, false)
     }
 
     /// Repartitions by key, preserving duplicate records (Spark
     /// `partitionBy`). A no-op (and zero shuffles) when the RDD is already
     /// hash-partitioned into `partitions` buckets.
     pub fn partition_by(&self, partitions: usize) -> Rdd<(K, V)> {
-        let partitioner: Arc<dyn KeyPartitioner<K>> = Arc::new(HashPartitioner::new(partitions));
-        if self.co_partitioned_with(partitioner.as_ref()) {
-            self.cluster
-                .metrics()
-                .record_skipped_shuffle("partition_by");
-            return self.clone();
-        }
-        let dep = Arc::new(ShuffleDep::new(
-            &self.cluster,
-            "partition_by",
-            self.node.clone(),
-            partitioner.clone(),
-            Aggregator::identity(),
-            false,
-        ));
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(ShuffledRdd {
-                id: next_node_id(),
-                name: "partition_by".into(),
-                dep,
-                reduce_side_combine: false,
-            }),
-        )
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        self.repartition("partition_by", hashed(partitions))
     }
 
     /// Co-groups with `other`: one output record per distinct key, holding
@@ -805,7 +722,7 @@ where
         other: &Rdd<(K, W)>,
         partitions: usize,
     ) -> Rdd<CoGrouped<K, V, W>> {
-        self.cogroup_by(other, Arc::new(HashPartitioner::new(partitions)))
+        self.cogroup_by(other, hashed(partitions))
     }
 
     /// `cogroup` with an explicit partitioner. Each side that is already
@@ -817,47 +734,29 @@ where
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
     ) -> Rdd<CoGrouped<K, V, W>> {
-        let partitions = partitioner.partition_count();
-        let left = if self.co_partitioned_with(partitioner.as_ref()) {
-            self.cluster
-                .metrics()
-                .record_skipped_shuffle("cogroup-left");
-            CoSide::Narrow(self.node.clone())
-        } else {
-            CoSide::Shuffled(Arc::new(ShuffleDep::new(
-                &self.cluster,
-                "cogroup-left",
-                self.node.clone(),
-                partitioner.clone(),
-                Aggregator::identity(),
-                false,
-            )))
-        };
-        let right = if other.co_partitioned_with(partitioner.as_ref()) {
-            self.cluster
-                .metrics()
-                .record_skipped_shuffle("cogroup-right");
-            CoSide::Narrow(other.node.clone())
-        } else {
-            CoSide::Shuffled(Arc::new(ShuffleDep::new(
-                &self.cluster,
-                "cogroup-right",
-                other.node.clone(),
-                partitioner.clone(),
-                Aggregator::identity(),
-                false,
-            )))
-        };
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(CoGroupedRdd {
-                id: next_node_id(),
-                left,
-                right,
-                partitions,
-            }),
-        )
+        self.derive(CoGroupedRdd {
+            id: next_node_id(),
+            left: self.co_side("cogroup-left", &partitioner),
+            right: other.co_side("cogroup-right", &partitioner),
+            partitions: partitioner.partition_count(),
+        })
         .with_partitioner(Some(PartitionerRef::of(partitioner)))
+    }
+
+    /// `cogroup`, then `emit` expands each key's two value lists into
+    /// output records under the same key — so the cogroup's partitioner
+    /// still holds. Every join is this with its own `emit`.
+    fn cogroup_then<W: Data + EstimateSize, U: Data>(
+        &self,
+        other: &Rdd<(K, W)>,
+        partitioner: Arc<dyn KeyPartitioner<K>>,
+        emit: impl Fn(K, Vec<V>, Vec<W>) -> Vec<(K, U)> + Send + Sync + 'static,
+    ) -> Rdd<(K, U)> {
+        let grouped = self.cogroup_by(other, partitioner);
+        let partitioner = grouped.partitioner.clone();
+        grouped
+            .flat_map(move |(k, (vs, ws))| emit(k, vs, ws))
+            .with_partitioner(partitioner)
     }
 
     /// Inner join (Spark `join`): emits `(k, (v, w))` for every pair of
@@ -882,7 +781,7 @@ where
         other: &Rdd<(K, W)>,
         partitions: usize,
     ) -> Rdd<(K, (V, W))> {
-        self.join_by(other, Arc::new(HashPartitioner::new(partitions)))
+        self.join_by(other, hashed(partitions))
     }
 
     /// `join` with an explicit partitioner; co-partitioned sides skip
@@ -892,26 +791,16 @@ where
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
     ) -> Rdd<(K, (V, W))> {
-        let grouped = self.cogroup_by(other, partitioner);
-        let joined_partitioner = grouped.partitioner.clone();
-        grouped
-            .flat_map(|(k, (mut vs, mut ws))| {
-                // Fast path: one value per side (the common MTTKRP case —
-                // one factor row per index) moves instead of cloning.
-                if vs.len() == 1 && ws.len() == 1 {
-                    let v = vs.pop().expect("len checked");
-                    let w = ws.pop().expect("len checked");
-                    return vec![(k, (v, w))];
-                }
-                let mut out = Vec::with_capacity(vs.len() * ws.len());
-                for v in &vs {
-                    for w in &ws {
-                        out.push((k.clone(), (v.clone(), w.clone())));
-                    }
-                }
-                out
-            })
-            .with_partitioner(joined_partitioner)
+        self.cogroup_then(other, partitioner, |k, mut vs, mut ws| {
+            // Fast path: one value per side (the common MTTKRP case —
+            // one factor row per index) moves instead of cloning.
+            if vs.len() == 1 && ws.len() == 1 {
+                let v = vs.pop().expect("len checked");
+                let w = ws.pop().expect("len checked");
+                return vec![(k, (v, w))];
+            }
+            cross(&k, &vs, &ws)
+        })
     }
 
     /// Left outer join: every left record appears; the right side is
@@ -920,23 +809,8 @@ where
         &self,
         other: &Rdd<(K, W)>,
     ) -> Rdd<(K, (V, Option<W>))> {
-        let grouped = self.cogroup(other);
-        let partitioner = grouped.partitioner.clone();
-        grouped
-            .flat_map(|(k, (vs, ws))| {
-                let mut out = Vec::new();
-                for v in &vs {
-                    if ws.is_empty() {
-                        out.push((k.clone(), (v.clone(), None)));
-                    } else {
-                        for w in &ws {
-                            out.push((k.clone(), (v.clone(), Some(w.clone()))));
-                        }
-                    }
-                }
-                out
-            })
-            .with_partitioner(partitioner)
+        let partitioner = hashed(self.default_partitions());
+        self.cogroup_then(other, partitioner, |k, vs, ws| cross(&k, &vs, &or_none(ws)))
     }
 
     /// Full outer join: keys from either side appear, with `None` filling
@@ -945,50 +819,23 @@ where
         &self,
         other: &Rdd<(K, W)>,
     ) -> Rdd<FullOuterJoined<K, V, W>> {
-        let grouped = self.cogroup(other);
-        let partitioner = grouped.partitioner.clone();
-        grouped
-            .flat_map(|(k, (vs, ws))| {
-                let mut out = Vec::new();
-                match (vs.is_empty(), ws.is_empty()) {
-                    (false, false) => {
-                        for v in &vs {
-                            for w in &ws {
-                                out.push((k.clone(), (Some(v.clone()), Some(w.clone()))));
-                            }
-                        }
-                    }
-                    (false, true) => {
-                        for v in &vs {
-                            out.push((k.clone(), (Some(v.clone()), None)));
-                        }
-                    }
-                    (true, false) => {
-                        for w in &ws {
-                            out.push((k.clone(), (None, Some(w.clone()))));
-                        }
-                    }
-                    (true, true) => unreachable!("cogroup emits only present keys"),
-                }
-                out
-            })
-            .with_partitioner(partitioner)
+        let partitioner = hashed(self.default_partitions());
+        self.cogroup_then(other, partitioner, |k, vs, ws| {
+            cross(&k, &or_none(vs), &or_none(ws))
+        })
     }
 
     /// Removes every record whose key appears in `other` (Spark
     /// `subtractByKey`).
     pub fn subtract_by_key<W: Data + EstimateSize>(&self, other: &Rdd<(K, W)>) -> Rdd<(K, V)> {
-        let grouped = self.cogroup(other);
-        let partitioner = grouped.partitioner.clone();
-        grouped
-            .flat_map(|(k, (vs, ws))| {
-                if ws.is_empty() {
-                    vs.into_iter().map(|v| (k.clone(), v)).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .with_partitioner(partitioner)
+        let partitioner = hashed(self.default_partitions());
+        self.cogroup_then(other, partitioner, |k, vs, ws: Vec<W>| {
+            if ws.is_empty() {
+                vs.into_iter().map(|v| (k.clone(), v)).collect()
+            } else {
+                Vec::new()
+            }
+        })
     }
 
     /// Collects every value stored under `key` (Spark `lookup`). Runs a
@@ -1030,25 +877,13 @@ where
             merge_value: Arc::new(merge_value),
             merge_combiners: Arc::new(merge_combiners),
         };
-        let partitioner: Arc<dyn KeyPartitioner<K>> = Arc::new(HashPartitioner::new(partitions));
-        let dep = Arc::new(ShuffleDep::new(
-            &self.cluster,
+        let combiner = Combiner { agg, kernel: None };
+        self.wide(
             "combine_by_key",
-            self.node.clone(),
-            partitioner.clone(),
-            agg,
+            hashed(partitions),
+            combiner,
             map_side_combine,
-        ));
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(ShuffledRdd {
-                id: next_node_id(),
-                name: "combine_by_key".into(),
-                dep,
-                reduce_side_combine: true,
-            }),
         )
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
     }
 
     /// Folds each key's values into `zero` (Spark `aggregateByKey`).
@@ -1077,25 +912,7 @@ where
     where
         K: Ord,
     {
-        let partitioner: Arc<dyn KeyPartitioner<K>> = Arc::new(partitioner);
-        let dep = Arc::new(ShuffleDep::new(
-            &self.cluster,
-            "partition_by_range",
-            self.node.clone(),
-            partitioner.clone(),
-            Aggregator::identity(),
-            false,
-        ));
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(ShuffledRdd {
-                id: next_node_id(),
-                name: "partition_by_range".into(),
-                dep,
-                reduce_side_combine: false,
-            }),
-        )
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        self.repartition("partition_by_range", Arc::new(partitioner))
     }
 
     /// Globally sorts by key (Spark `sortByKey`): samples keys to derive
@@ -1136,4 +953,30 @@ where
             })
             .with_partitioner(range_ref)
     }
+}
+
+/// The hash partitioner every `*_with(partitions)` default resolves to.
+fn hashed<K: Key>(partitions: usize) -> Arc<dyn KeyPartitioner<K>> {
+    Arc::new(HashPartitioner::new(partitions))
+}
+
+/// Every `(left, right)` pair under `k`, left-major — the per-key body of
+/// the joins.
+fn cross<K: Clone, A: Clone, B: Clone>(k: &K, left: &[A], right: &[B]) -> Vec<(K, (A, B))> {
+    let mut out = Vec::with_capacity(left.len() * right.len());
+    for a in left {
+        for b in right {
+            out.push((k.clone(), (a.clone(), b.clone())));
+        }
+    }
+    out
+}
+
+/// An outer join's view of one side: its values, or a single `None` when
+/// the key is absent there.
+fn or_none<T>(side: Vec<T>) -> Vec<Option<T>> {
+    if side.is_empty() {
+        return vec![None];
+    }
+    side.into_iter().map(Some).collect()
 }

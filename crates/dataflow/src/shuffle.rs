@@ -6,12 +6,14 @@
 //! time so the read side can attribute remote/local traffic without
 //! re-walking records.
 //!
-//! Map outputs share the cluster's memory budget
-//! ([`crate::ClusterConfig::memory_budget`]) with the block manager: when
-//! stored outputs exceed it, the oldest outputs are *spilled* — their
-//! footprint moves to the temp-dir [`DiskStore`] and every later fetch of
-//! one of their buckets pays the modeled spill-read cost
-//! ([`crate::metrics::Event::StorageSpillRead`]).
+//! Map outputs are bounded by the cluster's memory budget
+//! ([`crate::ClusterConfig::memory_budget`]) on a ledger of their own:
+//! the service is handed the same figure as the block manager but counts
+//! only its own bytes, so each store stays within the budget and the two
+//! together within twice it. When stored outputs exceed it, the oldest
+//! outputs are *spilled* — their footprint moves to the temp-dir
+//! [`DiskStore`] and every later fetch of one of their buckets pays the
+//! modeled spill-read cost ([`crate::metrics::Event::StorageSpillRead`]).
 
 use crate::cache::DiskStore;
 use crate::hash::FxHashMap;

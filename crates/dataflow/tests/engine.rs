@@ -278,13 +278,13 @@ fn persist_levels_cover_former_wrappers() {
     assert_eq!(raw.count(), 10);
     assert!(raw.is_fully_cached());
     assert_eq!(c.block_manager().len(), 2);
-    let ser = c
+    let spilling = c
         .parallelize((0u64..8).collect(), 2)
-        .persist(StorageLevel::MemorySerialized);
-    let _ = ser.count();
+        .persist(StorageLevel::MemoryAndDisk);
+    let _ = spilling.count();
     assert_eq!(
-        c.block_manager().level_of(ser.id(), 0),
-        Some(StorageLevel::MemorySerialized)
+        c.block_manager().level_of(spilling.id(), 0),
+        Some(StorageLevel::MemoryAndDisk)
     );
 }
 
@@ -308,7 +308,7 @@ fn cache_serialized_tracks_bytes() {
     let c = cluster();
     let rdd = c
         .parallelize((0u64..64).collect(), 4)
-        .persist(StorageLevel::MemorySerialized);
+        .persist(StorageLevel::MemoryRaw);
     let _ = rdd.count();
     assert_eq!(c.block_manager().total_bytes(), 64 * 8);
 }

@@ -215,7 +215,7 @@ proptest! {
         budget in 64u64..4096,
         partition_counts in proptest::collection::vec(1usize..12, 1..5),
         sizes in proptest::collection::vec(8u64..600, 1..5),
-        levels in proptest::collection::vec(0u8..3, 1..5),
+        levels in proptest::collection::vec(0u8..2, 1..5),
     ) {
         let c = budgeted(budget);
         let mut rdds = Vec::new();
@@ -224,7 +224,6 @@ proptest! {
             let total = (n as usize) * parts;
             let level = match levels[i % levels.len()] {
                 0 => StorageLevel::MemoryRaw,
-                1 => StorageLevel::MemorySerialized,
                 _ => StorageLevel::MemoryAndDisk,
             };
             let rdd = c

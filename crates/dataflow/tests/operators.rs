@@ -1,7 +1,7 @@
 //! Tests for the extended operator set: sort_by_key, distinct, sample,
 //! coalesce, zip_with_index, combine_by_key, aggregate_by_key, broadcast.
 
-use cstf_dataflow::{Cluster, ClusterConfig};
+use cstf_dataflow::{Cluster, ClusterConfig, KernelOps, KernelStrategy, Rdd};
 use std::collections::BTreeMap;
 
 fn cluster() -> Cluster {
@@ -287,3 +287,71 @@ fn many_partitions_stress() {
         .unwrap();
     assert_eq!(total, 20_000);
 }
+
+/// Pins the exact `collect()` sequence — order included — of every keyed
+/// operator on one fixed input. The other suites compare two paths of the
+/// same build; only this table notices a refactor that re-sequences a hash
+/// map or a fold. The values make `f64` addition order-sensitive
+/// (`1.0 + 1e16 − 1e16` is `0.0` in that order and `1.0` reversed), so a
+/// changed within-key fold order shows up in the sums, a changed emit
+/// order in the sequence. Expected strings recorded at rev `33f3c41`.
+#[test]
+fn keyed_operators_emit_a_pinned_sequence() {
+    let c = cluster();
+    let data: Vec<(u32, f64)> = (0..40u32)
+        .map(|i| {
+            let val = match i % 4 {
+                0 => 1.0 + f64::from(i),
+                1 => 1e16,
+                2 => -1e16,
+                _ => 0.5,
+            };
+            ((i * 13 + 5) % 11, val)
+        })
+        .collect();
+    let left = c.parallelize(data, 3);
+    let right = c.parallelize(vec![(0u32, 7u8), (4, 8), (0, 9), (12, 1), (6, 2)], 2);
+    let parted = left.partition_by(4);
+    let add = |a: f64, b: f64| a + b;
+    let sums = |input: &Rdd<(u32, f64)>, map_side, kernel: Option<KernelStrategy>| match kernel {
+        None => seq(input.reduce_by_key_with(4, map_side, add)),
+        Some(strategy) => {
+            let ops = KernelOps::new(|a: &mut f64, b: &f64| *a += b);
+            seq(input.reduce_by_key_kernel(4, map_side, strategy, add, ops))
+        }
+    };
+    use KernelStrategy::{RecordAtATime, SortedRuns};
+    // (input, map-side combine, kernel — `None` is `reduce_by_key_with`)
+    let reduces = [
+        (&left, false, None, HASH_SUMS),
+        (&left, true, None, HASH_SUMS_MAP_SIDE),
+        (&left, false, Some(RecordAtATime), HASH_SUMS),
+        (&left, true, Some(RecordAtATime), HASH_SUMS_MAP_SIDE),
+        (&left, false, Some(SortedRuns), SORTED_SUMS),
+        (&left, true, Some(SortedRuns), SORTED_SUMS_MAP_SIDE),
+        (&parted, false, Some(RecordAtATime), HASH_SUMS),
+        (&parted, false, Some(SortedRuns), SORTED_SUMS),
+    ];
+    for (row, (input, map_side, kernel, expected)) in reduces.into_iter().enumerate() {
+        assert_eq!(sums(input, map_side, kernel), expected, "reduce row {row}");
+    }
+    assert_eq!(seq(left.group_by_key_with(4)), GROUPED);
+    assert_eq!(seq(left.cogroup_with(&right, 4)), COGROUPED);
+    assert_eq!(seq(left.join_with(&right, 4)), JOINED);
+    assert_eq!(seq(left.left_outer_join(&right)), LEFT_OUTER_JOINED);
+}
+
+/// The exact `collect()` sequence of `rdd`, rendered: `f64`'s `Debug` form
+/// round-trips, so equal strings are equal bits in equal order.
+fn seq<T: cstf_dataflow::Data + std::fmt::Debug>(rdd: Rdd<T>) -> String {
+    format!("{:?}", rdd.collect())
+}
+
+const HASH_SUMS: &str = "[(0, 37.0), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (10, -9999999999999990.0), (2, 6.0), (6, 29.5), (3, 33.0), (7, 12.0)]";
+const HASH_SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (6, 29.5), (10, -9999999999999990.0), (2, 4.0), (7, 12.0), (3, 33.0)]";
+const SORTED_SUMS: &str = "[(0, 37.0), (4, 16.0), (8, 0.0), (1, 1.000000000000002e16), (5, 2.0), (9, 25.5), (2, 6.0), (6, 29.5), (10, -9999999999999990.0), (3, 33.0), (7, 12.0)]";
+const SORTED_SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (1, 1.000000000000002e16), (5, 2.0), (9, 25.5), (2, 4.0), (6, 29.5), (10, -9999999999999990.0), (3, 33.0), (7, 12.0)]";
+const GROUPED: &str = "[(0, [0.5, -1e16, 1e16, 37.0]), (4, [1e16, 17.0, 0.5, -1e16]), (8, [0.5, -1e16, 1e16]), (5, [1.0, 0.5, -1e16, 1e16]), (9, [-1e16, 1e16, 25.0, 0.5]), (1, [1e16, 21.0, 0.5]), (10, [9.0, 0.5, -1e16]), (2, [5.0, 0.5, -1e16, 1e16]), (6, [-1e16, 1e16, 29.0, 0.5]), (3, [-1e16, 1e16, 33.0]), (7, [1e16, 13.0, 0.5, -1e16])]";
+const COGROUPED: &str = "[(0, ([0.5, -1e16, 1e16, 37.0], [7, 9])), (8, ([0.5, -1e16, 1e16], [])), (4, ([1e16, 17.0, 0.5, -1e16], [8])), (12, ([], [1])), (5, ([1.0, 0.5, -1e16, 1e16], [])), (9, ([-1e16, 1e16, 25.0, 0.5], [])), (1, ([1e16, 21.0, 0.5], [])), (10, ([9.0, 0.5, -1e16], [])), (2, ([5.0, 0.5, -1e16, 1e16], [])), (6, ([-1e16, 1e16, 29.0, 0.5], [2])), (3, ([-1e16, 1e16, 33.0], [])), (7, ([1e16, 13.0, 0.5, -1e16], []))]";
+const JOINED: &str = "[(0, (0.5, 7)), (0, (0.5, 9)), (0, (-1e16, 7)), (0, (-1e16, 9)), (0, (1e16, 7)), (0, (1e16, 9)), (0, (37.0, 7)), (0, (37.0, 9)), (4, (1e16, 8)), (4, (17.0, 8)), (4, (0.5, 8)), (4, (-1e16, 8)), (6, (-1e16, 2)), (6, (1e16, 2)), (6, (29.0, 2)), (6, (0.5, 2))]";
+const LEFT_OUTER_JOINED: &str = "[(0, (0.5, Some(7))), (0, (0.5, Some(9))), (0, (-1e16, Some(7))), (0, (-1e16, Some(9))), (0, (1e16, Some(7))), (0, (1e16, Some(9))), (0, (37.0, Some(7))), (0, (37.0, Some(9))), (10, (9.0, None)), (10, (0.5, None)), (10, (-1e16, None)), (7, (1e16, None)), (7, (13.0, None)), (7, (0.5, None)), (7, (-1e16, None)), (4, (1e16, Some(8))), (4, (17.0, Some(8))), (4, (0.5, Some(8))), (4, (-1e16, Some(8))), (1, (1e16, None)), (1, (21.0, None)), (1, (0.5, None)), (8, (0.5, None)), (8, (-1e16, None)), (8, (1e16, None)), (5, (1.0, None)), (5, (0.5, None)), (5, (-1e16, None)), (5, (1e16, None)), (2, (5.0, None)), (2, (0.5, None)), (2, (-1e16, None)), (2, (1e16, None)), (9, (-1e16, None)), (9, (1e16, None)), (9, (25.0, None)), (9, (0.5, None)), (6, (-1e16, Some(2))), (6, (1e16, Some(2))), (6, (29.0, Some(2))), (6, (0.5, Some(2))), (3, (-1e16, None)), (3, (1e16, None)), (3, (33.0, None))]";
