@@ -17,10 +17,10 @@ use rand::SeedableRng;
 
 pub use crate::planner::{Partitioning, Strategy};
 
-/// What a run holds on the (possibly shared) cluster — the plan's
-/// persisted datasets and the metrics scope — given back on every exit
-/// path: normal return, `?`, or a panic unwinding out of an aborted or
-/// cancelled stage.
+/// What a run holds on the (possibly shared) cluster — the plan, whose
+/// drop unpersists its datasets, and the metrics scope — given back on
+/// every exit path: normal return, `?`, or a panic unwinding out of an
+/// aborted or cancelled stage.
 struct RunGuard<'a> {
     cluster: &'a Cluster,
     plan: Box<dyn MttkrpStrategy>,
@@ -28,7 +28,6 @@ struct RunGuard<'a> {
 
 impl Drop for RunGuard<'_> {
     fn drop(&mut self) {
-        self.plan.release();
         self.cluster.metrics().clear_scope();
     }
 }

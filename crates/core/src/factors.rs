@@ -5,12 +5,10 @@
 //! matrices between the driver (dense form, for grams and normal-equation
 //! solves) and the cluster (row-RDD form, for joins against tensor keys).
 
-use crate::records::Row;
+use crate::records::{CooRecord, Coord, Row};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::{CooTensor, DenseMatrix};
 use std::sync::Arc;
-
-use crate::records::CooRecord;
 
 /// Recovers the `u32`-keyed partitioner behind a [`PartitionerRef`],
 /// panicking with a clear message when the ref was built for another key
@@ -69,9 +67,9 @@ pub fn rows_to_matrix(rows: Vec<(u32, Row)>, extent: usize, rank: usize) -> Dens
 /// re-parse on every reuse — the cost the paper's §4.1 caching discussion
 /// avoids, and which the engine's `records_computed` metric captures.
 pub fn tensor_to_rdd(cluster: &Cluster, tensor: &CooTensor, partitions: usize) -> Rdd<CooRecord> {
-    let raw: Vec<(Box<[u32]>, f64)> = tensor
+    let raw: Vec<(Coord, f64)> = tensor
         .iter()
-        .map(|(coord, val)| (Box::<[u32]>::from(coord), val))
+        .map(|(coord, val)| (coord.into(), val))
         .collect();
     cluster
         .parallelize(raw, partitions)
@@ -96,10 +94,9 @@ pub fn tensor_to_rdd_keyed(
     partitioner: Option<&PartitionerRef>,
 ) -> Rdd<(u32, CooRecord)> {
     assert!(key_mode < tensor.order(), "key mode out of range");
-    type RawEntry = (u32, (Box<[u32]>, f64));
-    let raw: Vec<RawEntry> = tensor
+    let raw: Vec<(u32, (Coord, f64))> = tensor
         .iter()
-        .map(|(coord, val)| (coord[key_mode], (Box::<[u32]>::from(coord), val)))
+        .map(|(coord, val)| (coord[key_mode], (coord.into(), val)))
         .collect();
     let keyed = match partitioner {
         Some(p) => cluster.parallelize_by_key(raw, u32_partitioner(p)),
@@ -166,7 +163,7 @@ mod tests {
         let collected = rdd.collect();
         assert_eq!(collected.len(), 50);
         for (z, rec) in collected.iter().enumerate() {
-            assert_eq!(rec.coord.as_ref(), t.coord(z));
+            assert_eq!(&*rec.coord, t.coord(z));
             assert_eq!(rec.val, t.value(z));
         }
     }

@@ -59,7 +59,7 @@ pub mod spmv;
 pub use completion::{CompletionResult, CpCompletion};
 pub use cp_als::{CpAls, CpResult, DecompositionStats};
 pub use planner::{MttkrpStrategy, Partitioning, PlanConfig, Strategy, StrategyCapabilities};
-pub use records::{CooRecord, QRecord, Row};
+pub use records::{CooRecord, Coord, QRecord, Row};
 
 /// Errors from distributed decomposition runs.
 #[derive(Debug, Clone, PartialEq)]

@@ -65,11 +65,12 @@ pub struct MttkrpOptions {
     /// factor side of every join is narrow (no shuffle-map stage). On by
     /// default: it never changes results, only removes stages.
     pub co_partition_factors: bool,
-    /// Task kernel for the hot per-partition loops: the final
-    /// `reduceByKey` combine and the join-multiply row products. The
-    /// default [`KernelStrategy::SortedRuns`] walks stable-sorted key runs
-    /// with arena-backed rows — bit-identical to
-    /// [`KernelStrategy::RecordAtATime`], just faster.
+    /// Task kernel of the final `reduceByKey` combine. The default
+    /// [`KernelStrategy::SortedRuns`] walks stable-sorted key runs with one
+    /// arena-backed accumulator per distinct key; its results are
+    /// bit-identical to [`KernelStrategy::RecordAtATime`]'s hash fold, and
+    /// measured in isolation the two are within noise of each other
+    /// (DESIGN.md §5f withdrew the earlier speed-up claim).
     pub kernel: KernelStrategy,
 }
 
@@ -193,6 +194,27 @@ impl JoinContext {
         rank: usize,
     ) -> DenseMatrix {
         rows_to_matrix(self.reduce_rows(rows).collect(), num_rows, rank)
+    }
+}
+
+/// A dataset a plan persisted. Dropping the handle unpersists it, so the
+/// blocks go back on every exit path: return, `?`, or a panic unwinding
+/// out of an aborted stage — including the job that was still filling the
+/// cache. Unpersisting twice, or a dataset that was never cached, is a
+/// no-op.
+pub(crate) struct Persisted<T: Data>(pub(crate) Rdd<T>);
+
+impl<T: Data> Drop for Persisted<T> {
+    fn drop(&mut self) {
+        self.0.unpersist();
+    }
+}
+
+impl<T: Data> std::ops::Deref for Persisted<T> {
+    type Target = Rdd<T>;
+
+    fn deref(&self) -> &Rdd<T> {
+        &self.0
     }
 }
 

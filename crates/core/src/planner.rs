@@ -20,7 +20,9 @@
 //! cross-checks live in `tests/tests/strategy_planner.rs`.
 
 use crate::factors::{tensor_to_rdd, tensor_to_rdd_keyed};
-use crate::mttkrp::{join_order, mttkrp_coo, mttkrp_coo_broadcast, mttkrp_coo_pre, MttkrpOptions};
+use crate::mttkrp::{
+    join_order, mttkrp_coo, mttkrp_coo_broadcast, mttkrp_coo_pre, MttkrpOptions, Persisted,
+};
 use crate::qcoo::{QcooOptions, QcooState};
 use crate::records::CooRecord;
 use crate::spmv::{mttkrp_spmv, mttkrp_spmv_pre};
@@ -283,12 +285,13 @@ pub fn plan(
 }
 
 /// `rdd` persisted at the configured level and eagerly materialized, when
-/// the plan caches its tensor datasets at all.
-fn cached<T: Data + EstimateSize>(rdd: Rdd<T>, config: &PlanConfig) -> Rdd<T> {
+/// the plan caches its tensor datasets at all. The guard exists before the
+/// materializing job runs, so an aborted job gives its blocks back too.
+fn cached<T: Data + EstimateSize>(rdd: Rdd<T>, config: &PlanConfig) -> Persisted<T> {
     if !config.cache_tensor {
-        return rdd;
+        return Persisted(rdd);
     }
-    let rdd = rdd.persist(config.storage);
+    let rdd = Persisted(rdd.persist(config.storage));
     let _ = rdd.count();
     rdd
 }
@@ -297,9 +300,10 @@ fn cached<T: Data + EstimateSize>(rdd: Rdd<T>, config: &PlanConfig) -> Rdd<T> {
 /// record RDD, or (on the pre-partitioned path) one keyed copy per
 /// first-join mode — `join_order` starts every mode's pipeline at
 /// `order−1` except mode `order−1` itself, which starts at `order−2`.
+/// Dropping it unpersists them, like [`TensorData::release`].
 struct TensorData {
-    plain: Option<Rdd<CooRecord>>,
-    pre_keyed: Vec<(usize, Rdd<(u32, CooRecord)>)>,
+    plain: Option<Persisted<CooRecord>>,
+    pre_keyed: Vec<(usize, Persisted<(u32, CooRecord)>)>,
 }
 
 impl TensorData {
@@ -346,7 +350,7 @@ impl TensorData {
         self.pre_keyed
             .iter()
             .find(|(key_mode, _)| *key_mode == first)
-            .map(|(_, rdd)| rdd)
+            .map(|(_, rdd)| &**rdd)
             .expect("first-join mode is order−1 or order−2")
     }
 
@@ -442,7 +446,7 @@ impl MttkrpStrategy for QcooPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cstf_dataflow::ClusterConfig;
+    use cstf_dataflow::{ClusterConfig, FaultConfig};
     use cstf_tensor::mttkrp::mttkrp as mttkrp_seq;
     use cstf_tensor::random::RandomTensor;
     use rand::{rngs::StdRng, SeedableRng};
@@ -535,29 +539,35 @@ mod tests {
 
     #[test]
     fn every_strategy_plans_and_matches_sequential() {
-        let t = RandomTensor::new(vec![9, 8, 7]).nnz(150).seed(61).build();
-        let factors = random_factors(t.shape(), 2, 62);
-        let refs: Vec<&DenseMatrix> = factors.iter().collect();
-        for strategy in ALL_STRATEGIES {
-            let c = cluster();
-            let mut plan = plan(
-                &c,
-                &t,
-                strategy,
-                &config(Partitioning::CoPartitionedFactors),
-                &factors,
-            )
-            .unwrap();
-            assert_eq!(plan.strategy(), strategy);
-            for mode in 0..t.order() {
-                let m = plan.mttkrp(&factors, mode).unwrap();
-                let seq = mttkrp_seq(&t, &refs, mode).unwrap();
-                assert!(
-                    m.max_abs_diff(&seq) < 1e-9,
-                    "{strategy} mode {mode} diverged"
-                );
+        // Order 3, and one order past what a record's coordinate holds
+        // inline (the heap-fallback path), on both tensor layouts.
+        let beyond_inline: Vec<u32> = (0..=crate::records::Coord::INLINE)
+            .map(|m| 2 + (m % 2) as u32)
+            .collect();
+        for shape in [vec![9, 8, 7], beyond_inline] {
+            let t = RandomTensor::new(shape).nnz(150).seed(61).build();
+            let factors = random_factors(t.shape(), 2, 62);
+            let refs: Vec<&DenseMatrix> = factors.iter().collect();
+            for partitioning in [
+                Partitioning::CoPartitionedFactors,
+                Partitioning::PrePartitionedTensor,
+            ] {
+                for strategy in ALL_STRATEGIES {
+                    let c = cluster();
+                    let mut plan = plan(&c, &t, strategy, &config(partitioning), &factors).unwrap();
+                    assert_eq!(plan.strategy(), strategy);
+                    for mode in 0..t.order() {
+                        let m = plan.mttkrp(&factors, mode).unwrap();
+                        let seq = mttkrp_seq(&t, &refs, mode).unwrap();
+                        assert!(
+                            m.max_abs_diff(&seq) < 1e-9,
+                            "order {} {strategy}/{partitioning} mode {mode} diverged",
+                            t.order()
+                        );
+                    }
+                    plan.release();
+                }
             }
-            plan.release();
         }
     }
 
@@ -600,6 +610,59 @@ mod tests {
                     "{strategy}/{partitioning} leaked cached blocks"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn aborted_plans_give_their_blocks_back() {
+        // A late crash stores its partition in the cache and then fails
+        // the attempt; with one attempt per task the stage aborts with
+        // blocks already put. Depending on the seed that happens in the
+        // job that caches the tensor, in QCOO's queue prologue (both
+        // inside `plan`), or in a later `mttkrp` that was half-way through
+        // caching its rotated state. Whatever unwinds, nothing may stay.
+        let t = RandomTensor::new(vec![8, 8, 8]).nnz(100).seed(67).build();
+        let factors = random_factors(t.shape(), 2, 68);
+        for strategy in ALL_STRATEGIES {
+            let (mut in_plan, mut in_mttkrp) = (0, 0);
+            for partitioning in [
+                Partitioning::CoPartitionedFactors,
+                Partitioning::PrePartitionedTensor,
+            ] {
+                for seed in 0..12 {
+                    // `ClusterConfig::faults` refuses a schedule that can
+                    // exhaust the attempt budget — the one wanted here.
+                    let mut cluster_config = ClusterConfig::local(2).nodes(2).max_task_attempts(1);
+                    cluster_config.faults =
+                        Some(FaultConfig::crashes(seed, 0.0).with_late_crashes(0.03));
+                    let c = Cluster::new(cluster_config);
+                    let mut planned = false;
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut p = plan(&c, &t, strategy, &config(partitioning), &factors)
+                            .expect("valid configuration");
+                        planned = true;
+                        for mode in 0..t.order() {
+                            p.mttkrp(&factors, mode).expect("valid configuration");
+                        }
+                    }));
+                    match (run.is_err(), planned) {
+                        (true, false) => in_plan += 1,
+                        (true, true) => in_mttkrp += 1,
+                        (false, _) => {}
+                    }
+                    let blocks = c.block_manager();
+                    assert!(
+                        blocks.is_empty() && blocks.memory_bytes() == 0,
+                        "{strategy}/{partitioning} seed {seed}: {} blocks left behind",
+                        blocks.len()
+                    );
+                }
+            }
+            assert!(
+                in_plan > 0 && in_mttkrp > 0,
+                "{strategy}: the seeds must abort both inside plan() ({in_plan}) and inside \
+                 mttkrp() ({in_mttkrp})"
+            );
         }
     }
 }

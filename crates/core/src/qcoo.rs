@@ -25,10 +25,9 @@
 //! scheduling neither helps nor hurts it (the `ablation_scheduler`
 //! experiment shows ratio 1.0, against COO's strict improvement).
 
-use crate::mttkrp::{JoinContext, MttkrpOptions};
+use crate::mttkrp::{JoinContext, MttkrpOptions, Persisted};
 use crate::records::{CooRecord, QRecord};
 use crate::{CstfError, Result};
-use cstf_dataflow::kernel::pool;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::DenseMatrix;
 
@@ -44,8 +43,8 @@ pub struct QcooOptions {
     /// let the queue (the `(N−1)·nnz·R` payload, QCOO's dominant resident
     /// cost) run under a memory budget smaller than the working set.
     pub storage: StorageLevel,
-    /// Task kernel for the per-step hot loops (queue rotation, queue
-    /// reduction, and the final `reduceByKey` combine). See
+    /// Task kernel of each step's final `reduceByKey` combine (queue
+    /// rotation and reduction are the same code under either). See
     /// [`crate::mttkrp::MttkrpOptions::kernel`].
     pub kernel: KernelStrategy,
 }
@@ -68,7 +67,10 @@ impl Default for QcooOptions {
 /// output modes `0, 1, …, N−1, 0, …`.
 pub struct QcooState {
     cluster: Cluster,
-    state: Rdd<(u32, QRecord)>,
+    /// The live queue state; replacing or dropping it unpersists it, so a
+    /// state that is dropped without [`QcooState::release`] — or whose
+    /// `init`/`step` job aborted — leaves no blocks behind.
+    state: Persisted<(u32, QRecord)>,
     shape: Vec<u32>,
     rank: usize,
     /// Partition count, factor co-partitioning and task kernel of every
@@ -157,7 +159,7 @@ impl QcooState {
         // Materialize eagerly: the N−1 initialization shuffles are the
         // prologue overhead the paper attributes to queue setup, and they
         // must be paid (and recorded) here, not inside the first step.
-        let state = state.persist(opts.storage);
+        let state = Persisted(state.persist(opts.storage));
         let _ = state.count();
         Ok(QcooState {
             cluster: cluster.clone(),
@@ -240,39 +242,34 @@ impl QcooState {
             });
         // Periodic lineage truncation; otherwise persistence at the
         // configured level, as §4.2 describes.
-        let rotated = if self.checkpoint_interval > 0
-            && (self.steps_taken + 1).is_multiple_of(self.checkpoint_interval)
-        {
-            rotated_raw.checkpoint()
-        } else {
-            rotated_raw.persist(self.storage)
-        };
+        let rotated = Persisted(
+            if self.checkpoint_interval > 0
+                && (self.steps_taken + 1).is_multiple_of(self.checkpoint_interval)
+            {
+                rotated_raw.checkpoint()
+            } else {
+                rotated_raw.persist(self.storage)
+            },
+        );
 
         // STAGE 3: reduce queues and sum per output row — second shuffle.
         // Running this action also materializes (and caches) `rotated`.
-        // The reduction draws its output row from the arena and recycles
-        // the (owned clone of the) queue's rows after reducing.
+        // The reduction draws its output row from the arena.
         let rank = self.rank;
-        let rows = rotated.map_values(move |mut q| {
-            let out = q.reduce_queue(rank);
-            for row in q.queue.drain(..) {
-                pool::give_row(row);
-            }
-            out
-        });
+        let rows = rotated.map_values(move |q| q.reduce_queue(rank));
         let m = ctx.sum_rows(rows, self.shape[out_mode] as usize, self.rank);
 
-        // Swap in the rotated state; drop the old one from the cache
-        // ("removed from the cache by explicitly asking Spark to unpersist
-        // the old RDD", §4.2).
-        self.state.unpersist();
+        // Swap in the rotated state; the assignment drops the old one from
+        // the cache ("removed from the cache by explicitly asking Spark to
+        // unpersist the old RDD", §4.2).
         self.state = rotated;
         self.key_mode = out_mode;
         self.steps_taken += 1;
         Ok((out_mode, m))
     }
 
-    /// Drops the cached state (call when done with the decomposition).
+    /// Drops the cached state (call when done with the decomposition;
+    /// dropping the `QcooState` does the same). Idempotent.
     pub fn release(&self) {
         self.state.unpersist();
     }

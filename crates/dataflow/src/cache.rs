@@ -230,9 +230,14 @@ impl BlockManager {
 
     /// Drops or spills least-recently-used blocks until resident bytes fit
     /// the budget. `protect` is evicted only as a last resort (when it
-    /// alone exceeds the budget).
-    fn enforce_budget(&self, inner: &mut Inner, protect: (usize, usize)) {
-        let Some(budget) = self.budget else { return };
+    /// alone exceeds the budget). Returns the dropped (memory-only) blocks:
+    /// the caller frees them after releasing the lock.
+    #[must_use]
+    fn enforce_budget(&self, inner: &mut Inner, protect: (usize, usize)) -> Vec<Block> {
+        let mut dropped = Vec::new();
+        let Some(budget) = self.budget else {
+            return dropped;
+        };
         while inner.mem_bytes > budget {
             let victim = inner
                 .mem
@@ -250,8 +255,10 @@ impl BlockManager {
                 inner.disk.insert(key, block);
             } else {
                 inner.evicted.insert(key);
+                dropped.push(block);
             }
         }
+        dropped
     }
 
     /// Stores a computed partition at the given level, evicting older
@@ -275,11 +282,15 @@ impl BlockManager {
         inner.tick += 1;
         let tick = inner.tick;
         inner.evicted.remove(&key);
-        // Replace semantics: drop any stale copy of this key first.
-        if let Some(old) = inner.mem.remove(&key) {
+        // Replace semantics: retire any stale copy of this key first. Like
+        // every block this call retires, it is freed after the lock is
+        // released — a partition's records can take milliseconds to drop.
+        let stale_mem = inner.mem.remove(&key);
+        if let Some(old) = &stale_mem {
             inner.mem_bytes -= old.bytes;
         }
-        if inner.disk.remove(&key).is_some() {
+        let stale_disk = inner.disk.remove(&key);
+        if stale_disk.is_some() {
             if let Some(store) = &self.disk_store {
                 store.remove(&block_key(rdd_id, partition));
             }
@@ -294,10 +305,12 @@ impl BlockManager {
         block.last_use = tick;
         inner.mem_bytes += bytes;
         inner.mem.insert(key, block);
-        self.enforce_budget(&mut inner, key);
+        let _dropped = self.enforce_budget(&mut inner, key);
         // Peak is post-enforcement: the high-water mark of *resident*
         // bytes, never transient over-budget states.
         inner.peak_mem_bytes = inner.peak_mem_bytes.max(inner.mem_bytes);
+        drop(inner);
+        // The stale copies and `_dropped` are freed on return, unlocked.
     }
 
     /// Fetches a cached partition as the stored `Arc` (no deep clone).
@@ -326,7 +339,8 @@ impl BlockManager {
         let bytes = block.bytes;
         let promote = block.level == StorageLevel::MemoryAndDisk;
         let data = block.data.clone();
-        if promote {
+        // Blocks the promotion pushes out are freed on return, unlocked.
+        let _dropped = if promote {
             let mut block = inner.disk.remove(&key).expect("disk block present");
             block.last_use = tick;
             inner.mem_bytes += bytes;
@@ -334,9 +348,12 @@ impl BlockManager {
             if let Some(store) = &self.disk_store {
                 store.remove(&block_key(rdd_id, partition));
             }
-            self.enforce_budget(&mut inner, key);
+            let dropped = self.enforce_budget(&mut inner, key);
             inner.peak_mem_bytes = inner.peak_mem_bytes.max(inner.mem_bytes);
-        }
+            dropped
+        } else {
+            Vec::new()
+        };
         drop(inner);
         self.record_spill_read(rdd_id, bytes);
         Some(downcast::<T>(data))
@@ -374,71 +391,46 @@ impl BlockManager {
             .all(|p| inner.mem.contains_key(&(rdd_id, p)) || inner.disk.contains_key(&(rdd_id, p)))
     }
 
+    /// Removes every resident block (and eviction tombstone) whose
+    /// `(rdd, partition)` key is `doomed`; returns how many blocks went.
+    /// The ledger is settled under the lock, the blocks' records are freed
+    /// after it is released.
+    fn remove_blocks(&self, doomed: impl Fn((usize, usize)) -> bool) -> usize {
+        let doomed_keys = |blocks: &FxHashMap<(usize, usize), Block>| -> Vec<(usize, usize)> {
+            blocks.keys().copied().filter(|&k| doomed(k)).collect()
+        };
+        let mut removed = Vec::new();
+        let mut inner = self.inner.lock();
+        for key in doomed_keys(&inner.mem) {
+            let block = inner.mem.remove(&key).expect("key just listed");
+            inner.mem_bytes -= block.bytes;
+            removed.push(block);
+        }
+        let disk_keys = doomed_keys(&inner.disk);
+        for key in &disk_keys {
+            removed.extend(inner.disk.remove(key));
+        }
+        inner.evicted.retain(|&k| !doomed(k));
+        drop(inner);
+        if let Some(store) = &self.disk_store {
+            for (rdd, partition) in disk_keys {
+                store.remove(&block_key(rdd, partition));
+            }
+        }
+        removed.len()
+    }
+
     /// Drops every resident block for which `lost(partition)` is true —
     /// the cache loss caused by a node failure (a node's local disk is
     /// lost with it). Returns removed block count.
     pub fn remove_where(&self, lost: impl Fn(usize) -> bool) -> usize {
-        let mut inner = self.inner.lock();
-        let before = inner.mem.len() + inner.disk.len();
-        let mut freed = 0;
-        inner.mem.retain(|&(_, partition), b| {
-            let keep = !lost(partition);
-            if !keep {
-                freed += b.bytes;
-            }
-            keep
-        });
-        inner.mem_bytes -= freed;
-        let mut dropped_disk = Vec::new();
-        inner.disk.retain(|&(rdd, partition), _| {
-            let keep = !lost(partition);
-            if !keep {
-                dropped_disk.push((rdd, partition));
-            }
-            keep
-        });
-        inner.evicted.retain(|&(_, partition)| !lost(partition));
-        let after = inner.mem.len() + inner.disk.len();
-        drop(inner);
-        if let Some(store) = &self.disk_store {
-            for (rdd, partition) in dropped_disk {
-                store.remove(&block_key(rdd, partition));
-            }
-        }
-        before - after
+        self.remove_blocks(|(_, partition)| lost(partition))
     }
 
     /// Drops every resident partition of an RDD (Spark `unpersist`),
     /// memory and disk alike. Returns how many blocks were removed.
     pub fn remove_rdd(&self, rdd_id: usize) -> usize {
-        let mut inner = self.inner.lock();
-        let before = inner.mem.len() + inner.disk.len();
-        let mut freed = 0;
-        inner.mem.retain(|&(id, _), b| {
-            let keep = id != rdd_id;
-            if !keep {
-                freed += b.bytes;
-            }
-            keep
-        });
-        inner.mem_bytes -= freed;
-        let mut dropped_disk = Vec::new();
-        inner.disk.retain(|&(id, partition), _| {
-            let keep = id != rdd_id;
-            if !keep {
-                dropped_disk.push(partition);
-            }
-            keep
-        });
-        inner.evicted.retain(|&(id, _)| id != rdd_id);
-        let after = inner.mem.len() + inner.disk.len();
-        drop(inner);
-        if let Some(store) = &self.disk_store {
-            for partition in dropped_disk {
-                store.remove(&block_key(rdd_id, partition));
-            }
-        }
-        before - after
+        self.remove_blocks(|(id, _)| id == rdd_id)
     }
 
     /// Estimated bytes resident in memory (counted against the budget).

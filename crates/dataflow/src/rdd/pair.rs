@@ -785,21 +785,25 @@ where
     }
 
     /// `join` with an explicit partitioner; co-partitioned sides skip
-    /// their shuffle (see [`Rdd::cogroup_by`]).
+    /// their shuffle (see [`Rdd::cogroup_by`]). A key with a single value
+    /// on one side — the MTTKRP case, one factor row per index — *moves*
+    /// every value of the other side into its pair instead of cloning it;
+    /// only many-to-many keys pay the full cross product of clones.
     pub fn join_by<W: Data + EstimateSize>(
         &self,
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
     ) -> Rdd<(K, (V, W))> {
         self.cogroup_then(other, partitioner, |k, mut vs, mut ws| {
-            // Fast path: one value per side (the common MTTKRP case —
-            // one factor row per index) moves instead of cloning.
-            if vs.len() == 1 && ws.len() == 1 {
-                let v = vs.pop().expect("len checked");
+            if ws.len() == 1 {
                 let w = ws.pop().expect("len checked");
-                return vec![(k, (v, w))];
+                spread(&k, vs, w, |v, w| (v, w))
+            } else if vs.len() == 1 {
+                let v = vs.pop().expect("len checked");
+                spread(&k, ws, v, |w, v| (v, w))
+            } else {
+                cross(&k, &vs, &ws)
             }
-            cross(&k, &vs, &ws)
         })
     }
 
@@ -968,6 +972,27 @@ fn cross<K: Clone, A: Clone, B: Clone>(k: &K, left: &[A], right: &[B]) -> Vec<(K
         for b in right {
             out.push((k.clone(), (a.clone(), b.clone())));
         }
+    }
+    out
+}
+
+/// [`cross`] when one side holds the single value `one`: each value of
+/// `many` moves into its pair, in order (so the emit order is `cross`'s),
+/// and `one` is cloned for every pair but the last, which takes it.
+fn spread<K: Clone, M, S: Clone, P>(
+    k: &K,
+    many: Vec<M>,
+    one: S,
+    pair: impl Fn(M, S) -> P,
+) -> Vec<(K, P)> {
+    let mut out = Vec::with_capacity(many.len());
+    let mut many = many.into_iter().peekable();
+    while let Some(m) = many.next() {
+        if many.peek().is_none() {
+            out.push((k.clone(), pair(m, one)));
+            break;
+        }
+        out.push((k.clone(), pair(m, one.clone())));
     }
     out
 }

@@ -18,7 +18,7 @@
 use crate::cache::DiskStore;
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -258,7 +258,7 @@ impl ShuffleService {
     /// Affected shuffles become incomplete and re-run their missing map
     /// tasks on next use.
     pub fn remove_map_outputs_where(&self, lost: impl Fn(usize) -> bool) -> usize {
-        let mut removed = 0;
+        let mut removed = Vec::new();
         let mut inner = self.inner.lock();
         let ids: Vec<usize> = inner.shuffles.keys().copied().collect();
         for shuffle_id in ids {
@@ -275,11 +275,14 @@ impl ShuffleService {
                     .take();
                 if let Some(output) = slot {
                     self.release_output(&mut inner, shuffle_id, map_partition, &output);
-                    removed += 1;
+                    removed.push(output);
                 }
             }
         }
-        removed
+        // The ledger is settled; the records themselves are freed after
+        // the lock is released, so no reader waits on the deallocation.
+        drop(inner);
+        removed.len()
     }
 
     /// Fetches reduce partition `reduce_partition`'s bucket from every map
@@ -353,16 +356,31 @@ impl ShuffleService {
             .unwrap_or(0)
     }
 
-    /// Drops a shuffle's data (Spark's `unpersist` of shuffle files).
-    pub fn remove(&self, shuffle_id: usize) {
-        let mut inner = self.inner.lock();
-        if let Some(data) = inner.shuffles.remove(&shuffle_id) {
+    /// Settles the ledger for every output of the removed `shuffles`
+    /// under the lock, then releases it before the record data is freed:
+    /// freeing a tensor-sized shuffle takes milliseconds no other job's
+    /// `read` or `put_map_output` should wait for.
+    fn retire(
+        &self,
+        mut inner: MutexGuard<'_, SvcInner>,
+        shuffles: impl IntoIterator<Item = (usize, ShuffleData)>,
+    ) {
+        let shuffles: Vec<(usize, ShuffleData)> = shuffles.into_iter().collect();
+        for (shuffle_id, data) in &shuffles {
             for (map_partition, output) in data.map_outputs.iter().enumerate() {
                 if let Some(output) = output {
-                    self.release_output(&mut inner, shuffle_id, map_partition, output);
+                    self.release_output(&mut inner, *shuffle_id, map_partition, output);
                 }
             }
         }
+        drop(inner);
+    }
+
+    /// Drops a shuffle's data (Spark's `unpersist` of shuffle files).
+    pub fn remove(&self, shuffle_id: usize) {
+        let mut inner = self.inner.lock();
+        let removed = inner.shuffles.remove(&shuffle_id);
+        self.retire(inner, removed.map(|data| (shuffle_id, data)));
     }
 
     /// Drops every stored shuffle (the engine's analogue of Spark's
@@ -372,13 +390,7 @@ impl ShuffleService {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         let shuffles = std::mem::take(&mut inner.shuffles);
-        for (shuffle_id, data) in &shuffles {
-            for (map_partition, output) in data.map_outputs.iter().enumerate() {
-                if let Some(output) = output {
-                    self.release_output(&mut inner, *shuffle_id, map_partition, output);
-                }
-            }
-        }
+        self.retire(inner, shuffles);
     }
 
     /// Number of live shuffles (for leak checks in tests).

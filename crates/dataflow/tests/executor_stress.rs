@@ -4,33 +4,13 @@
 //! and thousands of tiny waves and job-server rounds under a deadline,
 //! verifying that no condvar wakeup is ever lost.
 
+mod common;
+
+use common::within;
 use cstf_dataflow::executor::{Executor, RunPolicy, SpeculationPolicy};
 use cstf_dataflow::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
-
-/// Runs `body` on a helper thread and fails the test if it has not
-/// returned within `limit`: a lost wakeup parks threads forever, and a
-/// test that hangs names nothing — one that misses a deadline names itself.
-fn within(limit: Duration, what: &str, body: impl FnOnce() + Send + 'static) {
-    let (done, finished) = mpsc::channel();
-    let helper = std::thread::spawn(move || {
-        body();
-        let _ = done.send(());
-    });
-    match finished.recv_timeout(limit) {
-        // Returned or panicked: join to surface the helper's own failure.
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = helper.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("{what}: still running after {limit:?} — every thread parked on a lost wakeup?")
-        }
-    }
-}
 
 #[test]
 fn thousands_of_tiny_waves_never_lose_the_finish_wakeup() {

@@ -1,8 +1,10 @@
 //! Tests for the extended operator set: sort_by_key, distinct, sample,
 //! coalesce, zip_with_index, combine_by_key, aggregate_by_key, broadcast.
 
-use cstf_dataflow::{Cluster, ClusterConfig, KernelOps, KernelStrategy, Rdd};
+use cstf_dataflow::{Cluster, ClusterConfig, EstimateSize, KernelOps, KernelStrategy, Rdd};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig::local(4).nodes(4))
@@ -294,7 +296,11 @@ fn many_partitions_stress() {
 /// map or a fold. The values make `f64` addition order-sensitive
 /// (`1.0 + 1e16 − 1e16` is `0.0` in that order and `1.0` reversed), so a
 /// changed within-key fold order shows up in the sums, a changed emit
-/// order in the sequence. Expected strings recorded at rev `33f3c41`.
+/// order in the sequence. Expected strings recorded at rev `33f3c41`
+/// (`JOINED_ONE_TO_MANY` and the narrow-left join at `e111037`, before the
+/// join's per-key expansion started moving values): `JOINED` holds
+/// many-to-many (key 0, 4 × 2) and many-to-one (keys 4 and 6, 4 × 1) keys,
+/// its mirror image one-to-many ones.
 #[test]
 fn keyed_operators_emit_a_pinned_sequence() {
     let c = cluster();
@@ -338,6 +344,8 @@ fn keyed_operators_emit_a_pinned_sequence() {
     assert_eq!(seq(left.group_by_key_with(4)), GROUPED);
     assert_eq!(seq(left.cogroup_with(&right, 4)), COGROUPED);
     assert_eq!(seq(left.join_with(&right, 4)), JOINED);
+    assert_eq!(seq(parted.join_with(&right, 4)), JOINED);
+    assert_eq!(seq(right.join_with(&left, 4)), JOINED_ONE_TO_MANY);
     assert_eq!(seq(left.left_outer_join(&right)), LEFT_OUTER_JOINED);
 }
 
@@ -354,4 +362,78 @@ const SORTED_SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (1, 1.00000
 const GROUPED: &str = "[(0, [0.5, -1e16, 1e16, 37.0]), (4, [1e16, 17.0, 0.5, -1e16]), (8, [0.5, -1e16, 1e16]), (5, [1.0, 0.5, -1e16, 1e16]), (9, [-1e16, 1e16, 25.0, 0.5]), (1, [1e16, 21.0, 0.5]), (10, [9.0, 0.5, -1e16]), (2, [5.0, 0.5, -1e16, 1e16]), (6, [-1e16, 1e16, 29.0, 0.5]), (3, [-1e16, 1e16, 33.0]), (7, [1e16, 13.0, 0.5, -1e16])]";
 const COGROUPED: &str = "[(0, ([0.5, -1e16, 1e16, 37.0], [7, 9])), (8, ([0.5, -1e16, 1e16], [])), (4, ([1e16, 17.0, 0.5, -1e16], [8])), (12, ([], [1])), (5, ([1.0, 0.5, -1e16, 1e16], [])), (9, ([-1e16, 1e16, 25.0, 0.5], [])), (1, ([1e16, 21.0, 0.5], [])), (10, ([9.0, 0.5, -1e16], [])), (2, ([5.0, 0.5, -1e16, 1e16], [])), (6, ([-1e16, 1e16, 29.0, 0.5], [2])), (3, ([-1e16, 1e16, 33.0], [])), (7, ([1e16, 13.0, 0.5, -1e16], []))]";
 const JOINED: &str = "[(0, (0.5, 7)), (0, (0.5, 9)), (0, (-1e16, 7)), (0, (-1e16, 9)), (0, (1e16, 7)), (0, (1e16, 9)), (0, (37.0, 7)), (0, (37.0, 9)), (4, (1e16, 8)), (4, (17.0, 8)), (4, (0.5, 8)), (4, (-1e16, 8)), (6, (-1e16, 2)), (6, (1e16, 2)), (6, (29.0, 2)), (6, (0.5, 2))]";
+const JOINED_ONE_TO_MANY: &str = "[(0, (7, 0.5)), (0, (7, -1e16)), (0, (7, 1e16)), (0, (7, 37.0)), (0, (9, 0.5)), (0, (9, -1e16)), (0, (9, 1e16)), (0, (9, 37.0)), (4, (8, 1e16)), (4, (8, 17.0)), (4, (8, 0.5)), (4, (8, -1e16)), (6, (2, -1e16)), (6, (2, 1e16)), (6, (2, 29.0)), (6, (2, 0.5))]";
 const LEFT_OUTER_JOINED: &str = "[(0, (0.5, Some(7))), (0, (0.5, Some(9))), (0, (-1e16, Some(7))), (0, (-1e16, Some(9))), (0, (1e16, Some(7))), (0, (1e16, Some(9))), (0, (37.0, Some(7))), (0, (37.0, Some(9))), (10, (9.0, None)), (10, (0.5, None)), (10, (-1e16, None)), (7, (1e16, None)), (7, (13.0, None)), (7, (0.5, None)), (7, (-1e16, None)), (4, (1e16, Some(8))), (4, (17.0, Some(8))), (4, (0.5, Some(8))), (4, (-1e16, Some(8))), (1, (1e16, None)), (1, (21.0, None)), (1, (0.5, None)), (8, (0.5, None)), (8, (-1e16, None)), (8, (1e16, None)), (5, (1.0, None)), (5, (0.5, None)), (5, (-1e16, None)), (5, (1e16, None)), (2, (5.0, None)), (2, (0.5, None)), (2, (-1e16, None)), (2, (1e16, None)), (9, (-1e16, None)), (9, (1e16, None)), (9, (25.0, None)), (9, (0.5, None)), (6, (-1e16, Some(2))), (6, (1e16, Some(2))), (6, (29.0, Some(2))), (6, (0.5, Some(2))), (3, (-1e16, None)), (3, (1e16, None)), (3, (33.0, None))]";
+
+/// A join value that counts its clones on the counter it carries.
+#[derive(Debug)]
+struct Counted(Arc<AtomicUsize>);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Counted(self.0.clone())
+    }
+}
+
+impl EstimateSize for Counted {
+    fn estimate_size(&self) -> usize {
+        0
+    }
+}
+
+/// The join's per-key expansion moves what it can: where one side holds a
+/// single value (the MTTKRP shape — many nonzeros, one factor row), every
+/// value of the many side moves into its pair and the single value is
+/// cloned for all pairs but the last. Reading the inputs clones records
+/// too (out of the source partitions and the shuffle buckets), so the
+/// expansion's share is the join's clone count minus the cogroup's, which
+/// reads the same inputs the same way and expands nothing.
+#[test]
+fn join_moves_the_many_side_and_clones_the_single_side_n_minus_1_times() {
+    let c = cluster();
+    let many_clones = Arc::new(AtomicUsize::new(0));
+    let single_clones = Arc::new(AtomicUsize::new(0));
+    // Key k: 2 + k values on the many side, one on the single side; key 9
+    // only on the many side, key 10 only on the single side.
+    let many_per_key = |k: u32| 2 + k as usize;
+    let many: Vec<(u32, Counted)> = (0..4u32)
+        .flat_map(|k| vec![k; many_per_key(k)])
+        .chain([9, 9])
+        .map(|k| (k, Counted(many_clones.clone())))
+        .collect();
+    let single: Vec<(u32, Counted)> = (0..4u32)
+        .chain([10])
+        .map(|k| (k, Counted(single_clones.clone())))
+        .collect();
+    let pairs: usize = (0..4).map(many_per_key).sum();
+    let many = c.parallelize(many, 3);
+    let single = c.parallelize(single, 2);
+
+    let clones_during = |job: &dyn Fn() -> usize| {
+        let before = (
+            many_clones.load(Ordering::Relaxed),
+            single_clones.load(Ordering::Relaxed),
+        );
+        let records = job();
+        (
+            records,
+            many_clones.load(Ordering::Relaxed) - before.0,
+            single_clones.load(Ordering::Relaxed) - before.1,
+        )
+    };
+    let (_, many_read, single_read) =
+        clones_during(&|| many.cogroup_with(&single, 4).collect().len());
+    for many_on_the_left in [true, false] {
+        let (records, many_total, single_total) = clones_during(&|| {
+            if many_on_the_left {
+                many.join_with(&single, 4).collect().len()
+            } else {
+                single.join_with(&many, 4).collect().len()
+            }
+        });
+        assert_eq!(records, pairs);
+        assert_eq!(many_total - many_read, 0, "many side cloned");
+        assert_eq!(single_total - single_read, pairs - 4, "n − 1 per key");
+    }
+}
