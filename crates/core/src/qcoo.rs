@@ -59,6 +59,11 @@ impl Default for QcooOptions {
     }
 }
 
+/// Every this many steps the rotated state is checkpointed instead of
+/// cached, truncating the otherwise ever-growing lineage chain (standard
+/// practice for iterative Spark jobs).
+const CHECKPOINT_INTERVAL: u64 = 8;
+
 /// The persistent distributed state of a QCOO CP-ALS run.
 ///
 /// Created once with [`QcooState::init`] (the "overhead of N shuffles
@@ -80,11 +85,6 @@ pub struct QcooState {
     /// factor the next [`QcooState::step`] joins.
     key_mode: usize,
     steps_taken: u64,
-    /// Every `checkpoint_interval` steps the rotated state is
-    /// checkpointed instead of cached, truncating the otherwise
-    /// ever-growing lineage chain (standard practice for iterative Spark
-    /// jobs). `0` disables checkpointing.
-    checkpoint_interval: u64,
     /// Storage level applied to each rotated state RDD.
     storage: StorageLevel,
 }
@@ -169,16 +169,8 @@ impl QcooState {
             join_opts,
             key_mode: order - 1,
             steps_taken: 0,
-            checkpoint_interval: 8,
             storage: opts.storage,
         })
-    }
-
-    /// Sets how often (in MTTKRP steps) the state lineage is truncated by
-    /// a checkpoint; `0` disables checkpointing.
-    pub fn checkpoint_every(mut self, steps: u64) -> Self {
-        self.checkpoint_interval = steps;
-        self
     }
 
     /// Tensor order `N`.
@@ -243,9 +235,7 @@ impl QcooState {
         // Periodic lineage truncation; otherwise persistence at the
         // configured level, as §4.2 describes.
         let rotated = Persisted(
-            if self.checkpoint_interval > 0
-                && (self.steps_taken + 1).is_multiple_of(self.checkpoint_interval)
-            {
+            if (self.steps_taken + 1).is_multiple_of(CHECKPOINT_INTERVAL) {
                 rotated_raw.checkpoint()
             } else {
                 rotated_raw.persist(self.storage)
@@ -413,11 +403,9 @@ mod tests {
         let _ = rdd.count();
         let factors = random_factors(t.shape(), 2, 78);
         let refs: Vec<&DenseMatrix> = factors.iter().collect();
-        let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), 2, 8)
-            .unwrap()
-            .checkpoint_every(3);
-        // 4 full cycles = 12 steps, crossing several checkpoints.
-        for cycle in 0..4 {
+        let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), 2, 8).unwrap();
+        // 6 full cycles = 18 steps, crossing the checkpoints at 8 and 16.
+        for cycle in 0..6 {
             for mode in 0..3 {
                 let (m_mode, m) = q.step(&factors[q.next_join_mode()]).unwrap();
                 assert_eq!(m_mode, mode);
@@ -429,7 +417,7 @@ mod tests {
             // dropped shuffle files.
             c.shuffle_service().clear();
         }
-        assert_eq!(q.steps_taken(), 12);
+        assert_eq!(q.steps_taken(), 18);
         q.release();
     }
 

@@ -19,18 +19,20 @@
 //! * [`StorageLevel::MemoryRaw`] blocks are dropped — a later read misses
 //!   and the owning [`crate::rdd::nodes::CachedNode`] recomputes the
 //!   partition from lineage, exactly like recovery after a lost node;
-//! * [`StorageLevel::MemoryAndDisk`] blocks are *spilled* to a temp-dir
-//!   [`DiskStore`] and transparently reloaded (and promoted back to memory)
-//!   on the next read, with the modeled serialization cost charged through
+//! * [`StorageLevel::MemoryAndDisk`] blocks are *spilled*: they leave the
+//!   memory ledger for the disk tier and are transparently reloaded (and
+//!   promoted back to memory) on the next read, with the modeled
+//!   serialization cost charged through
 //!   [`crate::metrics::Event::StorageSpillWrite`]/`StorageSpillRead` and the
-//!   [`crate::sim::TimeModel`] spill throughput knobs.
+//!   [`crate::sim::TimeModel`] spill throughput knobs. The cluster is one
+//!   process and records carry no serialization bound, so the disk tier is
+//!   an accounting tier: a spilled block's records stay reachable here and
+//!   no file is written.
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where/how a cached partition is stored, mirroring Spark's storage levels.
@@ -43,8 +45,8 @@ pub enum StorageLevel {
     /// dropped and recomputed from lineage on the next read.
     MemoryRaw,
     /// Memory first, spill to local disk under memory pressure (Spark
-    /// `MEMORY_AND_DISK`). Evicted blocks are written to the
-    /// [`DiskStore`] and promoted back to memory on the next read.
+    /// `MEMORY_AND_DISK`). Evicted blocks move to the disk tier and are
+    /// promoted back to memory on the next read.
     MemoryAndDisk,
     /// Straight to local disk (Spark `DISK_ONLY`); never occupies budget,
     /// every read pays the spill-read cost.
@@ -55,80 +57,6 @@ impl StorageLevel {
     /// Whether eviction moves the block to disk instead of dropping it.
     pub fn spills_to_disk(self) -> bool {
         matches!(self, StorageLevel::MemoryAndDisk | StorageLevel::DiskOnly)
-    }
-}
-
-/// Temp-dir backing store for spilled blocks.
-///
-/// The engine is single-process, so spilled record data stays reachable
-/// in-process (records carry no serialization bound); what the disk store
-/// makes real is the *footprint*: each spilled block gets a sparse file of
-/// its estimated serialized size under a per-store temp directory, created
-/// lazily on first spill and removed on drop. The modeled I/O cost is
-/// charged separately through the metrics events.
-#[derive(Default)]
-pub struct DiskStore {
-    dir: Mutex<Option<PathBuf>>,
-}
-
-impl DiskStore {
-    /// Creates a disk store; no directory is created until the first spill.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn dir(&self) -> Option<PathBuf> {
-        let mut guard = self.dir.lock();
-        if guard.is_none() {
-            static NEXT: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "cstf-spill-{}-{}",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            if std::fs::create_dir_all(&dir).is_ok() {
-                *guard = Some(dir);
-            }
-        }
-        guard.clone()
-    }
-
-    /// Writes a sparse placeholder file of `bytes` length for `key`.
-    /// Best-effort: I/O failures leave the store purely in-memory.
-    pub fn write(&self, key: &str, bytes: u64) {
-        if let Some(dir) = self.dir() {
-            if let Ok(file) = std::fs::File::create(dir.join(key)) {
-                let _ = file.set_len(bytes);
-            }
-        }
-    }
-
-    /// Removes the placeholder file for `key`, if present.
-    pub fn remove(&self, key: &str) {
-        if let Some(dir) = self.dir.lock().clone() {
-            let _ = std::fs::remove_file(dir.join(key));
-        }
-    }
-
-    /// Bytes currently occupied on disk (sum of placeholder file sizes).
-    pub fn bytes_on_disk(&self) -> u64 {
-        let Some(dir) = self.dir.lock().clone() else {
-            return 0;
-        };
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return 0;
-        };
-        entries
-            .filter_map(|e| e.ok()?.metadata().ok().map(|m| m.len()))
-            .sum()
-    }
-}
-
-impl Drop for DiskStore {
-    fn drop(&mut self) {
-        if let Some(dir) = self.dir.lock().take() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 }
 
@@ -169,11 +97,6 @@ pub struct BlockManager {
     stats: Mutex<Stats>,
     budget: Option<u64>,
     metrics: Option<Arc<MetricsRegistry>>,
-    disk_store: Option<Arc<DiskStore>>,
-}
-
-fn block_key(rdd_id: usize, partition: usize) -> String {
-    format!("rdd-{rdd_id}-{partition}")
 }
 
 fn owner(rdd_id: usize) -> String {
@@ -187,16 +110,11 @@ impl BlockManager {
     }
 
     /// Creates a block manager with an optional byte budget, reporting
-    /// storage events to `metrics` and spilling through `disk_store`.
-    pub fn with_budget(
-        budget: Option<u64>,
-        metrics: Arc<MetricsRegistry>,
-        disk_store: Arc<DiskStore>,
-    ) -> Self {
+    /// storage events to `metrics`.
+    pub fn with_budget(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
         BlockManager {
             budget,
             metrics: Some(metrics),
-            disk_store: Some(disk_store),
             ..Self::default()
         }
     }
@@ -211,11 +129,8 @@ impl BlockManager {
         }
     }
 
-    fn record_spill_write(&self, rdd_id: usize, partition: usize, bytes: u64) {
+    fn record_spill_write(&self, rdd_id: usize, bytes: u64) {
         self.stats.lock().spilled_bytes += bytes;
-        if let Some(store) = &self.disk_store {
-            store.write(&block_key(rdd_id, partition), bytes);
-        }
         if let Some(m) = &self.metrics {
             m.record_spill_write(&owner(rdd_id), bytes);
         }
@@ -251,7 +166,7 @@ impl BlockManager {
             inner.mem_bytes -= block.bytes;
             self.record_eviction(key.0, block.bytes);
             if block.level.spills_to_disk() {
-                self.record_spill_write(key.0, key.1, block.bytes);
+                self.record_spill_write(key.0, block.bytes);
                 inner.disk.insert(key, block);
             } else {
                 inner.evicted.insert(key);
@@ -289,16 +204,11 @@ impl BlockManager {
         if let Some(old) = &stale_mem {
             inner.mem_bytes -= old.bytes;
         }
-        let stale_disk = inner.disk.remove(&key);
-        if stale_disk.is_some() {
-            if let Some(store) = &self.disk_store {
-                store.remove(&block_key(rdd_id, partition));
-            }
-        }
+        let _stale_disk = inner.disk.remove(&key);
         if level == StorageLevel::DiskOnly {
             inner.disk.insert(key, block);
             drop(inner);
-            self.record_spill_write(rdd_id, partition, bytes);
+            self.record_spill_write(rdd_id, bytes);
             return;
         }
         let mut block = block;
@@ -345,9 +255,6 @@ impl BlockManager {
             block.last_use = tick;
             inner.mem_bytes += bytes;
             inner.mem.insert(key, block);
-            if let Some(store) = &self.disk_store {
-                store.remove(&block_key(rdd_id, partition));
-            }
             let dropped = self.enforce_budget(&mut inner, key);
             inner.peak_mem_bytes = inner.peak_mem_bytes.max(inner.mem_bytes);
             dropped
@@ -406,17 +313,11 @@ impl BlockManager {
             inner.mem_bytes -= block.bytes;
             removed.push(block);
         }
-        let disk_keys = doomed_keys(&inner.disk);
-        for key in &disk_keys {
-            removed.extend(inner.disk.remove(key));
+        for key in doomed_keys(&inner.disk) {
+            removed.extend(inner.disk.remove(&key));
         }
         inner.evicted.retain(|&k| !doomed(k));
         drop(inner);
-        if let Some(store) = &self.disk_store {
-            for (rdd, partition) in disk_keys {
-                store.remove(&block_key(rdd, partition));
-            }
-        }
         removed.len()
     }
 
@@ -579,11 +480,7 @@ mod tests {
     }
 
     fn bounded(budget: u64) -> BlockManager {
-        BlockManager::with_budget(
-            Some(budget),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(DiskStore::new()),
-        )
+        BlockManager::with_budget(Some(budget), Arc::new(MetricsRegistry::new()))
     }
 
     #[test]

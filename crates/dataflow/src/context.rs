@@ -1,13 +1,14 @@
-//! The cluster driver: owns executor, shuffle service, cache and metrics,
-//! and submits jobs to the [`crate::scheduler`] (the engine's
-//! DAGScheduler), which executes independent stages concurrently.
+//! The cluster driver: owns executor, shuffle service, cache and metrics.
+//! Actions run through [`crate::scheduler`] (the engine's DAGScheduler),
+//! which borrows them from here; this module also holds the one task
+//! attempt wrapper, `run_attempt`.
 
-use crate::cache::{BlockManager, DiskStore};
+use crate::cache::BlockManager;
 use crate::config::ClusterConfig;
-use crate::executor::{CancelToken, Executor, RunPolicy, WaveError};
+use crate::executor::{CancelToken, Executor, RunPolicy};
 use crate::fault::{FaultInjector, InjectedFault};
-use crate::metrics::{MetricsRegistry, StageCollector, StageDag, StageKind};
-use crate::rdd::{NodeInfo, Rdd, RddNode};
+use crate::metrics::{MetricsRegistry, StageCollector};
+use crate::rdd::Rdd;
 use crate::shuffle::ShuffleService;
 use crate::Data;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,10 +83,6 @@ struct ClusterInner {
     shuffle: Arc<ShuffleService>,
     blocks: BlockManager,
     metrics: Arc<MetricsRegistry>,
-    /// Temp-dir backing store for spilled blocks and map outputs; shared
-    /// by the block manager and shuffle service, removed on drop.
-    #[allow(dead_code)]
-    disk_store: Arc<DiskStore>,
     next_shuffle_id: AtomicUsize,
 }
 
@@ -117,7 +114,7 @@ pub struct Cluster {
     session: JobSession,
 }
 
-/// Per-task execution context handed to [`RddNode::compute`].
+/// Per-task execution context handed to [`crate::rdd::RddNode::compute`].
 pub struct TaskContext<'a> {
     /// The cluster the task runs on.
     pub cluster: &'a Cluster,
@@ -132,20 +129,14 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Self {
         let executor = Executor::new(config.executor_threads);
         let metrics = Arc::new(MetricsRegistry::new());
-        let disk_store = Arc::new(DiskStore::new());
         let budget = config.memory_budget;
         Cluster {
             inner: Arc::new(ClusterInner {
                 config,
                 executor,
-                shuffle: Arc::new(ShuffleService::with_budget(
-                    budget,
-                    metrics.clone(),
-                    disk_store.clone(),
-                )),
-                blocks: BlockManager::with_budget(budget, metrics.clone(), disk_store.clone()),
+                shuffle: Arc::new(ShuffleService::with_budget(budget, metrics.clone())),
+                blocks: BlockManager::with_budget(budget, metrics.clone()),
                 metrics,
-                disk_store,
                 next_shuffle_id: AtomicUsize::new(0),
             }),
             session: JobSession::default(),
@@ -193,8 +184,8 @@ impl Cluster {
     }
 
     /// Unwinds with a [`crate::jobserver::JobCancelled`] payload if the
-    /// current job has been cancelled. Called by the scheduler between
-    /// waves — never mid-wave, so cancellation cannot observe a
+    /// current job has been cancelled. Called by the scheduler before each
+    /// wave — never mid-wave, so cancellation cannot observe a
     /// half-committed stage.
     pub(crate) fn check_cancel(&self) {
         if self.cancel_requested() {
@@ -238,12 +229,6 @@ impl Cluster {
     /// chunks.
     pub fn parallelize<T: Data>(&self, data: Vec<T>, partitions: usize) -> Rdd<T> {
         Rdd::parallelize(self.clone(), data, partitions.max(1))
-    }
-
-    /// [`Cluster::parallelize`] with the configured default parallelism.
-    pub fn parallelize_default<T: Data>(&self, data: Vec<T>) -> Rdd<T> {
-        let p = self.inner.config.default_parallelism;
-        self.parallelize(data, p)
     }
 
     /// Distributes key-value records already bucketed by `partitioner` on
@@ -306,83 +291,6 @@ impl Cluster {
     /// is enabled.
     pub(crate) fn fault_injector(&self) -> Option<FaultInjector> {
         self.inner.config.faults.clone().map(FaultInjector::new)
-    }
-
-    /// Runs an action: plans the job's stage DAG, executes pending
-    /// shuffle-map stages wave-by-wave through the [`crate::scheduler`]
-    /// (independent stages concurrently), then executes one result task
-    /// per partition of `node`, applying `f` to each partition's records.
-    /// Returns per-partition results in partition order.
-    ///
-    /// Tasks run with bounded retries and optional speculation (see
-    /// [`ClusterConfig`]); per-attempt metrics are committed only for the
-    /// winning attempt of each task.
-    ///
-    /// # Panics
-    ///
-    /// If a task exhausts its attempt budget, after all in-flight tasks
-    /// have stopped.
-    pub(crate) fn run_job<T: Data, U: Send>(
-        &self,
-        node: &Arc<dyn RddNode<T>>,
-        name: &str,
-        f: impl Fn(usize, Vec<T>) -> U + Send + Sync,
-    ) -> Vec<U> {
-        self.check_cancel();
-        let info: Arc<dyn NodeInfo> = node.clone();
-        let job = crate::scheduler::Job::plan(self, &info);
-        let run = crate::scheduler::run_shuffle_stages(self, &job);
-
-        self.check_cancel();
-        let nodes = self.inner.config.nodes;
-        let dag = StageDag {
-            job: run.job_id,
-            wave: job.num_waves,
-            parents: run.metric_ids(&job.result_parents),
-            shuffle_id: None,
-            server_job: self.server_job(),
-        };
-        let collector = self
-            .inner
-            .metrics
-            .begin_stage_in_dag(name, StageKind::Result, nodes, dag);
-        let stage_id = collector.stage_id();
-        let injector = self.fault_injector();
-        let num_partitions = node.num_partitions();
-        let tasks: Vec<_> = (0..num_partitions)
-            .map(|p| {
-                let node = node.clone();
-                let f = &f;
-                let injector = injector.as_ref();
-                move |attempt: usize| {
-                    run_attempt(self, injector, stage_id, p, attempt, |ctx| {
-                        let data = node.compute(p, ctx);
-                        let records = data.len() as u64;
-                        (f(p, data), records)
-                    })
-                }
-            })
-            .collect();
-        self.note_wave();
-        let mut outcomes = self
-            .inner
-            .executor
-            .run_wave_cancellable(vec![tasks], &self.run_policy(), self.cancel_token())
-            .unwrap_or_else(|e| match e {
-                WaveError::Cancelled => std::panic::panic_any(crate::jobserver::JobCancelled),
-                WaveError::Task(e) => panic!("stage '{name}' aborted: {e}"),
-            });
-        let outcome = outcomes.pop().expect("one stage in, one outcome out");
-        let (runs, stats) = (outcome.results, outcome.stats);
-        let mut results = Vec::with_capacity(runs.len());
-        for (p, run) in runs.into_iter().enumerate() {
-            collector.record_task(self.inner.config.node_of(p), run.cpu_secs, run.records);
-            collector.absorb(run.sink);
-            results.push(run.value);
-        }
-        collector.record_run_stats(&stats);
-        self.inner.metrics.finish_stage(collector);
-        results
     }
 }
 

@@ -41,7 +41,7 @@ impl CancelToken {
     }
 }
 
-/// Why [`Executor::run_wave_cancellable`] stopped without results.
+/// Why [`Executor::run_wave`] stopped without results.
 #[derive(Debug)]
 pub enum WaveError {
     /// A task exhausted its retry budget (see [`TaskError`]).
@@ -100,7 +100,7 @@ impl Slots {
     }
 }
 
-/// Retry and speculation policy for [`Executor::run_fallible`].
+/// Retry and speculation policy for [`Executor::run_wave`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunPolicy {
     /// Maximum attempts per task, counting the first (Spark's
@@ -149,9 +149,8 @@ impl Default for SpeculationPolicy {
 /// A task that exhausted its retry budget, aborting the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskError {
-    /// Index of the failing task within the batch. For a multi-stage wave
-    /// ([`Executor::run_wave`]) this is the *flat* index across the
-    /// concatenated stages, in submission order.
+    /// *Flat* index of the failing task across the wave's concatenated
+    /// stages, in submission order.
     pub task: usize,
     /// Attempts consumed (== the policy's `max_attempts`).
     pub attempts: usize,
@@ -172,7 +171,7 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Recovery accounting for one [`Executor::run_fallible`] batch.
+/// Recovery accounting for one stage of an [`Executor::run_wave`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunStats {
     /// Attempts that failed (error return or panic), including the final
@@ -230,6 +229,11 @@ struct TaskState<R> {
     stat_wasted_nanos: AtomicU64,
 }
 
+/// How long [`Batch::monitor`] parks between two looks at the cancel token
+/// and the straggler ages. A timeout, not a floor: the end of the wave
+/// wakes the monitor at once.
+const MONITOR_INTERVAL: Duration = Duration::from_millis(2);
+
 /// State shared across the worker threads of one wave (one or more
 /// stages whose task batches execute concurrently).
 struct Batch<'t, F, R> {
@@ -246,6 +250,10 @@ struct Batch<'t, F, R> {
     cancelled: AtomicBool,
     queue: Mutex<VecDeque<Attempt>>,
     available: Condvar,
+    /// Where the driver's [`Batch::monitor`] parks; paired with the queue
+    /// lock like `available`, but signalled by `finish` alone, so an
+    /// enqueue's `notify_one` always reaches a worker.
+    finished: Condvar,
     done: AtomicBool,
     /// Stage index of each flat task.
     stage_of: Vec<usize>,
@@ -296,6 +304,7 @@ where
                     .collect(),
             ),
             available: Condvar::new(),
+            finished: Condvar::new(),
             done: AtomicBool::new(false),
             stage_of,
             stage_remaining: sizes.iter().map(|&len| AtomicUsize::new(len)).collect(),
@@ -320,15 +329,16 @@ where
         }
     }
 
-    /// Wakes everyone up to exit. The store and the notify happen under
-    /// the queue lock: a worker checks `done` and parks while holding that
-    /// lock, so it either sees the flag or is already parked when the
-    /// notification goes out — it can never check, miss the only wakeup,
-    /// and then park forever.
+    /// Wakes everyone up to exit. The store and the notifies happen under
+    /// the queue lock: workers and the monitor check `done` and park while
+    /// holding that lock, so each either sees the flag or is already
+    /// parked when the notification goes out — none can check, miss the
+    /// only wakeup, and then park forever.
     fn finish(&self) {
         let _queue = self.queue.lock();
         self.done.store(true, Ordering::Release);
         self.available.notify_all();
+        self.finished.notify_all();
     }
 
     fn enqueue(&self, attempt: Attempt) {
@@ -466,19 +476,31 @@ where
         }
     }
 
-    /// Speculation and cancellation monitor: periodically launches backup
-    /// copies of stragglers and polls the cancel token (so a cancel takes
-    /// effect even while every worker is busy inside a long attempt).
-    /// Runs on the driver thread while workers execute.
+    /// Speculation and cancellation monitor, run by the driver thread while
+    /// the workers execute: parks until `finish` signals the end of the
+    /// wave, and every [`MONITOR_INTERVAL`] in between polls the cancel
+    /// token (so a cancel takes effect even while every worker is busy
+    /// inside a long attempt) and launches backup copies of stragglers.
+    /// With neither a token nor a speculation policy there is nothing to
+    /// poll, and the scope's join is the only wait.
     fn monitor(&self) {
         let spec = self.policy.speculation.clone();
         if spec.is_none() && self.cancel.is_none() {
             return;
         }
         let n = self.states.len();
-        while !self.done.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(2));
-            if self.check_cancelled() {
+        loop {
+            {
+                let queue = self.queue.lock();
+                if self.done.load(Ordering::Acquire) {
+                    return;
+                }
+                let _parked = self
+                    .finished
+                    .wait_timeout(queue, MONITOR_INTERVAL)
+                    .expect("executor queue poisoned");
+            }
+            if self.done.load(Ordering::Acquire) || self.check_cancelled() {
                 return;
             }
             let Some(spec) = &spec else { continue };
@@ -573,80 +595,41 @@ impl Executor {
         self.threads
     }
 
-    /// Runs every task with bounded retries and optional speculative
-    /// execution, returning results in task order plus recovery
-    /// statistics.
+    /// Runs a *wave* of stages concurrently: every stage contributes one
+    /// task batch, all tasks share the worker pool, and the call returns
+    /// one [`StageOutcome`] per stage (results in task order, recovery
+    /// stats attributed to that stage's tasks only).
     ///
     /// Each task is a *re-runnable* closure called with its attempt index
     /// (0 for the first attempt). A task attempt fails by returning `Err`
     /// or panicking; the panic is caught and the task is retried until it
     /// succeeds or `policy.max_attempts` attempts have failed, at which
-    /// point the whole batch stops and the error is returned — no result
-    /// is ever silently dropped and no worker is left hanging.
+    /// point the whole wave stops and [`WaveError::Task`] reports the
+    /// *flat* task index across the concatenated stages — no result is
+    /// ever silently dropped and no worker is left hanging.
     ///
     /// Exactly one attempt per task **commits** (first writer wins); the
     /// output of failed attempts and of losing speculative duplicates is
-    /// discarded. With deterministic task closures, the returned results
-    /// are therefore identical whatever the fault and race history.
-    pub fn run_fallible<F, R>(
-        &self,
-        tasks: Vec<F>,
-        policy: &RunPolicy,
-    ) -> Result<(Vec<R>, RunStats), TaskError>
-    where
-        F: Fn(usize) -> Result<R, String> + Send + Sync,
-        R: Send,
-    {
-        let mut wave = self.run_wave(vec![tasks], policy)?;
-        let outcome = wave.pop().expect("one stage in, one outcome out");
-        Ok((outcome.results, outcome.stats))
-    }
-
-    /// Runs a *wave* of stages concurrently: every stage contributes one
-    /// task batch, all tasks share the worker pool and the retry /
-    /// speculation machinery of [`Executor::run_fallible`], and the call
-    /// returns one [`StageOutcome`] per stage (results in task order,
-    /// recovery stats attributed to that stage's tasks only).
+    /// discarded. With deterministic task closures the returned results
+    /// are therefore bit-identical to a serial run of the same closures,
+    /// whatever the interleaving, fault and race history. The speculation
+    /// median is computed over the whole wave (one executor pool serving
+    /// all concurrently-submitted stages, as in Spark).
     ///
     /// This is the executor half of the DAG scheduler: independent stages
     /// of one job are submitted together so their tasks interleave, while
     /// per-stage completion latches let the driver commit each stage's
-    /// map outputs exactly once. Tasks from different stages never
-    /// exchange data here — ordering between dependent stages is the
-    /// scheduler's responsibility (it only puts independent stages in the
-    /// same wave).
+    /// outputs exactly once. Tasks from different stages never exchange
+    /// data here — ordering between dependent stages is the scheduler's
+    /// responsibility (it only puts independent stages in the same wave).
     ///
-    /// First-writer-wins commits keep results deterministic: whatever the
-    /// interleaving, retry schedule, or speculation outcome, the returned
-    /// results are bit-identical to a serial run of the same closures.
-    /// The speculation median is computed over the whole wave (one
-    /// executor pool serving all concurrently-submitted stages, as in
-    /// Spark). A [`TaskError`] reports the *flat* task index across the
-    /// concatenated stages.
-    pub fn run_wave<F, R>(
-        &self,
-        stages: Vec<Vec<F>>,
-        policy: &RunPolicy,
-    ) -> Result<Vec<StageOutcome<R>>, TaskError>
-    where
-        F: Fn(usize) -> Result<R, String> + Send + Sync,
-        R: Send,
-    {
-        self.run_wave_cancellable(stages, policy, None)
-            .map_err(|e| match e {
-                WaveError::Task(e) => e,
-                WaveError::Cancelled => unreachable!("no cancel token was supplied"),
-            })
-    }
-
-    /// [`Executor::run_wave`] with cooperative cancellation: if `cancel`
-    /// is supplied and fires, pending attempts are released without being
-    /// started, in-flight attempts run to completion (their commits are
-    /// discarded with the rest of the wave), and the call returns
-    /// [`WaveError::Cancelled`]. Because the driver only publishes stage
-    /// outputs *after* a wave returns successfully, a cancelled wave
+    /// If `cancel` is supplied and fires, pending attempts are released
+    /// without being started, in-flight attempts run to completion (their
+    /// commits are discarded with the rest of the wave), and the call
+    /// returns [`WaveError::Cancelled`]. Because the driver only publishes
+    /// stage outputs *after* a wave returns successfully, a cancelled wave
     /// leaves shuffle and block-manager state exactly as it found them.
-    pub fn run_wave_cancellable<F, R>(
+    pub fn run_wave<F, R>(
         &self,
         stages: Vec<Vec<F>>,
         policy: &RunPolicy,
@@ -721,6 +704,28 @@ impl Executor {
 mod tests {
     use super::*;
 
+    /// One stage, no token: the shape most tests want.
+    fn run_one<F, R>(
+        ex: &Executor,
+        tasks: Vec<F>,
+        policy: &RunPolicy,
+    ) -> Result<(Vec<R>, RunStats), WaveError>
+    where
+        F: Fn(usize) -> Result<R, String> + Send + Sync,
+        R: Send,
+    {
+        let mut wave = ex.run_wave(vec![tasks], policy, None)?;
+        let outcome = wave.pop().expect("one stage in, one outcome out");
+        Ok((outcome.results, outcome.stats))
+    }
+
+    fn task_error(e: WaveError) -> TaskError {
+        match e {
+            WaveError::Task(e) => e,
+            WaveError::Cancelled => panic!("no cancel token was supplied"),
+        }
+    }
+
     #[test]
     fn zero_thread_request_clamped() {
         assert_eq!(Executor::new(0).threads(), 1);
@@ -730,7 +735,7 @@ mod tests {
     fn results_preserve_task_order() {
         let ex = Executor::new(4);
         let tasks: Vec<_> = (0..100).map(|i| move |_attempt: usize| Ok(i * i)).collect();
-        let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+        let (out, stats) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(stats, RunStats::default());
     }
@@ -745,7 +750,7 @@ mod tests {
                 move |_attempt: usize| Ok(d[i] * 10)
             })
             .collect();
-        let (out, _) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+        let (out, _) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
         assert_eq!(out, vec![10, 20, 30, 40]);
     }
 
@@ -763,7 +768,7 @@ mod tests {
                 }
             })
             .collect();
-        let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+        let (out, stats) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
         assert_eq!(out, (0..40).collect::<Vec<_>>());
         assert_eq!(stats.task_failures, 10);
         assert_eq!(stats.task_retries, 10);
@@ -783,7 +788,7 @@ mod tests {
                 }
             })
             .collect();
-        let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+        let (out, stats) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
         assert_eq!(out, (0..20).collect::<Vec<_>>());
         assert_eq!(stats.task_failures, 2);
         assert_eq!(stats.task_retries, 2);
@@ -803,15 +808,11 @@ mod tests {
                 }
             })
             .collect();
-        let err = ex
-            .run_fallible(
-                tasks,
-                &RunPolicy {
-                    max_attempts: 4,
-                    speculation: None,
-                },
-            )
-            .unwrap_err();
+        let policy = RunPolicy {
+            max_attempts: 4,
+            speculation: None,
+        };
+        let err = task_error(run_one(&ex, tasks, &policy).unwrap_err());
         assert_eq!(err.task, 3);
         assert_eq!(err.attempts, 4);
         assert!(err.message.contains("always fails"));
@@ -822,15 +823,11 @@ mod tests {
     fn max_attempts_zero_clamped_to_one() {
         let ex = Executor::new(2);
         let tasks: Vec<_> = vec![|_a: usize| Err::<u32, _>("boom".to_string())];
-        let err = ex
-            .run_fallible(
-                tasks,
-                &RunPolicy {
-                    max_attempts: 0,
-                    speculation: None,
-                },
-            )
-            .unwrap_err();
+        let policy = RunPolicy {
+            max_attempts: 0,
+            speculation: None,
+        };
+        let err = task_error(run_one(&ex, tasks, &policy).unwrap_err());
         assert_eq!(err.attempts, 1);
     }
 
@@ -857,7 +854,7 @@ mod tests {
             }),
         };
         let t0 = Instant::now();
-        let (out, stats) = ex.run_fallible(tasks, &policy).unwrap();
+        let (out, stats) = run_one(&ex, tasks, &policy).unwrap();
         assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(stats.speculative_launched, 1);
         assert_eq!(stats.speculative_won, 1);
@@ -879,7 +876,7 @@ mod tests {
             Vec::new(),
             (0..2).map(|i| mk(i + 100)).collect(),
         ];
-        let out = ex.run_wave(stages, &RunPolicy::default()).unwrap();
+        let out = ex.run_wave(stages, &RunPolicy::default(), None).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].results, vec![0, 10, 20]);
         assert!(out[1].results.is_empty());
@@ -902,7 +899,7 @@ mod tests {
             (0..4).map(|i| mk(true, i)).collect(),
             (0..4).map(|i| mk(false, i)).collect(),
         ];
-        let out = ex.run_wave(stages, &RunPolicy::default()).unwrap();
+        let out = ex.run_wave(stages, &RunPolicy::default(), None).unwrap();
         assert_eq!(out[0].stats.task_failures, 4);
         assert_eq!(out[0].stats.task_retries, 4);
         assert_eq!(out[1].stats, RunStats::default());
@@ -924,7 +921,7 @@ mod tests {
                 }]
             })
             .collect();
-        let out = ex.run_wave(stages, &RunPolicy::default()).unwrap();
+        let out = ex.run_wave(stages, &RunPolicy::default(), None).unwrap();
         assert_eq!(out[0].results, vec![0]);
         assert_eq!(out[1].results, vec![1]);
     }
@@ -942,15 +939,11 @@ mod tests {
             }
         };
         let stages: Vec<Vec<_>> = vec![(0..2).map(|i| mk(false, i)).collect(), vec![mk(true, 0)]];
-        let err = ex
-            .run_wave(
-                stages,
-                &RunPolicy {
-                    max_attempts: 2,
-                    speculation: None,
-                },
-            )
-            .unwrap_err();
+        let policy = RunPolicy {
+            max_attempts: 2,
+            speculation: None,
+        };
+        let err = task_error(ex.run_wave(stages, &policy, None).unwrap_err());
         assert_eq!(err.task, 2);
         assert_eq!(err.attempts, 2);
     }
@@ -958,12 +951,8 @@ mod tests {
     #[test]
     fn fallible_empty_batch() {
         let ex = Executor::new(4);
-        let (out, stats) = ex
-            .run_fallible(
-                Vec::<fn(usize) -> Result<u32, String>>::new(),
-                &RunPolicy::default(),
-            )
-            .unwrap();
+        let tasks = Vec::<fn(usize) -> Result<u32, String>>::new();
+        let (out, stats) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats, RunStats::default());
     }

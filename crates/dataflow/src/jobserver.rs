@@ -22,10 +22,14 @@
 //!   once; the rest wait in their pool's queue. Queue delay is metered
 //!   per job and reported per pool (the JOBS report section).
 //! * **Cancellation.** [`JobHandle::cancel`] sets a [`CancelToken`] the
-//!   scheduler checks *between* waves and the executor checks before
-//!   starting queued attempts. In-flight attempts finish but a cancelled
-//!   wave commits nothing, so shuffle and block-manager state stay
-//!   consistent and the cluster remains reusable.
+//!   scheduler checks before every wave — shuffle-map and result waves
+//!   run through the same loop — and that
+//!   [`Executor::run_wave`](crate::executor::Executor::run_wave) observes
+//!   inside one: before starting each queued attempt, and from the
+//!   driver's timed wait while every worker is busy. In-flight attempts
+//!   finish but a cancelled wave commits nothing, so shuffle and
+//!   block-manager state stay consistent and the cluster remains
+//!   reusable.
 //!
 //! # Determinism under concurrency
 //!
@@ -67,8 +71,9 @@ use std::time::Instant;
 pub use crate::config::{JobServerConfig, PoolConfig, SchedulingMode};
 
 /// Panic payload used to unwind a cancelled job's driver thread. The
-/// scheduler raises it between waves (via `Cluster::check_cancel`) and
-/// the server's driver wrapper catches it and records the job as
+/// scheduler raises it before a wave (via `Cluster::check_cancel`) or
+/// when the executor reports the wave cancelled, and the server's driver
+/// wrapper catches it and records the job as
 /// [`JobOutcomeKind::Cancelled`] — it never escapes the server.
 #[derive(Debug, Clone, Copy)]
 pub struct JobCancelled;

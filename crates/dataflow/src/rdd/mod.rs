@@ -360,13 +360,13 @@ impl<T: Data> Rdd<T> {
 
     /// The one job runner: computes every partition (shuffle stages first)
     /// and maps each through `f`, as the job `action(node name)`.
-    fn run_action<U: Send>(
+    fn run_action<U: Send + 'static>(
         &self,
         action: &str,
         f: impl Fn(usize, Vec<T>) -> U + Send + Sync,
     ) -> Vec<U> {
         let name = format!("{action}({})", self.node.name());
-        self.cluster.run_job(&self.node, &name, f)
+        crate::scheduler::run_job(&self.cluster, &self.node, &name, f)
     }
 
     /// Computes and returns all records, in partition order.

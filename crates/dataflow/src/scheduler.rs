@@ -21,8 +21,11 @@
 //!    set to [`Executor::run_wave`](crate::executor::Executor::run_wave):
 //!    tasks of independent stages interleave freely in the worker pool
 //!    while retries, speculation and first-writer-wins commits work
-//!    exactly as for a single stage. Map outputs are committed on the
-//!    driver in deterministic stage order after the wave completes.
+//!    exactly as for a single stage. Outputs are committed on the driver
+//!    in deterministic stage order after the wave completes. The result
+//!    stage is a [`StagePlan`] like the shuffle-map stages and runs
+//!    through the same loop as the job's last wave, so there is one place
+//!    where a job waits, is cancelled or aborts.
 //!
 //! **Determinism.** Concurrency changes *when* stages run, never *what*
 //! they produce: task closures are pure functions of their partition, the
@@ -35,35 +38,40 @@
 use crate::context::{run_attempt, Cluster, TaskContext};
 use crate::executor::WaveError;
 use crate::hash::FxHashMap;
+use crate::jobserver::JobCancelled;
 use crate::metrics::{StageCollector, StageDag, StageKind};
-use crate::rdd::{Dependency, NodeInfo, ShuffleDependency};
+use crate::rdd::{Dependency, NodeInfo, RddNode, ShuffleDependency};
+use crate::Data;
 use std::any::Any;
+use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Type-erased shuffle map output, produced by a [`StagePlan`]'s compute
-/// half inside a task and consumed by its commit half on the driver.
+/// Type-erased stage output (a shuffle map output, or a result task's
+/// value), produced by a [`StagePlan`]'s compute half inside a task and
+/// consumed by its commit half on the driver.
 pub type StageOutput = Box<dyn Any + Send>;
 
-/// Executable plan for one shuffle-map stage, built by
-/// [`ShuffleDependency::map_stage`].
+/// Executable plan for one stage: a shuffle-map stage, built by
+/// [`ShuffleDependency::map_stage`], or an action's result stage.
 ///
 /// The two halves mirror the task/driver split of the engine's commit
 /// protocol: `compute` runs inside a (retryable, speculatable) executor
-/// task and returns the map output plus the record count; `commit`
-/// publishes the winning attempt's output to the shuffle service from the
-/// driver, exactly once per partition.
+/// task and returns the output plus the record count; `commit` publishes
+/// the winning attempt's output from the driver — to the shuffle service,
+/// or into the action's result — exactly once per partition.
 pub struct StagePlan<'a> {
-    /// Stage name, e.g. `shuffle-map(reduce_by_key)`.
+    /// Stage name, e.g. `shuffle-map(reduce_by_key)` or `collect(map)`.
     pub name: String,
-    /// Map partitions still missing — all of them on first execution,
-    /// only the lost ones when recovering from a node failure.
+    /// Partitions to compute: for a shuffle-map stage the map partitions
+    /// still missing — all of them on first execution, only the lost ones
+    /// when recovering from a node failure.
     pub partitions: Vec<usize>,
-    /// Task half: computes one map partition's shuffle output.
+    /// Task half: computes one partition's output.
     /// Returns the type-erased output and the input record count.
     #[allow(clippy::type_complexity)]
     pub compute: Box<dyn Fn(usize, &TaskContext<'_>) -> (StageOutput, u64) + Send + Sync + 'a>,
-    /// Driver half: publishes one committed map output and records its
-    /// shuffle-write metrics.
+    /// Driver half: publishes one committed output (and, for a map
+    /// output, records its shuffle-write metrics).
     #[allow(clippy::type_complexity)]
     pub commit: Box<dyn Fn(usize, StageOutput, &StageCollector) + 'a>,
 }
@@ -241,168 +249,225 @@ impl Builder<'_> {
     }
 }
 
-/// Metric bookkeeping of one executed job: which metrics-log stage id
-/// each planned stage got (skipped stages get ids too, so children can
-/// reference them as DAG parents).
-pub(crate) struct JobRun {
-    pub(crate) job_id: usize,
-    metric_ids: Vec<Option<usize>>,
+/// Runs an action: plans the stage DAG below `node`, executes its pending
+/// shuffle-map stages wave by wave, then — as wave [`Job::num_waves`] —
+/// one result task per partition of `node`, applying `f` to each
+/// partition's records. Returns per-partition results in partition order.
+///
+/// Tasks run with bounded retries and optional speculation (see
+/// [`crate::ClusterConfig`]); per-attempt metrics are committed only for
+/// the winning attempt of each task.
+///
+/// # Panics
+///
+/// If a task exhausts its attempt budget, after all in-flight tasks have
+/// stopped (`stage '<name>' aborted` and the task's error); with a
+/// [`crate::jobserver::JobCancelled`] payload if the job is cancelled.
+pub(crate) fn run_job<T: Data, U: Send + 'static>(
+    cluster: &Cluster,
+    node: &Arc<dyn RddNode<T>>,
+    name: &str,
+    f: impl Fn(usize, Vec<T>) -> U + Send + Sync,
+) -> Vec<U> {
+    let info: Arc<dyn NodeInfo> = node.clone();
+    let job = Job::plan(cluster, &info);
+    let partitions = node.num_partitions();
+    let results: RefCell<Vec<Option<U>>> = RefCell::new((0..partitions).map(|_| None).collect());
+    // The result stage is a stage like any other: its tasks compute a
+    // partition and apply `f`, its driver-side commit files the value.
+    let result = StagePlan {
+        name: name.to_string(),
+        partitions: (0..partitions).collect(),
+        compute: Box::new(|p, ctx| {
+            let data = node.compute(p, ctx);
+            let records = data.len() as u64;
+            (Box::new(f(p, data)) as StageOutput, records)
+        }),
+        commit: Box::new(|p, out, _| {
+            let value = out.downcast::<U>().expect("result task output downcast");
+            results.borrow_mut()[p] = Some(*value);
+        }),
+    };
+    run_stages(cluster, &job, result);
+    let results = results.into_inner().into_iter();
+    results
+        .map(|r| r.expect("every result task committed"))
+        .collect()
 }
 
-impl JobRun {
-    /// Maps planned stage indices to their metrics-log stage ids.
-    pub(crate) fn metric_ids(&self, stage_indices: &[usize]) -> Vec<usize> {
-        stage_indices
-            .iter()
-            .filter_map(|&i| self.metric_ids[i])
-            .collect()
-    }
-}
-
-/// Executes every pending shuffle-map stage of `job`, wave by wave —
-/// all stages of a wave concurrently, unless the cluster is configured
-/// with [`crate::ClusterConfig::sequential_stages`], in which case each
-/// stage runs alone (in the same topological order the pre-DAG engine
-/// used). The caller then runs the result stage.
-pub(crate) fn run_shuffle_stages(cluster: &Cluster, job: &Job) -> JobRun {
-    let job_id = cluster.metrics().begin_job();
+/// Executes `job`: every pending shuffle-map stage, wave by wave — all
+/// stages of a wave concurrently, unless the cluster is configured with
+/// [`crate::ClusterConfig::sequential_stages`], in which case each stage
+/// runs alone (in the same topological order the pre-DAG engine used) —
+/// and then `result` as the final wave.
+fn run_stages<'a>(cluster: &'a Cluster, job: &'a Job, result: StagePlan<'a>) {
     let mut run = JobRun {
-        job_id,
+        job,
+        job_id: cluster.metrics().begin_job(),
         metric_ids: vec![None; job.stages.len()],
     };
     // Stages pruned as already materialized are logged up front, in stage
     // order, so the report shows them and children can cite them.
     for stage in job.stages.iter().filter(|s| s.skipped) {
-        run.metric_ids[stage.index] = Some(cluster.metrics().record_skipped_stage(
-            &stage.name,
-            job_id,
-            stage.shuffle_id,
-        ));
+        run.record_skipped(cluster, stage);
     }
     if cluster.config().sequential_stages {
         for stage in job.stages.iter().filter(|s| !s.skipped) {
-            cluster.check_cancel();
-            run_wave_of_stages(cluster, &mut run, &[stage]);
+            run.wave(cluster, &[stage], None);
         }
     } else {
         for wave in 0..job.num_waves {
-            cluster.check_cancel();
             let runnable: Vec<&Stage> = job.stages_in_wave(wave).collect();
-            run_wave_of_stages(cluster, &mut run, &runnable);
+            run.wave(cluster, &runnable, None);
         }
     }
-    run
+    run.wave(cluster, &[], Some(result));
 }
 
-/// Runs one wave: plans each stage, submits all task batches to the
-/// executor together, then commits outputs and metrics in stage order.
-fn run_wave_of_stages(cluster: &Cluster, run: &mut JobRun, stages: &[&Stage]) {
-    struct Exec<'a> {
-        plan: StagePlan<'a>,
-        collector: StageCollector,
-        stage_id: usize,
+/// Metric bookkeeping of one executing job: which metrics-log stage id
+/// each planned stage got (skipped stages get ids too, so children can
+/// reference them as DAG parents).
+struct JobRun<'a> {
+    job: &'a Job,
+    job_id: usize,
+    metric_ids: Vec<Option<usize>>,
+}
+
+/// One stage submitted to a wave: its plan and its open metrics collector.
+struct Exec<'a> {
+    plan: StagePlan<'a>,
+    collector: StageCollector,
+}
+
+impl<'a> JobRun<'a> {
+    /// Maps planned stage indices to their metrics-log stage ids.
+    fn parent_ids(&self, stage_indices: &[usize]) -> Vec<usize> {
+        stage_indices
+            .iter()
+            .filter_map(|&i| self.metric_ids[i])
+            .collect()
     }
-    let nodes = cluster.config().nodes;
-    let mut execs: Vec<Exec<'_>> = Vec::new();
-    for stage in stages {
-        match stage.dep.map_stage(cluster) {
-            Some(plan) => {
-                let dag = StageDag {
-                    job: run.job_id,
-                    wave: stage.wave,
-                    parents: run.metric_ids(&stage.parents),
-                    shuffle_id: Some(stage.shuffle_id),
-                    server_job: cluster.server_job(),
-                };
-                let collector = cluster.metrics().begin_stage_in_dag(
-                    &plan.name,
-                    StageKind::ShuffleMap,
-                    nodes,
-                    dag,
-                );
-                let stage_id = collector.stage_id();
-                run.metric_ids[stage.index] = Some(stage_id);
-                execs.push(Exec {
-                    plan,
-                    collector,
-                    stage_id,
-                });
-            }
-            None => {
+
+    fn record_skipped(&mut self, cluster: &Cluster, stage: &Stage) {
+        self.metric_ids[stage.index] = Some(cluster.metrics().record_skipped_stage(
+            &stage.name,
+            self.job_id,
+            stage.shuffle_id,
+        ));
+    }
+
+    /// Opens the metrics collector of a stage about to run: shuffle-map
+    /// `stage`, or (`None`) the job's result stage.
+    fn begin(&mut self, cluster: &Cluster, stage: Option<&Stage>, plan: StagePlan<'a>) -> Exec<'a> {
+        let (kind, wave, parents) = match stage {
+            Some(stage) => (StageKind::ShuffleMap, stage.wave, &stage.parents),
+            None => (
+                StageKind::Result,
+                self.job.num_waves,
+                &self.job.result_parents,
+            ),
+        };
+        let dag = StageDag {
+            job: self.job_id,
+            wave,
+            parents: self.parent_ids(parents),
+            shuffle_id: stage.map(|s| s.shuffle_id),
+            server_job: cluster.server_job(),
+        };
+        let nodes = cluster.config().nodes;
+        let collector = cluster
+            .metrics()
+            .begin_stage_in_dag(&plan.name, kind, nodes, dag);
+        if let Some(stage) = stage {
+            self.metric_ids[stage.index] = Some(collector.stage_id());
+        }
+        Exec { plan, collector }
+    }
+
+    /// Runs one wave — shuffle-map `stages`, or the job's `result` stage —
+    /// the one place a job waits, observes cancellation and fails: plans
+    /// each stage, submits all task batches to the executor together, then
+    /// commits outputs and metrics on the driver in stage order.
+    fn wave(&mut self, cluster: &'a Cluster, stages: &[&'a Stage], result: Option<StagePlan<'a>>) {
+        // Between waves — never mid-wave — so cancellation cannot observe
+        // a half-committed stage.
+        cluster.check_cancel();
+        let mut execs: Vec<Exec<'a>> = Vec::new();
+        for &stage in stages {
+            match stage.dep.map_stage(cluster) {
+                Some(plan) => execs.push(self.begin(cluster, Some(stage), plan)),
                 // The shuffle became fully materialized between planning
-                // and execution (a concurrent job won the race) — same
-                // benign recheck the pre-DAG `materialize` performed.
-                run.metric_ids[stage.index] = Some(cluster.metrics().record_skipped_stage(
-                    &stage.name,
-                    run.job_id,
-                    stage.shuffle_id,
-                ));
+                // and execution (a concurrent job won the race).
+                None => self.record_skipped(cluster, stage),
             }
         }
-    }
-    if execs.is_empty() {
-        return;
-    }
-    cluster.note_wave();
-    let injector = cluster.fault_injector();
-    // One closure site for every task of every stage: the batches share a
-    // single concrete closure type, so no per-task boxing is needed.
-    let batches: Vec<Vec<_>> = execs
-        .iter()
-        .map(|e| {
-            e.plan
-                .partitions
-                .iter()
-                .map(|&p| {
-                    // Capture only `compute`: the driver-side `commit` box
-                    // is deliberately not `Sync` and never crosses threads.
-                    let compute = &e.plan.compute;
-                    let stage_id = e.stage_id;
-                    let injector = injector.as_ref();
-                    move |attempt: usize| {
-                        run_attempt(cluster, injector, stage_id, p, attempt, |ctx| {
-                            compute(p, ctx)
-                        })
+        if let Some(plan) = result {
+            execs.push(self.begin(cluster, None, plan));
+        }
+        if execs.is_empty() {
+            return;
+        }
+        cluster.note_wave();
+        let injector = cluster.fault_injector();
+        // One closure site for every task of every stage: the batches share a
+        // single concrete closure type, so no per-task boxing is needed.
+        let batches: Vec<Vec<_>> = execs
+            .iter()
+            .map(|e| {
+                e.plan
+                    .partitions
+                    .iter()
+                    .map(|&p| {
+                        // Capture only `compute`: the driver-side `commit` box
+                        // is deliberately not `Sync` and never crosses threads.
+                        let compute = &e.plan.compute;
+                        let stage_id = e.collector.stage_id();
+                        let injector = injector.as_ref();
+                        move |attempt: usize| {
+                            run_attempt(cluster, injector, stage_id, p, attempt, |ctx| {
+                                compute(p, ctx)
+                            })
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let outcomes = cluster
+            .executor()
+            .run_wave(batches, &cluster.run_policy(), cluster.cancel_token())
+            .unwrap_or_else(|e| {
+                let e = match e {
+                    // A cancelled wave committed nothing: unwinding here (the
+                    // driver thread, before the commit loop below) leaves
+                    // shuffle and block-manager state untouched.
+                    WaveError::Cancelled => std::panic::panic_any(JobCancelled),
+                    WaveError::Task(e) => e,
+                };
+                // Map the wave's flat task index back to the failing stage.
+                let mut offset = 0;
+                let mut name = "unknown";
+                for exec in &execs {
+                    if e.task < offset + exec.plan.partitions.len() {
+                        name = &exec.plan.name;
+                        break;
                     }
-                })
-                .collect()
-        })
-        .collect();
-    let outcomes = cluster
-        .executor()
-        .run_wave_cancellable(batches, &cluster.run_policy(), cluster.cancel_token())
-        .unwrap_or_else(|e| {
-            let e = match e {
-                // A cancelled wave committed nothing: unwinding here (the
-                // driver thread, before the commit loop below) leaves
-                // shuffle and block-manager state untouched.
-                WaveError::Cancelled => std::panic::panic_any(crate::jobserver::JobCancelled),
-                WaveError::Task(e) => e,
-            };
-            // Map the wave's flat task index back to the failing stage.
-            let mut offset = 0;
-            let mut name = "unknown";
-            for exec in &execs {
-                if e.task < offset + exec.plan.partitions.len() {
-                    name = &exec.plan.name;
-                    break;
+                    offset += exec.plan.partitions.len();
                 }
-                offset += exec.plan.partitions.len();
+                panic!("stage '{name}' aborted: {e}")
+            });
+        debug_assert_eq!(execs.len(), outcomes.len());
+        for (exec, outcome) in execs.into_iter().zip(outcomes) {
+            for (&p, task_run) in exec.plan.partitions.iter().zip(outcome.results) {
+                exec.collector.record_task(
+                    cluster.config().node_of(p),
+                    task_run.cpu_secs,
+                    task_run.records,
+                );
+                exec.collector.absorb(task_run.sink);
+                (exec.plan.commit)(p, task_run.value, &exec.collector);
             }
-            panic!("stage '{name}' aborted: {e}")
-        });
-    debug_assert_eq!(execs.len(), outcomes.len());
-    for (exec, outcome) in execs.into_iter().zip(outcomes) {
-        for (&p, task_run) in exec.plan.partitions.iter().zip(outcome.results) {
-            exec.collector.record_task(
-                cluster.config().node_of(p),
-                task_run.cpu_secs,
-                task_run.records,
-            );
-            exec.collector.absorb(task_run.sink);
-            (exec.plan.commit)(p, task_run.value, &exec.collector);
+            exec.collector.record_run_stats(&outcome.stats);
+            cluster.metrics().finish_stage(exec.collector);
         }
-        exec.collector.record_run_stats(&outcome.stats);
-        cluster.metrics().finish_stage(exec.collector);
     }
 }

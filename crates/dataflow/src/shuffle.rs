@@ -11,11 +11,11 @@
 //! the service is handed the same figure as the block manager but counts
 //! only its own bytes, so each store stays within the budget and the two
 //! together within twice it. When stored outputs exceed it, the oldest
-//! outputs are *spilled* — their footprint moves to the temp-dir
-//! [`DiskStore`] and every later fetch of one of their buckets pays the
-//! modeled spill-read cost ([`crate::metrics::Event::StorageSpillRead`]).
+//! outputs are *spilled* — they leave the memory ledger (no file is
+//! written: see [`crate::cache`]) and every later fetch of one of their
+//! buckets pays the modeled spill-read cost
+//! ([`crate::metrics::Event::StorageSpillRead`]).
 
-use crate::cache::DiskStore;
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;
 use parking_lot::{Mutex, MutexGuard};
@@ -32,7 +32,7 @@ struct MapOutput {
     total_bytes: u64,
     /// Insertion order, for oldest-first spill.
     tick: u64,
-    /// Whether this output has been spilled to the disk store.
+    /// Whether this output has been spilled (is off the memory ledger).
     spilled: bool,
 }
 
@@ -49,6 +49,16 @@ struct SvcInner {
     tick: u64,
     spilled_bytes: u64,
     spill_read_bytes: u64,
+}
+
+impl SvcInner {
+    /// Takes a dropped map output off the memory ledger (a spilled one
+    /// left it when it spilled).
+    fn release(&mut self, output: &MapOutput) {
+        if !output.spilled {
+            self.mem_bytes -= output.total_bytes;
+        }
+    }
 }
 
 /// One bucket fetched by a reducer. The records are shared with the
@@ -70,11 +80,6 @@ pub struct ShuffleService {
     inner: Mutex<SvcInner>,
     budget: Option<u64>,
     metrics: Option<Arc<MetricsRegistry>>,
-    disk_store: Option<Arc<DiskStore>>,
-}
-
-fn spill_key(shuffle_id: usize, map_partition: usize) -> String {
-    format!("shuffle-{shuffle_id}-{map_partition}")
 }
 
 fn shuffle_owner(shuffle_id: usize) -> String {
@@ -88,16 +93,11 @@ impl ShuffleService {
     }
 
     /// Creates a service with an optional byte budget for in-memory map
-    /// outputs, reporting spills to `metrics` through `disk_store`.
-    pub fn with_budget(
-        budget: Option<u64>,
-        metrics: Arc<MetricsRegistry>,
-        disk_store: Arc<DiskStore>,
-    ) -> Self {
+    /// outputs, reporting spills to `metrics`.
+    pub fn with_budget(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
         ShuffleService {
             budget,
             metrics: Some(metrics),
-            disk_store: Some(disk_store),
             ..Self::default()
         }
     }
@@ -112,24 +112,6 @@ impl ShuffleService {
                 num_reduce,
                 map_outputs: (0..num_maps).map(|_| None).collect(),
             });
-    }
-
-    /// Releases a dropped map output's accounting: memory counter for
-    /// resident outputs, disk-store file for spilled ones.
-    fn release_output(
-        &self,
-        inner: &mut SvcInner,
-        shuffle_id: usize,
-        map_partition: usize,
-        output: &MapOutput,
-    ) {
-        if output.spilled {
-            if let Some(store) = &self.disk_store {
-                store.remove(&spill_key(shuffle_id, map_partition));
-            }
-        } else {
-            inner.mem_bytes -= output.total_bytes;
-        }
     }
 
     /// Spills oldest-first until resident map-output bytes fit the budget.
@@ -163,9 +145,6 @@ impl ShuffleService {
             out.spilled = true;
             inner.mem_bytes -= bytes;
             inner.spilled_bytes += bytes;
-            if let Some(store) = &self.disk_store {
-                store.write(&spill_key(shuffle_id, map_partition), bytes);
-            }
             if let Some(m) = &self.metrics {
                 m.record_spill_write(&shuffle_owner(shuffle_id), bytes);
             }
@@ -274,7 +253,7 @@ impl ShuffleService {
                     .map_outputs[map_partition]
                     .take();
                 if let Some(output) = slot {
-                    self.release_output(&mut inner, shuffle_id, map_partition, &output);
+                    inner.release(&output);
                     removed.push(output);
                 }
             }
@@ -361,17 +340,15 @@ impl ShuffleService {
     /// freeing a tensor-sized shuffle takes milliseconds no other job's
     /// `read` or `put_map_output` should wait for.
     fn retire(
-        &self,
         mut inner: MutexGuard<'_, SvcInner>,
-        shuffles: impl IntoIterator<Item = (usize, ShuffleData)>,
+        shuffles: impl IntoIterator<Item = ShuffleData>,
     ) {
-        let shuffles: Vec<(usize, ShuffleData)> = shuffles.into_iter().collect();
-        for (shuffle_id, data) in &shuffles {
-            for (map_partition, output) in data.map_outputs.iter().enumerate() {
-                if let Some(output) = output {
-                    self.release_output(&mut inner, *shuffle_id, map_partition, output);
-                }
-            }
+        let shuffles: Vec<ShuffleData> = shuffles.into_iter().collect();
+        for output in shuffles
+            .iter()
+            .flat_map(|data| data.map_outputs.iter().flatten())
+        {
+            inner.release(output);
         }
         drop(inner);
     }
@@ -380,7 +357,7 @@ impl ShuffleService {
     pub fn remove(&self, shuffle_id: usize) {
         let mut inner = self.inner.lock();
         let removed = inner.shuffles.remove(&shuffle_id);
-        self.retire(inner, removed.map(|data| (shuffle_id, data)));
+        Self::retire(inner, removed);
     }
 
     /// Drops every stored shuffle (the engine's analogue of Spark's
@@ -390,7 +367,7 @@ impl ShuffleService {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         let shuffles = std::mem::take(&mut inner.shuffles);
-        self.retire(inner, shuffles);
+        Self::retire(inner, shuffles.into_values());
     }
 
     /// Number of live shuffles (for leak checks in tests).
@@ -499,11 +476,7 @@ mod tests {
     }
 
     fn bounded(budget: u64) -> ShuffleService {
-        ShuffleService::with_budget(
-            Some(budget),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(DiskStore::new()),
-        )
+        ShuffleService::with_budget(Some(budget), Arc::new(MetricsRegistry::new()))
     }
 
     #[test]

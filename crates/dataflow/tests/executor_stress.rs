@@ -9,8 +9,30 @@ mod common;
 use common::within;
 use cstf_dataflow::executor::{Executor, RunPolicy, SpeculationPolicy};
 use cstf_dataflow::prelude::*;
+use cstf_dataflow::{CancelToken, RunStats, TaskError, WaveError};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
+/// One stage, no cancel token: the shape most tests here want.
+fn run_one<F, R>(
+    ex: &Executor,
+    tasks: Vec<F>,
+    policy: &RunPolicy,
+) -> Result<(Vec<R>, RunStats), TaskError>
+where
+    F: Fn(usize) -> Result<R, String> + Send + Sync,
+    R: Send,
+{
+    match ex.run_wave(vec![tasks], policy, None) {
+        Ok(mut wave) => {
+            let outcome = wave.pop().expect("one stage in, one outcome out");
+            Ok((outcome.results, outcome.stats))
+        }
+        Err(WaveError::Task(e)) => Err(e),
+        Err(WaveError::Cancelled) => panic!("no cancel token was supplied"),
+    }
+}
 
 #[test]
 fn thousands_of_tiny_waves_never_lose_the_finish_wakeup() {
@@ -44,12 +66,102 @@ fn thousands_of_tiny_waves_never_lose_the_finish_wakeup() {
                             let batch: Vec<_> = (0..tasks)
                                 .map(|t| move |_attempt: usize| Ok::<_, String>(wave * 2 + t))
                                 .collect();
-                            let (out, _) = ex.run_fallible(batch, &policy).unwrap();
+                            let (out, _) = run_one(&ex, batch, &policy).unwrap();
                             assert_eq!(out, (0..tasks).map(|t| wave * 2 + t).collect::<Vec<_>>());
                         }
                     });
                 }
             });
+        },
+    );
+}
+
+#[test]
+fn a_wave_with_a_cancel_token_costs_no_poll_interval() {
+    // The driver used to sleep one 2 ms poll interval before it looked
+    // whether the wave had finished, so 200 cancellable waves took at
+    // least 400 ms however fast their tasks were. Parked on the finish
+    // signal they take a few milliseconds; a loaded host gets 10x slack.
+    const WAVES: usize = 200;
+    const LIMIT: Duration = Duration::from_millis(200);
+    within(
+        Duration::from_secs(300),
+        "200 two-task waves under an un-fired cancel token",
+        || {
+            let ex = Executor::new(2);
+            let token = CancelToken::new();
+            let policy = RunPolicy::default();
+            let t0 = Instant::now();
+            for wave in 0..WAVES {
+                let batch: Vec<_> = (0..2)
+                    .map(|t| move |_attempt: usize| Ok::<_, String>(wave * 2 + t))
+                    .collect();
+                let out = ex.run_wave(vec![batch], &policy, Some(&token)).unwrap();
+                assert_eq!(out[0].results, vec![wave * 2, wave * 2 + 1]);
+            }
+            let direct = t0.elapsed();
+            assert!(direct < LIMIT, "{WAVES} direct waves took {direct:?}");
+
+            // The same floor through the job server, whose every job
+            // carries a token: one result wave per `count()`.
+            let cluster = Cluster::new(ClusterConfig::local(2));
+            let server = JobServer::new(&cluster, JobServerConfig::fair(2));
+            let job = server.submit("t", |c: &Cluster| {
+                let rdd = c.parallelize(vec![1u64, 2, 3, 4], 2);
+                let t0 = Instant::now();
+                let total: u64 = (0..WAVES).map(|_| rdd.count()).sum();
+                (total, t0.elapsed())
+            });
+            let (total, served) = job.join().completed().expect("job completed");
+            server.shutdown();
+            assert_eq!(total, 4 * WAVES as u64);
+            assert!(served < LIMIT, "{WAVES} job-server waves took {served:?}");
+        },
+    );
+}
+
+#[test]
+fn a_token_fired_while_every_worker_is_busy_cancels_the_wave() {
+    // Both workers are inside an attempt when the token fires, so only
+    // the driver's monitor can observe it; the queued attempts must never
+    // start and the wave must return `Cancelled`, handing nothing back
+    // for the driver to publish.
+    within(
+        Duration::from_secs(300),
+        "cancelling a wave whose workers are all busy",
+        || {
+            let ex = Executor::new(2);
+            let token = CancelToken::new();
+            let started = AtomicUsize::new(0);
+            // The two running attempts and the canceller meet here, so the
+            // token fires only once every worker is inside an attempt.
+            let all_busy = Arc::new(Barrier::new(3));
+            let canceller = {
+                let (token, all_busy) = (token.clone(), all_busy.clone());
+                std::thread::spawn(move || {
+                    all_busy.wait();
+                    token.cancel();
+                })
+            };
+            let tasks: Vec<_> = (0..6)
+                .map(|i| {
+                    let (started, all_busy) = (&started, &all_busy);
+                    move |_attempt: usize| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        all_busy.wait();
+                        std::thread::sleep(Duration::from_millis(50));
+                        Ok::<_, String>(i)
+                    }
+                })
+                .collect();
+            let outcome = ex.run_wave(vec![tasks], &RunPolicy::default(), Some(&token));
+            canceller.join().expect("canceller thread");
+            assert!(matches!(outcome, Err(WaveError::Cancelled)));
+            assert_eq!(
+                started.load(Ordering::SeqCst),
+                2,
+                "a queued attempt started after the cancel"
+            );
         },
     );
 }
@@ -129,7 +241,7 @@ fn hundreds_of_tasks_with_injected_panics_commit_exactly_once() {
         })
         .collect();
 
-    let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+    let (out, stats) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
 
     // Results preserve task order despite retries and work stealing.
     assert_eq!(out, (0..TASKS).map(|i| i * 7).collect::<Vec<_>>());
@@ -171,15 +283,11 @@ fn retry_exhaustion_aborts_cleanly_without_hanging() {
             }
         })
         .collect();
-    let err = ex
-        .run_fallible(
-            tasks,
-            &RunPolicy {
-                max_attempts: 3,
-                speculation: None,
-            },
-        )
-        .unwrap_err();
+    let policy = RunPolicy {
+        max_attempts: 3,
+        speculation: None,
+    };
+    let err = run_one(&ex, tasks, &policy).unwrap_err();
     assert_eq!(err.task, 113);
     assert_eq!(err.attempts, 3);
     assert!(err.message.contains("doomed"));
@@ -198,7 +306,7 @@ fn mixed_panics_and_error_returns_across_many_threads() {
             }
         })
         .collect();
-    let (out, stats) = ex.run_fallible(tasks, &RunPolicy::default()).unwrap();
+    let (out, stats) = run_one(&ex, tasks, &RunPolicy::default()).unwrap();
     assert_eq!(out, (0..300).map(|i| i as u64 * 2).collect::<Vec<_>>());
     assert_eq!(stats.task_failures, 120); // 60 soft + 60 hard
     assert_eq!(stats.task_retries, 120);
@@ -230,7 +338,7 @@ fn speculative_duplicates_never_double_commit() {
             min_task_secs: 0.02,
         }),
     };
-    let (out, stats) = ex.run_fallible(tasks, &policy).unwrap();
+    let (out, stats) = run_one(&ex, tasks, &policy).unwrap();
     assert_eq!(out, (0..64).map(|i| i as u32 + 1000).collect::<Vec<_>>());
     assert!(stats.speculative_launched >= 1, "stragglers must speculate");
     assert!(stats.speculative_won <= stats.speculative_launched);
@@ -266,7 +374,7 @@ fn failure_after_speculative_win_does_not_abort() {
             min_task_secs: 0.02,
         }),
     };
-    let (out, stats) = ex.run_fallible(tasks, &policy).unwrap();
+    let (out, stats) = run_one(&ex, tasks, &policy).unwrap();
     assert_eq!(out, (0..8).collect::<Vec<_>>());
     assert_eq!(stats.speculative_won, 1);
 }

@@ -210,3 +210,62 @@ proptest! {
         prop_assert_eq!(seq, conc);
     }
 }
+
+/// Runs `job` and returns the message it unwound with.
+fn abort_message(job: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+        .expect_err("the job must abort");
+    payload
+        .downcast_ref::<String>()
+        .expect("stage aborts carry a formatted message")
+        .clone()
+}
+
+/// A stage that exhausts its attempt budget aborts the job naming *that*
+/// stage — whichever wave it ran in, beside whichever other stages.
+#[test]
+fn abort_names_the_stage_that_failed() {
+    let c = cluster(2);
+    let reduced = c
+        .parallelize(sample_data(), 4)
+        .reduce_by_key_with(4, false, |x, y| x + y);
+
+    // The shuffle-map stage is healthy; the result stage's tasks die.
+    let doomed_result = reduced.map(|(k, _)| -> u64 {
+        if k == 3 {
+            panic!("result task dies");
+        }
+        k
+    });
+    let msg = abort_message(|| {
+        let _ = doomed_result.collect();
+    });
+    assert!(
+        msg.starts_with("stage 'collect(map)' aborted: task ") && msg.contains("result task dies"),
+        "{msg}"
+    );
+    assert!(msg.contains("failed after 4 attempt(s)"), "{msg}");
+
+    // A doomed map stage sharing wave 0 with a healthy one: the flat task
+    // index of the wave must map back to the right stage.
+    let healthy = c
+        .parallelize(sample_data(), 4)
+        .reduce_by_key_with(4, false, |x, y| x ^ y);
+    let doomed_map = c
+        .parallelize(sample_data(), 4)
+        .map(|(k, v)| -> (u64, i64) {
+            if k == 5 {
+                panic!("map task dies");
+            }
+            (k, v)
+        })
+        .group_by_key_with(4);
+    let msg = abort_message(|| {
+        let _ = healthy.join_with(&doomed_map, 4).count();
+    });
+    assert!(
+        msg.starts_with("stage 'shuffle-map(group_by_key)' aborted: task ")
+            && msg.contains("map task dies"),
+        "{msg}"
+    );
+}

@@ -8,7 +8,7 @@
 mod common;
 
 use common::within;
-use cstf_dataflow::cache::{BlockManager, DiskStore};
+use cstf_dataflow::cache::BlockManager;
 use cstf_dataflow::shuffle::ShuffleService;
 use cstf_dataflow::{MetricsRegistry, StorageLevel};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,7 +99,6 @@ fn block_manager_frees_records_outside_its_lock() {
             let bm = Arc::new(BlockManager::with_budget(
                 Some(16),
                 Arc::new(MetricsRegistry::new()),
-                Arc::new(DiskStore::new()),
             ));
             put_probe(&bm, 1, 0, StorageLevel::MemoryAndDisk);
             put_probe(&bm, 1, 1, StorageLevel::MemoryRaw);

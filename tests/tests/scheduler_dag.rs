@@ -7,7 +7,7 @@
 use cstf_core::factors::tensor_to_rdd;
 use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
 use cstf_core::qcoo::QcooState;
-use cstf_core::{CpAls, Partitioning, Strategy};
+use cstf_core::{CpAls, Partitioning, PlanConfig, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::StageKind;
 use cstf_integration_tests::random_factors;
@@ -260,4 +260,165 @@ fn qcoo_steps_bit_identical_across_schedulers_and_chaos() {
         }
         assert!(c.metrics().snapshot().total_task_failures() >= 1);
     }
+}
+
+// ---- pinned stage sequences ------------------------------------------
+//
+// Everything the scheduler decides about a job — stage ids, names, kinds,
+// waves, DAG parents, task and record counts — and the full text report,
+// recorded once (at `1db7def`, before the result stage moved onto the
+// shuffle-map stage loop) and compared byte for byte. One executor
+// thread: the report's arena-hit count depends on which worker's row pool
+// a task finds warm.
+
+/// One line per executed stage, in metrics-log order.
+fn stage_lines(m: &JobMetrics) -> String {
+    m.stages()
+        .map(|s| {
+            let d = s.dag.as_ref().expect("stage ran under the scheduler");
+            format!(
+                "{} {} {:?} job={} wave={} parents={:?} shuffle={:?} server_job={:?} tasks={} records={}\n",
+                s.stage_id,
+                s.name,
+                s.kind,
+                d.job,
+                d.wave,
+                d.parents,
+                d.shuffle_id,
+                d.server_job,
+                s.num_tasks,
+                s.records_out,
+            )
+        })
+        .collect()
+}
+
+fn pinned_text(c: &Cluster) -> String {
+    let m = c.metrics().snapshot();
+    format!("{}---\n{}", stage_lines(&m), m.render_report())
+}
+
+/// Blanks every `<float> s` — the job server's wall-clock columns.
+fn mask_seconds(text: &str) -> String {
+    let masked: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let tokens: Vec<&str> = line.split(' ').collect();
+            (0..tokens.len())
+                .map(|i| {
+                    let is_secs = tokens.get(i + 1) == Some(&"s")
+                        && tokens[i].contains('.')
+                        && tokens[i].parse::<f64>().is_ok();
+                    if is_secs {
+                        "_"
+                    } else {
+                        tokens[i]
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    masked.join("\n") + "\n"
+}
+
+fn pinned_configs() -> [ClusterConfig; 2] {
+    let quiet = ClusterConfig::local(1).nodes(4);
+    [quiet.clone(), quiet.sequential_stages()]
+}
+
+fn plan_config(partitioning: Partitioning) -> PlanConfig {
+    PlanConfig {
+        rank: 2,
+        partitions: 8,
+        partitioning,
+        kernel: KernelStrategy::default(),
+        cache_tensor: true,
+        storage: StorageLevel::MemoryRaw,
+    }
+}
+
+/// Plans `strategy` and runs the mode-0 MTTKRP: the tensor's caching job,
+/// any prologue, and one MTTKRP's stages.
+fn plan_and_step(config: ClusterConfig, strategy: Strategy) -> String {
+    let t = tensor();
+    let c = Cluster::new(config);
+    let factors = random_factors(t.shape(), 2, 87);
+    let config = plan_config(Partitioning::CoPartitionedFactors);
+    let mut plan = cstf_core::planner::plan(&c, &t, strategy, &config, &factors).unwrap();
+    let _ = plan.mttkrp(&factors, 0).unwrap();
+    pinned_text(&c)
+}
+
+#[test]
+fn coo_mttkrp_stage_sequence_is_pinned() {
+    for config in pinned_configs() {
+        assert_eq!(
+            plan_and_step(config, Strategy::Coo),
+            include_str!("pinned/coo3_mttkrp.txt")
+        );
+    }
+}
+
+#[test]
+fn qcoo_plan_and_step_stage_sequence_is_pinned() {
+    for config in pinned_configs() {
+        assert_eq!(
+            plan_and_step(config, Strategy::Qcoo),
+            include_str!("pinned/qcoo3_plan_step.txt")
+        );
+    }
+}
+
+/// A job over one materialized shuffle (a skipped stage), a two-stage
+/// chain on top of it and an independent third stage: wave-major and
+/// one-stage-per-wave execution visit the pending stages in different
+/// orders.
+fn skipping_job(c: &Cluster) -> Vec<(u64, (i64, i64))> {
+    let base = c.parallelize(
+        (0..240u64)
+            .map(|i| (i % 17, i as i64 * 13 - 401))
+            .collect::<Vec<_>>(),
+        4,
+    );
+    let pre = base.reduce_by_key_with(4, false, |x, y| x.wrapping_add(y));
+    let _ = pre.count(); // materializes the shuffle the job below skips
+    let chain = pre
+        .map(|(k, v)| (k % 5, v))
+        .reduce_by_key_with(4, false, |x, y| x ^ y)
+        .map(|(k, v)| (k % 3, v))
+        .reduce_by_key_with(4, false, |x, y| x.wrapping_add(y));
+    let side = base
+        .map(|(k, v)| (k % 3, v))
+        .reduce_by_key_with(4, false, |x, y| x.max(y));
+    chain.join_with(&side, 4).collect()
+}
+
+#[test]
+fn skipped_stage_job_sequence_is_pinned_in_both_scheduler_modes() {
+    let [concurrent, sequential] = pinned_configs();
+    let run = |config: ClusterConfig| {
+        let c = Cluster::new(config);
+        let out = skipping_job(&c);
+        (out, pinned_text(&c))
+    };
+    let (out_c, text_c) = run(concurrent);
+    let (out_s, text_s) = run(sequential);
+    assert_eq!(out_c, out_s);
+    assert_eq!(text_c, include_str!("pinned/skipped_concurrent.txt"));
+    assert_eq!(text_s, include_str!("pinned/skipped_sequential.txt"));
+}
+
+#[test]
+fn job_server_job_stage_sequence_is_pinned() {
+    let [config, _] = pinned_configs();
+    let c = Cluster::new(config);
+    let server = JobServer::new(&c, JobServerConfig::fair(2));
+    let out = server.submit("tenant", skipping_job).join().completed();
+    assert!(out.is_some(), "job completed");
+    server.shutdown();
+    assert_eq!(
+        mask_seconds(&pinned_text(&c)),
+        include_str!("pinned/jobserver_job.txt")
+    );
 }
