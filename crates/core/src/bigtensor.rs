@@ -30,7 +30,7 @@ use crate::factors::{factor_to_rdd, rows_to_matrix, tensor_storage_bytes, tensor
 use crate::records::{scale_row, CooRecord, Row};
 use crate::{CpResult, CstfError, DecompositionStats, Result, Strategy};
 use cstf_dataflow::prelude::*;
-use cstf_tensor::linalg::solve_normal_equations;
+use cstf_tensor::linalg::{als_normalize, als_solve};
 use cstf_tensor::matricize::{unfold_column, unfold_strides};
 use cstf_tensor::{CooTensor, DenseMatrix, KruskalTensor};
 use rand::rngs::StdRng;
@@ -191,21 +191,8 @@ pub fn bigtensor_cp(
             cluster.metrics().record_disk_read(2 * intermediate_bytes);
 
             let m = bigtensor_mttkrp(cluster, &tensor_rdd, &factors, &shape, mode, partitions)?;
-            let mut v = DenseMatrix::from_vec(rank, rank, vec![1.0; rank * rank]);
-            for (g_mode, g) in grams.iter().enumerate() {
-                if g_mode != mode {
-                    v = v.hadamard(g)?;
-                }
-            }
-            let mut updated = solve_normal_equations(&m, &v)?;
-            lambda = updated.normalize_columns();
-            for l in &mut lambda {
-                if *l == 0.0 {
-                    *l = 1.0;
-                }
-            }
-            grams[mode] = updated.gram();
-            factors[mode] = updated;
+            let updated = als_solve(&m, &grams, mode)?;
+            lambda = als_normalize(updated, mode, &mut factors, &mut grams);
         }
         cluster.metrics().set_scope("Other");
         let kruskal = KruskalTensor::new(lambda.clone(), factors.clone())?;

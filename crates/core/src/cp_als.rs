@@ -7,10 +7,10 @@
 //! factor is only computed once per CP-ALS iteration", §4.2); columns are
 //! normalized after every update with the norms kept as `λ`.
 
-use crate::planner::{plan, MttkrpStrategy, PlanConfig};
+use crate::planner::{plan, Plan, PlanConfig};
 use crate::{CstfError, Result};
 use cstf_dataflow::prelude::*;
-use cstf_tensor::linalg::solve_normal_equations;
+use cstf_tensor::linalg::{als_normalize, als_solve};
 use cstf_tensor::{CooTensor, DenseMatrix, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ pub use crate::planner::{Partitioning, Strategy};
 /// aborted or cancelled stage.
 struct RunGuard<'a> {
     cluster: &'a Cluster,
-    plan: Box<dyn MttkrpStrategy>,
+    plan: Plan,
 }
 
 impl Drop for RunGuard<'_> {
@@ -265,14 +265,7 @@ impl CpAls {
                 let m = run.plan.mttkrp(&factors, mode)?;
 
                 // Driver-side normal equations: V = ∗_{m≠n} Gₘ, Aₙ = M V⁺.
-                let mut v =
-                    DenseMatrix::from_vec(self.rank, self.rank, vec![1.0; self.rank * self.rank]);
-                for (g_mode, g) in grams.iter().enumerate() {
-                    if g_mode != mode {
-                        v = v.hadamard(g)?;
-                    }
-                }
-                let mut updated = solve_normal_equations(&m, &v)?;
+                let mut updated = als_solve(&m, &grams, mode)?;
                 if self.nonnegative {
                     for x in updated.data_mut() {
                         if *x < 0.0 {
@@ -285,16 +278,7 @@ impl CpAls {
                         "factor update produced non-finite values".into(),
                     ));
                 }
-                lambda = updated.normalize_columns();
-                // Guard: an all-zero column leaves λ = 0; keep λ = 1 so the
-                // reconstruction stays well-defined.
-                for l in &mut lambda {
-                    if *l == 0.0 {
-                        *l = 1.0;
-                    }
-                }
-                grams[mode] = updated.gram();
-                factors[mode] = updated;
+                lambda = als_normalize(updated, mode, &mut factors, &mut grams);
             }
             iterations += 1;
             // Shuffle storage is reclaimed automatically: each MTTKRP's

@@ -58,7 +58,7 @@ pub mod spmv;
 
 pub use completion::{CompletionResult, CpCompletion};
 pub use cp_als::{CpAls, CpResult, DecompositionStats};
-pub use planner::{MttkrpStrategy, Partitioning, PlanConfig, Strategy, StrategyCapabilities};
+pub use planner::{Partitioning, PlanConfig, Strategy, StrategyCapabilities};
 pub use records::{CooRecord, Coord, QRecord, Row};
 
 /// Errors from distributed decomposition runs.

@@ -6,14 +6,14 @@
 //! [`QcooState`] for QCOO, branching per mode to pick a pipeline. Adding a
 //! strategy meant touching all of it. The planner inverts the dependency:
 //! [`plan`] asks the [`Strategy`] for its [`StrategyCapabilities`], builds
-//! the tensor datasets the strategy can exploit, and returns a plan object
-//! implementing [`MttkrpStrategy`]; the driver then runs *any* strategy
-//! through the same `plan.mttkrp(&factors, mode)` loop. Each strategy also
+//! the tensor datasets the strategy can exploit, and returns a [`Plan`];
+//! the driver then runs *any* strategy through the same
+//! `plan.mttkrp(&factors, mode)` loop. Each strategy also
 //! declares its analytic cost model ([`Strategy::cost_algorithm`]) so the
 //! Table-4 accounting in [`crate::cost`] stays wired to the code that
 //! implements it.
 //!
-//! The plan objects delegate to the same public pipeline functions the
+//! A plan delegates to the same public pipeline functions the
 //! pre-planner API exposed ([`crate::mttkrp::mttkrp_coo`],
 //! [`crate::qcoo::QcooState`], …), so driving a strategy through the
 //! planner is bit-identical to calling the pipelines directly — the
@@ -215,18 +215,42 @@ impl PlanConfig {
 /// A constructed per-run MTTKRP plan: owns the strategy's distributed
 /// datasets (cached tensor copies, carried state) and produces one dense
 /// MTTKRP result per call.
-pub trait MttkrpStrategy {
+pub struct Plan {
+    strategy: Strategy,
+    pipeline: Pipeline,
+    data: TensorData,
+}
+
+/// What a [`Plan`] runs per call.
+enum Pipeline {
+    /// The strategies that carry no state between calls — COO,
+    /// DFacTo-SpMV (both over the plain or the pre-partitioned tensor) and
+    /// broadcast COO (plain only): each call runs the strategy's pipeline
+    /// function over the plan's tensor datasets.
+    Stateless {
+        cluster: Cluster,
+        shape: Vec<u32>,
+        opts: MttkrpOptions,
+    },
+    /// CSTF-QCOO: the carried queue state (its prologue consumed the
+    /// plan's source tensor RDD, held so `release` can unpersist it).
+    Qcoo(QcooState),
+}
+
+impl Plan {
     /// The strategy this plan implements.
-    fn strategy(&self) -> Strategy;
+    pub fn strategy(&self) -> Strategy {
+        self.strategy
+    }
 
     /// The strategy's declared capabilities.
-    fn capabilities(&self) -> StrategyCapabilities {
-        self.strategy().capabilities()
+    pub fn capabilities(&self) -> StrategyCapabilities {
+        self.strategy.capabilities()
     }
 
     /// The analytic cost model backing this plan (feeds [`crate::cost`]).
-    fn cost_algorithm(&self) -> cost::Algorithm {
-        self.strategy().cost_algorithm()
+    pub fn cost_algorithm(&self) -> cost::Algorithm {
+        self.strategy.cost_algorithm()
     }
 
     /// Computes the mode-`mode` MTTKRP with the current `factors`.
@@ -234,10 +258,53 @@ pub trait MttkrpStrategy {
     /// Carried-state strategies ([`StrategyCapabilities::carried_state`])
     /// require modes in cyclic order starting at 0; stateless strategies
     /// accept any order.
-    fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix>;
+    pub fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
+        let (cluster, shape, opts) = match &mut self.pipeline {
+            Pipeline::Qcoo(state) => {
+                if state.next_output_mode() != mode {
+                    return Err(CstfError::Config(format!(
+                        "QCOO carries state across modes: requested mode {mode}, expected {}",
+                        state.next_output_mode()
+                    )));
+                }
+                let join_mode = state.next_join_mode();
+                let (out_mode, m) = state.step(&factors[join_mode])?;
+                debug_assert_eq!(out_mode, mode);
+                return Ok(m);
+            }
+            Pipeline::Stateless {
+                cluster,
+                shape,
+                opts,
+            } => (&*cluster, &shape[..], &*opts),
+        };
+        if self.data.is_pre() {
+            let keyed = self.data.keyed_by(join_order(shape.len(), mode)[0]);
+            match self.strategy {
+                Strategy::Coo => mttkrp_coo_pre(cluster, keyed, factors, shape, mode, opts),
+                Strategy::DfactoSpmv => mttkrp_spmv_pre(cluster, keyed, factors, shape, mode, opts),
+                other => unreachable!("{other} has no pre-partitioned pipeline"),
+            }
+        } else {
+            let plain = self.data.plain();
+            match self.strategy {
+                Strategy::Coo => mttkrp_coo(cluster, plain, factors, shape, mode, opts),
+                Strategy::DfactoSpmv => mttkrp_spmv(cluster, plain, factors, shape, mode, opts),
+                Strategy::CooBroadcast => {
+                    mttkrp_coo_broadcast(cluster, plain, factors, shape, mode, opts)
+                }
+                Strategy::Qcoo => unreachable!("QCOO plans as Pipeline::Qcoo"),
+            }
+        }
+    }
 
     /// Releases every dataset the plan persisted.
-    fn release(&self);
+    pub fn release(&self) {
+        if let Pipeline::Qcoo(state) = &self.pipeline {
+            state.release();
+        }
+        self.data.release();
+    }
 }
 
 /// Builds the plan for `strategy`: distributes (and caches) the tensor in
@@ -250,37 +317,36 @@ pub fn plan(
     strategy: Strategy,
     config: &PlanConfig,
     factors: &[DenseMatrix],
-) -> Result<Box<dyn MttkrpStrategy>> {
+) -> Result<Plan> {
     let caps = strategy.capabilities();
     let use_pre =
         config.partitioning == Partitioning::PrePartitionedTensor && caps.pre_partitioned_tensor;
     let data = TensorData::build(cluster, tensor, config, use_pre);
     let shape = tensor.shape().to_vec();
-
-    Ok(match strategy {
-        Strategy::Coo | Strategy::DfactoSpmv | Strategy::CooBroadcast => Box::new(StatelessPlan {
-            strategy,
+    let pipeline = match strategy {
+        Strategy::Coo | Strategy::DfactoSpmv | Strategy::CooBroadcast => Pipeline::Stateless {
             cluster: cluster.clone(),
             shape,
             opts: config.mttkrp_options(),
-            data,
-        }),
-        Strategy::Qcoo => {
-            let state = QcooState::init_with(
-                cluster,
-                data.plain(),
-                factors,
-                &shape,
-                config.rank,
-                config.partitions,
-                QcooOptions {
-                    co_partition_factors: config.co_partition_factors(),
-                    storage: config.storage,
-                    kernel: config.kernel,
-                },
-            )?;
-            Box::new(QcooPlan { state, data })
-        }
+        },
+        Strategy::Qcoo => Pipeline::Qcoo(QcooState::init_with(
+            cluster,
+            data.plain(),
+            factors,
+            &shape,
+            config.rank,
+            config.partitions,
+            QcooOptions {
+                co_partition_factors: config.co_partition_factors(),
+                storage: config.storage,
+                kernel: config.kernel,
+            },
+        )?),
+    };
+    Ok(Plan {
+        strategy,
+        pipeline,
+        data,
     })
 }
 
@@ -365,81 +431,6 @@ impl TensorData {
         for (_, rdd) in &self.pre_keyed {
             rdd.unpersist();
         }
-    }
-}
-
-/// Plan of the strategies that carry no state between calls — COO,
-/// DFacTo-SpMV (both over the plain or the pre-partitioned tensor) and
-/// broadcast COO (plain only): each call runs the strategy's pipeline
-/// function over the plan's tensor datasets.
-struct StatelessPlan {
-    strategy: Strategy,
-    cluster: Cluster,
-    shape: Vec<u32>,
-    opts: MttkrpOptions,
-    data: TensorData,
-}
-
-impl MttkrpStrategy for StatelessPlan {
-    fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
-        let (cluster, shape, opts) = (&self.cluster, &self.shape[..], &self.opts);
-        if self.data.is_pre() {
-            let keyed = self.data.keyed_by(join_order(shape.len(), mode)[0]);
-            match self.strategy {
-                Strategy::Coo => mttkrp_coo_pre(cluster, keyed, factors, shape, mode, opts),
-                Strategy::DfactoSpmv => mttkrp_spmv_pre(cluster, keyed, factors, shape, mode, opts),
-                other => unreachable!("{other} has no pre-partitioned pipeline"),
-            }
-        } else {
-            let plain = self.data.plain();
-            match self.strategy {
-                Strategy::Coo => mttkrp_coo(cluster, plain, factors, shape, mode, opts),
-                Strategy::DfactoSpmv => mttkrp_spmv(cluster, plain, factors, shape, mode, opts),
-                Strategy::CooBroadcast => {
-                    mttkrp_coo_broadcast(cluster, plain, factors, shape, mode, opts)
-                }
-                Strategy::Qcoo => unreachable!("QCOO carries state and plans as QcooPlan"),
-            }
-        }
-    }
-
-    fn release(&self) {
-        self.data.release();
-    }
-}
-
-/// CSTF-QCOO plan: the carried queue state plus the source tensor RDD
-/// (consumed by the prologue, held so `release` can unpersist it).
-struct QcooPlan {
-    state: QcooState,
-    data: TensorData,
-}
-
-impl MttkrpStrategy for QcooPlan {
-    fn strategy(&self) -> Strategy {
-        Strategy::Qcoo
-    }
-
-    fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
-        if self.state.next_output_mode() != mode {
-            return Err(CstfError::Config(format!(
-                "QCOO carries state across modes: requested mode {mode}, expected {}",
-                self.state.next_output_mode()
-            )));
-        }
-        let join_mode = self.state.next_join_mode();
-        let (out_mode, m) = self.state.step(&factors[join_mode])?;
-        debug_assert_eq!(out_mode, mode);
-        Ok(m)
-    }
-
-    fn release(&self) {
-        self.state.release();
-        self.data.release();
     }
 }
 

@@ -20,9 +20,6 @@ use crate::fault::FaultConfig;
 pub struct ClusterConfig {
     /// Number of simulated worker nodes (the x-axis of Figures 2/3).
     pub nodes: usize,
-    /// Cores per simulated node; enters the [`crate::sim::TimeModel`]
-    /// (the paper's Comet nodes have 24).
-    pub cores_per_node: usize,
     /// Local OS threads executing tasks.
     pub executor_threads: usize,
     /// Partition count used by operations that don't specify one.
@@ -59,7 +56,6 @@ impl ClusterConfig {
         let threads = threads.max(1);
         ClusterConfig {
             nodes: 1,
-            cores_per_node: threads,
             executor_threads: threads,
             default_parallelism: 2 * threads,
             max_task_attempts: 4,
@@ -84,13 +80,6 @@ impl ClusterConfig {
         assert!(nodes > 0, "cluster must have at least one node");
         self.nodes = nodes;
         self.default_parallelism = self.default_parallelism.max(4 * nodes);
-        self
-    }
-
-    /// Sets cores per simulated node.
-    pub fn cores_per_node(mut self, cores: usize) -> Self {
-        assert!(cores > 0);
-        self.cores_per_node = cores;
         self
     }
 

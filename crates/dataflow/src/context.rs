@@ -7,7 +7,7 @@ use crate::cache::BlockManager;
 use crate::config::ClusterConfig;
 use crate::executor::{CancelToken, Executor, RunPolicy};
 use crate::fault::{FaultInjector, InjectedFault};
-use crate::metrics::{MetricsRegistry, StageCollector};
+use crate::metrics::{AttemptCounters, Counters, MetricsRegistry};
 use crate::rdd::Rdd;
 use crate::shuffle::ShuffleService;
 use crate::Data;
@@ -21,14 +21,14 @@ pub(crate) struct TaskRun<O> {
     pub(crate) value: O,
     pub(crate) records: u64,
     pub(crate) cpu_secs: f64,
-    pub(crate) sink: StageCollector,
+    pub(crate) counters: Counters,
 }
 
 /// Runs one attempt of a task: applies the injected fault (if any),
-/// computes `body` against a private per-attempt metrics sink, and
-/// packages the result for driver-side commit. Failed attempts return
-/// `Err`, and their sink — along with any shuffle output `body` prepared —
-/// is dropped with the `TaskRun`, never reaching shared state.
+/// computes `body` against the attempt's own counter block, and packages
+/// the result for driver-side commit. Failed attempts return `Err`, and
+/// their counters — along with any shuffle output `body` prepared — are
+/// dropped here, never reaching shared state.
 pub(crate) fn run_attempt<O>(
     cluster: &Cluster,
     injector: Option<&FaultInjector>,
@@ -47,11 +47,11 @@ pub(crate) fn run_attempt<O>(
         Some(InjectedFault::Delay(d)) => std::thread::sleep(d),
         _ => {}
     }
-    let sink = StageCollector::attempt_sink(cluster.config().nodes);
+    let sink = AttemptCounters::default();
     // Arena attribution: each attempt runs entirely on this worker thread,
     // so the delta in the thread-local pool-hit counter across `body` is
-    // exactly this attempt's row reuse. Writing it into the attempt sink
-    // keeps it retry-invariant — losing attempts' sinks are dropped.
+    // exactly this attempt's row reuse. Writing it into the attempt's block
+    // keeps it retry-invariant — losing attempts' blocks are dropped.
     let arena_hits_before = crate::kernel::pool::thread_hits();
     let t0 = Instant::now();
     let (value, records) = {
@@ -63,7 +63,8 @@ pub(crate) fn run_attempt<O>(
         body(&ctx)
     };
     let cpu_secs = t0.elapsed().as_secs_f64();
-    sink.add_arena_hits(crate::kernel::pool::thread_hits() - arena_hits_before);
+    let mut counters = sink.into_inner();
+    counters.kernel_arena_hits += crate::kernel::pool::thread_hits() - arena_hits_before;
     if let Some(InjectedFault::LateCrash) = fault {
         return Err(format!(
             "injected late crash (stage {stage_id}, partition {partition}, attempt {attempt})"
@@ -73,7 +74,7 @@ pub(crate) fn run_attempt<O>(
         value,
         records,
         cpu_secs,
-        sink,
+        counters,
     })
 }
 
@@ -118,8 +119,9 @@ pub struct Cluster {
 pub struct TaskContext<'a> {
     /// The cluster the task runs on.
     pub cluster: &'a Cluster,
-    /// Metrics sink for the currently running stage.
-    pub stage: &'a StageCollector,
+    /// Counter block of the running task attempt; reaches its stage's
+    /// metrics only if the attempt commits.
+    pub stage: &'a AttemptCounters,
     /// Partition index this task computes.
     pub partition: usize,
 }

@@ -171,22 +171,11 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Recovery accounting for one stage of an [`Executor::run_wave`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunStats {
-    /// Attempts that failed (error return or panic), including the final
-    /// attempt of a task that exhausted its budget.
-    pub task_failures: u64,
-    /// Retry attempts enqueued after a failure.
-    pub task_retries: u64,
-    /// Speculative backup attempts launched.
-    pub speculative_launched: u64,
-    /// Tasks whose speculative backup committed first.
-    pub speculative_won: u64,
-    /// Wall-clock seconds burned by attempts whose output was discarded
-    /// (failed attempts and losing duplicates).
-    pub wasted_task_secs: f64,
-}
+/// Recovery accounting for one stage of an [`Executor::run_wave`] call:
+/// the `task_failures`, `task_retries`, `speculative_*` and
+/// `wasted_task_secs` fields of the engine's counter block, the rest zero —
+/// ready to merge into the stage's metrics.
+pub type RunStats = crate::metrics::Counters;
 
 /// Results plus recovery accounting for one stage of a wave.
 #[derive(Debug)]

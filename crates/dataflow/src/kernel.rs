@@ -31,6 +31,7 @@
 //! consume the output order-insensitively (`reduceByKey` feeding an
 //! index-addressed matrix assembly does).
 
+use crate::metrics::Counters;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -44,16 +45,6 @@ pub enum KernelStrategy {
     /// accumulator allocation per distinct key, in-place merges.
     #[default]
     SortedRuns,
-}
-
-/// Counters one kernel invocation reports into its stage's metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelCounters {
-    /// Contiguous key runs combined (= distinct keys seen).
-    pub runs: u64,
-    /// Records this combine folded: a combine is one schedulable unit, so
-    /// the largest value over a stage's tasks is its straggler bound.
-    pub max_subtask_records: u64,
 }
 
 /// Erased in-place merge: `merge(accumulator, record)`.
@@ -152,7 +143,7 @@ fn run_end<K, C>(plan: &KernelPlan<K, C>, keys: &[K], order: &[u32], start: usiz
 pub(crate) fn combine_fetched<K: Clone, C>(
     plan: &KernelPlan<K, C>,
     buckets: &[Arc<Vec<(K, C)>>],
-) -> (Vec<(K, C)>, KernelCounters) {
+) -> (Vec<(K, C)>, Counters) {
     let total: usize = buckets.iter().map(|b| b.len()).sum();
     assert!(
         total <= u32::MAX as usize,
@@ -173,9 +164,9 @@ pub(crate) fn combine_fetched<K: Clone, C>(
     let mut order: Vec<u32> = (0..total as u32).collect();
     order.sort_by(|&a, &b| (plan.cmp)(&keys[a as usize], &keys[b as usize]));
 
-    let mut counters = KernelCounters {
-        runs: 0,
-        max_subtask_records: total as u64,
+    let mut counters = Counters {
+        kernel_max_subtask_records: total as u64,
+        ..Counters::default()
     };
     let mut out: Vec<(K, C)> = Vec::new();
     let mut i = 0usize;
@@ -187,7 +178,7 @@ pub(crate) fn combine_fetched<K: Clone, C>(
             (plan.ops.merge_in_place)(&mut acc, vals[o as usize]);
         }
         out.push((keys[first].clone(), acc));
-        counters.runs += 1;
+        counters.kernel_runs += 1;
         i = j;
     }
     (out, counters)
@@ -202,7 +193,7 @@ pub(crate) fn combine_fetched<K: Clone, C>(
 pub(crate) fn combine_owned<K: Clone, C>(
     plan: &KernelPlan<K, C>,
     data: Vec<(K, C)>,
-) -> (Vec<(K, C)>, KernelCounters) {
+) -> (Vec<(K, C)>, Counters) {
     let total = data.len();
     assert!(
         total <= u32::MAX as usize,
@@ -213,9 +204,9 @@ pub(crate) fn combine_owned<K: Clone, C>(
     order.sort_by(|&a, &b| (plan.cmp)(&keys[a as usize], &keys[b as usize]));
 
     let mut slots: Vec<Option<(K, C)>> = data.into_iter().map(Some).collect();
-    let mut counters = KernelCounters {
-        runs: 0,
-        max_subtask_records: total as u64,
+    let mut counters = Counters {
+        kernel_max_subtask_records: total as u64,
+        ..Counters::default()
     };
     let mut out: Vec<(K, C)> = Vec::new();
     let mut i = 0usize;
@@ -230,7 +221,7 @@ pub(crate) fn combine_owned<K: Clone, C>(
             }
         }
         out.push((k, acc));
-        counters.runs += 1;
+        counters.kernel_runs += 1;
         i = j;
     }
     (out, counters)
@@ -355,7 +346,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 7);
         assert_eq!(out[0].1.to_bits(), 0.0f64.to_bits());
-        assert_eq!(c.runs, 1);
+        assert_eq!(c.kernel_runs, 1);
         // The reversed fold really does differ — the assertion above is
         // pinning an order, not an algebraic identity.
         let reversed: f64 = -1e16 + 1e16 + 1.0;
@@ -391,8 +382,8 @@ mod tests {
         let expect = reference(&data);
         let (out, c) = combine_owned(&plan(), data.clone());
         assert_eq!(out.len(), expect.len());
-        assert_eq!(c.runs as usize, expect.len());
-        assert_eq!(c.max_subtask_records, 500);
+        assert_eq!(c.kernel_runs as usize, expect.len());
+        assert_eq!(c.kernel_max_subtask_records, 500);
         for (k, v) in &out {
             assert_eq!(v.to_bits(), expect[k].to_bits(), "key {k}");
         }
@@ -402,7 +393,7 @@ mod tests {
         let buckets: Vec<Arc<Vec<(u32, f64)>>> =
             data.chunks(123).map(|c| Arc::new(c.to_vec())).collect();
         let (fetched, c) = combine_fetched(&plan(), &buckets);
-        assert_eq!(c.max_subtask_records, 500);
+        assert_eq!(c.kernel_max_subtask_records, 500);
         assert_eq!(fetched.len(), out.len());
         for ((k1, v1), (k2, v2)) in fetched.iter().zip(&out) {
             assert_eq!(k1, k2);
@@ -429,10 +420,10 @@ mod tests {
     fn empty_input_combines_to_nothing() {
         let (out, c) = combine_owned(&plan(), Vec::new());
         assert!(out.is_empty());
-        assert_eq!(c, KernelCounters::default());
+        assert_eq!(c, Counters::default());
         let (out, c) = combine_fetched(&plan(), &[]);
         assert!(out.is_empty());
-        assert_eq!(c, KernelCounters::default());
+        assert_eq!(c, Counters::default());
     }
 
     #[test]

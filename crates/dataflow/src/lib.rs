@@ -72,7 +72,7 @@ pub use context::{Cluster, TaskContext};
 pub use executor::{CancelToken, RunPolicy, RunStats, SpeculationPolicy, TaskError, WaveError};
 pub use fault::{FaultConfig, FaultInjector, InjectedFault};
 pub use jobserver::{JobHandle, JobOutcome, JobServer, JobStatus};
-pub use kernel::{KernelCounters, KernelOps, KernelStrategy};
+pub use kernel::{KernelOps, KernelStrategy};
 pub use metrics::{
     JobMetrics, JobOutcomeKind, JobRecord, MetricsRegistry, StageKind, StageMetrics,
 };

@@ -1,17 +1,28 @@
-//! Execution metrics: per-stage CPU, record and shuffle-byte accounting.
+//! Execution metrics: one event table, one counter block.
 //!
 //! The paper's evaluation leans on two Spark metrics — *remote bytes read*
 //! and *local bytes read* across shuffle phases (§6.5, Figure 4) — plus
 //! per-stage structure (how many shuffles a workflow performs, Table 4).
 //! This module records those quantities as jobs execute. All byte counts
-//! come from [`crate::size::EstimateSize`] and are deterministic; CPU times
-//! are measured and feed the [`crate::sim::TimeModel`].
+//! come from [`crate::size::EstimateSize`] and are deterministic; the
+//! [`crate::sim::TimeModel`] prices the log.
+//!
+//! The log is a sequence of [`Event`]s: a stage (a [`StageMetrics`], whose
+//! additive part is one [`Counters`] block), a job-server lifecycle record,
+//! or a [`Note`] under the scope label active at the time. Every plainly
+//! metered quantity — disk and broadcast bytes, job launches, evictions,
+//! spills, recomputes — is one `Note::Metered` kind whose `Meter::row`
+//! holds all that is kind-specific: unit, report label, price. A new
+//! metered kind is a `Meter` variant, its row and a `record_*` one-liner;
+//! a new counter is a [`Counters`] field and its line in `merge`.
 
-use crate::executor::RunStats;
-use crate::kernel::KernelCounters;
+use crate::hash::FxHashMap;
+use crate::sim::TimeModel;
 use parking_lot::Mutex;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What a stage produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -85,7 +96,112 @@ pub struct JobRecord {
     pub outcome: JobOutcomeKind,
 }
 
-/// Aggregated measurements for one executed stage.
+/// The engine's additive counters: what a task attempt counts while it
+/// runs, what a kernel invocation reports, what the executor reports about
+/// a stage's recovery. A stage's block is the [`merge`](Counters::merge)
+/// of its winning attempts' blocks and its executor batch's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+pub struct Counters {
+    /// Records computed across the whole narrow pipeline of the stage's
+    /// tasks, *including* recomputation of uncached parents — the work
+    /// measure the modeled CPU cost uses.
+    pub records_computed: u64,
+    /// Records written into shuffle buckets (ShuffleMap stages).
+    pub shuffle_write_records: u64,
+    /// Bytes written into shuffle buckets (ShuffleMap stages).
+    pub shuffle_write_bytes: u64,
+    /// Shuffle bytes read from buckets on a *different* simulated node.
+    pub remote_bytes_read: u64,
+    /// Shuffle bytes read from buckets on the *same* simulated node.
+    pub local_bytes_read: u64,
+    /// Records read from shuffle buckets.
+    pub shuffle_read_records: u64,
+    /// Sorted-runs kernel: contiguous key runs combined (= distinct keys
+    /// the kernel reduced). Zero on record-at-a-time stages.
+    pub kernel_runs: u64,
+    /// Sorted-runs kernel: records folded by the largest single combine —
+    /// a combine is one schedulable unit, so this is the stage's straggler
+    /// bound. The one field that merges by `max`.
+    pub kernel_max_subtask_records: u64,
+    /// Row-arena hits inside winning task attempts: row buffers reused
+    /// from the [`crate::kernel::pool`] instead of allocated.
+    pub kernel_arena_hits: u64,
+    /// Task attempts that failed (fault injection, panic, or error) and
+    /// were discarded, including the final attempt of a task that
+    /// exhausted its budget.
+    pub task_failures: u64,
+    /// Retry attempts launched after failures.
+    pub task_retries: u64,
+    /// Speculative backup attempts launched against stragglers.
+    pub speculative_launched: u64,
+    /// Tasks whose speculative backup committed first.
+    pub speculative_won: u64,
+    /// Wall-clock seconds burned by discarded attempts (failed attempts
+    /// and losing speculative duplicates); priced as recovery cost by the
+    /// [`crate::sim::TimeModel`].
+    pub wasted_task_secs: f64,
+}
+
+impl Counters {
+    /// Adds `other` into `self`, field by field
+    /// (`kernel_max_subtask_records` keeps the larger).
+    pub fn merge(&mut self, other: &Counters) {
+        self.records_computed += other.records_computed;
+        self.shuffle_write_records += other.shuffle_write_records;
+        self.shuffle_write_bytes += other.shuffle_write_bytes;
+        self.remote_bytes_read += other.remote_bytes_read;
+        self.local_bytes_read += other.local_bytes_read;
+        self.shuffle_read_records += other.shuffle_read_records;
+        self.kernel_runs += other.kernel_runs;
+        self.kernel_max_subtask_records = self
+            .kernel_max_subtask_records
+            .max(other.kernel_max_subtask_records);
+        self.kernel_arena_hits += other.kernel_arena_hits;
+        self.task_failures += other.task_failures;
+        self.task_retries += other.task_retries;
+        self.speculative_launched += other.speculative_launched;
+        self.speculative_won += other.speculative_won;
+        self.wasted_task_secs += other.wasted_task_secs;
+    }
+}
+
+/// The counter block of one task attempt, reached through
+/// [`crate::TaskContext::stage`].
+///
+/// A task may run several attempts, only one of which commits. So that
+/// failed attempts and losing speculative duplicates never pollute the
+/// stage's counters, each *attempt* owns a block and the driver merges it
+/// into the stage only for the winner: byte/record counts are
+/// retry-invariant by construction. An attempt runs on one thread, so the
+/// block is a plain `RefCell` (which makes a `TaskContext` `!Sync`).
+#[derive(Debug, Default)]
+pub struct AttemptCounters(RefCell<Counters>);
+
+impl AttemptCounters {
+    /// Merges a block of counters (a shuffle write or read, a kernel
+    /// invocation's report, an arena-hit delta) into this attempt's.
+    pub fn merge(&self, delta: &Counters) {
+        self.0.borrow_mut().merge(delta);
+    }
+
+    /// Records pipeline work: `n` records produced by one lineage node
+    /// while computing a partition (called per node, so recomputed
+    /// parents are counted every time they run).
+    pub fn add_records_computed(&self, n: u64) {
+        self.0.borrow_mut().records_computed += n;
+    }
+
+    /// The attempt's counters, for the driver to merge on commit.
+    pub(crate) fn into_inner(self) -> Counters {
+        self.0.into_inner()
+    }
+}
+
+/// Aggregated measurements for one executed stage: opened by
+/// `MetricsRegistry::begin_stage` when the driver submits the stage, fed on
+/// the driver as its tasks commit, appended to the log by `finish_stage`.
+/// Dereferences to its [`Counters`], so `stage.shuffle_write_bytes` reads
+/// the counter.
 #[derive(Debug, Clone, Serialize)]
 pub struct StageMetrics {
     /// Monotonic stage id within the cluster.
@@ -101,77 +217,30 @@ pub struct StageMetrics {
     pub kind: StageKind,
     /// Number of tasks (= partitions) executed.
     pub num_tasks: usize,
-    /// Records produced by the stage's tasks.
+    /// Records produced by the stage's tasks (≤ `records_computed`).
     pub records_out: u64,
-    /// Records computed across the whole narrow pipeline of the stage's
-    /// tasks, *including* recomputation of uncached parents — the work
-    /// measure the modeled CPU cost uses. Always ≥ `records_out`.
-    pub records_computed: u64,
-    /// Records written into shuffle buckets (ShuffleMap stages).
-    pub shuffle_write_records: u64,
-    /// Bytes written into shuffle buckets (ShuffleMap stages).
-    pub shuffle_write_bytes: u64,
-    /// Shuffle bytes read from buckets on a *different* simulated node.
-    pub remote_bytes_read: u64,
-    /// Shuffle bytes read from buckets on the *same* simulated node.
-    pub local_bytes_read: u64,
-    /// Records read from shuffle buckets.
-    pub shuffle_read_records: u64,
     /// Measured task CPU seconds summed per simulated node.
     pub node_cpu_secs: Vec<f64>,
-    /// Longest single task, in seconds.
-    pub max_task_secs: f64,
-    /// Task attempts that failed (fault injection, panic, or error) and
-    /// were discarded.
-    pub task_failures: u64,
-    /// Retry attempts launched after failures.
-    pub task_retries: u64,
-    /// Speculative backup attempts launched against stragglers.
-    pub speculative_launched: u64,
-    /// Tasks whose speculative backup committed first.
-    pub speculative_won: u64,
-    /// Wall-clock seconds burned by discarded attempts (failed attempts
-    /// and losing speculative duplicates); priced as recovery cost by the
-    /// [`crate::sim::TimeModel`].
-    pub wasted_task_secs: f64,
-    /// Sorted-runs kernel: contiguous key runs combined (= distinct keys
-    /// the kernel reduced). Zero on record-at-a-time stages.
-    pub kernel_runs: u64,
-    /// Sorted-runs kernel: records folded by the largest single combine —
-    /// the stage's straggler bound (max over tasks).
-    pub kernel_max_subtask_records: u64,
-    /// Row-arena hits inside this stage's winning task attempts: row
-    /// buffers reused from the [`crate::kernel::pool`] instead of
-    /// allocated.
-    pub kernel_arena_hits: u64,
+    /// What the stage's winning attempts and its executor batch counted:
+    /// the [`merge`](Counters::merge) of their blocks.
+    pub counters: Counters,
+}
+
+impl std::ops::Deref for StageMetrics {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
 }
 
 impl StageMetrics {
-    fn new(stage_id: usize, scope: String, name: String, kind: StageKind, nodes: usize) -> Self {
-        StageMetrics {
-            stage_id,
-            dag: None,
-            scope,
-            name,
-            kind,
-            num_tasks: 0,
-            records_out: 0,
-            records_computed: 0,
-            shuffle_write_records: 0,
-            shuffle_write_bytes: 0,
-            remote_bytes_read: 0,
-            local_bytes_read: 0,
-            shuffle_read_records: 0,
-            node_cpu_secs: vec![0.0; nodes],
-            max_task_secs: 0.0,
-            task_failures: 0,
-            task_retries: 0,
-            speculative_launched: 0,
-            speculative_won: 0,
-            wasted_task_secs: 0.0,
-            kernel_runs: 0,
-            kernel_max_subtask_records: 0,
-            kernel_arena_hits: 0,
+    /// Records one finished task.
+    pub(crate) fn record_task(&mut self, node: usize, cpu_secs: f64, records_out: u64) {
+        self.num_tasks += 1;
+        self.records_out += records_out;
+        if node < self.node_cpu_secs.len() {
+            self.node_cpu_secs[node] += cpu_secs;
         }
     }
 
@@ -186,163 +255,120 @@ impl StageMetrics {
     }
 }
 
-/// Concurrent sink tasks write into while a stage runs.
-///
-/// Under fault injection a task may run several attempts, only one of
-/// which commits. So that failed attempts and losing speculative
-/// duplicates never pollute the stage's counters, each *attempt* writes
-/// into its own private sink (`StageCollector::attempt_sink`); the
-/// driver absorbs the sink into the real stage collector only for the
-/// winning attempt (`StageCollector::absorb`). Byte/record counts are
-/// therefore retry-invariant by construction.
-#[derive(Debug)]
-pub struct StageCollector {
-    inner: Mutex<StageMetrics>,
-}
-
-impl StageCollector {
-    /// Stage id this collector records into.
-    pub fn stage_id(&self) -> usize {
-        self.inner.lock().stage_id
-    }
-
-    /// Creates a private per-attempt sink with the same node count. The
-    /// sink's identity fields are irrelevant — only its counters are
-    /// merged back on commit.
-    pub(crate) fn attempt_sink(nodes: usize) -> StageCollector {
-        StageCollector {
-            inner: Mutex::new(StageMetrics::new(
-                usize::MAX,
-                String::new(),
-                String::new(),
-                StageKind::Result,
-                nodes,
-            )),
-        }
-    }
-
-    /// Merges a winning attempt's counters into this stage's metrics.
-    pub(crate) fn absorb(&self, sink: StageCollector) {
-        let s = sink.inner.into_inner();
-        let mut m = self.inner.lock();
-        m.records_computed += s.records_computed;
-        m.shuffle_write_records += s.shuffle_write_records;
-        m.shuffle_write_bytes += s.shuffle_write_bytes;
-        m.remote_bytes_read += s.remote_bytes_read;
-        m.local_bytes_read += s.local_bytes_read;
-        m.shuffle_read_records += s.shuffle_read_records;
-        m.kernel_runs += s.kernel_runs;
-        m.kernel_max_subtask_records = m
-            .kernel_max_subtask_records
-            .max(s.kernel_max_subtask_records);
-        m.kernel_arena_hits += s.kernel_arena_hits;
-    }
-
-    /// Records the recovery statistics of the stage's executor batch.
-    pub(crate) fn record_run_stats(&self, stats: &RunStats) {
-        let mut m = self.inner.lock();
-        m.task_failures += stats.task_failures;
-        m.task_retries += stats.task_retries;
-        m.speculative_launched += stats.speculative_launched;
-        m.speculative_won += stats.speculative_won;
-        m.wasted_task_secs += stats.wasted_task_secs;
-    }
-
-    /// Records one finished task.
-    pub fn record_task(&self, node: usize, cpu_secs: f64, records_out: u64) {
-        let mut m = self.inner.lock();
-        m.num_tasks += 1;
-        m.records_out += records_out;
-        if node < m.node_cpu_secs.len() {
-            m.node_cpu_secs[node] += cpu_secs;
-        }
-        m.max_task_secs = m.max_task_secs.max(cpu_secs);
-    }
-
-    /// Records pipeline work: `n` records produced by one lineage node
-    /// while computing a partition (called per node, so recomputed
-    /// parents are counted every time they run).
-    pub fn add_records_computed(&self, n: u64) {
-        self.inner.lock().records_computed += n;
-    }
-
-    /// Records a map-side shuffle write.
-    pub fn add_shuffle_write(&self, records: u64, bytes: u64) {
-        let mut m = self.inner.lock();
-        m.shuffle_write_records += records;
-        m.shuffle_write_bytes += bytes;
-    }
-
-    /// Records a reduce-side shuffle read from one map output bucket.
-    pub fn add_shuffle_read(&self, remote_bytes: u64, local_bytes: u64, records: u64) {
-        let mut m = self.inner.lock();
-        m.remote_bytes_read += remote_bytes;
-        m.local_bytes_read += local_bytes;
-        m.shuffle_read_records += records;
-    }
-
-    /// Records one sorted-runs kernel invocation's counters.
-    pub fn add_kernel(&self, counters: &KernelCounters) {
-        let mut m = self.inner.lock();
-        m.kernel_runs += counters.runs;
-        m.kernel_max_subtask_records = m
-            .kernel_max_subtask_records
-            .max(counters.max_subtask_records);
-    }
-
-    /// Records row-arena reuse hits (buffers taken from the pool instead
-    /// of allocated) attributed to this attempt.
-    pub fn add_arena_hits(&self, hits: u64) {
-        self.inner.lock().kernel_arena_hits += hits;
-    }
-
-    fn finish(self) -> StageMetrics {
-        self.inner.into_inner()
-    }
-}
-
-/// One event in a job's execution log.
-#[derive(Debug, Clone, Serialize)]
-pub enum Event {
-    /// A stage executed. Boxed: a `StageMetrics` is an order of magnitude
-    /// larger than any other variant, and logs hold many mixed events.
-    Stage(Box<StageMetrics>),
-    /// The driver declared bytes read from distributed storage (models
+/// A quantity the engine meters as `(kind, owner, amount)` events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Meter {
+    /// Bytes the driver declared read from distributed storage (models
     /// HDFS input for the Hadoop platform profile).
-    DiskRead {
-        /// Scope label active when recorded.
-        scope: String,
-        /// Bytes read.
-        bytes: u64,
-    },
-    /// The driver declared bytes written to distributed storage (models
+    DiskRead,
+    /// Bytes the driver declared written to distributed storage (models
     /// Hadoop materializing job output between MapReduce jobs).
-    DiskWrite {
-        /// Scope label active when recorded.
-        scope: String,
-        /// Bytes written.
-        bytes: u64,
-    },
+    DiskWrite,
     /// A MapReduce-style job boundary (models Hadoop job launch overhead).
-    JobBoundary {
-        /// Scope label active when recorded.
-        scope: String,
-    },
-    /// A broadcast: `bytes` moved over the network to replicate a value
-    /// on every node.
-    Broadcast {
-        /// Scope label active when recorded.
-        scope: String,
-        /// Total remote bytes (replica size × receiving nodes).
-        bytes: u64,
+    JobLaunch,
+    /// Bytes moved over the network to replicate a broadcast value:
+    /// replica size × receiving nodes.
+    Broadcast,
+    /// Estimated bytes of a block the memory budget enforcer dropped or
+    /// spilled from memory.
+    Evicted,
+    /// Estimated bytes written to the local-disk spill store (a
+    /// `MemoryAndDisk` eviction, a `DiskOnly` put, or an oversized shuffle
+    /// map output).
+    SpillWrite,
+    /// Estimated bytes read back from the local-disk spill store (reload +
+    /// deserialization).
+    SpillRead,
+    /// An evicted (dropped, not spilled) block recomputed from lineage on
+    /// a later read — the cache-miss analogue of lost-partition recovery.
+    Recompute,
+}
+
+/// What a [`Meter`]'s amounts count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unit {
+    /// Bytes; the report prints the amount.
+    Bytes,
+    /// Occurrences: every event carries amount 1.
+    Events,
+}
+
+/// How the [`TimeModel`] charges a [`Meter`]'s amounts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Price {
+    /// Costs nothing in itself.
+    Free,
+    /// A fixed number of seconds per event.
+    Fixed(fn(&TimeModel) -> f64),
+    /// Bytes moved at the given per-node bandwidth on every node at once,
+    /// scaled by `work_scale` like every other data-volume term.
+    Bandwidth(fn(&TimeModel) -> f64),
+}
+
+/// The row of the event table for one [`Meter`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MeterRow {
+    pub(crate) unit: Unit,
+    /// Label of the event's own line in the report; `None` for the
+    /// storage meters, which are high-volume (one event per block) and
+    /// appear only aggregated, in the STORAGE summary.
+    pub(crate) line: Option<&'static str>,
+    pub(crate) price: Price,
+}
+
+impl Meter {
+    /// The storage meters, in the column order of the STORAGE table.
+    const STORAGE: [Meter; 4] = [
+        Meter::Evicted,
+        Meter::SpillWrite,
+        Meter::SpillRead,
+        Meter::Recompute,
+    ];
+
+    /// This meter's row of the event table.
+    pub(crate) fn row(self) -> MeterRow {
+        use {Price::*, Unit::*};
+        let (unit, line, price) = match self {
+            Meter::DiskRead => (Bytes, Some("disk-read"), Bandwidth(|m| m.disk_bw_per_node)),
+            Meter::DiskWrite => (Bytes, Some("disk-write"), Bandwidth(|m| m.disk_bw_per_node)),
+            Meter::JobLaunch => (Events, Some("job-launch"), Fixed(|m| m.job_launch_secs)),
+            // Tree-distributed, so aggregate bandwidth scales with nodes.
+            Meter::Broadcast => (
+                Bytes,
+                Some("broadcast"),
+                Bandwidth(|m| m.network_bw_per_node),
+            ),
+            // Eviction itself is free (a map removal), and so is noting a
+            // recompute: the cost shows up as the recompute CPU of the
+            // re-reading stage, which its own task metrics capture.
+            Meter::Evicted => (Bytes, None, Free),
+            Meter::Recompute => (Events, None, Free),
+            // Spills happen independently on every node.
+            Meter::SpillWrite => (Bytes, None, Bandwidth(|m| m.spill_write_bw)),
+            Meter::SpillRead => (Bytes, None, Bandwidth(|m| m.spill_read_bw)),
+        };
+        MeterRow { unit, line, price }
+    }
+}
+
+/// What a non-stage [`Event`] notes.
+#[derive(Debug, Clone, Serialize)]
+pub enum Note {
+    /// `amount` of `meter` was used, by `owner` where the meter has one
+    /// (the storage meters: `"rdd-<id>"` or `"shuffle-<id>"`).
+    Metered {
+        /// The quantity.
+        meter: Meter,
+        /// Who used it; empty for meters without owners.
+        owner: String,
+        /// How much: bytes, or 1 for a meter that counts occurrences.
+        amount: u64,
     },
     /// A shuffle the partitioner-aware planner elided: the input was
     /// already partitioned by the requested partitioner, so the wide
     /// operation ran as a narrow dependency — no shuffle-map stage, no
     /// shuffle bytes. Recorded at graph-construction time.
     SkippedShuffle {
-        /// Scope label active when recorded.
-        scope: String,
         /// Operator whose shuffle was skipped (e.g. `"cogroup-left"`).
         name: String,
     },
@@ -351,8 +377,6 @@ pub enum Event {
     /// stage). It consumes a stage id so later stages can cite it as a
     /// DAG parent, but runs no tasks and costs no modeled time.
     SkippedStage {
-        /// Scope label active when recorded.
-        scope: String,
         /// Stage id allocated to the skipped stage.
         stage_id: usize,
         /// Job the pruned stage was planned for.
@@ -362,49 +386,50 @@ pub enum Event {
         /// The already-materialized shuffle.
         shuffle_id: usize,
     },
-    /// The memory budget enforcer dropped or spilled a block from memory.
-    StorageEvicted {
+}
+
+/// One event in a job's execution log.
+#[derive(Debug, Clone, Serialize)]
+pub enum Event {
+    /// A stage executed; its scope is [`StageMetrics::scope`]. Boxed: a
+    /// `StageMetrics` is an order of magnitude larger than any other
+    /// variant, and logs hold many mixed events.
+    Stage(Box<StageMetrics>),
+    /// Anything else the driver or a storage service noted.
+    Note {
         /// Scope label active when recorded.
         scope: String,
-        /// Storage owner (`"rdd-<id>"` or `"shuffle-<id>"`).
-        owner: String,
-        /// Estimated bytes removed from memory.
-        bytes: u64,
-    },
-    /// Bytes written to the local-disk spill store (a `MemoryAndDisk`
-    /// eviction, a `DiskOnly` put, or an oversized shuffle map output).
-    /// Priced by `TimeModel::spill_write_bw`.
-    StorageSpillWrite {
-        /// Scope label active when recorded.
-        scope: String,
-        /// Storage owner (`"rdd-<id>"` or `"shuffle-<id>"`).
-        owner: String,
-        /// Estimated bytes written.
-        bytes: u64,
-    },
-    /// Bytes read back from the local-disk spill store (reload +
-    /// deserialization). Priced by `TimeModel::spill_read_bw`.
-    StorageSpillRead {
-        /// Scope label active when recorded.
-        scope: String,
-        /// Storage owner (`"rdd-<id>"` or `"shuffle-<id>"`).
-        owner: String,
-        /// Estimated bytes read.
-        bytes: u64,
-    },
-    /// An evicted (dropped, not spilled) block was recomputed from
-    /// lineage on a later read — the cache-miss analogue of lost-partition
-    /// recovery. The recompute CPU itself lands in the reading stage's
-    /// task metrics.
-    StorageRecompute {
-        /// Scope label active when recorded.
-        scope: String,
-        /// Storage owner (`"rdd-<id>"`).
-        owner: String,
+        /// What happened.
+        note: Note,
     },
     /// A [`crate::jobserver::JobServer`] job finished (completed, failed
-    /// or cancelled); carries its queue-delay / latency record.
+    /// or cancelled); carries its queue-delay / latency record. Belongs
+    /// to no scope: its stages are already in the log.
     JobFinished(JobRecord),
+}
+
+/// Groups `(key, value)` items by key, folding each value into its key's
+/// accumulator with `add`; groups come out in order of first appearance.
+pub(crate) fn group_in_order<K: Eq + Hash + Clone, V, A: Default>(
+    items: impl IntoIterator<Item = (K, V)>,
+    mut add: impl FnMut(&mut A, V),
+) -> Vec<(K, A)> {
+    let mut index: FxHashMap<K, usize> = FxHashMap::default();
+    let mut groups: Vec<(K, A)> = Vec::new();
+    for (key, value) in items {
+        let i = *index.entry(key).or_insert_with_key(|key| {
+            groups.push((key.clone(), A::default()));
+            groups.len() - 1
+        });
+        add(&mut groups[i].1, value);
+    }
+    groups
+}
+
+/// The distinct `keys`, in order of first appearance.
+fn first_seen<K: Eq + Hash + Clone>(keys: impl IntoIterator<Item = K>) -> Vec<K> {
+    let groups = group_in_order(keys.into_iter().map(|k| (k, ())), |_: &mut (), ()| {});
+    groups.into_iter().map(|(k, ())| k).collect()
 }
 
 /// An immutable snapshot of everything recorded since the last reset.
@@ -423,12 +448,42 @@ impl JobMetrics {
         })
     }
 
+    /// All notes, in order.
+    fn notes(&self) -> impl Iterator<Item = &Note> + '_ {
+        self.events.iter().filter_map(|e| match e {
+            Event::Note { note, .. } => Some(note),
+            _ => None,
+        })
+    }
+
+    /// `(meter, owner, amount)` of every metered event, in order.
+    fn metered_events(&self) -> impl Iterator<Item = (Meter, &str, u64)> + '_ {
+        self.notes().filter_map(|n| match n {
+            Note::Metered {
+                meter,
+                owner,
+                amount,
+            } => Some((*meter, owner.as_str(), *amount)),
+            _ => None,
+        })
+    }
+
+    /// The amounts of one meter's events, in order: `.sum()` them for a
+    /// total, `.count()` them for the number of events.
+    fn metered(&self, meter: Meter) -> impl Iterator<Item = u64> + '_ {
+        let of_meter = self.metered_events().filter(move |(m, ..)| *m == meter);
+        of_meter.map(|(.., amount)| amount)
+    }
+
+    /// Sum of one counter over all stages.
+    fn stage_total(&self, counter: impl Fn(&Counters) -> u64) -> u64 {
+        self.stages().map(|s| counter(s)).sum()
+    }
+
     /// Number of shuffles performed (ShuffleMap stages — each shuffle
     /// dependency materializes exactly one).
     pub fn shuffle_count(&self) -> usize {
-        self.stages()
-            .filter(|s| s.kind == StageKind::ShuffleMap)
-            .count()
+        self.significant_shuffle_count(0)
     }
 
     /// Shuffles that moved at least `min_records` records. The paper counts
@@ -445,37 +500,29 @@ impl JobMetrics {
     /// the input was already co-partitioned (narrow-join accounting; the
     /// savings ablations report).
     pub fn skipped_shuffle_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::SkippedShuffle { .. }))
+        self.notes()
+            .filter(|n| matches!(n, Note::SkippedShuffle { .. }))
             .count()
     }
 
     /// Number of stages the DAG scheduler skipped as already
     /// materialized (lineage pruned below a complete shuffle).
     pub fn skipped_stage_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::SkippedStage { .. }))
+        self.notes()
+            .filter(|n| matches!(n, Note::SkippedStage { .. }))
             .count()
     }
 
     /// Job ids that appear in the log, in first-seen order.
     pub fn dag_jobs(&self) -> Vec<usize> {
-        let mut jobs = Vec::new();
-        for e in &self.events {
-            let job = match e {
-                Event::Stage(s) => s.dag.as_ref().map(|d| d.job),
-                Event::SkippedStage { job, .. } => Some(*job),
-                _ => None,
-            };
-            if let Some(job) = job {
-                if !jobs.contains(&job) {
-                    jobs.push(job);
-                }
-            }
-        }
-        jobs
+        first_seen(self.events.iter().filter_map(|e| match e {
+            Event::Stage(s) => s.dag.as_ref().map(|d| d.job),
+            Event::Note {
+                note: Note::SkippedStage { job, .. },
+                ..
+            } => Some(*job),
+            _ => None,
+        }))
     }
 
     /// Executed stages belonging to one job, in execution order.
@@ -495,6 +542,14 @@ impl JobMetrics {
         })
     }
 
+    /// Stages belonging to one scope.
+    pub fn stages_in_scope<'a>(
+        &'a self,
+        scope: &'a str,
+    ) -> impl Iterator<Item = &'a StageMetrics> + 'a {
+        self.stages().filter(move |s| s.scope == scope)
+    }
+
     /// Lifecycle records of finished job-server jobs, in finish order.
     pub fn job_records(&self) -> impl Iterator<Item = &JobRecord> {
         self.events.iter().filter_map(|e| match e {
@@ -505,18 +560,12 @@ impl JobMetrics {
 
     /// Scheduling pools that finished at least one job, in first-seen
     /// order.
-    pub fn job_pools(&self) -> Vec<String> {
-        let mut pools: Vec<String> = Vec::new();
-        for r in self.job_records() {
-            if !pools.contains(&r.pool) {
-                pools.push(r.pool.clone());
-            }
-        }
-        pools
+    fn job_pools(&self) -> Vec<&str> {
+        first_seen(self.job_records().map(|r| r.pool.as_str()))
     }
 
     /// Finished-job records of one scheduling pool, in finish order.
-    pub fn jobs_in_pool<'a>(&'a self, pool: &'a str) -> impl Iterator<Item = &'a JobRecord> + 'a {
+    fn jobs_in_pool<'a>(&'a self, pool: &'a str) -> impl Iterator<Item = &'a JobRecord> + 'a {
         self.job_records().filter(move |r| r.pool == pool)
     }
 
@@ -530,12 +579,12 @@ impl JobMetrics {
 
     /// Total remote shuffle bytes read.
     pub fn total_remote_bytes(&self) -> u64 {
-        self.stages().map(|s| s.remote_bytes_read).sum()
+        self.stage_total(|c| c.remote_bytes_read)
     }
 
     /// Total local shuffle bytes read.
     pub fn total_local_bytes(&self) -> u64 {
-        self.stages().map(|s| s.local_bytes_read).sum()
+        self.stage_total(|c| c.local_bytes_read)
     }
 
     /// Total shuffle bytes read (remote + local).
@@ -543,72 +592,72 @@ impl JobMetrics {
         self.total_remote_bytes() + self.total_local_bytes()
     }
 
+    /// Aggregates `(remote, local)` shuffle bytes per scope label, in
+    /// first-seen scope order — the per-MTTKRP stacks of Figure 4.
+    pub fn shuffle_bytes_by_scope(&self) -> Vec<(String, u64, u64)> {
+        let stages = self.stages().map(|s| (s.scope.as_str(), s));
+        group_in_order(stages, |(remote, local): &mut (u64, u64), s| {
+            *remote += s.remote_bytes_read;
+            *local += s.local_bytes_read;
+        })
+        .into_iter()
+        .map(|(scope, (remote, local))| (scope.to_string(), remote, local))
+        .collect()
+    }
+
     /// Total bytes declared as distributed-storage reads.
     pub fn total_disk_read(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::DiskRead { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
+        self.metered(Meter::DiskRead).sum()
     }
 
     /// Total bytes declared as distributed-storage writes.
     pub fn total_disk_write(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::DiskWrite { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
+        self.metered(Meter::DiskWrite).sum()
+    }
+
+    /// Number of declared job boundaries.
+    pub fn job_count(&self) -> usize {
+        self.metered(Meter::JobLaunch).count()
     }
 
     /// Total bytes moved by broadcasts.
     pub fn total_broadcast_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::Broadcast { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
+        self.metered(Meter::Broadcast).sum()
     }
 
     /// Total failed task attempts across all stages.
     pub fn total_task_failures(&self) -> u64 {
-        self.stages().map(|s| s.task_failures).sum()
+        self.stage_total(|c| c.task_failures)
     }
 
     /// Total retry attempts across all stages.
     pub fn total_task_retries(&self) -> u64 {
-        self.stages().map(|s| s.task_retries).sum()
+        self.stage_total(|c| c.task_retries)
     }
 
     /// Total speculative attempts launched across all stages.
     pub fn total_speculative_launched(&self) -> u64 {
-        self.stages().map(|s| s.speculative_launched).sum()
+        self.stage_total(|c| c.speculative_launched)
     }
 
     /// Total tasks won by their speculative backup across all stages.
     pub fn total_speculative_won(&self) -> u64 {
-        self.stages().map(|s| s.speculative_won).sum()
+        self.stage_total(|c| c.speculative_won)
     }
 
     /// Total seconds burned by discarded attempts across all stages.
-    pub fn total_wasted_task_secs(&self) -> f64 {
+    fn total_wasted_task_secs(&self) -> f64 {
         self.stages().map(|s| s.wasted_task_secs).sum()
     }
 
     /// Total sorted-runs kernel key runs combined across all stages.
     pub fn total_kernel_runs(&self) -> u64 {
-        self.stages().map(|s| s.kernel_runs).sum()
+        self.stage_total(|c| c.kernel_runs)
     }
 
     /// Total row-arena reuse hits across all stages.
     pub fn total_arena_hits(&self) -> u64 {
-        self.stages().map(|s| s.kernel_arena_hits).sum()
+        self.stage_total(|c| c.kernel_arena_hits)
     }
 
     /// Records folded by the largest single kernel combine in any stage.
@@ -621,124 +670,40 @@ impl JobMetrics {
 
     /// Total bytes the budget enforcer removed from memory.
     pub fn evicted_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::StorageEvicted { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
+        self.metered(Meter::Evicted).sum()
     }
 
     /// Number of blocks the budget enforcer removed from memory.
     pub fn eviction_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::StorageEvicted { .. }))
-            .count()
+        self.metered(Meter::Evicted).count()
     }
 
     /// Total bytes written to the local-disk spill store.
     pub fn spilled_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::StorageSpillWrite { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
+        self.metered(Meter::SpillWrite).sum()
     }
 
     /// Total bytes read back from the local-disk spill store.
     pub fn spill_read_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::StorageSpillRead { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
+        self.metered(Meter::SpillRead).sum()
     }
 
     /// Number of evicted blocks that were recomputed from lineage.
     pub fn recompute_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::StorageRecompute { .. }))
-            .count()
+        self.metered(Meter::Recompute).count()
     }
 
-    /// Per-owner storage activity, in first-seen order: `(owner,
-    /// evicted_bytes, spilled_bytes, spill_read_bytes, recomputes)` for
-    /// each RDD/shuffle that saw any storage event — the per-RDD storage
-    /// table in [`Self::render_report`].
-    pub fn storage_by_owner(&self) -> Vec<(String, u64, u64, u64, u64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut agg: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
-        let mut touch = |agg: &mut BTreeMap<String, (u64, u64, u64, u64)>, owner: &String| {
-            if !agg.contains_key(owner) {
-                order.push(owner.clone());
-                agg.insert(owner.clone(), (0, 0, 0, 0));
-            }
-        };
-        for e in &self.events {
-            match e {
-                Event::StorageEvicted { owner, bytes, .. } => {
-                    touch(&mut agg, owner);
-                    agg.get_mut(owner).expect("touched").0 += bytes;
-                }
-                Event::StorageSpillWrite { owner, bytes, .. } => {
-                    touch(&mut agg, owner);
-                    agg.get_mut(owner).expect("touched").1 += bytes;
-                }
-                Event::StorageSpillRead { owner, bytes, .. } => {
-                    touch(&mut agg, owner);
-                    agg.get_mut(owner).expect("touched").2 += bytes;
-                }
-                Event::StorageRecompute { owner, .. } => {
-                    touch(&mut agg, owner);
-                    agg.get_mut(owner).expect("touched").3 += 1;
-                }
-                _ => {}
-            }
-        }
-        order
-            .into_iter()
-            .map(|k| {
-                let (e, w, r, c) = agg[&k];
-                (k, e, w, r, c)
-            })
-            .collect()
-    }
-
-    /// Number of declared job boundaries.
-    pub fn job_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::JobBoundary { .. }))
-            .count()
-    }
-
-    /// Aggregates `(remote, local)` shuffle bytes per scope label, in
-    /// first-seen scope order — the per-MTTKRP stacks of Figure 4.
-    pub fn shuffle_bytes_by_scope(&self) -> Vec<(String, u64, u64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for s in self.stages() {
-            if !agg.contains_key(&s.scope) {
-                order.push(s.scope.clone());
-            }
-            let e = agg.entry(s.scope.clone()).or_insert((0, 0));
-            e.0 += s.remote_bytes_read;
-            e.1 += s.local_bytes_read;
-        }
-        order
-            .into_iter()
-            .map(|k| {
-                let (r, l) = agg[&k];
-                (k, r, l)
-            })
-            .collect()
+    /// Per-owner storage activity, in first-seen order: the owner and its
+    /// totals in [`Meter::STORAGE`] order, for each RDD/shuffle that saw
+    /// any storage event — the per-RDD storage table of the report.
+    fn storage_by_owner(&self) -> Vec<(&str, [u64; 4])> {
+        let storage = self.metered_events().filter_map(|(meter, owner, amount)| {
+            let column = Meter::STORAGE.iter().position(|m| *m == meter)?;
+            Some((owner, (column, amount)))
+        });
+        group_in_order(storage, |totals: &mut [u64; 4], (column, amount)| {
+            totals[column] += amount
+        })
     }
 
     /// Renders a human-readable per-stage report (the engine's analogue
@@ -776,59 +741,31 @@ impl JobMetrics {
                         s.local_bytes_read,
                     );
                 }
-                Event::DiskRead { scope, bytes } => {
-                    let _ = writeln!(
-                        out,
-                        "       {:<10} disk-read  {bytes} B",
-                        truncate(scope, 10)
-                    );
+                Event::Note { scope, note } => {
+                    let scope = truncate(scope, 10);
+                    let _ = match note {
+                        Note::Metered { meter, amount, .. } => {
+                            let row = meter.row();
+                            let Some(label) = row.line else { continue };
+                            match row.unit {
+                                Unit::Bytes => {
+                                    writeln!(out, "       {scope:<10} {label:<10} {amount} B")
+                                }
+                                Unit::Events => writeln!(out, "       {scope:<10} {label}"),
+                            }
+                        }
+                        Note::SkippedShuffle { name } => writeln!(
+                            out,
+                            "       {scope:<10} skipped-shuffle {}",
+                            truncate(name, 32)
+                        ),
+                        Note::SkippedStage { stage_id, name, .. } => writeln!(
+                            out,
+                            "{stage_id:>5}  {scope:<10} skipped    {:<32} (materialized)",
+                            truncate(name, 32),
+                        ),
+                    };
                 }
-                Event::DiskWrite { scope, bytes } => {
-                    let _ = writeln!(
-                        out,
-                        "       {:<10} disk-write {bytes} B",
-                        truncate(scope, 10)
-                    );
-                }
-                Event::JobBoundary { scope } => {
-                    let _ = writeln!(out, "       {:<10} job-launch", truncate(scope, 10));
-                }
-                Event::Broadcast { scope, bytes } => {
-                    let _ = writeln!(
-                        out,
-                        "       {:<10} broadcast  {bytes} B",
-                        truncate(scope, 10)
-                    );
-                }
-                Event::SkippedShuffle { scope, name } => {
-                    let _ = writeln!(
-                        out,
-                        "       {:<10} skipped-shuffle {}",
-                        truncate(scope, 10),
-                        truncate(name, 32)
-                    );
-                }
-                Event::SkippedStage {
-                    scope,
-                    stage_id,
-                    name,
-                    ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "{:>5}  {:<10} skipped    {:<32} (materialized)",
-                        stage_id,
-                        truncate(scope, 10),
-                        truncate(name, 32),
-                    );
-                }
-                // Storage events are high-volume (one per block); they are
-                // aggregated into the STORAGE summary below instead of
-                // printed inline.
-                Event::StorageEvicted { .. }
-                | Event::StorageSpillWrite { .. }
-                | Event::StorageSpillRead { .. }
-                | Event::StorageRecompute { .. } => {}
                 Event::JobFinished(r) => {
                     let _ = writeln!(
                         out,
@@ -848,7 +785,7 @@ impl JobMetrics {
         // critical-path / serialized-sum ratio (priced with the default
         // Spark time-model profile), so stage-overlap wins are visible
         // without reading the sim code.
-        let model = crate::sim::TimeModel::spark();
+        let model = TimeModel::spark();
         for job in self.dag_jobs() {
             let waves = self
                 .stages_in_job(job)
@@ -881,10 +818,14 @@ impl JobMetrics {
                             );
                         }
                     }
-                    Event::SkippedStage {
-                        stage_id,
-                        job: j,
-                        name,
+                    Event::Note {
+                        note:
+                            Note::SkippedStage {
+                                stage_id,
+                                job: j,
+                                name,
+                                ..
+                            },
                         ..
                     } if *j == job => {
                         let _ = writeln!(
@@ -936,7 +877,7 @@ impl JobMetrics {
             self.spill_read_bytes(),
             self.recompute_count(),
         );
-        for (owner, evicted, spilled, reread, recomputes) in self.storage_by_owner() {
+        for (owner, [evicted, spilled, reread, recomputes]) in self.storage_by_owner() {
             let _ = writeln!(
                 out,
                 "  {owner:<12} evicted {evicted} B | spilled {spilled} B | spill-read {reread} B | recomputed {recomputes}",
@@ -945,8 +886,8 @@ impl JobMetrics {
         // Per-pool job-server summary: queue-delay distribution and run
         // time, the numbers the fair-vs-FIFO ablation compares.
         for pool in self.job_pools() {
-            let records: Vec<&JobRecord> = self.jobs_in_pool(&pool).collect();
-            let delays = self.pool_queue_delays(&pool);
+            let records: Vec<&JobRecord> = self.jobs_in_pool(pool).collect();
+            let delays = self.pool_queue_delays(pool);
             let mean_delay = delays.iter().sum::<f64>() / delays.len().max(1) as f64;
             let mean_run =
                 records.iter().map(|r| r.run_secs).sum::<f64>() / records.len().max(1) as f64;
@@ -965,22 +906,10 @@ impl JobMetrics {
         }
         out
     }
-
-    /// Stages belonging to one scope.
-    pub fn stages_in_scope<'a>(
-        &'a self,
-        scope: &'a str,
-    ) -> impl Iterator<Item = &'a StageMetrics> + 'a {
-        self.stages().filter(move |s| s.scope == scope)
-    }
 }
 
 fn truncate(s: &str, n: usize) -> &str {
-    if s.len() <= n {
-        s
-    } else {
-        &s[..n]
-    }
+    &s[..s.len().min(n)]
 }
 
 /// Nearest-rank percentile of `values` (`pct` in 0..=100). Returns 0.0
@@ -1001,8 +930,8 @@ pub fn percentile(values: &[f64], pct: f64) -> f64 {
 pub struct MetricsRegistry {
     events: Mutex<Vec<Event>>,
     scope: Mutex<String>,
-    next_stage: std::sync::atomic::AtomicUsize,
-    next_job: std::sync::atomic::AtomicUsize,
+    next_stage: AtomicUsize,
+    next_job: AtomicUsize,
 }
 
 impl MetricsRegistry {
@@ -1027,59 +956,65 @@ impl MetricsRegistry {
         self.scope.lock().clone()
     }
 
-    /// Starts collecting a new stage.
+    /// Opens a new stage under the current scope, at `dag` in its job's
+    /// plan (`None` for stages recorded outside the scheduler).
     pub(crate) fn begin_stage(
         &self,
         name: impl Into<String>,
         kind: StageKind,
         nodes: usize,
-    ) -> StageCollector {
-        let id = self
-            .next_stage
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        StageCollector {
-            inner: Mutex::new(StageMetrics::new(
-                id,
-                self.scope(),
-                name.into(),
-                kind,
-                nodes,
-            )),
+        dag: Option<StageDag>,
+    ) -> StageMetrics {
+        StageMetrics {
+            stage_id: self.next_stage.fetch_add(1, Ordering::Relaxed),
+            dag,
+            scope: self.scope(),
+            name: name.into(),
+            kind,
+            num_tasks: 0,
+            records_out: 0,
+            node_cpu_secs: vec![0.0; nodes],
+            counters: Counters::default(),
         }
-    }
-
-    /// Starts collecting a new stage with its DAG placement recorded
-    /// (used by the scheduler; [`Self::begin_stage`] keeps `dag: None`
-    /// for stages recorded outside a job plan).
-    pub(crate) fn begin_stage_in_dag(
-        &self,
-        name: impl Into<String>,
-        kind: StageKind,
-        nodes: usize,
-        dag: StageDag,
-    ) -> StageCollector {
-        let collector = self.begin_stage(name, kind, nodes);
-        collector.inner.lock().dag = Some(dag);
-        collector
     }
 
     /// Allocates the next job id (one per action submitted to the
     /// scheduler).
     pub(crate) fn begin_job(&self) -> usize {
-        self.next_job
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        self.next_job.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Appends a finished stage to the log.
+    pub(crate) fn finish_stage(&self, stage: StageMetrics) {
+        self.events.lock().push(Event::Stage(Box::new(stage)));
+    }
+
+    /// Records the lifecycle of a finished job-server job.
+    pub fn record_job(&self, record: JobRecord) {
+        self.events.lock().push(Event::JobFinished(record));
+    }
+
+    /// Appends a note under the current scope.
+    fn note(&self, note: Note) {
+        let scope = self.scope();
+        self.events.lock().push(Event::Note { scope, note });
+    }
+
+    /// Appends one metered event: every `record_*` below is this.
+    fn meter(&self, meter: Meter, owner: &str, amount: u64) {
+        self.note(Note::Metered {
+            meter,
+            owner: owner.to_string(),
+            amount,
+        });
     }
 
     /// Records a stage the scheduler skipped as already materialized,
     /// allocating (and returning) a stage id for it so children can cite
     /// it as a DAG parent.
     pub(crate) fn record_skipped_stage(&self, name: &str, job: usize, shuffle_id: usize) -> usize {
-        let stage_id = self
-            .next_stage
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let scope = self.scope();
-        self.events.lock().push(Event::SkippedStage {
-            scope,
+        let stage_id = self.next_stage.fetch_add(1, Ordering::Relaxed);
+        self.note(Note::SkippedStage {
             stage_id,
             job,
             name: name.to_string(),
@@ -1088,90 +1023,51 @@ impl MetricsRegistry {
         stage_id
     }
 
-    /// Appends a finished stage to the log.
-    pub(crate) fn finish_stage(&self, collector: StageCollector) {
-        self.events
-            .lock()
-            .push(Event::Stage(Box::new(collector.finish())));
-    }
-
-    /// Records the lifecycle of a finished job-server job.
-    pub fn record_job(&self, record: JobRecord) {
-        self.events.lock().push(Event::JobFinished(record));
-    }
-
-    /// Declares a distributed-storage read (Hadoop platform modeling).
-    pub fn record_disk_read(&self, bytes: u64) {
-        let scope = self.scope();
-        self.events.lock().push(Event::DiskRead { scope, bytes });
-    }
-
-    /// Declares a distributed-storage write (Hadoop platform modeling).
-    pub fn record_disk_write(&self, bytes: u64) {
-        let scope = self.scope();
-        self.events.lock().push(Event::DiskWrite { scope, bytes });
-    }
-
-    /// Declares a MapReduce job boundary (Hadoop platform modeling).
-    pub fn record_job_boundary(&self) {
-        let scope = self.scope();
-        self.events.lock().push(Event::JobBoundary { scope });
-    }
-
-    /// Records a broadcast transfer (see [`crate::broadcast`]).
-    pub fn record_broadcast(&self, bytes: u64) {
-        let scope = self.scope();
-        self.events.lock().push(Event::Broadcast { scope, bytes });
-    }
-
     /// Records a shuffle elided by partitioner-aware planning (the input
     /// was already partitioned as requested, so the wide op became a
     /// narrow dependency).
     pub fn record_skipped_shuffle(&self, name: impl Into<String>) {
-        let scope = self.scope();
-        self.events.lock().push(Event::SkippedShuffle {
-            scope,
-            name: name.into(),
-        });
+        self.note(Note::SkippedShuffle { name: name.into() });
+    }
+
+    /// Declares a distributed-storage read (Hadoop platform modeling).
+    pub fn record_disk_read(&self, bytes: u64) {
+        self.meter(Meter::DiskRead, "", bytes);
+    }
+
+    /// Declares a distributed-storage write (Hadoop platform modeling).
+    pub fn record_disk_write(&self, bytes: u64) {
+        self.meter(Meter::DiskWrite, "", bytes);
+    }
+
+    /// Declares a MapReduce job boundary (Hadoop platform modeling).
+    pub fn record_job_boundary(&self) {
+        self.meter(Meter::JobLaunch, "", 1);
+    }
+
+    /// Records a broadcast transfer (see [`crate::broadcast`]).
+    pub fn record_broadcast(&self, bytes: u64) {
+        self.meter(Meter::Broadcast, "", bytes);
     }
 
     /// Records a block evicted from memory by the budget enforcer.
     pub fn record_storage_eviction(&self, owner: &str, bytes: u64) {
-        let scope = self.scope();
-        self.events.lock().push(Event::StorageEvicted {
-            scope,
-            owner: owner.to_string(),
-            bytes,
-        });
+        self.meter(Meter::Evicted, owner, bytes);
     }
 
     /// Records bytes written to the local-disk spill store.
     pub fn record_spill_write(&self, owner: &str, bytes: u64) {
-        let scope = self.scope();
-        self.events.lock().push(Event::StorageSpillWrite {
-            scope,
-            owner: owner.to_string(),
-            bytes,
-        });
+        self.meter(Meter::SpillWrite, owner, bytes);
     }
 
     /// Records bytes read back from the local-disk spill store.
     pub fn record_spill_read(&self, owner: &str, bytes: u64) {
-        let scope = self.scope();
-        self.events.lock().push(Event::StorageSpillRead {
-            scope,
-            owner: owner.to_string(),
-            bytes,
-        });
+        self.meter(Meter::SpillRead, owner, bytes);
     }
 
     /// Records a lineage recompute of an evicted block.
     pub fn record_storage_recompute(&self, owner: &str) {
-        let scope = self.scope();
-        self.events.lock().push(Event::StorageRecompute {
-            scope,
-            owner: owner.to_string(),
-        });
+        self.meter(Meter::Recompute, owner, 1);
     }
 
     /// Copies the current log.
@@ -1197,13 +1093,20 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn stage(reg: &MetricsRegistry, kind: StageKind, write_records: u64, remote: u64, local: u64) {
-        let c = reg.begin_stage("s", kind, 2);
+        let mut c = reg.begin_stage("s", kind, 2, None);
         c.record_task(0, 0.5, 10);
         c.record_task(1, 0.25, 20);
-        c.add_shuffle_write(write_records, write_records * 8);
-        c.add_shuffle_read(remote, local, 5);
+        c.counters.merge(&Counters {
+            shuffle_write_records: write_records,
+            shuffle_write_bytes: write_records * 8,
+            remote_bytes_read: remote,
+            local_bytes_read: local,
+            shuffle_read_records: 5,
+            ..Counters::default()
+        });
         reg.finish_stage(c);
     }
 
@@ -1218,7 +1121,6 @@ mod tests {
         assert_eq!(s.shuffle_write_records, 100);
         assert_eq!(s.shuffle_write_bytes, 800);
         assert!((s.total_cpu_secs() - 0.75).abs() < 1e-12);
-        assert!((s.max_task_secs - 0.5).abs() < 1e-12);
         assert_eq!(s.node_cpu_secs.len(), 2);
     }
 
@@ -1258,6 +1160,16 @@ mod tests {
     }
 
     #[test]
+    fn group_in_order_keeps_first_appearance_and_sums_ties() {
+        let items = [("b", 1u64), ("a", 2), ("b", 3), ("c", 4), ("a", 5)];
+        let sums = group_in_order(items, |total: &mut u64, v| *total += v);
+        assert_eq!(sums, vec![("b", 4), ("a", 7), ("c", 4)]);
+        assert_eq!(first_seen([3, 1, 3, 2, 1]), vec![3, 1, 2]);
+        let none: Vec<(u8, u64)> = group_in_order([], |total: &mut u64, v: u64| *total += v);
+        assert!(none.is_empty());
+    }
+
+    #[test]
     fn disk_and_job_events() {
         let reg = MetricsRegistry::new();
         reg.record_disk_read(1000);
@@ -1283,43 +1195,207 @@ mod tests {
         assert!(reg.snapshot().events.is_empty());
     }
 
-    #[test]
-    fn report_renders_every_event_kind() {
+    /// A log holding every event kind: two scopes, two storage owners, a
+    /// skipped stage, a two-wave DAG job and two job-server pools.
+    fn full_log() -> JobMetrics {
         let reg = MetricsRegistry::new();
         reg.set_scope("MTTKRP-1");
         stage(&reg, StageKind::ShuffleMap, 10, 100, 50);
         reg.record_disk_read(777);
+        reg.record_disk_write(555);
         reg.record_job_boundary();
         reg.record_broadcast(42);
-        let report = reg.snapshot().render_report();
-        assert!(report.contains("MTTKRP-1"));
-        assert!(report.contains("ShuffleMap"));
-        assert!(report.contains("777"));
-        assert!(report.contains("job-launch"));
-        assert!(report.contains("broadcast  42 B"));
-        assert!(report.contains("TOTAL"));
+        reg.record_skipped_shuffle("cogroup-right");
+        reg.record_storage_eviction("rdd-3", 4096);
+        reg.record_spill_write("rdd-3", 4096);
+        reg.record_storage_eviction("shuffle-1", 1000);
+        reg.set_scope("MTTKRP-2");
+        let job = reg.begin_job();
+        let skipped = reg.record_skipped_stage("shuffle-map(partition_by)", job, 7);
+        let dag = |wave, parents, shuffle_id| StageDag {
+            job,
+            wave,
+            parents,
+            shuffle_id,
+            server_job: Some(1),
+        };
+        let mut a = reg.begin_stage(
+            "shuffle-map(join-left)",
+            StageKind::ShuffleMap,
+            2,
+            Some(dag(0, vec![skipped], Some(8))),
+        );
+        let a_id = a.stage_id;
+        a.record_task(0, 0.5, 1000);
+        a.record_task(1, 0.25, 3000);
+        a.counters.merge(&Counters {
+            records_computed: 6000,
+            shuffle_write_records: 4000,
+            shuffle_write_bytes: 64_000,
+            kernel_runs: 4,
+            kernel_max_subtask_records: 9,
+            kernel_arena_hits: 6,
+            task_failures: 3,
+            task_retries: 2,
+            speculative_launched: 1,
+            speculative_won: 1,
+            wasted_task_secs: 0.25,
+            ..Counters::default()
+        });
+        reg.finish_stage(a);
+        let mut b = reg.begin_stage(
+            "shuffle-map(join-right)",
+            StageKind::ShuffleMap,
+            2,
+            Some(dag(0, vec![], Some(9))),
+        );
+        let b_id = b.stage_id;
+        b.record_task(0, 0.125, 20);
+        b.counters.merge(&Counters {
+            shuffle_write_records: 20,
+            shuffle_write_bytes: 320,
+            ..Counters::default()
+        });
+        reg.finish_stage(b);
+        let mut c = reg.begin_stage(
+            "collect(map)",
+            StageKind::Result,
+            2,
+            Some(dag(1, vec![a_id, b_id], None)),
+        );
+        c.record_task(1, 0.0625, 4020);
+        c.counters.merge(&Counters {
+            remote_bytes_read: 40_000,
+            local_bytes_read: 24_320,
+            shuffle_read_records: 4020,
+            ..Counters::default()
+        });
+        reg.finish_stage(c);
+        reg.record_spill_read("rdd-3", 2048);
+        reg.record_storage_recompute("shuffle-1");
+        reg.record_storage_recompute("rdd-3");
+        reg.clear_scope();
+        let record = |server_job, pool: &str, delay, run, outcome| JobRecord {
+            server_job,
+            tenant: format!("tenant-{server_job}"),
+            pool: pool.to_string(),
+            submit_seq: server_job,
+            start_seq: server_job,
+            queue_delay_secs: delay,
+            run_secs: run,
+            waves: 2 + server_job as u64,
+            outcome,
+        };
+        reg.record_job(record(0, "etl", 0.5, 2.0, JobOutcomeKind::Completed));
+        reg.record_job(record(1, "adhoc", 0.125, 0.25, JobOutcomeKind::Failed));
+        reg.record_job(record(2, "etl", 1.5, 0.0, JobOutcomeKind::Cancelled));
+        reg.snapshot()
+    }
+
+    /// Everything observable about [`full_log`] — the report text, every
+    /// modeled second to the bit, every accessor — against the fixture
+    /// recorded before the event log's format was replaced (PR 23).
+    #[test]
+    fn report_renders_every_event_kind() {
+        let m = full_log();
+        let mut bits = String::new();
+        for tm in [TimeModel::spark(), TimeModel::hadoop()] {
+            let scopes: Vec<(String, u64)> = tm
+                .scope_times(&m)
+                .into_iter()
+                .map(|(s, t)| (s, t.to_bits()))
+                .collect();
+            bits += &format!(
+                "{:#x} {:#x} {:x?}\n",
+                tm.job_time(&m).to_bits(),
+                tm.job_time_serialized(&m).to_bits(),
+                scopes
+            );
+        }
+        let storage: Vec<_> = m
+            .storage_by_owner()
+            .into_iter()
+            .map(|(owner, [e, w, r, c])| (owner, e, w, r, c))
+            .collect();
+        let accessors = format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n",
+            (
+                m.stages().count(),
+                m.shuffle_count(),
+                m.significant_shuffle_count(100),
+                m.skipped_shuffle_count(),
+                m.skipped_stage_count(),
+                m.dag_jobs(),
+                m.stages_in_job(0).count(),
+                m.stages_in_server_job(1).count(),
+                m.stages_in_scope("MTTKRP-2").count(),
+                m.job_records().count(),
+                m.pool_queue_delays("etl"),
+            ),
+            (
+                m.total_remote_bytes(),
+                m.total_local_bytes(),
+                m.total_shuffle_bytes(),
+                m.total_disk_read(),
+                m.total_disk_write(),
+                m.total_broadcast_bytes(),
+                m.job_count(),
+                m.shuffle_bytes_by_scope(),
+            ),
+            (
+                m.total_task_failures(),
+                m.total_task_retries(),
+                m.total_speculative_launched(),
+                m.total_speculative_won(),
+                m.total_wasted_task_secs(),
+                m.total_kernel_runs(),
+                m.total_arena_hits(),
+                m.max_kernel_subtask_records(),
+            ),
+            (
+                m.evicted_bytes(),
+                m.eviction_count(),
+                m.spilled_bytes(),
+                m.spill_read_bytes(),
+                m.recompute_count(),
+                storage,
+            ),
+            (m.job_pools(), m.jobs_in_pool("etl").count()),
+        );
+        let all = format!(
+            "{}--- modeled seconds (bits): job_time, job_time_serialized, scope_times; spark then hadoop\n{bits}--- accessors\n{accessors}",
+            m.render_report()
+        );
+        assert_eq!(all, include_str!("../tests/pinned/full_log.txt"));
     }
 
     #[test]
     fn attempt_sink_absorbed_only_on_commit() {
         let reg = MetricsRegistry::new();
-        let c = reg.begin_stage("s", StageKind::ShuffleMap, 2);
+        let mut c = reg.begin_stage("s", StageKind::ShuffleMap, 2, None);
         // Winning attempt: absorbed.
-        let winner = StageCollector::attempt_sink(2);
+        let winner = AttemptCounters::default();
         winner.add_records_computed(10);
-        winner.add_shuffle_write(5, 40);
-        winner.add_shuffle_read(7, 3, 5);
-        winner.add_kernel(&KernelCounters {
-            runs: 4,
-            max_subtask_records: 9,
+        winner.merge(&Counters {
+            shuffle_write_records: 5,
+            shuffle_write_bytes: 40,
+            remote_bytes_read: 7,
+            local_bytes_read: 3,
+            shuffle_read_records: 5,
+            kernel_runs: 4,
+            kernel_max_subtask_records: 9,
+            kernel_arena_hits: 6,
+            ..Counters::default()
         });
-        winner.add_arena_hits(6);
-        c.absorb(winner);
-        // Failed attempt's sink: dropped, never absorbed.
-        let loser = StageCollector::attempt_sink(2);
+        c.counters.merge(&winner.into_inner());
+        // Failed attempt's sink: never absorbed.
+        let loser = AttemptCounters::default();
         loser.add_records_computed(999);
-        loser.add_shuffle_write(999, 9999);
-        drop(loser);
+        loser.merge(&Counters {
+            shuffle_write_records: 999,
+            shuffle_write_bytes: 9999,
+            ..Counters::default()
+        });
         c.record_task(0, 0.1, 5);
         reg.finish_stage(c);
         let m = reg.snapshot();
@@ -1341,16 +1417,63 @@ mod tests {
             .contains("KERNEL 4 runs | largest combine 9"));
     }
 
+    /// A counter block from 14 small integers (the seconds in eighths, so
+    /// float sums are exact in any order).
+    fn block(v: &[u64]) -> Counters {
+        Counters {
+            records_computed: v[0],
+            shuffle_write_records: v[1],
+            shuffle_write_bytes: v[2],
+            remote_bytes_read: v[3],
+            local_bytes_read: v[4],
+            shuffle_read_records: v[5],
+            kernel_runs: v[6],
+            kernel_max_subtask_records: v[7],
+            kernel_arena_hits: v[8],
+            task_failures: v[9],
+            task_retries: v[10],
+            speculative_launched: v[11],
+            speculative_won: v[12],
+            wasted_task_secs: v[13] as f64 / 8.0,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn merging_in_any_grouping_is_the_fieldwise_sum(
+            blocks in prop::collection::vec(prop::collection::vec(0u64..1_000_000, 14), 0..12),
+            cut in 0usize..12,
+        ) {
+            let merged = |blocks: &[Vec<u64>]| {
+                let mut total = Counters::default();
+                blocks.iter().for_each(|b| total.merge(&block(b)));
+                total
+            };
+            // Field-wise reference: sums, except the largest-combine field.
+            let field = |i: usize| blocks.iter().map(move |b| b[i]);
+            let mut expect: Vec<u64> = (0..14).map(|i| field(i).sum()).collect();
+            expect[7] = field(7).max().unwrap_or(0);
+            prop_assert_eq!(merged(&blocks), block(&expect));
+            // ((a ⊕ b) ⊕ c …) equals (a ⊕ b …) ⊕ (… c): attempts into a
+            // stage, or partial blocks into an attempt, in any grouping.
+            let (head, tail) = blocks.split_at(cut.min(blocks.len()));
+            let mut grouped = merged(head);
+            grouped.merge(&merged(tail));
+            prop_assert_eq!(grouped, merged(&blocks));
+        }
+    }
+
     #[test]
     fn run_stats_recorded_and_totalled() {
         let reg = MetricsRegistry::new();
-        let c = reg.begin_stage("s", StageKind::Result, 1);
-        c.record_run_stats(&RunStats {
+        let mut c = reg.begin_stage("s", StageKind::Result, 1, None);
+        c.counters.merge(&Counters {
             task_failures: 3,
             task_retries: 2,
             speculative_launched: 1,
             speculative_won: 1,
             wasted_task_secs: 0.25,
+            ..Counters::default()
         });
         reg.finish_stage(c);
         let m = reg.snapshot();
@@ -1387,32 +1510,32 @@ mod tests {
         let reg = MetricsRegistry::new();
         let job = reg.begin_job();
         let skipped = reg.record_skipped_stage("shuffle-map(partition_by)", job, 7);
-        let a = reg.begin_stage_in_dag(
+        let mut a = reg.begin_stage(
             "shuffle-map(join-left)",
             StageKind::ShuffleMap,
             2,
-            StageDag {
+            Some(StageDag {
                 job,
                 wave: 0,
                 parents: vec![skipped],
                 shuffle_id: Some(8),
                 server_job: None,
-            },
+            }),
         );
-        let a_id = a.stage_id();
+        let a_id = a.stage_id;
         a.record_task(0, 0.1, 10);
         reg.finish_stage(a);
-        let b = reg.begin_stage_in_dag(
+        let mut b = reg.begin_stage(
             "collect(map)",
             StageKind::Result,
             2,
-            StageDag {
+            Some(StageDag {
                 job,
                 wave: 1,
                 parents: vec![a_id],
                 shuffle_id: None,
                 server_job: None,
-            },
+            }),
         );
         b.record_task(0, 0.1, 10);
         reg.finish_stage(b);
@@ -1433,8 +1556,8 @@ mod tests {
     fn skipped_stages_consume_stage_ids() {
         let reg = MetricsRegistry::new();
         let skipped = reg.record_skipped_stage("shuffle-map(x)", 0, 1);
-        let next = reg.begin_stage("s", StageKind::Result, 1);
-        assert_eq!(next.stage_id(), skipped + 1);
+        let next = reg.begin_stage("s", StageKind::Result, 1, None);
+        assert_eq!(next.stage_id, skipped + 1);
         reg.finish_stage(next);
         // Skipped stages are not executed stages: counters ignore them.
         let m = reg.snapshot();

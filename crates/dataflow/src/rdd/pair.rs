@@ -34,6 +34,7 @@ use super::{next_node_id, Dependency, NodeInfo, Rdd, RddNode, ShuffleDependency}
 use crate::context::{Cluster, TaskContext};
 use crate::hash::FxHashMap;
 use crate::kernel::{self, KernelOps, KernelPlan, KernelStrategy};
+use crate::metrics::Counters;
 use crate::partitioner::{HashPartitioner, KeyPartitioner, PartitionerRef, RangePartitioner};
 use crate::size::EstimateSize;
 use crate::{Data, Key};
@@ -124,7 +125,7 @@ impl<K: Key, V: Data, C: Data> Combiner<K, V, C> {
             .map(|(k, v)| (k, (self.agg.create)(v)))
             .collect();
         let (out, counters) = kernel::combine_owned(plan, created);
-        ctx.stage.add_kernel(&counters);
+        ctx.stage.merge(&counters);
         out
     }
 
@@ -139,7 +140,7 @@ impl<K: Key, V: Data, C: Data> Combiner<K, V, C> {
             return hash_fold(records, |c| c, &*self.agg.merge_combiners);
         };
         let (out, counters) = kernel::combine_fetched(plan, buckets);
-        ctx.stage.add_kernel(&counters);
+        ctx.stage.merge(&counters);
         out
     }
 }
@@ -234,8 +235,8 @@ where
     }
 
     /// Buckets one map partition's records by reduce partition, combining
-    /// each bucket map-side when configured. Runs inside a (retryable)
-    /// executor task.
+    /// each bucket map-side when configured, and counts the shuffle write.
+    /// Runs inside a (retryable) executor task.
     fn bucket(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> (Vec<Vec<(K, C)>>, Vec<u64>) {
         let buckets: Vec<Vec<(K, C)>> = if self.map_side_combine {
             self.scatter(data, |v| v)
@@ -249,6 +250,11 @@ where
             .iter()
             .map(|b| b.iter().map(|r| r.estimate_size() as u64).sum())
             .collect();
+        ctx.stage.merge(&Counters {
+            shuffle_write_records: buckets.iter().map(|b| b.len() as u64).sum(),
+            shuffle_write_bytes: bucket_bytes.iter().sum(),
+            ..Counters::default()
+        });
         (buckets, bucket_bytes)
     }
 
@@ -264,24 +270,22 @@ where
             .read::<(K, C)>(self.shuffle_id, reduce_partition);
         let config = ctx.cluster.config();
         let my_node = config.node_of(reduce_partition);
-        let mut remote = 0u64;
-        let mut local = 0u64;
-        let mut records = 0usize;
+        let mut read = Counters::default();
         let mut buckets = Vec::with_capacity(fetched.len());
         for bucket in fetched {
             if config.node_of(bucket.map_partition) == my_node {
-                local += bucket.bytes;
+                read.local_bytes_read += bucket.bytes;
             } else {
-                remote += bucket.bytes;
+                read.remote_bytes_read += bucket.bytes;
             }
-            records += bucket.records.len();
+            read.shuffle_read_records += bucket.records.len() as u64;
             buckets.push(bucket.records);
         }
-        ctx.stage.add_shuffle_read(remote, local, records as u64);
+        ctx.stage.merge(&read);
         if combine {
             return self.combiner.merge_fetched(&buckets, ctx);
         }
-        let mut out = Vec::with_capacity(records);
+        let mut out = Vec::with_capacity(read.shuffle_read_records as usize);
         for bucket in &buckets {
             out.extend(bucket.iter().cloned());
         }
@@ -335,13 +339,10 @@ where
                 let out = self.bucket(data, ctx);
                 (Box::new(out) as crate::scheduler::StageOutput, records)
             }),
-            commit: Box::new(move |map_partition, out, stage| {
+            commit: Box::new(move |map_partition, out| {
                 let (buckets, bucket_bytes) = *out
                     .downcast::<(Vec<Vec<(K, C)>>, Vec<u64>)>()
                     .expect("shuffle map output downcast");
-                let records: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-                let bytes: u64 = bucket_bytes.iter().sum();
-                stage.add_shuffle_write(records, bytes);
                 cluster.shuffle_service().put_map_output(
                     self.shuffle_id,
                     map_partition,

@@ -39,7 +39,7 @@ use crate::context::{run_attempt, Cluster, TaskContext};
 use crate::executor::WaveError;
 use crate::hash::FxHashMap;
 use crate::jobserver::JobCancelled;
-use crate::metrics::{StageCollector, StageDag, StageKind};
+use crate::metrics::{StageDag, StageKind, StageMetrics};
 use crate::rdd::{Dependency, NodeInfo, RddNode, ShuffleDependency};
 use crate::Data;
 use std::any::Any;
@@ -70,10 +70,8 @@ pub struct StagePlan<'a> {
     /// Returns the type-erased output and the input record count.
     #[allow(clippy::type_complexity)]
     pub compute: Box<dyn Fn(usize, &TaskContext<'_>) -> (StageOutput, u64) + Send + Sync + 'a>,
-    /// Driver half: publishes one committed output (and, for a map
-    /// output, records its shuffle-write metrics).
-    #[allow(clippy::type_complexity)]
-    pub commit: Box<dyn Fn(usize, StageOutput, &StageCollector) + 'a>,
+    /// Driver half: publishes one committed output.
+    pub commit: Box<dyn Fn(usize, StageOutput) + 'a>,
 }
 
 /// One node of a job's stage DAG: a shuffle-map stage, or the record that
@@ -283,7 +281,7 @@ pub(crate) fn run_job<T: Data, U: Send + 'static>(
             let records = data.len() as u64;
             (Box::new(f(p, data)) as StageOutput, records)
         }),
-        commit: Box::new(|p, out, _| {
+        commit: Box::new(|p, out| {
             let value = out.downcast::<U>().expect("result task output downcast");
             results.borrow_mut()[p] = Some(*value);
         }),
@@ -333,10 +331,10 @@ struct JobRun<'a> {
     metric_ids: Vec<Option<usize>>,
 }
 
-/// One stage submitted to a wave: its plan and its open metrics collector.
+/// One stage submitted to a wave: its plan and its open metrics.
 struct Exec<'a> {
     plan: StagePlan<'a>,
-    collector: StageCollector,
+    metrics: StageMetrics,
 }
 
 impl<'a> JobRun<'a> {
@@ -356,8 +354,8 @@ impl<'a> JobRun<'a> {
         ));
     }
 
-    /// Opens the metrics collector of a stage about to run: shuffle-map
-    /// `stage`, or (`None`) the job's result stage.
+    /// Opens the metrics of a stage about to run: shuffle-map `stage`, or
+    /// (`None`) the job's result stage.
     fn begin(&mut self, cluster: &Cluster, stage: Option<&Stage>, plan: StagePlan<'a>) -> Exec<'a> {
         let (kind, wave, parents) = match stage {
             Some(stage) => (StageKind::ShuffleMap, stage.wave, &stage.parents),
@@ -375,13 +373,13 @@ impl<'a> JobRun<'a> {
             server_job: cluster.server_job(),
         };
         let nodes = cluster.config().nodes;
-        let collector = cluster
+        let metrics = cluster
             .metrics()
-            .begin_stage_in_dag(&plan.name, kind, nodes, dag);
+            .begin_stage(&plan.name, kind, nodes, Some(dag));
         if let Some(stage) = stage {
-            self.metric_ids[stage.index] = Some(collector.stage_id());
+            self.metric_ids[stage.index] = Some(metrics.stage_id);
         }
-        Exec { plan, collector }
+        Exec { plan, metrics }
     }
 
     /// Runs one wave — shuffle-map `stages`, or the job's `result` stage —
@@ -421,7 +419,7 @@ impl<'a> JobRun<'a> {
                         // Capture only `compute`: the driver-side `commit` box
                         // is deliberately not `Sync` and never crosses threads.
                         let compute = &e.plan.compute;
-                        let stage_id = e.collector.stage_id();
+                        let stage_id = e.metrics.stage_id;
                         let injector = injector.as_ref();
                         move |attempt: usize| {
                             run_attempt(cluster, injector, stage_id, p, attempt, |ctx| {
@@ -456,18 +454,18 @@ impl<'a> JobRun<'a> {
                 panic!("stage '{name}' aborted: {e}")
             });
         debug_assert_eq!(execs.len(), outcomes.len());
-        for (exec, outcome) in execs.into_iter().zip(outcomes) {
-            for (&p, task_run) in exec.plan.partitions.iter().zip(outcome.results) {
-                exec.collector.record_task(
+        for (Exec { plan, mut metrics }, outcome) in execs.into_iter().zip(outcomes) {
+            for (&p, task_run) in plan.partitions.iter().zip(outcome.results) {
+                metrics.record_task(
                     cluster.config().node_of(p),
                     task_run.cpu_secs,
                     task_run.records,
                 );
-                exec.collector.absorb(task_run.sink);
-                (exec.plan.commit)(p, task_run.value, &exec.collector);
+                metrics.counters.merge(&task_run.counters);
+                (plan.commit)(p, task_run.value);
             }
-            exec.collector.record_run_stats(&outcome.stats);
-            cluster.metrics().finish_stage(exec.collector);
+            metrics.counters.merge(&outcome.stats);
+            cluster.metrics().finish_stage(metrics);
         }
     }
 }

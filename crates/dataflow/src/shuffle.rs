@@ -14,7 +14,7 @@
 //! outputs are *spilled* — they leave the memory ledger (no file is
 //! written: see [`crate::cache`]) and every later fetch of one of their
 //! buckets pays the modeled spill-read cost
-//! ([`crate::metrics::Event::StorageSpillRead`]).
+//! ([`crate::metrics::Meter::SpillRead`]).
 
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;

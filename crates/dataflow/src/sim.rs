@@ -1,11 +1,11 @@
 //! Simulated-cluster time model.
 //!
-//! The engine executes on one machine but records, per stage, the measured
-//! CPU seconds of every task (attributed to its simulated node), the bytes
-//! shuffled across simulated node boundaries, and the driver-declared disk
-//! traffic and job boundaries. This module converts those measurements into
-//! simulated wall-clock seconds for a cluster of `n` nodes — the quantity
-//! on the y-axis of the paper's Figures 2, 3 and 5.
+//! The engine executes on one machine but records, per stage, the records
+//! every task computed, the bytes shuffled across simulated node
+//! boundaries, and the driver-declared disk traffic and job boundaries.
+//! This module converts those counts into simulated wall-clock seconds for
+//! a cluster of `n` nodes — the quantity on the y-axis of the paper's
+//! Figures 2, 3 and 5.
 //!
 //! The model is deliberately simple and fully documented:
 //!
@@ -15,23 +15,20 @@
 //!   overhead = stage_latency + per_node_overhead × nodes
 //!   recovery = retry_overhead × (task_failures + speculative_launched)
 //!            + wasted_task_secs / core_speed
-//! disk event = work_scale · bytes / (disk_bw_per_node × nodes)
-//! job event  = job_launch_secs
-//!
-//! cpu (CpuCost::Modeled, the default — deterministic):
-//!   core_secs = records_out · ns_per_record
+//!   cpu      = core_secs / (nodes × cores_per_node) / core_speed
+//!   core_secs = max(records_computed, records_out) · ns_per_record
 //!             + (shuffle_write_bytes + shuffle_read_bytes) · ns_per_shuffle_byte
-//!   cpu       = core_secs / (nodes × cores_per_node) / core_speed
-//!
-//! cpu (CpuCost::Measured — host-measured task times):
-//!   cpu = maxₙ( node_cpu[n] / cores_per_node, max_task ) / core_speed
+//! metered event (disk, broadcast, spill bytes; job launch) — priced from
+//! its meter's row of the event table in `crate::metrics`:
+//!            = work_scale · bytes / (the row's bandwidth per node × nodes)
+//!            | job_launch_secs
 //! ```
 //!
-//! The modeled CPU cost charges every record pass (map/join/reduce
-//! pipeline work) and every shuffled byte (serialization, copying, GC
-//! pressure — the dominant per-byte costs in JVM dataflow engines). It is
-//! deterministic, reproducible across machines, and free of the
-//! single-host measurement bias of `Measured` (this engine's in-memory
+//! The CPU cost is modeled, not measured: it charges every record pass
+//! (map/join/reduce pipeline work) and every shuffled byte (serialization,
+//! copying, GC pressure — the dominant per-byte costs in JVM dataflow
+//! engines). It is deterministic, reproducible across machines, and free
+//! of the single-host bias of timing this engine's tasks (its in-memory
 //! joins are far cheaper per record than Spark's serialized path, which
 //! would otherwise understate CSTF-COO's extra join work).
 //!
@@ -67,7 +64,8 @@
 //! sum as the comparison baseline; skipped (already-materialized) stages
 //! cost nothing under either model.
 
-use crate::metrics::{Event, JobMetrics, StageMetrics};
+use crate::hash::FxHashSet;
+use crate::metrics::{group_in_order, Event, JobMetrics, Note, Price, StageMetrics};
 use serde::Serialize;
 
 /// Which platform profile a job ran under.
@@ -77,22 +75,6 @@ pub enum Platform {
     Spark,
     /// Hadoop-like: job-per-MapReduce-round, disk between jobs.
     Hadoop,
-}
-
-/// How per-stage CPU time is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub enum CpuCost {
-    /// Host-measured task wall times (noisy; biased by this engine's
-    /// in-memory record representation).
-    Measured,
-    /// Deterministic work model: per record-pass and per shuffled byte.
-    Modeled {
-        /// Pipeline cost per record produced by a stage, nanoseconds.
-        ns_per_record: f64,
-        /// Serialization/copy cost per shuffled byte (write + read),
-        /// nanoseconds.
-        ns_per_shuffle_byte: f64,
-    },
 }
 
 /// Cost-model parameters converting measured work into simulated seconds.
@@ -127,8 +109,11 @@ pub struct TimeModel {
     /// Dataset scale compensation: CPU, network and disk terms are
     /// multiplied by this factor (1.0 = none). See the module docs.
     pub work_scale: f64,
-    /// CPU derivation (see [`CpuCost`]).
-    pub cpu_cost: CpuCost,
+    /// Modeled pipeline cost per record computed by a stage, nanoseconds.
+    pub ns_per_record: f64,
+    /// Modeled serialization/copy cost per shuffled byte (write + read),
+    /// nanoseconds.
+    pub ns_per_shuffle_byte: f64,
 }
 
 impl TimeModel {
@@ -150,10 +135,8 @@ impl TimeModel {
             work_scale: 1.0,
             // Calibrated against the paper's 4-node delicious3d point
             // (Figure 2a); see EXPERIMENTS.md.
-            cpu_cost: CpuCost::Modeled {
-                ns_per_record: 2_000.0,
-                ns_per_shuffle_byte: 300.0,
-            },
+            ns_per_record: 2_000.0,
+            ns_per_shuffle_byte: 300.0,
         }
     }
 
@@ -162,10 +145,6 @@ impl TimeModel {
     /// stage boundaries are costlier (output committed to disk).
     pub fn hadoop() -> Self {
         TimeModel {
-            cores_per_node: 24.0,
-            core_speed: 1.0,
-            network_bw_per_node: 1.0e9,
-            disk_bw_per_node: 0.4e9,
             stage_latency_secs: 2.0,
             per_node_overhead_secs: 0.3,
             job_launch_secs: 25.0,
@@ -175,13 +154,11 @@ impl TimeModel {
             // than Spark's kryo-like path.
             spill_write_bw: 0.3e9,
             spill_read_bw: 0.2e9,
-            work_scale: 1.0,
             // Hadoop's per-record path (MR context objects, writable
             // (de)serialization every stage) is costlier than Spark's.
-            cpu_cost: CpuCost::Modeled {
-                ns_per_record: 6_000.0,
-                ns_per_shuffle_byte: 600.0,
-            },
+            ns_per_record: 6_000.0,
+            ns_per_shuffle_byte: 600.0,
+            ..TimeModel::spark()
         }
     }
 
@@ -202,32 +179,15 @@ impl TimeModel {
         self
     }
 
-    /// Switches to host-measured CPU times.
-    pub fn with_measured_cpu(mut self) -> Self {
-        self.cpu_cost = CpuCost::Measured;
-        self
-    }
-
     /// Simulated seconds for one stage on a cluster of
     /// `stage.node_cpu_secs.len()` nodes.
     pub fn stage_time(&self, stage: &StageMetrics) -> f64 {
         let nodes = stage.node_cpu_secs.len().max(1) as f64;
-        let cpu = match self.cpu_cost {
-            CpuCost::Measured => {
-                let busiest = stage.node_cpu_secs.iter().cloned().fold(0.0f64, f64::max);
-                (busiest / self.cores_per_node).max(stage.max_task_secs) / self.core_speed
-            }
-            CpuCost::Modeled {
-                ns_per_record,
-                ns_per_shuffle_byte,
-            } => {
-                let records = stage.records_computed.max(stage.records_out);
-                let core_ns = records as f64 * ns_per_record
-                    + (stage.shuffle_write_bytes + stage.shuffle_read_bytes()) as f64
-                        * ns_per_shuffle_byte;
-                core_ns * 1e-9 / (nodes * self.cores_per_node) / self.core_speed
-            }
-        };
+        let records = stage.records_computed.max(stage.records_out);
+        let core_ns = records as f64 * self.ns_per_record
+            + (stage.shuffle_write_bytes + stage.shuffle_read_bytes()) as f64
+                * self.ns_per_shuffle_byte;
+        let cpu = core_ns * 1e-9 / (nodes * self.cores_per_node) / self.core_speed;
         let network = stage.remote_bytes_read as f64 / (self.network_bw_per_node * nodes);
         let overhead = self.stage_latency_secs + self.per_node_overhead_secs * nodes;
         self.work_scale * (cpu + network) + overhead + self.recovery_time(stage)
@@ -241,54 +201,26 @@ impl TimeModel {
             + stage.wasted_task_secs / self.core_speed
     }
 
-    /// Simulated seconds for a disk event on `nodes` nodes.
-    pub fn disk_time(&self, bytes: u64, nodes: usize) -> f64 {
-        self.work_scale * bytes as f64 / (self.disk_bw_per_node * nodes.max(1) as f64)
-    }
-
-    /// Simulated seconds for a broadcast of `bytes` total transfer:
-    /// tree-distributed, so aggregate bandwidth scales with nodes.
-    pub fn broadcast_time(&self, bytes: u64, nodes: usize) -> f64 {
-        self.work_scale * bytes as f64 / (self.network_bw_per_node * nodes.max(1) as f64)
-    }
-
-    /// Simulated seconds to spill `bytes` to executor-local disk. Spills
-    /// happen independently on every node, so aggregate throughput scales
-    /// with the cluster size.
-    pub fn spill_write_time(&self, bytes: u64, nodes: usize) -> f64 {
-        self.work_scale * bytes as f64 / (self.spill_write_bw * nodes.max(1) as f64)
-    }
-
-    /// Simulated seconds to reload `bytes` from executor-local disk
-    /// (read + deserialization).
-    pub fn spill_read_time(&self, bytes: u64, nodes: usize) -> f64 {
-        self.work_scale * bytes as f64 / (self.spill_read_bw * nodes.max(1) as f64)
-    }
-
-    /// Serial simulated seconds for one event (a stage priced on its own,
-    /// with no DAG overlap).
+    /// Serial simulated seconds for one event on `nodes` nodes: a stage
+    /// priced on its own, with no DAG overlap, or a metered amount priced
+    /// by its meter's row of the event table. Everything else is free —
+    /// an elided shuffle (that is the point), a skipped stage (it reuses
+    /// materialized map outputs: no tasks ran) and a job-server lifecycle
+    /// record (the job's stages are already in the log).
     fn event_time_serial(&self, e: &Event, nodes: usize) -> f64 {
         match e {
             Event::Stage(s) => self.stage_time(s),
-            Event::DiskRead { bytes, .. } | Event::DiskWrite { bytes, .. } => {
-                self.disk_time(*bytes, nodes)
-            }
-            Event::JobBoundary { .. } => self.job_launch_secs,
-            Event::Broadcast { bytes, .. } => self.broadcast_time(*bytes, nodes),
-            // An elided shuffle costs nothing — that is the point.
-            Event::SkippedShuffle { .. } => 0.0,
-            // A skipped stage reuses materialized map outputs: no tasks
-            // ran, so it costs nothing.
-            Event::SkippedStage { .. } => 0.0,
-            Event::StorageSpillWrite { bytes, .. } => self.spill_write_time(*bytes, nodes),
-            Event::StorageSpillRead { bytes, .. } => self.spill_read_time(*bytes, nodes),
-            // Eviction itself is free (a map removal); its cost shows
-            // up as the recompute CPU of the re-reading stage, which
-            // the stage's own task metrics already capture.
-            Event::StorageEvicted { .. } | Event::StorageRecompute { .. } => 0.0,
-            // A job-server lifecycle record prices nothing itself: the
-            // job's stages are already in the log.
-            Event::JobFinished(_) => 0.0,
+            Event::Note {
+                note: Note::Metered { meter, amount, .. },
+                ..
+            } => match meter.row().price {
+                Price::Free => 0.0,
+                Price::Fixed(secs) => secs(self),
+                Price::Bandwidth(per_node) => {
+                    self.work_scale * *amount as f64 / (per_node(self) * nodes.max(1) as f64)
+                }
+            },
+            _ => 0.0,
         }
     }
 
@@ -296,26 +228,25 @@ impl TimeModel {
     ///
     /// Jobs recorded by the [`crate::scheduler`] (stages carrying a
     /// [`crate::metrics::StageDag`]) are priced as the critical path
-    /// through their stage graph — see [`TimeModel::job_critical_path`];
-    /// everything else (DAG-less stages, disk, broadcast, spill events) is
-    /// summed serially as before.
+    /// through their stage graph — see [`TimeModel::job_critical_path`],
+    /// charged where the job's first stage appears; everything else
+    /// (DAG-less stages, disk, broadcast, spill events) is summed serially.
     pub fn job_time(&self, metrics: &JobMetrics) -> f64 {
         let nodes = infer_nodes(metrics);
-        let mut seen_jobs: Vec<usize> = Vec::new();
+        let mut seen_jobs = FxHashSet::default();
         metrics
             .events
             .iter()
-            .map(|e| match e {
-                Event::Stage(s) if s.dag.is_some() => {
-                    let job = s.dag.as_ref().expect("checked above").job;
-                    if seen_jobs.contains(&job) {
-                        0.0
-                    } else {
-                        seen_jobs.push(job);
-                        self.job_critical_path(metrics, job)
-                    }
+            .map(|e| {
+                let dag_job = match e {
+                    Event::Stage(s) => s.dag.as_ref().map(|d| d.job),
+                    _ => None,
+                };
+                match dag_job {
+                    Some(job) if seen_jobs.insert(job) => self.job_critical_path(metrics, job),
+                    Some(_) => 0.0,
+                    None => self.event_time_serial(e, nodes),
                 }
-                other => self.event_time_serial(other, nodes),
             })
             .sum()
     }
@@ -370,42 +301,17 @@ impl TimeModel {
     /// per-mode runtime bars of Figure 5.
     pub fn scope_times(&self, metrics: &JobMetrics) -> Vec<(String, f64)> {
         let nodes = infer_nodes(metrics);
-        let mut order: Vec<String> = Vec::new();
-        let mut agg: std::collections::BTreeMap<String, f64> = Default::default();
-        let mut add = |scope: &str, secs: f64| {
-            if !agg.contains_key(scope) {
-                order.push(scope.to_string());
-            }
-            *agg.entry(scope.to_string()).or_insert(0.0) += secs;
-        };
-        for e in &metrics.events {
-            match e {
-                Event::Stage(s) => add(&s.scope, self.stage_time(s)),
-                Event::DiskRead { scope, bytes } | Event::DiskWrite { scope, bytes } => {
-                    add(scope, self.disk_time(*bytes, nodes))
-                }
-                Event::JobBoundary { scope } => add(scope, self.job_launch_secs),
-                Event::Broadcast { scope, bytes } => add(scope, self.broadcast_time(*bytes, nodes)),
-                Event::SkippedShuffle { scope, .. } => add(scope, 0.0),
-                Event::SkippedStage { scope, .. } => add(scope, 0.0),
-                Event::StorageSpillWrite { scope, bytes, .. } => {
-                    add(scope, self.spill_write_time(*bytes, nodes))
-                }
-                Event::StorageSpillRead { scope, bytes, .. } => {
-                    add(scope, self.spill_read_time(*bytes, nodes))
-                }
-                Event::StorageEvicted { scope, .. } | Event::StorageRecompute { scope, .. } => {
-                    add(scope, 0.0)
-                }
-                Event::JobFinished(_) => {}
-            }
-        }
-        order
+        let scoped = metrics.events.iter().filter_map(|e| {
+            let scope = match e {
+                Event::Stage(s) => &s.scope,
+                Event::Note { scope, .. } => scope,
+                Event::JobFinished(_) => return None,
+            };
+            Some((scope.as_str(), self.event_time_serial(e, nodes)))
+        });
+        group_in_order(scoped, |total: &mut f64, secs| *total += secs)
             .into_iter()
-            .map(|k| {
-                let v = agg[&k];
-                (k, v)
-            })
+            .map(|(scope, secs)| (scope.to_string(), secs))
             .collect()
     }
 
@@ -600,45 +506,40 @@ pub fn infer_nodes(metrics: &JobMetrics) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{MetricsRegistry, StageKind};
+    use crate::metrics::{Counters, MetricsRegistry, StageKind};
 
     fn synth_stage(reg: &MetricsRegistry, nodes: usize, cpu_per_node: f64, remote: u64) {
-        let c = reg.begin_stage("s", StageKind::ShuffleMap, nodes);
+        let mut c = reg.begin_stage("s", StageKind::ShuffleMap, nodes, None);
         for n in 0..nodes {
             c.record_task(n, cpu_per_node, 1);
         }
-        c.add_shuffle_read(remote, 0, 1);
+        c.counters.merge(&Counters {
+            remote_bytes_read: remote,
+            shuffle_read_records: 1,
+            ..Counters::default()
+        });
         reg.finish_stage(c);
-    }
-
-    #[test]
-    fn stage_time_components_measured() {
-        let reg = MetricsRegistry::new();
-        synth_stage(&reg, 4, 24.0, 4_000_000_000);
-        let m = reg.snapshot();
-        let s = m.stages().next().unwrap();
-        let tm = TimeModel::spark().with_measured_cpu();
-        // cpu: max_task = 24 dominates 24/24; network: 4e9/(1e9*4)=1.0;
-        // overhead: latency + per-node·4.
-        let expect = 24.0 + 1.0 + tm.stage_latency_secs + tm.per_node_overhead_secs * 4.0;
-        assert!((tm.stage_time(s) - expect).abs() < 1e-9);
     }
 
     #[test]
     fn stage_time_components_modeled() {
         let reg = MetricsRegistry::new();
-        let c = reg.begin_stage("s", StageKind::ShuffleMap, 2);
+        let mut c = reg.begin_stage("s", StageKind::ShuffleMap, 2, None);
         c.record_task(0, 0.0, 1_000_000); // 1M records out
-        c.add_shuffle_write(1_000_000, 50_000_000); // 50 MB written
-        c.add_shuffle_read(30_000_000, 20_000_000, 1_000_000); // 50 MB read
+        c.counters.merge(&Counters {
+            shuffle_write_records: 1_000_000,
+            shuffle_write_bytes: 50_000_000, // 50 MB written
+            remote_bytes_read: 30_000_000,   // 50 MB read
+            local_bytes_read: 20_000_000,
+            shuffle_read_records: 1_000_000,
+            ..Counters::default()
+        });
         reg.finish_stage(c);
         let m = reg.snapshot();
         let s = m.stages().next().unwrap();
         let tm = TimeModel {
-            cpu_cost: CpuCost::Modeled {
-                ns_per_record: 1_000.0,
-                ns_per_shuffle_byte: 10.0,
-            },
+            ns_per_record: 1_000.0,
+            ns_per_shuffle_byte: 10.0,
             ..TimeModel::spark()
         };
         // core_ns = 1e6·1000 + (50e6+50e6)·10 = 2e9 ns = 2 core-s over
@@ -658,7 +559,7 @@ mod tests {
         // halves the cpu component exactly.
         let build = |nodes: usize| {
             let reg = MetricsRegistry::new();
-            let c = reg.begin_stage("s", StageKind::ShuffleMap, nodes);
+            let mut c = reg.begin_stage("s", StageKind::ShuffleMap, nodes, None);
             c.record_task(0, 0.0, 1_000_000);
             reg.finish_stage(c);
             reg.snapshot()
@@ -733,7 +634,7 @@ mod tests {
         assert!((total - tm.job_time(&reg.snapshot())).abs() < 1e-9);
     }
 
-    /// Records a synthetic DAG stage: `cpu` measured seconds on node 0,
+    /// Records a synthetic DAG stage of `records` records on 2 nodes,
     /// wired into `job` at `wave` with the given metric-id parents.
     /// Returns the stage's metric id.
     fn synth_dag_stage(
@@ -741,7 +642,7 @@ mod tests {
         job: usize,
         wave: usize,
         parents: Vec<usize>,
-        cpu: f64,
+        records: u64,
     ) -> usize {
         let dag = crate::metrics::StageDag {
             job,
@@ -750,9 +651,9 @@ mod tests {
             shuffle_id: None,
             server_job: None,
         };
-        let c = reg.begin_stage_in_dag("s", StageKind::ShuffleMap, 2, dag);
-        let id = c.stage_id();
-        c.record_task(0, cpu, 1);
+        let mut c = reg.begin_stage("s", StageKind::ShuffleMap, 2, Some(dag));
+        let id = c.stage_id;
+        c.record_task(0, 0.0, records);
         reg.finish_stage(c);
         id
     }
@@ -763,11 +664,15 @@ mod tests {
         // max(A, B) + C; the serialized baseline is A + B + C.
         let reg = MetricsRegistry::new();
         let job = reg.begin_job();
-        let a = synth_dag_stage(&reg, job, 0, vec![], 2.0);
-        let b = synth_dag_stage(&reg, job, 0, vec![], 5.0);
-        synth_dag_stage(&reg, job, 1, vec![a, b], 1.0);
+        let a = synth_dag_stage(&reg, job, 0, vec![], 2);
+        let b = synth_dag_stage(&reg, job, 0, vec![], 5);
+        synth_dag_stage(&reg, job, 1, vec![a, b], 1);
         let m = reg.snapshot();
-        let tm = TimeModel::spark().with_measured_cpu();
+        // One record costs one second on the stages' 2 × 24 cores.
+        let tm = TimeModel {
+            ns_per_record: 48e9,
+            ..TimeModel::spark()
+        };
         let per_stage = |cpu: f64| {
             cpu / tm.core_speed + tm.stage_latency_secs + tm.per_node_overhead_secs * 2.0
         };
@@ -785,9 +690,9 @@ mod tests {
     fn critical_path_equals_serialized_for_chains() {
         let reg = MetricsRegistry::new();
         let job = reg.begin_job();
-        let a = synth_dag_stage(&reg, job, 0, vec![], 2.0);
-        let b = synth_dag_stage(&reg, job, 1, vec![a], 3.0);
-        synth_dag_stage(&reg, job, 2, vec![b], 1.0);
+        let a = synth_dag_stage(&reg, job, 0, vec![], 2);
+        let b = synth_dag_stage(&reg, job, 1, vec![a], 3);
+        synth_dag_stage(&reg, job, 2, vec![b], 1);
         let m = reg.snapshot();
         let tm = TimeModel::spark();
         assert!((tm.job_critical_path(&m, job) - tm.job_serialized(&m, job)).abs() < 1e-12);
@@ -800,7 +705,7 @@ mod tests {
         let job = reg.begin_job();
         // A materialized parent: skipped, so only a SkippedStage event.
         let skipped = reg.record_skipped_stage("shuffle-map(cached)", job, 7);
-        synth_dag_stage(&reg, job, 0, vec![skipped], 2.0);
+        synth_dag_stage(&reg, job, 0, vec![skipped], 2);
         let m = reg.snapshot();
         assert_eq!(m.skipped_stage_count(), 1);
         let tm = TimeModel::spark();
@@ -828,30 +733,31 @@ mod tests {
         let s = m.stages().next().unwrap();
         let base = TimeModel::spark();
         let scaled = TimeModel::spark().with_work_scale(10.0);
-        assert_eq!(base.cpu_cost, scaled.cpu_cost);
         let overhead = base.stage_latency_secs + base.per_node_overhead_secs * 4.0;
         let base_work = base.stage_time(s) - overhead;
         let scaled_work = scaled.stage_time(s) - overhead;
         assert!((scaled_work - 10.0 * base_work).abs() < 1e-9);
         // Disk events scale too.
-        assert!((scaled.disk_time(100, 1) - 10.0 * base.disk_time(100, 1)).abs() < 1e-12);
+        let reg = MetricsRegistry::new();
+        reg.record_disk_write(100);
+        let disk = reg.snapshot();
+        assert!((scaled.job_time(&disk) - 10.0 * base.job_time(&disk)).abs() < 1e-12);
     }
 
     #[test]
     fn recovery_cost_priced_per_failure_and_wasted_second() {
-        use crate::executor::RunStats;
         let reg = MetricsRegistry::new();
-        let clean = reg.begin_stage("s", StageKind::Result, 2);
+        let mut clean = reg.begin_stage("s", StageKind::Result, 2, None);
         clean.record_task(0, 1.0, 10);
         reg.finish_stage(clean);
-        let faulty = reg.begin_stage("s", StageKind::Result, 2);
+        let mut faulty = reg.begin_stage("s", StageKind::Result, 2, None);
         faulty.record_task(0, 1.0, 10);
-        faulty.record_run_stats(&RunStats {
+        faulty.counters.merge(&Counters {
             task_failures: 2,
             task_retries: 2,
             speculative_launched: 1,
-            speculative_won: 0,
             wasted_task_secs: 0.5,
+            ..Counters::default()
         });
         reg.finish_stage(faulty);
         let m = reg.snapshot();

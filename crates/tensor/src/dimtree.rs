@@ -16,7 +16,7 @@
 //! factor it depends on has changed — each internal node is computed
 //! exactly once per ALS iteration.
 
-use crate::linalg::solve_normal_equations;
+use crate::linalg::{als_normalize, als_solve};
 use crate::{CooTensor, DenseMatrix, KruskalTensor, Result, TensorError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -308,21 +308,8 @@ pub fn cp_als_dimtree(
     for _ in 0..iterations {
         for mode in 0..order {
             let m = tree.mttkrp(&factors, mode)?;
-            let mut v = DenseMatrix::from_vec(rank, rank, vec![1.0; rank * rank]);
-            for (g_mode, g) in grams.iter().enumerate() {
-                if g_mode != mode {
-                    v = v.hadamard(g)?;
-                }
-            }
-            let mut updated = solve_normal_equations(&m, &v)?;
-            lambda = updated.normalize_columns();
-            for l in &mut lambda {
-                if *l == 0.0 {
-                    *l = 1.0;
-                }
-            }
-            grams[mode] = updated.gram();
-            factors[mode] = updated;
+            let updated = als_solve(&m, &grams, mode)?;
+            lambda = als_normalize(updated, mode, &mut factors, &mut grams);
             tree.factor_updated(mode);
         }
         let k = KruskalTensor::new(lambda.clone(), factors.clone())?;
@@ -462,21 +449,8 @@ mod tests {
             for mode in 0..3 {
                 let refs: Vec<&DenseMatrix> = factors.iter().collect();
                 let m = mttkrp_ref(&t, &refs, mode).unwrap();
-                let mut v = DenseMatrix::from_vec(2, 2, vec![1.0; 4]);
-                for (g_mode, g) in grams.iter().enumerate() {
-                    if g_mode != mode {
-                        v = v.hadamard(g).unwrap();
-                    }
-                }
-                let mut updated = solve_normal_equations(&m, &v).unwrap();
-                lambda = updated.normalize_columns();
-                for l in &mut lambda {
-                    if *l == 0.0 {
-                        *l = 1.0;
-                    }
-                }
-                grams[mode] = updated.gram();
-                factors[mode] = updated;
+                let updated = als_solve(&m, &grams, mode).unwrap();
+                lambda = als_normalize(updated, mode, &mut factors, &mut grams);
             }
             let k = KruskalTensor::new(lambda.clone(), factors.clone()).unwrap();
             fits.push(k.fit(&t).unwrap());

@@ -226,10 +226,67 @@ pub fn solve_normal_equations(m: &DenseMatrix, v: &DenseMatrix) -> Result<DenseM
     }
 }
 
+/// First half of an ALS mode update: the new factor `Aₙ = Mₙ · V⁺` for the
+/// MTTKRP output `m` of `mode`, where `V = ∗ₘ≠ₙ Gₘ` is the Hadamard product
+/// of the other modes' Gram matrices. The caller may constrain or check the
+/// result before handing it to [`als_normalize`].
+pub fn als_solve(m: &DenseMatrix, grams: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
+    let rank = m.cols();
+    let mut v = DenseMatrix::from_vec(rank, rank, vec![1.0; rank * rank]);
+    for (g_mode, g) in grams.iter().enumerate() {
+        if g_mode != mode {
+            v = v.hadamard(g)?;
+        }
+    }
+    solve_normal_equations(m, &v)
+}
+
+/// Second half of an ALS mode update: normalizes the columns of `updated`,
+/// stores it as `factors[mode]` with its Gram in `grams[mode]`, and returns
+/// the column norms `λ` — an all-zero column reports `λ = 1`, not 0, so the
+/// reconstruction stays well-defined.
+pub fn als_normalize(
+    mut updated: DenseMatrix,
+    mode: usize,
+    factors: &mut [DenseMatrix],
+    grams: &mut [DenseMatrix],
+) -> Vec<f64> {
+    let mut lambda = updated.normalize_columns();
+    for l in &mut lambda {
+        if *l == 0.0 {
+            *l = 1.0;
+        }
+    }
+    grams[mode] = updated.gram();
+    factors[mode] = updated;
+    lambda
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn als_halves_solve_against_the_other_grams_and_guard_zero_columns() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut factors: Vec<DenseMatrix> = [4, 3, 5]
+            .iter()
+            .map(|&rows| DenseMatrix::random(rows, 2, &mut rng))
+            .collect();
+        let mut grams: Vec<DenseMatrix> = factors.iter().map(DenseMatrix::gram).collect();
+        let m = DenseMatrix::random(3, 2, &mut rng);
+        let v = grams[0].hadamard(&grams[2]).unwrap();
+        let solved = als_solve(&m, &grams, 1).unwrap();
+        assert_eq!(solved, solve_normal_equations(&m, &v).unwrap());
+
+        // Column 0 is all zero: it stays zero and reports λ = 1.
+        let updated = DenseMatrix::from_vec(3, 2, vec![0.0, 3.0, 0.0, 0.0, 0.0, 4.0]);
+        let lambda = als_normalize(updated, 1, &mut factors, &mut grams);
+        assert_eq!(lambda, vec![1.0, 5.0]);
+        assert_eq!(factors[1].data(), &[0.0, 0.6, 0.0, 0.0, 0.0, 0.8]);
+        assert_eq!(grams[1], factors[1].gram());
+    }
 
     fn spd(n: usize, seed: u64) -> DenseMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
