@@ -18,7 +18,7 @@
 //!   weighted-fair dispatch protecting the short pool where FIFO makes
 //!   it wait out the long backlog.
 //! * **Offered load** — solo runs price each job class via
-//!   [`TimeModel::job_critical_path`]; `TimeModel::offered_load` then
+//!   `cstf_model::TimeModel::job_critical_path`; [`offered_load`] then
 //!   sweeps submission rates and reports p50/p99 sojourn latency and
 //!   throughput for FIFO vs fair. At high offered load fair pools must
 //!   improve short-job p99 latency without losing throughput.
@@ -31,7 +31,6 @@
 use cstf_bench::*;
 use cstf_core::{CpResult, Strategy};
 use cstf_dataflow::prelude::*;
-use cstf_dataflow::sim::{OfferedJob, OfferedLoadStats};
 use cstf_tensor::random::RandomTensor;
 use cstf_tensor::CooTensor;
 
@@ -260,8 +259,8 @@ fn main() {
     let mut last: Option<(OfferedLoadStats, OfferedLoadStats)> = None;
     for &mult in &multiples {
         let rate = mult * saturation;
-        let fifo = model.offered_load(&jobs, &weights, rate, cap, false);
-        let fair = model.offered_load(&jobs, &weights, rate, cap, true);
+        let fifo = offered_load(&jobs, &weights, rate, cap, false);
+        let fair = offered_load(&jobs, &weights, rate, cap, true);
         sweep.row(vec![
             Cell::new(format!("{mult:.2}x"), Json::Fixed(mult, 2)),
             Cell::new(format!("{rate:.2}"), Json::Fixed(rate, 6)),

@@ -19,6 +19,7 @@
 use cstf_bench::*;
 use cstf_core::Strategy;
 use cstf_dataflow::prelude::*;
+use cstf_model::TimeModel;
 use cstf_tensor::datasets::{DELICIOUS3D, NELL1};
 
 fn main() {

@@ -15,9 +15,11 @@
 
 mod json;
 mod report;
+mod sim;
 
 pub use json::Json;
 pub use report::{write_json, Cell, Col, Report};
+pub use sim::{offered_load, OfferedJob, OfferedLoadStats, PoolLoadStats};
 
 use cstf_core::bigtensor::bigtensor_mttkrp;
 use cstf_core::cost::Algorithm;
@@ -26,6 +28,7 @@ use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
 use cstf_core::qcoo::QcooState;
 use cstf_core::{CpAls, CpResult, Partitioning, Strategy};
 use cstf_dataflow::prelude::*;
+use cstf_model::TimeModel;
 use cstf_tensor::datasets::DatasetSpec;
 use cstf_tensor::random::RandomTensor;
 use cstf_tensor::{CooTensor, DenseMatrix};

@@ -24,7 +24,7 @@
 //! * 2 MapReduce job launches (the `bin()` trick fuses stages 1 and 2
 //!   into one job; stage 3 is the second).
 //!
-//! Evaluate the recorded log with [`cstf_dataflow::sim::TimeModel::hadoop`].
+//! Evaluate the recorded log with `cstf_model::TimeModel::hadoop`.
 
 use crate::factors::{factor_to_rdd, rows_to_matrix, tensor_storage_bytes, tensor_to_rdd};
 use crate::records::{scale_row, CooRecord, Row};

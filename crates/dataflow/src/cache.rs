@@ -23,11 +23,11 @@
 //!   memory ledger for the disk tier and are transparently reloaded (and
 //!   promoted back to memory) on the next read, with the modeled
 //!   serialization cost charged through
-//!   [`crate::metrics::Meter::SpillWrite`]/`SpillRead` events and the
-//!   [`crate::sim::TimeModel`] spill throughput knobs. The cluster is one
-//!   process and records carry no serialization bound, so the disk tier is
-//!   an accounting tier: a spilled block's records stay reachable here and
-//!   no file is written.
+//!   [`crate::metrics::Meter::SpillWrite`]/`SpillRead` events that the
+//!   `cstf-model` time model prices at its spill throughputs. The cluster
+//!   is one process and records carry no serialization bound, so the disk
+//!   tier is an accounting tier: a spilled block's records stay reachable
+//!   here and no file is written.
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::metrics::MetricsRegistry;

@@ -691,6 +691,28 @@ mod tests {
     }
 
     #[test]
+    fn report_truncates_multibyte_names_on_char_boundaries() {
+        let c = cluster();
+        // Byte 10 falls inside 'ü' (bytes 9–10) and inside '→' (8–10).
+        c.metrics().set_scope("MTTKRP-1→2");
+        let server = JobServer::new(&c, JobServerConfig::fifo(1));
+        let h = server.submit("mandant-zürich", |c: &Cluster| {
+            c.parallelize(vec![(1u8, 1u32), (1, 2)], 2)
+                .reduce_by_key(|a, b| a + b)
+                .collect()
+        });
+        assert_eq!(h.join().completed(), Some(vec![(1, 3)]));
+        server.shutdown();
+        let report = c.metrics().snapshot().render_report();
+        assert!(report.contains(" MTTKRP-1   ShuffleMap "), "{report}");
+        assert!(
+            report.contains("[mandant-z/mandant-z] Completed"),
+            "{report}"
+        );
+        assert!(report.contains("JOBS   pool mandant-zürich "), "{report}");
+    }
+
+    #[test]
     fn cancel_while_queued_never_runs() {
         let c = cluster();
         let server = JobServer::new(&c, JobServerConfig::fifo(1).start_paused());

@@ -20,10 +20,8 @@
 //!   is counted as *remote bytes read*; records staying on the node count
 //!   as *local bytes read*. These are exactly the two metrics Spark's UI
 //!   reports and the paper plots in Figure 4.
-//! * [`sim::TimeModel`] — converts measured per-stage CPU work and byte
-//!   counts into simulated wall-clock seconds for a given node count and
-//!   platform profile (Spark-like in-memory vs Hadoop-like job-per-stage),
-//!   which drives the runtime-versus-nodes curves of Figures 2/3/5.
+//! * [`metrics`] — the engine only counts; the `cstf-model` crate prices
+//!   its log in modeled seconds for the curves of Figures 2/3/5.
 //!
 //! # Example
 //!
@@ -62,7 +60,6 @@ pub mod partitioner;
 pub mod rdd;
 pub mod scheduler;
 pub mod shuffle;
-pub mod sim;
 pub mod size;
 
 pub use broadcast::Broadcast;
@@ -110,7 +107,6 @@ pub mod prelude {
         HashPartitioner, KeyPartitioner, PartitionerRef, PartitionerSig, RangePartitioner,
     };
     pub use crate::rdd::Rdd;
-    pub use crate::sim::TimeModel;
     pub use crate::size::EstimateSize;
     pub use crate::{Data, Key};
 }

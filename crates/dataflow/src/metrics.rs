@@ -4,20 +4,20 @@
 //! and *local bytes read* across shuffle phases (§6.5, Figure 4) — plus
 //! per-stage structure (how many shuffles a workflow performs, Table 4).
 //! This module records those quantities as jobs execute. All byte counts
-//! come from [`crate::size::EstimateSize`] and are deterministic; the
-//! [`crate::sim::TimeModel`] prices the log.
+//! come from [`crate::size::EstimateSize`] and are deterministic. The
+//! engine only counts: the `cstf-model` crate prices the log in modeled
+//! seconds.
 //!
 //! The log is a sequence of [`Event`]s: a stage (a [`StageMetrics`], whose
 //! additive part is one [`Counters`] block), a job-server lifecycle record,
 //! or a [`Note`] under the scope label active at the time. Every plainly
 //! metered quantity — disk and broadcast bytes, job launches, evictions,
 //! spills, recomputes — is one `Note::Metered` kind whose `Meter::row`
-//! holds all that is kind-specific: unit, report label, price. A new
-//! metered kind is a `Meter` variant, its row and a `record_*` one-liner;
-//! a new counter is a [`Counters`] field and its line in `merge`.
+//! holds all that is kind-specific: unit and report label. A new metered
+//! kind is a `Meter` variant, its row and a `record_*` one-liner; a new
+//! counter is a [`Counters`] field and its line in `merge`.
 
 use crate::hash::FxHashMap;
-use crate::sim::TimeModel;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -137,8 +137,8 @@ pub struct Counters {
     /// Tasks whose speculative backup committed first.
     pub speculative_won: u64,
     /// Wall-clock seconds burned by discarded attempts (failed attempts
-    /// and losing speculative duplicates); priced as recovery cost by the
-    /// [`crate::sim::TimeModel`].
+    /// and losing speculative duplicates); the time model prices them as
+    /// recovery cost.
     pub wasted_task_secs: f64,
 }
 
@@ -293,18 +293,6 @@ pub(crate) enum Unit {
     Events,
 }
 
-/// How the [`TimeModel`] charges a [`Meter`]'s amounts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Price {
-    /// Costs nothing in itself.
-    Free,
-    /// A fixed number of seconds per event.
-    Fixed(fn(&TimeModel) -> f64),
-    /// Bytes moved at the given per-node bandwidth on every node at once,
-    /// scaled by `work_scale` like every other data-volume term.
-    Bandwidth(fn(&TimeModel) -> f64),
-}
-
 /// The row of the event table for one [`Meter`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MeterRow {
@@ -313,7 +301,6 @@ pub(crate) struct MeterRow {
     /// storage meters, which are high-volume (one event per block) and
     /// appear only aggregated, in the STORAGE summary.
     pub(crate) line: Option<&'static str>,
-    pub(crate) price: Price,
 }
 
 impl Meter {
@@ -327,27 +314,16 @@ impl Meter {
 
     /// This meter's row of the event table.
     pub(crate) fn row(self) -> MeterRow {
-        use {Price::*, Unit::*};
-        let (unit, line, price) = match self {
-            Meter::DiskRead => (Bytes, Some("disk-read"), Bandwidth(|m| m.disk_bw_per_node)),
-            Meter::DiskWrite => (Bytes, Some("disk-write"), Bandwidth(|m| m.disk_bw_per_node)),
-            Meter::JobLaunch => (Events, Some("job-launch"), Fixed(|m| m.job_launch_secs)),
-            // Tree-distributed, so aggregate bandwidth scales with nodes.
-            Meter::Broadcast => (
-                Bytes,
-                Some("broadcast"),
-                Bandwidth(|m| m.network_bw_per_node),
-            ),
-            // Eviction itself is free (a map removal), and so is noting a
-            // recompute: the cost shows up as the recompute CPU of the
-            // re-reading stage, which its own task metrics capture.
-            Meter::Evicted => (Bytes, None, Free),
-            Meter::Recompute => (Events, None, Free),
-            // Spills happen independently on every node.
-            Meter::SpillWrite => (Bytes, None, Bandwidth(|m| m.spill_write_bw)),
-            Meter::SpillRead => (Bytes, None, Bandwidth(|m| m.spill_read_bw)),
+        use Unit::*;
+        let (unit, line) = match self {
+            Meter::DiskRead => (Bytes, Some("disk-read")),
+            Meter::DiskWrite => (Bytes, Some("disk-write")),
+            Meter::JobLaunch => (Events, Some("job-launch")),
+            Meter::Broadcast => (Bytes, Some("broadcast")),
+            Meter::Evicted | Meter::SpillWrite | Meter::SpillRead => (Bytes, None),
+            Meter::Recompute => (Events, None),
         };
-        MeterRow { unit, line, price }
+        MeterRow { unit, line }
     }
 }
 
@@ -709,6 +685,13 @@ impl JobMetrics {
     /// Renders a human-readable per-stage report (the engine's analogue
     /// of the Spark UI's stage table), plus event and total summaries.
     pub fn render_report(&self) -> String {
+        self.render_report_annotated(|_| None)
+    }
+
+    /// [`Self::render_report`], with `annotate(job)` appended after ` | `
+    /// to job `job`'s STAGES header wherever it returns text — how a view
+    /// that prices the log (modeled seconds) shows its numbers per job.
+    pub fn render_report_annotated(&self, annotate: impl Fn(usize) -> Option<String>) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(
@@ -781,11 +764,7 @@ impl JobMetrics {
                 }
             }
         }
-        // Per-job stage DAGs: edges, wave per stage, and the
-        // critical-path / serialized-sum ratio (priced with the default
-        // Spark time-model profile), so stage-overlap wins are visible
-        // without reading the sim code.
-        let model = TimeModel::spark();
+        // Per-job stage DAGs: edges and wave per stage.
         for job in self.dag_jobs() {
             let waves = self
                 .stages_in_job(job)
@@ -793,17 +772,11 @@ impl JobMetrics {
                 .map(|d| d.wave + 1)
                 .max()
                 .unwrap_or(0);
-            let critical = model.job_critical_path(self, job);
-            let serialized = model.job_serialized(self, job);
-            let ratio = if serialized > 0.0 {
-                critical / serialized
-            } else {
-                1.0
+            let _ = write!(out, "STAGES job {job} | {waves} waves");
+            let _ = match annotate(job) {
+                Some(note) => writeln!(out, " | {note}"),
+                None => writeln!(out),
             };
-            let _ = writeln!(
-                out,
-                "STAGES job {job} | {waves} waves | critical-path {critical:.4} s / serialized {serialized:.4} s = {ratio:.2}",
-            );
             for e in &self.events {
                 match e {
                     Event::Stage(s) => {
@@ -908,8 +881,11 @@ impl JobMetrics {
     }
 }
 
+/// The longest prefix of `s` of at most `n` bytes that ends on a char
+/// boundary.
 fn truncate(s: &str, n: usize) -> &str {
-    &s[..s.len().min(n)]
+    let end = s.char_indices().map(|(i, c)| i + c.len_utf8());
+    &s[..end.take_while(|&end| end <= n).last().unwrap_or(0)]
 }
 
 /// Nearest-rank percentile of `values` (`pct` in 0..=100). Returns 0.0
@@ -1292,26 +1268,14 @@ mod tests {
         reg.snapshot()
     }
 
-    /// Everything observable about [`full_log`] — the report text, every
-    /// modeled second to the bit, every accessor — against the fixture
-    /// recorded before the event log's format was replaced (PR 23).
+    /// Every accessor on [`full_log`] against the accessor section of its
+    /// pinned fixture, and the engine's report against the fixture's minus
+    /// its modeled seconds. The modeled report and seconds are asserted by
+    /// `cstf-model`, through its report view, on the same log written out
+    /// as plain events.
     #[test]
     fn report_renders_every_event_kind() {
         let m = full_log();
-        let mut bits = String::new();
-        for tm in [TimeModel::spark(), TimeModel::hadoop()] {
-            let scopes: Vec<(String, u64)> = tm
-                .scope_times(&m)
-                .into_iter()
-                .map(|(s, t)| (s, t.to_bits()))
-                .collect();
-            bits += &format!(
-                "{:#x} {:#x} {:x?}\n",
-                tm.job_time(&m).to_bits(),
-                tm.job_time_serialized(&m).to_bits(),
-                scopes
-            );
-        }
         let storage: Vec<_> = m
             .storage_by_owner()
             .into_iter()
@@ -1362,11 +1326,17 @@ mod tests {
             ),
             (m.job_pools(), m.jobs_in_pool("etl").count()),
         );
-        let all = format!(
-            "{}--- modeled seconds (bits): job_time, job_time_serialized, scope_times; spark then hadoop\n{bits}--- accessors\n{accessors}",
-            m.render_report()
-        );
-        assert_eq!(all, include_str!("../tests/pinned/full_log.txt"));
+        let fixture = include_str!("../tests/pinned/full_log.txt");
+        let section = fixture
+            .find("--- accessors\n")
+            .expect("fixture has accessors");
+        assert_eq!(format!("--- accessors\n{accessors}"), fixture[section..]);
+        // The engine's own report is the modeled one without its one
+        // STAGES annotation.
+        let modeled = &fixture[..fixture.find("--- modeled").expect("modeled section")];
+        let (head, tail) = modeled.split_once(" | critical-path").expect("annotated");
+        let plain = format!("{head}{}", &tail[tail.find('\n').expect("header ends")..]);
+        assert_eq!(m.render_report(), plain);
     }
 
     #[test]
@@ -1547,9 +1517,10 @@ mod tests {
         let result = m.stages_in_job(job).last().unwrap();
         assert_eq!(result.dag.as_ref().unwrap().parents, vec![a_id]);
         let report = m.render_report();
-        assert!(report.contains(&format!("STAGES job {job} | 2 waves")));
-        assert!(report.contains("critical-path"));
+        assert!(report.contains(&format!("STAGES job {job} | 2 waves\n")));
         assert!(report.contains("cached"));
+        let annotated = m.render_report_annotated(|j| Some(format!("job {j} priced")));
+        assert!(annotated.contains(&format!("STAGES job {job} | 2 waves | job {job} priced\n")));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! exceeds the budget, property-tested over random workloads.
 
 use cstf_dataflow::{prelude::*, StageKind};
+use cstf_model::TimeModel;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

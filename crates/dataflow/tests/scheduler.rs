@@ -4,6 +4,7 @@
 //! lineage.
 
 use cstf_dataflow::{prelude::*, Job};
+use cstf_model::TimeModel;
 use proptest::prelude::*;
 
 fn cluster(nodes: usize) -> Cluster {
@@ -128,7 +129,7 @@ fn executed_diamond_records_wave_metadata() {
     // Two shuffle-map stages share wave 0; then the top shuffle; then the
     // result stage at wave == num_waves.
     assert_eq!(waves, vec![0, 0, 1, 2]);
-    let report = m.render_report();
+    let report = TimeModel::spark().render_report(&m);
     assert!(report.contains("STAGES job"), "report:\n{report}");
     assert!(report.contains("critical-path"), "report:\n{report}");
 }

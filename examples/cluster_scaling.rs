@@ -13,6 +13,7 @@
 
 use cstf_core::{CpAls, Strategy};
 use cstf_dataflow::prelude::*;
+use cstf_model::TimeModel;
 use cstf_tensor::datasets::SYNT3D;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         tensor.nnz()
     );
     // Each executed record stands for `scale` full-size records; fixed
-    // per-stage overheads stay as-is (see cstf_dataflow::sim docs).
+    // per-stage overheads stay as-is (see the cstf_model docs).
     let model = TimeModel::spark().with_work_scale(scale);
 
     println!(

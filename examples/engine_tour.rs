@@ -14,6 +14,7 @@
 
 use cstf_core::{CpAls, Strategy};
 use cstf_dataflow::prelude::*;
+use cstf_model::TimeModel;
 use cstf_tensor::random::RandomTensor;
 
 fn main() {
@@ -73,7 +74,8 @@ fn main() {
 
     // What did all of that cost? The engine kept score.
     println!("\n--- engine stage report ---");
-    print!("{}", cluster.metrics().snapshot().render_report());
+    let log = cluster.metrics().snapshot();
+    print!("{}", TimeModel::spark().render_report(&log));
 
     // Fault tolerance: kill a node, lose its cache + shuffle outputs,
     // recompute transparently from lineage.

@@ -8,6 +8,7 @@
 use cstf_core::{CpAls, CpResult, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_integration_tests::test_cluster;
+use cstf_model::TimeModel;
 use cstf_tensor::random::sparse_low_rank_tensor;
 use cstf_tensor::CooTensor;
 

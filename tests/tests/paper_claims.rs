@@ -8,6 +8,7 @@ use cstf_core::qcoo::QcooState;
 use cstf_core::{CpAls, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_integration_tests::{random_factors, test_cluster};
+use cstf_model::TimeModel;
 use cstf_tensor::random::RandomTensor;
 use cstf_tensor::CooTensor;
 

@@ -11,6 +11,7 @@ use cstf_core::{CpAls, Partitioning, PlanConfig, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::StageKind;
 use cstf_integration_tests::random_factors;
+use cstf_model::TimeModel;
 use cstf_tensor::random::{sparse_low_rank_tensor, RandomTensor};
 use cstf_tensor::{CooTensor, DenseMatrix};
 
@@ -295,7 +296,11 @@ fn stage_lines(m: &JobMetrics) -> String {
 
 fn pinned_text(c: &Cluster) -> String {
     let m = c.metrics().snapshot();
-    format!("{}---\n{}", stage_lines(&m), m.render_report())
+    format!(
+        "{}---\n{}",
+        stage_lines(&m),
+        TimeModel::spark().render_report(&m)
+    )
 }
 
 /// Blanks every `<float> s` — the job server's wall-clock columns.
