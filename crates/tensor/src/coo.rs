@@ -61,9 +61,15 @@ impl CooTensor {
 
     /// Builds a tensor from parallel coordinate/value lists.
     ///
-    /// `indices` must hold `values.len() * shape.len()` entries, flattened
-    /// nonzero-major. Every coordinate is bounds-checked.
+    /// `shape` needs at least one mode, every extent positive (as for
+    /// [`CooTensor::new`]). `indices` must hold `values.len() * shape.len()`
+    /// entries, flattened nonzero-major. Every coordinate is bounds-checked.
     pub fn from_flat(shape: Vec<u32>, indices: Vec<u32>, values: Vec<f64>) -> Result<Self> {
+        if shape.is_empty() || shape.contains(&0) {
+            return Err(TensorError::ShapeMismatch(format!(
+                "a tensor needs at least one mode and positive extents, got {shape:?}"
+            )));
+        }
         let order = shape.len();
         if indices.len() != values.len() * order {
             return Err(TensorError::ShapeMismatch(format!(
@@ -484,6 +490,17 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn from_flat_rejects_empty_and_zero_extent_shapes() {
+        for shape in [vec![], vec![0, 3]] {
+            let err = CooTensor::from_flat(shape.clone(), vec![], vec![]).unwrap_err();
+            assert!(
+                matches!(err, TensorError::ShapeMismatch(_)),
+                "{shape:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -52,9 +52,15 @@ pub fn read_tns<R: Read>(reader: R) -> Result<CooTensor> {
             }
             coord.push((one_based - 1) as u32);
         }
-        let value: f64 = all[all.len() - 1].parse().map_err(|_| {
-            TensorError::Parse(format!("line {lineno}: bad value {:?}", all[all.len() - 1]))
-        })?;
+        let token = all[all.len() - 1];
+        let value: f64 = token
+            .parse()
+            .map_err(|_| TensorError::Parse(format!("line {lineno}: bad value {token:?}")))?;
+        if !value.is_finite() {
+            return Err(TensorError::Parse(format!(
+                "line {lineno}: non-finite value {token:?}"
+            )));
+        }
 
         match order {
             None => {
@@ -109,6 +115,15 @@ pub fn write_tns_file<P: AsRef<Path>>(t: &CooTensor, path: P) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for token in ["nan", "NaN", "inf", "-Infinity", "1e400"] {
+            let src = format!("1 1 1 1.5\n2 2 2 {token}\n");
+            let err = read_tns(src.as_bytes()).unwrap_err().to_string();
+            assert!(err.contains("line 2: non-finite value"), "{token}: {err}");
+        }
+    }
 
     #[test]
     fn parse_basic_third_order() {

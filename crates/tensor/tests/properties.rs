@@ -220,3 +220,87 @@ proptest! {
         prop_assert!(whole.max_abs_diff(&parts) < 1e-9);
     }
 }
+
+/// One line of a hostile `.tns` file, built from `pick`, and what a
+/// correct reader must make of it: `None` for a comment or blank line,
+/// else the data line's index count and whether all its tokens are valid.
+fn hostile_line(pick: u64, order: usize) -> (String, Option<(usize, bool)>) {
+    const GOOD_INDEX: [&str; 3] = ["1", "2", "4294967295"];
+    const BAD_INDEX: [&str; 5] = ["0", "4294967296", "x", "-1", "1.5"];
+    const GOOD_VALUE: [&str; 4] = ["1.5", "-2", "0", "3e-5"];
+    const BAD_VALUE: [&str; 6] = ["nan", "NaN", "inf", "-Infinity", "1e400", "one"];
+    let at = |list: &[&'static str], k: u64| list[(k % list.len() as u64) as usize];
+    let (kind, rest) = (pick % 8, pick / 8);
+    let count = match kind {
+        5 => 1 + (rest % 5) as usize,
+        6 => 1,
+        _ => order,
+    };
+    let mut tokens: Vec<&str> = (0..count)
+        .map(|m| at(&GOOD_INDEX, rest >> (2 * m)))
+        .collect();
+    tokens.push(at(&GOOD_VALUE, rest >> 20));
+    let valid = match kind {
+        1 => return ("# a comment 1 2 3".into(), None),
+        2 => return (["", "   ", "\t"][(rest % 3) as usize].into(), None),
+        3 => {
+            tokens[(rest % count as u64) as usize] = at(&BAD_INDEX, rest >> 24);
+            false
+        }
+        4 => {
+            tokens[count] = at(&BAD_VALUE, rest >> 24);
+            false
+        }
+        7 => return (at(&GOOD_INDEX, rest).into(), Some((0, false))),
+        _ => true,
+    };
+    (tokens.join(" "), Some((count, valid)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `read_tns` on files assembled from good and hostile lines never
+    /// panics, succeeds exactly when every data line is well formed (and
+    /// agrees with the first on its index count), round-trips through
+    /// `write_tns` bit for bit, and names the first bad line on failure.
+    #[test]
+    fn read_tns_survives_hostile_input(
+        picks in prop::collection::vec(any::<u64>(), 0..12),
+        order in 1usize..=4,
+    ) {
+        let lines: Vec<_> = picks.iter().map(|&p| hostile_line(p, order)).collect();
+        let text: String = lines.iter().map(|(l, _)| format!("{l}\n")).collect();
+        let mut first_count = None;
+        let mut first_bad = None;
+        for (n, (_, data)) in lines.iter().enumerate() {
+            let Some((count, valid)) = *data else { continue };
+            let agrees = *first_count.get_or_insert(count) == count;
+            if !(valid && agrees) {
+                first_bad = Some(n + 1);
+                break;
+            }
+        }
+        match cstf_tensor::io::read_tns(text.as_bytes()) {
+            Ok(t) => {
+                prop_assert!(first_bad.is_none() && first_count.is_some(), "accepted:\n{text}");
+                let mut out = Vec::new();
+                cstf_tensor::io::write_tns(&t, &mut out).unwrap();
+                let back = cstf_tensor::io::read_tns(out.as_slice()).unwrap();
+                prop_assert_eq!(back.shape(), t.shape());
+                prop_assert_eq!(back.nnz(), t.nnz());
+                for z in 0..t.nnz() {
+                    prop_assert_eq!(back.coord(z), t.coord(z));
+                    prop_assert_eq!(back.values()[z].to_bits(), t.values()[z].to_bits());
+                }
+            }
+            Err(e) => {
+                let want = match first_bad {
+                    Some(n) => format!("line {n}:"),
+                    None => "no data lines".to_string(),
+                };
+                prop_assert!(e.to_string().contains(&want), "{e} lacks {want}:\n{text}");
+            }
+        }
+    }
+}

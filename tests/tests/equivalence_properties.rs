@@ -1,66 +1,22 @@
-//! Property-based cross-crate tests: the three distributed MTTKRP
-//! implementations must agree with the sequential reference on arbitrary
-//! sparse tensors.
+//! Distributed MTTKRP against the sequential reference on arbitrary
+//! sparse tensors. COO, QCOO and node invariance are rows of the
+//! bit-identity oracle (`tests/oracle.rs`); BIGtensor is not a planner
+//! strategy, so its property stays here.
 
 use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
-use cstf_dataflow::prelude::*;
 use cstf_integration_tests::{random_factors, test_cluster};
 use cstf_tensor::mttkrp::mttkrp as mttkrp_seq;
-use cstf_tensor::{CooTensor, DenseMatrix};
+use cstf_tensor::DenseMatrix;
 use proptest::prelude::*;
 
-/// Strategy generating a small random sparse tensor of order 2–4.
-fn arb_tensor() -> impl Strategy<Value = CooTensor> {
-    (2usize..=4)
-        .prop_flat_map(|order| {
-            let shape = prop::collection::vec(2u32..8, order..=order);
-            (shape, 1usize..40, any::<u64>())
-        })
-        .prop_map(|(shape, nnz, seed)| {
-            cstf_tensor::random::RandomTensor::new(shape)
-                .nnz(nnz)
-                .seed(seed)
-                .values_in(-1.0, 1.0)
-                .build()
-        })
-}
+cstf_integration_tests::oracle_groups!(
+    coo_matches_sequential,
+    qcoo_matches_sequential,
+    shuffle_bytes_node_invariant,
+);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// CSTF-COO ≡ sequential MTTKRP on every mode of arbitrary tensors.
-    #[test]
-    fn coo_matches_sequential(t in arb_tensor(), rank in 1usize..4, fseed in any::<u64>()) {
-        let c = test_cluster(3);
-        let rdd = tensor_to_rdd(&c, &t, 4).persist(StorageLevel::MemoryRaw);
-        let factors = random_factors(t.shape(), rank, fseed);
-        let refs: Vec<&DenseMatrix> = factors.iter().collect();
-        for mode in 0..t.order() {
-            let dist = mttkrp_coo(&c, &rdd, &factors, t.shape(), mode, &MttkrpOptions::default())
-                .unwrap();
-            let seq = mttkrp_seq(&t, &refs, mode).unwrap();
-            prop_assert!(dist.max_abs_diff(&seq) < 1e-9, "mode {mode}");
-        }
-    }
-
-    /// CSTF-QCOO ≡ sequential MTTKRP over a full cycle (fixed factors).
-    #[test]
-    fn qcoo_matches_sequential(t in arb_tensor(), fseed in any::<u64>()) {
-        let rank = 2;
-        let c = test_cluster(3);
-        let rdd = tensor_to_rdd(&c, &t, 4).persist(StorageLevel::MemoryRaw);
-        let factors = random_factors(t.shape(), rank, fseed);
-        let refs: Vec<&DenseMatrix> = factors.iter().collect();
-        let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), rank, 4).unwrap();
-        for mode in 0..t.order() {
-            let (out_mode, m) = q.step(&factors[q.next_join_mode()]).unwrap();
-            prop_assert_eq!(out_mode, mode);
-            let seq = mttkrp_seq(&t, &refs, mode).unwrap();
-            prop_assert!(m.max_abs_diff(&seq) < 1e-9, "mode {mode}");
-        }
-    }
 
     /// BIGtensor ≡ sequential MTTKRP for 3rd-order tensors, all modes.
     #[test]
@@ -85,31 +41,5 @@ proptest! {
             let seq = mttkrp_seq(&t, &refs, mode).unwrap();
             prop_assert!(dist.max_abs_diff(&seq) < 1e-9, "mode {mode}");
         }
-    }
-
-    /// The engine's total shuffled bytes for a COO MTTKRP are invariant to
-    /// the simulated node count (only the remote/local split moves).
-    #[test]
-    fn shuffle_bytes_node_invariant(
-        nnz in 10usize..60,
-        seed in any::<u64>(),
-        nodes_a in 1usize..6,
-        nodes_b in 6usize..12,
-    ) {
-        let t = cstf_tensor::random::RandomTensor::new(vec![10, 10, 10])
-            .nnz(nnz).seed(seed).build();
-        let factors = random_factors(t.shape(), 2, seed);
-        let run = |nodes: usize| {
-            let c = cstf_dataflow::Cluster::new(
-                cstf_dataflow::ClusterConfig::local(2).nodes(nodes).default_parallelism(6),
-            );
-            let rdd = tensor_to_rdd(&c, &t, 6).persist(StorageLevel::MemoryRaw);
-            let _ = rdd.count();
-            c.metrics().reset();
-            let _ = mttkrp_coo(&c, &rdd, &factors, t.shape(), 0,
-                &MttkrpOptions { partitions: Some(6), ..Default::default() }).unwrap();
-            c.metrics().snapshot().total_shuffle_bytes()
-        };
-        prop_assert_eq!(run(nodes_a), run(nodes_b));
     }
 }

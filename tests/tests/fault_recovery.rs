@@ -1,101 +1,10 @@
 //! Fault tolerance at the algorithm level: node failures between MTTKRP
-//! steps must not change decomposition results — the property that makes
-//! RDD-based tensor factorization suitable for "data-center settings"
-//! (paper §1).
+//! steps, or between two decompositions on one cluster, do not change
+//! results (paper §1). The configurations are node-loss rows of the
+//! bit-identity oracle (`tests/oracle.rs`).
 
-use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
-use cstf_dataflow::prelude::*;
-use cstf_integration_tests::{random_factors, test_cluster};
-use cstf_tensor::random::RandomTensor;
-use cstf_tensor::{CooTensor, DenseMatrix};
-
-fn tensor() -> CooTensor {
-    RandomTensor::new(vec![15, 12, 10])
-        .nnz(300)
-        .seed(51)
-        .build()
-}
-
-#[test]
-fn coo_mttkrp_survives_node_failure() {
-    let t = tensor();
-    let factors = random_factors(t.shape(), 2, 52);
-    let c = test_cluster(4);
-    let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-    let _ = rdd.count();
-    let clean = mttkrp_coo(&c, &rdd, &factors, t.shape(), 0, &MttkrpOptions::default()).unwrap();
-
-    c.simulate_node_failure(1);
-    let recovered =
-        mttkrp_coo(&c, &rdd, &factors, t.shape(), 0, &MttkrpOptions::default()).unwrap();
-    assert_eq!(
-        clean.max_abs_diff(&recovered),
-        0.0,
-        "bit-identical recovery"
-    );
-}
-
-#[test]
-fn qcoo_pipeline_survives_failures_between_steps() {
-    let t = tensor();
-    let factors = random_factors(t.shape(), 2, 53);
-    let refs: Vec<&DenseMatrix> = factors.iter().collect();
-
-    // Reference: clean run over a full mode cycle.
-    let reference: Vec<DenseMatrix> = {
-        let c = test_cluster(4);
-        let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), 2, 8).unwrap();
-        (0..3)
-            .map(|_| q.step(&factors[q.next_join_mode()]).unwrap().1)
-            .collect()
-    };
-
-    // Faulty run: a different node dies before every step.
-    let c = test_cluster(4);
-    let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-    let _ = rdd.count();
-    let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), 2, 8).unwrap();
-    for (step, expect) in reference.iter().enumerate() {
-        let (lost_blocks, lost_outputs) = c.simulate_node_failure(step % 4);
-        assert!(
-            lost_blocks + lost_outputs > 0,
-            "failure at step {step} should lose something"
-        );
-        let (_, m) = q.step(&factors[q.next_join_mode()]).unwrap();
-        assert_eq!(
-            m.max_abs_diff(expect),
-            0.0,
-            "step {step} diverged after failure"
-        );
-    }
-    // Sequential reference still agrees.
-    let seq = cstf_tensor::mttkrp::mttkrp(&t, &refs, 2).unwrap();
-    assert!(reference[2].max_abs_diff(&seq) < 1e-9);
-}
-
-#[test]
-fn full_decomposition_after_mid_cluster_failure() {
-    // Fail a node between two decompositions sharing a cluster: the second
-    // run must be unaffected (fresh lineage) and the first run's artifacts
-    // must not poison it.
-    let t = tensor();
-    let c = test_cluster(4);
-    let first = cstf_core::CpAls::new(2)
-        .strategy(cstf_core::Strategy::Qcoo)
-        .max_iterations(2)
-        .seed(9)
-        .run(&c, &t)
-        .unwrap();
-    c.simulate_node_failure(0);
-    let second = cstf_core::CpAls::new(2)
-        .strategy(cstf_core::Strategy::Qcoo)
-        .max_iterations(2)
-        .seed(9)
-        .run(&c, &t)
-        .unwrap();
-    assert!((first.stats.final_fit - second.stats.final_fit).abs() < 1e-12);
-}
+cstf_integration_tests::oracle_groups!(
+    coo_mttkrp_survives_node_failure,
+    qcoo_pipeline_survives_failures_between_steps,
+    full_decomposition_after_mid_cluster_failure,
+);

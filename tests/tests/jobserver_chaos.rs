@@ -1,209 +1,9 @@
-//! Job-server chaos suite: concurrent CP-ALS jobs from multiple tenants
-//! on one shared cluster, with the PR 1 fault injector killing, delaying
-//! and late-crashing task attempts underneath them. Every job must stay
-//! bit-identical to its solo sequential run, and retry/speculation
-//! counters must remain per-job invariant — faults and cross-job
-//! interleaving are invisible above the executor.
+//! Job-server chaos: concurrent CP-ALS tenants on one faulty cluster stay
+//! bit-identical to a solo run, with per-job shuffle counters equal to the
+//! solo run's. The configurations are rows of the bit-identity oracle
+//! (`tests/oracle.rs`) submitted through a `JobServer`.
 
-use cstf_core::{CpAls, Strategy};
-use cstf_dataflow::prelude::*;
-use cstf_tensor::random::RandomTensor;
-use cstf_tensor::{CooTensor, KruskalTensor};
-
-fn tensor() -> CooTensor {
-    RandomTensor::new(vec![16, 13, 11])
-        .nnz(350)
-        .seed(71)
-        .build()
-}
-
-/// One CP-ALS job variant: strategy and init seed differ per tenant, so
-/// concurrent jobs are genuinely distinct workloads.
-fn run_cp_als(c: &Cluster, t: &CooTensor, variant: u64) -> KruskalTensor {
-    let strategy = if variant.is_multiple_of(2) {
-        Strategy::Coo
-    } else {
-        Strategy::Qcoo
-    };
-    CpAls::new(2)
-        .strategy(strategy)
-        .max_iterations(1)
-        .seed(100 + variant)
-        .run(c, t)
-        .unwrap()
-        .kruskal
-}
-
-type Bits = (Vec<u64>, Vec<Vec<u64>>);
-
-fn kruskal_bits(k: &KruskalTensor) -> Bits {
-    (
-        k.weights.iter().map(|w| w.to_bits()).collect(),
-        k.factors
-            .iter()
-            .map(|f| f.data().iter().map(|x| x.to_bits()).collect())
-            .collect(),
-    )
-}
-
-const JOBS: u64 = 3;
-
-/// Solo baselines on a quiet forced-sequential cluster, one per variant.
-fn baselines(t: &CooTensor) -> Vec<(Bits, JobMetrics)> {
-    (0..JOBS)
-        .map(|v| {
-            let c = Cluster::new(ClusterConfig::local(4).nodes(4).sequential_stages());
-            let k = run_cp_als(&c, t, v);
-            (kruskal_bits(&k), c.metrics().snapshot())
-        })
-        .collect()
-}
-
-/// Concurrent CP-ALS jobs under crash / late-crash / delay schedules:
-/// factor matrices and weights stay bit-identical to the solo baselines
-/// across fault seeds, and per-job stage accounting matches the solo
-/// run's exactly (winner-only commits under cross-job interleaving).
-#[test]
-fn concurrent_cp_als_bit_identical_under_chaos() {
-    let t = tensor();
-    let reference = baselines(&t);
-
-    for seed in 0..8u64 {
-        // Half the schedules add late crashes (attempts that die *after*
-        // computing, possibly having warmed persisted-RDD caches).
-        let late_crashes = seed >= 4;
-        let mut faults = FaultConfig::crashes(seed, 0.3).with_delays(0.2, 2);
-        if late_crashes {
-            faults = faults.with_late_crashes(0.1);
-        }
-        let config = ClusterConfig::local(4)
-            .nodes(4)
-            .max_task_attempts(4)
-            .faults(faults);
-        let c = Cluster::new(config);
-        let server = JobServer::new(&c, JobServerConfig::fair(JOBS as usize));
-        let handles: Vec<_> = (0..JOBS)
-            .map(|v| {
-                let t = t.clone();
-                server.submit(&format!("tenant-{v}"), move |c: &Cluster| {
-                    kruskal_bits(&run_cp_als(c, &t, v))
-                })
-            })
-            .collect();
-        let ids: Vec<usize> = handles.iter().map(|h| h.id()).collect();
-        for (v, h) in handles.into_iter().enumerate() {
-            let got = h.join().completed().expect("job completed");
-            assert_eq!(
-                got, reference[v].0,
-                "seed {seed}: job {v} drifted under chaos interleaving"
-            );
-        }
-        server.shutdown();
-
-        let m = c.metrics().snapshot();
-        for (v, &id) in ids.iter().enumerate() {
-            let solo = &reference[v].1;
-            // Per-job invariants: the job ran the same stages and moved
-            // the same shuffle bytes as its solo run, and within the job
-            // every injected failure was retried exactly once.
-            assert_eq!(
-                m.stages_in_server_job(id).count(),
-                solo.stages().count(),
-                "seed {seed}: job {v} stage set changed"
-            );
-            let (bytes, write_records): (u64, u64) = m
-                .stages_in_server_job(id)
-                .map(|s| {
-                    (
-                        s.remote_bytes_read + s.local_bytes_read,
-                        s.shuffle_write_records,
-                    )
-                })
-                .fold((0, 0), |(b, r), (db, dr)| (b + db, r + dr));
-            if late_crashes {
-                // A late-crashed attempt may have warmed a persisted
-                // RDD's cache before dying (block puts are idempotent),
-                // letting the winning retry skip a shuffle read — so
-                // bytes may shrink, but never grow (no retry leaks).
-                assert!(
-                    bytes <= solo.total_shuffle_bytes(),
-                    "seed {seed}: job {v} read more shuffle bytes than solo (retry leak)"
-                );
-            } else {
-                assert_eq!(
-                    bytes,
-                    solo.total_shuffle_bytes(),
-                    "seed {seed}: job {v} shuffle bytes drifted (retry leak)"
-                );
-            }
-            assert_eq!(
-                write_records,
-                solo.stages().map(|s| s.shuffle_write_records).sum::<u64>(),
-                "seed {seed}: job {v} double-registered a map output"
-            );
-            let (failures, retries): (u64, u64) = m
-                .stages_in_server_job(id)
-                .map(|s| (s.task_failures, s.task_retries))
-                .fold((0, 0), |(f, r), (df, dr)| (f + df, r + dr));
-            assert_eq!(
-                retries, failures,
-                "seed {seed}: job {v} lost or duplicated a retry"
-            );
-            let speculative: u64 = m
-                .stages_in_server_job(id)
-                .map(|s| s.speculative_launched)
-                .sum();
-            assert_eq!(
-                speculative, 0,
-                "seed {seed}: speculation is off, job {v} launched backups"
-            );
-        }
-    }
-}
-
-/// Speculation on top of chaos: delayed stragglers get backups while
-/// other tenants' jobs interleave, yet per-job results and winner-only
-/// counters still hold (wins ≤ launches, failures still retried 1:1).
-#[test]
-fn concurrent_jobs_with_speculation_stay_invariant() {
-    let t = tensor();
-    let reference = baselines(&t);
-
-    let config = ClusterConfig::local(4)
-        .nodes(4)
-        .max_task_attempts(4)
-        .speculation(1.5, 0.01)
-        .faults(FaultConfig::crashes(5, 0.2).with_delays(0.4, 10));
-    let c = Cluster::new(config);
-    let server = JobServer::new(&c, JobServerConfig::fair(JOBS as usize));
-    let handles: Vec<_> = (0..JOBS)
-        .map(|v| {
-            let t = t.clone();
-            server.submit(&format!("tenant-{v}"), move |c: &Cluster| {
-                kruskal_bits(&run_cp_als(c, &t, v))
-            })
-        })
-        .collect();
-    let ids: Vec<usize> = handles.iter().map(|h| h.id()).collect();
-    for (v, h) in handles.into_iter().enumerate() {
-        let got = h.join().completed().expect("job completed");
-        assert_eq!(got, reference[v].0, "job {v} drifted under speculation");
-    }
-    server.shutdown();
-
-    let m = c.metrics().snapshot();
-    for &id in &ids {
-        let (failures, retries, launched, won) =
-            m.stages_in_server_job(id)
-                .fold((0u64, 0u64, 0u64, 0u64), |(f, r, l, w), s| {
-                    (
-                        f + s.task_failures,
-                        r + s.task_retries,
-                        l + s.speculative_launched,
-                        w + s.speculative_won,
-                    )
-                });
-        assert_eq!(retries, failures, "job {id}: retry invariant broke");
-        assert!(won <= launched, "job {id}: wins exceed launches");
-    }
-}
+cstf_integration_tests::oracle_groups!(
+    concurrent_cp_als_bit_identical_under_chaos,
+    concurrent_jobs_with_speculation_stay_invariant,
+);

@@ -1,52 +1,19 @@
 //! Partitioner-aware scheduling across crates: the shuffle-skipping hot
-//! paths must be invisible to the algorithm layer. Every test compares a
-//! narrow (co-partitioned or pre-partitioned) pipeline against the fully
-//! shuffled reference and demands *bit-identical* factors — on a quiet
-//! cluster, after `simulate_node_failure`, and under seeded task-crash
-//! schedules.
+//! paths are invisible to the algorithm layer. The bit-identity
+//! configurations (every partitioning level, quiet, under task crashes and
+//! after node loss) are rows of the bit-identity oracle (`tests/oracle.rs`).
 
-use cstf_core::factors::{factor_to_rdd, tensor_to_rdd, tensor_to_rdd_keyed};
-use cstf_core::mttkrp::{join_order, mttkrp_coo, mttkrp_coo_pre, MttkrpOptions};
-use cstf_core::qcoo::{QcooOptions, QcooState};
-use cstf_core::{CpAls, Partitioning, Strategy};
+use cstf_core::factors::factor_to_rdd;
 use cstf_dataflow::prelude::*;
 use cstf_integration_tests::{random_factors, test_cluster};
-use cstf_tensor::random::RandomTensor;
-use cstf_tensor::{CooTensor, DenseMatrix};
 use std::sync::Arc;
 
-fn tensor() -> CooTensor {
-    RandomTensor::new(vec![15, 12, 10])
-        .nnz(320)
-        .seed(90)
-        .build()
-}
-
-/// A cluster whose injector crashes ~`probability` of first task attempts,
-/// with enough attempt budget that every task still completes.
-fn chaos_cluster(seed: u64, probability: f64) -> Cluster {
-    Cluster::new(
-        ClusterConfig::local(4)
-            .nodes(4)
-            .max_task_attempts(4)
-            .faults(FaultConfig::crashes(seed, probability)),
-    )
-}
-
-fn assert_bit_identical(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row mismatch");
-    assert_eq!(a.cols(), b.cols(), "{what}: col mismatch");
-    let (da, db) = (a.data(), b.data());
-    for i in 0..da.len() {
-        assert_eq!(
-            da[i].to_bits(),
-            db[i].to_bits(),
-            "{what}: element {i} differs ({} vs {})",
-            da[i],
-            db[i]
-        );
-    }
-}
+cstf_integration_tests::oracle_groups!(
+    pre_partitioned_mttkrp_recovers_from_every_node_failure,
+    partitioning_levels_bit_identical_across_chaos_seeds,
+    co_partitioned_qcoo_survives_failures_between_steps,
+    pre_partitioned_decomposition_unaffected_by_mid_cluster_failure,
+);
 
 /// The factor-row RDD carries its partitioner across the crate boundary.
 #[test]
@@ -58,151 +25,4 @@ fn partitioned_factor_rdd_reports_provenance() {
     let rdd = factor_to_rdd(&c, &factors[0], 6, Some(&pref));
     assert_eq!(rdd.partitioner().unwrap().sig(), PartitionerSig::Hash(6));
     assert_eq!(rdd.count(), 10);
-}
-
-/// The fully narrow first join of `mttkrp_coo_pre` recovers bit-identically
-/// from the loss of any node: narrow dependencies re-enter lineage
-/// recomputation just like shuffle outputs do.
-#[test]
-fn pre_partitioned_mttkrp_recovers_from_every_node_failure() {
-    let t = tensor();
-    let factors = random_factors(t.shape(), 2, 92);
-    let mode = 0;
-    let first = join_order(t.order(), mode)[0];
-
-    // Same partition count as the pre-partitioned runs: bit-identity only
-    // holds when records land in the same buckets in the same order.
-    let clean = {
-        let c = test_cluster(4);
-        let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        let opts = MttkrpOptions {
-            partitions: Some(8),
-            ..MttkrpOptions::default()
-        };
-        mttkrp_coo(&c, &rdd, &factors, t.shape(), mode, &opts).unwrap()
-    };
-
-    for node in 0..4 {
-        let c = test_cluster(4);
-        let p: Arc<dyn KeyPartitioner<u32>> = Arc::new(HashPartitioner::new(8));
-        let pref = PartitionerRef::of(p);
-        let keyed =
-            tensor_to_rdd_keyed(&c, &t, first, 8, Some(&pref)).persist(StorageLevel::MemoryRaw);
-        let _ = keyed.count();
-        let opts = MttkrpOptions {
-            partitions: Some(8),
-            ..MttkrpOptions::default()
-        };
-        // Warm the caches, then kill a node and recompute.
-        let warm = mttkrp_coo_pre(&c, &keyed, &factors, t.shape(), mode, &opts).unwrap();
-        assert_bit_identical(&clean, &warm, "pre-partitioned quiet");
-        c.simulate_node_failure(node);
-        let recovered = mttkrp_coo_pre(&c, &keyed, &factors, t.shape(), mode, &opts).unwrap();
-        assert_bit_identical(&clean, &recovered, &format!("after losing node {node}"));
-    }
-}
-
-/// Chaos-seed sweep: every partitioner-awareness level of CP-ALS produces
-/// the same bits as the fully shuffled quiet run, under ten distinct
-/// task-crash schedules.
-#[test]
-fn partitioning_levels_bit_identical_across_chaos_seeds() {
-    let t = tensor();
-    let reference = CpAls::new(2)
-        .strategy(Strategy::Coo)
-        .partitioning(Partitioning::None)
-        .max_iterations(2)
-        .skip_fit()
-        .seed(7)
-        .run(&test_cluster(4), &t)
-        .unwrap();
-
-    for chaos_seed in 0..10u64 {
-        for level in [
-            Partitioning::CoPartitionedFactors,
-            Partitioning::PrePartitionedTensor,
-        ] {
-            let c = chaos_cluster(chaos_seed, 0.15);
-            let res = CpAls::new(2)
-                .strategy(Strategy::Coo)
-                .partitioning(level)
-                .max_iterations(2)
-                .skip_fit()
-                .seed(7)
-                .run(&c, &t)
-                .unwrap();
-            for (a, b) in reference
-                .kruskal
-                .factors
-                .iter()
-                .zip(res.kruskal.factors.iter())
-            {
-                assert_bit_identical(a, b, &format!("seed {chaos_seed}, {level:?}"));
-            }
-        }
-    }
-}
-
-/// Co-partitioned QCOO steps stay bit-identical to the shuffled QCOO
-/// pipeline while nodes die between steps.
-#[test]
-fn co_partitioned_qcoo_survives_failures_between_steps() {
-    let t = tensor();
-    let factors = random_factors(t.shape(), 2, 93);
-
-    // Reference: legacy (fully shuffled) QCOO over a full mode cycle.
-    let reference: Vec<DenseMatrix> = {
-        let c = test_cluster(4);
-        let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        let opts = QcooOptions {
-            co_partition_factors: false,
-            ..QcooOptions::default()
-        };
-        let mut q = QcooState::init_with(&c, &rdd, &factors, t.shape(), 2, 8, opts).unwrap();
-        (0..3)
-            .map(|_| q.step(&factors[q.next_join_mode()]).unwrap().1)
-            .collect()
-    };
-
-    // Co-partitioned run with a different node dying before every step.
-    let c = test_cluster(4);
-    let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-    let _ = rdd.count();
-    let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), 2, 8).unwrap();
-    for (step, expect) in reference.iter().enumerate() {
-        c.simulate_node_failure(step % 4);
-        let (_, m) = q.step(&factors[q.next_join_mode()]).unwrap();
-        assert_bit_identical(expect, &m, &format!("QCOO step {step}"));
-    }
-}
-
-/// A full pre-partitioned decomposition re-run on a cluster that lost a
-/// node mid-way matches its own first run (fresh lineage each run).
-#[test]
-fn pre_partitioned_decomposition_unaffected_by_mid_cluster_failure() {
-    let t = tensor();
-    let c = test_cluster(4);
-    let run = |c: &Cluster| {
-        CpAls::new(2)
-            .strategy(Strategy::Coo)
-            .partitioning(Partitioning::PrePartitionedTensor)
-            .max_iterations(2)
-            .seed(11)
-            .run(c, &t)
-            .unwrap()
-    };
-    let first = run(&c);
-    c.simulate_node_failure(2);
-    let second = run(&c);
-    for (a, b) in first
-        .kruskal
-        .factors
-        .iter()
-        .zip(second.kruskal.factors.iter())
-    {
-        assert_bit_identical(a, b, "re-run after node failure");
-    }
-    assert!((first.stats.final_fit - second.stats.final_fit).abs() == 0.0);
 }

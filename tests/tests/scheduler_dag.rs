@@ -1,41 +1,32 @@
 //! DAG-scheduler integration tests against the real tensor kernels: the
 //! independent factor-side shuffle-map stages of one MTTKRP must share a
-//! scheduling wave, CP-ALS must be bit-identical between the concurrent
-//! and forced-sequential schedulers (quiet and under seeded chaos), and
-//! shuffle counters must be concurrency-invariant.
+//! scheduling wave, and the stage sequences of four jobs are pinned. Bit
+//! identity and counter invariance between the concurrent and the
+//! forced-sequential scheduler (quiet and under seeded chaos) are rows of
+//! the bit-identity oracle (`tests/oracle.rs`).
 
 use cstf_core::factors::tensor_to_rdd;
 use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
-use cstf_core::{CpAls, Partitioning, PlanConfig, Strategy};
+use cstf_core::{Partitioning, PlanConfig, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::StageKind;
+use cstf_integration_tests::oracle::Tensor;
 use cstf_integration_tests::random_factors;
 use cstf_model::TimeModel;
-use cstf_tensor::random::{sparse_low_rank_tensor, RandomTensor};
-use cstf_tensor::{CooTensor, DenseMatrix};
+use cstf_tensor::CooTensor;
+
+cstf_integration_tests::oracle_groups!(
+    counters_are_concurrency_invariant,
+    cp_als_bit_identical_across_schedulers_and_chaos_seeds,
+    qcoo_steps_bit_identical_across_schedulers_and_chaos,
+);
 
 fn tensor() -> CooTensor {
-    RandomTensor::new(vec![16, 13, 11])
-        .nnz(350)
-        .seed(81)
-        .build()
+    Tensor::R16s81.build()
 }
 
 fn quiet(nodes: usize) -> ClusterConfig {
     ClusterConfig::local(4).nodes(nodes)
-}
-
-fn assert_bit_identical(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row mismatch");
-    assert_eq!(a.cols(), b.cols(), "{what}: col mismatch");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {i} differs ({x} vs {y})"
-        );
-    }
 }
 
 /// One legacy (non-co-partitioned) order-3 COO MTTKRP: the tensor-key
@@ -112,155 +103,6 @@ fn co_partitioned_mttkrp_is_a_chain() {
     assert_eq!(waves, vec![0, 1, 2, 3], "chain: one stage per wave");
     let tm = TimeModel::spark();
     assert!((tm.job_critical_path(&m, job) - tm.job_serialized(&m, job)).abs() < 1e-12);
-}
-
-/// Shuffle accounting must not notice the scheduler: quiet concurrent and
-/// quiet sequential runs of the same legacy MTTKRP agree on every counter.
-#[test]
-fn counters_are_concurrency_invariant() {
-    let t = tensor();
-    let factors = random_factors(t.shape(), 2, 84);
-    let opts = MttkrpOptions {
-        co_partition_factors: false,
-        ..MttkrpOptions::default()
-    };
-    let run = |config: ClusterConfig| {
-        let c = Cluster::new(config);
-        let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        let out = mttkrp_coo(&c, &rdd, &factors, t.shape(), 0, &opts).unwrap();
-        (out, c.metrics().snapshot())
-    };
-    let (seq_out, seq) = run(quiet(4).sequential_stages());
-    let (conc_out, conc) = run(quiet(4));
-    assert_bit_identical(&conc_out, &seq_out, "scheduler mode");
-    assert_eq!(seq.shuffle_count(), conc.shuffle_count());
-    assert_eq!(seq.total_shuffle_bytes(), conc.total_shuffle_bytes());
-    assert_eq!(seq.total_remote_bytes(), conc.total_remote_bytes());
-    assert_eq!(seq.total_local_bytes(), conc.total_local_bytes());
-    // Same stages with the same per-stage traffic. Each mode's log order
-    // is deterministic, but the two orders differ (post-order vs
-    // wave-major), so compare as sorted sets.
-    let traffic = |m: &JobMetrics| {
-        let mut v: Vec<(String, u64, u64)> = m
-            .stages()
-            .map(|s| {
-                (
-                    s.name.clone(),
-                    s.shuffle_write_bytes,
-                    s.shuffle_write_records,
-                )
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(traffic(&seq), traffic(&conc));
-}
-
-/// Acceptance bar: CP-ALS factors are bit-identical between the
-/// sequential and concurrent schedulers, quiet and under 20 distinct
-/// seeded chaos schedules. `Partitioning::None` keeps the factor-side
-/// shuffles alive, so the concurrent scheduler genuinely overlaps stages
-/// here — and still must change nothing.
-#[test]
-fn cp_als_bit_identical_across_schedulers_and_chaos_seeds() {
-    let (t, _) = sparse_low_rank_tensor(&[24, 20, 16], 2, 8, 85);
-    let run = |config: ClusterConfig| {
-        let c = Cluster::new(config);
-        let r = CpAls::new(2)
-            .strategy(Strategy::Coo)
-            .partitioning(Partitioning::None)
-            .max_iterations(2)
-            .seed(9)
-            .run(&c, &t)
-            .unwrap();
-        (r, c)
-    };
-
-    let (reference, _) = run(quiet(4).sequential_stages());
-    let (concurrent, _) = run(quiet(4));
-    assert_eq!(
-        reference
-            .kruskal
-            .weights
-            .iter()
-            .map(|w| w.to_bits())
-            .collect::<Vec<_>>(),
-        concurrent
-            .kruskal
-            .weights
-            .iter()
-            .map(|w| w.to_bits())
-            .collect::<Vec<_>>(),
-        "weights drifted between schedulers"
-    );
-    for (mode, (a, b)) in reference
-        .kruskal
-        .factors
-        .iter()
-        .zip(&concurrent.kruskal.factors)
-        .enumerate()
-    {
-        assert_bit_identical(b, a, &format!("quiet factor {mode}"));
-    }
-
-    for seed in 0..20u64 {
-        let config = quiet(4)
-            .max_task_attempts(4)
-            .faults(FaultConfig::crashes(seed, 0.5).with_late_crashes(0.2));
-        let (chaotic, c) = run(config);
-        for (mode, (a, b)) in reference
-            .kruskal
-            .factors
-            .iter()
-            .zip(&chaotic.kruskal.factors)
-            .enumerate()
-        {
-            assert_bit_identical(b, a, &format!("seed {seed} factor {mode}"));
-        }
-        let m = c.metrics().snapshot();
-        assert!(
-            m.total_task_failures() >= 1,
-            "seed {seed}: schedule injected nothing"
-        );
-        assert_eq!(
-            m.total_task_retries(),
-            m.total_task_failures(),
-            "seed {seed}: retry counters must stay failure-exact under waves"
-        );
-    }
-}
-
-/// QCOO's step chain is sequential by construction; the DAG scheduler must
-/// leave it bit-identical under chaos too.
-#[test]
-fn qcoo_steps_bit_identical_across_schedulers_and_chaos() {
-    let t = tensor();
-    let factors = random_factors(t.shape(), 2, 86);
-    let run = |c: &Cluster| -> Vec<DenseMatrix> {
-        let rdd = tensor_to_rdd(c, &t, 8).persist(StorageLevel::MemoryRaw);
-        let mut q = QcooState::init(c, &rdd, &factors, t.shape(), 2, 8).unwrap();
-        (0..t.order())
-            .map(|_| q.step(&factors[q.next_join_mode()]).unwrap().1)
-            .collect()
-    };
-    let reference = run(&Cluster::new(quiet(4).sequential_stages()));
-    let concurrent = run(&Cluster::new(quiet(4)));
-    for (mode, (a, b)) in reference.iter().zip(&concurrent).enumerate() {
-        assert_bit_identical(b, a, &format!("quiet qcoo mode {mode}"));
-    }
-    for seed in [2u64, 19, 57, 101] {
-        let c = Cluster::new(
-            quiet(4)
-                .max_task_attempts(4)
-                .faults(FaultConfig::crashes(seed, 0.6)),
-        );
-        let chaotic = run(&c);
-        for (mode, (a, b)) in reference.iter().zip(&chaotic).enumerate() {
-            assert_bit_identical(b, a, &format!("seed {seed} qcoo mode {mode}"));
-        }
-        assert!(c.metrics().snapshot().total_task_failures() >= 1);
-    }
 }
 
 // ---- pinned stage sequences ------------------------------------------

@@ -1,36 +1,26 @@
 //! Planner-layer integration tests: every MTTKRP strategy driven through
-//! the uniform [`plan`] API must (a) agree with the sequential reference
-//! on arbitrary tensors under every partitioning level, (b) be
-//! bit-identical to calling its underlying pipeline function directly —
-//! the refactor moved construction, not math — and (c) for the new
-//! DFacTo-SpMV strategy, be bit-identical under injected task faults.
+//! the uniform [`plan`] API is bit-identical to calling its underlying
+//! pipeline function directly — the refactor moved construction, not
+//! math. Agreement with the sequential reference under every partitioning
+//! level, and DFacTo-SpMV under injected task faults, are rows of the
+//! bit-identity oracle (`tests/oracle.rs`).
 
 use cstf_core::factors::tensor_to_rdd;
 use cstf_core::mttkrp::{mttkrp_coo, mttkrp_coo_broadcast, MttkrpOptions};
 use cstf_core::planner::{plan, PlanConfig};
 use cstf_core::qcoo::{QcooOptions, QcooState};
 use cstf_core::spmv::mttkrp_spmv;
-use cstf_core::{CpAls, Partitioning, Strategy};
+use cstf_core::{Partitioning, Strategy};
 use cstf_dataflow::prelude::*;
-use cstf_integration_tests::{random_factors, test_cluster};
-use cstf_tensor::mttkrp::mttkrp as mttkrp_seq;
+use cstf_integration_tests::{assert_bits_eq, random_factors, test_cluster};
 use cstf_tensor::random::RandomTensor;
-use cstf_tensor::{CooTensor, DenseMatrix};
-use proptest::prelude::*;
-use proptest::strategy::Strategy as _;
+use cstf_tensor::DenseMatrix;
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::Coo,
-    Strategy::Qcoo,
-    Strategy::CooBroadcast,
-    Strategy::DfactoSpmv,
-];
-
-const ALL_PARTITIONINGS: [Partitioning; 3] = [
-    Partitioning::None,
-    Partitioning::CoPartitionedFactors,
-    Partitioning::PrePartitionedTensor,
-];
+cstf_integration_tests::oracle_groups!(
+    all_strategies_match_sequential,
+    spmv_mttkrp_bit_identical_across_twenty_fault_schedules,
+    spmv_cp_als_bit_identical_under_chaos,
+);
 
 fn config(partitioning: Partitioning, rank: usize) -> PlanConfig {
     PlanConfig {
@@ -40,61 +30,6 @@ fn config(partitioning: Partitioning, rank: usize) -> PlanConfig {
         kernel: KernelStrategy::default(),
         cache_tensor: true,
         storage: StorageLevel::MemoryRaw,
-    }
-}
-
-fn arb_tensor() -> impl proptest::strategy::Strategy<Value = CooTensor> {
-    (2usize..=4)
-        .prop_flat_map(|order| {
-            let shape = prop::collection::vec(2u32..8, order..=order);
-            (shape, 1usize..40, any::<u64>())
-        })
-        .prop_map(|(shape, nnz, seed)| {
-            RandomTensor::new(shape)
-                .nnz(nnz)
-                .seed(seed)
-                .values_in(-1.0, 1.0)
-                .build()
-        })
-}
-
-fn assert_bit_identical(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row mismatch");
-    for (i, (x, y)) in a.data().iter().zip(b.data().iter()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {i} differs ({x} vs {y})"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Every (strategy × partitioning) pair planned through the uniform
-    /// API agrees with the sequential MTTKRP on every mode.
-    #[test]
-    fn all_strategies_match_sequential(t in arb_tensor(), fseed in any::<u64>()) {
-        let rank = 2;
-        let factors = random_factors(t.shape(), rank, fseed);
-        let refs: Vec<&DenseMatrix> = factors.iter().collect();
-        for strategy in ALL_STRATEGIES {
-            for partitioning in ALL_PARTITIONINGS {
-                let c = test_cluster(3);
-                let mut p = plan(&c, &t, strategy, &config(partitioning, rank), &factors)
-                    .unwrap();
-                for mode in 0..t.order() {
-                    let dist = p.mttkrp(&factors, mode).unwrap();
-                    let seq = mttkrp_seq(&t, &refs, mode).unwrap();
-                    prop_assert!(
-                        dist.max_abs_diff(&seq) < 1e-9,
-                        "{strategy}/{partitioning} mode {mode}"
-                    );
-                }
-                p.release();
-            }
-        }
     }
 }
 
@@ -174,94 +109,8 @@ fn planned_strategies_bit_identical_to_direct_pipelines() {
         .unwrap();
         for (mode, want) in expect.iter().enumerate() {
             let got = p.mttkrp(&factors, mode).unwrap();
-            assert_bit_identical(&got, want, &format!("{strategy} mode {mode}"));
+            assert_bits_eq(got.data(), want.data(), &format!("{strategy} mode {mode}"));
         }
         p.release();
-    }
-}
-
-/// DFacTo-SpMV MTTKRP is bit-identical under 20 distinct fault schedules,
-/// each of which actually kills at least one task attempt — retried
-/// attempts recompute their partition exactly, and the canonicalized
-/// fiber order makes every downstream reduce order-independent of *which*
-/// attempt won.
-#[test]
-fn spmv_mttkrp_bit_identical_across_twenty_fault_schedules() {
-    let t = RandomTensor::new(vec![16, 13, 11])
-        .nnz(350)
-        .seed(91)
-        .build();
-    let factors = random_factors(t.shape(), 2, 92);
-
-    let clean: Vec<DenseMatrix> = {
-        let c = test_cluster(4);
-        let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        (0..t.order())
-            .map(|m| mttkrp_spmv(&c, &rdd, &factors, t.shape(), m, &MttkrpOptions::default()))
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap()
-    };
-
-    for seed in 0..20u64 {
-        let c = Cluster::new(
-            ClusterConfig::local(4)
-                .nodes(4)
-                .max_task_attempts(4)
-                .faults(FaultConfig::crashes(seed, 0.7)),
-        );
-        let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-        for (mode, expect) in clean.iter().enumerate() {
-            let got = mttkrp_spmv(
-                &c,
-                &rdd,
-                &factors,
-                t.shape(),
-                mode,
-                &MttkrpOptions::default(),
-            )
-            .unwrap();
-            assert_bit_identical(&got, expect, &format!("seed {seed} mode {mode}"));
-        }
-        let m = c.metrics().snapshot();
-        assert!(
-            m.total_task_failures() >= 1,
-            "seed {seed}: schedule injected no faults"
-        );
-        assert_eq!(
-            m.total_task_retries(),
-            m.total_task_failures(),
-            "seed {seed}: every failure retried exactly once"
-        );
-    }
-}
-
-/// Full CP-ALS with the SpMV strategy survives chaos bit-identically too:
-/// the planner path composes the per-MTTKRP guarantee across iterations.
-#[test]
-fn spmv_cp_als_bit_identical_under_chaos() {
-    let t = RandomTensor::new(vec![12, 10, 8]).nnz(250).seed(93).build();
-    let run = |c: &Cluster| {
-        CpAls::new(2)
-            .strategy(Strategy::DfactoSpmv)
-            .max_iterations(3)
-            .skip_fit()
-            .seed(7)
-            .run(c, &t)
-            .unwrap()
-            .kruskal
-    };
-    let clean = run(&test_cluster(4));
-    for seed in [1u64, 5, 13] {
-        let c = Cluster::new(
-            ClusterConfig::local(4)
-                .nodes(4)
-                .max_task_attempts(4)
-                .faults(FaultConfig::crashes(seed, 0.4)),
-        );
-        let chaotic = run(&c);
-        assert!(c.metrics().snapshot().total_task_failures() >= 1);
-        for (mode, (a, b)) in clean.factors.iter().zip(chaotic.factors.iter()).enumerate() {
-            assert_bit_identical(a, b, &format!("seed {seed} factor {mode}"));
-        }
     }
 }
