@@ -12,8 +12,8 @@
 //!
 //! | column | values |
 //! |---|---|
-//! | `tensor` | `Golden` (9×8×7, nnz 150, seed 61, 16 partitions); the fixed tensors of the former suites, 8 partitions (`R16s71`, `R16s81`, `R16s91`: 16×13×11 nnz 350; `R14s91`: 14×12×10 nnz 320; `R12s93`: 12×11×10 nnz 260; `R15s90`: 15×12×10 nnz 320; `R15s51`: 15×12×10 nnz 300; `R12x10s93`: 12×10×8 nnz 250; `LowRank74`: 30×25×20 and `LowRank85`: 24×20×16, rank 2 support 8); `Arb(seed)`: order 2–4, extents 2–7, nnz 1–39, rank 1–3, 1–8 partitions; `Cube(seed)`: 10×10×10, nnz 10–59, 6 partitions |
-//! | `workload` | `Cycle`: `planner::plan` + one `Plan::mttkrp` per mode with fixed random factors · `Als`: `CpAls::run`, init seed 7, one iteration (two on `Golden`) |
+//! | `tensor` | `Golden` (9×8×7, nnz 150, seed 61, 16 partitions); the fixed tensors of the former suites, 8 partitions (`R16s71`, `R16s81`, `R16s91`: 16×13×11 nnz 350; `R14s91`: 14×12×10 nnz 320; `R12s93`: 12×11×10 nnz 260; `R15s90`: 15×12×10 nnz 320; `R15s51`: 15×12×10 nnz 300; `R12x10s93`: 12×10×8 nnz 250; `LowRank74`: 30×25×20 and `LowRank85`: 24×20×16, rank 2 support 8); `Arb(seed)`: order 2–4, extents 2–8, nnz 1–59 (the union of the former generators' ranges), rank 1–3, 1–8 partitions; `Cube(seed)`: 10×10×10, nnz 10–59, 6 partitions |
+//! | `workload` | `Cycle`: `planner::plan` + one `Plan::mttkrp` per mode with fixed random factors · `Als`: `CpAls::run`, init seed 7, as many iterations as the tensor's former suite ran (3 on `R12x10s93`; 2 on `Golden`, `R15s90`, `R15s51`, `LowRank74`, `LowRank85`; else 1) |
 //! | `strategy` | `Coo` · `Qcoo` · `CooBroadcast` · `DfactoSpmv` |
 //! | `partitioning` | `CoPartitionedFactors` · `None` · `PrePartitionedTensor` |
 //! | `kernel` | `SortedRuns` · `RecordAtATime` |
@@ -22,12 +22,13 @@
 //! | `faults` | quiet · crash · late crash · crash + delay · delay + speculation · node loss |
 //! | `threads` | 4 · 1 · 2 (reference: 2 on `Golden` and `Cube`, else 4) |
 //! | `nodes` | 4 · 1 · 3 · 9 (reference: 3 on `Arb`, 9 on `Cube`, else 4) |
-//! | `submission` | direct · 3 concurrent `JobServer` tenants |
+//! | `submission` | direct · 3 concurrent `JobServer` tenants: tenant *i* runs variant *i* (init and factor seeds + *i*), odd tenants with the strategy's partner (COO ↔ QCOO, broadcast ↔ SpMV) |
 //!
 //! **Ground truth.** A row's bits are compared with its *reference row*:
 //! the same tensor, workload and strategy, quiet, concurrent, unbudgeted,
 //! submitted directly, with the default kernel and `CoPartitionedFactors`,
 //! on the thread and node counts the tensor's former suite used.
+//! Tenant *i* of a row is compared with its own variant's reference row.
 //! A reference row on `Golden` under `Als` must hash to the FNV-1a
 //! constants in [`oracle::GOLDEN`]; a reference row under `Cycle` must
 //! match the sequential MTTKRP within 1e-9, which is the cross-strategy
@@ -48,7 +49,9 @@
 //! `--ignored`.
 //!
 //! **Deleting a knob** deletes its column: the field of [`oracle::Row`],
-//! its arm in `Row::set` / `Row::labels`, and the group rows that set it.
+//! its value array and its entry in [`oracle::COLUMN_SIZES`], its arm in
+//! `Row::set` / `Row::labels`, and the group rows that set it. The
+//! coverage test fails if `set`, `labels` and `COLUMN_SIZES` disagree.
 
 use cstf_dataflow::prelude::*;
 use cstf_tensor::DenseMatrix;

@@ -12,6 +12,7 @@ use cstf_tensor::{CooTensor, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// FNV-1a over every weight and factor bit of the `Golden` two-iteration
@@ -55,7 +56,8 @@ pub enum Tensor {
     R12x10s93,
     LowRank74,
     LowRank85,
-    /// The order 2–4 generator of the former property tests.
+    /// The order 2–4 generator of the former property tests (the union
+    /// of their ranges: extents 2–8, nnz 1–59).
     Arb(u64),
     /// The 10×10×10 generator of the former node-invariance property.
     Cube(u64),
@@ -91,8 +93,8 @@ impl Tensor {
             Arb(seed) => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let order = rng.gen_range(2usize..=4);
-                let shape: Vec<u32> = (0..order).map(|_| rng.gen_range(2u32..8)).collect();
-                let nnz = rng.gen_range(1usize..40);
+                let shape: Vec<u32> = (0..order).map(|_| rng.gen_range(2u32..9)).collect();
+                let nnz = rng.gen_range(1usize..60);
                 let t = RandomTensor::new(shape).nnz(nnz).seed(rng.gen());
                 t.values_in(-1.0, 1.0).build()
             }
@@ -137,9 +139,13 @@ impl Tensor {
         }
     }
 
-    /// CP-ALS iterations: `Golden`'s recipe runs two.
+    /// CP-ALS iterations: as many as the tensor's former suite ran.
     fn iterations(self) -> usize {
-        1 + (self == Golden) as usize
+        match self {
+            Golden | R15s90 | R15s51 | LowRank74 | LowRank85 => 2,
+            R12x10s93 => 3,
+            _ => 1,
+        }
     }
 }
 
@@ -147,9 +153,9 @@ impl Tensor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// `planner::plan`, then one `Plan::mttkrp` per mode with fixed
-    /// random factors (seed 72).
+    /// random factors (seed 72 + variant).
     Cycle,
-    /// `CpAls::run`: one iteration (two on `Golden`), init seed 7.
+    /// `CpAls::run`, init seed 7 + variant, `Tensor::iterations` of them.
     Als,
 }
 
@@ -197,8 +203,31 @@ fn node_loss(first: usize) -> Faults {
     }
 }
 
+/// The `faults` column's values, as the schedule the sampler uses for
+/// each: quiet, crash, late crash, crash + delay, speculation, node loss.
+const FAULT_SCHEDULES: [fn(u64) -> Faults; 6] = [
+    |_| Faults::default(),
+    |seed| crash(seed, 70),
+    |seed| Faults {
+        late: 40,
+        ..crash(seed, 40)
+    },
+    |seed| Faults {
+        delay: 20,
+        delay_ms: 1,
+        ..crash(seed, 30)
+    },
+    |seed| Faults {
+        delay: 25,
+        delay_ms: 3,
+        speculate: Some((12, 1)),
+        ..crash(seed, 0)
+    },
+    |seed| node_loss(seed as usize),
+];
+
 impl Faults {
-    /// quiet, crash, late crash, crash + delay, speculation, node loss.
+    /// The index in `FAULT_SCHEDULES` of this schedule's kind.
     fn label(&self) -> usize {
         let f = self;
         match (f.node_loss, f.speculate, f.delay, f.late, f.crash) {
@@ -208,27 +237,6 @@ impl Faults {
             (_, _, _, 1.., _) => 2,
             (.., 1..) => 1,
             _ => 0,
-        }
-    }
-
-    /// The schedule the sampler uses for each label.
-    fn of_label(label: usize, seed: u64) -> Faults {
-        let f = crash(seed, [0, 70, 40, 30, 0, 0][label]);
-        match label {
-            2 => Faults { late: 40, ..f },
-            3 => Faults {
-                delay: 20,
-                delay_ms: 1,
-                ..f
-            },
-            4 => Faults {
-                delay: 25,
-                delay_ms: 3,
-                speculate: Some((12, 1)),
-                ..f
-            },
-            5 => node_loss(seed as usize),
-            _ => f,
         }
     }
 
@@ -256,8 +264,12 @@ pub struct Row {
     pub faults: Faults,
     pub threads: usize,
     pub nodes: usize,
-    /// 0: submitted directly; n: n concurrent `JobServer` tenants.
+    /// 0: submitted directly; n: n concurrent `JobServer` tenants, each
+    /// running its own variant (`Row::tenant`).
     pub tenants: usize,
+    /// Not a column: offsets the init seed and the `Cycle` factor seed,
+    /// so that concurrent tenants run distinct jobs.
+    pub variant: u64,
 }
 
 const WORKLOADS: [Workload; 2] = [Workload::Cycle, Workload::Als];
@@ -273,13 +285,26 @@ const PARTITIONINGS: [Partitioning; 3] = [
     Partitioning::PrePartitionedTensor,
 ];
 const KERNELS: [KernelStrategy; 2] = [KernelStrategy::SortedRuns, KernelStrategy::RecordAtATime];
+const SEQUENTIAL: [bool; 2] = [false, true];
 const STORAGES: [Storage; 3] = [Storage::Unbudgeted, Storage::Spill, Storage::Recompute];
 const THREADS: [usize; 3] = [4, 1, 2];
 const NODES: [usize; 4] = [4, 1, 3, 9];
 const TENANTS: [usize; 2] = [0, 3];
 
 /// Number of values of each column, in `Row` field order.
-pub const COLUMN_SIZES: [usize; 11] = [FIXED.len() + 2, 2, 4, 3, 2, 2, 3, 6, 3, 4, 2];
+pub const COLUMN_SIZES: &[usize] = &[
+    FIXED.len() + 2,
+    WORKLOADS.len(),
+    STRATEGIES.len(),
+    PARTITIONINGS.len(),
+    KERNELS.len(),
+    SEQUENTIAL.len(),
+    STORAGES.len(),
+    FAULT_SCHEDULES.len(),
+    THREADS.len(),
+    NODES.len(),
+    TENANTS.len(),
+];
 
 fn position<T: PartialEq>(values: &[T], value: T) -> usize {
     values.iter().position(|v| *v == value).unwrap()
@@ -299,6 +324,7 @@ pub fn cycle(tensor: Tensor, strategy: Strategy) -> Row {
         threads: tensor.home().0,
         nodes: tensor.home().1,
         tenants: 0,
+        variant: 0,
     }
 }
 
@@ -320,9 +346,9 @@ impl Row {
             2 => self.strategy = STRATEGIES[value],
             3 => self.partitioning = PARTITIONINGS[value],
             4 => self.kernel = KERNELS[value],
-            5 => self.sequential = value == 1,
+            5 => self.sequential = SEQUENTIAL[value],
             6 => self.storage = STORAGES[value],
-            7 => self.faults = Faults::of_label(value, seed),
+            7 => self.faults = FAULT_SCHEDULES[value](seed),
             8 => self.threads = THREADS[value],
             9 => self.nodes = NODES[value],
             _ => self.tenants = TENANTS[value],
@@ -331,14 +357,14 @@ impl Row {
     }
 
     /// The value index of every column (the inverse of `set`).
-    pub fn labels(&self) -> [usize; 11] {
-        [
+    pub fn labels(&self) -> Vec<usize> {
+        vec![
             self.tensor.index(),
             position(&WORKLOADS, self.workload),
             position(&STRATEGIES, self.strategy),
             position(&PARTITIONINGS, self.partitioning),
             position(&KERNELS, self.kernel),
-            self.sequential as usize,
+            position(&SEQUENTIAL, self.sequential),
             position(&STORAGES, self.storage),
             self.faults.label(),
             position(&THREADS, self.threads),
@@ -353,10 +379,26 @@ impl Row {
         self.faults.node_loss.is_none() || (self.workload == Workload::Cycle && self.tenants == 0)
     }
 
+    /// The job tenant `i` runs, submitted directly: variant `i`, and on
+    /// odd tenants the strategy's partner (COO ↔ QCOO, broadcast ↔ SpMV).
+    pub fn tenant(&self, i: usize) -> Row {
+        if self.tenants == 0 {
+            return *self;
+        }
+        let strategy = STRATEGIES[position(&STRATEGIES, self.strategy) ^ (i % 2)];
+        Row {
+            strategy,
+            tenants: 0,
+            variant: self.variant + i as u64,
+            ..*self
+        }
+    }
+
     /// The row whose bits this row must reproduce.
     pub fn reference(&self) -> Row {
         Row {
             workload: self.workload,
+            variant: self.variant,
             ..cycle(self.tensor, self.strategy)
         }
     }
@@ -407,7 +449,7 @@ impl Row {
         if self.workload == Workload::Als {
             let k = CpAls::new(rank)
                 .max_iterations(self.tensor.iterations())
-                .seed(7)
+                .seed(7 + self.variant)
                 .strategy(self.strategy)
                 .partitioning(self.partitioning)
                 .partitions(partitions)
@@ -419,7 +461,7 @@ impl Row {
             let factors = k.factors.iter().flat_map(|f| f.data());
             return (k.weights.iter().chain(factors).copied().collect(), 0);
         }
-        let factors = random_factors(tensor.shape(), rank, 72);
+        let factors = random_factors(tensor.shape(), rank, 72 + self.variant);
         let config = PlanConfig {
             rank,
             partitions,
@@ -461,7 +503,7 @@ impl Row {
             let server = JobServer::new(&cluster, JobServerConfig::fair(self.tenants));
             let handles: Vec<_> = (0..self.tenants)
                 .map(|i| {
-                    let (row, tensor) = (*self, tensor.clone());
+                    let (row, tensor) = (self.tenant(i), tensor.clone());
                     server.submit(&format!("tenant-{i}"), move |c: &Cluster| {
                         row.job(c, &tensor).0
                     })
@@ -574,7 +616,7 @@ fn reference(row: Row) -> Arc<Outcome> {
 fn verify_ground_truth(row: &Row, values: &[f64]) {
     if row.workload == Workload::Cycle {
         let t = row.tensor.build();
-        let factors = random_factors(t.shape(), row.tensor.rank(), 72);
+        let factors = random_factors(t.shape(), row.tensor.rank(), 72 + row.variant);
         let refs: Vec<&DenseMatrix> = factors.iter().collect();
         let seq = (0..t.order()).map(|m| cstf_tensor::mttkrp::mttkrp(&t, &refs, m).unwrap());
         let seq: Vec<f64> = seq.flat_map(|m| m.data().to_vec()).collect();
@@ -582,26 +624,31 @@ fn verify_ground_truth(row: &Row, values: &[f64]) {
         for (i, (x, y)) in values.iter().zip(&seq).enumerate() {
             assert!((x - y).abs() < 1e-9, "{row:?}: element {i} vs sequential");
         }
-    } else if row.tensor == Golden {
+    } else if row.tensor == Golden && row.variant == 0 {
         let want = GOLDEN.iter().find(|g| g.0 == row.strategy).unwrap().2;
         let got = fnv1a_of_bits(values);
         assert_eq!(got, want, "{row:?}: factor bits moved (got {got:#018x})");
     }
 }
 
-/// Runs `row` and checks it against its reference row's bits and shuffle
-/// counters, and that each of its non-reference columns took effect.
+/// Runs `row` and checks each of its jobs against that job's reference
+/// row's bits and shuffle counters, and that each of the row's
+/// non-reference columns took effect.
 pub fn check(row: &Row) -> Arc<Outcome> {
     assert!(row.valid(), "{row:?}: not a valid configuration");
-    let truth = reference(row.reference());
-    let counter_ref = reference(row.counter_reference());
     let out = match *row == row.counter_reference() {
-        true => counter_ref.clone(),
+        true => reference(*row),
         false => Arc::new(row.run()),
     };
     let f = row.faults;
+    let (mut skipped_co, mut pre) = (0, false);
     for (i, job) in out.jobs.iter().enumerate() {
         let ensure = |ok: bool, what: &str| assert!(ok, "{row:?} job {i}: {what}");
+        let solo = row.tenant(i);
+        let truth = reference(solo.reference());
+        let counter_ref = reference(solo.counter_reference());
+        skipped_co += truth.metrics.skipped_shuffle_count();
+        pre |= solo.strategy.capabilities().pre_partitioned_tensor;
         assert_bits_eq(
             &job.values,
             &truth.jobs[0].values,
@@ -612,7 +659,7 @@ pub fn check(row: &Row) -> Arc<Outcome> {
             // A late-crashed attempt or a losing backup may have cached a
             // partition of QCOO's shuffled queue state before it was
             // discarded: the winner may read less.
-            let qcoo = row.strategy == Strategy::Qcoo;
+            let qcoo = solo.strategy == Strategy::Qcoo;
             let exact = !qcoo || (f.late == 0 && f.speculate.is_none());
             // Tenants share the cluster's scope label: key them by name
             // only. The remote share moves with the node count.
@@ -653,10 +700,20 @@ pub fn check(row: &Row) -> Arc<Outcome> {
             (k.task_failures > 0) == f.fails(),
             "failed attempts vs the schedule",
         );
-        ensure(k.task_retries == k.task_failures, "retries != failures");
+        // A failed attempt whose speculative duplicate already committed
+        // is counted but not retried.
+        let retried = match f.speculate {
+            Some(_) => k.task_retries <= k.task_failures,
+            None => k.task_retries == k.task_failures,
+        };
+        ensure(retried, "retries vs failures");
         ensure(
             k.speculative_won <= k.speculative_launched,
             "wins > launches",
+        );
+        ensure(
+            k.speculative_launched == 0 || f.speculate.is_some(),
+            "speculation is off, yet backups launched",
         );
         let sorted_runs = row.kernel == KernelStrategy::SortedRuns;
         ensure((k.kernel_runs > 0) == sorted_runs, "kernel");
@@ -692,8 +749,6 @@ pub fn check(row: &Row) -> Arc<Outcome> {
         "remote bytes",
     );
     let skipped = out.metrics.skipped_shuffle_count();
-    let skipped_co = truth.metrics.skipped_shuffle_count() * out.jobs.len();
-    let pre = row.strategy.capabilities().pre_partitioned_tensor;
     match row.partitioning {
         Partitioning::None => ensure(skipped == 0, "a join skipped its shuffle"),
         Partitioning::PrePartitionedTensor if pre => ensure(skipped > skipped_co, "pre"),
@@ -824,12 +879,11 @@ pub const GROUPS: &[(&str, Rows)] = {
         ("jobserver_chaos::concurrent_cp_als_bit_identical_under_chaos", || {
             let late = |s: u64| if s >= 4 { 10 } else { 0 };
             let f = |s| Faults { late: late(s), delay: 20, delay_ms: 2, ..crash(s, 30) };
-            let tenants = |s| under(Row { tenants: 3, ..als(R16s71, s) }, (0..8).map(f));
-            [Coo, Qcoo].into_iter().flat_map(tenants).collect()
+            under(Row { tenants: 3, ..als(R16s71, Coo) }, (0..8).map(f))
         }),
         ("jobserver_chaos::concurrent_jobs_with_speculation_stay_invariant", || {
             let faults = Faults { delay: 40, delay_ms: 10, speculate: Some((15, 10)), ..crash(5, 20) };
-            [Coo, Qcoo].map(|s| Row { tenants: 3, faults, ..als(R16s71, s) }).to_vec()
+            vec![Row { tenants: 3, faults, ..als(R16s71, Coo) }]
         }),
         ("strategy_planner::all_strategies_match_sequential", || {
             let rows = (0..16).flat_map(|case| STRATEGIES.map(|s| cycle(Arb(1000 + case), s)));
@@ -866,19 +920,30 @@ pub fn check_group(name: &str) -> Vec<Arc<Outcome>> {
     check_all(&group(name))
 }
 
-/// Checks `rows` on two workers (a row mostly waits on its cluster's task
-/// handoffs), returning their outcomes in order.
+/// Checks `rows` on four workers, each taking the next unchecked row (a row
+/// mostly waits on its cluster's task handoffs), returning their outcomes
+/// in order.
 pub fn check_all(rows: &[Row]) -> Vec<Arc<Outcome>> {
-    std::thread::scope(|s| {
-        let halves = rows.chunks(rows.len().div_ceil(2).max(1));
-        let workers: Vec<_> = halves
-            .map(|half| s.spawn(|| half.iter().map(check).collect::<Vec<_>>()))
-            .collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(row) = rows.get(i) else {
+                return done;
+            };
+            done.push((i, check(row)));
+        }
+    };
+    let mut done: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4).map(|_| s.spawn(work)).collect();
         let joined = workers
             .into_iter()
             .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         joined.flatten().collect()
-    })
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Defines one `#[test]` per named group of the calling suite.

@@ -14,7 +14,9 @@ type Pair = (usize, usize, usize, usize);
 
 fn pairs(row: &Row) -> impl Iterator<Item = Pair> {
     let v = row.labels();
-    (0..v.len()).flat_map(move |a| (a + 1..v.len()).map(move |b| (a, v[a], b, v[b])))
+    let n = v.len();
+    let columns = (0..n).flat_map(move |a| (a + 1..n).map(move |b| (a, b)));
+    columns.map(move |(a, b)| (a, v[a], b, v[b]))
 }
 
 /// The row every column value is set on: each column at its first value.
@@ -79,6 +81,14 @@ fn pairwise_sample() -> Vec<Row> {
 
 #[test]
 fn groups_are_valid_run_by_their_tests_and_tier_one_covers_every_pair() {
+    let base = reference();
+    assert_eq!(base.labels().len(), COLUMN_SIZES.len());
+    for (col, &n) in COLUMN_SIZES.iter().enumerate() {
+        for value in 0..n {
+            let labels = base.set(col, value, 1).labels();
+            assert_eq!(labels[col], value, "column {col}: set and labels disagree");
+        }
+    }
     for (name, rows) in GROUPS {
         let (suite, test) = name.split_once("::").unwrap();
         let path = format!("{}/tests/{suite}.rs", env!("CARGO_MANIFEST_DIR"));
