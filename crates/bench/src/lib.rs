@@ -178,12 +178,16 @@ impl Setup {
     }
 
     /// The `--nodes a,b,c` sweep of Figures 2 and 3 (default
-    /// [`PAPER_NODE_COUNTS`]).
+    /// [`PAPER_NODE_COUNTS`]). Panics on a token that is not a count.
     pub fn node_counts(&self) -> Vec<usize> {
         match self.args.values.get("nodes") {
             Some(list) => list
                 .split(',')
-                .filter_map(|s| s.trim().parse().ok())
+                .map(|s| {
+                    s.trim()
+                        .parse()
+                        .unwrap_or_else(|_| panic!("bad --nodes entry {s:?} in {list:?}"))
+                })
                 .collect(),
             None => PAPER_NODE_COUNTS.to_vec(),
         }
@@ -527,6 +531,12 @@ mod tests {
         assert_eq!(s.node_counts(), vec![4, 16]);
         assert!(s.tiny);
         assert_eq!(setup(&[]).node_counts(), PAPER_NODE_COUNTS.to_vec());
+    }
+
+    #[test]
+    #[should_panic(expected = "bad --nodes entry \"8x\"")]
+    fn node_counts_reject_an_unparsable_entry() {
+        setup(&["--nodes", "4,8x,16"]).node_counts();
     }
 
     #[test]

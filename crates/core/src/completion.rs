@@ -127,6 +127,9 @@ impl CpCompletion {
         let partitions = self
             .partitions
             .unwrap_or(cluster.config().default_parallelism);
+        if partitions == 0 {
+            return Err(CstfError::Config("partition count must be ≥ 1".into()));
+        }
 
         cluster.metrics().set_scope("Other");
         let observed = tensor_to_rdd(cluster, tensor, partitions).persist(StorageLevel::MemoryRaw);
@@ -354,6 +357,15 @@ mod tests {
         let test_rmse = res.rmse_on(&test);
         assert!(test_rmse < 0.05, "held-out RMSE {test_rmse}");
         assert!(res.final_rmse < 0.05, "train RMSE {}", res.final_rmse);
+    }
+
+    #[test]
+    fn zero_partitions_is_a_config_error_before_any_job() {
+        let t = RandomTensor::new(vec![5, 5, 5]).nnz(20).seed(1).build();
+        let c = cluster();
+        let err = CpCompletion::new(2).partitions(0).run(&c, &t).unwrap_err();
+        assert!(matches!(err, CstfError::Config(_)), "{err}");
+        assert_eq!(c.metrics().snapshot().stages().count(), 0);
     }
 
     #[test]

@@ -188,6 +188,9 @@ impl CpAls {
         let partitions = self
             .partitions
             .unwrap_or(cluster.config().default_parallelism);
+        if partitions == 0 {
+            return Err(CstfError::Config("partition count must be ≥ 1".into()));
+        }
 
         // Factor initialization: warm start or seeded random. Runs before
         // planning (pure driver-side work, no cluster jobs) because
@@ -374,6 +377,26 @@ mod tests {
         assert!(CpAls::new(2).run(&c, &empty).is_err());
         let order1 = cstf_tensor::CooTensor::from_entries(vec![5], vec![(vec![1], 1.0)]).unwrap();
         assert!(CpAls::new(2).run(&c, &order1).is_err());
+    }
+
+    #[test]
+    fn zero_partitions_is_a_config_error_before_any_job() {
+        let t = RandomTensor::new(vec![5, 5, 5]).nnz(20).seed(1).build();
+        for strategy in [
+            Strategy::Coo,
+            Strategy::Qcoo,
+            Strategy::CooBroadcast,
+            Strategy::DfactoSpmv,
+        ] {
+            let c = cluster();
+            let err = CpAls::new(2)
+                .strategy(strategy)
+                .partitions(0)
+                .run(&c, &t)
+                .unwrap_err();
+            assert!(matches!(err, CstfError::Config(_)), "{strategy}: {err}");
+            assert_eq!(c.metrics().snapshot().stages().count(), 0, "{strategy}");
+        }
     }
 
     #[test]

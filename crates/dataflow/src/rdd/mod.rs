@@ -18,33 +18,6 @@ use crate::Data;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Renders one lineage node and its ancestry into `out`.
-fn render_lineage(node: &Arc<dyn NodeInfo>, depth: usize, out: &mut String) {
-    use std::fmt::Write;
-    let _ = writeln!(
-        out,
-        "{}{} [{} partitions, id {}]",
-        "  ".repeat(depth),
-        node.name(),
-        node.num_partitions(),
-        node.id()
-    );
-    for dep in node.deps() {
-        match dep {
-            Dependency::Narrow(parent) => render_lineage(&parent, depth + 1, out),
-            Dependency::Shuffle(shuffle) => {
-                let _ = writeln!(
-                    out,
-                    "{}+- shuffle #{}",
-                    "  ".repeat(depth + 1),
-                    shuffle.shuffle_id()
-                );
-                render_lineage(&shuffle.parent_info(), depth + 2, out);
-            }
-        }
-    }
-}
-
 /// Allocates process-unique RDD node ids (used as cache keys and for
 /// lineage-walk memoization).
 pub(crate) fn next_node_id() -> usize {
@@ -181,30 +154,6 @@ impl<T: Data> Rdd<T> {
         &self.cluster
     }
 
-    /// Renders the lineage DAG as an indented tree (Spark's
-    /// `toDebugString`): one line per node, `+-` marking shuffle
-    /// boundaries.
-    ///
-    /// ```
-    /// use cstf_dataflow::{Cluster, ClusterConfig};
-    ///
-    /// let c = Cluster::new(ClusterConfig::local(2));
-    /// let rdd = c
-    ///     .parallelize((0u32..10).map(|i| (i % 3, i)).collect::<Vec<_>>(), 4)
-    ///     .reduce_by_key(|a, b| a + b)
-    ///     .map(|(k, _)| k);
-    /// let tree = rdd.to_debug_string();
-    /// assert!(tree.contains("map"));
-    /// assert!(tree.contains("+- shuffle"));
-    /// assert!(tree.contains("parallelize"));
-    /// ```
-    pub fn to_debug_string(&self) -> String {
-        let mut out = String::new();
-        let info: Arc<dyn NodeInfo> = self.node.clone();
-        render_lineage(&info, 0, &mut out);
-        out
-    }
-
     /// Builds — without executing anything — the stage DAG the scheduler
     /// would run for an action on this dataset: one
     /// [`crate::scheduler::Stage`] per pending shuffle, with parent edges
@@ -257,74 +206,6 @@ impl<T: Data> Rdd<T> {
         self.narrow("map_partitions", move |partition, data, _| {
             f(partition, data)
         })
-    }
-
-    /// Keys every record with `f(record)` (Spark `keyBy`).
-    pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Rdd<(K, T)> {
-        self.map(move |t| (f(&t), t))
-    }
-
-    /// Reduces the partition count without shuffling: output partition
-    /// `i` concatenates parent partitions `i, i+n, i+2n, …` (Spark
-    /// `coalesce`). Requesting more partitions than the parent has is a
-    /// no-op.
-    pub fn coalesce(&self, partitions: usize) -> Rdd<T> {
-        self.derive(nodes::CoalescedNode::new(self.node.clone(), partitions))
-    }
-
-    /// Deterministic Bernoulli sample: keeps each record with probability
-    /// `fraction`, using a per-partition RNG derived from `seed` so the
-    /// result is reproducible and independent of execution order.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Rdd<T> {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        self.map_partitions(move |partition, data| {
-            // SplitMix64 stream seeded per partition: cheap, reproducible.
-            let mut state =
-                seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(partition as u64 + 1));
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as f64 / u64::MAX as f64
-            };
-            data.into_iter().filter(|_| next() < fraction).collect()
-        })
-    }
-
-    /// Pairs every record with its global index in partition order (Spark
-    /// `zipWithIndex`). Like Spark, this triggers one job to learn the
-    /// partition sizes.
-    pub fn zip_with_index(&self) -> Rdd<(T, u64)> {
-        let sizes: Vec<(usize, usize)> = self
-            .map_partitions(|idx, data| vec![(idx, data.len())])
-            .collect();
-        let mut offsets = vec![0u64; self.num_partitions()];
-        let mut acc = 0u64;
-        let mut ordered = sizes;
-        ordered.sort_unstable();
-        for (idx, len) in ordered {
-            offsets[idx] = acc;
-            acc += len as u64;
-        }
-        self.map_partitions(move |idx, data| {
-            let base = offsets[idx];
-            data.into_iter()
-                .enumerate()
-                .map(|(i, t)| (t, base + i as u64))
-                .collect()
-        })
-    }
-
-    /// Concatenates this RDD's partitions with `other`'s.
-    pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        self.derive(nodes::UnionNode::new(vec![
-            self.node.clone(),
-            other.node.clone(),
-        ]))
     }
 
     // ---- caching ------------------------------------------------------
@@ -412,17 +293,6 @@ impl<T: Data> Rdd<T> {
     /// The first record, if any.
     pub fn first(&self) -> Option<T> {
         self.take(1).into_iter().next()
-    }
-}
-
-impl<T: Data + EstimateSize + Eq + std::hash::Hash> Rdd<T> {
-    /// Removes duplicate records via one shuffle (Spark `distinct`).
-    /// Output order is deterministic but unspecified.
-    pub fn distinct(&self) -> Rdd<T> {
-        let partitions = self.cluster.config().default_parallelism;
-        self.map(|t| (t, ()))
-            .reduce_by_key_with(partitions, true, |a, _| a)
-            .map(|(t, ())| t)
     }
 }
 

@@ -1,5 +1,5 @@
 //! Lineage nodes other than the shuffle ones ([`super::pair`]): sources,
-//! narrow transformations, union, coalesce and the caching wrapper.
+//! narrow transformations and the caching wrapper.
 
 use super::{next_node_id, Dependency, NodeInfo, RddNode};
 use crate::cache::StorageLevel;
@@ -119,108 +119,6 @@ impl<T: Data, U: Data> NodeInfo for NarrowNode<T, U> {
 impl<T: Data, U: Data> RddNode<U> for NarrowNode<T, U> {
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<U> {
         let out = (self.f)(partition, self.parent.compute(partition, ctx), ctx);
-        ctx.stage.add_records_computed(out.len() as u64);
-        out
-    }
-}
-
-/// Union of several RDDs: partitions are concatenated.
-pub struct UnionNode<T: Data> {
-    id: usize,
-    parents: Vec<Arc<dyn RddNode<T>>>,
-}
-
-impl<T: Data> UnionNode<T> {
-    pub(crate) fn new(parents: Vec<Arc<dyn RddNode<T>>>) -> Self {
-        assert!(!parents.is_empty());
-        UnionNode {
-            id: next_node_id(),
-            parents,
-        }
-    }
-
-    fn locate(&self, partition: usize) -> (usize, usize) {
-        let mut p = partition;
-        for (i, parent) in self.parents.iter().enumerate() {
-            let n = parent.num_partitions();
-            if p < n {
-                return (i, p);
-            }
-            p -= n;
-        }
-        panic!("union partition {partition} out of range");
-    }
-}
-
-impl<T: Data> NodeInfo for UnionNode<T> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        "union"
-    }
-    fn num_partitions(&self) -> usize {
-        self.parents.iter().map(|p| p.num_partitions()).sum()
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        self.parents
-            .iter()
-            .map(|p| Dependency::Narrow(p.clone() as Arc<dyn NodeInfo>))
-            .collect()
-    }
-}
-
-impl<T: Data> RddNode<T> for UnionNode<T> {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T> {
-        let (parent, local) = self.locate(partition);
-        self.parents[parent].compute(local, ctx)
-    }
-}
-
-/// Coalesces parent partitions into fewer partitions without a shuffle:
-/// output partition `i` concatenates every parent partition `p` with
-/// `p % n == i` (Spark `coalesce(n, shuffle = false)`).
-pub struct CoalescedNode<T: Data> {
-    id: usize,
-    parent: Arc<dyn RddNode<T>>,
-    partitions: usize,
-}
-
-impl<T: Data> CoalescedNode<T> {
-    pub(crate) fn new(parent: Arc<dyn RddNode<T>>, partitions: usize) -> Self {
-        assert!(partitions > 0);
-        CoalescedNode {
-            id: next_node_id(),
-            parent,
-            partitions,
-        }
-    }
-}
-
-impl<T: Data> NodeInfo for CoalescedNode<T> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> &str {
-        "coalesce"
-    }
-    fn num_partitions(&self) -> usize {
-        self.partitions.min(self.parent.num_partitions().max(1))
-    }
-    fn deps(&self) -> Vec<Dependency> {
-        vec![Dependency::Narrow(self.parent.clone())]
-    }
-}
-
-impl<T: Data> RddNode<T> for CoalescedNode<T> {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T> {
-        let n = self.num_partitions();
-        let mut out = Vec::new();
-        let mut p = partition;
-        while p < self.parent.num_partitions() {
-            out.extend(self.parent.compute(p, ctx));
-            p += n;
-        }
         ctx.stage.add_records_computed(out.len() as u64);
         out
     }

@@ -8,9 +8,8 @@
 //!
 //! **One core.** Every public operator here is a thin default over three
 //! private constructors — `wide` (the combining operators: `reduce_by_key*`,
-//! `group_by_key*`, `combine_by_key`, `aggregate_by_key`), `repartition`
-//! (`partition_by*`) and `co_side` (the two inputs of `cogroup*`, which
-//! every join flattens) — and every per-key fold, map-side, reduce-side or
+//! `group_by_key*`), `repartition` (`partition_by*`) and `co_side` (the two
+//! inputs of `cogroup*`, which `join*` flattens) — and every per-key fold, map-side, reduce-side or
 //! shuffle-free, hash or sorted-runs, is one of the two methods of the
 //! private `Combiner`. A reduce partition is fetched in one place,
 //! `ShuffleDep::read`.
@@ -27,8 +26,8 @@
 //!
 //! By default `reduce_by_key` does **not** combine map-side. This matches
 //! the paper's cost accounting (Table 4 charges the final `reduceByKey` a
-//! full `nnz × R` of traffic); Spark's combining variant is available as
-//! [`Rdd::reduce_by_key_map_side`].
+//! full `nnz × R` of traffic); Spark's combining variant is
+//! [`Rdd::reduce_by_key_with`] with `map_side_combine` set.
 
 use super::{next_node_id, Dependency, NodeInfo, Rdd, RddNode, ShuffleDependency};
 use crate::context::{Cluster, TaskContext};
@@ -44,10 +43,6 @@ use std::sync::Arc;
 /// Element type produced by [`Rdd::cogroup`]: per distinct key, all values
 /// from the left side and all values from the right side.
 pub type CoGrouped<K, V, W> = (K, (Vec<V>, Vec<W>));
-
-/// Element type produced by [`Rdd::full_outer_join`]: per key, `None`
-/// fills whichever side lacks the key.
-pub type FullOuterJoined<K, V, W> = (K, (Option<V>, Option<W>));
 
 /// How shuffled values are combined into combiners (Spark's `Aggregator`).
 pub struct Aggregator<V, C> {
@@ -499,17 +494,6 @@ where
             .with_partitioner(partitioner)
     }
 
-    /// Expands each value into zero or more values under the same key
-    /// (narrow, preserves partitioning — Spark `flatMapValues`).
-    pub fn flat_map_values<U: Data>(
-        &self,
-        f: impl Fn(V) -> Vec<U> + Send + Sync + 'static,
-    ) -> Rdd<(K, U)> {
-        let partitioner = self.partitioner.clone();
-        self.flat_map(move |(k, v)| f(v).into_iter().map(|u| (k.clone(), u)).collect())
-            .with_partitioner(partitioner)
-    }
-
     /// Drops values.
     pub fn keys(&self) -> Rdd<K> {
         self.map(|(k, _)| k)
@@ -536,14 +520,6 @@ where
     /// ```
     pub fn reduce_by_key(&self, f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Rdd<(K, V)> {
         self.reduce_by_key_with(self.default_partitions(), false, f)
-    }
-
-    /// `reduceByKey` with Spark's map-side combining enabled.
-    pub fn reduce_by_key_map_side(
-        &self,
-        f: impl Fn(V, V) -> V + Send + Sync + 'static,
-    ) -> Rdd<(K, V)> {
-        self.reduce_by_key_with(self.default_partitions(), true, f)
     }
 
     /// Skips the shuffle `name` would run onto `partitioner` when this
@@ -744,22 +720,6 @@ where
         .with_partitioner(Some(PartitionerRef::of(partitioner)))
     }
 
-    /// `cogroup`, then `emit` expands each key's two value lists into
-    /// output records under the same key — so the cogroup's partitioner
-    /// still holds. Every join is this with its own `emit`.
-    fn cogroup_then<W: Data + EstimateSize, U: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        partitioner: Arc<dyn KeyPartitioner<K>>,
-        emit: impl Fn(K, Vec<V>, Vec<W>) -> Vec<(K, U)> + Send + Sync + 'static,
-    ) -> Rdd<(K, U)> {
-        let grouped = self.cogroup_by(other, partitioner);
-        let partitioner = grouped.partitioner.clone();
-        grouped
-            .flat_map(move |(k, (vs, ws))| emit(k, vs, ws))
-            .with_partitioner(partitioner)
-    }
-
     /// Inner join (Spark `join`): emits `(k, (v, w))` for every pair of
     /// values sharing a key. Implemented as cogroup + flatten, exactly as
     /// Spark does.
@@ -795,120 +755,23 @@ where
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
     ) -> Rdd<(K, (V, W))> {
-        self.cogroup_then(other, partitioner, |k, mut vs, mut ws| {
-            if ws.len() == 1 {
-                let w = ws.pop().expect("len checked");
-                spread(&k, vs, w, |v, w| (v, w))
-            } else if vs.len() == 1 {
-                let v = vs.pop().expect("len checked");
-                spread(&k, ws, v, |w, v| (v, w))
-            } else {
-                cross(&k, &vs, &ws)
-            }
-        })
-    }
-
-    /// Left outer join: every left record appears; the right side is
-    /// `None` when the key is absent there.
-    pub fn left_outer_join<W: Data + EstimateSize>(
-        &self,
-        other: &Rdd<(K, W)>,
-    ) -> Rdd<(K, (V, Option<W>))> {
-        let partitioner = hashed(self.default_partitions());
-        self.cogroup_then(other, partitioner, |k, vs, ws| cross(&k, &vs, &or_none(ws)))
-    }
-
-    /// Full outer join: keys from either side appear, with `None` filling
-    /// the absent side.
-    pub fn full_outer_join<W: Data + EstimateSize>(
-        &self,
-        other: &Rdd<(K, W)>,
-    ) -> Rdd<FullOuterJoined<K, V, W>> {
-        let partitioner = hashed(self.default_partitions());
-        self.cogroup_then(other, partitioner, |k, vs, ws| {
-            cross(&k, &or_none(vs), &or_none(ws))
-        })
-    }
-
-    /// Removes every record whose key appears in `other` (Spark
-    /// `subtractByKey`).
-    pub fn subtract_by_key<W: Data + EstimateSize>(&self, other: &Rdd<(K, W)>) -> Rdd<(K, V)> {
-        let partitioner = hashed(self.default_partitions());
-        self.cogroup_then(other, partitioner, |k, vs, ws: Vec<W>| {
-            if ws.is_empty() {
-                vs.into_iter().map(|v| (k.clone(), v)).collect()
-            } else {
-                Vec::new()
-            }
-        })
-    }
-
-    /// Collects every value stored under `key` (Spark `lookup`). Runs a
-    /// full job; for repeated lookups collect into a map instead.
-    pub fn lookup(&self, key: &K) -> Vec<V> {
-        let key = key.clone();
-        self.filter(move |(k, _)| *k == key)
-            .collect()
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
-    }
-
-    /// Counts records per key on the driver.
-    pub fn count_by_key(&self) -> std::collections::BTreeMap<K, u64>
-    where
-        K: Ord,
-    {
-        let mut out = std::collections::BTreeMap::new();
-        for (k, _) in self.collect() {
-            *out.entry(k).or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Fully general combiner shuffle (Spark `combineByKey`): lifts each
-    /// value into a combiner `C`, merging map-side when
-    /// `map_side_combine` is set and always merging reduce-side.
-    pub fn combine_by_key<C: Data + EstimateSize>(
-        &self,
-        partitions: usize,
-        map_side_combine: bool,
-        create: impl Fn(V) -> C + Send + Sync + 'static,
-        merge_value: impl Fn(C, V) -> C + Send + Sync + 'static,
-        merge_combiners: impl Fn(C, C) -> C + Send + Sync + 'static,
-    ) -> Rdd<(K, C)> {
-        let agg = Aggregator {
-            create: Arc::new(create),
-            merge_value: Arc::new(merge_value),
-            merge_combiners: Arc::new(merge_combiners),
-        };
-        let combiner = Combiner { agg, kernel: None };
-        self.wide(
-            "combine_by_key",
-            hashed(partitions),
-            combiner,
-            map_side_combine,
-        )
-    }
-
-    /// Folds each key's values into `zero` (Spark `aggregateByKey`).
-    pub fn aggregate_by_key<U: Data + EstimateSize>(
-        &self,
-        zero: U,
-        seq: impl Fn(U, V) -> U + Send + Sync + 'static,
-        comb: impl Fn(U, U) -> U + Send + Sync + 'static,
-    ) -> Rdd<(K, U)> {
-        let partitions = self.default_partitions();
-        let z = zero.clone();
-        let seq = Arc::new(seq);
-        let seq2 = seq.clone();
-        self.combine_by_key(
-            partitions,
-            false,
-            move |v| seq(z.clone(), v),
-            move |c, v| seq2(c, v),
-            comb,
-        )
+        let grouped = self.cogroup_by(other, partitioner);
+        // Every output record keeps its key, so the cogroup's partitioner
+        // still holds.
+        let partitioner = grouped.partitioner.clone();
+        grouped
+            .flat_map(|(k, (mut vs, mut ws))| {
+                if ws.len() == 1 {
+                    let w = ws.pop().expect("len checked");
+                    spread(&k, vs, w, |v, w| (v, w))
+                } else if vs.len() == 1 {
+                    let v = vs.pop().expect("len checked");
+                    spread(&k, ws, v, |w, v| (v, w))
+                } else {
+                    cross(&k, &vs, &ws)
+                }
+            })
+            .with_partitioner(partitioner)
     }
 
     /// Repartitions with an explicit range partitioner; partition `i`
@@ -965,8 +828,8 @@ fn hashed<K: Key>(partitions: usize) -> Arc<dyn KeyPartitioner<K>> {
     Arc::new(HashPartitioner::new(partitions))
 }
 
-/// Every `(left, right)` pair under `k`, left-major — the per-key body of
-/// the joins.
+/// Every `(left, right)` pair under `k`, left-major — the join's per-key
+/// body for many-to-many keys.
 fn cross<K: Clone, A: Clone, B: Clone>(k: &K, left: &[A], right: &[B]) -> Vec<(K, (A, B))> {
     let mut out = Vec::with_capacity(left.len() * right.len());
     for a in left {
@@ -996,13 +859,4 @@ fn spread<K: Clone, M, S: Clone, P>(
         out.push((k.clone(), pair(m, one.clone())));
     }
     out
-}
-
-/// An outer join's view of one side: its values, or a single `None` when
-/// the key is absent there.
-fn or_none<T>(side: Vec<T>) -> Vec<Option<T>> {
-    if side.is_empty() {
-        return vec![None];
-    }
-    side.into_iter().map(Some).collect()
 }

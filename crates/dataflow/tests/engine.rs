@@ -61,16 +61,6 @@ fn map_partitions_sees_every_partition_once() {
 }
 
 #[test]
-fn union_concatenates() {
-    let c = cluster();
-    let a = c.parallelize(vec![1u32, 2], 2);
-    let b = c.parallelize(vec![3u32, 4, 5], 3);
-    let u = a.union(&b);
-    assert_eq!(u.num_partitions(), 5);
-    assert_eq!(u.collect(), vec![1, 2, 3, 4, 5]);
-}
-
-#[test]
 fn reduce_and_fold_and_take() {
     let c = cluster();
     let rdd = c.parallelize((1u64..=100).collect(), 9);
@@ -114,9 +104,10 @@ fn reduce_by_key_map_side_same_result_fewer_bytes() {
     let plain_bytes = c1.metrics().snapshot().total_shuffle_bytes();
 
     let c2 = cluster();
+    let partitions = c2.config().default_parallelism;
     let combined: BTreeMap<u32, u64> = c2
         .parallelize(data, 8)
-        .reduce_by_key_map_side(|a, b| a + b)
+        .reduce_by_key_with(partitions, true, |a, b| a + b)
         .collect()
         .into_iter()
         .collect();
@@ -188,19 +179,6 @@ fn join_matches_reference() {
 }
 
 #[test]
-fn left_outer_join_keeps_unmatched_left() {
-    let c = cluster();
-    let left = vec![(1u32, 100u32), (2, 200)];
-    let right = vec![(2u32, 9u32)];
-    let got = sorted(
-        c.parallelize(left, 2)
-            .left_outer_join(&c.parallelize(right, 2))
-            .collect(),
-    );
-    assert_eq!(got, vec![(1, (100, None)), (2, (200, Some(9)))]);
-}
-
-#[test]
 fn cogroup_groups_both_sides() {
     let c = cluster();
     let left = vec![(1u32, 1u8), (1, 2), (2, 3)];
@@ -224,17 +202,6 @@ fn keys_values_map_values() {
     assert_eq!(rdd.keys().collect(), vec![1, 3]);
     assert_eq!(rdd.values().collect(), vec![2, 4]);
     assert_eq!(rdd.map_values(|v| v * 10).collect(), vec![(1, 20), (3, 40)]);
-    assert_eq!(rdd.count_by_key()[&1], 1);
-}
-
-#[test]
-fn key_by_assigns_keys() {
-    let c = cluster();
-    let got = c
-        .parallelize(vec![10u32, 25], 1)
-        .key_by(|x| x % 10)
-        .collect();
-    assert_eq!(got, vec![(0, 10), (5, 25)]);
 }
 
 // ---- caching ---------------------------------------------------------

@@ -62,14 +62,6 @@ fn narrow_ops_preserve_and_key_changing_ops_drop() {
         parted.map_values(|v| v * 2).partitioner().unwrap().sig(),
         sig
     );
-    assert_eq!(
-        parted
-            .flat_map_values(|v| vec![v, v])
-            .partitioner()
-            .unwrap()
-            .sig(),
-        sig
-    );
     assert_eq!(parted.filter(|_| true).partitioner().unwrap().sig(), sig);
     assert_eq!(
         parted

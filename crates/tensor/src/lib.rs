@@ -25,21 +25,16 @@
 #![warn(missing_docs)]
 
 pub mod coo;
-pub mod csf;
 pub mod datasets;
 pub mod dense;
-pub mod dimtree;
 pub mod io;
 pub mod kr;
 pub mod kruskal;
 pub mod linalg;
 pub mod matricize;
 pub mod mttkrp;
-pub mod ops;
 pub mod random;
-pub mod slice;
 pub mod spmv;
-pub mod tucker;
 
 pub use coo::CooTensor;
 pub use dense::DenseMatrix;

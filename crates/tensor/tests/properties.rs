@@ -2,7 +2,6 @@
 //! round-trips, algebraic identities, and MTTKRP equivalences on
 //! arbitrary inputs.
 
-use cstf_tensor::csf::CsfTensor;
 use cstf_tensor::kr::{khatri_rao, khatri_rao_all};
 use cstf_tensor::linalg::{pinv_symmetric, solve_normal_equations};
 use cstf_tensor::matricize::{matricize, unfold_column, unfold_strides};
@@ -85,35 +84,6 @@ proptest! {
         // inverse of reversal is reversal
         let back = p.permute_modes(&perm).unwrap();
         prop_assert_eq!(back, t);
-    }
-
-    /// CSF compresses and expands losslessly for every root mode.
-    #[test]
-    fn csf_roundtrip(t in arb_tensor(), root_pick in any::<u8>()) {
-        let mut dedup = t.clone();
-        dedup.sum_duplicates();
-        let root = root_pick as usize % dedup.order();
-        let csf = CsfTensor::rooted_at(&dedup, root).unwrap();
-        prop_assert_eq!(csf.nnz(), dedup.nnz());
-        prop_assert!(csf.storage_indices() <= dedup.nnz() * dedup.order());
-        let mut back = csf.to_coo();
-        back.sort_lexicographic();
-        dedup.sort_lexicographic();
-        prop_assert_eq!(back, dedup);
-    }
-
-    /// CSF root-mode MTTKRP ≡ COO MTTKRP.
-    #[test]
-    fn csf_mttkrp_matches_coo(t in arb_tensor(), fseed in any::<u64>(), root_pick in any::<u8>()) {
-        let mut dedup = t.clone();
-        dedup.sum_duplicates();
-        let root = root_pick as usize % dedup.order();
-        let factors = factors_for(&dedup, 2, fseed);
-        let refs: Vec<&DenseMatrix> = factors.iter().collect();
-        let csf = CsfTensor::rooted_at(&dedup, root).unwrap();
-        let a = csf.mttkrp_root(&refs).unwrap();
-        let b = mttkrp(&dedup, &refs, root).unwrap();
-        prop_assert!(a.max_abs_diff(&b) < 1e-9);
     }
 
     /// Nonzero-driven MTTKRP ≡ unfolded-matrix MTTKRP on every mode.

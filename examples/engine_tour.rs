@@ -41,10 +41,12 @@ fn main() {
         .persist(StorageLevel::MemoryRaw);
     let errors = logs.filter(|(level, _, _)| level == "ERROR");
 
-    // reduceByKey → per-subsystem error counts (one shuffle).
+    // reduceByKey with map-side combining → per-subsystem error counts
+    // (one shuffle).
+    let partitions = cluster.config().default_parallelism;
     let mut error_counts = errors
         .map(|(_, subsystem, _)| (subsystem, 1u64))
-        .reduce_by_key_map_side(|a, b| a + b)
+        .reduce_by_key_with(partitions, true, |a, b| a + b)
         .collect();
     error_counts.sort();
     println!("\nerrors per subsystem: {error_counts:?}");
