@@ -1,32 +1,36 @@
-//! The one experiment driver behind the CSTF experiment binaries.
+//! The one experiment driver behind `figures`, the binary that
+//! regenerates every table and figure of the CSTF paper's evaluation.
 //!
-//! Every table and figure in the paper's evaluation section has a binary
-//! in `src/bin/` that regenerates it (see DESIGN.md §3 for the index).
-//! Each binary is only its experiment — which variants to run and what to
-//! record. Everything else lives here: the standard argument block
-//! ([`Setup`]), the dataset loop ([`Setup::datasets`]), the CP-ALS run
-//! ([`RunSpec`]), the bit-identity bar ([`assert_bit_identical`]), the
-//! time-model conversions, and the report writer ([`Report`], which
-//! renders the same typed rows as table, CSV and JSON).
+//! Each artifact, and each ablation beside them, is one row of the
+//! experiment table `EXPERIMENTS` (DESIGN.md §3 is the index): its name,
+//! its default and smallest arguments, and the function that runs it
+//! (module `paper` for the paper's artifacts, `ablations` for the rest).
+//! Each function is only its experiment — which variants to run and what
+//! to record. Everything else lives here: the command line (`main`), the
+//! standard argument block (`Setup`), the dataset loop
+//! (`Setup::datasets`), the CP-ALS run (`RunSpec`), the bit-identity bar
+//! (`assert_bit_identical`), the time-model conversions, and the report
+//! writer (`Report`, which renders the same typed rows as table, CSV and
+//! JSON).
 //!
-//! These binaries report *modeled* seconds ([`TimeModel`]) and *counted*
-//! bytes, records and stages. Measured wall time, allocations and
-//! resident memory live in `perf/` (see `BENCHMARK.json`).
+//! The experiments report *modeled* seconds (`cstf_model::TimeModel`) and
+//! *counted* bytes, records and stages. Measured wall time, allocations
+//! and resident memory live in `perf/` (see `BENCHMARK.json`).
 
+mod ablations;
 mod json;
+mod paper;
 mod report;
 mod sim;
 
-pub use json::Json;
-pub use report::{write_json, Cell, Col, Report};
-pub use sim::{offered_load, OfferedJob, OfferedLoadStats, PoolLoadStats};
+use json::Json;
+use report::{write_json, Cell, Col, Report};
 
 use cstf_core::bigtensor::bigtensor_mttkrp;
 use cstf_core::cost::Algorithm;
 use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
-use cstf_core::{CpAls, CpResult, Partitioning, Strategy};
+use cstf_core::planner::plan;
+use cstf_core::{CpAls, CpResult, Partitioning, PlanConfig, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_model::TimeModel;
 use cstf_tensor::datasets::DatasetSpec;
@@ -36,63 +40,244 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 /// The node counts of Figures 2 and 3.
-pub const PAPER_NODE_COUNTS: [usize; 4] = [4, 8, 16, 32];
+const PAPER_NODE_COUNTS: [usize; 4] = [4, 8, 16, 32];
 
-/// Iterations per timed run. The paper runs 20; experiment binaries
-/// default to fewer to stay interactive (`--iters` overrides) and report
+/// Iterations per timed run. The paper runs 20; experiments default to
+/// fewer to stay interactive (`--iters` overrides) and report
 /// per-iteration averages either way.
-pub const DEFAULT_ITERATIONS: usize = 2;
+const DEFAULT_ITERATIONS: usize = 2;
 
 /// Rank used throughout the paper's evaluation ("the Rank of tensor
 /// factorization fixed to 2", §6.3).
-pub const PAPER_RANK: usize = 2;
+const PAPER_RANK: usize = 2;
 
 /// Iterations the paper runs and averages over (§6.3). One-off costs
 /// (tensor distribution, QCOO queue initialization) are amortized over
 /// this count when reporting per-iteration times, exactly as averaging a
 /// 20-iteration run does.
-pub const PAPER_ITERATIONS: usize = 20;
+const PAPER_ITERATIONS: usize = 20;
 
-/// Parses `--key value` (and bare `--flag`) arguments.
+/// Smallest arguments of the experiments with a smoke mode: one small
+/// synthetic tensor (or shrunken datasets) on four nodes, one iteration.
+const TINY: &str = "--tiny --seed 0 --nodes 4 --iters 1";
+
+/// Smallest arguments of the others: their datasets at 1/20 000, one
+/// iteration.
+const SMALL: &str = "--seed 0 --iters 1 --scale 20000";
+
+/// One row of the experiment table: the experiment's name (on the command
+/// line and in its JSON report), its default `--scale`, `--nodes` and
+/// `--iters`, the arguments `--tiny` runs it at, and its function.
+#[derive(Debug)]
+struct Experiment {
+    name: &'static str,
+    scale: f64,
+    /// One count, or the counts a row sweeps; only such a row takes a list.
+    nodes: &'static [usize],
+    iters: usize,
+    /// [`TINY`] or [`SMALL`].
+    smallest: &'static str,
+    run: fn(&Setup),
+}
+
+macro_rules! row {
+    ($module:ident::$name:ident, $scale:expr, $nodes:expr, $iters:expr, $smallest:expr) => {
+        Experiment {
+            name: stringify!($name),
+            scale: $scale,
+            nodes: $nodes,
+            iters: $iters,
+            smallest: $smallest,
+            run: $module::$name,
+        }
+    };
+}
+
+/// Every experiment `figures` runs: the paper's seven artifacts and its §5
+/// claim, then the ablations. A row reads only the values its experiment
+/// uses; the rest of its defaults stand unread.
+static EXPERIMENTS: [Experiment; 18] = [
+    row!(paper::fig2_runtime, 2000.0, &PAPER_NODE_COUNTS, 2, SMALL),
+    row!(paper::fig3_runtime4d, 4000.0, &PAPER_NODE_COUNTS, 2, SMALL),
+    row!(paper::fig4_comm, 2000.0, &[8], 2, SMALL),
+    row!(paper::fig5_modes, 4000.0, &[4], 2, SMALL),
+    row!(paper::table2_workflow, 1.0, &[4], 2, SMALL),
+    row!(paper::table4_cost, 4000.0, &[8], 2, SMALL),
+    row!(paper::table5_datasets, 2000.0, &[0], 2, SMALL),
+    row!(paper::order_sweep, 1.0, &[8], 2, SMALL),
+    row!(ablations::ablation_caching, 4000.0, &[8], 3, SMALL),
+    row!(ablations::ablation_combine, 4000.0, &[8], 2, SMALL),
+    row!(ablations::ablation_jobserver, 10.0, &[4], 2, TINY),
+    row!(ablations::ablation_memory, 4000.0, &[8], 2, TINY),
+    row!(ablations::ablation_partitioning, 4000.0, &[8], 2, TINY),
+    row!(ablations::ablation_rank, 4000.0, &[8], 2, SMALL),
+    row!(ablations::ablation_scheduler, 4000.0, &[4], 2, TINY),
+    row!(ablations::ablation_skew, 2000.0, &[8], 2, SMALL),
+    row!(ablations::ablation_spmv, 4000.0, &[8], 2, TINY),
+    row!(ablations::ablation_strategies, 4000.0, &[8], 2, SMALL),
+];
+
+const USAGE: &str = "\
+usage: figures <experiment>... | all  [--scale S] [--seed N] [--nodes N] [--iters N]
+                                     [--dataset NAME] [--tiny]
+
+Runs rows of the experiment table (DESIGN.md §3) into results/. --tiny runs
+each row at its smallest arguments, which the values given override, into
+target/bench-tiny/ (CSTF_RESULTS_DIR overrides both directories). --nodes
+takes a list (4,8) where its default is one; --dataset (all or a dataset
+name) is read by fig2, fig3 and fig5. A row reads only the values its
+experiment uses.
+
+experiment               --scale    --nodes  --iters  smallest arguments
+";
+
+/// `figures`' command line (see `USAGE`): runs the named experiments and
+/// returns the exit status, 2 for an argument it cannot use — an unknown
+/// flag or experiment, or a value that does not parse — named on stderr
+/// before anything runs.
+pub fn main(argv: impl IntoIterator<Item = String>) -> ExitCode {
+    let args = Args::parse_from(argv);
+    if args.flag("help") {
+        print!("{}", help());
+        return ExitCode::SUCCESS;
+    }
+    match runs(&args) {
+        Ok(runs) => {
+            for (experiment, setup) in runs {
+                (experiment.run)(&setup);
+            }
+            ExitCode::SUCCESS
+        }
+        Err(message) => {
+            eprint!("figures: {message}\n\n{}", help());
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn help() -> String {
+    let mut text = USAGE.to_string();
+    for e in &EXPERIMENTS {
+        let nodes: Vec<String> = e.nodes.iter().map(usize::to_string).collect();
+        text += &format!(
+            "{:<22} {:>9} {:>10} {:>8}  {}\n",
+            e.name,
+            e.scale,
+            nodes.join(","),
+            e.iters,
+            e.smallest
+        );
+    }
+    text
+}
+
+/// The experiments `args` names, each with its checked [`Setup`]: the
+/// row's defaults, then under `--tiny` its smallest arguments, then the
+/// values on the command line.
+fn runs(args: &Args) -> Result<Vec<(&'static Experiment, Setup)>, String> {
+    let mut runs = Vec::new();
+    for name in &args.names {
+        let rows = EXPERIMENTS
+            .iter()
+            .filter(|e| name == "all" || e.name == name);
+        let before = runs.len();
+        for row in rows {
+            let smallest = if args.flag("tiny") { row.smallest } else { "" };
+            let mut row_args = Args::parse_from(smallest.split_whitespace().map(String::from));
+            row_args.values.extend(args.values.clone());
+            let setup = row
+                .setup(row_args)
+                .map_err(|e| format!("{}: {e}", row.name))?;
+            runs.push((row, setup));
+        }
+        if runs.len() == before {
+            return Err(format!("unknown experiment {name:?}"));
+        }
+    }
+    if runs.is_empty() {
+        return Err("no experiment named (or `all`)".to_string());
+    }
+    Ok(runs)
+}
+
+impl Experiment {
+    /// This row's [`Setup`] from `args`, which may hold the standard block
+    /// only, every value parsing (a `--nodes` list only on a row that
+    /// sweeps node counts).
+    fn setup(&self, args: Args) -> Result<Setup, String> {
+        for (key, value) in &args.values {
+            let parses = match key.as_str() {
+                "scale" => value.parse::<f64>().is_ok(),
+                "seed" => value.parse::<u64>().is_ok(),
+                "iters" => value.parse::<usize>().is_ok(),
+                "nodes" if self.nodes.len() > 1 => {
+                    value.split(',').all(|n| n.trim().parse::<usize>().is_ok())
+                }
+                "nodes" => value.parse::<usize>().is_ok(),
+                "dataset" => value == "all" || DatasetSpec::by_name(value).is_some(),
+                "tiny" => true,
+                _ => return Err(format!("unknown flag --{key}")),
+            };
+            if !parses {
+                return Err(format!("bad value {value:?} for --{key}"));
+            }
+        }
+        Ok(Setup {
+            iters: args.parse("iters", self.iters),
+            experiment: self.name,
+            ..Setup::from_args(args, self.scale, self.nodes[0])
+        })
+    }
+}
+
+/// Flags that never take a value.
+const FLAGS: [&str; 2] = ["tiny", "help"];
+
+/// Parses `--key value` and bare `--flag` arguments, and the positional
+/// words between them.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+struct Args {
     values: BTreeMap<String, String>,
+    names: Vec<String>,
 }
 
 impl Args {
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (for tests).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut values = BTreeMap::new();
+    /// Parses an argument list. A key is bare when it is in [`FLAGS`] or
+    /// no value follows it.
+    fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+        let mut parsed = Args::default();
         let mut it = args.into_iter().peekable();
         while let Some(arg) = it.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(next) if !next.starts_with("--") => it.next().unwrap(),
-                    _ => String::from("true"),
-                };
-                values.insert(key.to_string(), value);
-            }
+            let Some(key) = arg.strip_prefix("--") else {
+                parsed.names.push(arg);
+                continue;
+            };
+            let value = if FLAGS.contains(&key) {
+                None
+            } else {
+                it.next_if(|next| !next.starts_with("--"))
+            };
+            let value = value.unwrap_or_else(|| String::from("true"));
+            parsed.values.insert(key.to_string(), value);
         }
-        Args { values }
+        parsed
     }
 
     /// String argument with default.
-    pub fn get(&self, key: &str, default: &str) -> String {
+    fn get(&self, key: &str, default: &str) -> String {
         self.values
             .get(key)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
 
-    /// Parsed argument with default.
-    pub fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// Parsed argument, or `default` when it is absent or does not parse
+    /// ([`Experiment::setup`] has refused every such value but a sweep's
+    /// `--nodes` list, where the default count stands).
+    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         self.values
             .get(key)
             .and_then(|v| v.parse().ok())
@@ -100,41 +285,38 @@ impl Args {
     }
 
     /// Whether a flag was passed.
-    pub fn flag(&self, key: &str) -> bool {
+    fn flag(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
 }
 
-/// The standard argument block every experiment binary shares:
-/// `--scale --seed --nodes --iters --tiny [--dataset NAME]`. Binaries read
-/// their own extra flags from [`Setup::args`].
+/// The standard argument block every experiment shares:
+/// `--scale --seed --nodes --iters --tiny [--dataset NAME]`.
 #[derive(Debug, Clone)]
-pub struct Setup {
-    /// All parsed arguments, for experiment-specific flags.
-    pub args: Args,
+struct Setup {
+    /// All parsed arguments (`--nodes` lists and `--dataset`).
+    args: Args,
+    /// The experiment's name ([`Experiment::setup`]; empty otherwise).
+    experiment: &'static str,
     /// Dataset down-scaling factor (`--scale`).
-    pub scale: f64,
+    scale: f64,
     /// Seed for dataset generation and factor initialization (`--seed`).
-    pub seed: u64,
+    seed: u64,
     /// Simulated node count (`--nodes`).
-    pub nodes: usize,
+    nodes: usize,
     /// CP-ALS iterations per run (`--iters`).
-    pub iters: usize,
+    iters: usize,
     /// CI smoke configuration (`--tiny`): one small synthetic tensor, and
     /// artifacts kept out of the committed `results/`.
-    pub tiny: bool,
+    tiny: bool,
 }
 
 impl Setup {
-    /// Parses the process arguments; `scale` and `nodes` are the
+    /// The block read from `args`; `scale` and `nodes` are the
     /// experiment's defaults for the two values that differ per figure.
-    pub fn from_env(scale: f64, nodes: usize) -> Setup {
-        Setup::from_args(Args::from_env(), scale, nodes)
-    }
-
-    /// [`Setup::from_env`] over explicit arguments.
-    pub fn from_args(args: Args, scale: f64, nodes: usize) -> Setup {
+    fn from_args(args: Args, scale: f64, nodes: usize) -> Setup {
         Setup {
+            experiment: "",
             scale: args.parse("scale", scale),
             seed: args.parse("seed", 0),
             nodes: args.parse("nodes", nodes),
@@ -145,7 +327,7 @@ impl Setup {
     }
 
     /// `paper_set` generated at `--scale` from `--seed`, by name.
-    pub fn paper_datasets(&self, paper_set: &[DatasetSpec]) -> Vec<(String, CooTensor)> {
+    fn paper_datasets(&self, paper_set: &[DatasetSpec]) -> Vec<(String, CooTensor)> {
         paper_set
             .iter()
             .map(|spec| (spec.name.to_string(), spec.generate(self.scale, self.seed)))
@@ -154,7 +336,7 @@ impl Setup {
 
     /// The tensors an experiment with a smoke mode loops over: the one
     /// tiny synthetic under `--tiny`, else [`Setup::paper_datasets`].
-    pub fn datasets(&self, paper_set: &[DatasetSpec]) -> Vec<(String, CooTensor)> {
+    fn datasets(&self, paper_set: &[DatasetSpec]) -> Vec<(String, CooTensor)> {
         if !self.tiny {
             return self.paper_datasets(paper_set);
         }
@@ -165,9 +347,9 @@ impl Setup {
         vec![("tiny_synth".to_string(), tensor)]
     }
 
-    /// The figure binaries' `--dataset NAME` choice: that one paper
-    /// dataset, or all of `paper_set` (the default, `all`).
-    pub fn selected(&self, paper_set: &[DatasetSpec]) -> Vec<DatasetSpec> {
+    /// The figures' `--dataset NAME` choice: that one paper dataset, or
+    /// all of `paper_set` (the default, `all`).
+    fn selected(&self, paper_set: &[DatasetSpec]) -> Vec<DatasetSpec> {
         match self.args.get("dataset", "all").as_str() {
             "all" => paper_set.to_vec(),
             name => {
@@ -179,7 +361,7 @@ impl Setup {
 
     /// The `--nodes a,b,c` sweep of Figures 2 and 3 (default
     /// [`PAPER_NODE_COUNTS`]). Panics on a token that is not a count.
-    pub fn node_counts(&self) -> Vec<usize> {
+    fn node_counts(&self) -> Vec<usize> {
         match self.args.values.get("nodes") {
             Some(list) => list
                 .split(',')
@@ -195,11 +377,39 @@ impl Setup {
 
     /// Directory artifacts (CSV, JSON) are written to (created on demand):
     /// see `artifact_dir`, with `CSTF_RESULTS_DIR` as the override.
-    pub fn results_dir(&self) -> PathBuf {
+    fn results_dir(&self) -> PathBuf {
         let dir = artifact_dir(std::env::var("CSTF_RESULTS_DIR").ok(), self.tiny);
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
         dir
+    }
+
+    /// Writes the experiment's `BENCH_<name>.json`, `<name>` being its
+    /// name less `ablation_`: `experiment`, then `head`, then the standard
+    /// values `block` names in that order (`rank` is [`PAPER_RANK`],
+    /// `iterations` is `--iters`), then `tail`.
+    fn write_bench<const H: usize, const T: usize>(
+        &self,
+        head: [(&'static str, Json); H],
+        block: &[&'static str],
+        tail: [(&'static str, Json); T],
+    ) {
+        let standard = block.iter().map(|&key| {
+            let value: Json = match key {
+                "rank" => PAPER_RANK.into(),
+                "scale" => self.scale.into(),
+                "seed" => self.seed.into(),
+                "nodes" => self.nodes.into(),
+                "iterations" => self.iters.into(),
+                "tiny" => self.tiny.into(),
+                other => unreachable!("{other} is not in the standard block"),
+            };
+            (key, value)
+        });
+        let experiment = ("experiment", Json::from(self.experiment));
+        let members = std::iter::once(experiment).chain(head).chain(standard);
+        let name = self.experiment.trim_start_matches("ablation_");
+        write_json(&self.results_dir(), name, &Json::obj(members.chain(tail)));
     }
 }
 
@@ -214,37 +424,48 @@ fn artifact_dir(override_dir: Option<String>, tiny: bool) -> PathBuf {
     }
 }
 
+/// One dataset's entry in a `BENCH_*.json`: its name and nonzero count,
+/// then `members`.
+fn dataset_json<const N: usize>(
+    name: String,
+    tensor: &CooTensor,
+    members: [(&'static str, Json); N],
+) -> Json {
+    let head = [("dataset", Json::from(name)), ("nnz", tensor.nnz().into())];
+    Json::obj(head.into_iter().chain(members))
+}
+
 /// One CP-ALS run of an experiment: which pipeline, on which simulated
 /// cluster. Fields not named by an experiment keep [`CpAls`]'s and
 /// [`ClusterConfig`]'s defaults (see [`RunSpec::new`]).
 #[derive(Debug, Clone)]
-pub struct RunSpec {
+struct RunSpec {
     /// MTTKRP pipeline.
-    pub strategy: Strategy,
+    strategy: Strategy,
     /// Partitioner-awareness level.
-    pub partitioning: Partitioning,
+    partitioning: Partitioning,
     /// Storage level of the run's persisted datasets.
-    pub storage: StorageLevel,
+    storage: StorageLevel,
     /// Decomposition rank.
-    pub rank: usize,
+    rank: usize,
     /// Simulated node count.
-    pub nodes: usize,
+    nodes: usize,
     /// ALS iterations (fit evaluation is skipped).
-    pub iters: usize,
+    iters: usize,
     /// Factor-initialization seed.
-    pub seed: u64,
+    seed: u64,
     /// Fault-injection schedule, if the run is a chaos run.
-    pub faults: Option<FaultConfig>,
+    faults: Option<FaultConfig>,
     /// Block-manager memory budget in bytes, if bounded.
-    pub budget: Option<u64>,
+    budget: Option<u64>,
     /// Force one stage at a time instead of concurrent DAG waves.
-    pub sequential: bool,
+    sequential: bool,
 }
 
 impl RunSpec {
     /// The paper's configuration: rank [`PAPER_RANK`], a quiet unbounded
     /// cluster, and the solver's default partitioning and storage.
-    pub fn new(strategy: Strategy, nodes: usize, iters: usize, seed: u64) -> RunSpec {
+    fn new(strategy: Strategy, nodes: usize, iters: usize, seed: u64) -> RunSpec {
         RunSpec {
             strategy,
             partitioning: Partitioning::CoPartitionedFactors,
@@ -261,7 +482,7 @@ impl RunSpec {
 
     /// The same run under the ablations' crash schedule: a tenth of first
     /// task attempts fail and are retried.
-    pub fn under_chaos(&self) -> RunSpec {
+    fn under_chaos(&self) -> RunSpec {
         RunSpec {
             faults: Some(FaultConfig::crashes(self.seed.wrapping_add(17), 0.1)),
             ..self.clone()
@@ -269,7 +490,7 @@ impl RunSpec {
     }
 
     /// A fresh simulated cluster for this run.
-    pub fn cluster(&self) -> Cluster {
+    fn cluster(&self) -> Cluster {
         let mut config = ClusterConfig::auto().nodes(self.nodes);
         if self.sequential {
             config = config.sequential_stages();
@@ -284,7 +505,7 @@ impl RunSpec {
     }
 
     /// The configured solver.
-    pub fn solver(&self) -> CpAls {
+    fn solver(&self) -> CpAls {
         CpAls::new(self.rank)
             .strategy(self.strategy)
             .partitioning(self.partitioning)
@@ -295,14 +516,14 @@ impl RunSpec {
     }
 
     /// Runs on `cluster` (shared with other jobs, or inspected afterwards).
-    pub fn run_on(&self, cluster: &Cluster, tensor: &CooTensor) -> CpResult {
+    fn run_on(&self, cluster: &Cluster, tensor: &CooTensor) -> CpResult {
         self.solver()
             .run(cluster, tensor)
             .expect("CP-ALS run failed")
     }
 
     /// Runs on a fresh cluster, returning its metrics log and the result.
-    pub fn run(&self, tensor: &CooTensor) -> (JobMetrics, CpResult) {
+    fn run(&self, tensor: &CooTensor) -> (JobMetrics, CpResult) {
         let cluster = self.cluster();
         let result = self.run_on(&cluster, tensor);
         (cluster.metrics().snapshot(), result)
@@ -311,7 +532,7 @@ impl RunSpec {
 
 /// The bit-identity bar of the ablations: weights and every factor entry
 /// of `b` must equal `a` bit for bit, or the experiment aborts.
-pub fn assert_bit_identical(a: &CpResult, b: &CpResult, what: &str) {
+fn assert_bit_identical(a: &CpResult, b: &CpResult, what: &str) {
     let bits = |r: &CpResult| -> Vec<u64> {
         let factors = r.kruskal.factors.iter().flat_map(|f| f.data().iter());
         let values = r.kruskal.weights.iter().chain(factors);
@@ -321,7 +542,7 @@ pub fn assert_bit_identical(a: &CpResult, b: &CpResult, what: &str) {
 }
 
 /// Seeded random factor matrices for the single-MTTKRP experiments.
-pub fn random_factors(shape: &[u32], rank: usize, seed: u64) -> Vec<DenseMatrix> {
+fn random_factors(shape: &[u32], rank: usize, seed: u64) -> Vec<DenseMatrix> {
     let mut rng = StdRng::seed_from_u64(seed);
     shape
         .iter()
@@ -332,98 +553,44 @@ pub fn random_factors(shape: &[u32], rank: usize, seed: u64) -> Vec<DenseMatrix>
 /// Runs one steady-state mode-1 MTTKRP of `algorithm` (Table 2's three
 /// columns) on a 3rd-order tensor and returns the metrics of that MTTKRP
 /// alone: distributing and caching the tensor and initializing QCOO's
-/// queues happen before the log is reset.
-pub fn mode1_mttkrp(
+/// queues happen before the log is reset. COO and QCOO run through the
+/// planner with `partitions` for the tensor and every join; BIGtensor is
+/// not a [`Strategy`] and keeps its own call.
+fn mode1_mttkrp(
     algorithm: Algorithm,
     cluster: &Cluster,
     tensor: &CooTensor,
     factors: &[DenseMatrix],
     partitions: usize,
 ) -> JobMetrics {
-    let (shape, rank) = (tensor.shape(), factors[0].cols());
-    let rdd = tensor_to_rdd(cluster, tensor, partitions);
-    let cached = || {
-        let rdd = rdd.persist(StorageLevel::MemoryRaw);
-        let _ = rdd.count();
-        rdd
-    };
-    match algorithm {
-        Algorithm::CstfCoo => {
-            let rdd = cached();
-            cluster.metrics().reset();
-            mttkrp_coo(cluster, &rdd, factors, shape, 0, &MttkrpOptions::default())
-                .expect("COO MTTKRP");
-        }
-        Algorithm::CstfQcoo => {
-            let mut q = QcooState::init(cluster, &cached(), factors, shape, rank, partitions)
-                .expect("QCOO init");
-            cluster.metrics().reset();
-            q.step(&factors[2]).expect("QCOO step");
-        }
+    let strategy = match algorithm {
+        Algorithm::CstfCoo => Strategy::Coo,
+        Algorithm::CstfQcoo => Strategy::Qcoo,
         Algorithm::BigTensor => {
+            let rdd = tensor_to_rdd(cluster, tensor, partitions);
             cluster.metrics().reset();
-            bigtensor_mttkrp(cluster, &rdd, factors, shape, 0, partitions)
+            bigtensor_mttkrp(cluster, &rdd, factors, tensor.shape(), 0, partitions)
                 .expect("BIGtensor MTTKRP");
+            return cluster.metrics().snapshot();
         }
         other => panic!("{other} is not a column of Table 2"),
-    }
+    };
+    let config = PlanConfig {
+        rank: factors[0].cols(),
+        partitions,
+        partitioning: Partitioning::CoPartitionedFactors,
+        kernel: KernelStrategy::default(),
+        cache_tensor: true,
+        storage: StorageLevel::MemoryRaw,
+    };
+    let mut plan = plan(cluster, tensor, strategy, &config, factors).expect("MTTKRP plan");
+    cluster.metrics().reset();
+    plan.mttkrp(factors, 0).expect("mode-1 MTTKRP");
     cluster.metrics().snapshot()
 }
 
-/// Figures 2 and 3 — modeled seconds per CP-ALS iteration vs cluster size
-/// for CSTF-COO and CSTF-QCOO on every dataset of `paper_set` (or the one
-/// `--dataset` names), against BIGtensor where it exists (`bigtensor`:
-/// 3rd order only; 4th-order runs use COO as the baseline, §6.3). Writes
-/// `<file>_<dataset>.csv`.
-pub fn runtime_vs_nodes(
-    title: &str,
-    file: &str,
-    setup: &Setup,
-    paper_set: &[DatasetSpec],
-    bigtensor: bool,
-) {
-    let (iters, seed) = (setup.iters, setup.seed);
-    let (spark, hadoop) = (spark_model(setup.scale), hadoop_model(setup.scale));
-    let mut cols = vec![
-        Col::new("nodes", "nodes"),
-        Col::new("COO (s)", "coo_s"),
-        Col::new("QCOO (s)", "qcoo_s"),
-    ];
-    if bigtensor {
-        cols.push(Col::new("BIGtensor (s)", "bigtensor_s"));
-        cols.push(Col::new("COO speedup", "coo_speedup"));
-        cols.push(Col::new("QCOO speedup", "qcoo_speedup"));
-        cols.push(Col::new("QCOO vs COO", "qcoo_vs_coo"));
-    } else {
-        cols.push(Col::new("QCOO speedup", "qcoo_speedup"));
-    }
-    for (name, tensor) in setup.paper_datasets(&setup.selected(paper_set)) {
-        heading(&format!("{title} @ 1/{:.0}", setup.scale), &name, &tensor);
-        let mut report = Report::new(cols.clone());
-        for n in setup.node_counts() {
-            let secs = |strategy| {
-                let (metrics, _) = RunSpec::new(strategy, n, iters, seed).run(&tensor);
-                per_iteration_secs_amortized(&spark, &metrics, iters)
-            };
-            let (t_coo, t_qcoo) = (secs(Strategy::Coo), secs(Strategy::Qcoo));
-            let mut row = vec![n.into(), Cell::fixed(t_coo, 1), Cell::fixed(t_qcoo, 1)];
-            if bigtensor {
-                let (m_big, _) = run_bigtensor(&tensor, n, iters, seed);
-                let t_big = per_iteration_secs_amortized(&hadoop, &m_big, iters);
-                row.push(Cell::fixed(t_big, 1));
-                row.push(Cell::fixed(t_big / t_coo, 2));
-                row.push(Cell::fixed(t_big / t_qcoo, 2));
-            }
-            row.push(Cell::fixed(t_coo / t_qcoo, 2));
-            report.row(row);
-        }
-        report.print();
-        report.write_csv(&setup.results_dir(), &format!("{file}_{name}"));
-    }
-}
-
 /// Prints the heading an experiment opens each dataset's table with.
-pub fn heading(title: &str, name: &str, tensor: &CooTensor) {
+fn heading(title: &str, name: &str, tensor: &CooTensor) {
     println!(
         "\n=== {title}: {name} (shape {:?}, nnz {}) ===",
         tensor.shape(),
@@ -434,7 +601,7 @@ pub fn heading(title: &str, name: &str, tensor: &CooTensor) {
 /// Shuffle bytes (remote + local) moved inside the `MTTKRP-*` scopes of a
 /// run: steady-state traffic, excluding one-off tensor distribution and
 /// queue initialization.
-pub fn mttkrp_shuffle_bytes(metrics: &JobMetrics) -> u64 {
+fn mttkrp_shuffle_bytes(metrics: &JobMetrics) -> u64 {
     metrics
         .shuffle_bytes_by_scope()
         .into_iter()
@@ -444,7 +611,7 @@ pub fn mttkrp_shuffle_bytes(metrics: &JobMetrics) -> u64 {
 }
 
 /// A timed BIGtensor run (3rd-order only).
-pub fn run_bigtensor(
+fn run_bigtensor(
     tensor: &CooTensor,
     nodes: usize,
     iters: usize,
@@ -456,33 +623,35 @@ pub fn run_bigtensor(
     (cluster.metrics().snapshot(), result)
 }
 
-/// Per-iteration simulated seconds the way the paper reports them:
-/// per-MTTKRP scopes divide by the executed iteration count; one-off
-/// "Other" costs (tensor distribution, queue initialization) divide by
-/// [`PAPER_ITERATIONS`], reproducing the amortization of averaging a
-/// 20-iteration run without having to execute all 20.
-pub fn per_iteration_secs_amortized(model: &TimeModel, metrics: &JobMetrics, iters: usize) -> f64 {
-    let iters = iters.max(1) as f64;
-    model
-        .scope_times(metrics)
-        .into_iter()
-        .map(|(scope, secs)| {
-            if scope.starts_with("MTTKRP") {
-                secs / iters
-            } else {
-                secs / PAPER_ITERATIONS as f64
-            }
-        })
+/// `value`, recorded in `scope` over `iters` executed iterations, per
+/// iteration the way the paper reports it: per-MTTKRP scopes divide by
+/// the executed iteration count; one-off "Other" costs (tensor
+/// distribution, queue initialization) divide by [`PAPER_ITERATIONS`],
+/// reproducing the amortization of averaging a 20-iteration run without
+/// having to execute all 20.
+fn amortized(scope: &str, value: f64, iters: usize) -> f64 {
+    if scope.starts_with("MTTKRP") {
+        value / iters.max(1) as f64
+    } else {
+        value / PAPER_ITERATIONS as f64
+    }
+}
+
+/// Per-iteration simulated seconds of a run, [`amortized`] per scope.
+fn per_iteration_secs_amortized(model: &TimeModel, metrics: &JobMetrics, iters: usize) -> f64 {
+    let scopes = model.scope_times(metrics).into_iter();
+    scopes
+        .map(|(scope, secs)| amortized(&scope, secs, iters))
         .sum()
 }
 
 /// The Spark time model scaled for a dataset run at `scale`.
-pub fn spark_model(scale: f64) -> TimeModel {
+fn spark_model(scale: f64) -> TimeModel {
     TimeModel::spark().with_work_scale(scale)
 }
 
 /// The Hadoop time model scaled for a dataset run at `scale`.
-pub fn hadoop_model(scale: f64) -> TimeModel {
+fn hadoop_model(scale: f64) -> TimeModel {
     TimeModel::hadoop().with_work_scale(scale)
 }
 
@@ -505,10 +674,54 @@ mod tests {
         assert_eq!(a.parse("missing", 7u32), 7);
     }
 
+    fn runs_of(argv: &str) -> Result<Vec<(&'static Experiment, Setup)>, String> {
+        runs(&Args::parse_from(argv.split(' ').map(String::from)))
+    }
+
     #[test]
-    fn args_bad_parse_falls_back() {
-        let a = Args::parse_from(["--scale", "abc"].iter().map(|s| s.to_string()));
-        assert_eq!(a.parse("scale", 5u32), 5);
+    fn bad_arguments_are_rejected_by_name() {
+        let error = |argv: &str| runs_of(argv).expect_err(argv);
+        assert_eq!(error("nope"), "unknown experiment \"nope\"");
+        assert_eq!(
+            error("table4_cost --itres 1"),
+            "table4_cost: unknown flag --itres"
+        );
+        let bad_iters = "fig4_comm: bad value \"1x\" for --iters";
+        assert_eq!(error("fig4_comm --iters 1x"), bad_iters);
+        let list = "fig4_comm: bad value \"4,8\" for --nodes";
+        assert_eq!(
+            error("all --nodes 4,8"),
+            list,
+            "a list only where nodes sweep"
+        );
+        assert!(error("fig5_modes --dataset nope").contains("--dataset"));
+        assert!(error("--tiny").starts_with("no experiment"));
+        let sweep = runs_of("fig3_runtime4d --tiny --nodes 4,8").expect("a sweep takes a list");
+        let (_, setup) = &sweep[0];
+        assert_eq!(
+            (setup.node_counts(), setup.iters, setup.tiny),
+            (vec![4, 8], 1, true)
+        );
+    }
+
+    #[test]
+    fn rows_are_named_once_and_their_smallest_arguments_parse() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate row name");
+        for row in &EXPERIMENTS {
+            let smallest = Args::parse_from(row.smallest.split(' ').map(String::from));
+            let setup = row.setup(smallest).expect(row.name);
+            assert_eq!(
+                (setup.experiment, setup.seed, setup.iters),
+                (row.name, 0, 1)
+            );
+        }
+        assert_eq!(
+            runs_of("all --tiny").expect("smoke run").len(),
+            EXPERIMENTS.len()
+        );
     }
 
     fn tiny() -> CooTensor {

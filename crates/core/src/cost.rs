@@ -18,7 +18,7 @@
 //! to `N²·nnz·R`; QCOO shuffles `2N` times moving `N·(N−1)·nnz·R` in joins,
 //! a `1/N` communication saving (33% / 25% / 20% for orders 3 / 4 / 5).
 //! The engine-measured counterparts of these numbers are asserted in this
-//! crate's tests and regenerated by the `table4_cost` experiment binary.
+//! crate's tests and regenerated by `figures table4_cost`.
 
 use serde::Serialize;
 

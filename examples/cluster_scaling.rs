@@ -7,9 +7,9 @@
 //! Runs one CP-ALS iteration of CSTF-COO and CSTF-QCOO on a synt3d-style
 //! tensor for each simulated cluster size and converts the recorded stage
 //! metrics into simulated seconds with the documented time model — a
-//! miniature of the paper's Figure 2 experiment (see
-//! `cargo run -p cstf-bench --bin fig2_runtime` for the full version with
-//! the BIGtensor baseline).
+//! miniature of the paper's Figure 2 experiment (see `figures
+//! fig2_runtime`, i.e. `cargo run -p cstf-bench -- fig2_runtime`, for the
+//! full version with the BIGtensor baseline).
 
 use cstf_core::{CpAls, Strategy};
 use cstf_dataflow::prelude::*;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Every experiment binary's artifacts, working tree against a parent
+# Every experiment's artifacts, working tree against a parent
 # revision, diffed — the "nothing observable moves" check of a refactor.
 # See --help.
 set -euo pipefail
@@ -14,11 +14,9 @@ artifacts as <parent-rev>:
   1. checks <parent-rev> out into a scratch directory (git archive; the
      repository's own metadata is not touched) and builds cstf-bench on both
      sides, each into a target directory of its own;
-  2. runs every binary of crates/bench/src/bin on both sides with its
-     smallest supported arguments — the five JSON-writing ablations of CI's
-     bench-smoke job as `--tiny --seed 0 --nodes 4 --iters 1`, the rest as
-     `--seed 0 --iters 1 --scale 20000` — each side into a CSTF_RESULTS_DIR
-     of its own;
+  2. runs `figures all --tiny --seed 0` on both sides — every row of the
+     experiment table at its smallest arguments, as CI's bench-smoke job
+     does — each side into a CSTF_RESULTS_DIR of its own;
   3. prints `diff -r` of the two directories and exits non-zero unless it is
      empty.
 
@@ -35,7 +33,7 @@ to run at one commit and are masked on both sides before the diff:
 
 Scratch space lives under ${TMPDIR:-/tmp}/cstf-bench-diff/<parent-sha>/ and
 is reused by later invocations with the same parent; delete it when done.
-About two minutes after the builds.
+About a minute after the builds.
 EOF
 }
 
@@ -66,7 +64,6 @@ checkout() {
     if [ "$1" = parent ]; then echo "$work/parent"; else echo "$repo"; fi
 }
 
-tiny_bins=" ablation_partitioning ablation_memory ablation_scheduler ablation_spmv ablation_jobserver "
 for side in parent change; do
     src=$(checkout $side)
     echo "building $side ($src)" >&2
@@ -75,17 +72,9 @@ for side in parent change; do
     out=$work/results-$side
     rm -rf "$out"
     mkdir "$out"
-    for bin_src in "$src"/crates/bench/src/bin/*.rs; do
-        bin=$(basename "$bin_src" .rs)
-        case "$tiny_bins" in
-            *" $bin "*) args="--tiny --seed 0 --nodes 4 --iters 1" ;;
-            *) args="--seed 0 --iters 1 --scale 20000" ;;
-        esac
-        echo "$side: $bin $args" >&2
-        # shellcheck disable=SC2086  # $args is a word list
-        (cd "$src" && CSTF_RESULTS_DIR=$out timeout 600 \
-            "$work/target-$side/release/$bin" $args >/dev/null)
-    done
+    echo "$side: figures all --tiny --seed 0" >&2
+    (cd "$src" && CSTF_RESULTS_DIR=$out timeout 1800 \
+        "$work/target-$side/release/figures" all --tiny --seed 0 >/dev/null)
     sed -E -i 's/("(fifo|fair)_(short|long)_mean_queue_delay_secs": )[0-9.e+-]+/\1"masked"/' \
         "$out/BENCH_jobserver.json"
     sed -E -i '/"fraction": 0\.25,/ s/("(evicted_bytes|spilled_bytes|spill_read_bytes|sim_secs)": )[0-9.e+-]+/\1"masked"/g' \
