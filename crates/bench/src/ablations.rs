@@ -4,7 +4,8 @@
 use crate::sim::{offered_load, OfferedJob, OfferedLoadStats};
 use crate::*;
 use cstf_core::cost::{self, qcoo_savings};
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
+use cstf_core::planner::join_order;
+use cstf_core::records::{add_rows, Row};
 use cstf_tensor::datasets::{DELICIOUS3D, FLICKR, NELL1, SYNT3D, THIRD_ORDER};
 use cstf_tensor::spmv::fiber_counts;
 
@@ -54,16 +55,20 @@ pub(crate) fn ablation_caching(setup: &Setup) {
 
 /// Ablation: map-side combining in the MTTKRP's final `reduceByKey`.
 ///
-/// Our default matches the paper's Table 4 accounting (no map-side
-/// combine: the reduce shuffles a full `nnz·R`). Spark's real
-/// `reduceByKey` combines map-side, shrinking the reduce shuffle whenever
-/// partitions contain repeated output indices — which depends on the
-/// output mode's size and skew. This experiment measures the reduce-stage
-/// shuffle bytes both ways on every mode of every 3rd-order dataset. It
-/// calls the COO pipeline itself: the planner has no map-side combine.
+/// Our MTTKRPs match the paper's Table 4 accounting (no map-side combine:
+/// the reduce shuffles a full `nnz·R`). Spark's real `reduceByKey`
+/// combines map-side, shrinking the reduce shuffle whenever partitions
+/// contain repeated output indices — which depends on the output mode's
+/// size and skew. This experiment measures the reduce-stage shuffle bytes
+/// both ways on every mode of every 3rd-order dataset. No plan combines
+/// map-side, so it rebuilds COO's reduce-side layout in the engine: the
+/// cached tensor keyed by the mode's last join mode and hash-partitioned
+/// into 32 buckets (where COO's last join leaves every record), re-keyed
+/// to `(output index, R-wide row)`, then
+/// `reduce_by_key_with(32, combine, add_rows)`. Its plain bytes equal
+/// those of COO's own reduce.
 pub(crate) fn ablation_combine(setup: &Setup) {
     for (name, tensor) in setup.paper_datasets(&THIRD_ORDER) {
-        let factors = random_factors(tensor.shape(), PAPER_RANK, setup.seed);
         heading("Combine ablation", &name, &tensor);
 
         let cluster = Cluster::new(ClusterConfig::auto().nodes(8));
@@ -77,21 +82,17 @@ pub(crate) fn ablation_combine(setup: &Setup) {
             Col::new("reduction", "reduction"),
         ]);
         for mode in 0..3 {
+            let last = *join_order(3, mode).last().expect("order 3 has two joins");
             let reduce_bytes = |combine: bool| -> u64 {
                 cluster.metrics().reset();
-                let _ = mttkrp_coo(
-                    &cluster,
-                    &rdd,
-                    &factors,
-                    tensor.shape(),
-                    mode,
-                    &MttkrpOptions {
-                        partitions: Some(32),
-                        map_side_combine: combine,
-                        ..MttkrpOptions::default()
-                    },
-                )
-                .expect("mttkrp failed");
+                let rows = rdd
+                    .map(move |rec| (rec.coord[last], rec))
+                    .partition_by(32)
+                    .map(move |(_, rec)| {
+                        let row: Row = vec![rec.val; PAPER_RANK].into();
+                        (rec.coord[mode], row)
+                    });
+                let _ = rows.reduce_by_key_with(32, combine, add_rows).count();
                 cluster
                     .metrics()
                     .snapshot()

@@ -147,11 +147,13 @@ impl CpAls {
         self
     }
 
-    /// Selects the task kernel for every MTTKRP's hot loops (see
-    /// [`crate::mttkrp::MttkrpOptions::kernel`]). The default,
+    /// Selects the task kernel of every MTTKRP's row-summing
+    /// `reduceByKey` ([`crate::PlanConfig::kernel`]). The default,
     /// [`KernelStrategy::SortedRuns`], combines sorted key runs with
     /// arena-backed rows; [`KernelStrategy::RecordAtATime`] is the legacy
-    /// hash-probe path. Every strategy yields bit-identical factors.
+    /// hash-probe path. Measured in isolation the two are within noise of
+    /// each other (DESIGN.md §5f). Every strategy yields bit-identical
+    /// factors.
     pub fn kernel(mut self, k: KernelStrategy) -> Self {
         self.kernel = k;
         self

@@ -83,9 +83,10 @@ pub fn tensor_to_rdd(cluster: &Cluster, tensor: &CooTensor, partitions: usize) -
 /// driver (and `partitions` is ignored); when the first join of an MTTKRP
 /// targets `key_mode` and uses the same partitioner, the tensor side of
 /// that join is narrow too, removing the one remaining tensor-sized
-/// shuffle of stage 1 (see [`crate::mttkrp::mttkrp_coo_pre`]). With
-/// `None` the keyed entries are split into `partitions` even chunks and
-/// the first join shuffles them as usual.
+/// shuffle of stage 1 (what a plan at
+/// [`crate::Partitioning::PrePartitionedTensor`] caches). With `None` the
+/// keyed entries are split into `partitions` even chunks and the first
+/// join shuffles them as usual.
 pub fn tensor_to_rdd_keyed(
     cluster: &Cluster,
     tensor: &CooTensor,

@@ -9,18 +9,20 @@
 //! tensor decomposition, both operating directly on COO nonzeros as
 //! key-value records:
 //!
-//! * **CSTF-COO** ([`mttkrp::mttkrp_coo`]) — each MTTKRP is a chain of
+//! * **CSTF-COO** ([`Strategy::Coo`]) — each MTTKRP is a chain of
 //!   `join`s (one per non-target mode, fetching the needed factor rows)
 //!   followed by one `reduceByKey`: `N` shuffles per MTTKRP for an
 //!   order-`N` tensor, no unfolding, no explicit Khatri-Rao product.
-//! * **CSTF-QCOO** ([`qcoo::QcooState`]) — carries a FIFO *queue* of factor
+//! * **CSTF-QCOO** ([`Strategy::Qcoo`]) — carries a FIFO *queue* of factor
 //!   rows with every nonzero. Between consecutive MTTKRPs only one queue
 //!   slot changes, so each MTTKRP needs just **one** join plus one
 //!   `reduceByKey` (2 shuffles), cutting communication by `1/N`
 //!   (Algorithm 3, Figure 1, Table 4 of the paper).
 //!
-//! [`CpAls`] drives full decompositions with either strategy;
-//! [`bigtensor`] implements the paper's baseline (the GigaTensor-style
+//! [`planner::plan`] is the one entry point to a distributed MTTKRP under
+//! any [`Strategy`] (these two, broadcast COO and DFacTo-SpMV);
+//! [`CpAls`] drives full decompositions through it; [`bigtensor`]
+//! implements the paper's baseline (the GigaTensor-style
 //! unfolding workflow BIGtensor uses on Hadoop); [`cost`] is the analytic
 //! cost model of Table 4 / §5.
 //!
@@ -50,11 +52,11 @@ pub mod completion;
 pub mod cost;
 pub mod cp_als;
 pub mod factors;
-pub mod mttkrp;
+mod mttkrp;
 pub mod planner;
-pub mod qcoo;
+mod qcoo;
 pub mod records;
-pub mod spmv;
+mod spmv;
 
 pub use completion::{CompletionResult, CpCompletion};
 pub use cp_als::{CpAls, CpResult, DecompositionStats};

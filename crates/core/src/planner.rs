@@ -1,31 +1,25 @@
-//! The MTTKRP planner: one uniform interface over every distributed
-//! MTTKRP strategy.
+//! The MTTKRP planner: the one entry point to every distributed MTTKRP
+//! strategy.
 //!
-//! [`CpAls::run`](crate::CpAls::run) used to special-case each strategy —
-//! building plain or pre-keyed tensor RDDs for COO, carrying a
-//! [`QcooState`] for QCOO, branching per mode to pick a pipeline. Adding a
-//! strategy meant touching all of it. The planner inverts the dependency:
 //! [`plan`] asks the [`Strategy`] for its [`StrategyCapabilities`], builds
-//! the tensor datasets the strategy can exploit, and returns a [`Plan`];
-//! the driver then runs *any* strategy through the same
-//! `plan.mttkrp(&factors, mode)` loop. Each strategy also
-//! declares its analytic cost model ([`Strategy::cost_algorithm`]) so the
-//! Table-4 accounting in [`crate::cost`] stays wired to the code that
-//! implements it.
+//! the tensor datasets the strategy can exploit, runs any prologue, and
+//! returns a [`Plan`]; the driver then runs *any* strategy through the
+//! same `plan.mttkrp(&factors, mode)` loop. Each strategy also declares
+//! its analytic cost model ([`Strategy::cost_algorithm`]) so the Table-4
+//! accounting in [`crate::cost`] stays wired to the code that implements
+//! it.
 //!
-//! A plan delegates to the same public pipeline functions the
-//! pre-planner API exposed ([`crate::mttkrp::mttkrp_coo`],
-//! [`crate::qcoo::QcooState`], …), so driving a strategy through the
-//! planner is bit-identical to calling the pipelines directly — the
-//! cross-checks live in `tests/tests/strategy_planner.rs`.
+//! The per-strategy pipelines behind a plan are private to the crate: one
+//! function each for CSTF-COO and DFacTo-SpMV over a tensor already keyed
+//! by the first join mode, one for broadcast COO, and the carried queue
+//! state of CSTF-QCOO. Every input is checked here, once, before any of
+//! them runs: a bad input fails the same way under every strategy.
 
 use crate::factors::{tensor_to_rdd, tensor_to_rdd_keyed};
-use crate::mttkrp::{
-    join_order, mttkrp_coo, mttkrp_coo_broadcast, mttkrp_coo_pre, MttkrpOptions, Persisted,
-};
-use crate::qcoo::{QcooOptions, QcooState};
+use crate::mttkrp::{mttkrp_coo, mttkrp_coo_broadcast, Persisted};
+use crate::qcoo::QcooState;
 use crate::records::CooRecord;
-use crate::spmv::{mttkrp_spmv, mttkrp_spmv_pre};
+use crate::spmv::mttkrp_spmv;
 use crate::{cost, CstfError, Result};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::{CooTensor, DenseMatrix};
@@ -197,19 +191,36 @@ pub struct PlanConfig {
     pub storage: StorageLevel,
 }
 
-impl PlanConfig {
-    fn co_partition_factors(&self) -> bool {
-        self.partitioning != Partitioning::None
-    }
+/// The join order of every join-based strategy for output mode `n`: all
+/// non-target modes, descending (for mode 1 of a 3rd-order tensor: mode 3
+/// (`C`) then mode 2 (`B`) — exactly STAGE 1 and 2 of Table 2). CSTF-COO
+/// keys the tensor by the first and reduces over a layout partitioned by
+/// the last.
+pub fn join_order(order: usize, mode: usize) -> Vec<usize> {
+    (0..order).rev().filter(|&m| m != mode).collect()
+}
 
-    fn mttkrp_options(&self) -> MttkrpOptions {
-        MttkrpOptions {
-            partitions: Some(self.partitions),
-            co_partition_factors: self.co_partition_factors(),
-            kernel: self.kernel,
-            ..MttkrpOptions::default()
+/// The one input check: `factors` holds one `shape[m] × rank` matrix per
+/// mode.
+fn check(factors: &[DenseMatrix], shape: &[u32], rank: usize) -> Result<()> {
+    if factors.len() != shape.len() {
+        return Err(CstfError::Config(format!(
+            "{} factors for an order-{} tensor",
+            factors.len(),
+            shape.len()
+        )));
+    }
+    for (m, f) in factors.iter().enumerate() {
+        if f.cols() != rank || f.rows() != shape[m] as usize {
+            return Err(CstfError::Config(format!(
+                "factor {m} is {}x{}, expected {}x{rank}",
+                f.rows(),
+                f.cols(),
+                shape[m]
+            )));
         }
     }
+    Ok(())
 }
 
 /// A constructed per-run MTTKRP plan: owns the strategy's distributed
@@ -217,24 +228,13 @@ impl PlanConfig {
 /// MTTKRP result per call.
 pub struct Plan {
     strategy: Strategy,
-    pipeline: Pipeline,
+    cluster: Cluster,
+    shape: Vec<u32>,
+    config: PlanConfig,
+    /// CSTF-QCOO's carried queue state (its prologue consumed the plain
+    /// tensor RDD, held in `data` so `release` can unpersist it).
+    qcoo: Option<QcooState>,
     data: TensorData,
-}
-
-/// What a [`Plan`] runs per call.
-enum Pipeline {
-    /// The strategies that carry no state between calls — COO,
-    /// DFacTo-SpMV (both over the plain or the pre-partitioned tensor) and
-    /// broadcast COO (plain only): each call runs the strategy's pipeline
-    /// function over the plan's tensor datasets.
-    Stateless {
-        cluster: Cluster,
-        shape: Vec<u32>,
-        opts: MttkrpOptions,
-    },
-    /// CSTF-QCOO: the carried queue state (its prologue consumed the
-    /// plan's source tensor RDD, held so `release` can unpersist it).
-    Qcoo(QcooState),
 }
 
 impl Plan {
@@ -253,64 +253,59 @@ impl Plan {
         self.strategy.cost_algorithm()
     }
 
-    /// Computes the mode-`mode` MTTKRP with the current `factors`.
+    /// Computes the mode-`mode` MTTKRP with the current `factors` (one
+    /// `Iₘ × rank` matrix per mode; anything else is a
+    /// [`CstfError::Config`] under every strategy).
     ///
     /// Carried-state strategies ([`StrategyCapabilities::carried_state`])
     /// require modes in cyclic order starting at 0; stateless strategies
     /// accept any order.
     pub fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
-        let (cluster, shape, opts) = match &mut self.pipeline {
-            Pipeline::Qcoo(state) => {
-                if state.next_output_mode() != mode {
-                    return Err(CstfError::Config(format!(
-                        "QCOO carries state across modes: requested mode {mode}, expected {}",
-                        state.next_output_mode()
-                    )));
-                }
-                let join_mode = state.next_join_mode();
-                let (out_mode, m) = state.step(&factors[join_mode])?;
-                debug_assert_eq!(out_mode, mode);
-                return Ok(m);
-            }
-            Pipeline::Stateless {
-                cluster,
-                shape,
-                opts,
-            } => (&*cluster, &shape[..], &*opts),
-        };
-        if self.data.is_pre() {
-            let keyed = self.data.keyed_by(join_order(shape.len(), mode)[0]);
-            match self.strategy {
-                Strategy::Coo => mttkrp_coo_pre(cluster, keyed, factors, shape, mode, opts),
-                Strategy::DfactoSpmv => mttkrp_spmv_pre(cluster, keyed, factors, shape, mode, opts),
-                other => unreachable!("{other} has no pre-partitioned pipeline"),
-            }
-        } else {
-            let plain = self.data.plain();
-            match self.strategy {
-                Strategy::Coo => mttkrp_coo(cluster, plain, factors, shape, mode, opts),
-                Strategy::DfactoSpmv => mttkrp_spmv(cluster, plain, factors, shape, mode, opts),
-                Strategy::CooBroadcast => {
-                    mttkrp_coo_broadcast(cluster, plain, factors, shape, mode, opts)
-                }
-                Strategy::Qcoo => unreachable!("QCOO plans as Pipeline::Qcoo"),
-            }
+        let (cluster, shape, config) = (&self.cluster, &self.shape[..], &self.config);
+        if mode >= shape.len() {
+            return Err(CstfError::Config(format!(
+                "mode {mode} out of range for order {}",
+                shape.len()
+            )));
         }
+        check(factors, shape, config.rank)?;
+        if let Some(state) = &mut self.qcoo {
+            if state.next_output_mode() != mode {
+                return Err(CstfError::Config(format!(
+                    "QCOO carries state across modes: requested mode {mode}, expected {}",
+                    state.next_output_mode()
+                )));
+            }
+            return Ok(state.step(cluster, factors, config));
+        }
+        let pipeline = match self.strategy {
+            Strategy::CooBroadcast => {
+                let tensor = self.data.plain();
+                return Ok(mttkrp_coo_broadcast(
+                    cluster, tensor, factors, shape, mode, config,
+                ));
+            }
+            Strategy::DfactoSpmv => mttkrp_spmv,
+            _ => mttkrp_coo,
+        };
+        let keyed = self.data.keyed(join_order(shape.len(), mode)[0]);
+        Ok(pipeline(cluster, &keyed, factors, shape, mode, config))
     }
 
     /// Releases every dataset the plan persisted.
     pub fn release(&self) {
-        if let Pipeline::Qcoo(state) = &self.pipeline {
+        if let Some(state) = &self.qcoo {
             state.release();
         }
         self.data.release();
     }
 }
 
-/// Builds the plan for `strategy`: distributes (and caches) the tensor in
-/// the layout the strategy's capabilities call for, runs any prologue
-/// (QCOO's queue initialization consumes `factors`), and returns the
-/// driver-facing plan object.
+/// Builds the plan for `strategy`: checks the tensor order and `factors`
+/// (as [`Plan::mttkrp`] does), distributes (and caches) the tensor in the
+/// layout the strategy's capabilities call for, runs any prologue (QCOO's
+/// queue initialization consumes `factors`), and returns the driver-facing
+/// plan object.
 pub fn plan(
     cluster: &Cluster,
     tensor: &CooTensor,
@@ -318,34 +313,26 @@ pub fn plan(
     config: &PlanConfig,
     factors: &[DenseMatrix],
 ) -> Result<Plan> {
+    let shape = tensor.shape().to_vec();
+    if shape.len() < 2 {
+        return Err(CstfError::Config(format!(
+            "distributed MTTKRP needs an order ≥ 2 tensor, got {}",
+            shape.len()
+        )));
+    }
+    check(factors, &shape, config.rank)?;
     let caps = strategy.capabilities();
     let use_pre =
         config.partitioning == Partitioning::PrePartitionedTensor && caps.pre_partitioned_tensor;
     let data = TensorData::build(cluster, tensor, config, use_pre);
-    let shape = tensor.shape().to_vec();
-    let pipeline = match strategy {
-        Strategy::Coo | Strategy::DfactoSpmv | Strategy::CooBroadcast => Pipeline::Stateless {
-            cluster: cluster.clone(),
-            shape,
-            opts: config.mttkrp_options(),
-        },
-        Strategy::Qcoo => Pipeline::Qcoo(QcooState::init_with(
-            cluster,
-            data.plain(),
-            factors,
-            &shape,
-            config.rank,
-            config.partitions,
-            QcooOptions {
-                co_partition_factors: config.co_partition_factors(),
-                storage: config.storage,
-                kernel: config.kernel,
-            },
-        )?),
-    };
+    let qcoo = (strategy == Strategy::Qcoo)
+        .then(|| QcooState::new(cluster, data.plain(), factors, config));
     Ok(Plan {
         strategy,
-        pipeline,
+        cluster: cluster.clone(),
+        shape,
+        config: *config,
+        qcoo,
         data,
     })
 }
@@ -411,17 +398,19 @@ impl TensorData {
             .expect("plan built without the plain tensor RDD")
     }
 
-    /// The cached copy keyed by `first` (pre-partitioned path only).
-    fn keyed_by(&self, first: usize) -> &Rdd<(u32, CooRecord)> {
-        self.pre_keyed
+    /// The tensor keyed by `first` (the first join mode of COO and
+    /// DFacTo-SpMV): the cached pre-keyed copy on the pre-partitioned path
+    /// (where `first` is always `order−1` or `order−2`), else the plain
+    /// RDD mapped to that key.
+    fn keyed(&self, first: usize) -> Rdd<(u32, CooRecord)> {
+        let cached = self
+            .pre_keyed
             .iter()
-            .find(|(key_mode, _)| *key_mode == first)
-            .map(|(_, rdd)| &**rdd)
-            .expect("first-join mode is order−1 or order−2")
-    }
-
-    fn is_pre(&self) -> bool {
-        !self.pre_keyed.is_empty()
+            .find(|(key_mode, _)| *key_mode == first);
+        match cached {
+            Some((_, keyed)) => Rdd::clone(keyed),
+            None => self.plain().map(move |rec| (rec.coord[first], rec)),
+        }
     }
 
     fn release(&self) {
@@ -435,25 +424,32 @@ impl TensorData {
 }
 
 #[cfg(test)]
-mod tests {
+/// Fixtures the strategy test modules share (`planner`, `mttkrp`, `qcoo`,
+/// `spmv`): every one drives its pipeline through [`plan`], the way CP-ALS
+/// does.
+pub(crate) mod testing {
     use super::*;
-    use cstf_dataflow::{ClusterConfig, FaultConfig};
-    use cstf_tensor::mttkrp::mttkrp as mttkrp_seq;
+    use cstf_dataflow::ClusterConfig;
     use cstf_tensor::random::RandomTensor;
     use rand::{rngs::StdRng, SeedableRng};
 
-    const ALL_STRATEGIES: [Strategy; 4] = [
+    pub(crate) const ALL_STRATEGIES: [Strategy; 4] = [
         Strategy::Coo,
         Strategy::Qcoo,
         Strategy::CooBroadcast,
         Strategy::DfactoSpmv,
     ];
+    pub(crate) const ALL_PARTITIONINGS: [Partitioning; 3] = [
+        Partitioning::None,
+        Partitioning::CoPartitionedFactors,
+        Partitioning::PrePartitionedTensor,
+    ];
 
-    fn cluster() -> Cluster {
+    pub(crate) fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::local(4).nodes(4))
     }
 
-    fn random_factors(shape: &[u32], rank: usize, seed: u64) -> Vec<DenseMatrix> {
+    pub(crate) fn random_factors(shape: &[u32], rank: usize, seed: u64) -> Vec<DenseMatrix> {
         let mut rng = StdRng::seed_from_u64(seed);
         shape
             .iter()
@@ -461,7 +457,7 @@ mod tests {
             .collect()
     }
 
-    fn config(partitioning: Partitioning) -> PlanConfig {
+    pub(crate) fn config(partitioning: Partitioning) -> PlanConfig {
         PlanConfig {
             rank: 2,
             partitions: 8,
@@ -472,17 +468,170 @@ mod tests {
         }
     }
 
+    /// The mode-0 MTTKRP of `strategy` at `partitioning` on a 10×10×10
+    /// tensor with 300 nonzeros: the tensor, the result, and the metrics
+    /// of that one call (QCOO's prologue runs inside `plan`, before the
+    /// reset).
+    pub(crate) fn mode0_run(
+        strategy: Strategy,
+        partitioning: Partitioning,
+    ) -> (CooTensor, DenseMatrix, JobMetrics) {
+        let t = RandomTensor::new(vec![10, 10, 10]).nnz(300).seed(6).build();
+        let factors = random_factors(t.shape(), 2, 1);
+        let c = cluster();
+        let mut p = plan(&c, &t, strategy, &config(partitioning), &factors).unwrap();
+        c.metrics().reset();
+        let m = p.mttkrp(&factors, 0).unwrap();
+        (t, m, c.metrics().snapshot())
+    }
+
+    /// Checks raw shuffle-map stages, skipped shuffles and tensor-sized
+    /// shuffles (Table 4's column, `nnz/2` bar) of [`mode0_run`] against
+    /// one `(partitioning, [raw, skipped, significant])` row each, and
+    /// that only broadcast meters broadcast bytes.
+    pub(crate) fn assert_shuffle_counts(strategy: Strategy, rows: &[(Partitioning, [usize; 3])]) {
+        for &(partitioning, want) in rows {
+            let (t, _, m) = mode0_run(strategy, partitioning);
+            let got = [
+                m.shuffle_count(),
+                m.skipped_shuffle_count(),
+                m.significant_shuffle_count(t.nnz() as u64 / 2),
+            ];
+            assert_eq!(got, want, "{strategy}/{partitioning}");
+            let broadcast = m.total_broadcast_bytes() > 0;
+            assert_eq!(broadcast, strategy.capabilities().broadcast_factors);
+        }
+    }
+
+    /// Bytes of one shuffled record, by what it carries (rank 2, order 3):
+    /// a `u32` key, a `u64` fiber key, a `CooRecord` (coordinate 4 + 4N,
+    /// value 8), a row (4 + 8R), and a QCOO queue (a length word and
+    /// `N − 1` rows).
+    pub(crate) const KEY: u64 = 4;
+    pub(crate) const FIBER_KEY: u64 = 8;
+    pub(crate) const RECORD: u64 = 4 + 12 + 8;
+    pub(crate) const ROW: u64 = 4 + 8 * 2;
+    pub(crate) const QUEUE: u64 = 4 + 2 * ROW;
+
+    /// Checks every shuffle one co-partitioned [`mode0_run`] writes
+    /// against `want(nnz, fibers)`: one `(records, bytes per record)` per
+    /// shuffle, in stage order, where `fibers` counts mode 0's fibers.
+    pub(crate) fn assert_shuffle_writes(strategy: Strategy, want: fn(u64, u64) -> Vec<(u64, u64)>) {
+        let (t, _, m) = mode0_run(strategy, Partitioning::CoPartitionedFactors);
+        let fibers = cstf_tensor::spmv::fiber_counts(&t, 0).unwrap()[0] as u64;
+        let want: Vec<(u64, u64)> = want(t.nnz() as u64, fibers)
+            .into_iter()
+            .map(|(n, b)| (n, n * b))
+            .collect();
+        let got: Vec<(u64, u64)> = m
+            .stages()
+            .filter(|s| s.shuffle_write_records > 0)
+            .map(|s| (s.shuffle_write_records, s.shuffle_write_bytes))
+            .collect();
+        assert_eq!(got, want, "{strategy}");
+    }
+
+    /// Index 9 of mode 0 has no nonzeros: its MTTKRP row must be zero
+    /// under every partitioning.
+    pub(crate) fn assert_empty_rows_zero(strategy: Strategy) {
+        let t = CooTensor::from_entries(vec![10, 4, 4], vec![(vec![0, 1, 2], 5.0)]).unwrap();
+        let factors = random_factors(t.shape(), 2, 3);
+        for partitioning in ALL_PARTITIONINGS {
+            let c = cluster();
+            let mut p = plan(&c, &t, strategy, &config(partitioning), &factors).unwrap();
+            let m = p.mttkrp(&factors, 0).unwrap();
+            assert_eq!(m.row(9), &[0.0, 0.0], "{strategy}/{partitioning}");
+            assert_ne!(m.row(0), &[0.0, 0.0], "{strategy}/{partitioning}");
+        }
+    }
+
+    /// A bad input is a `CstfError::Config` under every partitioning —
+    /// from `plan` and from `Plan::mttkrp` alike — never a panic, and
+    /// leaves no cached block behind.
+    pub(crate) fn assert_bad_inputs_fail(strategy: Strategy) {
+        let t = RandomTensor::new(vec![6, 5, 4]).nnz(40).seed(69).build();
+        let line = RandomTensor::new(vec![7]).nnz(5).seed(70).build();
+        let good = random_factors(t.shape(), 2, 71);
+        let mut wrong_rank = good.clone();
+        wrong_rank[1] = DenseMatrix::zeros(5, 3);
+        // (case, tensor, factors given to `mttkrp`, mode); `plan` is given
+        // valid factors, so that it is `mttkrp`'s check that fails.
+        let cases = [
+            (
+                "order-1 tensor",
+                &line,
+                random_factors(line.shape(), 2, 72),
+                0,
+            ),
+            ("short factor list", &t, good[..2].to_vec(), 0),
+            ("wrong-rank factor", &t, wrong_rank, 0),
+            ("mode out of range", &t, good.clone(), 3),
+        ];
+        for partitioning in ALL_PARTITIONINGS {
+            for (case, tensor, bad, mode) in &cases {
+                let c = cluster();
+                let config = config(partitioning);
+                let planned = random_factors(tensor.shape(), 2, 71);
+                let run = || {
+                    let mut p = plan(&c, tensor, strategy, &config, &planned)?;
+                    if *mode == 0 {
+                        // The same factors fail `plan` too.
+                        let early = plan(&c, tensor, strategy, &config, bad);
+                        assert!(matches!(early, Err(CstfError::Config(_))), "{case}");
+                    }
+                    p.mttkrp(bad, *mode)
+                };
+                let result = run();
+                assert!(
+                    matches!(result, Err(CstfError::Config(_))),
+                    "{strategy}/{partitioning} {case}: {result:?}"
+                );
+                assert!(c.block_manager().is_empty(), "{strategy} {case}");
+            }
+        }
+    }
+
+    /// Asserts `a` and `b` hold the same f64 bits, row by row.
+    pub(crate) fn assert_bits_eq(a: &DenseMatrix, b: &DenseMatrix) {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+        for i in 0..a.rows() {
+            for (x, y) in a.row(i).iter().zip(b.row(i)) {
+                assert_eq!(x.to_bits(), y.to_bits(), "row {i}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::*;
+    use super::*;
+    use cstf_dataflow::{ClusterConfig, FaultConfig};
+    use cstf_tensor::mttkrp::mttkrp as mttkrp_seq;
+    use cstf_tensor::random::RandomTensor;
+
     #[test]
     fn display_from_str_round_trip() {
         for s in ALL_STRATEGIES {
             assert_eq!(s.to_string().parse::<Strategy>().unwrap(), s);
         }
-        for p in [
-            Partitioning::None,
-            Partitioning::CoPartitionedFactors,
-            Partitioning::PrePartitionedTensor,
-        ] {
+        for p in ALL_PARTITIONINGS {
             assert_eq!(p.to_string().parse::<Partitioning>().unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn join_order_is_descending_non_target() {
+        assert_eq!(join_order(3, 0), vec![2, 1]);
+        assert_eq!(join_order(3, 1), vec![2, 0]);
+        assert_eq!(join_order(3, 2), vec![1, 0]);
+        assert_eq!(join_order(4, 1), vec![3, 2, 0]);
+    }
+
+    #[test]
+    fn bad_inputs_fail_alike_under_every_strategy() {
+        for strategy in ALL_STRATEGIES {
+            assert_bad_inputs_fail(strategy);
         }
     }
 

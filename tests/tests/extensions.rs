@@ -3,8 +3,8 @@
 //! completion, warm start and a shared cluster must compose with fault
 //! tolerance and concurrency.
 
-use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, mttkrp_coo_broadcast, MttkrpOptions};
+use cstf_core::planner::{plan, PlanConfig};
+use cstf_core::{Partitioning, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_integration_tests::{random_factors, test_cluster};
 use cstf_tensor::mttkrp::{mttkrp as mttkrp_seq, mttkrp_parallel, mttkrp_unfolded};
@@ -20,38 +20,24 @@ fn all_seven_mttkrp_implementations_agree() {
     let factors = random_factors(t.shape(), 3, 72);
     let refs: Vec<&DenseMatrix> = factors.iter().collect();
     let c = test_cluster(4);
-    let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-    let _ = rdd.count();
+    let config = PlanConfig {
+        rank: 3,
+        partitions: 8,
+        partitioning: Partitioning::CoPartitionedFactors,
+        kernel: KernelStrategy::default(),
+        cache_tensor: true,
+        storage: StorageLevel::MemoryRaw,
+    };
+    let mut coo = plan(&c, &t, Strategy::Coo, &config, &factors).unwrap();
+    let mut broadcast = plan(&c, &t, Strategy::CooBroadcast, &config, &factors).unwrap();
 
     for mode in 0..3 {
         let reference = mttkrp_seq(&t, &refs, mode).unwrap();
         let candidates: Vec<(&str, DenseMatrix)> = vec![
             ("parallel", mttkrp_parallel(&t, &refs, mode, 4).unwrap()),
             ("unfolded", mttkrp_unfolded(&t, &refs, mode).unwrap()),
-            (
-                "dist-coo",
-                mttkrp_coo(
-                    &c,
-                    &rdd,
-                    &factors,
-                    t.shape(),
-                    mode,
-                    &MttkrpOptions::default(),
-                )
-                .unwrap(),
-            ),
-            (
-                "dist-broadcast",
-                mttkrp_coo_broadcast(
-                    &c,
-                    &rdd,
-                    &factors,
-                    t.shape(),
-                    mode,
-                    &MttkrpOptions::default(),
-                )
-                .unwrap(),
-            ),
+            ("dist-coo", coo.mttkrp(&factors, mode).unwrap()),
+            ("dist-broadcast", broadcast.mttkrp(&factors, mode).unwrap()),
         ];
         for (name, m) in candidates {
             let diff = m.max_abs_diff(&reference);

@@ -3,9 +3,8 @@
 
 use cstf_core::cost::{iteration_communication, mttkrp_cost, qcoo_savings, Algorithm};
 use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
-use cstf_core::qcoo::QcooState;
-use cstf_core::{CpAls, Strategy};
+use cstf_core::planner::{plan, PlanConfig};
+use cstf_core::{CpAls, Partitioning, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_integration_tests::{random_factors, test_cluster};
 use cstf_model::TimeModel;
@@ -46,27 +45,23 @@ fn table4_shuffle_counts_all_algorithms() {
                         cstf_core::bigtensor::bigtensor_mttkrp(&c, &rdd, &factors, t.shape(), 0, 8)
                             .unwrap();
                 }
-                Algorithm::CstfCoo => {
+                alg => {
+                    let strategy = match alg {
+                        Algorithm::CstfCoo => Strategy::Coo,
+                        Algorithm::CstfQcoo => Strategy::Qcoo,
+                        _ => Strategy::DfactoSpmv,
+                    };
+                    let config = PlanConfig {
+                        rank: 2,
+                        partitions: 8,
+                        partitioning: Partitioning::CoPartitionedFactors,
+                        kernel: KernelStrategy::default(),
+                        cache_tensor: true,
+                        storage: StorageLevel::MemoryRaw,
+                    };
+                    let mut p = plan(&c, &t, strategy, &config, &factors).unwrap();
                     c.metrics().reset();
-                    let _ = mttkrp_coo(&c, &rdd, &factors, t.shape(), 0, &MttkrpOptions::default())
-                        .unwrap();
-                }
-                Algorithm::CstfQcoo => {
-                    let mut q = QcooState::init(&c, &rdd, &factors, t.shape(), 2, 8).unwrap();
-                    c.metrics().reset();
-                    let _ = q.step(&factors[2]).unwrap();
-                }
-                Algorithm::DfactoSpmv => {
-                    c.metrics().reset();
-                    let _ = cstf_core::spmv::mttkrp_spmv(
-                        &c,
-                        &rdd,
-                        &factors,
-                        t.shape(),
-                        0,
-                        &MttkrpOptions::default(),
-                    )
-                    .unwrap();
+                    let _ = p.mttkrp(&factors, 0).unwrap();
                 }
             }
             c.metrics().snapshot().significant_shuffle_count(threshold)

@@ -5,8 +5,6 @@
 //! forced-sequential scheduler (quiet and under seeded chaos) are rows of
 //! the bit-identity oracle (`tests/oracle.rs`).
 
-use cstf_core::factors::tensor_to_rdd;
-use cstf_core::mttkrp::{mttkrp_coo, MttkrpOptions};
 use cstf_core::{Partitioning, PlanConfig, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::StageKind;
@@ -29,6 +27,20 @@ fn quiet(nodes: usize) -> ClusterConfig {
     ClusterConfig::local(4).nodes(nodes)
 }
 
+/// Plans COO at `partitioning` on a fresh quiet cluster and runs the
+/// mode-0 MTTKRP: the metrics of that one job (the plan's caching job is
+/// reset away).
+fn coo_mode0_metrics(partitioning: Partitioning, seed: u64) -> JobMetrics {
+    let t = tensor();
+    let c = Cluster::new(quiet(4));
+    let factors = random_factors(t.shape(), 2, seed);
+    let config = plan_config(partitioning);
+    let mut plan = cstf_core::planner::plan(&c, &t, Strategy::Coo, &config, &factors).unwrap();
+    c.metrics().reset();
+    let _ = plan.mttkrp(&factors, 0).unwrap();
+    c.metrics().snapshot()
+}
+
 /// One legacy (non-co-partitioned) order-3 COO MTTKRP: the tensor-key
 /// shuffle and the two factor-side shuffles have no dependency path
 /// between them, so the DAG scheduler must put all three in wave 0 —
@@ -36,18 +48,7 @@ fn quiet(nodes: usize) -> ClusterConfig {
 /// the `DAGScheduler`.
 #[test]
 fn legacy_mttkrp_factor_stages_share_wave_zero() {
-    let t = tensor();
-    let c = Cluster::new(quiet(4));
-    let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-    let _ = rdd.count();
-    let factors = random_factors(t.shape(), 2, 82);
-    let opts = MttkrpOptions {
-        co_partition_factors: false,
-        ..MttkrpOptions::default()
-    };
-    c.metrics().reset();
-    let _ = mttkrp_coo(&c, &rdd, &factors, t.shape(), 0, &opts).unwrap();
-    let m = c.metrics().snapshot();
+    let m = coo_mode0_metrics(Partitioning::None, 82);
     let jobs = m.dag_jobs();
     assert_eq!(jobs.len(), 1, "one action, one job");
     let job = jobs[0];
@@ -86,14 +87,7 @@ fn legacy_mttkrp_factor_stages_share_wave_zero() {
 /// path equals the serial sum and every wave holds one stage.
 #[test]
 fn co_partitioned_mttkrp_is_a_chain() {
-    let t = tensor();
-    let c = Cluster::new(quiet(4));
-    let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-    let _ = rdd.count();
-    let factors = random_factors(t.shape(), 2, 83);
-    c.metrics().reset();
-    let _ = mttkrp_coo(&c, &rdd, &factors, t.shape(), 0, &MttkrpOptions::default()).unwrap();
-    let m = c.metrics().snapshot();
+    let m = coo_mode0_metrics(Partitioning::CoPartitionedFactors, 83);
     let job = m.dag_jobs()[0];
     let mut waves: Vec<usize> = m
         .stages_in_job(job)
