@@ -442,7 +442,7 @@ const FRACTIONS: [Option<f64>; 4] = [None, Some(1.0), Some(0.5), Some(0.25)];
 ///
 /// Runs the QCOO pipeline under a sweep of block-manager budgets —
 /// unbounded, then {1.0, 0.5, 0.25}× the unbounded run's working set
-/// (its [`peak_memory_bytes`](cstf_dataflow::cache::BlockManager::peak_memory_bytes)
+/// (its [`peak_memory_bytes`](cstf_dataflow::BlockManager::peak_memory_bytes)
 /// high-water mark) — with the tensor and queue RDDs persisted
 /// `MemoryAndDisk`. Reports evicted bytes, spilled bytes, lineage
 /// recomputes and modeled seconds per budget. Factors must stay

@@ -26,7 +26,7 @@ mod sim;
 use json::Json;
 use report::{write_json, Cell, Col, Report};
 
-use cstf_core::bigtensor::bigtensor_mttkrp;
+use cstf_core::bigtensor_mttkrp;
 use cstf_core::cost::Algorithm;
 use cstf_core::factors::tensor_to_rdd;
 use cstf_core::planner::plan;
@@ -618,7 +618,7 @@ fn run_bigtensor(
     seed: u64,
 ) -> (JobMetrics, CpResult) {
     let cluster = Cluster::new(ClusterConfig::auto().nodes(nodes));
-    let result = cstf_core::bigtensor::bigtensor_cp(&cluster, tensor, PAPER_RANK, iters, seed)
+    let result = cstf_core::bigtensor_cp(&cluster, tensor, PAPER_RANK, iters, seed)
         .expect("BIGtensor run failed");
     (cluster.metrics().snapshot(), result)
 }

@@ -1,7 +1,7 @@
 //! Offered-load simulation of a job server: the modeled half of
 //! `ablation_jobserver`.
 
-use cstf_dataflow::metrics::percentile;
+use cstf_dataflow::percentile;
 
 /// One job offered to [`offered_load`]: a pool index and a service demand
 /// in simulated seconds.

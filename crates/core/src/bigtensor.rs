@@ -26,24 +26,25 @@
 //!
 //! Evaluate the recorded log with `cstf_model::TimeModel::hadoop`.
 
+use crate::cp_als::DecompositionStats;
 use crate::factors::{factor_to_rdd, rows_to_matrix, tensor_storage_bytes, tensor_to_rdd};
 use crate::records::{scale_row, CooRecord, Row};
-use crate::{CpResult, CstfError, DecompositionStats, Result, Strategy};
+use crate::{CpResult, CstfError, Result, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::linalg::{als_normalize, als_solve};
-use cstf_tensor::matricize::{unfold_column, unfold_strides};
+use cstf_tensor::{unfold_column, unfold_strides};
 use cstf_tensor::{CooTensor, DenseMatrix, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// MapReduce jobs BIGtensor launches per MTTKRP (stages 1+2 fused by the
 /// `bin()` trick, then stage 3).
-pub const JOBS_PER_MTTKRP: u64 = 2;
+pub(crate) const JOBS_PER_MTTKRP: u64 = 2;
 
 /// Full tensor passes read from HDFS per MTTKRP (stage-1 input, stage-2
 /// input, `bin()` pass — "an expensive operation" requiring "a full
 /// pass over the tensor data", §4.3).
-pub const TENSOR_READS_PER_MTTKRP: u64 = 3;
+pub(crate) const TENSOR_READS_PER_MTTKRP: u64 = 3;
 
 fn check3(shape: &[u32]) -> Result<()> {
     if shape.len() != 3 {

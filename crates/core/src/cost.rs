@@ -11,8 +11,8 @@
 //!
 //! Beyond the paper's table, [`Algorithm::DfactoSpmv`] models the
 //! DFacTo-style SpMV chain: `2(N−1)·nnz·R` flops and `2(N−1)` shuffles in
-//! the worst case, tightened to `2R(nnz + ΣF_k)` by [`mttkrp_cost_spmv`]
-//! when the reduced fiber counts `F_k ≤ nnz` are known.
+//! the worst case; [`spmv_mttkrp_communication`] tightens its traffic when
+//! the reduced fiber counts `F_k ≤ nnz` are known.
 //!
 //! §5 generalizes per CP-ALS iteration: COO shuffles `N²` times moving up
 //! to `N²·nnz·R`; QCOO shuffles `2N` times moving `N·(N−1)·nnz·R` in joins,
@@ -99,8 +99,7 @@ pub fn mttkrp_cost(alg: Algorithm, order: usize, nnz: u64, rank: u64, dims: &[u3
             intermediate_elements: (n - 1) * nnz * rank,
             shuffles: 2,
         },
-        // Upper bound with every fiber count F_k taken as nnz; use
-        // `mttkrp_cost_spmv` when the actual fiber counts are known.
+        // Upper bound with every fiber count F_k taken as nnz.
         Algorithm::DfactoSpmv => MttkrpCost {
             // 2R flops per stored element of each of the N−1 operands:
             // the first SpMV touches nnz elements, later ones at most.
@@ -108,32 +107,6 @@ pub fn mttkrp_cost(alg: Algorithm, order: usize, nnz: u64, rank: u64, dims: &[u3
             intermediate_elements: nnz * rank,
             shuffles: 2 * (order as u32 - 1),
         },
-    }
-}
-
-/// Exact DFacTo-SpMV cost of one MTTKRP, given the actual per-stage fiber
-/// counts (`fiber_counts[k]` = rows of SpMV `k+2`'s operand, as returned
-/// by [`cstf_tensor::spmv::fiber_counts`]; empty for order 2).
-///
-/// Flops are `2R(nnz + ΣF_k)`: every SpMV does one multiply and one add
-/// per stored element per rank column. The intermediate data is the first
-/// reduced fiber set, `F_1·R` elements (the largest carried payload).
-///
-/// # Panics
-///
-/// Panics if `order < 2` or `fiber_counts.len() != order − 2`.
-pub fn mttkrp_cost_spmv(order: usize, nnz: u64, rank: u64, fiber_counts: &[u64]) -> MttkrpCost {
-    assert!(order >= 2, "MTTKRP needs order ≥ 2");
-    assert_eq!(
-        fiber_counts.len(),
-        order - 2,
-        "need one fiber count per SpMV after the first"
-    );
-    let stored: u64 = nnz + fiber_counts.iter().sum::<u64>();
-    MttkrpCost {
-        flops: 2 * stored * rank,
-        intermediate_elements: fiber_counts.first().copied().unwrap_or(0) * rank,
-        shuffles: 2 * (order as u32 - 1),
     }
 }
 
@@ -171,12 +144,6 @@ pub fn iteration_communication(alg: Algorithm, order: usize, nnz: u64, rank: u64
 pub fn qcoo_savings(order: usize) -> f64 {
     assert!(order >= 2);
     1.0 / order as f64
-}
-
-/// Number of shuffles across one full CP-ALS iteration.
-pub fn iteration_shuffles(alg: Algorithm, order: usize) -> u32 {
-    let per_mode = mttkrp_cost(alg, order, 1, 1, &vec![2; order]).shuffles;
-    per_mode * order as u32
 }
 
 #[cfg(test)]
@@ -252,15 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn iteration_shuffle_counts() {
-        assert_eq!(iteration_shuffles(Algorithm::CstfCoo, 3), 9); // N²
-        assert_eq!(iteration_shuffles(Algorithm::CstfQcoo, 3), 6); // 2N
-        assert_eq!(iteration_shuffles(Algorithm::BigTensor, 3), 12);
-        assert_eq!(iteration_shuffles(Algorithm::CstfCoo, 4), 16);
-        assert_eq!(iteration_shuffles(Algorithm::CstfQcoo, 4), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "3rd-order")]
     fn bigtensor_rejects_order4() {
         mttkrp_cost(Algorithm::BigTensor, 4, 10, 2, &[2, 2, 2, 2]);
@@ -282,8 +240,6 @@ mod tests {
         // Order 3: two SpMVs, 2·2·nnz·R flops, 4 shuffles.
         assert_eq!(spmv.flops, 4 * nnz * r);
         assert_eq!(spmv.shuffles, 4);
-        assert_eq!(iteration_shuffles(Algorithm::DfactoSpmv, 3), 12);
-        assert_eq!(iteration_shuffles(Algorithm::DfactoSpmv, 4), 24);
         assert_eq!(
             iteration_communication(Algorithm::DfactoSpmv, 3, nnz, r),
             12 * nnz * r
@@ -294,30 +250,11 @@ mod tests {
     fn spmv_exact_cost_tightens_with_fiber_counts() {
         let nnz = 1_000u64;
         let r = 2u64;
-        // Order 4 with fiber counts well below nnz.
-        let exact = mttkrp_cost_spmv(4, nnz, r, &[120, 30]);
-        assert_eq!(exact.flops, 2 * (nnz + 150) * r);
-        assert_eq!(exact.intermediate_elements, 120 * r);
-        assert_eq!(exact.shuffles, 6);
-        // The generic formula is the F = nnz limit of the exact one.
-        let bound = mttkrp_cost(Algorithm::DfactoSpmv, 4, nnz, r, &[10; 4]);
-        assert_eq!(mttkrp_cost_spmv(4, nnz, r, &[nnz, nnz]).flops, bound.flops);
-        assert!(exact.flops < bound.flops);
-        // Communication: R(2·nnz + 2·ΣF).
+        // Order 4 with fiber counts well below nnz. Communication:
+        // R(2·nnz + 2·ΣF).
         assert_eq!(
             spmv_mttkrp_communication(nnz, r, &[120, 30]),
             2 * r * (nnz + 150)
         );
-        // Order 2: a single SpMV, no carried fibers.
-        let o2 = mttkrp_cost_spmv(2, nnz, r, &[]);
-        assert_eq!(o2.flops, 2 * nnz * r);
-        assert_eq!(o2.intermediate_elements, 0);
-        assert_eq!(o2.shuffles, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "fiber count")]
-    fn spmv_exact_cost_checks_fiber_count_arity() {
-        mttkrp_cost_spmv(4, 100, 2, &[10]);
     }
 }

@@ -15,7 +15,7 @@ use cstf_tensor::{CooTensor, DenseMatrix, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub use crate::planner::{Partitioning, Strategy};
+use crate::planner::{Partitioning, Strategy};
 
 /// What a run holds on the (possibly shared) cluster — the plan, whose
 /// drop unpersists its datasets, and the metrics scope — given back on

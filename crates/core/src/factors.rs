@@ -50,7 +50,7 @@ pub fn factor_to_rdd(
 /// Assembles collected `(row_index, row)` records into a dense `extent × rank`
 /// matrix. Missing rows (indices with no tensor nonzeros) stay zero —
 /// exactly what MTTKRP produces for empty slices.
-pub fn rows_to_matrix(rows: Vec<(u32, Row)>, extent: usize, rank: usize) -> DenseMatrix {
+pub(crate) fn rows_to_matrix(rows: Vec<(u32, Row)>, extent: usize, rank: usize) -> DenseMatrix {
     let mut m = DenseMatrix::zeros(extent, rank);
     for (i, row) in rows {
         debug_assert_eq!(row.len(), rank);
@@ -87,7 +87,7 @@ pub fn tensor_to_rdd(cluster: &Cluster, tensor: &CooTensor, partitions: usize) -
 /// [`crate::Partitioning::PrePartitionedTensor`] caches). With `None` the
 /// keyed entries are split into `partitions` even chunks and the first
 /// join shuffles them as usual.
-pub fn tensor_to_rdd_keyed(
+pub(crate) fn tensor_to_rdd_keyed(
     cluster: &Cluster,
     tensor: &CooTensor,
     key_mode: usize,
@@ -109,7 +109,7 @@ pub fn tensor_to_rdd_keyed(
 /// Serialized size of a COO tensor on distributed storage: `N` u32 indices
 /// plus one f64 per nonzero. Used by the Hadoop platform model when
 /// charging HDFS reads.
-pub fn tensor_storage_bytes(nnz: usize, order: usize) -> u64 {
+pub(crate) fn tensor_storage_bytes(nnz: usize, order: usize) -> u64 {
     (nnz * (order * 4 + 8)) as u64
 }
 

@@ -21,8 +21,8 @@
 //!
 //! [`planner::plan`] is the one entry point to a distributed MTTKRP under
 //! any [`Strategy`] (these two, broadcast COO and DFacTo-SpMV);
-//! [`CpAls`] drives full decompositions through it; [`bigtensor`]
-//! implements the paper's baseline (the GigaTensor-style
+//! [`CpAls`] drives full decompositions through it; [`bigtensor_cp`] and
+//! [`bigtensor_mttkrp`] implement the paper's baseline (the GigaTensor-style
 //! unfolding workflow BIGtensor uses on Hadoop); [`cost`] is the analytic
 //! cost model of Table 4 / §5.
 //!
@@ -47,21 +47,24 @@
 
 #![warn(missing_docs)]
 
-pub mod bigtensor;
-pub mod completion;
+// `perf/` names these four modules by path; the rest are private and reach
+// users only through the re-exports below.
 pub mod cost;
-pub mod cp_als;
 pub mod factors;
-mod mttkrp;
 pub mod planner;
-mod qcoo;
 pub mod records;
+
+mod bigtensor;
+mod completion;
+mod cp_als;
+mod mttkrp;
+mod qcoo;
 mod spmv;
 
-pub use completion::{CompletionResult, CpCompletion};
-pub use cp_als::{CpAls, CpResult, DecompositionStats};
-pub use planner::{Partitioning, PlanConfig, Strategy, StrategyCapabilities};
-pub use records::{CooRecord, Coord, QRecord, Row};
+pub use bigtensor::{bigtensor_cp, bigtensor_mttkrp};
+pub use completion::CpCompletion;
+pub use cp_als::{CpAls, CpResult};
+pub use planner::{Partitioning, PlanConfig, Strategy};
 
 /// Errors from distributed decomposition runs.
 #[derive(Debug, Clone, PartialEq)]

@@ -34,8 +34,9 @@
 //!
 //! # Stage concurrency
 //!
-//! The engine's [`cstf_dataflow::scheduler`] cuts each MTTKRP action into
-//! a stage DAG and runs independent stages of a wave concurrently. With
+//! The engine's DAG scheduler ([`cstf_dataflow::Job`]) cuts each MTTKRP
+//! action into a stage DAG and runs independent stages of a wave
+//! concurrently. With
 //! [`Partitioning::None`] the factor-side shuffles have no dependency path
 //! to the tensor-side ones, so an order-3 [`mttkrp_coo`] schedules all
 //! three wave-0 stages (tensor key + both factor shuffles) at once — the

@@ -243,16 +243,6 @@ impl Plan {
         self.strategy
     }
 
-    /// The strategy's declared capabilities.
-    pub fn capabilities(&self) -> StrategyCapabilities {
-        self.strategy.capabilities()
-    }
-
-    /// The analytic cost model backing this plan (feeds [`crate::cost`]).
-    pub fn cost_algorithm(&self) -> cost::Algorithm {
-        self.strategy.cost_algorithm()
-    }
-
     /// Computes the mode-`mode` MTTKRP with the current `factors` (one
     /// `Iₘ × rank` matrix per mode; anything else is a
     /// [`CstfError::Config`] under every strategy).

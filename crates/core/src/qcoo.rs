@@ -20,7 +20,7 @@
 //! rotation and the previous one unpersisted, exactly as §4.2 describes.
 //!
 //! Because each stage consumes the previous stage's output, a QCOO step
-//! is a *chain* in the [`cstf_dataflow::scheduler`]'s stage DAG: its
+//! is a *chain* in the scheduler's stage DAG ([`cstf_dataflow::Job`]): its
 //! critical path equals its serial stage sum, so concurrent wave
 //! scheduling neither helps nor hurts it (the `ablation_scheduler`
 //! experiment shows ratio 1.0, against COO's strict improvement).

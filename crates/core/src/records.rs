@@ -10,7 +10,7 @@
 //! (cache hit, shuffle read, cache put), so the number of heap blocks a
 //! record owns is paid several times per nonzero per MTTKRP. A
 //! [`CooRecord`] owns none: its [`Coord`] holds up to
-//! [`Coord::INLINE`] indices in place (boxed only above that), so cloning
+//! seven indices (`Coord::INLINE`) in place (boxed only above that), so cloning
 //! a tensor partition is one allocation and a flat copy. A [`QRecord`]
 //! owns exactly one: its queue is a private contiguous stripe of
 //! `(N−1)·R` doubles rotated by index, not a deque of boxed rows. A
@@ -21,13 +21,13 @@
 
 use cstf_dataflow::kernel::pool;
 use cstf_dataflow::prelude::*;
-use cstf_dataflow::size::LEN_WORD;
+use cstf_dataflow::LEN_WORD;
 
 /// One dense factor-matrix row (length `R`).
 pub type Row = Box<[f64]>;
 
 /// The mode indices `(i₁, …, i_N)` of one nonzero: a small vector that
-/// stores up to [`Coord::INLINE`] indices in place and falls back to a
+/// stores up to seven indices (`Coord::INLINE`) in place and falls back to a
 /// heap slice above that, so no tensor order is lost. Reads go through
 /// `Deref<Target = [u32]>`.
 #[derive(Clone)]
@@ -42,7 +42,7 @@ enum CoordRepr {
 impl Coord {
     /// Highest tensor order whose coordinates are stored without a heap
     /// block.
-    pub const INLINE: usize = 7;
+    pub(crate) const INLINE: usize = 7;
 }
 
 impl From<&[u32]> for Coord {
@@ -206,7 +206,7 @@ impl QRecord {
     }
 
     /// Rows currently queued.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.len as usize
     }
 
@@ -215,7 +215,7 @@ impl QRecord {
     /// # Panics
     ///
     /// If `i >= self.queue_len()`.
-    pub fn queue_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn queue_row(&self, i: usize) -> &[f64] {
         assert!(i < self.queue_len(), "queue row {i} out of range");
         let width = self.width as usize;
         &self.stripe[self.slot_of(i as u32) as usize * width..][..width]
@@ -230,7 +230,7 @@ impl QRecord {
     /// Table 2 (`B(j,:) ∗ C(k,:) ∗ X(i,j,k)`). The output row comes from
     /// the kernel row arena and is fully overwritten (`fill(val)`, then the
     /// in-order multiplies), so stale contents never leak.
-    pub fn reduce_queue(&self, rank: usize) -> Row {
+    pub(crate) fn reduce_queue(&self, rank: usize) -> Row {
         let mut acc = pool::take_row(rank);
         acc.fill(self.entry.val);
         for row in self.queue_rows() {
@@ -272,7 +272,7 @@ impl EstimateSize for QRecord {
 /// Element-wise product of two rows through the kernel row arena: the
 /// output buffer comes from the pool (fully overwritten, so stale contents
 /// never leak) and both consumed inputs are recycled into it.
-pub fn hadamard_rows(a: Row, b: Row) -> Row {
+pub(crate) fn hadamard_rows(a: Row, b: Row) -> Row {
     debug_assert_eq!(a.len(), b.len());
     let mut out = pool::take_row(a.len());
     for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
@@ -315,7 +315,7 @@ pub fn add_rows(mut a: Row, b: Row) -> Row {
 }
 
 /// Scales a row by `s` in place and returns it.
-pub fn scale_row(mut r: Row, s: f64) -> Row {
+pub(crate) fn scale_row(mut r: Row, s: f64) -> Row {
     for x in r.iter_mut() {
         *x *= s;
     }

@@ -55,7 +55,7 @@ pub enum StorageLevel {
 
 impl StorageLevel {
     /// Whether eviction moves the block to disk instead of dropping it.
-    pub fn spills_to_disk(self) -> bool {
+    pub(crate) fn spills_to_disk(self) -> bool {
         matches!(self, StorageLevel::MemoryAndDisk | StorageLevel::DiskOnly)
     }
 }
@@ -270,7 +270,7 @@ impl BlockManager {
     /// recompute if one was set. Called by the cached node when a read
     /// misses, so metrics distinguish first computation from
     /// recompute-after-eviction.
-    pub fn begin_recompute(&self, rdd_id: usize, partition: usize) -> bool {
+    pub(crate) fn begin_recompute(&self, rdd_id: usize, partition: usize) -> bool {
         let was_evicted = self.inner.lock().evicted.remove(&(rdd_id, partition));
         if was_evicted {
             self.stats.lock().recompute_count += 1;
@@ -292,7 +292,7 @@ impl BlockManager {
     /// in memory or spilled to disk — which lets the scheduler prune
     /// lineage above a fully-cached RDD (spilled blocks reload without
     /// lineage).
-    pub fn has_all(&self, rdd_id: usize, num_partitions: usize) -> bool {
+    pub(crate) fn has_all(&self, rdd_id: usize, num_partitions: usize) -> bool {
         let inner = self.inner.lock();
         (0..num_partitions)
             .all(|p| inner.mem.contains_key(&(rdd_id, p)) || inner.disk.contains_key(&(rdd_id, p)))
@@ -353,11 +353,6 @@ impl BlockManager {
     pub fn total_bytes(&self) -> u64 {
         let inner = self.inner.lock();
         inner.mem_bytes + inner.disk.values().map(|b| b.bytes).sum::<u64>()
-    }
-
-    /// The configured memory budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// How many blocks the budget enforcer has dropped or spilled.

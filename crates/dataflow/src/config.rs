@@ -77,35 +77,35 @@ impl ClusterConfig {
     /// Sets the simulated node count. Default parallelism is raised to at
     /// least 4 partitions per node so every simulated node gets work.
     pub fn nodes(mut self, nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
         self.nodes = nodes;
         self.default_parallelism = self.default_parallelism.max(4 * nodes);
+        self.check();
         self
     }
 
     /// Sets the default partition count.
     pub fn default_parallelism(mut self, partitions: usize) -> Self {
-        assert!(partitions > 0);
         self.default_parallelism = partitions;
+        self.check();
         self
     }
 
     /// Sets the per-task attempt budget (Spark's `spark.task.maxFailures`).
+    /// Panics if an installed fault schedule could exhaust it.
     pub fn max_task_attempts(mut self, attempts: usize) -> Self {
-        assert!(attempts > 0, "tasks need at least one attempt");
         self.max_task_attempts = attempts;
+        self.check();
         self
     }
 
     /// Enables speculative execution: a task running longer than
     /// `max(median × multiplier, min_task_secs)` gets one backup attempt.
     pub fn speculation(mut self, multiplier: f64, min_task_secs: f64) -> Self {
-        assert!(multiplier >= 1.0, "speculation multiplier must be ≥ 1");
-        assert!(min_task_secs >= 0.0);
         self.speculation = Some(SpeculationPolicy {
             multiplier,
             min_task_secs,
         });
+        self.check();
         self
     }
 
@@ -114,8 +114,8 @@ impl ClusterConfig {
     /// memory; excess is LRU-evicted (dropped or spilled to disk,
     /// depending on each block's [`crate::StorageLevel`]).
     pub fn memory_budget(mut self, bytes: u64) -> Self {
-        assert!(bytes > 0, "memory budget must be positive");
         self.memory_budget = Some(bytes);
+        self.check();
         self
     }
 
@@ -123,15 +123,8 @@ impl ClusterConfig {
     /// testing. Panics if the schedule could fail a task more often than
     /// `max_task_attempts` allows (the job could never finish).
     pub fn faults(mut self, faults: FaultConfig) -> Self {
-        assert!(
-            faults.max_faults_per_task < self.max_task_attempts
-                || faults.crash_probability + faults.late_crash_probability == 0.0,
-            "fault schedule may exhaust the task attempt budget: \
-             max_faults_per_task ({}) must stay below max_task_attempts ({})",
-            faults.max_faults_per_task,
-            self.max_task_attempts,
-        );
         self.faults = Some(faults);
+        self.check();
         self
     }
 
@@ -143,9 +136,56 @@ impl ClusterConfig {
         self
     }
 
+    /// Panics naming the first rule this configuration breaks. Every
+    /// builder that sets a checked field calls it, so the rules hold
+    /// whatever order the builders run in.
+    fn check(&self) {
+        self.check_runnable();
+        if let Some(faults) = &self.faults {
+            assert!(
+                faults.max_faults_per_task < self.max_task_attempts
+                    || faults.crash_probability + faults.late_crash_probability == 0.0,
+                "fault schedule may exhaust the task attempt budget: \
+                 max_faults_per_task ({}) must stay below max_task_attempts ({})",
+                faults.max_faults_per_task,
+                self.max_task_attempts,
+            );
+        }
+    }
+
+    /// The rules without which no task can run. [`crate::Cluster::new`]
+    /// checks them on every configuration, struct literals included. A
+    /// literal may still carry a fault schedule that exhausts the attempt
+    /// budget: that is how tests drive a stage abort.
+    pub(crate) fn check_runnable(&self) {
+        assert!(self.nodes > 0, "cluster must have at least one node");
+        assert!(
+            self.default_parallelism > 0,
+            "default parallelism must be at least one partition"
+        );
+        assert!(
+            self.max_task_attempts > 0,
+            "tasks need at least one attempt"
+        );
+        if let Some(policy) = &self.speculation {
+            assert!(
+                policy.multiplier >= 1.0,
+                "speculation multiplier must be ≥ 1"
+            );
+            assert!(
+                policy.min_task_secs >= 0.0,
+                "speculation threshold must be non-negative"
+            );
+        }
+        assert!(
+            self.memory_budget != Some(0),
+            "memory budget must be positive"
+        );
+    }
+
     /// Simulated node that hosts partition `p`.
     #[inline]
-    pub fn node_of(&self, partition: usize) -> usize {
+    pub(crate) fn node_of(&self, partition: usize) -> usize {
         partition % self.nodes
     }
 }
@@ -297,12 +337,38 @@ mod tests {
     fn unwinnable_fault_schedule_rejected() {
         let _ = ClusterConfig::local(2)
             .max_task_attempts(2)
-            .faults(FaultConfig::crashes(1, 1.0).with_max_faults_per_task(2));
+            .faults(FaultConfig {
+                max_faults_per_task: 2,
+                ..FaultConfig::crashes(1, 1.0)
+            });
     }
 
     #[test]
     #[should_panic(expected = "at least one attempt")]
     fn zero_attempts_rejected() {
         let _ = ClusterConfig::local(1).max_task_attempts(0);
+    }
+
+    #[test]
+    fn rules_hold_in_any_builder_order_and_for_literals() {
+        let rejection = |build: fn()| {
+            let payload = std::panic::catch_unwind(build).expect_err("configuration accepted");
+            crate::executor::panic_message(&*payload)
+        };
+        // Attempts lowered after the schedule was installed.
+        assert!(rejection(|| {
+            let _ = ClusterConfig::local(2)
+                .faults(FaultConfig::crashes(7, 0.9))
+                .max_task_attempts(1);
+        })
+        .contains("attempt budget"));
+        // A literal no builder saw.
+        assert!(rejection(|| {
+            let _ = crate::Cluster::new(ClusterConfig {
+                nodes: 0,
+                ..ClusterConfig::local(2)
+            });
+        })
+        .contains("at least one node"));
     }
 }

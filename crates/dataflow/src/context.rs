@@ -58,7 +58,6 @@ pub(crate) fn run_attempt<O>(
         let ctx = TaskContext {
             cluster,
             stage: &sink,
-            partition,
         };
         body(&ctx)
     };
@@ -116,19 +115,20 @@ pub struct Cluster {
 }
 
 /// Per-task execution context handed to [`crate::rdd::RddNode::compute`].
-pub struct TaskContext<'a> {
+pub(crate) struct TaskContext<'a> {
     /// The cluster the task runs on.
     pub cluster: &'a Cluster,
     /// Counter block of the running task attempt; reaches its stage's
     /// metrics only if the attempt commits.
     pub stage: &'a AttemptCounters,
-    /// Partition index this task computes.
-    pub partition: usize,
 }
 
 impl Cluster {
-    /// Creates a cluster with the given configuration.
+    /// Creates a cluster with the given configuration. Panics if it has
+    /// no node, partition or attempt, or a speculation or memory setting
+    /// no builder would accept.
     pub fn new(config: ClusterConfig) -> Self {
+        config.check_runnable();
         let executor = Executor::new(config.executor_threads);
         let metrics = Arc::new(MetricsRegistry::new());
         let budget = config.memory_budget;
@@ -157,7 +157,7 @@ impl Cluster {
     }
 
     /// True if this handle's job has been asked to cancel.
-    pub fn cancel_requested(&self) -> bool {
+    pub(crate) fn cancel_requested(&self) -> bool {
         self.session
             .cancel
             .as_ref()

@@ -36,7 +36,7 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
@@ -586,7 +586,7 @@ impl Executor {
 
     /// Runs a *wave* of stages concurrently: every stage contributes one
     /// task batch, all tasks share the worker pool, and the call returns
-    /// one [`StageOutcome`] per stage (results in task order, recovery
+    /// one `StageOutcome` per stage (results in task order, recovery
     /// stats attributed to that stage's tasks only).
     ///
     /// Each task is a *re-runnable* closure called with its attempt index

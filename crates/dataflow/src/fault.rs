@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// What an injected fault does to the chosen task attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
+pub(crate) enum InjectedFault {
     /// The attempt fails before computing anything (executor lost at
     /// launch).
     Crash,
@@ -31,7 +31,7 @@ pub enum InjectedFault {
     Delay(Duration),
 }
 
-/// Configuration for the deterministic [`FaultInjector`].
+/// Configuration for the engine's deterministic fault injector.
 ///
 /// Probabilities are evaluated per `(stage, partition, attempt)` triple in
 /// the order crash → late crash → delay; their sum should stay ≤ 1.
@@ -84,34 +84,28 @@ impl FaultConfig {
         self.delay_millis = millis;
         self
     }
-
-    /// Sets how many attempts of one task may be faulted.
-    pub fn with_max_faults_per_task(mut self, n: usize) -> Self {
-        self.max_faults_per_task = n;
-        self
-    }
 }
 
 /// Deterministic fault oracle: a stateless hash of the fault coordinates.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     config: FaultConfig,
 }
 
 impl FaultInjector {
     /// Creates an injector for the given schedule.
-    pub fn new(config: FaultConfig) -> Self {
+    pub(crate) fn new(config: FaultConfig) -> Self {
         FaultInjector { config }
-    }
-
-    /// The schedule this injector follows.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// Decides the fate of `(stage, partition, attempt)`. Pure: the same
     /// coordinates always get the same answer.
-    pub fn decide(&self, stage: usize, partition: usize, attempt: usize) -> Option<InjectedFault> {
+    pub(crate) fn decide(
+        &self,
+        stage: usize,
+        partition: usize,
+        attempt: usize,
+    ) -> Option<InjectedFault> {
         let c = &self.config;
         if attempt >= c.max_faults_per_task {
             return None;
@@ -170,7 +164,10 @@ mod tests {
 
     #[test]
     fn attempts_beyond_cap_never_faulted() {
-        let inj = FaultInjector::new(FaultConfig::crashes(3, 1.0).with_max_faults_per_task(2));
+        let inj = FaultInjector::new(FaultConfig {
+            max_faults_per_task: 2,
+            ..FaultConfig::crashes(3, 1.0)
+        });
         for stage in 0..5 {
             for part in 0..5 {
                 assert_eq!(inj.decide(stage, part, 0), Some(InjectedFault::Crash));

@@ -66,7 +66,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` with deterministic hashing (and therefore deterministic
 /// iteration order for a fixed insertion sequence).
@@ -76,7 +76,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 /// Hashes one value with the deterministic hasher.
-pub fn fx_hash<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
+pub(crate) fn fx_hash<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
     let mut h = FxHasher::default();
     v.hash(&mut h);
     h.finish()

@@ -48,7 +48,7 @@
 //!
 //! ```
 //! use cstf_dataflow::prelude::*;
-//! use cstf_dataflow::jobserver::{JobServer, JobServerConfig};
+//! use cstf_dataflow::{JobServer, JobServerConfig};
 //!
 //! let cluster = Cluster::new(ClusterConfig::local(4));
 //! let server = JobServer::new(&cluster, JobServerConfig::fair(2));
@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Weak};
 use std::time::Instant;
 
-pub use crate::config::{JobServerConfig, PoolConfig, SchedulingMode};
+use crate::config::{JobServerConfig, SchedulingMode};
 
 /// Panic payload used to unwind a cancelled job's driver thread. The
 /// scheduler raises it before a wave (via `Cluster::check_cancel`) or
@@ -76,11 +76,11 @@ pub use crate::config::{JobServerConfig, PoolConfig, SchedulingMode};
 /// wrapper catches it and records the job as
 /// [`JobOutcomeKind::Cancelled`] — it never escapes the server.
 #[derive(Debug, Clone, Copy)]
-pub struct JobCancelled;
+pub(crate) struct JobCancelled;
 
 /// Where a submitted job currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
+pub(crate) enum JobStatus {
     /// Waiting in its pool's queue for an admission slot.
     Queued,
     /// Dispatched; its closure is running on a driver thread.
@@ -165,13 +165,8 @@ impl<T> JobHandle<T> {
         self.id
     }
 
-    /// Scheduling pool the job was submitted into.
-    pub fn pool(&self) -> &str {
-        &self.pool
-    }
-
     /// Non-blocking lifecycle probe.
-    pub fn status(&self) -> JobStatus {
+    pub(crate) fn status(&self) -> JobStatus {
         match *self.shared.state.lock() {
             HandleState::Queued => JobStatus::Queued,
             HandleState::Running => JobStatus::Running,
@@ -446,7 +441,8 @@ impl ServerInner {
 
 /// The job server: one dispatcher thread multiplexing tenant jobs onto a
 /// shared [`Cluster`] under a scheduling policy and an admission cap.
-/// See the [module docs](self) for the architecture.
+/// Each job runs on its own driver thread; every job's results stay
+/// bit-identical to a solo run, whatever the interleaving.
 pub struct JobServer {
     inner: Arc<ServerInner>,
     dispatcher: Option<std::thread::JoinHandle<()>>,
@@ -575,12 +571,12 @@ impl JobServer {
     }
 
     /// Jobs currently dispatched and running.
-    pub fn running_jobs(&self) -> usize {
+    pub(crate) fn running_jobs(&self) -> usize {
         self.inner.state.lock().running
     }
 
     /// Jobs waiting in pool queues.
-    pub fn queued_jobs(&self) -> usize {
+    pub(crate) fn queued_jobs(&self) -> usize {
         self.inner
             .state
             .lock()

@@ -106,14 +106,14 @@ impl<C: Clone + 'static> KernelOps<C> {
 /// A fully-resolved sorted-runs kernel for one shuffle: an erased key
 /// comparator (captured where `K: Ord` is known, so the generic RDD nodes
 /// need no extra bounds), and the combiner ops.
-pub struct KernelPlan<K, C> {
+pub(crate) struct KernelPlan<K, C> {
     pub(crate) cmp: CmpFn<K>,
     pub(crate) ops: KernelOps<C>,
 }
 
 impl<K, C> KernelPlan<K, C> {
     /// Builds a plan, capturing `K: Ord` into the erased comparator.
-    pub fn new(ops: KernelOps<C>) -> Self
+    pub(crate) fn new(ops: KernelOps<C>) -> Self
     where
         K: Ord + 'static,
     {
@@ -290,7 +290,7 @@ pub mod pool {
 
     /// Arena hits recorded on the *current thread* — the per-task reuse
     /// counter [`crate::context`] snapshots around each task attempt.
-    pub fn thread_hits() -> u64 {
+    pub(crate) fn thread_hits() -> u64 {
         THREAD_HITS.with(Cell::get)
     }
 

@@ -12,16 +12,23 @@
 //!   shuffle boundaries exactly where Spark would.
 //! * [`Cluster`] — the driver: owns the executor pool, shuffle service,
 //!   block manager (cache) and metrics. Actions submit jobs to the
-//!   [`scheduler`] — the engine's DAGScheduler — which cuts lineage into a
-//!   stage graph at shuffle boundaries and runs independent stages of each
-//!   wave concurrently.
+//!   engine's DAGScheduler ([`Job`]), which cuts lineage into a stage
+//!   graph at shuffle boundaries and runs independent stages of each wave
+//!   concurrently.
 //! * **Simulated nodes** — partitions are placed on `n` virtual nodes
 //!   (`partition mod n`). Every shuffle record that crosses a node boundary
 //!   is counted as *remote bytes read*; records staying on the node count
 //!   as *local bytes read*. These are exactly the two metrics Spark's UI
 //!   reports and the paper plots in Figure 4.
-//! * [`metrics`] — the engine only counts; the `cstf-model` crate prices
-//!   its log in modeled seconds for the curves of Figures 2/3/5.
+//! * [`JobMetrics`] — the event log. The engine only counts; the
+//!   `cstf-model` crate prices the log in modeled seconds for the curves
+//!   of Figures 2/3/5.
+//!
+//! The names re-exported here are the whole public surface: what another
+//! crate, an example, `perf/` or a test names. The lineage graph, the
+//! stores, the executor and the scheduler's internals stay private; the
+//! one public module besides [`prelude`] is [`kernel`], whose arena
+//! counters `perf/` reads by path.
 //!
 //! # Example
 //!
@@ -46,39 +53,49 @@
 
 #![warn(missing_docs)]
 
-pub mod broadcast;
-pub mod cache;
-pub mod config;
-pub mod context;
-pub mod executor;
-pub mod fault;
-pub mod hash;
-pub mod jobserver;
+// `perf/` names `kernel::pool` by path; every other module is private and
+// reaches users only through the re-exports below.
 pub mod kernel;
-pub mod metrics;
-pub mod partitioner;
-pub mod rdd;
-pub mod scheduler;
-pub mod shuffle;
-pub mod size;
 
-pub use broadcast::Broadcast;
+mod broadcast;
+mod cache;
+mod config;
+mod context;
+mod executor;
+mod fault;
+mod hash;
+mod jobserver;
+mod metrics;
+mod partitioner;
+mod rdd;
+mod scheduler;
+mod shuffle;
+mod size;
+
 pub use cache::StorageLevel;
-pub use config::{ClusterConfig, JobServerConfig, PoolConfig, SchedulingMode};
-pub use context::{Cluster, TaskContext};
-pub use executor::{CancelToken, RunPolicy, RunStats, SpeculationPolicy, TaskError, WaveError};
-pub use fault::{FaultConfig, FaultInjector, InjectedFault};
-pub use jobserver::{JobHandle, JobOutcome, JobServer, JobStatus};
+pub use config::{ClusterConfig, JobServerConfig};
+pub use context::Cluster;
+pub use fault::FaultConfig;
+pub use hash::{FxHashMap, FxHashSet};
+pub use jobserver::JobServer;
 pub use kernel::{KernelOps, KernelStrategy};
-pub use metrics::{
-    JobMetrics, JobOutcomeKind, JobRecord, MetricsRegistry, StageKind, StageMetrics,
-};
-pub use partitioner::{
-    HashPartitioner, KeyPartitioner, PartitionerRef, PartitionerSig, RangePartitioner,
-};
+pub use metrics::{percentile, Event, JobMetrics, Meter, Note, StageMetrics};
+pub use partitioner::{HashPartitioner, KeyPartitioner, PartitionerRef};
 pub use rdd::Rdd;
-pub use scheduler::{Job, Stage};
-pub use size::EstimateSize;
+pub use size::{EstimateSize, LEN_WORD};
+
+// Named only by tests: the engine's integration tests drive the executor,
+// the two stores, the scheduler, the job server and the partitioners
+// directly, and the model's and the oracle's tests build metrics by hand.
+pub use cache::BlockManager;
+pub use executor::{
+    CancelToken, Executor, RunPolicy, RunStats, SpeculationPolicy, TaskError, WaveError,
+};
+pub use jobserver::JobOutcome;
+pub use metrics::{Counters, JobOutcomeKind, JobRecord, MetricsRegistry, StageDag, StageKind};
+pub use partitioner::{PartitionerSig, RangePartitioner};
+pub use scheduler::Job;
+pub use shuffle::ShuffleService;
 
 /// One-stop import for the engine's everyday surface:
 ///
@@ -93,22 +110,12 @@ pub use size::EstimateSize;
 /// assert_eq!(doubled.collect(), vec![2, 4, 6]);
 /// ```
 pub mod prelude {
-    pub use crate::broadcast::Broadcast;
-    pub use crate::cache::StorageLevel;
-    pub use crate::config::ClusterConfig;
-    pub use crate::config::{JobServerConfig, SchedulingMode};
-    pub use crate::context::{Cluster, TaskContext};
-    pub use crate::executor::{RunPolicy, SpeculationPolicy};
-    pub use crate::fault::FaultConfig;
-    pub use crate::jobserver::{JobHandle, JobOutcome, JobServer, JobStatus};
-    pub use crate::kernel::{KernelOps, KernelStrategy};
-    pub use crate::metrics::{JobMetrics, JobOutcomeKind, JobRecord, StageKind};
-    pub use crate::partitioner::{
-        HashPartitioner, KeyPartitioner, PartitionerRef, PartitionerSig, RangePartitioner,
+    pub use crate::{
+        Cluster, ClusterConfig, Data, EstimateSize, FaultConfig, HashPartitioner, JobMetrics,
+        JobOutcome, JobOutcomeKind, JobRecord, JobServer, JobServerConfig, KernelOps,
+        KernelStrategy, Key, KeyPartitioner, PartitionerRef, PartitionerSig, RangePartitioner, Rdd,
+        RunPolicy, SpeculationPolicy, StageKind, StorageLevel,
     };
-    pub use crate::rdd::Rdd;
-    pub use crate::size::EstimateSize;
-    pub use crate::{Data, Key};
 }
 
 /// Marker for element types an [`Rdd`] can hold: cheaply cloneable and

@@ -34,7 +34,7 @@ pub enum StageKind {
 }
 
 /// Placement of a stage in its job's dependency DAG, recorded by the
-/// [`crate::scheduler`] when it submits the stage.
+/// DAG scheduler ([`crate::Job`]) when it submits the stage.
 ///
 /// Parents are metrics-log stage ids (including skipped stages), so the
 /// DAG can be reconstructed from the event log alone — that is what the
@@ -175,19 +175,19 @@ impl Counters {
 /// retry-invariant by construction. An attempt runs on one thread, so the
 /// block is a plain `RefCell` (which makes a `TaskContext` `!Sync`).
 #[derive(Debug, Default)]
-pub struct AttemptCounters(RefCell<Counters>);
+pub(crate) struct AttemptCounters(RefCell<Counters>);
 
 impl AttemptCounters {
     /// Merges a block of counters (a shuffle write or read, a kernel
     /// invocation's report, an arena-hit delta) into this attempt's.
-    pub fn merge(&self, delta: &Counters) {
+    pub(crate) fn merge(&self, delta: &Counters) {
         self.0.borrow_mut().merge(delta);
     }
 
     /// Records pipeline work: `n` records produced by one lineage node
     /// while computing a partition (called per node, so recomputed
     /// parents are counted every time they run).
-    pub fn add_records_computed(&self, n: u64) {
+    pub(crate) fn add_records_computed(&self, n: u64) {
         self.0.borrow_mut().records_computed += n;
     }
 
@@ -612,12 +612,12 @@ impl JobMetrics {
     }
 
     /// Total speculative attempts launched across all stages.
-    pub fn total_speculative_launched(&self) -> u64 {
+    pub(crate) fn total_speculative_launched(&self) -> u64 {
         self.stage_total(|c| c.speculative_launched)
     }
 
     /// Total tasks won by their speculative backup across all stages.
-    pub fn total_speculative_won(&self) -> u64 {
+    pub(crate) fn total_speculative_won(&self) -> u64 {
         self.stage_total(|c| c.speculative_won)
     }
 
@@ -632,7 +632,7 @@ impl JobMetrics {
     }
 
     /// Total row-arena reuse hits across all stages.
-    pub fn total_arena_hits(&self) -> u64 {
+    pub(crate) fn total_arena_hits(&self) -> u64 {
         self.stage_total(|c| c.kernel_arena_hits)
     }
 
@@ -645,7 +645,7 @@ impl JobMetrics {
     }
 
     /// Total bytes the budget enforcer removed from memory.
-    pub fn evicted_bytes(&self) -> u64 {
+    pub(crate) fn evicted_bytes(&self) -> u64 {
         self.metered(Meter::Evicted).sum()
     }
 
@@ -660,7 +660,7 @@ impl JobMetrics {
     }
 
     /// Total bytes read back from the local-disk spill store.
-    pub fn spill_read_bytes(&self) -> u64 {
+    pub(crate) fn spill_read_bytes(&self) -> u64 {
         self.metered(Meter::SpillRead).sum()
     }
 
@@ -966,7 +966,7 @@ impl MetricsRegistry {
     }
 
     /// Records the lifecycle of a finished job-server job.
-    pub fn record_job(&self, record: JobRecord) {
+    pub(crate) fn record_job(&self, record: JobRecord) {
         self.events.lock().push(Event::JobFinished(record));
     }
 
@@ -1002,7 +1002,7 @@ impl MetricsRegistry {
     /// Records a shuffle elided by partitioner-aware planning (the input
     /// was already partitioned as requested, so the wide op became a
     /// narrow dependency).
-    pub fn record_skipped_shuffle(&self, name: impl Into<String>) {
+    pub(crate) fn record_skipped_shuffle(&self, name: impl Into<String>) {
         self.note(Note::SkippedShuffle { name: name.into() });
     }
 
@@ -1022,27 +1022,27 @@ impl MetricsRegistry {
     }
 
     /// Records a broadcast transfer (see [`crate::broadcast`]).
-    pub fn record_broadcast(&self, bytes: u64) {
+    pub(crate) fn record_broadcast(&self, bytes: u64) {
         self.meter(Meter::Broadcast, "", bytes);
     }
 
     /// Records a block evicted from memory by the budget enforcer.
-    pub fn record_storage_eviction(&self, owner: &str, bytes: u64) {
+    pub(crate) fn record_storage_eviction(&self, owner: &str, bytes: u64) {
         self.meter(Meter::Evicted, owner, bytes);
     }
 
     /// Records bytes written to the local-disk spill store.
-    pub fn record_spill_write(&self, owner: &str, bytes: u64) {
+    pub(crate) fn record_spill_write(&self, owner: &str, bytes: u64) {
         self.meter(Meter::SpillWrite, owner, bytes);
     }
 
     /// Records bytes read back from the local-disk spill store.
-    pub fn record_spill_read(&self, owner: &str, bytes: u64) {
+    pub(crate) fn record_spill_read(&self, owner: &str, bytes: u64) {
         self.meter(Meter::SpillRead, owner, bytes);
     }
 
     /// Records a lineage recompute of an evicted block.
-    pub fn record_storage_recompute(&self, owner: &str) {
+    pub(crate) fn record_storage_recompute(&self, owner: &str) {
         self.meter(Meter::Recompute, owner, 1);
     }
 

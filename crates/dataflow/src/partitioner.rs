@@ -123,7 +123,7 @@ impl PartitionerRef {
 
     /// Whether this provenance matches `other`: equal signatures mean
     /// identical key placement. `Unknown` signatures never match.
-    pub fn matches(&self, other: &PartitionerSig) -> bool {
+    pub(crate) fn matches(&self, other: &PartitionerSig) -> bool {
         self.sig == *other
     }
 
@@ -182,7 +182,7 @@ impl<K: Ord> RangePartitioner<K> {
     /// Derives boundaries from a sample of keys, targeting `partitions`
     /// output partitions. The sample is sorted and split at even
     /// quantiles.
-    pub fn from_sample(mut sample: Vec<K>, partitions: usize) -> Self
+    pub(crate) fn from_sample(mut sample: Vec<K>, partitions: usize) -> Self
     where
         K: Clone,
     {
@@ -223,9 +223,9 @@ impl<K: Ord + Send + Sync> KeyPartitioner<K> for RangePartitioner<K> {
 
 /// Hash partitioner: key `k` goes to partition `hash(k) mod partitions`.
 ///
-/// Uses the deterministic [`crate::hash::FxHasher`], so partition placement
-/// (and therefore remote/local byte attribution) is reproducible across
-/// runs and machines.
+/// Uses the deterministic FxHash of [`crate::FxHashMap`], so partition
+/// placement (and therefore remote/local byte attribution) is
+/// reproducible across runs and machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashPartitioner {
     partitions: usize,
@@ -244,13 +244,13 @@ impl HashPartitioner {
 
     /// Number of reduce partitions.
     #[inline]
-    pub fn num_partitions(&self) -> usize {
+    pub(crate) fn num_partitions(&self) -> usize {
         self.partitions
     }
 
     /// Target partition for `key`.
     #[inline]
-    pub fn partition<K: Hash>(&self, key: &K) -> usize {
+    pub(crate) fn partition<K: Hash>(&self, key: &K) -> usize {
         (fx_hash(key) % self.partitions as u64) as usize
     }
 }

@@ -7,8 +7,8 @@
 //! scheduler materializes as separate stages. Nothing executes until an
 //! action (`collect`, `count`, `reduce`, …) runs.
 
-pub mod nodes;
-pub mod pair;
+pub(crate) mod nodes;
+mod pair;
 
 use crate::cache::StorageLevel;
 use crate::context::{Cluster, TaskContext};
@@ -26,7 +26,7 @@ pub(crate) fn next_node_id() -> usize {
 }
 
 /// Type-erased view of a lineage node, used by the scheduler.
-pub trait NodeInfo: Send + Sync {
+pub(crate) trait NodeInfo: Send + Sync {
     /// Process-unique node id.
     fn id(&self) -> usize;
     /// Operator name for debugging and stage naming.
@@ -39,7 +39,7 @@ pub trait NodeInfo: Send + Sync {
 
 /// An edge in the lineage DAG.
 #[derive(Clone)]
-pub enum Dependency {
+pub(crate) enum Dependency {
     /// Parent partition feeds the same-numbered child partition; computed
     /// in the same stage.
     Narrow(Arc<dyn NodeInfo>),
@@ -49,7 +49,7 @@ pub enum Dependency {
 
 /// Type-erased handle to a shuffle boundary, letting the driver schedule
 /// map stages without knowing record types.
-pub trait ShuffleDependency: Send + Sync {
+pub(crate) trait ShuffleDependency: Send + Sync {
     /// Cluster-unique shuffle id.
     fn shuffle_id(&self) -> usize;
     /// Stage name this shuffle's map stage runs under (used for the
@@ -70,7 +70,7 @@ pub trait ShuffleDependency: Send + Sync {
 }
 
 /// A typed lineage node: computes one partition's records.
-pub trait RddNode<T: Data>: NodeInfo {
+pub(crate) trait RddNode<T: Data>: NodeInfo {
     /// Computes partition `partition` (called from executor tasks).
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<T>;
 }
@@ -140,7 +140,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Operator name of the underlying node.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         self.node.name().to_string()
     }
 
@@ -149,16 +149,10 @@ impl<T: Data> Rdd<T> {
         self.node.num_partitions()
     }
 
-    /// The cluster this RDD belongs to.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Builds — without executing anything — the stage DAG the scheduler
-    /// would run for an action on this dataset: one
-    /// [`crate::scheduler::Stage`] per pending shuffle, with parent edges
-    /// and wave assignments, lineage pruned below cached datasets and
-    /// already-materialized shuffles.
+    /// would run for an action on this dataset: one stage per pending
+    /// shuffle, with parent edges and wave assignments, lineage pruned
+    /// below cached datasets and already-materialized shuffles.
     pub fn job_plan(&self) -> crate::scheduler::Job {
         let info: Arc<dyn NodeInfo> = self.node.clone();
         crate::scheduler::Job::plan(&self.cluster, &info)

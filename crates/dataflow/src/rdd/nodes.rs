@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// an RDD, truncating lineage (Spark `checkpoint`) — iterative algorithms
 /// use that to bound the lineage depth recovery or recomputation would
 /// otherwise walk.
-pub struct SourceNode<T: Data> {
+pub(crate) struct SourceNode<T: Data> {
     id: usize,
     name: &'static str,
     partitions: Vec<Arc<Vec<T>>>,
@@ -79,7 +79,7 @@ type PartitionFn<T, U> = Box<dyn Fn(usize, Vec<T>, &TaskContext<'_>) -> Vec<U> +
 /// local combine of a co-partitioned wide operator is this node under its
 /// own name; the operator's closure runs statically inside `f`, so a
 /// partition costs one dynamic call, not one per record.
-pub struct NarrowNode<T: Data, U: Data> {
+pub(crate) struct NarrowNode<T: Data, U: Data> {
     id: usize,
     name: String,
     parent: Arc<dyn RddNode<T>>,
@@ -131,7 +131,7 @@ impl<T: Data, U: Data> RddNode<U> for NarrowNode<T, U> {
 /// pruned from scheduling — but the parent is always retained, so a block
 /// the budget enforcer dropped mid-run is recomputed from lineage exactly
 /// like a lost partition, under the reading task's retry umbrella.
-pub struct CachedNode<T: Data + EstimateSize> {
+pub(crate) struct CachedNode<T: Data + EstimateSize> {
     id: usize,
     parent: Arc<dyn RddNode<T>>,
     cluster: Cluster,

@@ -42,10 +42,10 @@ use std::sync::Arc;
 
 /// Element type produced by [`Rdd::cogroup`]: per distinct key, all values
 /// from the left side and all values from the right side.
-pub type CoGrouped<K, V, W> = (K, (Vec<V>, Vec<W>));
+pub(crate) type CoGrouped<K, V, W> = (K, (Vec<V>, Vec<W>));
 
 /// How shuffled values are combined into combiners (Spark's `Aggregator`).
-pub struct Aggregator<V, C> {
+pub(crate) struct Aggregator<V, C> {
     /// Lifts a single value into a combiner.
     pub create: Arc<dyn Fn(V) -> C + Send + Sync>,
     /// Folds a value into an existing combiner (map side).
@@ -66,7 +66,7 @@ impl<V, C> Clone for Aggregator<V, C> {
 
 impl<V: Data> Aggregator<V, V> {
     /// Pass-through aggregator with a binary reduce function.
-    pub fn from_reduce(f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Self {
+    pub(crate) fn from_reduce(f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Self {
         let f = Arc::new(f);
         let f2 = f.clone();
         Aggregator {
@@ -77,7 +77,7 @@ impl<V: Data> Aggregator<V, V> {
     }
 
     /// Identity aggregator (repartitioning only).
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         Aggregator {
             create: Arc::new(|v| v),
             merge_value: Arc::new(|_c, v| v),
@@ -171,7 +171,7 @@ fn hash_fold<K: Key, X, C>(
 /// A shuffle boundary: repartitions `(K, V)` records from `parent` by key
 /// into `partitioner.num_partitions()` buckets, optionally combining
 /// map-side into combiners of type `C`.
-pub struct ShuffleDep<K: Key, V: Data, C: Data> {
+pub(crate) struct ShuffleDep<K: Key, V: Data, C: Data> {
     shuffle_id: usize,
     name: String,
     parent: Arc<dyn RddNode<(K, V)>>,
@@ -355,7 +355,7 @@ where
 
 /// Post-shuffle RDD: reads its partition's buckets, optionally merging
 /// combiners for the same key.
-pub struct ShuffledRdd<K: Key, V: Data, C: Data> {
+pub(crate) struct ShuffledRdd<K: Key, V: Data, C: Data> {
     id: usize,
     dep: Arc<ShuffleDep<K, V, C>>,
     reduce_side_combine: bool,
@@ -430,7 +430,7 @@ where
 /// holds, for every key hashing to `p`, the values from both sides. A
 /// side whose input is already co-partitioned is a narrow dependency
 /// (Spark's `CoGroupedRDD` with a matching partitioner).
-pub struct CoGroupedRdd<K: Key, V: Data, W: Data> {
+pub(crate) struct CoGroupedRdd<K: Key, V: Data, W: Data> {
     id: usize,
     left: CoSide<K, V>,
     right: CoSide<K, W>,
@@ -706,7 +706,7 @@ where
     /// partitioned by `partitioner` is read through a narrow one-to-one
     /// dependency — no shuffle-map stage, no shuffle bytes. Two
     /// co-partitioned inputs make this a zero-shuffle narrow stage.
-    pub fn cogroup_by<W: Data + EstimateSize>(
+    pub(crate) fn cogroup_by<W: Data + EstimateSize>(
         &self,
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
@@ -746,7 +746,7 @@ where
     }
 
     /// `join` with an explicit partitioner; co-partitioned sides skip
-    /// their shuffle (see [`Rdd::cogroup_by`]). A key with a single value
+    /// their shuffle (see `Rdd::cogroup_by`). A key with a single value
     /// on one side — the MTTKRP case, one factor row per index — *moves*
     /// every value of the other side into its pair instead of cloning it;
     /// only many-to-many keys pay the full cross product of clones.

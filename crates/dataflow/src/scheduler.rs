@@ -49,7 +49,7 @@ use std::sync::Arc;
 /// Type-erased stage output (a shuffle map output, or a result task's
 /// value), produced by a [`StagePlan`]'s compute half inside a task and
 /// consumed by its commit half on the driver.
-pub type StageOutput = Box<dyn Any + Send>;
+pub(crate) type StageOutput = Box<dyn Any + Send>;
 
 /// Executable plan for one stage: a shuffle-map stage, built by
 /// [`ShuffleDependency::map_stage`], or an action's result stage.
@@ -59,7 +59,7 @@ pub type StageOutput = Box<dyn Any + Send>;
 /// task and returns the output plus the record count; `commit` publishes
 /// the winning attempt's output from the driver — to the shuffle service,
 /// or into the action's result — exactly once per partition.
-pub struct StagePlan<'a> {
+pub(crate) struct StagePlan<'a> {
     /// Stage name, e.g. `shuffle-map(reduce_by_key)` or `collect(map)`.
     pub name: String,
     /// Partitions to compute: for a shuffle-map stage the map partitions
@@ -97,7 +97,7 @@ pub struct Stage {
     dep: Arc<dyn ShuffleDependency>,
 }
 
-/// The stage DAG for one action, built once from lineage by [`Job::plan`].
+/// The stage DAG for one action, built once from lineage by `Job::plan`.
 pub struct Job {
     /// Stages in topological (post-)order.
     pub stages: Vec<Stage>,
@@ -111,7 +111,7 @@ pub struct Job {
 impl Job {
     /// Builds the stage DAG for an action on `root` without executing
     /// anything: a pure graph-construction pass over the lineage.
-    pub fn plan(cluster: &Cluster, root: &Arc<dyn NodeInfo>) -> Job {
+    pub(crate) fn plan(cluster: &Cluster, root: &Arc<dyn NodeInfo>) -> Job {
         let mut builder = Builder {
             cluster,
             stages: Vec::new(),

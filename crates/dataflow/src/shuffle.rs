@@ -28,7 +28,6 @@ use std::sync::Arc;
 struct MapOutput {
     buckets: Box<dyn Any + Send + Sync>,
     bucket_bytes: Vec<u64>,
-    bucket_records: Vec<u64>,
     total_bytes: u64,
     /// Insertion order, for oldest-first spill.
     tick: u64,
@@ -65,7 +64,7 @@ impl SvcInner {
 /// service (`Arc`), so fetching is O(1) per bucket instead of an
 /// `nnz × R`-sized deep copy under the service lock; readers that need
 /// ownership copy outside the lock.
-pub struct FetchedBucket<T> {
+pub(crate) struct FetchedBucket<T> {
     /// Which map partition produced the bucket.
     pub map_partition: usize,
     /// The records, shared with the shuffle store.
@@ -94,7 +93,7 @@ impl ShuffleService {
 
     /// Creates a service with an optional byte budget for in-memory map
     /// outputs, reporting spills to `metrics`.
-    pub fn with_budget(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_budget(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
         ShuffleService {
             budget,
             metrics: Some(metrics),
@@ -180,7 +179,6 @@ impl ShuffleService {
         if data.map_outputs[map_partition].is_some() {
             return;
         }
-        let bucket_records = buckets.iter().map(|b| b.len() as u64).collect();
         let total_bytes = bucket_bytes.iter().sum();
         // Arc-wrap each bucket so reads hand out shared references
         // instead of deep copies.
@@ -188,7 +186,6 @@ impl ShuffleService {
         data.map_outputs[map_partition] = Some(MapOutput {
             buckets: Box::new(buckets),
             bucket_bytes,
-            bucket_records,
             total_bytes,
             tick,
             spilled: false,
@@ -198,7 +195,7 @@ impl ShuffleService {
     }
 
     /// Whether every map output for `shuffle_id` has been stored.
-    pub fn is_complete(&self, shuffle_id: usize) -> bool {
+    pub(crate) fn is_complete(&self, shuffle_id: usize) -> bool {
         let inner = self.inner.lock();
         inner
             .shuffles
@@ -207,15 +204,10 @@ impl ShuffleService {
             .unwrap_or(false)
     }
 
-    /// Whether the shuffle id is known at all.
-    pub fn contains(&self, shuffle_id: usize) -> bool {
-        self.inner.lock().shuffles.contains_key(&shuffle_id)
-    }
-
     /// Map partitions of `shuffle_id` whose output is absent (never
     /// written, or lost to a simulated node failure). Unregistered
     /// shuffles report an empty list.
-    pub fn missing_map_outputs(&self, shuffle_id: usize) -> Vec<usize> {
+    pub(crate) fn missing_map_outputs(&self, shuffle_id: usize) -> Vec<usize> {
         let inner = self.inner.lock();
         inner
             .shuffles
@@ -273,7 +265,7 @@ impl ShuffleService {
     ///
     /// Panics if the shuffle is missing, incomplete, or was written with a
     /// different record type.
-    pub fn read<T: Send + Sync + 'static>(
+    pub(crate) fn read<T: Send + Sync + 'static>(
         &self,
         shuffle_id: usize,
         reduce_partition: usize,
@@ -316,23 +308,6 @@ impl ShuffleService {
             }
         }
         fetched
-    }
-
-    /// Records stored for one reduce partition across all map outputs
-    /// (metadata only; no clone).
-    pub fn reduce_partition_records(&self, shuffle_id: usize, reduce_partition: usize) -> u64 {
-        let inner = self.inner.lock();
-        inner
-            .shuffles
-            .get(&shuffle_id)
-            .map(|d| {
-                d.map_outputs
-                    .iter()
-                    .flatten()
-                    .map(|o| o.bucket_records[reduce_partition])
-                    .sum()
-            })
-            .unwrap_or(0)
     }
 
     /// Settles the ledger for every output of the removed `shuffles`
@@ -413,8 +388,6 @@ mod tests {
         let r1 = svc.read::<(u32, f64)>(1, 1);
         assert_eq!(*r1[0].records, vec![(2, 2.0)]);
         assert!(r1[1].records.is_empty());
-        assert_eq!(svc.reduce_partition_records(1, 0), 2);
-        assert_eq!(svc.reduce_partition_records(1, 1), 1);
     }
 
     #[test]

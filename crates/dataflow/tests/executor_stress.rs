@@ -7,9 +7,8 @@
 mod common;
 
 use common::within;
-use cstf_dataflow::executor::{Executor, RunPolicy, SpeculationPolicy};
 use cstf_dataflow::prelude::*;
-use cstf_dataflow::{CancelToken, RunStats, TaskError, WaveError};
+use cstf_dataflow::{CancelToken, Executor, RunStats, TaskError, WaveError};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};

@@ -2,7 +2,9 @@
 //! partition_by_range, the broadcast-join idiom, the pinned emit sequence
 //! of every keyed operator and the join's clone count.
 
-use cstf_dataflow::{Cluster, ClusterConfig, EstimateSize, KernelOps, KernelStrategy, Rdd};
+use cstf_dataflow::{
+    Cluster, ClusterConfig, EstimateSize, KernelOps, KernelStrategy, RangePartitioner, Rdd,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,7 +54,6 @@ fn sort_by_key_handles_skewed_and_tiny_inputs() {
 
 #[test]
 fn partition_by_range_places_ranges_contiguously() {
-    use cstf_dataflow::partitioner::RangePartitioner;
     let c = cluster();
     let data: Vec<(u32, ())> = (0..90u32).map(|k| (k, ())).collect();
     let rdd = c

@@ -8,9 +8,7 @@
 mod common;
 
 use common::within;
-use cstf_dataflow::cache::BlockManager;
-use cstf_dataflow::shuffle::ShuffleService;
-use cstf_dataflow::{MetricsRegistry, StorageLevel};
+use cstf_dataflow::{BlockManager, MetricsRegistry, ShuffleService, StorageLevel};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -54,8 +54,9 @@
 //!
 //! # Critical-path aggregation
 //!
-//! Stages recorded by the [`cstf_dataflow::scheduler`] carry their job's
-//! DAG (parents and wave). [`TimeModel::job_time`] prices each such job as
+//! Stages recorded by the engine's DAG scheduler ([`cstf_dataflow::Job`])
+//! carry their job's DAG (parents and wave). [`TimeModel::job_time`]
+//! prices each such job as
 //! the **critical path** through its stage graph — independent stages of a
 //! wave overlap, so the job costs the longest parent-to-result chain, not
 //! the sum of all stages. Stages recorded outside the scheduler (synthetic
@@ -72,7 +73,7 @@ pub use sim::TimeModel;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cstf_dataflow::metrics::{Counters, Event, JobOutcomeKind, Meter, Note, StageDag};
+    use cstf_dataflow::{Counters, Event, JobOutcomeKind, Meter, Note, StageDag};
     use cstf_dataflow::{JobMetrics, JobRecord, StageKind, StageMetrics};
 
     /// The engine's pinned log holding every event kind (two scopes, two

@@ -1,7 +1,7 @@
 //! [`TimeModel`]: the cost model of the crate docs, and its report view.
 
-use cstf_dataflow::hash::{FxHashMap, FxHashSet};
-use cstf_dataflow::metrics::{Event, Meter, Note};
+use cstf_dataflow::{Event, Meter, Note};
+use cstf_dataflow::{FxHashMap, FxHashSet};
 use cstf_dataflow::{JobMetrics, StageMetrics};
 
 /// Cost-model parameters converting measured work into simulated seconds.
@@ -156,8 +156,8 @@ impl TimeModel {
 
     /// Simulated seconds for an entire recorded job log.
     ///
-    /// Jobs recorded by the [`cstf_dataflow::scheduler`] (stages carrying
-    /// a [`cstf_dataflow::metrics::StageDag`]) are priced as the critical
+    /// Jobs recorded by the DAG scheduler ([`cstf_dataflow::Job`]; stages
+    /// carrying a [`cstf_dataflow::StageDag`]) are priced as the critical
     /// path through their stage graph — see [`TimeModel::job_critical_path`],
     /// charged where the job's first stage appears; everything else
     /// (DAG-less stages, disk, broadcast, spill events) is summed serially.
@@ -279,8 +279,8 @@ fn infer_nodes(metrics: &JobMetrics) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cstf_dataflow::metrics::{Counters, StageDag};
     use cstf_dataflow::StageKind;
+    use cstf_dataflow::{Counters, StageDag};
 
     /// An empty stage of `nodes` nodes, as the engine opens one.
     fn open(stage_id: usize, scope: &str, kind: StageKind, nodes: usize) -> StageMetrics {

@@ -52,7 +52,7 @@ impl CooTensor {
     }
 
     /// Creates an empty tensor and reserves room for `nnz` nonzeros.
-    pub fn with_capacity(shape: Vec<u32>, nnz: usize) -> Self {
+    pub(crate) fn with_capacity(shape: Vec<u32>, nnz: usize) -> Self {
         let mut t = CooTensor::new(shape);
         t.indices.reserve(nnz * t.order());
         t.values.reserve(nnz);
@@ -198,7 +198,7 @@ impl CooTensor {
     }
 
     /// Sum of squared values, `‖X‖²_F`.
-    pub fn norm_squared(&self) -> f64 {
+    pub(crate) fn norm_squared(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum()
     }
 
@@ -208,7 +208,7 @@ impl CooTensor {
     }
 
     /// Checks that every stored coordinate is within bounds.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let n = self.order();
         if self.indices.len() != self.values.len() * n {
             return Err(TensorError::ShapeMismatch(format!(
@@ -248,7 +248,7 @@ impl CooTensor {
     }
 
     /// Sorts nonzeros in plain lexicographic coordinate order.
-    pub fn sort_lexicographic(&mut self) {
+    pub(crate) fn sort_lexicographic(&mut self) {
         self.sort_by_mode(0);
     }
 
@@ -295,40 +295,6 @@ impl CooTensor {
         self.values.truncate(keep);
     }
 
-    /// Returns a tensor with modes reordered by `perm` (`perm[d]` is the old
-    /// mode that becomes new mode `d`).
-    pub fn permute_modes(&self, perm: &[usize]) -> Result<Self> {
-        let n = self.order();
-        if perm.len() != n {
-            return Err(TensorError::ShapeMismatch(format!(
-                "permutation has {} entries for order-{} tensor",
-                perm.len(),
-                n
-            )));
-        }
-        let mut seen = vec![false; n];
-        for &p in perm {
-            if p >= n || seen[p] {
-                return Err(TensorError::ShapeMismatch(format!(
-                    "invalid mode permutation {perm:?}"
-                )));
-            }
-            seen[p] = true;
-        }
-        let shape = perm.iter().map(|&p| self.shape[p]).collect();
-        let mut indices = Vec::with_capacity(self.indices.len());
-        for coord in self.indices.chunks_exact(n) {
-            for &p in perm {
-                indices.push(coord[p]);
-            }
-        }
-        Ok(CooTensor {
-            shape,
-            indices,
-            values: self.values.clone(),
-        })
-    }
-
     /// Histogram of nonzero counts per index of `mode` — useful for
     /// inspecting load balance of a mode-keyed partitioning.
     pub fn mode_histogram(&self, mode: usize) -> Vec<u64> {
@@ -363,7 +329,7 @@ impl CooTensor {
     }
 
     /// Linear offset of `coord` in the row-major dense layout.
-    pub fn linear_index(&self, coord: &[u32]) -> usize {
+    pub(crate) fn linear_index(&self, coord: &[u32]) -> usize {
         let mut off = 0usize;
         for (d, &i) in coord.iter().enumerate() {
             off = off * self.shape[d] as usize + i as usize;
@@ -402,59 +368,9 @@ impl CooTensor {
         Ok(t)
     }
 
-    /// Remaps every mode's indices onto a dense `0..k` range, dropping
-    /// unused indices (crawled FROSTT tensors have gappy id spaces).
-    /// Returns the compacted tensor plus, per mode, the original index
-    /// each new index stands for.
-    ///
-    /// ```
-    /// use cstf_tensor::CooTensor;
-    ///
-    /// let t = CooTensor::from_entries(
-    ///     vec![100, 50],
-    ///     vec![(vec![7, 40], 1.0), (vec![99, 3], 2.0)],
-    /// ).unwrap();
-    /// let (compact, maps) = t.compact_modes();
-    /// assert_eq!(compact.shape(), &[2, 2]);
-    /// assert_eq!(maps[0], vec![7, 99]);  // new index 0 was 7, 1 was 99
-    /// assert_eq!(compact.coord(1), &[1, 0]);
-    /// ```
-    pub fn compact_modes(&self) -> (CooTensor, Vec<Vec<u32>>) {
-        let order = self.order();
-        // Per mode: sorted list of used indices and old→new lookup.
-        let mut maps: Vec<Vec<u32>> = Vec::with_capacity(order);
-        let mut lookups: Vec<std::collections::HashMap<u32, u32>> = Vec::with_capacity(order);
-        for mode in 0..order {
-            let mut used: Vec<u32> = self
-                .iter()
-                .map(|(c, _)| c[mode])
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            used.sort_unstable();
-            let lookup = used
-                .iter()
-                .enumerate()
-                .map(|(new, &old)| (old, new as u32))
-                .collect();
-            maps.push(used);
-            lookups.push(lookup);
-        }
-        let shape: Vec<u32> = maps.iter().map(|m| m.len().max(1) as u32).collect();
-        let mut out = CooTensor::with_capacity(shape, self.nnz());
-        let mut coord = vec![0u32; order];
-        for (c, v) in self.iter() {
-            for (m, slot) in coord.iter_mut().enumerate() {
-                *slot = lookups[m][&c[m]];
-            }
-            out.push(&coord, v).expect("compacted coordinate in bounds");
-        }
-        (out, maps)
-    }
-
     /// Splits the nonzeros into `parts` nearly equal contiguous chunks,
     /// preserving storage order. Used to parallelize scans.
-    pub fn chunks(&self, parts: usize) -> Vec<CooTensor> {
+    pub(crate) fn chunks(&self, parts: usize) -> Vec<CooTensor> {
         assert!(parts > 0);
         let n = self.order();
         let nnz = self.nnz();
@@ -625,25 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_modes_roundtrip() {
-        let t = small();
-        let p = t.permute_modes(&[2, 0, 1]).unwrap();
-        assert_eq!(p.shape(), &[4, 2, 3]);
-        assert_eq!(p.coord(1), &[3, 1, 2]);
-        // Applying the inverse permutation restores the original.
-        let back = p.permute_modes(&[1, 2, 0]).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn permute_modes_rejects_invalid() {
-        let t = small();
-        assert!(t.permute_modes(&[0, 1]).is_err());
-        assert!(t.permute_modes(&[0, 0, 1]).is_err());
-        assert!(t.permute_modes(&[0, 1, 3]).is_err());
-    }
-
-    #[test]
     fn mode_histogram_counts() {
         let t = small();
         assert_eq!(t.mode_histogram(0), vec![2, 1]);
@@ -670,40 +567,6 @@ mod tests {
         let dense = vec![0.5, -0.1, 2.0, 0.0];
         let t = CooTensor::from_dense(vec![2, 2], &dense, 0.25).unwrap();
         assert_eq!(t.nnz(), 2);
-    }
-
-    #[test]
-    fn compact_modes_drops_gaps_and_preserves_values() {
-        let t = CooTensor::from_entries(
-            vec![1000, 1000, 1000],
-            vec![
-                (vec![5, 900, 17], 1.0),
-                (vec![500, 900, 42], 2.0),
-                (vec![5, 3, 42], 3.0),
-            ],
-        )
-        .unwrap();
-        let (c, maps) = t.compact_modes();
-        assert_eq!(c.shape(), &[2, 2, 2]);
-        assert_eq!(maps[0], vec![5, 500]);
-        assert_eq!(maps[1], vec![3, 900]);
-        assert_eq!(maps[2], vec![17, 42]);
-        // Values and relative structure survive; density improves.
-        assert_eq!(c.nnz(), 3);
-        assert!(c.density() > t.density() * 1000.0);
-        // Round-trip one coordinate through the maps.
-        let (cc, v) = c.iter().nth(1).map(|(c, v)| (c.to_vec(), v)).unwrap();
-        let orig: Vec<u32> = cc.iter().zip(&maps).map(|(&i, m)| m[i as usize]).collect();
-        assert_eq!(t.iter().nth(1).unwrap(), (orig.as_slice(), v));
-    }
-
-    #[test]
-    fn compact_modes_of_empty_tensor() {
-        let t = CooTensor::new(vec![10, 10]);
-        let (c, maps) = t.compact_modes();
-        assert_eq!(c.nnz(), 0);
-        assert_eq!(c.shape(), &[1, 1]); // extents floored at 1
-        assert!(maps.iter().all(|m| m.is_empty()));
     }
 
     #[test]

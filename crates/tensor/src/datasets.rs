@@ -105,7 +105,7 @@ impl DatasetSpec {
 
     /// Mode sizes after dividing by `scale` (minimum extent 2; the tiny
     /// `flickr` date mode shrinks more slowly so it never collapses).
-    pub fn scaled_shape(&self, scale: f64) -> Vec<u32> {
+    pub(crate) fn scaled_shape(&self, scale: f64) -> Vec<u32> {
         assert!(scale >= 1.0, "scale must be ≥ 1");
         self.full_shape
             .iter()
@@ -119,7 +119,7 @@ impl DatasetSpec {
     }
 
     /// Nonzero count after dividing by `scale`, floored at 64.
-    pub fn scaled_nnz(&self, scale: f64) -> usize {
+    pub(crate) fn scaled_nnz(&self, scale: f64) -> usize {
         (((self.full_nnz as f64) / scale).ceil() as usize).max(64)
     }
 

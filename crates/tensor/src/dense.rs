@@ -37,7 +37,7 @@ impl DenseMatrix {
     }
 
     /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = DenseMatrix::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;

@@ -1,4 +1,5 @@
-//! Khatri-Rao and Kronecker products.
+//! Khatri-Rao products (and, in the tests, the Kronecker product they are
+//! checked against).
 //!
 //! CSTF's whole point is to *avoid* materializing these ("the result matrix
 //! of explicitly constructing the Khatri-Rao product C ⊙ B is a dense matrix
@@ -57,29 +58,30 @@ pub fn khatri_rao_all(mats: &[&DenseMatrix]) -> Result<DenseMatrix> {
     Ok(acc)
 }
 
-/// Kronecker product `A ⊗ B` (`(I·K) × (J·L)` for `A: I×J`, `B: K×L`).
-pub fn kronecker(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(a.rows() * b.rows(), a.cols() * b.cols());
-    for ia in 0..a.rows() {
-        for ja in 0..a.cols() {
-            let s = a.get(ia, ja);
-            if s == 0.0 {
-                continue;
-            }
-            for ib in 0..b.rows() {
-                for jb in 0..b.cols() {
-                    out.set(ia * b.rows() + ib, ja * b.cols() + jb, s * b.get(ib, jb));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// Reference Kronecker product `A ⊗ B` (`(I·K) × (J·L)` for `A: I×J`,
+    /// `B: K×L`): Khatri-Rao columns are its columns.
+    fn kronecker(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(a.rows() * b.rows(), a.cols() * b.cols());
+        for ia in 0..a.rows() {
+            for ja in 0..a.cols() {
+                let s = a.get(ia, ja);
+                if s == 0.0 {
+                    continue;
+                }
+                for ib in 0..b.rows() {
+                    for jb in 0..b.cols() {
+                        out.set(ia * b.rows() + ib, ja * b.cols() + jb, s * b.get(ib, jb));
+                    }
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn khatri_rao_small_known() {

@@ -69,7 +69,7 @@ impl KruskalTensor {
 
     /// Squared Frobenius norm of the reconstruction, computed *without*
     /// materializing it: `‖X̂‖² = λᵀ (∗_m AₘᵀAₘ) λ`.
-    pub fn norm_squared(&self) -> f64 {
+    pub(crate) fn norm_squared(&self) -> f64 {
         let r = self.rank();
         if r == 0 {
             return 0.0;
@@ -91,7 +91,7 @@ impl KruskalTensor {
 
     /// Inner product `⟨X, X̂⟩` with a sparse tensor, summing only over the
     /// stored nonzeros of `X`.
-    pub fn inner_with(&self, x: &CooTensor) -> Result<f64> {
+    pub(crate) fn inner_with(&self, x: &CooTensor) -> Result<f64> {
         if x.shape() != self.shape().as_slice() {
             return Err(TensorError::ShapeMismatch(format!(
                 "tensor shape {:?} vs Kruskal shape {:?}",
@@ -143,7 +143,7 @@ impl KruskalTensor {
 
     /// Normalizes all factor columns to unit norm, folding the norms into
     /// the weights. Idempotent.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         for f in &mut self.factors {
             let norms = f.normalize_columns();
             for (w, n) in self.weights.iter_mut().zip(norms) {

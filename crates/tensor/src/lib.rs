@@ -6,8 +6,8 @@
 //! * [`CooTensor`] — an N-order sparse tensor in coordinate (COO) storage,
 //!   the format CSTF operates on directly (paper §4.1).
 //! * [`DenseMatrix`] — row-major dense matrices used for the CP factor
-//!   matrices, with the operations CP-ALS needs (gram, Hadamard, Khatri-Rao,
-//!   column normalization).
+//!   matrices, with the operations CP-ALS needs (gram, Hadamard, column
+//!   normalization).
 //! * [`linalg`] — small-matrix routines: Cholesky, Jacobi symmetric
 //!   eigendecomposition and the Moore–Penrose pseudoinverse used in the
 //!   CP-ALS normal equations (Algorithm 1/3 of the paper).
@@ -18,27 +18,45 @@
 //!   implementations.
 //! * [`random`] / [`datasets`] — seeded synthetic tensor generators,
 //!   including scaled-down stand-ins for the FROSTT datasets of Table 5.
+//! * [`spmv`] — DFacTo's fiber keys and matricized views, the substrate of
+//!   the distributed SpMV strategy in `cstf-core`; [`unfold_strides`] /
+//!   [`unfold_column`] — the mode-`n` unfolding the BIGtensor baseline
+//!   keys by; [`io`] — FROSTT `.tns` files.
+//!
+//! Those names, the modules above and the pieces of the reference
+//! unfolded MTTKRP that the property tests check ([`khatri_rao`],
+//! [`khatri_rao_all`], [`matricize`]) are the whole public surface;
+//! everything else is private to the crate.
 //!
 //! Everything is `f64` ("all the experiments are performed in double
 //! precision", paper §6.1) and deterministic given a seed.
 
 #![warn(missing_docs)]
 
-pub mod coo;
+// `perf/` names these six modules by path; the rest are private and reach
+// users only through the re-exports below.
 pub mod datasets;
-pub mod dense;
 pub mod io;
-pub mod kr;
-pub mod kruskal;
 pub mod linalg;
-pub mod matricize;
 pub mod mttkrp;
 pub mod random;
 pub mod spmv;
 
+mod coo;
+mod dense;
+mod kr;
+mod kruskal;
+mod matricize;
+
 pub use coo::CooTensor;
 pub use dense::DenseMatrix;
 pub use kruskal::KruskalTensor;
+pub use matricize::{unfold_column, unfold_strides};
+
+// Named only by the property tests, which check the explicit products and
+// the unfolding that the reference `mttkrp::mttkrp_unfolded` is built from.
+pub use kr::{khatri_rao, khatri_rao_all};
+pub use matricize::matricize;
 
 /// Errors produced by tensor construction, I/O and linear algebra.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,11 +15,11 @@ use crate::{DenseMatrix, Result, TensorError};
 /// eigenvalue much smaller than `1e-10·λ_max` would amplify that noise
 /// past the residual tolerances CP-ALS relies on, so such directions are
 /// treated as genuine rank deficiency instead.
-pub const PINV_RCOND: f64 = 1e-10;
+pub(crate) const PINV_RCOND: f64 = 1e-10;
 
 /// Cholesky factorization of a symmetric positive-definite matrix:
 /// returns lower-triangular `L` with `L·Lᵀ = A`.
-pub fn cholesky(a: &DenseMatrix) -> Result<DenseMatrix> {
+pub(crate) fn cholesky(a: &DenseMatrix) -> Result<DenseMatrix> {
     if a.rows() != a.cols() {
         return Err(TensorError::ShapeMismatch(format!(
             "cholesky of non-square {}x{}",
@@ -90,7 +90,7 @@ pub fn solve_spd(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 ///
 /// Returns `(eigenvalues, V)` with `A = V · diag(λ) · Vᵀ` and orthonormal
 /// columns in `V`. Eigenvalues are sorted descending.
-pub fn jacobi_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, DenseMatrix)> {
+pub(crate) fn jacobi_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, DenseMatrix)> {
     if a.rows() != a.cols() {
         return Err(TensorError::ShapeMismatch(format!(
             "eigendecomposition of non-square {}x{}",

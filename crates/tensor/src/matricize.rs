@@ -34,7 +34,7 @@ impl SparseMatrix {
     /// Dense product `self · rhs` (`rows × rhs.cols`). `rhs` must have
     /// `self.cols` rows — only usable when the unfolded column space is
     /// small (tests and the intermediate-blowup demo).
-    pub fn matmul_dense(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
+    pub(crate) fn matmul_dense(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
         if self.cols != rhs.rows() as u64 {
             return Err(TensorError::ShapeMismatch(format!(
                 "sparse {}x{} · dense {}x{}",

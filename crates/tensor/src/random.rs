@@ -24,7 +24,7 @@ pub enum IndexDistribution {
 /// Popularity rank equals index (index 0 is the most popular); callers that
 /// want scattered hubs can post-permute.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     cdf: Vec<f64>,
 }
 
@@ -34,7 +34,7 @@ impl ZipfSampler {
     /// # Panics
     ///
     /// Panics if `n == 0` or `s <= 0`.
-    pub fn new(n: u32, s: f64) -> Self {
+    pub(crate) fn new(n: u32, s: f64) -> Self {
         assert!(n > 0, "ZipfSampler over empty range");
         assert!(s > 0.0, "Zipf exponent must be positive");
         let mut cdf = Vec::with_capacity(n as usize);
@@ -51,7 +51,7 @@ impl ZipfSampler {
     }
 
     /// Draws one index.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.gen();
         // partition_point returns the count of entries < u, i.e. the first
         // index whose cumulative mass reaches u.
@@ -102,7 +102,7 @@ impl RandomTensor {
     }
 
     /// Index distribution (default uniform).
-    pub fn distribution(mut self, d: IndexDistribution) -> Self {
+    pub(crate) fn distribution(mut self, d: IndexDistribution) -> Self {
         self.distribution = d;
         self
     }
@@ -180,7 +180,7 @@ impl RandomTensor {
 
 /// Generates a random rank-`rank` Kruskal tensor with the given shape:
 /// normalized random factors and weights in `[1, 2)`.
-pub fn random_kruskal(shape: &[u32], rank: usize, seed: u64) -> KruskalTensor {
+pub(crate) fn random_kruskal(shape: &[u32], rank: usize, seed: u64) -> KruskalTensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let factors: Vec<DenseMatrix> = shape
         .iter()

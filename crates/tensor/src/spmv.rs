@@ -29,18 +29,14 @@
 //! * [`SpmvView`] — the CSR-like matricized view for the first SpMV of a
 //!   mode, sorted by fiber id (the layout the sorted-runs kernels combine
 //!   in linear passes).
-//! * [`mttkrp_spmv`] — the sequential reference chain, validated against
-//!   [`crate::mttkrp::mttkrp`] and anchoring the distributed strategy's
-//!   correctness tests.
 
 use crate::matricize::unfold_strides;
 use crate::{CooTensor, DenseMatrix, Result, TensorError};
-use std::collections::BTreeMap;
 
 /// The contraction (SpMV) order the DFacTo chain uses for output mode
 /// `mode`: all non-target modes, descending — identical to CSTF's COO join
 /// order, so both strategies walk factors in the same sequence.
-pub fn contraction_order(order: usize, mode: usize) -> Vec<usize> {
+pub(crate) fn contraction_order(order: usize, mode: usize) -> Vec<usize> {
     (0..order).rev().filter(|&m| m != mode).collect()
 }
 
@@ -110,17 +106,6 @@ impl FiberSpace {
     /// two keys collide iff their remaining fibers are equal.
     pub fn drop_mode(&self, key: u64, m: usize) -> u64 {
         key - self.extract(key, m) as u64 * self.strides[m]
-    }
-
-    /// Upper bound on distinct fiber keys (the dense fiber count
-    /// `Π_{m ≠ contract} Iₘ`).
-    pub fn dense_fiber_bound(&self) -> u64 {
-        self.shape
-            .iter()
-            .enumerate()
-            .filter(|&(m, _)| m != self.contract_mode)
-            .map(|(_, &s)| s as u64)
-            .product()
     }
 }
 
@@ -201,7 +186,7 @@ impl SpmvView {
 
     /// Number of distinct fibers — the row count of the matricized view,
     /// and the `F` term of the DFacTo cost model.
-    pub fn fiber_count(&self) -> usize {
+    pub(crate) fn fiber_count(&self) -> usize {
         self.fiber_ids.len()
     }
 
@@ -253,93 +238,10 @@ pub fn fiber_counts(t: &CooTensor, mode: usize) -> Result<Vec<usize>> {
     Ok(counts)
 }
 
-/// Sequential DFacTo MTTKRP: the full SpMV chain for target mode `mode`.
-///
-/// Matches [`crate::mttkrp::mttkrp`] up to floating-point reassociation
-/// (the summation tree differs — fibers first, nonzeros second — so the
-/// agreement is within tolerance, not bitwise). `factors[mode]` is ignored
-/// except for shape checking.
-pub fn mttkrp_spmv(t: &CooTensor, factors: &[&DenseMatrix], mode: usize) -> Result<DenseMatrix> {
-    if factors.len() != t.order() {
-        return Err(TensorError::ShapeMismatch(format!(
-            "got {} factor matrices for an order-{} tensor",
-            factors.len(),
-            t.order()
-        )));
-    }
-    let view = SpmvView::build(t, mode)?;
-    let rank = factors[0].cols();
-    for (m, f) in factors.iter().enumerate() {
-        if f.cols() != rank || f.rows() != t.shape()[m] as usize {
-            return Err(TensorError::ShapeMismatch(format!(
-                "factor {m} is {}x{}, expected {}x{rank}",
-                f.rows(),
-                f.cols(),
-                t.shape()[m]
-            )));
-        }
-    }
-    let chain = contraction_order(t.order(), mode);
-
-    // SpMV 1: contract the first mode through the CSR view.
-    let mut rows = view.spmv(factors[chain[0]])?;
-
-    // SpMV 2..N−1: multiply each fiber row by the next factor row and sum
-    // over the contracted component. BTreeMap keeps the reduction
-    // deterministic (ascending reduced-fiber order).
-    for &m in &chain[1..] {
-        let mut reduced: BTreeMap<u64, Box<[f64]>> = BTreeMap::new();
-        for (key, row) in rows {
-            let i = view.space.extract(key, m);
-            let frow = factors[m].row(i as usize);
-            let next_key = view.space.drop_mode(key, m);
-            match reduced.entry(next_key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    let mut prod = row;
-                    for (p, &x) in prod.iter_mut().zip(frow) {
-                        *p *= x;
-                    }
-                    e.insert(prod);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let acc = e.get_mut();
-                    for ((a, &r), &x) in acc.iter_mut().zip(row.iter()).zip(frow) {
-                        *a += r * x;
-                    }
-                }
-            }
-        }
-        rows = reduced.into_iter().collect();
-    }
-
-    // After contracting every non-target mode the key is the target index
-    // alone (times its stride).
-    let mut out = DenseMatrix::zeros(t.shape()[mode] as usize, rank);
-    for (key, row) in rows {
-        let i = view.space.extract(key, mode) as usize;
-        out.row_mut(i).copy_from_slice(&row);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mttkrp::mttkrp as mttkrp_ref;
     use crate::random::RandomTensor;
-    use rand::{rngs::StdRng, SeedableRng};
-
-    fn factors_for(t: &CooTensor, rank: usize, seed: u64) -> Vec<DenseMatrix> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        t.shape()
-            .iter()
-            .map(|&s| DenseMatrix::random(s as usize, rank, &mut rng))
-            .collect()
-    }
-
-    fn refs(f: &[DenseMatrix]) -> Vec<&DenseMatrix> {
-        f.iter().collect()
-    }
 
     #[test]
     fn contraction_order_matches_join_order() {
@@ -364,7 +266,6 @@ mod tests {
         let dropped = space.drop_mode(key, 2);
         assert_eq!(dropped, 3 + 2 * 4);
         assert_eq!(space.extract(dropped, 0), 3);
-        assert_eq!(space.dense_fiber_bound(), 4 * 5 * 6);
     }
 
     #[test]
@@ -428,50 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_all_modes_order3() {
-        let t = RandomTensor::new(vec![8, 7, 9]).nnz(120).seed(5).build();
-        let f = factors_for(&t, 3, 11);
-        for mode in 0..3 {
-            let spmv = mttkrp_spmv(&t, &refs(&f), mode).unwrap();
-            let reference = mttkrp_ref(&t, &refs(&f), mode).unwrap();
-            let diff = spmv.max_abs_diff(&reference);
-            assert!(diff < 1e-10, "mode {mode}: diff {diff}");
-        }
-    }
-
-    #[test]
-    fn matches_reference_all_modes_order4_and_5() {
-        for (shape, nnz, seed) in [
-            (vec![5u32, 6, 4, 3], 80usize, 6u64),
-            (vec![4, 3, 5, 3, 4], 60, 7),
-        ] {
-            let t = RandomTensor::new(shape).nnz(nnz).seed(seed).build();
-            let f = factors_for(&t, 2, 13);
-            for mode in 0..t.order() {
-                let spmv = mttkrp_spmv(&t, &refs(&f), mode).unwrap();
-                let reference = mttkrp_ref(&t, &refs(&f), mode).unwrap();
-                assert!(
-                    spmv.max_abs_diff(&reference) < 1e-10,
-                    "order {} mode {mode}",
-                    t.order()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_order2() {
-        // Order 2 degenerates to a single SpMV: M = X · A_other.
-        let t = RandomTensor::new(vec![6, 8]).nnz(20).seed(9).build();
-        let f = factors_for(&t, 2, 15);
-        for mode in 0..2 {
-            let spmv = mttkrp_spmv(&t, &refs(&f), mode).unwrap();
-            let reference = mttkrp_ref(&t, &refs(&f), mode).unwrap();
-            assert!(spmv.max_abs_diff(&reference) < 1e-10, "mode {mode}");
-        }
-    }
-
-    #[test]
     fn fiber_counts_shrink_along_chain() {
         let t = RandomTensor::new(vec![6, 5, 4, 3]).nnz(150).seed(8).build();
         let counts = fiber_counts(&t, 0).unwrap();
@@ -499,8 +356,6 @@ mod tests {
     fn rejects_bad_inputs() {
         let t = RandomTensor::new(vec![4, 4, 4]).nnz(10).seed(1).build();
         assert!(SpmvView::build(&t, 3).is_err());
-        let f = factors_for(&t, 2, 2);
-        assert!(mttkrp_spmv(&t, &refs(&f)[..2], 0).is_err());
         let v = SpmvView::build(&t, 0).unwrap();
         let wrong = DenseMatrix::zeros(7, 2);
         assert!(v.spmv(&wrong).is_err());

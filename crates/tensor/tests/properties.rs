@@ -2,11 +2,10 @@
 //! round-trips, algebraic identities, and MTTKRP equivalences on
 //! arbitrary inputs.
 
-use cstf_tensor::kr::{khatri_rao, khatri_rao_all};
 use cstf_tensor::linalg::{pinv_symmetric, solve_normal_equations};
-use cstf_tensor::matricize::{matricize, unfold_column, unfold_strides};
 use cstf_tensor::mttkrp::{mttkrp, mttkrp_unfolded};
 use cstf_tensor::random::RandomTensor;
+use cstf_tensor::{khatri_rao, khatri_rao_all, matricize, unfold_column, unfold_strides};
 use cstf_tensor::{CooTensor, DenseMatrix};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -73,17 +72,6 @@ proptest! {
         for (c, _) in deduped.iter() {
             prop_assert!(seen.insert(c.to_vec()));
         }
-    }
-
-    /// Mode permutation is invertible and preserves dense content.
-    #[test]
-    fn permute_modes_roundtrip(t in arb_tensor()) {
-        let order = t.order();
-        let perm: Vec<usize> = (0..order).rev().collect();
-        let p = t.permute_modes(&perm).unwrap();
-        // inverse of reversal is reversal
-        let back = p.permute_modes(&perm).unwrap();
-        prop_assert_eq!(back, t);
     }
 
     /// Nonzero-driven MTTKRP ≡ unfolded-matrix MTTKRP on every mode.

@@ -4,8 +4,8 @@
 use crate::{assert_bits_eq, random_factors};
 use cstf_core::planner::{plan, PlanConfig};
 use cstf_core::{CpAls, Partitioning, Strategy};
-use cstf_dataflow::metrics::Counters;
 use cstf_dataflow::prelude::*;
+use cstf_dataflow::Counters;
 use cstf_dataflow::StageMetrics;
 use cstf_tensor::random::{sparse_low_rank_tensor, RandomTensor};
 use cstf_tensor::{CooTensor, DenseMatrix};

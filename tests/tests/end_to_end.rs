@@ -83,7 +83,7 @@ fn bigtensor_reaches_same_fit() {
         .run(&cluster, &tensor)
         .unwrap();
     let cluster2 = test_cluster(4);
-    let big = cstf_core::bigtensor::bigtensor_cp(&cluster2, &tensor, 2, 10, 4).unwrap();
+    let big = cstf_core::bigtensor_cp(&cluster2, &tensor, 2, 10, 4).unwrap();
     assert!((cstf.stats.final_fit - big.stats.final_fit).abs() < 1e-6);
 }
 

@@ -36,7 +36,7 @@ proptest! {
         let factors = random_factors(t.shape(), 2, fseed);
         let refs: Vec<&DenseMatrix> = factors.iter().collect();
         for mode in 0..3 {
-            let dist = cstf_core::bigtensor::bigtensor_mttkrp(&c, &rdd, &factors, t.shape(), mode, 4)
+            let dist = cstf_core::bigtensor_mttkrp(&c, &rdd, &factors, t.shape(), mode, 4)
                 .unwrap();
             let seq = mttkrp_seq(&t, &refs, mode).unwrap();
             prop_assert!(dist.max_abs_diff(&seq) < 1e-9, "mode {mode}");

@@ -42,8 +42,7 @@ fn table4_shuffle_counts_all_algorithms() {
                 Algorithm::BigTensor => {
                     c.metrics().reset();
                     let _ =
-                        cstf_core::bigtensor::bigtensor_mttkrp(&c, &rdd, &factors, t.shape(), 0, 8)
-                            .unwrap();
+                        cstf_core::bigtensor_mttkrp(&c, &rdd, &factors, t.shape(), 0, 8).unwrap();
                 }
                 alg => {
                     let strategy = match alg {
@@ -176,7 +175,7 @@ fn simulated_runtime_ordering_and_scaling() {
                     .unwrap();
             }
             None => {
-                let _ = cstf_core::bigtensor::bigtensor_cp(&c, &t, 2, 1, 3).unwrap();
+                let _ = cstf_core::bigtensor_cp(&c, &t, 2, 1, 3).unwrap();
             }
         }
         c.metrics().snapshot()
