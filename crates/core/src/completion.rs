@@ -56,7 +56,6 @@ pub struct CpCompletion {
     regularization: f64,
     tolerance: f64,
     seed: u64,
-    partitions: Option<usize>,
 }
 
 impl CpCompletion {
@@ -69,7 +68,6 @@ impl CpCompletion {
             regularization: 1e-2,
             tolerance: 0.0,
             seed: 0,
-            partitions: None,
         }
     }
 
@@ -98,12 +96,6 @@ impl CpCompletion {
         self
     }
 
-    /// Overrides the shuffle partition count.
-    pub fn partitions(mut self, p: usize) -> Self {
-        self.partitions = Some(p);
-        self
-    }
-
     /// Runs the completion on `cluster` over the observed entries of
     /// `tensor`.
     pub fn run(&self, cluster: &Cluster, tensor: &CooTensor) -> Result<CompletionResult> {
@@ -124,12 +116,7 @@ impl CpCompletion {
         let order = tensor.order();
         let shape = tensor.shape().to_vec();
         let rank = self.rank;
-        let partitions = self
-            .partitions
-            .unwrap_or(cluster.config().default_parallelism);
-        if partitions == 0 {
-            return Err(CstfError::Config("partition count must be ≥ 1".into()));
-        }
+        let partitions = cluster.config().default_parallelism;
 
         cluster.metrics().set_scope("Other");
         let observed = tensor_to_rdd(cluster, tensor, partitions).persist(StorageLevel::MemoryRaw);
@@ -357,15 +344,6 @@ mod tests {
         let test_rmse = res.rmse_on(&test);
         assert!(test_rmse < 0.05, "held-out RMSE {test_rmse}");
         assert!(res.final_rmse < 0.05, "train RMSE {}", res.final_rmse);
-    }
-
-    #[test]
-    fn zero_partitions_is_a_config_error_before_any_job() {
-        let t = RandomTensor::new(vec![5, 5, 5]).nnz(20).seed(1).build();
-        let c = cluster();
-        let err = CpCompletion::new(2).partitions(0).run(&c, &t).unwrap_err();
-        assert!(matches!(err, CstfError::Config(_)), "{err}");
-        assert_eq!(c.metrics().snapshot().stages().count(), 0);
     }
 
     #[test]

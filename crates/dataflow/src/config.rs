@@ -370,5 +370,16 @@ mod tests {
             });
         })
         .contains("at least one node"));
+        assert!(rejection(|| {
+            let _ = ClusterConfig::local(2).default_parallelism(0);
+        })
+        .contains("at least one partition"));
+        assert!(rejection(|| {
+            let _ = crate::Cluster::new(ClusterConfig {
+                default_parallelism: 0,
+                ..ClusterConfig::local(2)
+            });
+        })
+        .contains("at least one partition"));
     }
 }

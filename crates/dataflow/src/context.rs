@@ -89,19 +89,18 @@ struct ClusterInner {
 /// Per-job driver context threaded through a [`Cluster`] handle while a
 /// [`crate::jobserver::JobServer`] job runs: identifies the server job in
 /// metrics, carries its cancel token, and accrues executed waves to the
-/// job and to its scheduling pool. Empty (all `None`) for jobs run
-/// directly on the cluster, which keeps the non-server path untouched.
-#[derive(Clone, Default)]
+/// job and to its scheduling pool. Jobs run directly on the cluster have
+/// none, which keeps the non-server path untouched.
 pub(crate) struct JobSession {
     /// Server-assigned job id, recorded on every stage's [`StageDag`].
-    pub(crate) server_job: Option<usize>,
+    pub(crate) server_job: usize,
     /// Cooperative cancellation token checked between waves.
-    pub(crate) cancel: Option<CancelToken>,
+    pub(crate) cancel: CancelToken,
     /// Waves executed by this job (for the job's latency record).
-    pub(crate) waves: Option<Arc<AtomicU64>>,
+    pub(crate) waves: AtomicU64,
     /// Waves executed by this job's pool (the fair scheduler's live
     /// service counter).
-    pub(crate) pool_service: Option<Arc<AtomicU64>>,
+    pub(crate) pool_service: Arc<AtomicU64>,
 }
 
 /// Handle to a simulated cluster. Cheap to clone (an `Arc` inside);
@@ -111,7 +110,7 @@ pub(crate) struct JobSession {
 #[derive(Clone)]
 pub struct Cluster {
     inner: Arc<ClusterInner>,
-    session: JobSession,
+    session: Option<Arc<JobSession>>,
 }
 
 /// Per-task execution context handed to [`crate::rdd::RddNode::compute`].
@@ -141,7 +140,7 @@ impl Cluster {
                 metrics,
                 next_shuffle_id: AtomicUsize::new(0),
             }),
-            session: JobSession::default(),
+            session: None,
         }
     }
 
@@ -149,39 +148,34 @@ impl Cluster {
     /// driver handle a [`crate::jobserver::JobServer`] hands to each job
     /// closure, so every action the job runs is attributed and
     /// cancellable.
-    pub(crate) fn with_job_session(&self, session: JobSession) -> Cluster {
+    pub(crate) fn with_job_session(&self, session: Arc<JobSession>) -> Cluster {
         Cluster {
             inner: self.inner.clone(),
-            session,
+            session: Some(session),
         }
     }
 
     /// True if this handle's job has been asked to cancel.
     pub(crate) fn cancel_requested(&self) -> bool {
-        self.session
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
+        self.cancel_token().is_some_and(CancelToken::is_cancelled)
     }
 
     /// Cancel token of the current job session, if any.
     pub(crate) fn cancel_token(&self) -> Option<&CancelToken> {
-        self.session.cancel.as_ref()
+        self.session.as_ref().map(|s| &s.cancel)
     }
 
     /// Server job id of the current job session, if any.
     pub(crate) fn server_job(&self) -> Option<usize> {
-        self.session.server_job
+        self.session.as_ref().map(|s| s.server_job)
     }
 
     /// Accrues one executed wave to the current job and to its pool's
     /// live service counter (the fair scheduler's currency).
     pub(crate) fn note_wave(&self) {
-        if let Some(w) = &self.session.waves {
-            w.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(s) = &self.session.pool_service {
-            s.fetch_add(1, Ordering::Relaxed);
+        if let Some(s) = &self.session {
+            s.waves.fetch_add(1, Ordering::Relaxed);
+            s.pool_service.fetch_add(1, Ordering::Relaxed);
         }
     }
 

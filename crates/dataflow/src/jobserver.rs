@@ -9,8 +9,10 @@
 //! FIFO/FAIR scheduler pools. The moving parts:
 //!
 //! * **Submission queue.** [`JobServer::submit`] enqueues a job closure
-//!   under a tenant name and returns a [`JobHandle`] immediately; the
-//!   caller can poll, block on, or cancel the job through the handle.
+//!   under a tenant name and returns a [`JobHandle`]; the caller can
+//!   block on or cancel the job through the handle. No thread waits to
+//!   dispatch: `submit`, `resume` and the end of every job start what
+//!   the cap admits under the server's lock before they return.
 //! * **Scheduling pools.** Each tenant maps to a [`PoolConfig`] pool (a
 //!   fresh weight-1 pool is created on first submission if none is
 //!   declared). Under [`SchedulingMode::Fifo`] the server dispatches in
@@ -21,9 +23,10 @@
 //! * **Admission control.** At most `max_concurrent_jobs` jobs run at
 //!   once; the rest wait in their pool's queue. Queue delay is metered
 //!   per job and reported per pool (the JOBS report section).
-//! * **Cancellation.** [`JobHandle::cancel`] sets a [`CancelToken`] the
-//!   scheduler checks before every wave — shuffle-map and result waves
-//!   run through the same loop — and that
+//! * **Cancellation.** [`JobHandle::cancel`] takes a queued job out of
+//!   its pool and resolves it at once. For a running job it sets a
+//!   [`CancelToken`] the scheduler checks before every wave —
+//!   shuffle-map and result waves run through the same loop — and that
 //!   [`Executor::run_wave`](crate::executor::Executor::run_wave) observes
 //!   inside one: before starting each queued attempt, and from the
 //!   driver's timed wait while every worker is busy. In-flight attempts
@@ -64,7 +67,7 @@ use crate::metrics::{JobOutcomeKind, JobRecord};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Weak};
 use std::time::Instant;
 
@@ -77,17 +80,6 @@ use crate::config::{JobServerConfig, SchedulingMode};
 /// [`JobOutcomeKind::Cancelled`] — it never escapes the server.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JobCancelled;
-
-/// Where a submitted job currently is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum JobStatus {
-    /// Waiting in its pool's queue for an admission slot.
-    Queued,
-    /// Dispatched; its closure is running on a driver thread.
-    Running,
-    /// Finished (completed, cancelled or failed); the outcome is ready.
-    Finished,
-}
 
 /// How a job ended, with its value if it completed.
 #[derive(Debug)]
@@ -119,43 +111,29 @@ impl<T> JobOutcome<T> {
     }
 }
 
-/// Handle state shared between a [`JobHandle`] and the server.
-enum HandleState<T> {
-    Queued,
-    Running,
-    /// `None` once the outcome has been taken by [`JobHandle::join`].
-    Finished(Option<JobOutcome<T>>),
-}
-
+/// Handle state shared between a [`JobHandle`] and the server: the
+/// outcome once the job has ended, and the condvar `join` parks on.
 struct HandleShared<T> {
-    state: Mutex<HandleState<T>>,
+    outcome: Mutex<Option<JobOutcome<T>>>,
     ready: Condvar,
     cancel: CancelToken,
 }
 
 impl<T> HandleShared<T> {
-    fn set_running(&self) {
-        let mut st = self.state.lock();
-        if matches!(*st, HandleState::Queued) {
-            *st = HandleState::Running;
-        }
-    }
-
     /// The outcome is stored under the lock `join` checks and parks under,
     /// so a joiner either sees it or is already parked when notified.
     fn finish(&self, outcome: JobOutcome<T>) {
-        *self.state.lock() = HandleState::Finished(Some(outcome));
+        *self.outcome.lock() = Some(outcome);
         self.ready.notify_all();
     }
 }
 
-/// Caller-side handle to a submitted job: poll it, block on it, or
-/// cancel it. Dropping the handle detaches from the job (it still runs).
+/// Caller-side handle to a submitted job: block on it or cancel it.
+/// Dropping the handle detaches from the job (it still runs).
 pub struct JobHandle<T> {
     shared: Arc<HandleShared<T>>,
     server: Weak<ServerInner>,
     id: usize,
-    pool: String,
 }
 
 impl<T> JobHandle<T> {
@@ -165,62 +143,53 @@ impl<T> JobHandle<T> {
         self.id
     }
 
-    /// Non-blocking lifecycle probe.
-    pub(crate) fn status(&self) -> JobStatus {
-        match *self.shared.state.lock() {
-            HandleState::Queued => JobStatus::Queued,
-            HandleState::Running => JobStatus::Running,
-            HandleState::Finished(_) => JobStatus::Finished,
-        }
-    }
-
-    /// Requests cooperative cancellation. A queued job is dropped from
-    /// its pool at the dispatcher's next pass; a running job stops at
-    /// its next wave boundary. Idempotent; a job that already finished
+    /// Requests cooperative cancellation. A queued job leaves its pool
+    /// and resolves as cancelled before this returns; a running job stops
+    /// at its next wave boundary. Idempotent; a job that already finished
     /// is unaffected.
     pub fn cancel(&self) {
         self.shared.cancel.cancel();
         if let Some(server) = self.server.upgrade() {
-            // Signal under `state`: the dispatcher scans the cancel tokens
-            // and parks while holding it, so it cannot miss this wakeup.
-            let _st = server.state.lock();
-            server.wake.notify_all();
+            let mut st = server.state.lock();
+            let queued = st.pools.iter_mut().find_map(|p| {
+                let i = p.queue.iter().position(|job| job.id == self.id)?;
+                p.queue.remove(i)
+            });
+            if let Some(job) = queued {
+                server.abandon(job);
+            }
         }
     }
 
     /// Blocks until the job finishes and returns its outcome.
-    ///
-    /// # Panics
-    ///
-    /// If called twice for the same job (the outcome is taken by value).
     pub fn join(self) -> JobOutcome<T> {
-        let mut st = self.shared.state.lock();
+        let mut outcome = self.shared.outcome.lock();
         loop {
-            if let HandleState::Finished(outcome) = &mut *st {
-                return outcome.take().expect("job outcome already taken");
+            if let Some(outcome) = outcome.take() {
+                return outcome;
             }
-            st = self.shared.ready.wait(st).expect("job handle poisoned");
+            outcome = self
+                .shared
+                .ready
+                .wait(outcome)
+                .expect("job handle poisoned");
         }
     }
 }
 
 impl<T> std::fmt::Debug for JobHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("id", &self.id)
-            .field("pool", &self.pool)
-            .field("status", &self.status())
-            .finish()
+        f.debug_struct("JobHandle").field("id", &self.id).finish()
     }
 }
 
-/// A queued, not-yet-dispatched job: everything the dispatcher needs,
-/// with the typed closure and handle erased behind `FnOnce` boxes.
+/// A queued, not-yet-dispatched job: everything dispatch needs, with the
+/// typed closure and handle erased behind `FnOnce` boxes. Its `id` is
+/// also its submission order.
 struct QueuedJob {
     id: usize,
     tenant: String,
     pool: usize,
-    submit_seq: usize,
     submitted_at: Instant,
     cancel: CancelToken,
     /// Runs the job on the given session cluster handle and resolves the
@@ -241,15 +210,30 @@ struct Pool {
     service: Arc<AtomicU64>,
 }
 
+impl Pool {
+    fn new(name: String, weight: f64) -> Self {
+        Pool {
+            name,
+            weight,
+            queue: VecDeque::new(),
+            service: Arc::new(AtomicU64::new(0)),
+        }
+    }
+}
+
+#[derive(Default)]
 struct ServerState {
     pools: Vec<Pool>,
     paused: bool,
-    /// Set by [`JobServer::stop`]; the dispatcher exits when it sees it.
+    /// Set by [`JobServer::shutdown`]: nothing dispatches afterwards.
     shutdown: bool,
     /// Jobs currently dispatched (admission-controlled: ≤ cap).
     running: usize,
+    /// High-water mark of `running` (cap audit).
+    peak_running: usize,
     next_job: usize,
-    next_submit: usize,
+    /// Dispatch order across the whole server (JobRecord `start_seq`).
+    next_start: usize,
     /// Driver threads of dispatched jobs, joined on shutdown.
     drivers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -259,14 +243,6 @@ struct ServerInner {
     mode: SchedulingMode,
     cap: usize,
     state: Mutex<ServerState>,
-    /// Signalled on submission, job completion, cancel and shutdown —
-    /// always after the signalled change was made under `state`, which the
-    /// dispatcher holds from its check to its park.
-    wake: Condvar,
-    /// Dispatch order across the whole server (JobRecord `start_seq`).
-    next_start_seq: AtomicUsize,
-    /// High-water mark of concurrently running jobs (cap audit).
-    peak_running: AtomicUsize,
 }
 
 impl ServerInner {
@@ -275,12 +251,7 @@ impl ServerInner {
         if let Some(i) = st.pools.iter().position(|p| p.name == name) {
             return i;
         }
-        st.pools.push(Pool {
-            name: name.to_string(),
-            weight: 1.0,
-            queue: VecDeque::new(),
-            service: Arc::new(AtomicU64::new(0)),
-        });
+        st.pools.push(Pool::new(name.to_string(), 1.0));
         st.pools.len() - 1
     }
 
@@ -296,7 +267,7 @@ impl ServerInner {
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| !p.queue.is_empty())
-                .min_by_key(|(_, p)| p.queue[0].submit_seq)
+                .min_by_key(|(_, p)| p.queue[0].id)
                 .map(|(i, _)| i),
             SchedulingMode::Fair => st
                 .pools
@@ -306,8 +277,7 @@ impl ServerInner {
                 .min_by(|(_, a), (_, b)| {
                     let sa = a.service.load(Ordering::Relaxed) as f64 / a.weight;
                     let sb = b.service.load(Ordering::Relaxed) as f64 / b.weight;
-                    sa.total_cmp(&sb)
-                        .then(a.queue[0].submit_seq.cmp(&b.queue[0].submit_seq))
+                    sa.total_cmp(&sb).then(a.queue[0].id.cmp(&b.queue[0].id))
                 })
                 .map(|(i, _)| i),
         };
@@ -315,13 +285,13 @@ impl ServerInner {
     }
 
     /// Records a job that never ran (cancelled while queued, or dropped
-    /// at shutdown) and resolves its handle.
+    /// at shutdown) and resolves its handle. A tenant's pool is named
+    /// after the tenant.
     fn abandon(&self, job: QueuedJob) {
         let record = JobRecord {
             server_job: job.id,
+            pool: job.tenant.clone(),
             tenant: job.tenant,
-            pool: self.state.lock().pools[job.pool].name.clone(),
-            submit_seq: job.submit_seq,
             start_seq: usize::MAX,
             queue_delay_secs: job.submitted_at.elapsed().as_secs_f64(),
             run_secs: 0.0,
@@ -332,302 +302,181 @@ impl ServerInner {
         (job.abandon)();
     }
 
-    /// Dispatches one job: allocates its start sequence, spawns its
-    /// driver thread, and parks the thread handle for shutdown. The
-    /// caller has already counted the job in `running`.
-    fn launch(self: &Arc<Self>, job: QueuedJob) {
-        let start_seq = self.next_start_seq.fetch_add(1, Ordering::Relaxed);
-        let queue_delay = job.submitted_at.elapsed().as_secs_f64();
-        let pool_name;
-        let pool_service;
-        {
-            let st = self.state.lock();
-            let pool = &st.pools[job.pool];
-            pool_name = pool.name.clone();
-            pool_service = pool.service.clone();
-        }
-        let server = self.clone();
-        let driver = std::thread::spawn(move || {
-            let waves = Arc::new(AtomicU64::new(0));
-            let session = JobSession {
-                server_job: Some(job.id),
-                cancel: Some(job.cancel.clone()),
-                waves: Some(waves.clone()),
-                pool_service: Some(pool_service),
-            };
-            let session_cluster = server.cluster.with_job_session(session);
-            let t0 = Instant::now();
-            let outcome = (job.run)(&session_cluster);
-            let record = JobRecord {
+    /// Starts queued jobs on driver threads while the server is neither
+    /// paused nor shut down and an admission slot is free. Runs under the
+    /// state lock from every call that can make a job startable —
+    /// `submit`, `resume` and the end of each job — so no thread waits
+    /// to be woken for it.
+    fn dispatch(self: &Arc<Self>, st: &mut ServerState) {
+        while !st.paused && !st.shutdown && st.running < self.cap {
+            let Some(job) = self.pick(st) else { return };
+            st.running += 1;
+            st.peak_running = st.peak_running.max(st.running);
+            let start_seq = st.next_start;
+            st.next_start += 1;
+            let queue_delay_secs = job.submitted_at.elapsed().as_secs_f64();
+            let session = Arc::new(JobSession {
                 server_job: job.id,
-                tenant: job.tenant,
-                pool: pool_name,
-                submit_seq: job.submit_seq,
-                start_seq,
-                queue_delay_secs: queue_delay,
-                run_secs: t0.elapsed().as_secs_f64(),
-                waves: waves.load(Ordering::Relaxed),
-                outcome,
-            };
-            server.cluster.metrics().record_job(record);
-            // Only now release the admission slot: the fairness replay
-            // invariant (tests) reconstructs dispatch decisions from
-            // JobRecords, which requires every record to be visible
-            // before the slot it frees is reused.
-            {
+                cancel: job.cancel.clone(),
+                waves: AtomicU64::new(0),
+                pool_service: st.pools[job.pool].service.clone(),
+            });
+            let server = self.clone();
+            let driver = std::thread::spawn(move || {
+                let cluster = server.cluster.with_job_session(session.clone());
+                let t0 = Instant::now();
+                let outcome = (job.run)(&cluster);
+                let record = JobRecord {
+                    server_job: job.id,
+                    pool: job.tenant.clone(),
+                    tenant: job.tenant,
+                    start_seq,
+                    queue_delay_secs,
+                    run_secs: t0.elapsed().as_secs_f64(),
+                    waves: session.waves.load(Ordering::Relaxed),
+                    outcome,
+                };
+                server.cluster.metrics().record_job(record);
+                // Only now release the admission slot: the fairness replay
+                // invariant (tests) reconstructs dispatch decisions from
+                // JobRecords, which requires every record to be visible
+                // before the slot it frees is reused.
                 let mut st = server.state.lock();
                 st.running -= 1;
-            }
-            server.wake.notify_all();
-        });
-        let mut st = self.state.lock();
-        st.drivers.retain(|d| !d.is_finished());
-        st.drivers.push(driver);
-    }
-
-    /// Dispatcher loop: drains cancelled queued jobs, then dispatches
-    /// while admission slots are free; sleeps on the wake condvar
-    /// otherwise.
-    fn dispatch_loop(self: &Arc<Self>) {
-        enum Action {
-            Stop,
-            Drain(Vec<QueuedJob>),
-            Launch(QueuedJob),
-        }
-        loop {
-            let action = {
-                let mut st = self.state.lock();
-                loop {
-                    if st.shutdown {
-                        break Action::Stop;
-                    }
-                    let mut dropped = Vec::new();
-                    for pool in &mut st.pools {
-                        let mut kept = VecDeque::with_capacity(pool.queue.len());
-                        for job in pool.queue.drain(..) {
-                            if job.cancel.is_cancelled() {
-                                dropped.push(job);
-                            } else {
-                                kept.push_back(job);
-                            }
-                        }
-                        pool.queue = kept;
-                    }
-                    if !dropped.is_empty() {
-                        break Action::Drain(dropped);
-                    }
-                    if !st.paused && st.running < self.cap {
-                        if let Some(job) = self.pick(&mut st) {
-                            st.running += 1;
-                            self.peak_running.fetch_max(st.running, Ordering::Relaxed);
-                            break Action::Launch(job);
-                        }
-                    }
-                    st = self.wake.wait(st).expect("dispatcher poisoned");
-                }
-            };
-            match action {
-                Action::Stop => return,
-                Action::Drain(jobs) => {
-                    for job in jobs {
-                        self.abandon(job);
-                    }
-                }
-                Action::Launch(job) => self.launch(job),
-            }
+                server.dispatch(&mut st);
+            });
+            st.drivers.retain(|d| !d.is_finished());
+            st.drivers.push(driver);
         }
     }
 }
 
-/// The job server: one dispatcher thread multiplexing tenant jobs onto a
-/// shared [`Cluster`] under a scheduling policy and an admission cap.
-/// Each job runs on its own driver thread; every job's results stay
-/// bit-identical to a solo run, whatever the interleaving.
+/// The job server: multiplexes tenant jobs onto a shared [`Cluster`]
+/// under a scheduling policy and an admission cap. Each job runs on its
+/// own driver thread; every job's results stay bit-identical to a solo
+/// run, whatever the interleaving.
 pub struct JobServer {
     inner: Arc<ServerInner>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl JobServer {
-    /// Starts a server on `cluster` with the given policy. Declared
-    /// pools are created up front (in declaration order — relevant for
-    /// fair-mode cold-start tie-breaks); unknown tenants get a weight-1
-    /// pool named after them on first submission.
+    /// Creates a server on `cluster` with the given policy; it starts no
+    /// thread. Declared pools are created up front (in declaration order
+    /// — relevant for fair-mode cold-start tie-breaks); unknown tenants
+    /// get a weight-1 pool named after them on first submission.
     pub fn new(cluster: &Cluster, config: JobServerConfig) -> Self {
         assert!(config.max_concurrent_jobs > 0, "admission cap must be ≥ 1");
         let pools = config
             .pools
             .iter()
-            .map(|p| Pool {
-                name: p.name.clone(),
-                weight: p.weight,
-                queue: VecDeque::new(),
-                service: Arc::new(AtomicU64::new(0)),
-            })
+            .map(|p| Pool::new(p.name.clone(), p.weight))
             .collect();
-        let inner = Arc::new(ServerInner {
-            cluster: cluster.clone(),
-            mode: config.mode,
-            cap: config.max_concurrent_jobs,
-            state: Mutex::new(ServerState {
-                pools,
-                paused: config.start_paused,
-                shutdown: false,
-                running: 0,
-                next_job: 0,
-                next_submit: 0,
-                drivers: Vec::new(),
-            }),
-            wake: Condvar::new(),
-            next_start_seq: AtomicUsize::new(0),
-            peak_running: AtomicUsize::new(0),
-        });
-        let dispatcher = {
-            let inner = inner.clone();
-            std::thread::spawn(move || inner.dispatch_loop())
-        };
         JobServer {
-            inner,
-            dispatcher: Some(dispatcher),
+            inner: Arc::new(ServerInner {
+                cluster: cluster.clone(),
+                mode: config.mode,
+                cap: config.max_concurrent_jobs,
+                state: Mutex::new(ServerState {
+                    pools,
+                    paused: config.start_paused,
+                    ..ServerState::default()
+                }),
+            }),
         }
     }
 
-    /// Submits a job for `tenant` and returns its handle immediately.
-    /// The closure receives a [`Cluster`] handle carrying the job's
-    /// session — build all RDDs from it so stages are attributed to the
-    /// job and cancellation reaches them.
+    /// Submits a job for `tenant` and returns its handle; if a slot is
+    /// free the job is already running. The closure receives a
+    /// [`Cluster`] handle carrying the job's session — build all RDDs
+    /// from it so stages are attributed to the job and cancellation
+    /// reaches them.
     pub fn submit<T, F>(&self, tenant: &str, f: F) -> JobHandle<T>
     where
         T: Send + 'static,
         F: FnOnce(&Cluster) -> T + Send + 'static,
     {
         let shared = Arc::new(HandleShared {
-            state: Mutex::new(HandleState::Queued),
+            outcome: Mutex::new(None),
             ready: Condvar::new(),
             cancel: CancelToken::new(),
         });
-        let (id, pool_name) = {
-            let mut st = self.inner.state.lock();
-            let pool = ServerInner::pool_index(&mut st, tenant);
-            let id = st.next_job;
-            st.next_job += 1;
-            let submit_seq = st.next_submit;
-            st.next_submit += 1;
-            let run_shared = shared.clone();
-            let abandon_shared = shared.clone();
-            let cancel = shared.cancel.clone();
-            st.pools[pool].queue.push_back(QueuedJob {
-                id,
-                tenant: tenant.to_string(),
-                pool,
-                submit_seq,
-                submitted_at: Instant::now(),
-                cancel: cancel.clone(),
-                run: Box::new(move |cluster| {
-                    run_shared.set_running();
-                    let result = catch_unwind(AssertUnwindSafe(|| f(cluster)));
-                    let outcome = match result {
-                        Ok(value) => {
-                            // A cancel that lands after the last wave
-                            // still cancels: the caller asked for no
-                            // result, so don't hand one out.
-                            if cancel.is_cancelled() {
-                                JobOutcome::Cancelled
-                            } else {
-                                JobOutcome::Completed(value)
-                            }
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<JobCancelled>().is_some() {
-                                JobOutcome::Cancelled
-                            } else {
-                                JobOutcome::Failed(panic_message(&*payload))
-                            }
-                        }
-                    };
-                    let kind = outcome.kind();
-                    run_shared.finish(outcome);
-                    kind
-                }),
-                abandon: Box::new(move || {
-                    abandon_shared.finish(JobOutcome::Cancelled);
-                }),
-            });
-            (id, st.pools[pool].name.clone())
-        };
-        self.inner.wake.notify_all();
+        let run_shared = shared.clone();
+        let abandon_shared = shared.clone();
+        let cancel = shared.cancel.clone();
+        let run = Box::new(move |cluster: &Cluster| {
+            let outcome = match catch_unwind(AssertUnwindSafe(|| f(cluster))) {
+                // A cancel that lands after the last wave still cancels:
+                // the caller asked for no result, so don't hand one out.
+                Ok(_) if cancel.is_cancelled() => JobOutcome::Cancelled,
+                Ok(value) => JobOutcome::Completed(value),
+                Err(payload) if payload.downcast_ref::<JobCancelled>().is_some() => {
+                    JobOutcome::Cancelled
+                }
+                Err(payload) => JobOutcome::Failed(panic_message(&*payload)),
+            };
+            let kind = outcome.kind();
+            run_shared.finish(outcome);
+            kind
+        });
+        let mut st = self.inner.state.lock();
+        let pool = ServerInner::pool_index(&mut st, tenant);
+        let id = st.next_job;
+        st.next_job += 1;
+        st.pools[pool].queue.push_back(QueuedJob {
+            id,
+            tenant: tenant.to_string(),
+            pool,
+            submitted_at: Instant::now(),
+            cancel: shared.cancel.clone(),
+            run,
+            abandon: Box::new(move || abandon_shared.finish(JobOutcome::Cancelled)),
+        });
+        self.inner.dispatch(&mut st);
+        drop(st);
         JobHandle {
             shared,
             server: Arc::downgrade(&self.inner),
             id,
-            pool: pool_name,
         }
     }
 
-    /// Unpauses dispatch (see [`JobServerConfig::start_paused`]).
+    /// Unpauses dispatch (see [`JobServerConfig::start_paused`]); queued
+    /// jobs that fit under the cap are running when this returns.
     pub fn resume(&self) {
-        self.inner.state.lock().paused = false;
-        self.inner.wake.notify_all();
-    }
-
-    /// Jobs currently dispatched and running.
-    pub(crate) fn running_jobs(&self) -> usize {
-        self.inner.state.lock().running
-    }
-
-    /// Jobs waiting in pool queues.
-    pub(crate) fn queued_jobs(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .pools
-            .iter()
-            .map(|p| p.queue.len())
-            .sum()
+        let mut st = self.inner.state.lock();
+        st.paused = false;
+        self.inner.dispatch(&mut st);
     }
 
     /// High-water mark of concurrently running jobs since the server
     /// started — never exceeds the admission cap.
     pub fn peak_concurrent_jobs(&self) -> usize {
-        self.inner.peak_running.load(Ordering::Relaxed)
+        self.inner.state.lock().peak_running
     }
 
     /// Stops the server: no new dispatches, queued jobs resolve as
     /// cancelled, running jobs are joined to completion. Also runs on
     /// drop; call it explicitly to block at a chosen point.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.inner.state.lock().shutdown = true;
-        self.inner.wake.notify_all();
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
-        // Resolve whatever never dispatched, then wait out the drivers.
-        let (queued, drivers) = {
-            let mut st = self.inner.state.lock();
-            let queued: Vec<QueuedJob> = st
-                .pools
-                .iter_mut()
-                .flat_map(|p| p.queue.drain(..))
-                .collect();
-            let drivers = std::mem::take(&mut st.drivers);
-            (queued, drivers)
-        };
-        for job in queued {
-            self.inner.abandon(job);
-        }
-        for d in drivers {
-            let _ = d.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for JobServer {
     fn drop(&mut self) {
-        self.stop();
+        // Drivers are joined outside the lock: each takes it once more to
+        // release its slot, and finds `shutdown` set.
+        let drivers = {
+            let mut st = self.inner.state.lock();
+            st.shutdown = true;
+            for job in st.pools.iter_mut().flat_map(|p| p.queue.drain(..)) {
+                self.inner.abandon(job);
+            }
+            std::mem::take(&mut st.drivers)
+        };
+        for d in drivers {
+            let _ = d.join();
+        }
     }
 }
 
@@ -636,8 +485,6 @@ impl std::fmt::Debug for JobServer {
         f.debug_struct("JobServer")
             .field("mode", &self.inner.mode)
             .field("cap", &self.inner.cap)
-            .field("running", &self.running_jobs())
-            .field("queued", &self.queued_jobs())
             .finish()
     }
 }
@@ -709,6 +556,40 @@ mod tests {
     }
 
     #[test]
+    fn submit_and_resume_dispatch_before_returning() {
+        let c = cluster();
+        for paused in [false, true] {
+            let config = JobServerConfig::fifo(1);
+            let server = JobServer::new(
+                &c,
+                if paused {
+                    config.start_paused()
+                } else {
+                    config
+                },
+            );
+            let barrier = Arc::new(std::sync::Barrier::new(2));
+            let gate = barrier.clone();
+            let h = server.submit("t", move |_c: &Cluster| {
+                gate.wait();
+            });
+            let before_resume = server.peak_concurrent_jobs();
+            if paused {
+                server.resume();
+            }
+            // The job parks on the barrier until this thread reaches it, so
+            // it was dispatched by the call that just returned. Asserted
+            // after the barrier: a failure must not leave the job parked.
+            let dispatched = server.peak_concurrent_jobs();
+            barrier.wait();
+            assert!(matches!(h.join(), JobOutcome::Completed(())));
+            server.shutdown();
+            assert_eq!(before_resume, usize::from(!paused), "paused: {paused}");
+            assert_eq!(dispatched, 1, "paused: {paused}");
+        }
+    }
+
+    #[test]
     fn cancel_while_queued_never_runs() {
         let c = cluster();
         let server = JobServer::new(&c, JobServerConfig::fifo(1).start_paused());
@@ -746,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_cancels_queued_jobs() {
+    fn shutdown_cancels_jobs_still_in_queue() {
         let c = cluster();
         let server = JobServer::new(&c, JobServerConfig::fifo(1).start_paused());
         let h = server.submit("t", |_c: &Cluster| 1u32);

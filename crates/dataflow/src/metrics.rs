@@ -74,14 +74,13 @@ pub enum JobOutcomeKind {
 /// stage waves (the fair scheduler's service currency).
 #[derive(Debug, Clone, Serialize)]
 pub struct JobRecord {
-    /// Server-assigned job id (the `server_job` on this job's stages).
+    /// Server-assigned job id (the `server_job` on this job's stages),
+    /// which is also its submission order across the server (0-based).
     pub server_job: usize,
     /// Submitting tenant.
     pub tenant: String,
     /// Scheduling pool the job ran in.
     pub pool: String,
-    /// Submission order across the whole server (0-based).
-    pub submit_seq: usize,
     /// Dispatch order across the whole server (0-based). Jobs cancelled
     /// while still queued never dispatch and record `usize::MAX`.
     pub start_seq: usize,
@@ -1255,7 +1254,6 @@ mod tests {
             server_job,
             tenant: format!("tenant-{server_job}"),
             pool: pool.to_string(),
-            submit_seq: server_job,
             start_seq: server_job,
             queue_delay_secs: delay,
             run_secs: run,

@@ -167,10 +167,11 @@ fn a_token_fired_while_every_worker_is_busy_cancels_the_wave() {
 
 #[test]
 fn jobserver_submit_cancel_shutdown_rounds_always_return() {
-    // The dispatcher parks on a condvar with no timeout, so each of
-    // submit, completion, cancel and shutdown must wake it by itself:
-    // a cancelled job on a *paused* server resolves only if `cancel`
-    // signals, and a paused server stops only if `shutdown` does.
+    // Nothing waits to be woken to dispatch: submit, completion and
+    // resume dispatch under the server's lock, `cancel` resolves a queued
+    // job itself, and `shutdown` drains the queues. So a cancelled job on
+    // a *paused* server resolves inside `cancel`, and a paused server
+    // stops inside `shutdown`.
     const ROUNDS: u64 = 500;
     within(
         Duration::from_secs(300),
@@ -201,7 +202,7 @@ fn jobserver_submit_cancel_shutdown_rounds_always_return() {
                     outcome.kind()
                 );
                 if paused {
-                    // Never resumed: shutdown alone must wake the dispatcher.
+                    // Never resumed: shutdown alone resolves `kept`.
                     server.shutdown();
                     assert!(matches!(kept.join(), JobOutcome::Cancelled));
                 } else {

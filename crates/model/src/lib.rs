@@ -134,7 +134,6 @@ mod tests {
                 server_job,
                 tenant: format!("tenant-{server_job}"),
                 pool: pool.to_string(),
-                submit_seq: server_job,
                 start_seq: server_job,
                 queue_delay_secs: delay,
                 run_secs: run,

@@ -5,7 +5,20 @@
 # finished — a floor under every job-server wave). Waits park on a condvar.
 # Exempt: the `InjectedFault::Delay` arm of `run_attempt`, which *is* the
 # injected straggler, and each file's trailing `#[cfg(test)]` module.
+#
+#   scripts/no_sleep_polling.sh    # prints each offender and exits 1; 0 when clean
 set -euo pipefail
+
+usage() {
+    sed -n '2,9p' "$0" | sed 's/^# \{0,1\}//'
+}
+
+case "${1:-}" in
+    -h | --help) usage; exit 0 ;;
+    "") ;;
+    *) usage >&2; exit 2 ;;
+esac
+
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
 offenders=$(git ls-files 'crates/dataflow/src/*.rs' | while read -r file; do
