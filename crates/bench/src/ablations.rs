@@ -495,17 +495,18 @@ pub(crate) fn ablation_memory(setup: &Setup) {
             };
             assert_bit_identical(&reference, &result, &format!("{name}/{label}"));
 
-            // The block manager's own counters: cached blocks only, where
-            // the metrics log also counts spilled shuffle outputs.
-            let bm = cluster.block_manager();
-            let secs = model.job_time(&cluster.metrics().snapshot());
+            // Cached blocks only: the log's `rdd-*` owners, without the
+            // shuffle outputs the same budget spills.
+            let metrics = cluster.metrics().snapshot();
+            let [evicted, spilled, spill_read, recomputes] = metrics.block_manager_storage();
+            let secs = model.job_time(&metrics);
             report.row(vec![
                 Cell::new(label, fraction),
                 Cell::new(budget.map_or("-".to_string(), |b| b.to_string()), budget),
-                bm.evicted_bytes().into(),
-                bm.spilled_bytes().into(),
-                bm.spill_read_bytes().into(),
-                bm.recompute_count().into(),
+                evicted.into(),
+                spilled.into(),
+                spill_read.into(),
+                recomputes.into(),
                 Cell::new(format!("{secs:.2} s"), Json::Fixed(secs, 6)),
                 true.into(),
             ]);

@@ -137,11 +137,12 @@ impl CpAls {
 
     /// Storage level for every persisted dataset of the run: the tensor
     /// record RDD (COO), the pre-keyed tensor copies, and QCOO's carried
-    /// queue state. Defaults to [`StorageLevel::MemoryRaw`]. Pick a
-    /// spilling level (e.g. [`StorageLevel::MemoryAndDisk`]) to run under
-    /// a [`cstf_dataflow::ClusterConfig::memory_budget`] smaller than the
-    /// working set — factors stay bit-identical, the time model charges
-    /// the spill traffic.
+    /// queue state. Defaults to [`StorageLevel::MemoryRaw`], whose evicted
+    /// blocks recompute from lineage; [`StorageLevel::MemoryAndDisk`]
+    /// spills them instead, to run under a
+    /// [`cstf_dataflow::ClusterConfig::memory_budget`] smaller than the
+    /// working set — factors stay bit-identical either way, the time
+    /// model charges the spill traffic.
     pub fn tensor_storage(mut self, level: StorageLevel) -> Self {
         self.tensor_storage = level;
         self

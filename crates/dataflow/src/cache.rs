@@ -5,13 +5,13 @@
 //! significantly since the tensor data is reused across iterations", paper
 //! §4.1), and QCOO explicitly unpersists the previous MTTKRP's queue RDD
 //! (§4.2). The block manager stores computed partitions keyed by
-//! `(rdd_id, partition)`.
+//! `(rdd_id, partition)` in one map.
 //!
 //! Storage is governed by an optional byte budget
 //! ([`crate::ClusterConfig::memory_budget`]): when the block manager's
-//! resident bytes exceed it, the least-recently-used block is *evicted*.
-//! The ledger is the block manager's own — the shuffle service is handed
-//! the same figure and keeps a second, separate ledger
+//! resident bytes exceed it, the least-recently-used resident block is
+//! *evicted*. The memory ledger is the block manager's own — the shuffle
+//! service is handed the same figure and keeps a second, separate ledger
 //! ([`crate::shuffle`]), so "resident ≤ budget" holds per store and the
 //! two together are bounded by twice the budget. What eviction means
 //! depends on the block's [`StorageLevel`]:
@@ -19,15 +19,15 @@
 //! * [`StorageLevel::MemoryRaw`] blocks are dropped — a later read misses
 //!   and the owning [`crate::rdd::nodes::CachedNode`] recomputes the
 //!   partition from lineage, exactly like recovery after a lost node;
-//! * [`StorageLevel::MemoryAndDisk`] blocks are *spilled*: they leave the
-//!   memory ledger for the disk tier and are transparently reloaded (and
-//!   promoted back to memory) on the next read, with the modeled
-//!   serialization cost charged through
-//!   [`crate::metrics::Meter::SpillWrite`]/`SpillRead` events that the
-//!   `cstf-model` time model prices at its spill throughputs. The cluster
-//!   is one process and records carry no serialization bound, so the disk
-//!   tier is an accounting tier: a spilled block's records stay reachable
-//!   here and no file is written.
+//! * [`StorageLevel::MemoryAndDisk`] blocks are *spilled*: they stay in
+//!   the map flagged `spilled`, off the memory ledger, and the next read
+//!   promotes them back. The cluster is one process and records carry no
+//!   serialization bound, so a spill is an accounting state: no file is
+//!   written.
+//!
+//! Every eviction, spill, reload and recompute is one
+//! [`crate::metrics::Meter`] event in the metrics log under the owner
+//! `rdd-<id>`; the log is the only count of them.
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::metrics::MetricsRegistry;
@@ -45,19 +45,9 @@ pub enum StorageLevel {
     /// dropped and recomputed from lineage on the next read.
     MemoryRaw,
     /// Memory first, spill to local disk under memory pressure (Spark
-    /// `MEMORY_AND_DISK`). Evicted blocks move to the disk tier and are
-    /// promoted back to memory on the next read.
+    /// `MEMORY_AND_DISK`). Evicted blocks are spilled and promoted back
+    /// to memory on the next read.
     MemoryAndDisk,
-    /// Straight to local disk (Spark `DISK_ONLY`); never occupies budget,
-    /// every read pays the spill-read cost.
-    DiskOnly,
-}
-
-impl StorageLevel {
-    /// Whether eviction moves the block to disk instead of dropping it.
-    pub(crate) fn spills_to_disk(self) -> bool {
-        matches!(self, StorageLevel::MemoryAndDisk | StorageLevel::DiskOnly)
-    }
 }
 
 struct Block {
@@ -65,38 +55,38 @@ struct Block {
     bytes: u64,
     level: StorageLevel,
     last_use: u64,
+    /// Whether this block has been spilled (is off the memory ledger).
+    spilled: bool,
 }
 
 #[derive(Default)]
 struct Inner {
-    /// Memory-resident blocks (counted against the budget).
-    mem: FxHashMap<(usize, usize), Block>,
-    /// Disk-resident blocks (spilled or `DiskOnly`; not counted).
-    disk: FxHashMap<(usize, usize), Block>,
+    /// Every resident block, in memory or spilled.
+    blocks: FxHashMap<(usize, usize), Block>,
     /// Blocks dropped by the budget enforcer; a later miss on one of these
     /// keys is a lineage *recompute*, not a first computation.
     evicted: FxHashSet<(usize, usize)>,
+    /// Bytes of non-spilled blocks (counted against the budget).
     mem_bytes: u64,
     peak_mem_bytes: u64,
     tick: u64,
 }
 
-#[derive(Default)]
-struct Stats {
-    eviction_count: u64,
-    evicted_bytes: u64,
-    spilled_bytes: u64,
-    spill_read_bytes: u64,
-    recompute_count: u64,
+impl Inner {
+    /// Takes a retired block off the memory ledger (a spilled one left it
+    /// when it spilled).
+    fn release(&mut self, block: &Block) {
+        if !block.spilled {
+            self.mem_bytes -= block.bytes;
+        }
+    }
 }
 
 /// Thread-safe, budget-governed cache of computed partitions.
-#[derive(Default)]
 pub struct BlockManager {
     inner: Mutex<Inner>,
-    stats: Mutex<Stats>,
     budget: Option<u64>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 fn owner(rdd_id: usize) -> String {
@@ -104,75 +94,53 @@ fn owner(rdd_id: usize) -> String {
 }
 
 impl BlockManager {
-    /// Creates an empty, unbounded block manager (no budget, no metrics).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a block manager with an optional byte budget, reporting
-    /// storage events to `metrics`.
-    pub fn with_budget(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
+    /// Creates an empty block manager with an optional byte budget,
+    /// logging its storage events to `metrics`.
+    pub fn new(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
         BlockManager {
+            inner: Mutex::default(),
             budget,
-            metrics: Some(metrics),
-            ..Self::default()
+            metrics,
         }
     }
 
-    fn record_eviction(&self, rdd_id: usize, bytes: u64) {
-        let mut stats = self.stats.lock();
-        stats.eviction_count += 1;
-        stats.evicted_bytes += bytes;
-        drop(stats);
-        if let Some(m) = &self.metrics {
-            m.record_storage_eviction(&owner(rdd_id), bytes);
-        }
-    }
-
-    fn record_spill_write(&self, rdd_id: usize, bytes: u64) {
-        self.stats.lock().spilled_bytes += bytes;
-        if let Some(m) = &self.metrics {
-            m.record_spill_write(&owner(rdd_id), bytes);
-        }
-    }
-
-    fn record_spill_read(&self, rdd_id: usize, bytes: u64) {
-        self.stats.lock().spill_read_bytes += bytes;
-        if let Some(m) = &self.metrics {
-            m.record_spill_read(&owner(rdd_id), bytes);
-        }
-    }
-
-    /// Drops or spills least-recently-used blocks until resident bytes fit
-    /// the budget. `protect` is evicted only as a last resort (when it
-    /// alone exceeds the budget). Returns the dropped (memory-only) blocks:
-    /// the caller frees them after releasing the lock.
+    /// Drops or spills least-recently-used memory blocks until resident
+    /// bytes fit the budget, then raises the peak. `protect` is evicted
+    /// only as a last resort (when it alone exceeds the budget). Returns
+    /// the dropped (memory-only) blocks: the caller frees them after
+    /// releasing the lock.
     #[must_use]
     fn enforce_budget(&self, inner: &mut Inner, protect: (usize, usize)) -> Vec<Block> {
         let mut dropped = Vec::new();
-        let Some(budget) = self.budget else {
-            return dropped;
-        };
-        while inner.mem_bytes > budget {
+        while inner.mem_bytes > self.budget.unwrap_or(u64::MAX) {
+            let in_memory = |b: &Block| !b.spilled;
             let victim = inner
-                .mem
+                .blocks
                 .iter()
-                .filter(|(k, _)| **k != protect)
+                .filter(|(k, b)| in_memory(b) && **k != protect)
                 .min_by_key(|(k, b)| (b.last_use, **k))
                 .map(|(k, _)| *k)
-                .or_else(|| inner.mem.contains_key(&protect).then_some(protect));
+                .or_else(|| {
+                    let protected = inner.blocks.get(&protect);
+                    protected.is_some_and(in_memory).then_some(protect)
+                });
             let Some(key) = victim else { break };
-            let block = inner.mem.remove(&key).expect("victim block present");
-            inner.mem_bytes -= block.bytes;
-            self.record_eviction(key.0, block.bytes);
-            if block.level.spills_to_disk() {
-                self.record_spill_write(key.0, block.bytes);
-                inner.disk.insert(key, block);
+            let owner = owner(key.0);
+            let block = inner.blocks.get_mut(&key).expect("victim block present");
+            let bytes = block.bytes;
+            self.metrics.record_storage_eviction(&owner, bytes);
+            inner.mem_bytes -= bytes;
+            if block.level == StorageLevel::MemoryAndDisk {
+                block.spilled = true;
+                self.metrics.record_spill_write(&owner, bytes);
             } else {
                 inner.evicted.insert(key);
-                dropped.push(block);
+                dropped.extend(inner.blocks.remove(&key));
             }
         }
+        // Peak is post-enforcement: the high-water mark of *resident*
+        // bytes, never transient over-budget states.
+        inner.peak_mem_bytes = inner.peak_mem_bytes.max(inner.mem_bytes);
         dropped
     }
 
@@ -187,49 +155,35 @@ impl BlockManager {
         level: StorageLevel,
     ) {
         let key = (rdd_id, partition);
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
         let block = Block {
             data: Arc::new(data),
             bytes,
             level,
-            last_use: 0,
+            last_use: inner.tick,
+            spilled: false,
         };
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         inner.evicted.remove(&key);
-        // Replace semantics: retire any stale copy of this key first. Like
-        // every block this call retires, it is freed after the lock is
-        // released — a partition's records can take milliseconds to drop.
-        let stale_mem = inner.mem.remove(&key);
-        if let Some(old) = &stale_mem {
-            inner.mem_bytes -= old.bytes;
+        // Replace semantics: retire any stale copy of this key. Like every
+        // block this call retires, it is freed after the lock is released
+        // — a partition's records can take milliseconds to drop.
+        let stale = inner.blocks.insert(key, block);
+        if let Some(old) = &stale {
+            inner.release(old);
         }
-        let _stale_disk = inner.disk.remove(&key);
-        if level == StorageLevel::DiskOnly {
-            inner.disk.insert(key, block);
-            drop(inner);
-            self.record_spill_write(rdd_id, bytes);
-            return;
-        }
-        let mut block = block;
-        block.last_use = tick;
         inner.mem_bytes += bytes;
-        inner.mem.insert(key, block);
-        let _dropped = self.enforce_budget(&mut inner, key);
-        // Peak is post-enforcement: the high-water mark of *resident*
-        // bytes, never transient over-budget states.
-        inner.peak_mem_bytes = inner.peak_mem_bytes.max(inner.mem_bytes);
+        let dropped = self.enforce_budget(&mut inner, key);
         drop(inner);
-        // The stale copies and `_dropped` are freed on return, unlocked.
+        drop((stale, dropped));
     }
 
     /// Fetches a cached partition as the stored `Arc` (no deep clone).
     ///
-    /// A memory hit refreshes the block's LRU recency. A disk hit charges
-    /// the spill-read cost; `MemoryAndDisk` blocks are promoted back into
-    /// memory (re-running budget enforcement), `DiskOnly` blocks stay on
-    /// disk. Returns `None` when the block was never stored or was evicted
-    /// — the caller recomputes from lineage.
+    /// A hit refreshes the block's LRU recency; a hit on a spilled block
+    /// logs a spill read and promotes the block back into memory,
+    /// re-running budget enforcement. Returns `None` when the block was
+    /// never stored or was dropped — the caller recomputes from lineage.
     pub fn get<T: Send + Sync + 'static>(
         &self,
         rdd_id: usize,
@@ -239,63 +193,47 @@ impl BlockManager {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(block) = inner.mem.get_mut(&key) {
-            block.last_use = tick;
-            let data = block.data.clone();
+        let block = inner.blocks.get_mut(&key)?;
+        block.last_use = tick;
+        let data = block.data.clone();
+        if !block.spilled {
             drop(inner);
             return Some(downcast::<T>(data));
         }
-        let block = inner.disk.get(&key)?;
+        block.spilled = false;
         let bytes = block.bytes;
-        let promote = block.level == StorageLevel::MemoryAndDisk;
-        let data = block.data.clone();
-        // Blocks the promotion pushes out are freed on return, unlocked.
-        let _dropped = if promote {
-            let mut block = inner.disk.remove(&key).expect("disk block present");
-            block.last_use = tick;
-            inner.mem_bytes += bytes;
-            inner.mem.insert(key, block);
-            let dropped = self.enforce_budget(&mut inner, key);
-            inner.peak_mem_bytes = inner.peak_mem_bytes.max(inner.mem_bytes);
-            dropped
-        } else {
-            Vec::new()
-        };
+        inner.mem_bytes += bytes;
+        let dropped = self.enforce_budget(&mut inner, key);
         drop(inner);
-        self.record_spill_read(rdd_id, bytes);
+        // Blocks the promotion pushed out are freed here, unlocked.
+        drop(dropped);
+        self.metrics.record_spill_read(&owner(rdd_id), bytes);
         Some(downcast::<T>(data))
     }
 
-    /// Pops the eviction tombstone for a block, recording a lineage
+    /// Pops the eviction tombstone for a block, logging a lineage
     /// recompute if one was set. Called by the cached node when a read
     /// misses, so metrics distinguish first computation from
     /// recompute-after-eviction.
     pub(crate) fn begin_recompute(&self, rdd_id: usize, partition: usize) -> bool {
         let was_evicted = self.inner.lock().evicted.remove(&(rdd_id, partition));
         if was_evicted {
-            self.stats.lock().recompute_count += 1;
-            if let Some(m) = &self.metrics {
-                m.record_storage_recompute(&owner(rdd_id));
-            }
+            self.metrics.record_storage_recompute(&owner(rdd_id));
         }
         was_evicted
     }
 
-    /// Whether a specific partition is resident (in memory or on disk).
+    /// Whether a specific partition is resident (in memory or spilled).
     pub fn contains(&self, rdd_id: usize, partition: usize) -> bool {
-        let inner = self.inner.lock();
-        let key = (rdd_id, partition);
-        inner.mem.contains_key(&key) || inner.disk.contains_key(&key)
+        self.inner.lock().blocks.contains_key(&(rdd_id, partition))
     }
 
     /// Whether *all* `num_partitions` partitions of an RDD are resident —
-    /// in memory or spilled to disk — which lets the scheduler prune
-    /// lineage above a fully-cached RDD (spilled blocks reload without
-    /// lineage).
+    /// in memory or spilled — which lets the scheduler prune lineage above
+    /// a fully-cached RDD (spilled blocks reload without lineage).
     pub(crate) fn has_all(&self, rdd_id: usize, num_partitions: usize) -> bool {
         let inner = self.inner.lock();
-        (0..num_partitions)
-            .all(|p| inner.mem.contains_key(&(rdd_id, p)) || inner.disk.contains_key(&(rdd_id, p)))
+        (0..num_partitions).all(|p| inner.blocks.contains_key(&(rdd_id, p)))
     }
 
     /// Removes every resident block (and eviction tombstone) whose
@@ -303,18 +241,18 @@ impl BlockManager {
     /// The ledger is settled under the lock, the blocks' records are freed
     /// after it is released.
     fn remove_blocks(&self, doomed: impl Fn((usize, usize)) -> bool) -> usize {
-        let doomed_keys = |blocks: &FxHashMap<(usize, usize), Block>| -> Vec<(usize, usize)> {
-            blocks.keys().copied().filter(|&k| doomed(k)).collect()
-        };
-        let mut removed = Vec::new();
         let mut inner = self.inner.lock();
-        for key in doomed_keys(&inner.mem) {
-            let block = inner.mem.remove(&key).expect("key just listed");
-            inner.mem_bytes -= block.bytes;
+        let keys: Vec<(usize, usize)> = inner
+            .blocks
+            .keys()
+            .copied()
+            .filter(|&k| doomed(k))
+            .collect();
+        let mut removed = Vec::with_capacity(keys.len());
+        for key in keys {
+            let block = inner.blocks.remove(&key).expect("key just listed");
+            inner.release(&block);
             removed.push(block);
-        }
-        for key in doomed_keys(&inner.disk) {
-            removed.extend(inner.disk.remove(&key));
         }
         inner.evicted.retain(|&k| !doomed(k));
         drop(inner);
@@ -329,7 +267,7 @@ impl BlockManager {
     }
 
     /// Drops every resident partition of an RDD (Spark `unpersist`),
-    /// memory and disk alike. Returns how many blocks were removed.
+    /// in memory or spilled. Returns how many blocks were removed.
     pub fn remove_rdd(&self, rdd_id: usize) -> usize {
         self.remove_blocks(|(id, _)| id == rdd_id)
     }
@@ -344,46 +282,14 @@ impl BlockManager {
         self.inner.lock().peak_mem_bytes
     }
 
-    /// Estimated bytes of blocks currently spilled to disk.
-    pub fn disk_bytes(&self) -> u64 {
-        self.inner.lock().disk.values().map(|b| b.bytes).sum()
-    }
-
-    /// Estimated bytes across all resident blocks (memory + disk).
+    /// Estimated bytes across all resident blocks (memory + spilled).
     pub fn total_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.mem_bytes + inner.disk.values().map(|b| b.bytes).sum::<u64>()
+        self.inner.lock().blocks.values().map(|b| b.bytes).sum()
     }
 
-    /// How many blocks the budget enforcer has dropped or spilled.
-    pub fn eviction_count(&self) -> u64 {
-        self.stats.lock().eviction_count
-    }
-
-    /// Total bytes evicted from memory by the budget enforcer.
-    pub fn evicted_bytes(&self) -> u64 {
-        self.stats.lock().evicted_bytes
-    }
-
-    /// Total bytes written to the disk store (spill-outs + `DiskOnly` puts).
-    pub fn spilled_bytes(&self) -> u64 {
-        self.stats.lock().spilled_bytes
-    }
-
-    /// Total bytes read back from the disk store.
-    pub fn spill_read_bytes(&self) -> u64 {
-        self.stats.lock().spill_read_bytes
-    }
-
-    /// How many evicted blocks were recomputed from lineage.
-    pub fn recompute_count(&self) -> u64 {
-        self.stats.lock().recompute_count
-    }
-
-    /// Number of resident blocks (memory + disk).
+    /// Number of resident blocks (memory + spilled).
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.mem.len() + inner.disk.len()
+        self.inner.lock().blocks.len()
     }
 
     /// Whether the cache is empty.
@@ -394,12 +300,7 @@ impl BlockManager {
     /// Storage level of a resident partition, if present.
     pub fn level_of(&self, rdd_id: usize, partition: usize) -> Option<StorageLevel> {
         let inner = self.inner.lock();
-        let key = (rdd_id, partition);
-        inner
-            .mem
-            .get(&key)
-            .or_else(|| inner.disk.get(&key))
-            .map(|b| b.level)
+        inner.blocks.get(&(rdd_id, partition)).map(|b| b.level)
     }
 }
 
@@ -414,9 +315,13 @@ fn downcast<T: Send + Sync + 'static>(data: Arc<dyn Any + Send + Sync>) -> Arc<V
 mod tests {
     use super::*;
 
+    fn unbounded() -> BlockManager {
+        BlockManager::new(None, Arc::default())
+    }
+
     #[test]
     fn put_get_roundtrip() {
-        let bm = BlockManager::new();
+        let bm = unbounded();
         bm.put(1, 0, vec![1u32, 2, 3], 12, StorageLevel::MemoryRaw);
         assert_eq!(bm.get::<u32>(1, 0).as_deref(), Some(&vec![1, 2, 3]));
         assert_eq!(bm.get::<u32>(1, 1), None);
@@ -427,7 +332,7 @@ mod tests {
 
     #[test]
     fn get_returns_the_stored_arc_without_cloning() {
-        let bm = BlockManager::new();
+        let bm = unbounded();
         bm.put(3, 0, vec![7u64; 8], 64, StorageLevel::MemoryRaw);
         let a = bm.get::<u64>(3, 0).unwrap();
         let b = bm.get::<u64>(3, 0).unwrap();
@@ -436,7 +341,7 @@ mod tests {
 
     #[test]
     fn has_all_requires_every_partition() {
-        let bm = BlockManager::new();
+        let bm = unbounded();
         bm.put(7, 0, vec![0u8], 1, StorageLevel::MemoryRaw);
         bm.put(7, 2, vec![0u8], 1, StorageLevel::MemoryRaw);
         assert!(!bm.has_all(7, 3));
@@ -446,7 +351,7 @@ mod tests {
 
     #[test]
     fn remove_rdd_evicts_only_that_rdd() {
-        let bm = BlockManager::new();
+        let bm = unbounded();
         bm.put(1, 0, vec![0u8], 1, StorageLevel::MemoryRaw);
         bm.put(1, 1, vec![0u8], 1, StorageLevel::MemoryRaw);
         bm.put(2, 0, vec![0u8], 1, StorageLevel::MemoryRaw);
@@ -458,7 +363,7 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let bm = BlockManager::new();
+        let bm = unbounded();
         bm.put(1, 0, vec![0u64; 4], 32, StorageLevel::MemoryRaw);
         bm.put(1, 1, vec![0u64; 2], 16, StorageLevel::MemoryRaw);
         assert_eq!(bm.total_bytes(), 48);
@@ -469,18 +374,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatched type")]
     fn type_confusion_panics() {
-        let bm = BlockManager::new();
+        let bm = unbounded();
         bm.put(1, 0, vec![1u32], 4, StorageLevel::MemoryRaw);
         let _ = bm.get::<u64>(1, 0);
     }
 
-    fn bounded(budget: u64) -> BlockManager {
-        BlockManager::with_budget(Some(budget), Arc::new(MetricsRegistry::new()))
+    /// A budgeted block manager and the log it records into.
+    fn bounded(budget: u64) -> (BlockManager, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        (BlockManager::new(Some(budget), metrics.clone()), metrics)
     }
 
     #[test]
     fn lru_evicts_least_recently_used_memory_block() {
-        let bm = bounded(24);
+        let (bm, metrics) = bounded(24);
         bm.put(1, 0, vec![0u64], 8, StorageLevel::MemoryRaw);
         bm.put(1, 1, vec![0u64], 8, StorageLevel::MemoryRaw);
         bm.put(1, 2, vec![0u64], 8, StorageLevel::MemoryRaw);
@@ -491,28 +398,28 @@ mod tests {
         assert!(!bm.contains(1, 1), "LRU block must be evicted");
         assert!(bm.contains(1, 2));
         assert!(bm.contains(1, 3));
-        assert_eq!(bm.eviction_count(), 1);
-        assert_eq!(bm.evicted_bytes(), 8);
+        assert_eq!(metrics.snapshot().eviction_count(), 1);
+        assert_eq!(metrics.snapshot().evicted_bytes(), 8);
         assert!(bm.memory_bytes() <= 24);
         // A miss on the evicted key registers as a pending recompute, once.
         assert!(bm.begin_recompute(1, 1));
         assert!(!bm.begin_recompute(1, 1));
-        assert_eq!(bm.recompute_count(), 1);
+        assert_eq!(metrics.snapshot().recompute_count(), 1);
     }
 
     #[test]
     fn memory_and_disk_spills_and_reloads() {
-        let bm = bounded(16);
+        let (bm, metrics) = bounded(16);
         bm.put(5, 0, vec![1u32, 2], 8, StorageLevel::MemoryAndDisk);
         bm.put(5, 1, vec![3u32, 4], 8, StorageLevel::MemoryAndDisk);
         bm.put(5, 2, vec![5u32, 6], 8, StorageLevel::MemoryAndDisk);
-        assert_eq!(bm.spilled_bytes(), 8);
-        assert_eq!(bm.disk_bytes(), 8);
+        assert_eq!(metrics.snapshot().spilled_bytes(), 8);
+        assert_eq!(bm.total_bytes() - bm.memory_bytes(), 8);
         assert!(bm.has_all(5, 3), "spilled blocks still count as resident");
         // Reload promotes the spilled block back into memory (evicting
         // another block to make room) and charges a spill read.
         assert_eq!(bm.get::<u32>(5, 0).as_deref(), Some(&vec![1, 2]));
-        assert_eq!(bm.spill_read_bytes(), 8);
+        assert_eq!(metrics.snapshot().spill_read_bytes(), 8);
         assert!(bm.memory_bytes() <= 16);
         assert!(bm.has_all(5, 3));
         // Nothing was dropped, so no recompute is pending anywhere.
@@ -522,23 +429,8 @@ mod tests {
     }
 
     #[test]
-    fn disk_only_bypasses_the_budget() {
-        let bm = bounded(8);
-        bm.put(9, 0, vec![0u8; 100], 100, StorageLevel::DiskOnly);
-        assert_eq!(bm.memory_bytes(), 0);
-        assert_eq!(bm.disk_bytes(), 100);
-        assert_eq!(bm.spilled_bytes(), 100);
-        assert!(bm.get::<u8>(9, 0).is_some());
-        assert_eq!(bm.spill_read_bytes(), 100);
-        // DiskOnly is never promoted: a second read pays again.
-        assert!(bm.get::<u8>(9, 0).is_some());
-        assert_eq!(bm.spill_read_bytes(), 200);
-        assert_eq!(bm.memory_bytes(), 0);
-    }
-
-    #[test]
     fn oversized_block_is_evicted_immediately() {
-        let bm = bounded(10);
+        let (bm, _) = bounded(10);
         bm.put(2, 0, vec![0u8; 64], 64, StorageLevel::MemoryRaw);
         assert_eq!(bm.memory_bytes(), 0, "budget is a hard ceiling");
         assert!(!bm.contains(2, 0));
@@ -547,15 +439,15 @@ mod tests {
 
     #[test]
     fn unpersist_purges_disk_blocks_and_tombstones() {
-        let bm = bounded(8);
+        let (bm, _) = bounded(8);
         bm.put(4, 0, vec![0u64], 8, StorageLevel::MemoryAndDisk);
         bm.put(4, 1, vec![0u64], 8, StorageLevel::MemoryAndDisk);
         bm.put(4, 2, vec![0u64], 8, StorageLevel::MemoryRaw);
         bm.put(4, 3, vec![0u64], 8, StorageLevel::MemoryRaw);
-        // Budget 8 holds one block: 0 and 1 spilled to disk, 2 was dropped
+        // Budget 8 holds one block: 0 and 1 spilled, 2 was dropped
         // (tombstoned), 3 is resident — 3 blocks to remove.
         assert_eq!(bm.remove_rdd(4), 3);
-        assert_eq!(bm.disk_bytes(), 0);
+        assert_eq!(bm.total_bytes(), 0);
         assert_eq!(bm.memory_bytes(), 0);
         // Tombstones are cleared too: no recompute pending for block 2.
         assert!(!bm.begin_recompute(4, 2));

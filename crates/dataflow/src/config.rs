@@ -109,10 +109,12 @@ impl ClusterConfig {
         self
     }
 
-    /// Bounds the bytes of cached blocks and — on a separate ledger, see
-    /// [`ClusterConfig::memory_budget`] — of shuffle map outputs held in
-    /// memory; excess is LRU-evicted (dropped or spilled to disk,
-    /// depending on each block's [`crate::StorageLevel`]).
+    /// Bounds the bytes of cached blocks and — on a separate ledger — of
+    /// shuffle map outputs held in memory. Excess cached blocks are
+    /// LRU-evicted: dropped ([`crate::StorageLevel::MemoryRaw`]) or
+    /// spilled ([`crate::StorageLevel::MemoryAndDisk`]); excess map
+    /// outputs spill oldest first. Each eviction, spill, reload and
+    /// recompute is one event in [`crate::Cluster::metrics`].
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = Some(bytes);
         self.check();

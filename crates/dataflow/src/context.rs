@@ -135,8 +135,8 @@ impl Cluster {
             inner: Arc::new(ClusterInner {
                 config,
                 executor,
-                shuffle: Arc::new(ShuffleService::with_budget(budget, metrics.clone())),
-                blocks: BlockManager::with_budget(budget, metrics.clone()),
+                shuffle: Arc::new(ShuffleService::new(budget, metrics.clone())),
+                blocks: BlockManager::new(budget, metrics.clone()),
                 metrics,
                 next_shuffle_id: AtomicUsize::new(0),
             }),

@@ -290,8 +290,7 @@ impl ServerInner {
     fn abandon(&self, job: QueuedJob) {
         let record = JobRecord {
             server_job: job.id,
-            pool: job.tenant.clone(),
-            tenant: job.tenant,
+            pool: job.tenant,
             start_seq: usize::MAX,
             queue_delay_secs: job.submitted_at.elapsed().as_secs_f64(),
             run_secs: 0.0,
@@ -328,8 +327,7 @@ impl ServerInner {
                 let outcome = (job.run)(&cluster);
                 let record = JobRecord {
                     server_job: job.id,
-                    pool: job.tenant.clone(),
-                    tenant: job.tenant,
+                    pool: job.tenant,
                     start_seq,
                     queue_delay_secs,
                     run_secs: t0.elapsed().as_secs_f64(),
@@ -548,10 +546,7 @@ mod tests {
         server.shutdown();
         let report = c.metrics().snapshot().render_report();
         assert!(report.contains(" MTTKRP-1   ShuffleMap "), "{report}");
-        assert!(
-            report.contains("[mandant-z/mandant-z] Completed"),
-            "{report}"
-        );
+        assert!(report.contains("[mandant-z] Completed"), "{report}");
         assert!(report.contains("JOBS   pool mandant-zürich "), "{report}");
     }
 

@@ -77,9 +77,7 @@ pub struct JobRecord {
     /// Server-assigned job id (the `server_job` on this job's stages),
     /// which is also its submission order across the server (0-based).
     pub server_job: usize,
-    /// Submitting tenant.
-    pub tenant: String,
-    /// Scheduling pool the job ran in.
+    /// Scheduling pool the job ran in, named after the submitting tenant.
     pub pool: String,
     /// Dispatch order across the whole server (0-based). Jobs cancelled
     /// while still queued never dispatch and record `usize::MAX`.
@@ -271,12 +269,11 @@ pub enum Meter {
     /// Estimated bytes of a block the memory budget enforcer dropped or
     /// spilled from memory.
     Evicted,
-    /// Estimated bytes written to the local-disk spill store (a
-    /// `MemoryAndDisk` eviction, a `DiskOnly` put, or an oversized shuffle
-    /// map output).
+    /// Estimated bytes spilled: a `MemoryAndDisk` block evicted from
+    /// memory, or a shuffle map output over the budget.
     SpillWrite,
-    /// Estimated bytes read back from the local-disk spill store (reload +
-    /// deserialization).
+    /// Estimated bytes read back from a spilled block or map output
+    /// (reload + deserialization).
     SpillRead,
     /// An evicted (dropped, not spilled) block recomputed from lineage on
     /// a later read — the cache-miss analogue of lost-partition recovery.
@@ -644,7 +641,7 @@ impl JobMetrics {
     }
 
     /// Total bytes the budget enforcer removed from memory.
-    pub(crate) fn evicted_bytes(&self) -> u64 {
+    pub fn evicted_bytes(&self) -> u64 {
         self.metered(Meter::Evicted).sum()
     }
 
@@ -653,13 +650,16 @@ impl JobMetrics {
         self.metered(Meter::Evicted).count()
     }
 
-    /// Total bytes written to the local-disk spill store.
+    /// Total bytes spilled by both stores: cached blocks (the block
+    /// manager) and shuffle map outputs (the shuffle service). `perf`'s
+    /// `dataflow.cache.spilled_mb` reports this sum;
+    /// [`Self::block_manager_storage`] has the block manager's share.
     pub fn spilled_bytes(&self) -> u64 {
         self.metered(Meter::SpillWrite).sum()
     }
 
-    /// Total bytes read back from the local-disk spill store.
-    pub(crate) fn spill_read_bytes(&self) -> u64 {
+    /// Total bytes read back from spilled blocks and map outputs.
+    pub fn spill_read_bytes(&self) -> u64 {
         self.metered(Meter::SpillRead).sum()
     }
 
@@ -679,6 +679,23 @@ impl JobMetrics {
         group_in_order(storage, |totals: &mut [u64; 4], (column, amount)| {
             totals[column] += amount
         })
+    }
+
+    /// The block manager's storage totals alone — summed over the cached
+    /// RDDs' `rdd-<id>` owners, without the shuffle service's spills:
+    /// `[evicted bytes, spilled bytes, spill-read bytes, recomputes]`.
+    pub fn block_manager_storage(&self) -> [u64; 4] {
+        let mut totals = [0; 4];
+        for (_, row) in self
+            .storage_by_owner()
+            .into_iter()
+            .filter(|(owner, _)| owner.starts_with("rdd-"))
+        {
+            for (total, amount) in totals.iter_mut().zip(row) {
+                *total += amount;
+            }
+        }
+        totals
     }
 
     /// Renders a human-readable per-stage report (the engine's analogue
@@ -751,9 +768,8 @@ impl JobMetrics {
                 Event::JobFinished(r) => {
                     let _ = writeln!(
                         out,
-                        "       job {:>3} [{}/{}] {:?} | queued {:.4} s | ran {:.4} s | {} waves",
+                        "       job {:>3} [{}] {:?} | queued {:.4} s | ran {:.4} s | {} waves",
                         r.server_job,
-                        truncate(&r.tenant, 10),
                         truncate(&r.pool, 10),
                         r.outcome,
                         r.queue_delay_secs,
@@ -1252,7 +1268,6 @@ mod tests {
         reg.clear_scope();
         let record = |server_job, pool: &str, delay, run, outcome| JobRecord {
             server_job,
-            tenant: format!("tenant-{server_job}"),
             pool: pool.to_string(),
             start_seq: server_job,
             queue_delay_secs: delay,
@@ -1321,6 +1336,7 @@ mod tests {
                 m.spill_read_bytes(),
                 m.recompute_count(),
                 storage,
+                m.block_manager_storage(),
             ),
             (m.job_pools(), m.jobs_in_pool("etl").count()),
         );

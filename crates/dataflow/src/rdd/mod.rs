@@ -216,15 +216,15 @@ impl<T: Data> Rdd<T> {
             .with_partitioner(self.partitioner.clone())
     }
 
-    /// Drops this RDD's resident partitions — memory and spilled disk
-    /// blocks alike (Spark `unpersist`). Only meaningful on a handle
+    /// Drops this RDD's resident partitions — in memory and spilled
+    /// alike (Spark `unpersist`). Only meaningful on a handle
     /// returned by [`Rdd::persist`]. Returns the number of removed blocks.
     pub fn unpersist(&self) -> usize {
         self.cluster.block_manager().remove_rdd(self.node.id())
     }
 
     /// Whether all partitions are currently resident (in memory or
-    /// spilled to disk).
+    /// spilled).
     pub fn is_fully_cached(&self) -> bool {
         self.cluster
             .block_manager()
@@ -299,9 +299,10 @@ impl<T: Data + EstimateSize> Rdd<T> {
     /// resident RDD is pruned.
     ///
     /// Under a [`crate::ClusterConfig::memory_budget`], a stored block may
-    /// later be evicted: memory-only blocks are recomputed from lineage on
-    /// the next read, [`StorageLevel::MemoryAndDisk`] blocks reload from
-    /// the disk store.
+    /// later be evicted: [`StorageLevel::MemoryRaw`] blocks are dropped
+    /// and recomputed from lineage on the next read,
+    /// [`StorageLevel::MemoryAndDisk`] blocks are spilled and promoted
+    /// back on the next read.
     ///
     /// ```
     /// use cstf_dataflow::{Cluster, ClusterConfig, StorageLevel};

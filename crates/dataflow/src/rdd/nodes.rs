@@ -157,14 +157,13 @@ impl<T: Data + EstimateSize> NodeInfo for CachedNode<T> {
         match self.level {
             StorageLevel::MemoryRaw => "cached",
             StorageLevel::MemoryAndDisk => "cached_mem_disk",
-            StorageLevel::DiskOnly => "cached_disk",
         }
     }
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
     fn deps(&self) -> Vec<Dependency> {
-        // Once every partition is resident (in memory or on disk),
+        // Once every partition is resident (in memory or spilled),
         // upstream lineage is pruned: re-running a job over a cached RDD
         // re-materializes nothing.
         if self

@@ -11,10 +11,11 @@
 //! the service is handed the same figure as the block manager but counts
 //! only its own bytes, so each store stays within the budget and the two
 //! together within twice it. When stored outputs exceed it, the oldest
-//! outputs are *spilled* — they leave the memory ledger (no file is
-//! written: see [`crate::cache`]) and every later fetch of one of their
-//! buckets pays the modeled spill-read cost
-//! ([`crate::metrics::Meter::SpillRead`]).
+//! outputs are *spilled*: they stay stored, flagged `spilled`, off the
+//! memory ledger (no file is written: see [`crate::cache`]), and every
+//! later fetch of one of their buckets logs a spill read. Spill writes
+//! and reads are [`crate::metrics::Meter`] events under the owner
+//! `shuffle-<id>`; the metrics log is the only count of them.
 
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;
@@ -46,8 +47,6 @@ struct SvcInner {
     /// Bytes of non-spilled map outputs (counted against the budget).
     mem_bytes: u64,
     tick: u64,
-    spilled_bytes: u64,
-    spill_read_bytes: u64,
 }
 
 impl SvcInner {
@@ -74,11 +73,10 @@ pub(crate) struct FetchedBucket<T> {
 }
 
 /// Cluster-wide registry of in-flight shuffle data.
-#[derive(Default)]
 pub struct ShuffleService {
     inner: Mutex<SvcInner>,
     budget: Option<u64>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 fn shuffle_owner(shuffle_id: usize) -> String {
@@ -86,18 +84,13 @@ fn shuffle_owner(shuffle_id: usize) -> String {
 }
 
 impl ShuffleService {
-    /// Creates an empty, unbounded service (no budget, no metrics).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a service with an optional byte budget for in-memory map
-    /// outputs, reporting spills to `metrics`.
-    pub(crate) fn with_budget(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
+    /// Creates an empty service with an optional byte budget for
+    /// in-memory map outputs, logging its spills to `metrics`.
+    pub fn new(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
         ShuffleService {
+            inner: Mutex::default(),
             budget,
-            metrics: Some(metrics),
-            ..Self::default()
+            metrics,
         }
     }
 
@@ -143,10 +136,8 @@ impl ShuffleService {
                 .expect("victim output present");
             out.spilled = true;
             inner.mem_bytes -= bytes;
-            inner.spilled_bytes += bytes;
-            if let Some(m) = &self.metrics {
-                m.record_spill_write(&shuffle_owner(shuffle_id), bytes);
-            }
+            self.metrics
+                .record_spill_write(&shuffle_owner(shuffle_id), bytes);
         }
     }
 
@@ -270,7 +261,7 @@ impl ShuffleService {
         shuffle_id: usize,
         reduce_partition: usize,
     ) -> Vec<FetchedBucket<T>> {
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         let data = inner
             .shuffles
             .get(&shuffle_id)
@@ -298,14 +289,10 @@ impl ShuffleService {
                 }
             })
             .collect();
-        if reloaded > 0 {
-            inner.spill_read_bytes += reloaded;
-        }
         drop(inner);
         if reloaded > 0 {
-            if let Some(m) = &self.metrics {
-                m.record_spill_read(&shuffle_owner(shuffle_id), reloaded);
-            }
+            self.metrics
+                .record_spill_read(&shuffle_owner(shuffle_id), reloaded);
         }
         fetched
     }
@@ -354,25 +341,19 @@ impl ShuffleService {
     pub fn memory_bytes(&self) -> u64 {
         self.inner.lock().mem_bytes
     }
-
-    /// Total map-output bytes spilled to disk over the service's life.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.inner.lock().spilled_bytes
-    }
-
-    /// Total bucket bytes fetched from spilled map outputs.
-    pub fn spill_read_bytes(&self) -> u64 {
-        self.inner.lock().spill_read_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn unbounded() -> ShuffleService {
+        ShuffleService::new(None, Arc::default())
+    }
+
     #[test]
     fn roundtrip_two_maps_two_reducers() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.register(1, 2, 2);
         assert!(!svc.is_complete(1));
         svc.put_map_output::<(u32, f64)>(1, 0, vec![vec![(1, 1.0)], vec![(2, 2.0)]], vec![12, 12]);
@@ -392,7 +373,7 @@ mod tests {
 
     #[test]
     fn register_is_idempotent() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.register(5, 1, 1);
         svc.put_map_output(5, 0, vec![vec![9u32]], vec![4]);
         svc.register(5, 1, 1); // must not wipe existing data
@@ -401,7 +382,7 @@ mod tests {
 
     #[test]
     fn clear_frees_everything() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.register(1, 1, 1);
         svc.put_map_output::<u8>(1, 0, vec![vec![1]], vec![1]);
         svc.register(2, 1, 1);
@@ -413,7 +394,7 @@ mod tests {
 
     #[test]
     fn remove_frees_shuffle() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.register(2, 1, 1);
         svc.put_map_output(2, 0, vec![vec![1u8]], vec![1]);
         assert_eq!(svc.live_shuffles(), 1);
@@ -427,14 +408,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "not registered")]
     fn put_to_unregistered_panics() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.put_map_output(9, 0, vec![vec![1u8]], vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "mismatched record type")]
     fn type_confusion_panics() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.register(3, 1, 1);
         svc.put_map_output(3, 0, vec![vec![1u32]], vec![4]);
         let _ = svc.read::<u64>(3, 0);
@@ -443,44 +424,48 @@ mod tests {
     #[test]
     #[should_panic(expected = "bucket count mismatch")]
     fn wrong_bucket_count_panics() {
-        let svc = ShuffleService::new();
+        let svc = unbounded();
         svc.register(4, 1, 3);
         svc.put_map_output(4, 0, vec![vec![1u32]], vec![4]);
     }
 
-    fn bounded(budget: u64) -> ShuffleService {
-        ShuffleService::with_budget(Some(budget), Arc::new(MetricsRegistry::new()))
+    /// A budgeted service and the log it records into.
+    fn bounded(budget: u64) -> (ShuffleService, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        (ShuffleService::new(Some(budget), metrics.clone()), metrics)
     }
 
     #[test]
     fn oversized_map_outputs_spill_oldest_first() {
-        let svc = bounded(20);
+        let (svc, metrics) = bounded(20);
+        let spilled = || metrics.snapshot().spilled_bytes();
+        let spill_read = || metrics.snapshot().spill_read_bytes();
         svc.register(1, 3, 1);
         svc.put_map_output(1, 0, vec![vec![1u64]], vec![8]);
         svc.put_map_output(1, 1, vec![vec![2u64]], vec![8]);
-        assert_eq!(svc.spilled_bytes(), 0);
+        assert_eq!(spilled(), 0);
         svc.put_map_output(1, 2, vec![vec![3u64]], vec![8]);
         // 24 B > 20 B: the oldest output (map 0) spills.
-        assert_eq!(svc.spilled_bytes(), 8);
+        assert_eq!(spilled(), 8);
         assert_eq!(svc.memory_bytes(), 16);
         // Data stays readable; fetching the spilled bucket pays a reload.
         let r = svc.read::<u64>(1, 0);
         assert_eq!(*r[0].records, vec![1]);
         assert_eq!(*r[1].records, vec![2]);
         assert_eq!(*r[2].records, vec![3]);
-        assert_eq!(svc.spill_read_bytes(), 8);
+        assert_eq!(spill_read(), 8);
         // A second read of the spilled bucket pays again.
         let _ = svc.read::<u64>(1, 0);
-        assert_eq!(svc.spill_read_bytes(), 16);
+        assert_eq!(spill_read(), 16);
     }
 
     #[test]
     fn removing_a_spilled_shuffle_keeps_accounting_consistent() {
-        let svc = bounded(8);
+        let (svc, metrics) = bounded(8);
         svc.register(7, 2, 1);
         svc.put_map_output(7, 0, vec![vec![1u64]], vec![8]);
         svc.put_map_output(7, 1, vec![vec![2u64]], vec![8]);
-        assert_eq!(svc.spilled_bytes(), 8);
+        assert_eq!(metrics.snapshot().spilled_bytes(), 8);
         assert_eq!(svc.memory_bytes(), 8);
         svc.remove(7);
         assert_eq!(svc.memory_bytes(), 0);

@@ -34,7 +34,7 @@ fn evicted_memory_blocks_recompute_from_lineage() {
     let first_pass = computed.load(Ordering::Relaxed);
     assert_eq!(first_pass, 800);
     assert!(c.block_manager().memory_bytes() <= 2000);
-    assert!(c.block_manager().eviction_count() > 0);
+    assert!(c.metrics().snapshot().eviction_count() > 0);
 
     // Second action: cache hits for resident blocks, lineage recompute
     // for evicted ones — same bytes either way.
@@ -47,7 +47,6 @@ fn evicted_memory_blocks_recompute_from_lineage() {
         second_pass > first_pass && second_pass <= 2 * first_pass,
         "recompute expected: {first_pass} then {second_pass}"
     );
-    assert!(c.block_manager().recompute_count() > 0);
     assert!(c.metrics().snapshot().recompute_count() > 0);
 }
 
@@ -69,32 +68,18 @@ fn memory_and_disk_blocks_reload_without_recompute() {
     assert_eq!(rdd.collect(), expect);
     assert_eq!(computed.load(Ordering::Relaxed), 800);
     let bm = c.block_manager();
-    assert!(bm.spilled_bytes() > 0, "working set must spill");
-    assert!(bm.disk_bytes() > 0);
+    let [_, spilled, _, _] = c.metrics().snapshot().block_manager_storage();
+    assert!(spilled > 0, "working set must spill");
+    assert!(bm.total_bytes() > bm.memory_bytes());
     assert!(bm.memory_bytes() <= 2000);
     // All partitions still resident (memory or disk): lineage is pruned
     // and a second pass recomputes nothing.
     assert!(rdd.is_fully_cached());
     assert_eq!(rdd.collect(), expect);
     assert_eq!(computed.load(Ordering::Relaxed), 800, "no recompute");
-    assert!(bm.spill_read_bytes() > 0, "disk hits pay a spill read");
-    assert_eq!(bm.recompute_count(), 0);
-}
-
-/// DiskOnly persists outside the memory budget entirely.
-#[test]
-fn disk_only_rdd_never_holds_memory() {
-    let c = budgeted(512);
-    let rdd = c
-        .parallelize((0u64..400).collect(), 4)
-        .persist(StorageLevel::DiskOnly);
-    let _ = rdd.count();
-    let bm = c.block_manager();
-    assert_eq!(bm.memory_bytes(), 0);
-    assert_eq!(bm.disk_bytes(), 400 * 8);
-    assert!(rdd.is_fully_cached());
-    assert_eq!(rdd.collect(), (0u64..400).collect::<Vec<_>>());
-    assert!(bm.spill_read_bytes() > 0);
+    let [_, _, spill_read, recomputes] = c.metrics().snapshot().block_manager_storage();
+    assert!(spill_read > 0, "spilled hits pay a spill read");
+    assert_eq!(recomputes, 0);
 }
 
 /// The spill traffic shows up in the simulated time model: the same job
@@ -135,11 +120,43 @@ fn shuffle_spill_keeps_results_correct_and_reported() {
     // 1000 records over 16 keys: keys 0..8 appear 63 times, the rest 62.
     let expect: Vec<(u32, u64)> = (0..16).map(|k| (k, if k < 8 { 63 } else { 62 })).collect();
     assert_eq!(got, expect);
-    assert!(c.shuffle_service().spilled_bytes() > 0);
-    assert!(c.shuffle_service().spill_read_bytes() > 0);
-    let report = c.metrics().snapshot().render_report();
+    let m = c.metrics().snapshot();
+    let [_, cached_spilled, cached_spill_read, _] = m.block_manager_storage();
+    assert!(m.spilled_bytes() > cached_spilled);
+    assert!(m.spill_read_bytes() > cached_spill_read);
+    let report = m.render_report();
     assert!(report.contains("STORAGE"), "report: {report}");
     assert!(report.contains("shuffle-"), "report: {report}");
+}
+
+/// Under one budget both stores spill, and the log tells them apart: the
+/// block manager's share comes from the `rdd-*` owners, the rest of
+/// `spilled_bytes` is the shuffle service's, and evictions and recomputes
+/// belong to cached RDDs alone.
+#[test]
+fn log_splits_storage_between_block_manager_and_shuffle_service() {
+    let c = budgeted(1500);
+    let dropped = c
+        .parallelize((0u64..400).collect(), 4)
+        .map(|x| x + 1)
+        .persist(StorageLevel::MemoryRaw);
+    let spilled = c
+        .parallelize((0u32..1000).map(|i| (i % 16, 1u64)).collect(), 8)
+        .persist(StorageLevel::MemoryAndDisk);
+    for _ in 0..2 {
+        assert_eq!(dropped.count(), 400);
+        assert_eq!(spilled.reduce_by_key(|a, b| a + b).count(), 16);
+    }
+    let m = c.metrics().snapshot();
+    let [evicted, cached_spilled, _, recomputes] = m.block_manager_storage();
+    assert!(cached_spilled > 0, "cached blocks must spill");
+    assert!(
+        m.spilled_bytes() - cached_spilled > 0,
+        "shuffle outputs must spill"
+    );
+    assert!(m.eviction_count() > 0 && m.recompute_count() > 0);
+    assert_eq!(evicted, m.evicted_bytes(), "every eviction is an rdd-* one");
+    assert_eq!(recomputes, m.recompute_count() as u64);
 }
 
 /// Budget interacts safely with node failures: recovery after a crash on
@@ -179,7 +196,6 @@ fn unpersist_clears_memory_disk_and_tombstones() {
     assert!(c.block_manager().total_bytes() > 0);
     rdd.unpersist();
     assert_eq!(c.block_manager().total_bytes(), 0);
-    assert_eq!(c.block_manager().disk_bytes(), 0);
     // Still usable afterwards.
     assert_eq!(rdd.count(), 500);
 }

@@ -41,7 +41,7 @@ impl Drop for BlockProbe {
 /// A service holding shuffles `1` and `2`, two map outputs of one probe
 /// record each.
 fn shuffles() -> Arc<ShuffleService> {
-    let svc = Arc::new(ShuffleService::new());
+    let svc = Arc::new(ShuffleService::new(None, Arc::default()));
     for shuffle_id in [1, 2] {
         svc.register(shuffle_id, 2, 1);
         for map_partition in 0..2 {
@@ -75,11 +75,11 @@ fn put_probe(bm: &Arc<BlockManager>, rdd: usize, partition: usize, level: Storag
 #[test]
 fn block_manager_frees_records_outside_its_lock() {
     within(LIMIT, "remove_rdd / remove_where / replacing put", || {
-        let bm = Arc::new(BlockManager::new());
+        let bm = Arc::new(BlockManager::new(None, Arc::default()));
         for partition in 0..3 {
             put_probe(&bm, 7, partition, StorageLevel::MemoryRaw);
         }
-        put_probe(&bm, 8, 0, StorageLevel::DiskOnly);
+        put_probe(&bm, 8, 0, StorageLevel::MemoryAndDisk);
         // Replacing a resident block retires the stale copy.
         put_probe(&bm, 7, 0, StorageLevel::MemoryRaw);
         assert_eq!(bm.remove_where(|partition| partition == 2), 1);
@@ -94,22 +94,20 @@ fn block_manager_frees_records_outside_its_lock() {
         LIMIT,
         "memory-only eviction in put and in a promoting get",
         || {
-            let bm = Arc::new(BlockManager::with_budget(
-                Some(16),
-                Arc::new(MetricsRegistry::new()),
-            ));
+            let metrics = Arc::new(MetricsRegistry::new());
+            let bm = Arc::new(BlockManager::new(Some(16), metrics.clone()));
             put_probe(&bm, 1, 0, StorageLevel::MemoryAndDisk);
             put_probe(&bm, 1, 1, StorageLevel::MemoryRaw);
             // Third block over budget: the LRU block (1, 0) spills to disk.
             put_probe(&bm, 1, 2, StorageLevel::MemoryRaw);
-            assert_eq!(bm.eviction_count(), 1);
+            assert_eq!(metrics.snapshot().eviction_count(), 1);
             // Reading it back promotes it and drops the memory-only (1, 1).
             assert!(bm.get::<BlockProbe>(1, 0).is_some());
             assert!(!bm.contains(1, 1));
             // A fourth block drops the memory-only (1, 2) from inside `put`.
             put_probe(&bm, 1, 3, StorageLevel::MemoryAndDisk);
             assert!(!bm.contains(1, 2));
-            assert_eq!(bm.eviction_count(), 3);
+            assert_eq!(metrics.snapshot().eviction_count(), 3);
             assert_eq!(BLOCK_PROBES_DROPPED.load(Ordering::SeqCst), 5 + 2);
             assert_eq!(bm.remove_rdd(1), 2);
             assert_eq!(BLOCK_PROBES_DROPPED.load(Ordering::SeqCst), 5 + 4);

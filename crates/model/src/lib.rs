@@ -132,7 +132,6 @@ mod tests {
         let record = |server_job, pool: &str, delay, run, outcome| {
             Event::JobFinished(JobRecord {
                 server_job,
-                tenant: format!("tenant-{server_job}"),
                 pool: pool.to_string(),
                 start_seq: server_job,
                 queue_delay_secs: delay,

@@ -17,11 +17,24 @@ of BENCHMARK.json:
      BENCHMARK.json, same seed on both sides), alternating which side runs
      first;
   3. prints, for every end-to-end metric, each side's quartiles and median,
-     the ratio of the medians, and in how many pairs the change read better
-     (ties count for neither side), plus failed/incorrect runs per side.
+     the ratio of the medians, in how many pairs the change read better
+     (ties count for neither side) and a verdict, plus failed/incorrect runs
+     per side.
 
-A gain may be claimed when the change wins at least nine tenths of the pairs
-and the medians differ by more than the parent's own q3 - q1.
+The verdict applies the metric's `bound` and `better` direction from
+BENCHMARK.json; the first that holds is printed:
+
+  worse       the change's median is worse than the parent's by more than
+              the bound (a relative share of the parent's median);
+  unresolved  the parent's (q3 - q1) / median is wider than the bound, and
+              not every change run beats every parent run;
+  gain        the change wins at least nine tenths of the pairs and the
+              medians differ, in the better direction, by more than the
+              parent's q3 - q1;
+  ok          otherwise.
+
+A change may claim a gain only on a metric that reads `gain` over at least
+ten pairs, and must read `worse` on none; fewer pairs give a preview.
 
 Scratch space (checkout, builds, one JSON line per run) lives under
 ${TMPDIR:-/tmp}/cstf-perf-pairs/<parent-sha>/ and is reused by later
@@ -101,13 +114,32 @@ jq -rn --slurpfile parent "$runs/parent.jsonl" --slurpfile change "$runs/change.
     def summary: "\(quantile(0.25) | r) / \(quantile(0.5) | r) / \(quantile(0.75) | r)";
     def bad: map(select(.correct != true or .failed != 0)) | length;
     def ratio($den): if $den == 0 then "n/a" else . / $den | r end;
+    # $x relative to the parent median $pm: a share of it, or infinite
+    # when a zero median moves at all.
+    def rel($x; $pm): if $pm == 0 then (if $x == 0 then 0 else infinite end) else $x / ($pm | fabs) end;
+    # $p, $c: per-run values; $sign: 1 when lower is better, else -1;
+    # $diff: per-pair (change - parent) * $sign, negative = change better.
+    def verdict($p; $c; $bound; $sign; $diff):
+        ($p | quantile(0.5)) as $pm
+        | (($p | quantile(0.75)) - ($p | quantile(0.25))) as $iqr
+        | ($c | quantile(0.5)) as $cm
+        | if rel(($cm - $pm) * $sign; $pm) > $bound then "worse"
+          elif rel($iqr; $pm) > $bound
+              and ($c | map(. * $sign) | max) >= ($p | map(. * $sign) | min)
+          then "unresolved"
+          elif ($diff | length) > 0
+              and ($diff | map(select(. < 0)) | length) * 10 >= ($diff | length) * 9
+              and ($pm - $cm) * $sign > $iqr
+          then "gain"
+          else "ok" end;
     (
         $bench[0].end_to_end[] as $m
         | [$parent[].metrics[$m.name].value] as $p
         | [$change[].metrics[$m.name].value] as $c
         | (if $m.better == "lower" then 1 else -1 end) as $sign
         | ([range(0; [$p, $c] | map(length) | min)] | map(($c[.] - $p[.]) * $sign)) as $diff
-        | "\($m.name) [\($m.unit), \($m.better) is better]\n"
+        | "\($m.name) [\($m.unit), \($m.better) is better, bound \($m.bound)]: "
+          + verdict($p; $c; $m.bound; $sign; $diff) + "\n"
           + "  parent q1/median/q3: \($p | summary)\n"
           + "  change q1/median/q3: \($c | summary)\n"
           + "  change/parent medians: \($c | quantile(0.5) | ratio($p | quantile(0.5)))"

@@ -518,16 +518,18 @@ impl Row {
             (ids.iter().zip(outputs).map(job).collect(), 0)
         };
         let bm = cluster.block_manager();
+        let metrics = cluster.metrics().snapshot();
+        let [_, spilled, _, recomputes] = metrics.block_manager_storage();
         Outcome {
             jobs,
-            metrics: cluster.metrics().snapshot(),
+            evictions: metrics.eviction_count() as u64,
+            spilled,
+            recomputes,
+            metrics,
             lost,
             budget,
             peak_bytes: bm.peak_memory_bytes(),
             resident_bytes: bm.memory_bytes(),
-            evictions: bm.eviction_count(),
-            spilled: bm.spilled_bytes(),
-            recomputes: bm.recompute_count(),
         }
     }
 }
