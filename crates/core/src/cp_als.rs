@@ -18,7 +18,8 @@ use rand::SeedableRng;
 use crate::planner::{Partitioning, Strategy};
 
 /// What a run holds on the (possibly shared) cluster — the plan, whose
-/// drop unpersists its datasets, and the metrics scope — given back on
+/// drop unpersists its datasets and releases the shuffles that built
+/// them, and the metrics scope — given back on
 /// every exit path: normal return, `?`, or a panic unwinding out of an
 /// aborted or cancelled stage.
 struct RunGuard<'a> {

@@ -130,11 +130,20 @@ impl JoinContext {
 /// out of an aborted stage — including the job that was still filling the
 /// cache. Unpersisting twice, or a dataset that was never cached, is a
 /// no-op.
+///
+/// Dropping also releases the shuffle outputs that built the dataset
+/// ([`Rdd::release_shuffles`]): the plan owns that lineage, and once the
+/// handle is gone nothing live reads it — QCOO's rotation drops the old
+/// queue only after the new one is cached. The lineage stays, so a node
+/// loss replays the released shuffles.
 pub(crate) struct Persisted<T: Data>(pub(crate) Rdd<T>);
 
 impl<T: Data> Drop for Persisted<T> {
     fn drop(&mut self) {
+        // Unpersist first: only an uncached node lets the walk reach
+        // the lineage below it.
         self.0.unpersist();
+        self.0.release_shuffles();
     }
 }
 

@@ -18,6 +18,11 @@
 //! costs one join + one reduceByKey = 2 shuffles (Table 4), at the price of
 //! `(N−1)·nnz·R` carried state. The state RDD is cached after each
 //! rotation and the previous one unpersisted, exactly as §4.2 describes.
+//! Dropping the previous state also releases the shuffle outputs that
+//! built it (join *s − 1* and older, the prologue's joins at step 1), so
+//! the shuffle service holds one generation of join output — join *s*,
+//! which feeds the live state and lets an evicted block recompute with
+//! one join. The lineage stays: a node loss re-runs the released joins.
 //!
 //! Because each stage consumes the previous stage's output, a QCOO step
 //! is a *chain* in the scheduler's stage DAG ([`cstf_dataflow::Job`]): its
@@ -33,7 +38,9 @@ use cstf_tensor::DenseMatrix;
 
 /// Every this many steps the rotated state is checkpointed instead of
 /// cached, truncating the otherwise ever-growing lineage chain (standard
-/// practice for iterative Spark jobs).
+/// practice for iterative Spark jobs). It bounds how far a node loss
+/// replays and how long the lineage grows; memory it does not bound —
+/// each swap already releases the previous generation's shuffles.
 const CHECKPOINT_INTERVAL: u64 = 8;
 
 /// The persistent distributed state of a QCOO CP-ALS run.
@@ -44,9 +51,10 @@ const CHECKPOINT_INTERVAL: u64 = 8;
 /// output modes `0, 1, …, N−1, 0, …`. The plan validates every input
 /// before it reaches either.
 pub(crate) struct QcooState {
-    /// The live queue state; replacing or dropping it unpersists it, so a
-    /// state that is dropped without [`QcooState::release`] — or whose
-    /// prologue or step job aborted — leaves no blocks behind.
+    /// The live queue state; replacing or dropping it unpersists it and
+    /// releases the shuffles that built it, so a state that is dropped
+    /// without [`QcooState::release`] — or whose prologue or step job
+    /// aborted — leaves no blocks or dead shuffle outputs behind.
     state: Persisted<(u32, QRecord)>,
     /// Tensor order `N`.
     order: usize,
@@ -144,7 +152,8 @@ impl QcooState {
 
         // Swap in the rotated state; the assignment drops the old one from
         // the cache ("removed from the cache by explicitly asking Spark to
-        // unpersist the old RDD", §4.2).
+        // unpersist the old RDD", §4.2) and releases the shuffles below
+        // it, keeping the join that feeds the new one.
         self.state = rotated;
         self.key_mode = out_mode;
         self.steps_taken += 1;
@@ -271,6 +280,60 @@ mod tests {
         assert_eq!(after_one, after_two);
         p.release();
         assert!(c.block_manager().is_empty());
+    }
+
+    #[test]
+    fn shuffle_data_stays_at_one_generation() {
+        // Dropping a queue releases the shuffles that built it; only the
+        // join feeding the live queue stays. Seven steps end before the
+        // first checkpoint, which would drop the lineage anyway.
+        let t = RandomTensor::new(vec![8, 8, 8]).nnz(100).seed(8).build();
+        let factors = random_factors(t.shape(), 2, 26);
+        let (c, mut p) = qcoo_plan(&t, &factors);
+        p.mttkrp(&factors, 0).unwrap();
+        let after_one = c.shuffle_service().memory_bytes();
+        assert!(after_one > 0);
+        for step in 2..=7 {
+            p.mttkrp(&factors, (step - 1) % 3).unwrap();
+            let held = c.shuffle_service().memory_bytes();
+            assert_eq!(held, after_one, "step {step}");
+            assert_eq!(c.shuffle_service().live_shuffles(), 1, "step {step}");
+        }
+        p.release();
+    }
+
+    #[test]
+    fn node_loss_replays_released_shuffles_bit_identically() {
+        // Before step 5 a node loses its share of the live queue and of
+        // the join feeding it; the lineage below reaches only released
+        // shuffles, which re-run back to the cached tensor.
+        let t = RandomTensor::new(vec![9, 8, 7]).nnz(150).seed(31).build();
+        let factors = random_factors(t.shape(), 2, 32);
+        let run = |fail_before: Option<usize>| -> Vec<DenseMatrix> {
+            let (c, mut p) = qcoo_plan(&t, &factors);
+            let ms = (0..6)
+                .map(|step| {
+                    if fail_before == Some(step) {
+                        let (blocks, outputs) = c.simulate_node_failure(1);
+                        assert!(blocks > 0 && outputs > 0);
+                        c.metrics().reset();
+                        let m = p.mttkrp(&factors, step % 3).unwrap();
+                        // More than the step's own join and reduce ran.
+                        assert!(c.metrics().snapshot().shuffle_count() > 2);
+                        m
+                    } else {
+                        p.mttkrp(&factors, step % 3).unwrap()
+                    }
+                })
+                .collect();
+            p.release();
+            ms
+        };
+        let quiet = run(None);
+        let faulty = run(Some(4));
+        for (q, f) in quiet.iter().zip(&faulty) {
+            assert_bits_eq(q, f);
+        }
     }
 
     #[test]

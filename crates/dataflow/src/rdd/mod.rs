@@ -223,6 +223,35 @@ impl<T: Data> Rdd<T> {
         self.cluster.block_manager().remove_rdd(self.node.id())
     }
 
+    /// Drops the stored map outputs of every shuffle this dataset's
+    /// lineage still reaches — through narrow dependencies and each
+    /// shuffle's map side, stopping where scheduling prunes it, at fully
+    /// resident cached datasets. The lineage is kept: a later job that
+    /// needs a released shuffle re-runs its map stage, as after a node
+    /// loss. Meant for a dataset that was just unpersisted and that
+    /// nothing live reads any more; a shuffle released under a running
+    /// job that planned it as skipped fails that job's reads. A second
+    /// call is a no-op.
+    pub fn release_shuffles(&self) {
+        let service = self.cluster.shuffle_service();
+        let mut seen = crate::hash::FxHashSet::default();
+        let mut pending: Vec<Arc<dyn NodeInfo>> = vec![self.node.clone()];
+        while let Some(node) = pending.pop() {
+            if !seen.insert(node.id()) {
+                continue;
+            }
+            for dep in node.deps() {
+                match dep {
+                    Dependency::Narrow(parent) => pending.push(parent),
+                    Dependency::Shuffle(shuffle) => {
+                        service.remove(shuffle.shuffle_id());
+                        pending.push(shuffle.parent_info());
+                    }
+                }
+            }
+        }
+    }
+
     /// Whether all partitions are currently resident (in memory or
     /// spilled).
     pub fn is_fully_cached(&self) -> bool {

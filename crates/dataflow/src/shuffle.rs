@@ -16,6 +16,13 @@
 //! later fetch of one of their buckets logs a spill read. Spill writes
 //! and reads are [`crate::metrics::Meter`] events under the owner
 //! `shuffle-<id>`; the metrics log is the only count of them.
+//!
+//! A shuffle's outputs live until its dependency drops, or until the
+//! dataset they built is released: a cached dataset's lineage keeps every
+//! shuffle below it, so an owner that drops a persisted dataset nothing
+//! live reads calls [`crate::Rdd::release_shuffles`] after unpersisting
+//! it. The lineage stays, and a job that needs a released shuffle re-runs
+//! its map stage, as after a node loss ([`ShuffleService::clear`]).
 
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;

@@ -416,6 +416,65 @@ fn lineage_recomputes_after_shuffle_cleanup() {
 }
 
 #[test]
+fn released_shuffle_reruns_its_map_stage() {
+    let c = cluster();
+    let rdd = c
+        .parallelize((0u32..50).map(|i| (i % 5, 1u32)).collect(), 4)
+        .reduce_by_key(|a, b| a + b);
+    let first = sorted(rdd.collect());
+    c.metrics().reset();
+    let _ = rdd.collect();
+    let m = c.metrics().snapshot();
+    assert_eq!((m.shuffle_count(), m.skipped_stage_count()), (0, 1));
+
+    rdd.release_shuffles();
+    assert_eq!(c.shuffle_service().live_shuffles(), 0);
+    assert_eq!(c.shuffle_service().memory_bytes(), 0);
+    rdd.release_shuffles(); // a second release is a no-op
+
+    c.metrics().reset();
+    assert_eq!(sorted(rdd.collect()), first);
+    let m = c.metrics().snapshot();
+    assert_eq!((m.shuffle_count(), m.skipped_stage_count()), (1, 0));
+}
+
+#[test]
+fn release_stops_at_a_fully_cached_ancestor() {
+    let c = cluster();
+    let cached = c
+        .parallelize((0u32..100).map(|i| (i % 10, i)).collect(), 4)
+        .reduce_by_key(|a, b| a + b)
+        .persist(StorageLevel::MemoryRaw);
+    let _ = cached.count();
+    let top = cached.map(|(k, v)| (k % 3, v)).reduce_by_key(|a, b| a + b);
+    let first = sorted(top.collect());
+    assert_eq!(c.shuffle_service().live_shuffles(), 2);
+
+    top.release_shuffles();
+    assert_eq!(
+        c.shuffle_service().live_shuffles(),
+        1,
+        "upstream shuffle kept"
+    );
+    assert!(cached.is_fully_cached());
+    assert_eq!(c.block_manager().len(), cached.num_partitions());
+    let held = c.shuffle_service().memory_bytes();
+    top.release_shuffles();
+    assert_eq!(
+        c.shuffle_service().live_shuffles(),
+        1,
+        "a second release is a no-op"
+    );
+    assert_eq!(c.shuffle_service().memory_bytes(), held);
+
+    c.metrics().reset();
+    assert_eq!(sorted(top.collect()), first);
+    let m = c.metrics().snapshot();
+    assert_eq!(m.shuffle_count(), 1, "only the released shuffle re-runs");
+    assert_eq!(c.shuffle_service().live_shuffles(), 2);
+}
+
+#[test]
 fn chained_shuffles_schedule_in_order() {
     let c = cluster();
     // Two dependent shuffles: reduce → re-key → reduce.
