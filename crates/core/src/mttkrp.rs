@@ -187,14 +187,17 @@ pub(crate) fn mttkrp_coo(
         .join_by(&factor_rdd, ctx.partitioner.clone())
         .map(move |(_, (rec, row))| (rec.coord[next_key_mode], (rec, row)));
 
-    // STAGES 2..N-1: join remaining factors, folding rows into the partial
-    // Hadamard product (consumed rows go back into the kernel arena).
+    // STAGES 2..N-1: join remaining factors, multiplying each factor row
+    // into the partial Hadamard product in place.
     for (idx, &m) in joins.iter().enumerate().skip(1) {
         let factor_rdd = ctx.factor_rdd(cluster, &factors[m]);
         let next_key_mode = *joins.get(idx + 1).unwrap_or(&mode);
         state = state.join_by(&factor_rdd, ctx.partitioner.clone()).map(
             move |(_, ((rec, partial), row))| {
-                (rec.coord[next_key_mode], (rec, hadamard_rows(partial, row)))
+                (
+                    rec.coord[next_key_mode],
+                    (rec, hadamard_rows(partial, &row)),
+                )
             },
         );
     }

@@ -269,18 +269,16 @@ impl EstimateSize for QRecord {
     }
 }
 
-/// Element-wise product of two rows through the kernel row arena: the
-/// output buffer comes from the pool (fully overwritten, so stale contents
-/// never leak) and both consumed inputs are recycled into it.
-pub(crate) fn hadamard_rows(a: Row, b: Row) -> Row {
+/// Element-wise product of two rows, taken in place: `a` becomes the
+/// product and is returned. Neither row goes through the kernel row
+/// arena; the caller drops `b`, since pooling it would park one row per
+/// joined record in each worker's pool.
+pub(crate) fn hadamard_rows(mut a: Row, b: &[f64]) -> Row {
     debug_assert_eq!(a.len(), b.len());
-    let mut out = pool::take_row(a.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x * y;
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x *= y;
     }
-    pool::give_row(a);
-    pool::give_row(b);
-    out
+    a
 }
 
 /// [`cstf_dataflow::kernel::KernelOps`] for `Row` accumulation with
@@ -425,7 +423,12 @@ mod tests {
     fn row_helpers() {
         let a: Row = vec![1.0, 2.0].into_boxed_slice();
         let b: Row = vec![3.0, 4.0].into_boxed_slice();
-        assert_eq!(hadamard_rows(a.clone(), b.clone()).as_ref(), &[3.0, 8.0]);
+        // The product is `a`'s own buffer, multiplied in place.
+        let left = a.clone();
+        let buffer = left.as_ptr();
+        let product = hadamard_rows(left, &b);
+        assert_eq!(product.as_ptr(), buffer);
+        assert_eq!(product.as_ref(), &[3.0, 8.0]);
         assert_eq!(add_rows(a.clone(), b).as_ref(), &[4.0, 6.0]);
         assert_eq!(scale_row(a, 2.0).as_ref(), &[2.0, 4.0]);
     }

@@ -100,14 +100,14 @@ pub(crate) fn mttkrp_spmv(
         if idx + 1 == joins.len() {
             // Final contraction: only the target component survives.
             let rows = joined.map(move |(_, ((key, partial), frow))| {
-                let combined = hadamard_rows(partial, frow);
+                let combined = hadamard_rows(partial, &frow);
                 (drop.extract(drop.drop_mode(key, m), mode), combined)
             });
             return ctx.sum_rows(rows, shape[mode] as usize);
         }
         fibers = canonical(
             ctx.reduce_rows(joined.map(move |(_, ((key, partial), frow))| {
-                (drop.drop_mode(key, m), hadamard_rows(partial, frow))
+                (drop.drop_mode(key, m), hadamard_rows(partial, &frow))
             })),
         );
     }

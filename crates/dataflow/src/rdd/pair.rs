@@ -9,8 +9,9 @@
 //! **One core.** Every public operator here is a thin default over three
 //! private constructors — `wide` (the combining operators: `reduce_by_key*`,
 //! `group_by_key*`), `repartition` (`partition_by*`) and `co_side` (the two
-//! inputs of `cogroup*`, which `join*` flattens) — and every per-key fold, map-side, reduce-side or
-//! shuffle-free, hash or sorted-runs, is one of the two methods of the
+//! inputs of `cogroup*` and `join*`, grouped per key by one method,
+//! `CoGroupedRdd::group`) — and every per-key fold, map-side, reduce-side
+//! or shuffle-free, hash or sorted-runs, is one of the two methods of the
 //! private `Combiner`. A reduce partition is fetched in one place,
 //! `ShuffleDep::read`.
 //!
@@ -38,6 +39,7 @@ use crate::partitioner::{HashPartitioner, KeyPartitioner, PartitionerRef, RangeP
 use crate::size::EstimateSize;
 use crate::{Data, Key};
 use std::collections::hash_map::Entry;
+use std::iter::repeat_n;
 use std::sync::Arc;
 
 /// Element type produced by [`Rdd::cogroup`]: per distinct key, all values
@@ -457,13 +459,16 @@ where
     }
 }
 
-impl<K, V, W> RddNode<(K, (Vec<V>, Vec<W>))> for CoGroupedRdd<K, V, W>
+impl<K, V, W> CoGroupedRdd<K, V, W>
 where
     K: Key + EstimateSize,
     V: Data + EstimateSize,
     W: Data + EstimateSize,
 {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, (Vec<V>, Vec<W>))> {
+    /// Reads both sides of `partition` and groups their values per key,
+    /// each side's in read order — the one grouping behind both `cogroup`
+    /// and `join`.
+    fn group(&self, partition: usize, ctx: &TaskContext<'_>) -> FxHashMap<K, (Vec<V>, Vec<W>)> {
         let mut groups: FxHashMap<K, (Vec<V>, Vec<W>)> = FxHashMap::default();
         for (k, v) in self.left.read(partition, ctx) {
             groups.entry(k).or_default().0.push(v);
@@ -471,8 +476,88 @@ where
         for (k, w) in self.right.read(partition, ctx) {
             groups.entry(k).or_default().1.push(w);
         }
-        let out: Vec<CoGrouped<K, V, W>> = groups.into_iter().collect();
+        groups
+    }
+}
+
+impl<K, V, W> RddNode<(K, (Vec<V>, Vec<W>))> for CoGroupedRdd<K, V, W>
+where
+    K: Key + EstimateSize,
+    V: Data + EstimateSize,
+    W: Data + EstimateSize,
+{
+    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, (Vec<V>, Vec<W>))> {
+        let out: Vec<CoGrouped<K, V, W>> = self.group(partition, ctx).into_iter().collect();
         ctx.stage.add_records_computed(out.len() as u64);
+        out
+    }
+}
+
+/// Inner join of two pair RDDs in one node: the [`CoGroupedRdd`] grouping,
+/// with each key's pairs written straight into the partition's output —
+/// keys in the grouping's hash order, pairs left-major, values moved or
+/// cloned as [`Rdd::join_by`] describes (a single value on one side is
+/// cloned for every pair but the last, which takes it).
+pub(crate) struct JoinedRdd<K: Key, V: Data, W: Data>(CoGroupedRdd<K, V, W>);
+
+impl<K, V, W> NodeInfo for JoinedRdd<K, V, W>
+where
+    K: Key + EstimateSize,
+    V: Data + EstimateSize,
+    W: Data + EstimateSize,
+{
+    fn id(&self) -> usize {
+        self.0.id
+    }
+    /// `flat_map`, the operator Spark's join flattens its cogroup with:
+    /// a job over a join is named `collect(flat_map)` and so on, as the
+    /// pinned job reports print it.
+    fn name(&self) -> &str {
+        "flat_map"
+    }
+    fn num_partitions(&self) -> usize {
+        self.0.partitions
+    }
+    fn deps(&self) -> Vec<Dependency> {
+        self.0.deps()
+    }
+}
+
+impl<K, V, W> RddNode<(K, (V, W))> for JoinedRdd<K, V, W>
+where
+    K: Key + EstimateSize,
+    V: Data + EstimateSize,
+    W: Data + EstimateSize,
+{
+    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, (V, W))> {
+        let groups = self.0.group(partition, ctx);
+        let keys = groups.len();
+        let pairs = groups.values().map(|(vs, ws)| vs.len() * ws.len()).sum();
+        let mut out = Vec::with_capacity(pairs);
+        for (k, (mut vs, mut ws)) in groups {
+            if ws.len() == 1 {
+                let w = ws.pop().expect("len checked");
+                let many = vs.len();
+                out.extend(
+                    vs.into_iter()
+                        .zip(repeat_n(w, many))
+                        .map(|p| (k.clone(), p)),
+                );
+            } else if vs.len() == 1 {
+                let v = vs.pop().expect("len checked");
+                let many = ws.len();
+                out.extend(repeat_n(v, many).zip(ws).map(|p| (k.clone(), p)));
+            } else {
+                for v in &vs {
+                    for w in &ws {
+                        out.push((k.clone(), (v.clone(), w.clone())));
+                    }
+                }
+            }
+        }
+        // A group and a pair each count as one computed record, as they
+        // would across a cogroup and a flatten.
+        ctx.stage.add_records_computed((keys + out.len()) as u64);
         out
     }
 }
@@ -711,18 +796,29 @@ where
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
     ) -> Rdd<CoGrouped<K, V, W>> {
-        self.derive(CoGroupedRdd {
+        self.derive(self.co_grouped(other, &partitioner))
+            .with_partitioner(Some(PartitionerRef::of(partitioner)))
+    }
+
+    /// The grouping node of a cogroup or join with `other` on
+    /// `partitioner`, one [`CoSide`] per input.
+    fn co_grouped<W: Data + EstimateSize>(
+        &self,
+        other: &Rdd<(K, W)>,
+        partitioner: &Arc<dyn KeyPartitioner<K>>,
+    ) -> CoGroupedRdd<K, V, W> {
+        CoGroupedRdd {
             id: next_node_id(),
-            left: self.co_side("cogroup-left", &partitioner),
-            right: other.co_side("cogroup-right", &partitioner),
+            left: self.co_side("cogroup-left", partitioner),
+            right: other.co_side("cogroup-right", partitioner),
             partitions: partitioner.partition_count(),
-        })
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        }
     }
 
     /// Inner join (Spark `join`): emits `(k, (v, w))` for every pair of
-    /// values sharing a key. Implemented as cogroup + flatten, exactly as
-    /// Spark does.
+    /// values sharing a key. Spark flattens a cogroup; here one node
+    /// groups both sides the way `cogroup` does and writes the pairs
+    /// straight out of the groups.
     ///
     /// ```
     /// use cstf_dataflow::{Cluster, ClusterConfig};
@@ -755,23 +851,9 @@ where
         other: &Rdd<(K, W)>,
         partitioner: Arc<dyn KeyPartitioner<K>>,
     ) -> Rdd<(K, (V, W))> {
-        let grouped = self.cogroup_by(other, partitioner);
-        // Every output record keeps its key, so the cogroup's partitioner
-        // still holds.
-        let partitioner = grouped.partitioner.clone();
-        grouped
-            .flat_map(|(k, (mut vs, mut ws))| {
-                if ws.len() == 1 {
-                    let w = ws.pop().expect("len checked");
-                    spread(&k, vs, w, |v, w| (v, w))
-                } else if vs.len() == 1 {
-                    let v = vs.pop().expect("len checked");
-                    spread(&k, ws, v, |w, v| (v, w))
-                } else {
-                    cross(&k, &vs, &ws)
-                }
-            })
-            .with_partitioner(partitioner)
+        // Every output record keeps its key, so the partitioner holds.
+        self.derive(JoinedRdd(self.co_grouped(other, &partitioner)))
+            .with_partitioner(Some(PartitionerRef::of(partitioner)))
     }
 
     /// Repartitions with an explicit range partitioner; partition `i`
@@ -826,37 +908,4 @@ where
 /// The hash partitioner every `*_with(partitions)` default resolves to.
 fn hashed<K: Key>(partitions: usize) -> Arc<dyn KeyPartitioner<K>> {
     Arc::new(HashPartitioner::new(partitions))
-}
-
-/// Every `(left, right)` pair under `k`, left-major — the join's per-key
-/// body for many-to-many keys.
-fn cross<K: Clone, A: Clone, B: Clone>(k: &K, left: &[A], right: &[B]) -> Vec<(K, (A, B))> {
-    let mut out = Vec::with_capacity(left.len() * right.len());
-    for a in left {
-        for b in right {
-            out.push((k.clone(), (a.clone(), b.clone())));
-        }
-    }
-    out
-}
-
-/// [`cross`] when one side holds the single value `one`: each value of
-/// `many` moves into its pair, in order (so the emit order is `cross`'s),
-/// and `one` is cloned for every pair but the last, which takes it.
-fn spread<K: Clone, M, S: Clone, P>(
-    k: &K,
-    many: Vec<M>,
-    one: S,
-    pair: impl Fn(M, S) -> P,
-) -> Vec<(K, P)> {
-    let mut out = Vec::with_capacity(many.len());
-    let mut many = many.into_iter().peekable();
-    while let Some(m) = many.next() {
-        if many.peek().is_none() {
-            out.push((k.clone(), pair(m, one)));
-            break;
-        }
-        out.push((k.clone(), pair(m, one.clone())));
-    }
-    out
 }

@@ -1,9 +1,11 @@
 //! Tests for the operators past the basic suite: sort_by_key,
 //! partition_by_range, the broadcast-join idiom, the pinned emit sequence
-//! of every keyed operator and the join's clone count.
+//! of every keyed operator, the join's clone count and its emit order
+//! against the cogroup's.
 
 use cstf_dataflow::{
     Cluster, ClusterConfig, EstimateSize, KernelOps, KernelStrategy, RangePartitioner, Rdd,
+    StageKind,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -295,4 +297,73 @@ fn join_moves_the_many_side_and_clones_the_single_side_n_minus_1_times() {
         assert_eq!(many_total - many_read, 0, "many side cloned");
         assert_eq!(single_total - single_read, pairs - 4, "n − 1 per key");
     }
+}
+
+/// `join` against its definition over `cogroup`: every key of the
+/// cogroup's `collect()`, in that order, expanded left-major into its
+/// `(v, w)` pairs — compared record for record, unsorted. The input holds
+/// keys with one right value (0–3), with one left value (10–13), with one
+/// of each (14), many-to-many keys (20, 21) and keys on one side only (30,
+/// 31). A join's result stage computes one record per group and one per
+/// pair.
+#[test]
+fn join_writes_the_cogroup_pairs_in_cogroup_order() {
+    let c = cluster();
+    let mut left: Vec<(u32, u32)> = Vec::new();
+    let mut right: Vec<(u32, i64)> = Vec::new();
+    for k in 0..4u32 {
+        left.extend((0..=k).map(|i| (k, 100 * k + i)));
+        right.push((k, -i64::from(k)));
+    }
+    for k in 10..14u32 {
+        left.push((k, 100 * k));
+        right.extend((0..=i64::from(k - 10)).map(|i| (k, 10 * i64::from(k) + i)));
+    }
+    left.extend([
+        (14, 1400),
+        (20, 2000),
+        (20, 2001),
+        (20, 2002),
+        (21, 2100),
+        (21, 2101),
+    ]);
+    left.push((30, 3000));
+    right.extend([
+        (14, 140),
+        (20, 200),
+        (20, 201),
+        (21, 210),
+        (21, 211),
+        (21, 212),
+    ]);
+    right.push((31, 310));
+    let left = c.parallelize(left, 3);
+    let right = c.parallelize(right, 2);
+    let result_stage_records = || -> u64 {
+        let m = c.metrics().snapshot();
+        m.stages()
+            .filter(|s| s.kind == StageKind::Result)
+            .map(|s| s.records_computed)
+            .sum()
+    };
+
+    c.metrics().reset();
+    let groups = left.cogroup_with(&right, 4).collect();
+    assert_eq!(result_stage_records(), groups.len() as u64);
+    let expected: Vec<(u32, (u32, i64))> = groups
+        .iter()
+        .flat_map(|(k, (vs, ws))| {
+            vs.iter()
+                .flat_map(move |&v| ws.iter().map(move |&w| (*k, (v, w))))
+        })
+        .collect();
+
+    c.metrics().reset();
+    let joined = left.join_with(&right, 4).collect();
+    assert_eq!(joined, expected);
+    assert_eq!(
+        result_stage_records(),
+        (groups.len() + expected.len()) as u64,
+        "groups + pairs"
+    );
 }

@@ -106,7 +106,9 @@ fn co_partitioned_mttkrp_is_a_chain() {
 // recorded once (at `1db7def`, before the result stage moved onto the
 // shuffle-map stage loop) and compared byte for byte. One executor
 // thread: the report's arena-hit count depends on which worker's row pool
-// a task finds warm.
+// a task finds warm. QCOO's queue rotation fills that pool; COO's
+// Hadamard products take no row from it and return none, so the COO
+// reduce's lifts all miss (0 hits).
 
 /// One line per executed stage, in metrics-log order.
 fn stage_lines(m: &JobMetrics) -> String {
