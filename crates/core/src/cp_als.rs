@@ -44,7 +44,6 @@ pub struct CpAls {
     seed: u64,
     strategy: Strategy,
     partitioning: Partitioning,
-    partitions: Option<usize>,
     compute_fit: bool,
     nonnegative: bool,
     cache_tensor: bool,
@@ -65,7 +64,6 @@ impl CpAls {
             seed: 0,
             strategy: Strategy::Qcoo,
             partitioning: Partitioning::CoPartitionedFactors,
-            partitions: None,
             compute_fit: true,
             nonnegative: false,
             cache_tensor: true,
@@ -107,12 +105,6 @@ impl CpAls {
         self
     }
 
-    /// Overrides the shuffle partition count.
-    pub fn partitions(mut self, p: usize) -> Self {
-        self.partitions = Some(p);
-        self
-    }
-
     /// Disables per-iteration fit computation (saves driver time on large
     /// tensors; stats will report NaN fits).
     pub fn skip_fit(mut self) -> Self {
@@ -151,8 +143,8 @@ impl CpAls {
 
     /// Selects the task kernel of every MTTKRP's row-summing
     /// `reduceByKey` ([`crate::PlanConfig::kernel`]). The default,
-    /// [`KernelStrategy::SortedRuns`], combines sorted key runs with
-    /// arena-backed rows; [`KernelStrategy::RecordAtATime`] is the legacy
+    /// [`KernelStrategy::SortedRuns`], combines sorted key runs in place;
+    /// [`KernelStrategy::RecordAtATime`] is the legacy
     /// hash-probe path. Measured in isolation the two are within noise of
     /// each other (DESIGN.md §5f). Every strategy yields bit-identical
     /// factors.
@@ -189,12 +181,8 @@ impl CpAls {
         let started = std::time::Instant::now();
         let order = tensor.order();
         let shape = tensor.shape().to_vec();
-        let partitions = self
-            .partitions
-            .unwrap_or(cluster.config().default_parallelism);
-        if partitions == 0 {
-            return Err(CstfError::Config("partition count must be ≥ 1".into()));
-        }
+        // `Cluster::new` rejects a zero default parallelism.
+        let partitions = cluster.config().default_parallelism;
 
         // Factor initialization: warm start or seeded random. Runs before
         // planning (pure driver-side work, no cluster jobs) because
@@ -365,8 +353,7 @@ mod tests {
             .max_iterations(7)
             .tolerance(1e-5)
             .seed(9)
-            .strategy(Strategy::Coo)
-            .partitions(12);
+            .strategy(Strategy::Coo);
         assert_eq!(a.rank, 3);
         assert_eq!(a.max_iterations, 7);
         assert_eq!(a.strategy, Strategy::Coo);
@@ -381,26 +368,6 @@ mod tests {
         assert!(CpAls::new(2).run(&c, &empty).is_err());
         let order1 = cstf_tensor::CooTensor::from_entries(vec![5], vec![(vec![1], 1.0)]).unwrap();
         assert!(CpAls::new(2).run(&c, &order1).is_err());
-    }
-
-    #[test]
-    fn zero_partitions_is_a_config_error_before_any_job() {
-        let t = RandomTensor::new(vec![5, 5, 5]).nnz(20).seed(1).build();
-        for strategy in [
-            Strategy::Coo,
-            Strategy::Qcoo,
-            Strategy::CooBroadcast,
-            Strategy::DfactoSpmv,
-        ] {
-            let c = cluster();
-            let err = CpAls::new(2)
-                .strategy(strategy)
-                .partitions(0)
-                .run(&c, &t)
-                .unwrap_err();
-            assert!(matches!(err, CstfError::Config(_)), "{strategy}: {err}");
-            assert_eq!(c.metrics().snapshot().stages().count(), 0, "{strategy}");
-        }
     }
 
     #[test]

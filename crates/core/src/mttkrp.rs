@@ -49,7 +49,6 @@
 use crate::factors::{factor_to_rdd, rows_to_matrix};
 use crate::planner::{join_order, Partitioning, PlanConfig};
 use crate::records::{add_rows, hadamard_rows, row_kernel_ops, scale_row, CooRecord, Row};
-use cstf_dataflow::kernel::pool;
 use cstf_dataflow::prelude::*;
 use cstf_tensor::DenseMatrix;
 use std::sync::Arc;
@@ -240,10 +239,7 @@ pub(crate) fn mttkrp_coo_broadcast(
 
     let rows = tensor.map(move |rec| {
         let set = bcast.value();
-        // Arena rows come back stale: fill with `rec.val` before the
-        // in-order multiplies.
-        let mut acc: Row = pool::take_row(rank);
-        acc.fill(rec.val);
+        let mut acc: Row = vec![rec.val; rank].into_boxed_slice();
         for (&m, f) in set.modes.iter().zip(&set.factors) {
             let row = f.row(rec.coord[m] as usize);
             for (a, &x) in acc.iter_mut().zip(row) {

@@ -124,8 +124,8 @@ impl QcooState {
         let ctx = JoinContext::new(config);
         let factor_rdd = ctx.factor_rdd(cluster, &factors[self.key_mode]);
         // STAGE 1 (join) + STAGE 2 (rotate & re-key) — one shuffle (the
-        // factor side is narrow when co-partitioned). The rotation
-        // recycles each dequeued stale row into the kernel arena.
+        // factor side is narrow when co-partitioned). The rotation copies
+        // each joined row into the queue's stripe and drops it.
         let rotated_raw = self
             .state
             .join_by(&factor_rdd, ctx.partitioner.clone())
@@ -145,7 +145,6 @@ impl QcooState {
 
         // STAGE 3: reduce queues and sum per output row — second shuffle.
         // Running this action also materializes (and caches) `rotated`.
-        // The reduction draws its output row from the arena.
         let rank = config.rank;
         let rows = rotated.map_values(move |q| q.reduce_queue(rank));
         let m = ctx.sum_rows(rows, factors[out_mode].rows());

@@ -15,11 +15,9 @@
 //! owns exactly one: its queue is a private contiguous stripe of
 //! `(N−1)·R` doubles rotated by index, not a deque of boxed rows. A
 //! factor [`Row`] stays a `Box<[f64]>`: rows travel alone through the
-//! joins and reduces as the *value* of a pair, their length `R` is only
-//! known at run time, and the kernel arena ([`pool`]) recycles exactly
-//! that box type.
+//! joins and reduces as the *value* of a pair, and their length `R` is
+//! only known at run time.
 
-use cstf_dataflow::kernel::pool;
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::LEN_WORD;
 
@@ -159,8 +157,7 @@ impl QRecord {
     /// Enqueues `row` and drops the oldest row, keeping the queue at
     /// `capacity` entries. Rows are only dropped once the queue is full,
     /// so initialization can grow the queue without losses. The row's
-    /// values are copied over the stalest slot and its buffer is recycled
-    /// into the kernel row arena.
+    /// values are copied over the stalest slot and the row is dropped.
     ///
     /// # Panics
     ///
@@ -168,7 +165,6 @@ impl QRecord {
     /// the stripe is sized once.
     pub fn rotate(&mut self, row: Row, capacity: usize) {
         if capacity == 0 {
-            pool::give_row(row);
             return;
         }
         if self.slots == 0 {
@@ -192,7 +188,6 @@ impl QRecord {
         };
         let width = self.width as usize;
         self.stripe[slot as usize * width..][..width].copy_from_slice(&row);
-        pool::give_row(row);
     }
 
     /// The stripe slot holding the `i`-th queued row (`i ≤ slots`).
@@ -227,12 +222,10 @@ impl QRecord {
 
     /// Reduces the queue: Hadamard product of all queued rows, oldest
     /// first, scaled by the tensor value — the `mapValues` of STAGE 3 in
-    /// Table 2 (`B(j,:) ∗ C(k,:) ∗ X(i,j,k)`). The output row comes from
-    /// the kernel row arena and is fully overwritten (`fill(val)`, then the
-    /// in-order multiplies), so stale contents never leak.
+    /// Table 2 (`B(j,:) ∗ C(k,:) ∗ X(i,j,k)`): a fresh row of `val`,
+    /// then the in-order multiplies.
     pub(crate) fn reduce_queue(&self, rank: usize) -> Row {
-        let mut acc = pool::take_row(rank);
-        acc.fill(self.entry.val);
+        let mut acc: Row = vec![self.entry.val; rank].into_boxed_slice();
         for row in self.queue_rows() {
             debug_assert_eq!(row.len(), rank);
             for (a, &r) in acc.iter_mut().zip(row) {
@@ -270,9 +263,7 @@ impl EstimateSize for QRecord {
 }
 
 /// Element-wise product of two rows, taken in place: `a` becomes the
-/// product and is returned. Neither row goes through the kernel row
-/// arena; the caller drops `b`, since pooling it would park one row per
-/// joined record in each worker's pool.
+/// product and is returned.
 pub(crate) fn hadamard_rows(mut a: Row, b: &[f64]) -> Row {
     debug_assert_eq!(a.len(), b.len());
     for (x, &y) in a.iter_mut().zip(b) {
@@ -282,9 +273,7 @@ pub(crate) fn hadamard_rows(mut a: Row, b: &[f64]) -> Row {
 }
 
 /// [`cstf_dataflow::kernel::KernelOps`] for `Row` accumulation with
-/// [`add_rows`] semantics: an arena-backed accumulator seed (bitwise copy
-/// of the run's first row), the same in-place element-wise add, and pool
-/// recycling of rows consumed by owned combines.
+/// [`add_rows`] semantics: the same element-wise add, taken in place.
 pub fn row_kernel_ops() -> KernelOps<Row> {
     KernelOps::new(|acc: &mut Row, b: &Row| {
         debug_assert_eq!(acc.len(), b.len());
@@ -292,12 +281,6 @@ pub fn row_kernel_ops() -> KernelOps<Row> {
             *x += y;
         }
     })
-    .with_lift(|r: &Row| {
-        let mut out = pool::take_row(r.len());
-        out.copy_from_slice(r);
-        out
-    })
-    .with_recycle(pool::give_row)
 }
 
 /// Element-wise sum of two rows (the `reduceByKey` combiner).

@@ -48,11 +48,6 @@ pub(crate) fn run_attempt<O>(
         _ => {}
     }
     let sink = AttemptCounters::default();
-    // Arena attribution: each attempt runs entirely on this worker thread,
-    // so the delta in the thread-local pool-hit counter across `body` is
-    // exactly this attempt's row reuse. Writing it into the attempt's block
-    // keeps it retry-invariant — losing attempts' blocks are dropped.
-    let arena_hits_before = crate::kernel::pool::thread_hits();
     let t0 = Instant::now();
     let (value, records) = {
         let ctx = TaskContext {
@@ -62,8 +57,7 @@ pub(crate) fn run_attempt<O>(
         body(&ctx)
     };
     let cpu_secs = t0.elapsed().as_secs_f64();
-    let mut counters = sink.into_inner();
-    counters.kernel_arena_hits += crate::kernel::pool::thread_hits() - arena_hits_before;
+    let counters = sink.into_inner();
     if let Some(InjectedFault::LateCrash) = fault {
         return Err(format!(
             "injected late crash (stage {stage_id}, partition {partition}, attempt {attempt})"

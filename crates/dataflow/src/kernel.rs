@@ -1,5 +1,4 @@
-//! Raw-speed task kernels: sorted-runs combining over SoA tiles and a
-//! thread-local arena of reusable row buffers.
+//! Raw-speed task kernels: sorted-runs combining over SoA tiles.
 //!
 //! The record-at-a-time combine path ([`crate::rdd::Rdd::reduce_by_key`])
 //! clones every fetched record out of its shared shuffle bucket and folds
@@ -16,9 +15,6 @@
 //!   (one allocation per *distinct key*); the rest are merged in place by
 //!   reference, straight out of the shared (`Arc`) shuffle buckets — no
 //!   per-record clone.
-//! * **Arena** ([`pool`]) — row buffers released by one operation are
-//!   reused by the next, turning steady-state tasks into near-zero
-//!   allocation loops.
 //!
 //! # Determinism
 //!
@@ -53,28 +49,23 @@ pub(crate) type MergeFn<C> = Arc<dyn Fn(&mut C, &C) + Send + Sync>;
 /// Erased key comparator, captured where `K: Ord` is known.
 pub(crate) type CmpFn<K> = Arc<dyn Fn(&K, &K) -> Ordering + Send + Sync>;
 
-/// Type-specific operations a sorted-runs kernel needs beyond `Clone`:
-/// how to seed an accumulator from a borrowed record, merge a borrowed
-/// record into it, and (optionally) recycle a consumed record's buffer
-/// into the [`pool`] arena.
+/// The one type-specific operation a sorted-runs kernel needs beyond
+/// `Clone` (which seeds each run's accumulator): merging a borrowed
+/// record into an accumulator in place.
 pub struct KernelOps<C> {
-    pub(crate) lift: Arc<dyn Fn(&C) -> C + Send + Sync>,
     pub(crate) merge_in_place: MergeFn<C>,
-    pub(crate) recycle: Option<Arc<dyn Fn(C) + Send + Sync>>,
 }
 
 impl<C> Clone for KernelOps<C> {
     fn clone(&self) -> Self {
         KernelOps {
-            lift: self.lift.clone(),
             merge_in_place: self.merge_in_place.clone(),
-            recycle: self.recycle.clone(),
         }
     }
 }
 
-impl<C: Clone + 'static> KernelOps<C> {
-    /// Ops with `Clone` lifting and the given in-place merge.
+impl<C> KernelOps<C> {
+    /// Ops with the given in-place merge.
     ///
     /// `merge_in_place(acc, rec)` must perform exactly the same
     /// floating-point operations, in the same order, as the owning reduce
@@ -82,24 +73,8 @@ impl<C: Clone + 'static> KernelOps<C> {
     /// bit-identity contract of the sorted kernels.
     pub fn new(merge_in_place: impl Fn(&mut C, &C) + Send + Sync + 'static) -> Self {
         KernelOps {
-            lift: Arc::new(C::clone),
             merge_in_place: Arc::new(merge_in_place),
-            recycle: None,
         }
-    }
-
-    /// Replaces the accumulator-seeding copy (e.g. with an arena-backed
-    /// copy). Must produce a bitwise-equal copy of the input.
-    pub fn with_lift(mut self, lift: impl Fn(&C) -> C + Send + Sync + 'static) -> Self {
-        self.lift = Arc::new(lift);
-        self
-    }
-
-    /// Installs a recycler for records consumed by owned combines (e.g.
-    /// returning row buffers to the [`pool`]).
-    pub fn with_recycle(mut self, recycle: impl Fn(C) + Send + Sync + 'static) -> Self {
-        self.recycle = Some(Arc::new(recycle));
-        self
     }
 }
 
@@ -136,11 +111,11 @@ fn run_end<K, C>(plan: &KernelPlan<K, C>, keys: &[K], order: &[u32], start: usiz
 
 /// Sorted-runs combine over *shared* shuffle buckets (the reduce side).
 ///
-/// Only the first record of each run is lifted into an owned accumulator;
+/// Only the first record of each run is cloned into an owned accumulator;
 /// every other record merges by reference straight out of the `Arc`'d
 /// buckets — `O(distinct keys)` allocations instead of the legacy path's
 /// `O(records)` clone-out. Output is in ascending key order.
-pub(crate) fn combine_fetched<K: Clone, C>(
+pub(crate) fn combine_fetched<K: Clone, C: Clone>(
     plan: &KernelPlan<K, C>,
     buckets: &[Arc<Vec<(K, C)>>],
 ) -> (Vec<(K, C)>, Counters) {
@@ -173,7 +148,7 @@ pub(crate) fn combine_fetched<K: Clone, C>(
     while i < total {
         let j = run_end(plan, &keys, &order, i);
         let first = order[i] as usize;
-        let mut acc = (plan.ops.lift)(vals[first]);
+        let mut acc = vals[first].clone();
         for &o in &order[i + 1..j] {
             (plan.ops.merge_in_place)(&mut acc, vals[o as usize]);
         }
@@ -188,8 +163,8 @@ pub(crate) fn combine_fetched<K: Clone, C>(
 /// narrow, co-partitioned reduce path).
 ///
 /// The first record of each run *becomes* the accumulator (zero extra
-/// allocations); consumed records are handed to the plan's recycler so
-/// their buffers return to the [`pool`]. Output is in ascending key order.
+/// allocations); the others are dropped once merged. Output is in
+/// ascending key order.
 pub(crate) fn combine_owned<K: Clone, C>(
     plan: &KernelPlan<K, C>,
     data: Vec<(K, C)>,
@@ -216,9 +191,6 @@ pub(crate) fn combine_owned<K: Clone, C>(
         for &o in &order[i + 1..j] {
             let (_, c) = slots[o as usize].take().expect("record taken once");
             (plan.ops.merge_in_place)(&mut acc, &c);
-            if let Some(recycle) = &plan.ops.recycle {
-                recycle(c);
-            }
         }
         out.push((k, acc));
         counters.kernel_runs += 1;
@@ -228,86 +200,20 @@ pub(crate) fn combine_owned<K: Clone, C>(
 }
 
 pub mod pool {
-    //! Thread-local arena of `Box<[f64]>` row buffers.
+    //! What is left of the row arena: a stub that always reports no reuse.
     //!
-    //! Hot per-partition loops (Hadamard products, queue reductions,
-    //! accumulator seeding) allocate one factor row per record; with the
-    //! arena they pop a released buffer instead. The pool is thread-local
-    //! — the executor runs each task attempt on one worker thread — and
-    //! survives across tasks on the same worker, so rows released by a map
-    //! stage feed the reduce stage that follows.
-    //!
-    //! Buffers come back with *stale contents*: every taker must fully
-    //! overwrite the row before reading it. All in-tree users do (they
-    //! write each of the `rank` elements), which is what keeps pooled
-    //! paths bit-identical to allocating ones.
+    //! Rows are plain allocations everywhere, so nothing is pooled. The two
+    //! functions stay only because the benchmark harness (`perf/`) calls
+    //! them by path to report `dataflow.kernel.arena_hit_rate`; they go
+    //! with that metric.
 
-    use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Rows kept per thread before further releases are simply dropped —
-    /// bounds arena memory at `MAX_POOLED × rank × 8` bytes per worker.
-    const MAX_POOLED: usize = 65_536;
-
-    thread_local! {
-        static ROWS: RefCell<Vec<Box<[f64]>>> = const { RefCell::new(Vec::new()) };
-        static THREAD_HITS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    static TOTAL_HITS: AtomicU64 = AtomicU64::new(0);
-    static TOTAL_MISSES: AtomicU64 = AtomicU64::new(0);
-
-    /// Takes a length-`len` row from the arena, allocating on miss.
-    ///
-    /// The contents are **unspecified** (stale values from the previous
-    /// user); callers must overwrite every element before reading.
-    pub fn take_row(len: usize) -> Box<[f64]> {
-        ROWS.with(|rows| {
-            let mut rows = rows.borrow_mut();
-            // Ranks are homogeneous within a run; a row of another length
-            // (left over from a different job) is dropped, not hoarded.
-            while let Some(row) = rows.pop() {
-                if row.len() == len {
-                    THREAD_HITS.with(|h| h.set(h.get() + 1));
-                    TOTAL_HITS.fetch_add(1, Ordering::Relaxed);
-                    return row;
-                }
-            }
-            TOTAL_MISSES.fetch_add(1, Ordering::Relaxed);
-            vec![0.0; len].into_boxed_slice()
-        })
-    }
-
-    /// Returns a row buffer to the arena for reuse.
-    pub fn give_row(row: Box<[f64]>) {
-        ROWS.with(|rows| {
-            let mut rows = rows.borrow_mut();
-            if rows.len() < MAX_POOLED {
-                rows.push(row);
-            }
-        });
-    }
-
-    /// Arena hits recorded on the *current thread* — the per-task reuse
-    /// counter [`crate::context`] snapshots around each task attempt.
-    pub(crate) fn thread_hits() -> u64 {
-        THREAD_HITS.with(Cell::get)
-    }
-
-    /// Process-wide `(hits, misses)` since the last
-    /// [`reset_total_stats`] — for benchmark reporting.
+    /// Process-wide `(hits, misses)` of the row arena: always `(0, 0)`.
     pub fn total_stats() -> (u64, u64) {
-        (
-            TOTAL_HITS.load(Ordering::Relaxed),
-            TOTAL_MISSES.load(Ordering::Relaxed),
-        )
+        (0, 0)
     }
 
-    /// Resets the process-wide hit/miss counters.
-    pub fn reset_total_stats() {
-        TOTAL_HITS.store(0, Ordering::Relaxed);
-        TOTAL_MISSES.store(0, Ordering::Relaxed);
-    }
+    /// Resets the row arena's counters: does nothing.
+    pub fn reset_total_stats() {}
 }
 
 #[cfg(test)]
@@ -402,21 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_combine_recycles_consumed_records() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static RECYCLED: AtomicU64 = AtomicU64::new(0);
-        let ops = KernelOps::new(|a: &mut f64, b: &f64| *a += b).with_recycle(|_c| {
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
-        });
-        let plan = KernelPlan::new(ops);
-        let data = vec![(1u32, 1.0), (1, 2.0), (1, 3.0), (2, 4.0)];
-        let (out, _) = combine_owned(&plan, data);
-        assert_eq!(out.len(), 2);
-        // 4 records, 2 become accumulators, 2 were consumed and recycled.
-        assert_eq!(RECYCLED.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn empty_input_combines_to_nothing() {
         let (out, c) = combine_owned(&plan(), Vec::new());
         assert!(out.is_empty());
@@ -424,21 +315,5 @@ mod tests {
         let (out, c) = combine_fetched(&plan(), &[]);
         assert!(out.is_empty());
         assert_eq!(c, Counters::default());
-    }
-
-    #[test]
-    fn pool_reuses_matching_rows_and_counts_hits() {
-        let h0 = pool::thread_hits();
-        let row = pool::take_row(8);
-        assert_eq!(row.len(), 8);
-        assert_eq!(pool::thread_hits(), h0, "first take is a miss");
-        pool::give_row(row);
-        let row = pool::take_row(8);
-        assert_eq!(pool::thread_hits(), h0 + 1, "second take reuses");
-        pool::give_row(row);
-        // A different length drops the pooled row and allocates fresh.
-        let other = pool::take_row(3);
-        assert_eq!(other.len(), 3);
-        assert_eq!(pool::thread_hits(), h0 + 1);
     }
 }

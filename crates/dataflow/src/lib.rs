@@ -27,8 +27,8 @@
 //! The names re-exported here are the whole public surface: what another
 //! crate, an example, `perf/` or a test names. The lineage graph, the
 //! stores, the executor and the scheduler's internals stay private; the
-//! one public module besides [`prelude`] is [`kernel`], whose arena
-//! counters `perf/` reads by path.
+//! one public module besides [`prelude`] is [`kernel`], whose
+//! `kernel::pool` stub `perf/` calls by path.
 //!
 //! # Example
 //!

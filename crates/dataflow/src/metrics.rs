@@ -120,9 +120,6 @@ pub struct Counters {
     /// a combine is one schedulable unit, so this is the stage's straggler
     /// bound. The one field that merges by `max`.
     pub kernel_max_subtask_records: u64,
-    /// Row-arena hits inside winning task attempts: row buffers reused
-    /// from the [`crate::kernel::pool`] instead of allocated.
-    pub kernel_arena_hits: u64,
     /// Task attempts that failed (fault injection, panic, or error) and
     /// were discarded, including the final attempt of a task that
     /// exhausted its budget.
@@ -153,7 +150,6 @@ impl Counters {
         self.kernel_max_subtask_records = self
             .kernel_max_subtask_records
             .max(other.kernel_max_subtask_records);
-        self.kernel_arena_hits += other.kernel_arena_hits;
         self.task_failures += other.task_failures;
         self.task_retries += other.task_retries;
         self.speculative_launched += other.speculative_launched;
@@ -176,7 +172,7 @@ pub(crate) struct AttemptCounters(RefCell<Counters>);
 
 impl AttemptCounters {
     /// Merges a block of counters (a shuffle write or read, a kernel
-    /// invocation's report, an arena-hit delta) into this attempt's.
+    /// invocation's report) into this attempt's.
     pub(crate) fn merge(&self, delta: &Counters) {
         self.0.borrow_mut().merge(delta);
     }
@@ -627,11 +623,6 @@ impl JobMetrics {
         self.stage_total(|c| c.kernel_runs)
     }
 
-    /// Total row-arena reuse hits across all stages.
-    pub(crate) fn total_arena_hits(&self) -> u64 {
-        self.stage_total(|c| c.kernel_arena_hits)
-    }
-
     /// Records folded by the largest single kernel combine in any stage.
     pub fn max_kernel_subtask_records(&self) -> u64 {
         self.stages()
@@ -847,13 +838,12 @@ impl JobMetrics {
             self.total_speculative_won(),
             self.total_wasted_task_secs(),
         );
-        if self.total_kernel_runs() > 0 || self.total_arena_hits() > 0 {
+        if self.total_kernel_runs() > 0 {
             let _ = writeln!(
                 out,
-                "KERNEL {} runs | largest combine {} records | {} arena hits",
+                "KERNEL {} runs | largest combine {} records",
                 self.total_kernel_runs(),
                 self.max_kernel_subtask_records(),
-                self.total_arena_hits(),
             );
         }
         let _ = writeln!(
@@ -1225,7 +1215,6 @@ mod tests {
             shuffle_write_bytes: 64_000,
             kernel_runs: 4,
             kernel_max_subtask_records: 9,
-            kernel_arena_hits: 6,
             task_failures: 3,
             task_retries: 2,
             speculative_launched: 1,
@@ -1326,7 +1315,6 @@ mod tests {
                 m.total_speculative_won(),
                 m.total_wasted_task_secs(),
                 m.total_kernel_runs(),
-                m.total_arena_hits(),
                 m.max_kernel_subtask_records(),
             ),
             (
@@ -1368,7 +1356,6 @@ mod tests {
             shuffle_read_records: 5,
             kernel_runs: 4,
             kernel_max_subtask_records: 9,
-            kernel_arena_hits: 6,
             ..Counters::default()
         });
         c.counters.merge(&winner.into_inner());
@@ -1392,16 +1379,14 @@ mod tests {
         assert_eq!(s.shuffle_read_records, 5);
         assert_eq!(s.kernel_runs, 4);
         assert_eq!(s.kernel_max_subtask_records, 9);
-        assert_eq!(s.kernel_arena_hits, 6);
         assert_eq!(m.total_kernel_runs(), 4);
         assert_eq!(m.max_kernel_subtask_records(), 9);
-        assert_eq!(m.total_arena_hits(), 6);
         assert!(m
             .render_report()
             .contains("KERNEL 4 runs | largest combine 9"));
     }
 
-    /// A counter block from 14 small integers (the seconds in eighths, so
+    /// A counter block from 13 small integers (the seconds in eighths, so
     /// float sums are exact in any order).
     fn block(v: &[u64]) -> Counters {
         Counters {
@@ -1413,19 +1398,18 @@ mod tests {
             shuffle_read_records: v[5],
             kernel_runs: v[6],
             kernel_max_subtask_records: v[7],
-            kernel_arena_hits: v[8],
-            task_failures: v[9],
-            task_retries: v[10],
-            speculative_launched: v[11],
-            speculative_won: v[12],
-            wasted_task_secs: v[13] as f64 / 8.0,
+            task_failures: v[8],
+            task_retries: v[9],
+            speculative_launched: v[10],
+            speculative_won: v[11],
+            wasted_task_secs: v[12] as f64 / 8.0,
         }
     }
 
     proptest! {
         #[test]
         fn merging_in_any_grouping_is_the_fieldwise_sum(
-            blocks in prop::collection::vec(prop::collection::vec(0u64..1_000_000, 14), 0..12),
+            blocks in prop::collection::vec(prop::collection::vec(0u64..1_000_000, 13), 0..12),
             cut in 0usize..12,
         ) {
             let merged = |blocks: &[Vec<u64>]| {
@@ -1435,7 +1419,7 @@ mod tests {
             };
             // Field-wise reference: sums, except the largest-combine field.
             let field = |i: usize| blocks.iter().map(move |b| b[i]);
-            let mut expect: Vec<u64> = (0..14).map(|i| field(i).sum()).collect();
+            let mut expect: Vec<u64> = (0..13).map(|i| field(i).sum()).collect();
             expect[7] = field(7).max().unwrap_or(0);
             prop_assert_eq!(merged(&blocks), block(&expect));
             // ((a ⊕ b) ⊕ c …) equals (a ⊕ b …) ⊕ (… c): attempts into a

@@ -193,7 +193,6 @@ mod tests {
                     shuffle_write_bytes: 64_000,
                     kernel_runs: 4,
                     kernel_max_subtask_records: 9,
-                    kernel_arena_hits: 6,
                     task_failures: 3,
                     task_retries: 2,
                     speculative_launched: 1,

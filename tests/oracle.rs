@@ -117,8 +117,8 @@ impl Tensor {
         }
     }
 
-    /// Shuffle partitions, pinned so that the `threads` column does not
-    /// move the default parallelism.
+    /// Shuffle partitions: the cluster's default parallelism, pinned so
+    /// that the `threads` and `nodes` columns do not move it.
     fn partitions(self) -> usize {
         match self {
             Golden => 16,
@@ -413,7 +413,9 @@ impl Row {
     }
 
     fn cluster_config(&self, budget: Option<u64>) -> ClusterConfig {
-        let mut config = ClusterConfig::local(self.threads).nodes(self.nodes);
+        let mut config = ClusterConfig::local(self.threads)
+            .nodes(self.nodes)
+            .default_parallelism(self.tensor.partitions());
         if self.sequential {
             config = config.sequential_stages();
         }
@@ -452,7 +454,6 @@ impl Row {
                 .seed(7 + self.variant)
                 .strategy(self.strategy)
                 .partitioning(self.partitioning)
-                .partitions(partitions)
                 .kernel(self.kernel)
                 .tensor_storage(storage)
                 .run(cluster, tensor)

@@ -104,11 +104,10 @@ fn co_partitioned_mttkrp_is_a_chain() {
 // Everything the scheduler decides about a job — stage ids, names, kinds,
 // waves, DAG parents, task and record counts — and the full text report,
 // recorded once (at `1db7def`, before the result stage moved onto the
-// shuffle-map stage loop) and compared byte for byte. One executor
-// thread: the report's arena-hit count depends on which worker's row pool
-// a task finds warm. QCOO's queue rotation fills that pool; COO's
-// Hadamard products take no row from it and return none, so the COO
-// reduce's lifts all miss (0 hits).
+// shuffle-map stage loop) and compared byte for byte. Every concurrent
+// case also runs on four executor threads against the same fixture: the
+// report holds only counts the scheduler and the data decide, and no
+// task's work depends on which worker thread runs it.
 
 /// One line per executed stage, in metrics-log order.
 fn stage_lines(m: &JobMetrics) -> String {
@@ -165,9 +164,15 @@ fn mask_seconds(text: &str) -> String {
     masked.join("\n") + "\n"
 }
 
-fn pinned_configs() -> [ClusterConfig; 2] {
+/// One thread wave-major, one thread one stage per wave, four threads
+/// wave-major.
+fn pinned_configs() -> [ClusterConfig; 3] {
     let quiet = ClusterConfig::local(1).nodes(4);
-    [quiet.clone(), quiet.sequential_stages()]
+    [
+        quiet.clone(),
+        quiet.sequential_stages(),
+        ClusterConfig::local(4).nodes(4),
+    ]
 }
 
 fn plan_config(partitioning: Partitioning) -> PlanConfig {
@@ -239,7 +244,7 @@ fn skipping_job(c: &Cluster) -> Vec<(u64, (i64, i64))> {
 
 #[test]
 fn skipped_stage_job_sequence_is_pinned_in_both_scheduler_modes() {
-    let [concurrent, sequential] = pinned_configs();
+    let [concurrent, sequential, threaded] = pinned_configs();
     let run = |config: ClusterConfig| {
         let c = Cluster::new(config);
         let out = skipping_job(&c);
@@ -247,21 +252,26 @@ fn skipped_stage_job_sequence_is_pinned_in_both_scheduler_modes() {
     };
     let (out_c, text_c) = run(concurrent);
     let (out_s, text_s) = run(sequential);
+    let (out_t, text_t) = run(threaded);
     assert_eq!(out_c, out_s);
+    assert_eq!(out_c, out_t);
     assert_eq!(text_c, include_str!("pinned/skipped_concurrent.txt"));
     assert_eq!(text_s, include_str!("pinned/skipped_sequential.txt"));
+    assert_eq!(text_t, include_str!("pinned/skipped_concurrent.txt"));
 }
 
 #[test]
 fn job_server_job_stage_sequence_is_pinned() {
-    let [config, _] = pinned_configs();
-    let c = Cluster::new(config);
-    let server = JobServer::new(&c, JobServerConfig::fair(2));
-    let out = server.submit("tenant", skipping_job).join().completed();
-    assert!(out.is_some(), "job completed");
-    server.shutdown();
-    assert_eq!(
-        mask_seconds(&pinned_text(&c)),
-        include_str!("pinned/jobserver_job.txt")
-    );
+    let [one_thread, _, threaded] = pinned_configs();
+    for config in [one_thread, threaded] {
+        let c = Cluster::new(config);
+        let server = JobServer::new(&c, JobServerConfig::fair(2));
+        let out = server.submit("tenant", skipping_job).join().completed();
+        assert!(out.is_some(), "job completed");
+        server.shutdown();
+        assert_eq!(
+            mask_seconds(&pinned_text(&c)),
+            include_str!("pinned/jobserver_job.txt")
+        );
+    }
 }
