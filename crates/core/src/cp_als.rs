@@ -227,9 +227,9 @@ impl CpAls {
         let mut grams: Vec<DenseMatrix> = factors.iter().map(DenseMatrix::gram).collect();
 
         // Build the strategy's MTTKRP plan: it distributes (and caches)
-        // the tensor in whatever layout its capabilities call for and runs
-        // any prologue (QCOO's N-shuffle queue initialization). From here
-        // on the driver is strategy-agnostic.
+        // the tensor in the layout its pipeline reads and runs any
+        // prologue (QCOO's N-shuffle queue initialization). From here on
+        // the driver is strategy-agnostic.
         cluster.metrics().set_scope("Other");
         let mttkrp_plan = plan(
             cluster,

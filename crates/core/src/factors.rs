@@ -8,33 +8,23 @@
 use crate::records::{CooRecord, Coord, Row};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::{CooTensor, DenseMatrix};
-use std::sync::Arc;
-
-/// Recovers the `u32`-keyed partitioner behind a [`PartitionerRef`],
-/// panicking with a clear message when the ref was built for another key
-/// type (a driver-side configuration bug, not a data error).
-fn u32_partitioner(partitioner: &PartitionerRef) -> Arc<dyn KeyPartitioner<u32>> {
-    partitioner
-        .downcast::<u32>()
-        .expect("partitioner passed to a factor/tensor RDD must be keyed by u32")
-}
 
 /// Distributes a factor matrix as an RDD of `(row_index, row)` records
 /// (the paper's `IndexedRowMatrix`).
 ///
 /// With `partitioner: None` the rows are split into `partitions` even
 /// chunks and any downstream join shuffles them. With `Some(p)` the rows
-/// are pre-bucketed by `p` on the driver and the RDD carries `p` as
-/// provenance, so joining against a tensor RDD keyed by the same
-/// partitioner turns the factor side of the join into a narrow
-/// (zero-shuffle) dependency; `partitions` is ignored. Row order within
-/// each bucket matches what a shuffle of the unpartitioned variant would
-/// deliver, so downstream results stay bit-identical either way.
+/// are hash-bucketed by `p` on the driver and the RDD carries `p` as
+/// provenance, so a join over `p`'s partition count turns the factor
+/// side into a narrow (zero-shuffle) dependency; `partitions` is
+/// ignored. Row order within each bucket matches what a shuffle of the
+/// unpartitioned variant would deliver, so downstream results stay
+/// bit-identical either way.
 pub fn factor_to_rdd(
     cluster: &Cluster,
     factor: &DenseMatrix,
     partitions: usize,
-    partitioner: Option<&PartitionerRef>,
+    partitioner: Option<HashPartitioner>,
 ) -> Rdd<(u32, Row)> {
     let rows: Vec<(u32, Row)> = factor
         .rows_iter()
@@ -42,7 +32,7 @@ pub fn factor_to_rdd(
         .map(|(i, row)| (i as u32, row.into()))
         .collect();
     match partitioner {
-        Some(p) => cluster.parallelize_by_key(rows, u32_partitioner(p)),
+        Some(p) => cluster.parallelize_by_key(rows, p),
         None => cluster.parallelize(rows, partitions),
     }
 }
@@ -79,10 +69,10 @@ pub fn tensor_to_rdd(cluster: &Cluster, tensor: &CooTensor, partitions: usize) -
 /// Distributes a sparse tensor keyed by `coord[key_mode]` — the
 /// `pre_partition(mode)` variant of [`tensor_to_rdd`].
 ///
-/// With `partitioner: Some(p)` the entries are pre-bucketed by `p` on the
-/// driver (and `partitions` is ignored); when the first join of an MTTKRP
-/// targets `key_mode` and uses the same partitioner, the tensor side of
-/// that join is narrow too, removing the one remaining tensor-sized
+/// With `partitioner: Some(p)` the entries are hash-bucketed by `p` on
+/// the driver (and `partitions` is ignored); when the first join of an
+/// MTTKRP targets `key_mode` over `p`'s partition count, the tensor side
+/// of that join is narrow too, removing the one remaining tensor-sized
 /// shuffle of stage 1 (what a plan at
 /// [`crate::Partitioning::PrePartitionedTensor`] caches). With `None` the
 /// keyed entries are split into `partitions` even chunks and the first
@@ -92,7 +82,7 @@ pub(crate) fn tensor_to_rdd_keyed(
     tensor: &CooTensor,
     key_mode: usize,
     partitions: usize,
-    partitioner: Option<&PartitionerRef>,
+    partitioner: Option<HashPartitioner>,
 ) -> Rdd<(u32, CooRecord)> {
     assert!(key_mode < tensor.order(), "key mode out of range");
     let raw: Vec<(u32, (Coord, f64))> = tensor
@@ -100,7 +90,7 @@ pub(crate) fn tensor_to_rdd_keyed(
         .map(|(coord, val)| (coord[key_mode], (coord.into(), val)))
         .collect();
     let keyed = match partitioner {
-        Some(p) => cluster.parallelize_by_key(raw, u32_partitioner(p)),
+        Some(p) => cluster.parallelize_by_key(raw, p),
         None => cluster.parallelize(raw, partitions),
     };
     keyed.map_values(|(coord, val)| CooRecord { coord, val })
@@ -116,7 +106,7 @@ pub(crate) fn tensor_storage_bytes(nnz: usize, order: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cstf_dataflow::{ClusterConfig, HashPartitioner};
+    use cstf_dataflow::ClusterConfig;
     use cstf_tensor::random::RandomTensor;
 
     fn cluster() -> Cluster {
@@ -137,12 +127,11 @@ mod tests {
     fn partitioned_factor_carries_provenance() {
         let c = cluster();
         let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let p: Arc<dyn KeyPartitioner<u32>> = Arc::new(HashPartitioner::new(2));
-        let pref = PartitionerRef::of(p);
-        let rdd = factor_to_rdd(&c, &m, 7, Some(&pref));
+        let p = HashPartitioner::new(2);
+        let rdd = factor_to_rdd(&c, &m, 7, Some(p));
         // `partitions` is ignored: the partitioner decides the layout.
         assert_eq!(rdd.num_partitions(), 2);
-        assert!(rdd.partitioner().is_some());
+        assert_eq!(rdd.partitioner(), Some(p));
         let back = rows_to_matrix(rdd.collect(), 3, 2);
         assert_eq!(back, m);
     }

@@ -51,33 +51,24 @@ use crate::planner::{join_order, Partitioning, PlanConfig};
 use crate::records::{add_rows, hadamard_rows, row_kernel_ops, scale_row, CooRecord, Row};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::DenseMatrix;
-use std::sync::Arc;
 
 /// Shared frame of every MTTKRP pipeline (COO, QCOO, SpMV, broadcast): the
-/// partition count and rank, the single join partitioner threaded through
-/// all stages, pre-hashed factor-row emission, and the reduce tail that
-/// sums rows per output index.
+/// partition count every join and reduce hashes keys into, the rank,
+/// pre-hashed factor-row emission, and the reduce tail that sums rows per
+/// output index.
 pub(crate) struct JoinContext {
-    partitions: usize,
+    pub(crate) partitions: usize,
     rank: usize,
-    pub(crate) partitioner: Arc<dyn KeyPartitioner<u32>>,
-    pref: PartitionerRef,
     co_partition_factors: bool,
     kernel: KernelStrategy,
 }
 
 impl JoinContext {
-    /// Builds the shared hash partitioner (+ provenance ref for narrow
-    /// factor sides) over `config.partitions`.
+    /// The frame `config` describes.
     pub(crate) fn new(config: &PlanConfig) -> Self {
-        let partitioner: Arc<dyn KeyPartitioner<u32>> =
-            Arc::new(HashPartitioner::new(config.partitions));
-        let pref = PartitionerRef::of(partitioner.clone());
         JoinContext {
             partitions: config.partitions,
             rank: config.rank,
-            partitioner,
-            pref,
             co_partition_factors: config.partitioning != Partitioning::None,
             kernel: config.kernel,
         }
@@ -91,7 +82,8 @@ impl JoinContext {
             cluster,
             factor,
             self.partitions,
-            self.co_partition_factors.then_some(&self.pref),
+            self.co_partition_factors
+                .then(|| HashPartitioner::new(self.partitions)),
         )
     }
 
@@ -172,7 +164,7 @@ pub(crate) fn mttkrp_coo(
     mode: usize,
     config: &PlanConfig,
 ) -> DenseMatrix {
-    // One shared partitioner threads through every stage; with
+    // Every stage hashes keys into the same partition count; with
     // co-partitioned factors the factor side of each join is narrow.
     let ctx = JoinContext::new(config);
 
@@ -183,7 +175,7 @@ pub(crate) fn mttkrp_coo(
     let factor_rdd = ctx.factor_rdd(cluster, &factors[joins[0]]);
     let next_key_mode = *joins.get(1).unwrap_or(&mode);
     let mut state: Rdd<(u32, (CooRecord, Row))> = keyed
-        .join_by(&factor_rdd, ctx.partitioner.clone())
+        .join_with(&factor_rdd, ctx.partitions)
         .map(move |(_, (rec, row))| (rec.coord[next_key_mode], (rec, row)));
 
     // STAGES 2..N-1: join remaining factors, multiplying each factor row
@@ -191,14 +183,11 @@ pub(crate) fn mttkrp_coo(
     for (idx, &m) in joins.iter().enumerate().skip(1) {
         let factor_rdd = ctx.factor_rdd(cluster, &factors[m]);
         let next_key_mode = *joins.get(idx + 1).unwrap_or(&mode);
-        state = state.join_by(&factor_rdd, ctx.partitioner.clone()).map(
-            move |(_, ((rec, partial), row))| {
-                (
-                    rec.coord[next_key_mode],
-                    (rec, hadamard_rows(partial, &row)),
-                )
-            },
-        );
+        let joined = state.join_with(&factor_rdd, ctx.partitions);
+        state = joined.map(move |(_, ((rec, partial), row))| {
+            let partial = hadamard_rows(partial, &row);
+            (rec.coord[next_key_mode], (rec, partial))
+        });
     }
 
     // STAGE N: scale by the tensor value and sum rows per output index.

@@ -1,13 +1,12 @@
 //! The MTTKRP planner: the one entry point to every distributed MTTKRP
 //! strategy.
 //!
-//! [`plan`] asks the [`Strategy`] for its [`StrategyCapabilities`], builds
-//! the tensor datasets the strategy can exploit, runs any prologue, and
-//! returns a [`Plan`]; the driver then runs *any* strategy through the
-//! same `plan.mttkrp(&factors, mode)` loop. Each strategy also declares
-//! its analytic cost model ([`Strategy::cost_algorithm`]) so the Table-4
-//! accounting in [`crate::cost`] stays wired to the code that implements
-//! it.
+//! [`plan`] builds the tensor datasets the [`Strategy`] can exploit, runs
+//! any prologue, and returns a [`Plan`]; the driver then runs *any*
+//! strategy through the same `plan.mttkrp(&factors, mode)` loop. Each
+//! strategy also declares its analytic cost model
+//! ([`Strategy::cost_algorithm`]) so the Table-4 accounting in
+//! [`crate::cost`] stays wired to the code that implements it.
 //!
 //! The per-strategy pipelines behind a plan are private to the crate: one
 //! function each for CSTF-COO and DFacTo-SpMV over a tensor already keyed
@@ -23,7 +22,6 @@ use crate::spmv::mttkrp_spmv;
 use crate::{cost, CstfError, Result};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::{CooTensor, DenseMatrix};
-use std::sync::Arc;
 
 /// Which distributed MTTKRP pipeline CP-ALS uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +82,9 @@ pub enum Partitioning {
     /// the factor side of every join is narrow. Default.
     CoPartitionedFactors,
     /// Additionally keeps the tensor pre-partitioned by each first-join
-    /// mode, making stage 1 of every MTTKRP fully narrow. Only strategies
-    /// whose [`StrategyCapabilities::pre_partitioned_tensor`] is `true`
-    /// (COO and DFacTo-SpMV) have the hot path; others fall back to
+    /// mode, making stage 1 of every MTTKRP fully narrow. Only COO and
+    /// DFacTo-SpMV, whose pipelines start from a tensor keyed by the first
+    /// join mode, have the hot path; others fall back to
     /// [`Partitioning::CoPartitionedFactors`].
     PrePartitionedTensor,
 }
@@ -118,48 +116,7 @@ impl std::str::FromStr for Partitioning {
     }
 }
 
-/// What a strategy's pipeline can exploit. The planner consults this to
-/// decide which tensor datasets to build and cache; the driver never
-/// branches on the strategy itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrategyCapabilities {
-    /// Has a hot path over tensor copies pre-keyed by each first-join
-    /// mode ([`Partitioning::PrePartitionedTensor`]).
-    pub pre_partitioned_tensor: bool,
-    /// Ships factor matrices by broadcast instead of shuffle joins.
-    pub broadcast_factors: bool,
-    /// Carries distributed state across MTTKRP calls (modes must be
-    /// requested in cyclic order `0, 1, …, N−1, 0, …`).
-    pub carried_state: bool,
-}
-
 impl Strategy {
-    /// The capabilities of this strategy's pipeline.
-    pub fn capabilities(self) -> StrategyCapabilities {
-        match self {
-            Strategy::Coo => StrategyCapabilities {
-                pre_partitioned_tensor: true,
-                broadcast_factors: false,
-                carried_state: false,
-            },
-            Strategy::Qcoo => StrategyCapabilities {
-                pre_partitioned_tensor: false,
-                broadcast_factors: false,
-                carried_state: true,
-            },
-            Strategy::CooBroadcast => StrategyCapabilities {
-                pre_partitioned_tensor: false,
-                broadcast_factors: true,
-                carried_state: false,
-            },
-            Strategy::DfactoSpmv => StrategyCapabilities {
-                pre_partitioned_tensor: true,
-                broadcast_factors: false,
-                carried_state: false,
-            },
-        }
-    }
-
     /// The analytic cost model ([`crate::cost`]) for this strategy.
     /// `CooBroadcast` shares COO's flop/intermediate accounting (its
     /// shuffle structure is not in Table 4 — the engine-measured numbers
@@ -247,9 +204,8 @@ impl Plan {
     /// `Iₘ × rank` matrix per mode; anything else is a
     /// [`CstfError::Config`] under every strategy).
     ///
-    /// Carried-state strategies ([`StrategyCapabilities::carried_state`])
-    /// require modes in cyclic order starting at 0; stateless strategies
-    /// accept any order.
+    /// QCOO carries state across calls and requires modes in cyclic order
+    /// starting at 0; the stateless strategies accept any order.
     pub fn mttkrp(&mut self, factors: &[DenseMatrix], mode: usize) -> Result<DenseMatrix> {
         let (cluster, shape, config) = (&self.cluster, &self.shape[..], &self.config);
         if mode >= shape.len() {
@@ -293,7 +249,7 @@ impl Plan {
 
 /// Builds the plan for `strategy`: checks the tensor order and `factors`
 /// (as [`Plan::mttkrp`] does), distributes (and caches) the tensor in the
-/// layout the strategy's capabilities call for, runs any prologue (QCOO's
+/// layout the strategy's pipeline reads, runs any prologue (QCOO's
 /// queue initialization consumes `factors`), and returns the driver-facing
 /// plan object.
 pub fn plan(
@@ -311,9 +267,10 @@ pub fn plan(
         )));
     }
     check(factors, &shape, config.rank)?;
-    let caps = strategy.capabilities();
-    let use_pre =
-        config.partitioning == Partitioning::PrePartitionedTensor && caps.pre_partitioned_tensor;
+    // Only COO and DFacTo-SpMV start from the tensor keyed by the first
+    // join mode; QCOO keys its own queue and broadcast COO joins nothing.
+    let use_pre = config.partitioning == Partitioning::PrePartitionedTensor
+        && matches!(strategy, Strategy::Coo | Strategy::DfactoSpmv);
     let data = TensorData::build(cluster, tensor, config, use_pre);
     let qcoo = (strategy == Strategy::Qcoo)
         .then(|| QcooState::new(cluster, data.plain(), factors, config));
@@ -353,9 +310,7 @@ impl TensorData {
     fn build(cluster: &Cluster, tensor: &CooTensor, config: &PlanConfig, use_pre: bool) -> Self {
         let order = tensor.order();
         if use_pre {
-            let partitioner: Arc<dyn KeyPartitioner<u32>> =
-                Arc::new(HashPartitioner::new(config.partitions));
-            let pref = PartitionerRef::of(partitioner);
+            let partitioner = HashPartitioner::new(config.partitions);
             let pre_keyed = [order - 1, order - 2]
                 .into_iter()
                 .map(|key_mode| {
@@ -364,7 +319,7 @@ impl TensorData {
                         tensor,
                         key_mode,
                         config.partitions,
-                        Some(&pref),
+                        Some(partitioner),
                     );
                     (key_mode, cached(rdd, config))
                 })
@@ -489,7 +444,7 @@ pub(crate) mod testing {
             ];
             assert_eq!(got, want, "{strategy}/{partitioning}");
             let broadcast = m.total_broadcast_bytes() > 0;
-            assert_eq!(broadcast, strategy.capabilities().broadcast_factors);
+            assert_eq!(broadcast, strategy == Strategy::CooBroadcast);
         }
     }
 
@@ -645,16 +600,6 @@ mod tests {
             Partitioning::PrePartitionedTensor
         );
         assert!("psychic".parse::<Partitioning>().is_err());
-    }
-
-    #[test]
-    fn capabilities_drive_pre_partitioning() {
-        assert!(Strategy::Coo.capabilities().pre_partitioned_tensor);
-        assert!(Strategy::DfactoSpmv.capabilities().pre_partitioned_tensor);
-        assert!(!Strategy::Qcoo.capabilities().pre_partitioned_tensor);
-        assert!(!Strategy::CooBroadcast.capabilities().pre_partitioned_tensor);
-        assert!(Strategy::Qcoo.capabilities().carried_state);
-        assert!(Strategy::CooBroadcast.capabilities().broadcast_factors);
     }
 
     #[test]

@@ -84,12 +84,12 @@ impl QcooState {
         for (m, factor) in factors.iter().enumerate().take(order - 1) {
             let factor_rdd = ctx.factor_rdd(cluster, factor);
             let next = m + 1;
-            state = state.join_by(&factor_rdd, ctx.partitioner.clone()).map(
-                move |(_, (mut q, row))| {
+            state = state
+                .join_with(&factor_rdd, ctx.partitions)
+                .map(move |(_, (mut q, row))| {
                     q.rotate(row, capacity);
                     (q.entry.coord[next], q)
-                },
-            );
+                });
         }
         // Materialize eagerly: the N−1 initialization shuffles are the
         // prologue overhead the paper attributes to queue setup, and they
@@ -126,13 +126,11 @@ impl QcooState {
         // STAGE 1 (join) + STAGE 2 (rotate & re-key) — one shuffle (the
         // factor side is narrow when co-partitioned). The rotation copies
         // each joined row into the queue's stripe and drops it.
-        let rotated_raw = self
-            .state
-            .join_by(&factor_rdd, ctx.partitioner.clone())
-            .map(move |(_, (mut q, row))| {
-                q.rotate(row, capacity);
-                (q.entry.coord[out_mode], q)
-            });
+        let joined = self.state.join_with(&factor_rdd, ctx.partitions);
+        let rotated_raw = joined.map(move |(_, (mut q, row))| {
+            q.rotate(row, capacity);
+            (q.entry.coord[out_mode], q)
+        });
         // Periodic lineage truncation; otherwise persistence at the
         // configured level, as §4.2 describes.
         let rotated = Persisted(

@@ -57,7 +57,7 @@ pub(crate) fn mttkrp_spmv(
     // SpMV 1: join the first contraction factor, scale each row by the
     // nonzero value, and sum per fiber.
     let factor_rdd = ctx.factor_rdd(cluster, &factors[joins[0]]);
-    let joined = keyed.join_by(&factor_rdd, ctx.partitioner.clone());
+    let joined = keyed.join_with(&factor_rdd, ctx.partitions);
 
     if joins.len() == 1 {
         // Order 2 degenerates to a single SpMV: the "fiber" is the target
@@ -95,7 +95,7 @@ pub(crate) fn mttkrp_spmv(
         let keyed_by_m: Rdd<(u32, (u64, Row))> =
             fibers.map(move |(key, row)| (ex.extract(key, m), (key, row)));
         let factor_rdd = ctx.factor_rdd(cluster, &factors[m]);
-        let joined = keyed_by_m.join_by(&factor_rdd, ctx.partitioner.clone());
+        let joined = keyed_by_m.join_with(&factor_rdd, ctx.partitions);
         let drop = space.clone();
         if idx + 1 == joins.len() {
             // Final contraction: only the target component survives.

@@ -221,8 +221,8 @@ impl Cluster {
         Rdd::parallelize(self.clone(), data, partitions.max(1))
     }
 
-    /// Distributes key-value records already bucketed by `partitioner` on
-    /// the driver, recording the partitioner on the resulting RDD.
+    /// Distributes key-value records bucketed by `partitioner` on the
+    /// driver, recording the partitioner on the resulting RDD.
     /// Downstream `join`/`reduce_by_key`/`cogroup` onto the same
     /// partitioner then run as narrow (zero-shuffle) dependencies. Records
     /// keep their relative order within each bucket — the same sequence a
@@ -231,18 +231,16 @@ impl Cluster {
     pub fn parallelize_by_key<K: crate::Key, V: Data>(
         &self,
         data: Vec<(K, V)>,
-        partitioner: Arc<dyn crate::partitioner::KeyPartitioner<K>>,
+        partitioner: crate::HashPartitioner,
     ) -> Rdd<(K, V)> {
-        let mut buckets: Vec<Vec<(K, V)>> = (0..partitioner.partition_count())
+        let mut buckets: Vec<Vec<(K, V)>> = (0..partitioner.num_partitions())
             .map(|_| Vec::new())
             .collect();
         for (k, v) in data {
-            let b = partitioner.partition_of(&k);
-            buckets[b].push((k, v));
+            buckets[partitioner.partition(&k)].push((k, v));
         }
         let node = Arc::new(crate::rdd::nodes::SourceNode::new("parallelize", buckets));
-        Rdd::from_node(self.clone(), node)
-            .with_partitioner(Some(crate::partitioner::PartitionerRef::of(partitioner)))
+        Rdd::from_node(self.clone(), node).with_partitioner(Some(partitioner))
     }
 
     /// Simulates the failure of one worker node: every cached partition

@@ -9,7 +9,10 @@
 //! * [`Rdd`] — a lazy, immutable, partitioned dataset with a typed lineage
 //!   graph. Narrow transformations (`map`, `filter`, …) chain computation;
 //!   wide transformations (`join`, `reduce_by_key`, `partition_by`) insert
-//!   shuffle boundaries exactly where Spark would.
+//!   shuffle boundaries exactly where Spark would. Each places keys with a
+//!   [`HashPartitioner`] over its partition count and records it on its
+//!   output, so a later wide operation over the same count reads that
+//!   input without a shuffle.
 //! * [`Cluster`] — the driver: owns the executor pool, shuffle service,
 //!   block manager (cache) and metrics. Actions submit jobs to the
 //!   engine's DAGScheduler ([`Job`]), which cuts lineage into a stage
@@ -80,20 +83,19 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use jobserver::JobServer;
 pub use kernel::{KernelOps, KernelStrategy};
 pub use metrics::{percentile, Event, JobMetrics, Meter, Note, StageMetrics};
-pub use partitioner::{HashPartitioner, KeyPartitioner, PartitionerRef};
+pub use partitioner::HashPartitioner;
 pub use rdd::Rdd;
 pub use size::{EstimateSize, LEN_WORD};
 
 // Named only by tests: the engine's integration tests drive the executor,
-// the two stores, the scheduler, the job server and the partitioners
-// directly, and the model's and the oracle's tests build metrics by hand.
+// the two stores, the scheduler and the job server directly, and the
+// model's and the oracle's tests build metrics by hand.
 pub use cache::BlockManager;
 pub use executor::{
     CancelToken, Executor, RunPolicy, RunStats, SpeculationPolicy, TaskError, WaveError,
 };
 pub use jobserver::JobOutcome;
 pub use metrics::{Counters, JobOutcomeKind, JobRecord, MetricsRegistry, StageDag, StageKind};
-pub use partitioner::{PartitionerSig, RangePartitioner};
 pub use scheduler::Job;
 pub use shuffle::ShuffleService;
 
@@ -113,8 +115,7 @@ pub mod prelude {
     pub use crate::{
         Cluster, ClusterConfig, Data, EstimateSize, FaultConfig, HashPartitioner, JobMetrics,
         JobOutcome, JobOutcomeKind, JobRecord, JobServer, JobServerConfig, KernelOps,
-        KernelStrategy, Key, KeyPartitioner, PartitionerRef, PartitionerSig, RangePartitioner, Rdd,
-        RunPolicy, SpeculationPolicy, StageKind, StorageLevel,
+        KernelStrategy, Key, Rdd, RunPolicy, SpeculationPolicy, StageKind, StorageLevel,
     };
 }
 

@@ -12,7 +12,7 @@ mod pair;
 
 use crate::cache::StorageLevel;
 use crate::context::{Cluster, TaskContext};
-use crate::partitioner::PartitionerRef;
+use crate::partitioner::HashPartitioner;
 use crate::size::EstimateSize;
 use crate::Data;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,12 +83,12 @@ pub(crate) trait RddNode<T: Data>: NodeInfo {
 pub struct Rdd<T: Data> {
     pub(crate) node: Arc<dyn RddNode<T>>,
     pub(crate) cluster: Cluster,
-    /// Provenance: the partitioner whose placement this dataset's
+    /// Provenance: the hash partitioner whose placement this dataset's
     /// partitions are known to follow (recorded by shuffle outputs,
     /// propagated by partitioning-preserving narrow ops, dropped by
-    /// key-changing ops). The scheduler turns joins against a matching
-    /// partitioner into narrow dependencies.
-    pub(crate) partitioner: Option<PartitionerRef>,
+    /// key-changing ops). Wide operations onto an equal partitioner read
+    /// this dataset through narrow dependencies.
+    pub(crate) partitioner: Option<HashPartitioner>,
 }
 
 impl<T: Data> Clone for Rdd<T> {
@@ -96,7 +96,7 @@ impl<T: Data> Clone for Rdd<T> {
         Rdd {
             node: self.node.clone(),
             cluster: self.cluster.clone(),
-            partitioner: self.partitioner.clone(),
+            partitioner: self.partitioner,
         }
     }
 }
@@ -112,7 +112,7 @@ impl<T: Data> Rdd<T> {
 
     /// Attaches partitioner provenance (used by shuffle outputs and by
     /// narrow ops that provably preserve key placement).
-    pub(crate) fn with_partitioner(mut self, partitioner: Option<PartitionerRef>) -> Self {
+    pub(crate) fn with_partitioner(mut self, partitioner: Option<HashPartitioner>) -> Self {
         self.partitioner = partitioner;
         self
     }
@@ -130,8 +130,8 @@ impl<T: Data> Rdd<T> {
     }
 
     /// The partitioner this dataset is known to follow, if any.
-    pub fn partitioner(&self) -> Option<&PartitionerRef> {
-        self.partitioner.as_ref()
+    pub fn partitioner(&self) -> Option<HashPartitioner> {
+        self.partitioner
     }
 
     /// Node id (unique per lineage node).
@@ -181,7 +181,7 @@ impl<T: Data> Rdd<T> {
         self.narrow("filter", move |_, data, _| {
             data.into_iter().filter(&f).collect()
         })
-        .with_partitioner(self.partitioner.clone())
+        .with_partitioner(self.partitioner)
     }
 
     /// Applies `f` and flattens the results.
@@ -213,7 +213,7 @@ impl<T: Data> Rdd<T> {
     pub fn checkpoint(&self) -> Rdd<T> {
         let parts: Vec<Vec<T>> = self.run_action("checkpoint", |_, d| d);
         self.derive(nodes::SourceNode::new("checkpoint", parts))
-            .with_partitioner(self.partitioner.clone())
+            .with_partitioner(self.partitioner)
     }
 
     /// Drops this RDD's resident partitions — in memory and spilled
@@ -350,7 +350,7 @@ impl<T: Data + EstimateSize> Rdd<T> {
             self.cluster.clone(),
             level,
         ))
-        .with_partitioner(self.partitioner.clone())
+        .with_partitioner(self.partitioner)
     }
 }
 

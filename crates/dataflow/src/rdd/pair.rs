@@ -15,13 +15,14 @@
 //! private `Combiner`. A reduce partition is fetched in one place,
 //! `ShuffleDep::read`.
 //!
-//! **Partitioner-aware scheduling.** Every wide operation records the
-//! [`KeyPartitioner`] that produced its output on the resulting [`Rdd`],
-//! and each of the three constructors compares its input's recorded
-//! partitioner against the one it was asked to use: an input that already
-//! matches is read through a narrow one-to-one dependency instead of a
-//! fresh shuffle (Spark's `combineByKeyWithClassTag` and `CoGroupedRDD`
-//! with matching partitioners). A fully co-partitioned join therefore
+//! **Partitioner-aware scheduling.** Every wide operation places keys with
+//! a [`HashPartitioner`] over its partition count and records it on the
+//! resulting [`Rdd`], and each of the three constructors compares its
+//! input's recorded partitioner against the one it was asked to use: an
+//! input that already matches — same partition count — is read through a
+//! narrow one-to-one dependency instead of a fresh shuffle (Spark's
+//! `combineByKeyWithClassTag` and `CoGroupedRDD` with matching
+//! partitioners). A fully co-partitioned join therefore
 //! runs as a zero-shuffle narrow stage; each elided shuffle-map stage is
 //! counted in [`crate::metrics::JobMetrics::skipped_shuffle_count`].
 //!
@@ -35,7 +36,7 @@ use crate::context::{Cluster, TaskContext};
 use crate::hash::FxHashMap;
 use crate::kernel::{self, KernelOps, KernelPlan, KernelStrategy};
 use crate::metrics::Counters;
-use crate::partitioner::{HashPartitioner, KeyPartitioner, PartitionerRef, RangePartitioner};
+use crate::partitioner::HashPartitioner;
 use crate::size::EstimateSize;
 use crate::{Data, Key};
 use std::collections::hash_map::Entry;
@@ -177,7 +178,7 @@ pub(crate) struct ShuffleDep<K: Key, V: Data, C: Data> {
     shuffle_id: usize,
     name: String,
     parent: Arc<dyn RddNode<(K, V)>>,
-    partitioner: Arc<dyn KeyPartitioner<K>>,
+    partitioner: HashPartitioner,
     combiner: Combiner<K, V, C>,
     map_side_combine: bool,
     /// Cleanup handle: when the last reference to this dependency drops
@@ -204,7 +205,7 @@ where
     fn new(
         input: &Rdd<(K, V)>,
         name: &str,
-        partitioner: Arc<dyn KeyPartitioner<K>>,
+        partitioner: HashPartitioner,
         combiner: Combiner<K, V, C>,
         map_side_combine: bool,
     ) -> Self {
@@ -222,10 +223,10 @@ where
     /// Scatters one map partition's records into per-reduce-partition
     /// vectors in scan order, lifting each value with `lift`.
     fn scatter<X>(&self, data: Vec<(K, V)>, lift: impl Fn(V) -> X) -> Vec<Vec<(K, X)>> {
-        let num_reduce = self.partitioner.partition_count();
+        let num_reduce = self.partitioner.num_partitions();
         let mut buckets: Vec<Vec<(K, X)>> = (0..num_reduce).map(|_| Vec::new()).collect();
         for (k, v) in data {
-            let b = self.partitioner.partition_of(&k);
+            let b = self.partitioner.partition(&k);
             buckets[b].push((k, lift(v)));
         }
         buckets
@@ -315,7 +316,7 @@ where
         cluster.shuffle_service().register(
             self.shuffle_id,
             self.parent.num_partitions(),
-            self.partitioner.partition_count(),
+            self.partitioner.num_partitions(),
         );
         // Recovery path: compute only the map outputs that are missing
         // (all of them on first materialization).
@@ -376,7 +377,7 @@ where
         &self.dep.name
     }
     fn num_partitions(&self) -> usize {
-        self.dep.partitioner.partition_count()
+        self.dep.partitioner.num_partitions()
     }
     fn deps(&self) -> Vec<Dependency> {
         vec![Dependency::Shuffle(self.dep.clone())]
@@ -496,7 +497,7 @@ where
 /// Inner join of two pair RDDs in one node: the [`CoGroupedRdd`] grouping,
 /// with each key's pairs written straight into the partition's output —
 /// keys in the grouping's hash order, pairs left-major, values moved or
-/// cloned as [`Rdd::join_by`] describes (a single value on one side is
+/// cloned as [`Rdd::join_with`] describes (a single value on one side is
 /// cloned for every pair but the last, which takes it).
 pub(crate) struct JoinedRdd<K: Key, V: Data, W: Data>(CoGroupedRdd<K, V, W>);
 
@@ -574,9 +575,8 @@ where
     /// Applies `f` to each value, keeping keys (narrow, preserves
     /// partitioning — Spark `mapValues`).
     pub fn map_values<U: Data>(&self, f: impl Fn(V) -> U + Send + Sync + 'static) -> Rdd<(K, U)> {
-        let partitioner = self.partitioner.clone();
         self.map(move |(k, v)| (k, f(v)))
-            .with_partitioner(partitioner)
+            .with_partitioner(self.partitioner)
     }
 
     /// Drops values.
@@ -610,19 +610,17 @@ where
     /// Skips the shuffle `name` would run onto `partitioner` when this
     /// RDD's recorded partitioner already matches it: counts the
     /// skipped-shuffle event and returns `true`; otherwise does nothing.
-    fn skip_shuffle(&self, name: &str, partitioner: &dyn KeyPartitioner<K>) -> bool {
-        match self.partitioner.as_ref() {
-            Some(p) if p.matches(&partitioner.signature()) => {
-                assert_eq!(
-                    self.num_partitions(),
-                    partitioner.partition_count(),
-                    "recorded partitioner disagrees with RDD partition count"
-                );
-                self.cluster.metrics().record_skipped_shuffle(name);
-                true
-            }
-            _ => false,
+    fn skip_shuffle(&self, name: &str, partitioner: HashPartitioner) -> bool {
+        if self.partitioner != Some(partitioner) {
+            return false;
         }
+        assert_eq!(
+            self.num_partitions(),
+            partitioner.num_partitions(),
+            "recorded partitioner disagrees with RDD partition count"
+        );
+        self.cluster.metrics().record_skipped_shuffle(name);
+        true
     }
 
     /// The one shuffle constructor: a [`ShuffleDep`] named `name` read by
@@ -630,18 +628,18 @@ where
     fn shuffled<C: Data + EstimateSize>(
         &self,
         name: &str,
-        partitioner: Arc<dyn KeyPartitioner<K>>,
+        partitioner: HashPartitioner,
         combiner: Combiner<K, V, C>,
         map_side_combine: bool,
         reduce_side_combine: bool,
     ) -> Rdd<(K, C)> {
-        let dep = ShuffleDep::new(self, name, partitioner.clone(), combiner, map_side_combine);
+        let dep = ShuffleDep::new(self, name, partitioner, combiner, map_side_combine);
         self.derive(ShuffledRdd {
             id: next_node_id(),
             dep: Arc::new(dep),
             reduce_side_combine,
         })
-        .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        .with_partitioner(Some(partitioner))
     }
 
     /// Every combining wide operation (Spark's `combineByKeyWithClassTag`):
@@ -652,15 +650,15 @@ where
     fn wide<C: Data + EstimateSize>(
         &self,
         name: &str,
-        partitioner: Arc<dyn KeyPartitioner<K>>,
+        partitioner: HashPartitioner,
         combiner: Combiner<K, V, C>,
         map_side_combine: bool,
     ) -> Rdd<(K, C)> {
-        if self.skip_shuffle(name, partitioner.as_ref()) {
+        if self.skip_shuffle(name, partitioner) {
             let fold = move |_, data, ctx: &TaskContext<'_>| combiner.fold_values(data, ctx);
             return self
                 .narrow(format!("{name}(narrow)"), fold)
-                .with_partitioner(Some(PartitionerRef::of(partitioner)));
+                .with_partitioner(Some(partitioner));
         }
         self.shuffled(name, partitioner, combiner, map_side_combine, true)
     }
@@ -668,8 +666,8 @@ where
     /// Moves every record to the partition `partitioner` assigns its key,
     /// duplicates preserved. An input that already follows `partitioner`
     /// is returned as is — no node, no shuffle.
-    fn repartition(&self, name: &str, partitioner: Arc<dyn KeyPartitioner<K>>) -> Rdd<(K, V)> {
-        if self.skip_shuffle(name, partitioner.as_ref()) {
+    fn repartition(&self, name: &str, partitioner: HashPartitioner) -> Rdd<(K, V)> {
+        if self.skip_shuffle(name, partitioner) {
             return self.clone();
         }
         self.shuffled(name, partitioner, Combiner::repartition(), false, false)
@@ -677,14 +675,14 @@ where
 
     /// This RDD as one input side of a cogroup on `partitioner`: read
     /// narrowly when it already follows it, through a shuffle otherwise.
-    fn co_side(&self, name: &str, partitioner: &Arc<dyn KeyPartitioner<K>>) -> CoSide<K, V> {
-        if self.skip_shuffle(name, partitioner.as_ref()) {
+    fn co_side(&self, name: &str, partitioner: HashPartitioner) -> CoSide<K, V> {
+        if self.skip_shuffle(name, partitioner) {
             return CoSide::Narrow(self.node.clone());
         }
         CoSide::Shuffled(Arc::new(ShuffleDep::new(
             self,
             name,
-            partitioner.clone(),
+            partitioner,
             Combiner::repartition(),
             false,
         )))
@@ -704,7 +702,7 @@ where
         let combiner = Combiner { agg, kernel: None };
         self.wide(
             "reduce_by_key",
-            hashed(partitions),
+            HashPartitioner::new(partitions),
             combiner,
             map_side_combine,
         )
@@ -736,7 +734,7 @@ where
         let combiner = Combiner { agg, kernel };
         self.wide(
             "reduce_by_key",
-            hashed(partitions),
+            HashPartitioner::new(partitions),
             combiner,
             map_side_combine,
         )
@@ -762,14 +760,19 @@ where
             }),
         };
         let combiner = Combiner { agg, kernel: None };
-        self.wide("group_by_key", hashed(partitions), combiner, false)
+        self.wide(
+            "group_by_key",
+            HashPartitioner::new(partitions),
+            combiner,
+            false,
+        )
     }
 
     /// Repartitions by key, preserving duplicate records (Spark
     /// `partitionBy`). A no-op (and zero shuffles) when the RDD is already
     /// hash-partitioned into `partitions` buckets.
     pub fn partition_by(&self, partitions: usize) -> Rdd<(K, V)> {
-        self.repartition("partition_by", hashed(partitions))
+        self.repartition("partition_by", HashPartitioner::new(partitions))
     }
 
     /// Co-groups with `other`: one output record per distinct key, holding
@@ -778,26 +781,18 @@ where
         self.cogroup_with(other, self.default_partitions())
     }
 
-    /// `cogroup` with explicit partition count.
+    /// `cogroup` with explicit partition count. Each side that is already
+    /// hash-partitioned into `partitions` buckets is read through a narrow
+    /// one-to-one dependency — no shuffle-map stage, no shuffle bytes. Two
+    /// co-partitioned inputs make this a zero-shuffle narrow stage.
     pub fn cogroup_with<W: Data + EstimateSize>(
         &self,
         other: &Rdd<(K, W)>,
         partitions: usize,
     ) -> Rdd<CoGrouped<K, V, W>> {
-        self.cogroup_by(other, hashed(partitions))
-    }
-
-    /// `cogroup` with an explicit partitioner. Each side that is already
-    /// partitioned by `partitioner` is read through a narrow one-to-one
-    /// dependency — no shuffle-map stage, no shuffle bytes. Two
-    /// co-partitioned inputs make this a zero-shuffle narrow stage.
-    pub(crate) fn cogroup_by<W: Data + EstimateSize>(
-        &self,
-        other: &Rdd<(K, W)>,
-        partitioner: Arc<dyn KeyPartitioner<K>>,
-    ) -> Rdd<CoGrouped<K, V, W>> {
-        self.derive(self.co_grouped(other, &partitioner))
-            .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        let partitioner = HashPartitioner::new(partitions);
+        self.derive(self.co_grouped(other, partitioner))
+            .with_partitioner(Some(partitioner))
     }
 
     /// The grouping node of a cogroup or join with `other` on
@@ -805,13 +800,13 @@ where
     fn co_grouped<W: Data + EstimateSize>(
         &self,
         other: &Rdd<(K, W)>,
-        partitioner: &Arc<dyn KeyPartitioner<K>>,
+        partitioner: HashPartitioner,
     ) -> CoGroupedRdd<K, V, W> {
         CoGroupedRdd {
             id: next_node_id(),
             left: self.co_side("cogroup-left", partitioner),
             right: other.co_side("cogroup-right", partitioner),
-            partitions: partitioner.partition_count(),
+            partitions: partitioner.num_partitions(),
         }
     }
 
@@ -832,80 +827,20 @@ where
         self.join_with(other, self.default_partitions())
     }
 
-    /// `join` with explicit partition count.
+    /// `join` with explicit partition count; co-partitioned sides skip
+    /// their shuffle (see [`Rdd::cogroup_with`]). A key with a single
+    /// value on one side — the MTTKRP case, one factor row per index —
+    /// *moves* every value of the other side into its pair instead of
+    /// cloning it; only many-to-many keys pay the full cross product of
+    /// clones.
     pub fn join_with<W: Data + EstimateSize>(
         &self,
         other: &Rdd<(K, W)>,
         partitions: usize,
     ) -> Rdd<(K, (V, W))> {
-        self.join_by(other, hashed(partitions))
-    }
-
-    /// `join` with an explicit partitioner; co-partitioned sides skip
-    /// their shuffle (see `Rdd::cogroup_by`). A key with a single value
-    /// on one side — the MTTKRP case, one factor row per index — *moves*
-    /// every value of the other side into its pair instead of cloning it;
-    /// only many-to-many keys pay the full cross product of clones.
-    pub fn join_by<W: Data + EstimateSize>(
-        &self,
-        other: &Rdd<(K, W)>,
-        partitioner: Arc<dyn KeyPartitioner<K>>,
-    ) -> Rdd<(K, (V, W))> {
+        let partitioner = HashPartitioner::new(partitions);
         // Every output record keeps its key, so the partitioner holds.
-        self.derive(JoinedRdd(self.co_grouped(other, &partitioner)))
-            .with_partitioner(Some(PartitionerRef::of(partitioner)))
+        self.derive(JoinedRdd(self.co_grouped(other, partitioner)))
+            .with_partitioner(Some(partitioner))
     }
-
-    /// Repartitions with an explicit range partitioner; partition `i`
-    /// receives a contiguous key range.
-    pub fn partition_by_range(&self, partitioner: RangePartitioner<K>) -> Rdd<(K, V)>
-    where
-        K: Ord,
-    {
-        self.repartition("partition_by_range", Arc::new(partitioner))
-    }
-
-    /// Globally sorts by key (Spark `sortByKey`): samples keys to derive
-    /// range boundaries (one extra job, as in Spark), range-partitions,
-    /// and sorts each partition locally. `collect()` then yields records
-    /// in ascending key order.
-    ///
-    /// ```
-    /// use cstf_dataflow::{Cluster, ClusterConfig};
-    ///
-    /// let c = Cluster::new(ClusterConfig::local(2));
-    /// let data: Vec<(u32, ())> = (0..100u32).rev().map(|k| (k, ())).collect();
-    /// let sorted = c.parallelize(data, 4).sort_by_key(3).keys().collect();
-    /// assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    /// ```
-    pub fn sort_by_key(&self, partitions: usize) -> Rdd<(K, V)>
-    where
-        K: Ord,
-    {
-        // Systematic per-partition sampling: ≈ 20 keys per output
-        // partition, deterministic.
-        let target = (20 * partitions).max(1);
-        let num_parts = self.num_partitions().max(1);
-        let per_part = (target / num_parts).max(1);
-        let sample: Vec<K> = self
-            .map_partitions(move |_, data| {
-                let step = (data.len() / per_part).max(1);
-                data.into_iter().step_by(step).map(|(k, _)| k).collect()
-            })
-            .collect();
-        let partitioner = RangePartitioner::from_sample(sample, partitions);
-        let ranged = self.partition_by_range(partitioner);
-        let range_ref = ranged.partitioner.clone();
-        ranged
-            .map_partitions(|_, mut data| {
-                data.sort_by(|a, b| a.0.cmp(&b.0));
-                data
-            })
-            .with_partitioner(range_ref)
-    }
-}
-
-/// The hash partitioner every `*_with(partitions)` default resolves to.
-fn hashed<K: Key>(partitions: usize) -> Arc<dyn KeyPartitioner<K>> {
-    Arc::new(HashPartitioner::new(partitions))
 }

@@ -8,7 +8,6 @@
 use cstf_dataflow::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn cluster(nodes: usize) -> Cluster {
     Cluster::new(ClusterConfig::local(2).nodes(nodes))
@@ -24,29 +23,20 @@ fn shuffle_outputs_record_their_partitioner() {
     );
 
     let reduced = pairs.reduce_by_key_with(4, false, |a, b| a + b);
-    assert_eq!(
-        reduced.partitioner().unwrap().sig(),
-        PartitionerSig::Hash(4)
-    );
+    assert_eq!(reduced.partitioner(), Some(HashPartitioner::new(4)));
 
     let parted = pairs.partition_by(3);
-    assert_eq!(parted.partitioner().unwrap().sig(), PartitionerSig::Hash(3));
+    assert_eq!(parted.partitioner(), Some(HashPartitioner::new(3)));
 
     let grouped = pairs.group_by_key_with(5);
-    assert_eq!(
-        grouped.partitioner().unwrap().sig(),
-        PartitionerSig::Hash(5)
-    );
+    assert_eq!(grouped.partitioner(), Some(HashPartitioner::new(5)));
 
     let other = c.parallelize(vec![(1u32, 9u8)], 2);
     let joined = pairs.join_with(&other, 6);
-    assert_eq!(joined.partitioner().unwrap().sig(), PartitionerSig::Hash(6));
+    assert_eq!(joined.partitioner(), Some(HashPartitioner::new(6)));
 
     let cogrouped = pairs.cogroup_with(&other, 7);
-    assert_eq!(
-        cogrouped.partitioner().unwrap().sig(),
-        PartitionerSig::Hash(7)
-    );
+    assert_eq!(cogrouped.partitioner(), Some(HashPartitioner::new(7)));
 }
 
 #[test]
@@ -55,22 +45,13 @@ fn narrow_ops_preserve_and_key_changing_ops_drop() {
     let parted = c
         .parallelize(vec![(1u32, 1i64), (2, 2), (1, 3)], 2)
         .partition_by(4);
-    let sig = parted.partitioner().unwrap().sig();
+    let p = Some(HashPartitioner::new(4));
+    assert_eq!(parted.partitioner(), p);
 
     // Partitioning-preserving narrow ops propagate provenance.
-    assert_eq!(
-        parted.map_values(|v| v * 2).partitioner().unwrap().sig(),
-        sig
-    );
-    assert_eq!(parted.filter(|_| true).partitioner().unwrap().sig(), sig);
-    assert_eq!(
-        parted
-            .persist(StorageLevel::MemoryRaw)
-            .partitioner()
-            .unwrap()
-            .sig(),
-        sig
-    );
+    assert_eq!(parted.map_values(|v| v * 2).partitioner(), p);
+    assert_eq!(parted.filter(|_| true).partitioner(), p);
+    assert_eq!(parted.persist(StorageLevel::MemoryRaw).partitioner(), p);
 
     // Key-changing (or key-oblivious) ops drop it.
     assert!(parted.map(|kv| kv).partitioner().is_none());
@@ -84,11 +65,11 @@ fn narrow_ops_preserve_and_key_changing_ops_drop() {
 #[test]
 fn co_partitioned_join_spawns_zero_shuffle_map_stages() {
     let c = cluster(2);
-    let p: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(4));
-    let left = c.parallelize_by_key(vec![(1u32, 10i64), (2, 20), (3, 30), (1, 11)], p.clone());
-    let right = c.parallelize_by_key(vec![(1u32, 7u8), (2, 8), (4, 9)], p.clone());
+    let p = HashPartitioner::new(4);
+    let left = c.parallelize_by_key(vec![(1u32, 10i64), (2, 20), (3, 30), (1, 11)], p);
+    let right = c.parallelize_by_key(vec![(1u32, 7u8), (2, 8), (4, 9)], p);
     c.metrics().reset();
-    let mut joined = left.join_by(&right, p).collect();
+    let mut joined = left.join_with(&right, 4).collect();
     joined.sort();
     assert_eq!(joined, vec![(1, (10, 7)), (1, (11, 7)), (2, (20, 8))]);
     let m = c.metrics().snapshot();
@@ -100,11 +81,10 @@ fn co_partitioned_join_spawns_zero_shuffle_map_stages() {
 #[test]
 fn half_partitioned_join_shuffles_only_the_mismatched_side() {
     let c = cluster(2);
-    let p: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(4));
-    let left = c.parallelize_by_key(vec![(1u32, 10i64), (2, 20)], p.clone());
+    let left = c.parallelize_by_key(vec![(1u32, 10i64), (2, 20)], HashPartitioner::new(4));
     let right = c.parallelize(vec![(1u32, 7u8), (2, 8)], 3); // unpartitioned
     c.metrics().reset();
-    let mut joined = left.join_by(&right, p).collect();
+    let mut joined = left.join_with(&right, 4).collect();
     joined.sort();
     assert_eq!(joined, vec![(1, (10, 7)), (2, (20, 8))]);
     let m = c.metrics().snapshot();
@@ -145,8 +125,7 @@ fn narrow_reduce_by_key_matches_shuffled_reduce_bitwise() {
     base.sort_by_key(|&(k, _)| k);
 
     // Narrow path: pre-partitioned input, reduce onto the same partitioner.
-    let p: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(4));
-    let pre = c.parallelize_by_key(data, p);
+    let pre = c.parallelize_by_key(data, HashPartitioner::new(4));
     c.metrics().reset();
     let mut narrow = pre.reduce_by_key_with(4, false, |a, b| a + b).collect();
     narrow.sort_by_key(|&(k, _)| k);
@@ -183,11 +162,11 @@ proptest! {
             .collect();
         shuffled.sort();
 
-        let p: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(parts));
-        let lp = c.parallelize_by_key(left, p.clone());
-        let rp = c.parallelize_by_key(right, p.clone());
+        let p = HashPartitioner::new(parts);
+        let lp = c.parallelize_by_key(left, p);
+        let rp = c.parallelize_by_key(right, p);
         c.metrics().reset();
-        let mut narrow = lp.join_by(&rp, p).collect();
+        let mut narrow = lp.join_with(&rp, parts).collect();
         narrow.sort();
         prop_assert_eq!(c.metrics().snapshot().shuffle_count(), 0);
         prop_assert_eq!(shuffled, narrow);
@@ -204,9 +183,8 @@ proptest! {
         for (k, v) in &data {
             expect.entry(*k).and_modify(|s| *s = s.wrapping_add(*v)).or_insert(*v);
         }
-        let p: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(parts));
         let got: BTreeMap<u32, i64> = c
-            .parallelize_by_key(data, p)
+            .parallelize_by_key(data, HashPartitioner::new(parts))
             .reduce_by_key_with(parts, false, |a, b| a.wrapping_add(b))
             .collect()
             .into_iter()

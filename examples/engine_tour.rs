@@ -64,14 +64,13 @@ fn main() {
         .unwrap_or(0);
     println!("severity-weighted latency total: {weighted}");
 
-    // Global sort by latency (range partitioner under the hood).
-    let slowest = logs
-        .map(|(level, subsystem, latency)| (u64::MAX - latency, (level, subsystem)))
-        .sort_by_key(16)
-        .take(3);
+    // Top three by latency: collect and sort on the driver (a stable
+    // sort, so ties keep their partition order).
+    let mut slowest = logs.collect();
+    slowest.sort_by_key(|&(_, _, latency)| std::cmp::Reverse(latency));
     println!("\nslowest requests:");
-    for (inv, (level, subsystem)) in slowest {
-        println!("  {:>4} ms  {level:<5} {subsystem}", u64::MAX - inv);
+    for (level, subsystem, latency) in slowest.into_iter().take(3) {
+        println!("  {latency:>4} ms  {level:<5} {subsystem}");
     }
 
     // What did all of that cost? The engine kept score.
@@ -113,16 +112,12 @@ fn main() {
             .run(&c, &tensor)
             .expect("decomposition");
         let m = c.metrics().snapshot();
-        let caps = strategy.capabilities();
         println!(
-            "  {:<13} fit {:.6}  shuffles {:>3} (+{} skipped)  caps: pre-partition={} broadcast={} carried-state={}",
+            "  {:<13} fit {:.6}  shuffles {:>3} (+{} skipped)",
             strategy.to_string(),
             result.stats.final_fit,
             m.shuffle_count(),
             m.skipped_shuffle_count(),
-            caps.pre_partitioned_tensor,
-            caps.broadcast_factors,
-            caps.carried_state,
         );
     }
 }

@@ -651,7 +651,7 @@ pub fn check(row: &Row) -> Arc<Outcome> {
         let truth = reference(solo.reference());
         let counter_ref = reference(solo.counter_reference());
         skipped_co += truth.metrics.skipped_shuffle_count();
-        pre |= solo.strategy.capabilities().pre_partitioned_tensor;
+        pre |= matches!(solo.strategy, Strategy::Coo | Strategy::DfactoSpmv);
         assert_bits_eq(
             &job.values,
             &truth.jobs[0].values,

@@ -6,7 +6,6 @@
 use cstf_core::factors::factor_to_rdd;
 use cstf_dataflow::prelude::*;
 use cstf_integration_tests::{random_factors, test_cluster};
-use std::sync::Arc;
 
 cstf_integration_tests::oracle_groups!(
     pre_partitioned_mttkrp_recovers_from_every_node_failure,
@@ -20,9 +19,7 @@ cstf_integration_tests::oracle_groups!(
 fn partitioned_factor_rdd_reports_provenance() {
     let c = test_cluster(2);
     let factors = random_factors(&[10, 8, 6], 2, 91);
-    let p: Arc<dyn KeyPartitioner<u32>> = Arc::new(HashPartitioner::new(6));
-    let pref = PartitionerRef::of(p);
-    let rdd = factor_to_rdd(&c, &factors[0], 6, Some(&pref));
-    assert_eq!(rdd.partitioner().unwrap().sig(), PartitionerSig::Hash(6));
+    let rdd = factor_to_rdd(&c, &factors[0], 6, Some(HashPartitioner::new(6)));
+    assert_eq!(rdd.partitioner(), Some(HashPartitioner::new(6)));
     assert_eq!(rdd.count(), 10);
 }
