@@ -16,7 +16,7 @@
 
 use crate::factors::{tensor_to_rdd, tensor_to_rdd_keyed};
 use crate::mttkrp::{mttkrp_coo, mttkrp_coo_broadcast, Persisted};
-use crate::qcoo::QcooState;
+use crate::qcoo::{self, QueueSteps};
 use crate::records::CooRecord;
 use crate::spmv::mttkrp_spmv;
 use crate::{cost, CstfError, Result};
@@ -188,9 +188,10 @@ pub struct Plan {
     cluster: Cluster,
     shape: Vec<u32>,
     config: PlanConfig,
-    /// CSTF-QCOO's carried queue state (its prologue consumed the plain
-    /// tensor RDD, held in `data` so `release` can unpersist it).
-    qcoo: Option<QcooState>,
+    /// CSTF-QCOO's carried queue state, in the stripe storage its queue
+    /// width picked (its prologue consumed the plain tensor RDD, held in
+    /// `data` so `release` can unpersist it).
+    qcoo: Option<Box<dyn QueueSteps>>,
     data: TensorData,
 }
 
@@ -272,8 +273,8 @@ pub fn plan(
     let use_pre = config.partitioning == Partitioning::PrePartitionedTensor
         && matches!(strategy, Strategy::Coo | Strategy::DfactoSpmv);
     let data = TensorData::build(cluster, tensor, config, use_pre);
-    let qcoo = (strategy == Strategy::Qcoo)
-        .then(|| QcooState::new(cluster, data.plain(), factors, config));
+    let qcoo =
+        (strategy == Strategy::Qcoo).then(|| qcoo::start(cluster, data.plain(), factors, config));
     Ok(Plan {
         strategy,
         cluster: cluster.clone(),

@@ -24,6 +24,11 @@
 //! which feeds the live state and lets an evicted block recompute with
 //! one join. The lineage stays: a node loss re-runs the released joins.
 //!
+//! The queue stripe of every record is stored inline when it is narrow
+//! enough ([`StripeKind`]): the storage is picked once per plan from the
+//! queue width `(N−1)·R`, so each copy a stage boundary makes of a record
+//! is one flat memcpy, and only wide queues keep a heap block per record.
+//!
 //! Because each stage consumes the previous stage's output, a QCOO step
 //! is a *chain* in the scheduler's stage DAG ([`cstf_dataflow::Job`]): its
 //! critical path equals its serial stage sum, so concurrent wave
@@ -32,7 +37,7 @@
 
 use crate::mttkrp::{JoinContext, Persisted};
 use crate::planner::PlanConfig;
-use crate::records::{CooRecord, QRecord};
+use crate::records::{CooRecord, QRecord, Stripe};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::DenseMatrix;
 
@@ -43,35 +48,106 @@ use cstf_tensor::DenseMatrix;
 /// each swap already releases the previous generation's shuffles.
 const CHECKPOINT_INTERVAL: u64 = 8;
 
-/// The persistent distributed state of a QCOO CP-ALS run.
+/// The stripe storage of a queue of `(N−1)·R` doubles: the smallest
+/// inline array that holds it, or a box above the largest. Two inline
+/// sizes, because one array pays its full size for every record — a
+/// single 16-double array would carry an order-4, rank-2 queue (6 doubles)
+/// at nearly three times its bytes, and a single 8-double one would leave
+/// an order-3, rank-8 queue (16 doubles) on the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StripeKind {
+    /// `[f64; 8]`.
+    Inline8,
+    /// `[f64; 16]`.
+    Inline16,
+    /// `Box<[f64]>`.
+    Boxed,
+}
+
+impl StripeKind {
+    fn for_width(width: usize) -> Self {
+        match width {
+            0..=8 => StripeKind::Inline8,
+            9..=16 => StripeKind::Inline16,
+            _ => StripeKind::Boxed,
+        }
+    }
+}
+
+/// A [`QcooState`] of any stripe storage: what a
+/// [`crate::planner::Plan`] drives.
+pub(crate) trait QueueSteps {
+    /// The output mode the next [`QueueSteps::step`] will compute.
+    fn next_output_mode(&self) -> usize;
+
+    /// Performs one MTTKRP (Table 2, right column): joins the current
+    /// factor of the key mode, rotates every queue, reduces, and returns
+    /// `M` for [`QueueSteps::next_output_mode`]. The rotated state is
+    /// cached and the previous state unpersisted.
+    fn step(
+        &mut self,
+        cluster: &Cluster,
+        factors: &[DenseMatrix],
+        config: &PlanConfig,
+    ) -> DenseMatrix;
+
+    /// Drops the cached state (dropping the state does the same).
+    /// Idempotent.
+    fn release(&self);
+}
+
+/// Builds the queued state ([`QcooState::new`]) in the stripe storage
+/// its queue width picks.
+pub(crate) fn start(
+    cluster: &Cluster,
+    tensor: &Rdd<CooRecord>,
+    factors: &[DenseMatrix],
+    config: &PlanConfig,
+) -> Box<dyn QueueSteps> {
+    let width = (factors.len() - 1) * config.rank;
+    match StripeKind::for_width(width) {
+        StripeKind::Inline8 => {
+            Box::new(QcooState::<[f64; 8]>::new(cluster, tensor, factors, config))
+        }
+        StripeKind::Inline16 => Box::new(QcooState::<[f64; 16]>::new(
+            cluster, tensor, factors, config,
+        )),
+        StripeKind::Boxed => Box::new(QcooState::<Box<[f64]>>::new(
+            cluster, tensor, factors, config,
+        )),
+    }
+}
+
+/// The persistent distributed state of a QCOO CP-ALS run, its queues
+/// stored in `S`.
 ///
 /// Created once by [`QcooState::new`] (the "overhead of N shuffles before
 /// the first MTTKRP" the paper measures in Figure 5's mode-1 bars), then
-/// advanced with [`QcooState::step`] once per MTTKRP, cycling through
+/// advanced with [`QueueSteps::step`] once per MTTKRP, cycling through
 /// output modes `0, 1, …, N−1, 0, …`. The plan validates every input
 /// before it reaches either.
-pub(crate) struct QcooState {
+struct QcooState<S: Stripe> {
     /// The live queue state; replacing or dropping it unpersists it and
     /// releases the shuffles that built it, so a state that is dropped
-    /// without [`QcooState::release`] — or whose prologue or step job
+    /// without [`QueueSteps::release`] — or whose prologue or step job
     /// aborted — leaves no blocks or dead shuffle outputs behind.
-    state: Persisted<(u32, QRecord)>,
+    state: Persisted<(u32, QRecord<S>)>,
     /// Tensor order `N`.
     order: usize,
     /// Mode whose index currently keys the state — also the mode whose
-    /// factor the next [`QcooState::step`] joins.
+    /// factor the next [`QueueSteps::step`] joins.
     key_mode: usize,
     steps_taken: u64,
 }
 
-impl QcooState {
+impl<S: Stripe> QcooState<S> {
     /// Builds the initial queued state: `N − 1` joins load the rows of
     /// factors `0..N−1` into every record's queue, leaving the state keyed
     /// by mode `N−1` — ready for the first mode-0 MTTKRP (Algorithm 3
     /// lines 1-2). The queue is persisted at `config.storage`; levels that
     /// spill let it (the `(N−1)·nnz·R` payload, QCOO's dominant resident
     /// cost) run under a memory budget smaller than the working set.
-    pub(crate) fn new(
+    fn new(
         cluster: &Cluster,
         tensor: &Rdd<CooRecord>,
         factors: &[DenseMatrix],
@@ -80,7 +156,7 @@ impl QcooState {
         let order = factors.len();
         let capacity = order - 1;
         let ctx = JoinContext::new(config);
-        let mut state: Rdd<(u32, QRecord)> = tensor.map(|rec| (rec.coord[0], QRecord::new(rec)));
+        let mut state: Rdd<(u32, QRecord<S>)> = tensor.map(|rec| (rec.coord[0], QRecord::new(rec)));
         for (m, factor) in factors.iter().enumerate().take(order - 1) {
             let factor_rdd = ctx.factor_rdd(cluster, factor);
             let next = m + 1;
@@ -103,17 +179,14 @@ impl QcooState {
             steps_taken: 0,
         }
     }
+}
 
-    /// The output mode the next [`QcooState::step`] will compute.
-    pub(crate) fn next_output_mode(&self) -> usize {
+impl<S: Stripe> QueueSteps for QcooState<S> {
+    fn next_output_mode(&self) -> usize {
         (self.key_mode + 1) % self.order
     }
 
-    /// Performs one MTTKRP (Table 2, right column): joins the current
-    /// factor of the key mode, rotates every queue, reduces, and returns
-    /// `M` for [`QcooState::next_output_mode`]. The rotated state is
-    /// cached and the previous state unpersisted.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         cluster: &Cluster,
         factors: &[DenseMatrix],
@@ -157,18 +230,17 @@ impl QcooState {
         m
     }
 
-    /// Drops the cached state (dropping the `QcooState` does the same).
-    /// Idempotent.
-    pub(crate) fn release(&self) {
+    fn release(&self) {
         self.state.unpersist();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::factors::tensor_to_rdd;
     use crate::planner::testing::*;
     use crate::planner::{plan, Partitioning, Plan, Strategy};
-    use cstf_dataflow::Cluster;
     use cstf_tensor::mttkrp::mttkrp as mttkrp_seq;
     use cstf_tensor::random::RandomTensor;
     use cstf_tensor::{CooTensor, DenseMatrix};
@@ -358,5 +430,77 @@ mod tests {
         }
         p.release();
         assert!(c.block_manager().is_empty());
+    }
+
+    #[test]
+    fn stripe_storage_flips_at_each_inline_size() {
+        for (width, kind) in [
+            (1, StripeKind::Inline8),
+            (8, StripeKind::Inline8),
+            (9, StripeKind::Inline16),
+            (16, StripeKind::Inline16),
+            (17, StripeKind::Boxed),
+            (1000, StripeKind::Boxed),
+        ] {
+            assert_eq!(StripeKind::for_width(width), kind, "width {width}");
+        }
+    }
+
+    /// Two cycles of steps of a `QcooState<S>`, each consuming the factor
+    /// the previous step produced.
+    fn run_steps<S: Stripe>(t: &CooTensor, factors: &[DenseMatrix]) -> Vec<DenseMatrix> {
+        let c = cluster();
+        let config = config(Partitioning::CoPartitionedFactors);
+        let mut factors = factors.to_vec();
+        let tensor = tensor_to_rdd(&c, t, config.partitions);
+        let mut state = QcooState::<S>::new(&c, &tensor, &factors, &config);
+        let ms = (0..2 * t.order())
+            .map(|step| {
+                let mode = state.next_output_mode();
+                assert_eq!(mode, step % t.order());
+                let m = state.step(&c, &factors, &config);
+                factors[mode] = m.clone();
+                m
+            })
+            .collect();
+        state.release();
+        assert!(c.block_manager().is_empty());
+        ms
+    }
+
+    #[test]
+    fn every_stripe_storage_computes_the_same_bits() {
+        // Rank 2, order 3: a 4-double queue, which every storage holds.
+        let t = RandomTensor::new(vec![9, 8, 7]).nnz(150).seed(41).build();
+        let factors = random_factors(t.shape(), 2, 42);
+        let boxed = run_steps::<Box<[f64]>>(&t, &factors);
+        for inline in [
+            run_steps::<[f64; 8]>(&t, &factors),
+            run_steps::<[f64; 16]>(&t, &factors),
+        ] {
+            for (a, b) in inline.iter().zip(&boxed) {
+                assert_bits_eq(a, b);
+            }
+        }
+        assert_matches_sequential(&t, &factors, 0, &boxed[0]);
+    }
+
+    #[test]
+    fn a_queue_wider_than_every_inline_stripe_runs_boxed() {
+        // Order 3 at rank 9: an 18-double queue, past the 16-double array.
+        let t = RandomTensor::new(vec![9, 8, 7]).nnz(150).seed(43).build();
+        let factors = random_factors(t.shape(), 9, 44);
+        let config = PlanConfig {
+            rank: 9,
+            ..config(Partitioning::CoPartitionedFactors)
+        };
+        assert_eq!(StripeKind::for_width(2 * config.rank), StripeKind::Boxed);
+        let c = cluster();
+        let mut p = plan(&c, &t, Strategy::Qcoo, &config, &factors).unwrap();
+        for mode in 0..t.order() {
+            let m = p.mttkrp(&factors, mode).unwrap();
+            assert_matches_sequential(&t, &factors, mode, &m);
+        }
+        p.release();
     }
 }

@@ -6,17 +6,19 @@
 //! | `X_Q`   | `((i, j, k, X(i,j,k)), Queue(A(i,:), B(j,:), …))`            | [`QRecord`] |
 //! | `A,B,C` | `IndexedRowMatrix` row: `(index, A(index,:))`                | `(u32, Row)` |
 //!
-//! **What a record owns.** Every stage boundary deep-copies its records
-//! (cache hit, shuffle read, cache put), so the number of heap blocks a
-//! record owns is paid several times per nonzero per MTTKRP. A
-//! [`CooRecord`] owns none: its [`Coord`] holds up to
-//! seven indices (`Coord::INLINE`) in place (boxed only above that), so cloning
-//! a tensor partition is one allocation and a flat copy. A [`QRecord`]
-//! owns exactly one: its queue is a private contiguous stripe of
-//! `(N−1)·R` doubles rotated by index, not a deque of boxed rows. A
-//! factor [`Row`] stays a `Box<[f64]>`: rows travel alone through the
-//! joins and reduces as the *value* of a pair, and their length `R` is
-//! only known at run time.
+//! **What a record owns.** Every stage boundary copies its records (cache
+//! hit, shuffle read, cache put), so the number of heap blocks a record
+//! owns is paid several times per nonzero per MTTKRP. A [`CooRecord`]
+//! owns none: its [`Coord`] holds up to seven indices (`Coord::INLINE`)
+//! in place (boxed only above that), so cloning a tensor partition is one
+//! allocation and a flat copy. A [`QRecord`] owns none either when its
+//! queue fits an inline [`Stripe`]: the queue is a private contiguous
+//! stripe of `(N−1)·R` doubles rotated by index, stored in a `[f64; C]`
+//! array inside the record, so each copy is one flat memcpy. Only a queue
+//! wider than the largest inline size keeps its stripe in a `Box<[f64]>`,
+//! one heap block. A factor [`Row`] stays a `Box<[f64]>`: rows travel
+//! alone through the joins and reduces as the *value* of a pair, and their
+//! length `R` is only known at run time.
 
 use cstf_dataflow::prelude::*;
 use cstf_dataflow::LEN_WORD;
@@ -117,21 +119,53 @@ impl EstimateSize for CooRecord {
     }
 }
 
+/// Where a [`QRecord`] keeps its queue stripe: an inline `[f64; C]`
+/// (no heap block; holds queues of up to `C` doubles) or a `Box<[f64]>`
+/// sized by the first rotation (any width). Only the first `(N−1)·R`
+/// doubles are ever read, so the capacity is invisible to equality, `Debug`
+/// and [`EstimateSize`].
+pub trait Stripe: AsRef<[f64]> + AsMut<[f64]> + Clone + Send + Sync + 'static {
+    /// A zeroed stripe holding at least `len` doubles.
+    ///
+    /// # Panics
+    ///
+    /// If a fixed-size stripe is smaller than `len`.
+    fn zeroed(len: usize) -> Self;
+}
+
+impl<const C: usize> Stripe for [f64; C] {
+    fn zeroed(len: usize) -> Self {
+        assert!(
+            len <= C,
+            "a queue of {len} doubles does not fit an inline stripe of {C}"
+        );
+        [0.0; C]
+    }
+}
+
+impl Stripe for Box<[f64]> {
+    fn zeroed(len: usize) -> Self {
+        vec![0.0; len].into_boxed_slice()
+    }
+}
+
 /// A QCOO record: one nonzero plus its FIFO queue of factor rows
 /// (paper §4.2). The queue holds `N − 1` rows; each MTTKRP enqueues the
 /// freshly joined row and dequeues the stalest one ("a dequeue operation is
 /// performed which drops the oldest vector from the queue").
 ///
-/// The queue is one contiguous stripe of `capacity · R` doubles, allocated
-/// by the first [`QRecord::rotate`] and reused for the record's life: slot
-/// `s` is `stripe[s·R..(s+1)·R]`, the logical queue is the `len` slots
-/// starting at `head`, wrapping. Equality and `Debug` see the logical
-/// queue only, never the rotation.
+/// The queue is one contiguous stripe of `capacity · R` doubles in the
+/// storage `S` ([`Stripe`]), sized by the first [`QRecord::rotate`] and
+/// reused for the record's life: slot `s` is `stripe[s·R..(s+1)·R]`, the
+/// logical queue is the `len` slots starting at `head`, wrapping. With an
+/// inline `S` the record owns no heap block and a clone is a flat copy.
+/// Equality and `Debug` see the logical queue only, never the rotation or
+/// the storage.
 #[derive(Clone)]
-pub struct QRecord {
+pub struct QRecord<S: Stripe> {
     /// The tensor nonzero.
     pub entry: CooRecord,
-    stripe: Box<[f64]>,
+    stripe: S,
     /// Row length `R` and slot count of the stripe (both 0 until the first
     /// rotation sizes it).
     width: u32,
@@ -141,12 +175,12 @@ pub struct QRecord {
     len: u32,
 }
 
-impl QRecord {
+impl<S: Stripe> QRecord<S> {
     /// Wraps a nonzero with an empty queue.
     pub fn new(entry: CooRecord) -> Self {
         QRecord {
             entry,
-            stripe: Box::default(),
+            stripe: S::zeroed(0),
             width: 0,
             slots: 0,
             head: 0,
@@ -161,14 +195,15 @@ impl QRecord {
     ///
     /// # Panics
     ///
-    /// If `capacity` or the row length differs from the first rotation's:
-    /// the stripe is sized once.
+    /// If `capacity` or the row length differs from the first rotation's
+    /// (the stripe is sized once), or if `capacity · R` doubles do not fit
+    /// an inline stripe.
     pub fn rotate(&mut self, row: Row, capacity: usize) {
         if capacity == 0 {
             return;
         }
         if self.slots == 0 {
-            self.stripe = vec![0.0; capacity * row.len()].into_boxed_slice();
+            self.stripe = S::zeroed(capacity * row.len());
             self.width = u32::try_from(row.len()).expect("row length fits u32");
             self.slots = u32::try_from(capacity).expect("queue capacity fits u32");
         }
@@ -187,7 +222,7 @@ impl QRecord {
             stalest
         };
         let width = self.width as usize;
-        self.stripe[slot as usize * width..][..width].copy_from_slice(&row);
+        self.stripe.as_mut()[slot as usize * width..][..width].copy_from_slice(&row);
     }
 
     /// The stripe slot holding the `i`-th queued row (`i ≤ slots`).
@@ -213,7 +248,7 @@ impl QRecord {
     pub(crate) fn queue_row(&self, i: usize) -> &[f64] {
         assert!(i < self.queue_len(), "queue row {i} out of range");
         let width = self.width as usize;
-        &self.stripe[self.slot_of(i as u32) as usize * width..][..width]
+        &self.stripe.as_ref()[self.slot_of(i as u32) as usize * width..][..width]
     }
 
     fn queue_rows(&self) -> impl Iterator<Item = &[f64]> {
@@ -236,13 +271,13 @@ impl QRecord {
     }
 }
 
-impl PartialEq for QRecord {
+impl<S: Stripe> PartialEq for QRecord<S> {
     fn eq(&self, other: &Self) -> bool {
         self.entry == other.entry && self.queue_rows().eq(other.queue_rows())
     }
 }
 
-impl std::fmt::Debug for QRecord {
+impl<S: Stripe> std::fmt::Debug for QRecord<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QRecord")
             .field("entry", &self.entry)
@@ -254,7 +289,7 @@ impl std::fmt::Debug for QRecord {
 /// Arithmetic, not a traversal: the flat encoding of the entry, a length
 /// word, and per queued row a length word plus `R` doubles — what a
 /// `VecDeque<Row>` of the same rows would report.
-impl EstimateSize for QRecord {
+impl<S: Stripe> EstimateSize for QRecord<S> {
     fn estimate_size(&self) -> usize {
         self.entry.estimate_size()
             + LEN_WORD
@@ -309,6 +344,11 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
+    /// The three stripe storages the planner picks from.
+    type Inline8 = QRecord<[f64; 8]>;
+    type Inline16 = QRecord<[f64; 16]>;
+    type Boxed = QRecord<Box<[f64]>>;
+
     fn rec() -> CooRecord {
         CooRecord::new(&[1, 2, 3], 2.0)
     }
@@ -338,7 +378,7 @@ mod tests {
 
     #[test]
     fn qrecord_rotation_fifo() {
-        let mut q = QRecord::new(rec());
+        let mut q = Inline8::new(rec());
         let row = |v: f64| vec![v, v].into_boxed_slice();
         q.rotate(row(1.0), 2);
         q.rotate(row(2.0), 2);
@@ -352,14 +392,14 @@ mod tests {
 
     #[test]
     fn qrecord_grows_until_capacity() {
-        let mut q = QRecord::new(rec());
+        let mut q = Boxed::new(rec());
         q.rotate(vec![1.0].into_boxed_slice(), 3);
         assert_eq!(q.queue_len(), 1);
     }
 
     #[test]
     fn reduce_queue_hadamard_times_value() {
-        let mut q = QRecord::new(rec()); // val = 2.0
+        let mut q = Inline16::new(rec()); // val = 2.0
         q.rotate(vec![3.0, 4.0].into_boxed_slice(), 2);
         q.rotate(vec![5.0, 6.0].into_boxed_slice(), 2);
         let out = q.reduce_queue(2);
@@ -368,15 +408,16 @@ mod tests {
 
     #[test]
     fn reduce_queue_empty_is_value_vector() {
-        let q = QRecord::new(rec());
+        let q = Boxed::new(rec());
         assert_eq!(q.reduce_queue(3).as_ref(), &[2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn qrecord_size_matches_paper_intermediate_data() {
         // QCOO intermediate data is (N−1)·R doubles per nonzero plus the
-        // entry itself (Table 4: 2·nnz·R for N = 3).
-        let mut q = QRecord::new(rec());
+        // entry itself (Table 4: 2·nnz·R for N = 3), whatever the stripe's
+        // capacity.
+        let mut q = Inline16::new(rec());
         let r = 4usize;
         q.rotate(vec![0.0; r].into_boxed_slice(), 2);
         q.rotate(vec![0.0; r].into_boxed_slice(), 2);
@@ -388,11 +429,11 @@ mod tests {
     fn qrecord_equality_ignores_the_rotation() {
         // Same logical queue [2, 3], reached with and without wrapping.
         let row = |v: f64| vec![v].into_boxed_slice();
-        let mut wrapped = QRecord::new(rec());
+        let mut wrapped = Inline8::new(rec());
         for v in [1.0, 2.0, 3.0] {
             wrapped.rotate(row(v), 2);
         }
-        let mut straight = QRecord::new(rec());
+        let mut straight = Inline8::new(rec());
         for v in [2.0, 3.0] {
             straight.rotate(row(v), 2);
         }
@@ -400,6 +441,12 @@ mod tests {
         assert_eq!(format!("{wrapped:?}"), format!("{straight:?}"));
         straight.rotate(row(4.0), 2);
         assert_ne!(wrapped, straight);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an inline stripe of 8")]
+    fn an_inline_stripe_refuses_a_wider_queue() {
+        Inline8::new(rec()).rotate(vec![0.0; 5].into_boxed_slice(), 2);
     }
 
     #[test]
@@ -416,13 +463,57 @@ mod tests {
         assert_eq!(scale_row(a, 2.0).as_ref(), &[2.0, 4.0]);
     }
 
+    /// Drives a `QRecord<S>` and the `VecDeque<Row>` it replaced through
+    /// the same rotations: same rows in the same order, bit-equal reduction
+    /// (same multiply order), same estimated size.
+    fn check_against_the_deque<S: Stripe>(
+        capacity: usize,
+        rank: usize,
+        rotations: usize,
+        values: &[f64],
+    ) -> Result<(), String> {
+        let mut q = QRecord::<S>::new(rec());
+        let mut model: VecDeque<Row> = VecDeque::new();
+        for rotation in 0..rotations {
+            let row: Row = values[rotation * 8..][..rank].into();
+            model.push_back(row.clone());
+            while model.len() > capacity {
+                model.pop_front();
+            }
+            q.rotate(row, capacity);
+
+            prop_assert_eq!(q.queue_len(), model.len());
+            for (i, expected) in model.iter().enumerate() {
+                prop_assert_eq!(q.queue_row(i), expected.as_ref());
+            }
+            let mut expected = vec![q.entry.val; rank];
+            for row in &model {
+                for (a, &r) in expected.iter_mut().zip(row.iter()) {
+                    *a *= r;
+                }
+            }
+            let reduced = q.reduce_queue(rank);
+            for (a, b) in reduced.iter().zip(&expected) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(
+                q.estimate_size(),
+                q.entry.estimate_size() + model.estimate_size()
+            );
+            prop_assert_eq!(&q.clone(), &q);
+        }
+        if rotations >= capacity {
+            prop_assert_eq!(q.estimate_size(), 24 + 4 + capacity * (4 + 8 * rank));
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The stripe queue against the `VecDeque<Row>` it replaced, driven
-        /// through the same rotations — partial fill, exact fill and several
-        /// wrap-arounds: same rows in the same order, bit-equal reduction
-        /// (same multiply order), same estimated size.
+        /// The stripe queue against the deque model, through partial fill,
+        /// exact fill and several wrap-arounds, in every storage the queue
+        /// fits: the boxed stripe always, each inline one up to its size.
         #[test]
         fn stripe_queue_matches_the_deque_model(
             capacity in 1usize..=4,
@@ -430,38 +521,14 @@ mod tests {
             rotations in 0usize..=13,
             values in prop::collection::vec(-1e3f64..1e3, 13 * 8),
         ) {
-            let mut q = QRecord::new(rec());
-            let mut model: VecDeque<Row> = VecDeque::new();
-            for rotation in 0..rotations {
-                let row: Row = values[rotation * 8..][..rank].into();
-                model.push_back(row.clone());
-                while model.len() > capacity {
-                    model.pop_front();
-                }
-                q.rotate(row, capacity);
-
-                prop_assert_eq!(q.queue_len(), model.len());
-                for (i, expected) in model.iter().enumerate() {
-                    prop_assert_eq!(q.queue_row(i), expected.as_ref());
-                }
-                let mut expected = vec![q.entry.val; rank];
-                for row in &model {
-                    for (a, &r) in expected.iter_mut().zip(row.iter()) {
-                        *a *= r;
-                    }
-                }
-                let reduced = q.reduce_queue(rank);
-                for (a, b) in reduced.iter().zip(&expected) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                prop_assert_eq!(
-                    q.estimate_size(),
-                    q.entry.estimate_size() + model.estimate_size()
-                );
+            let width = capacity * rank;
+            if width <= 8 {
+                check_against_the_deque::<[f64; 8]>(capacity, rank, rotations, &values)?;
             }
-            if rotations >= capacity {
-                prop_assert_eq!(q.estimate_size(), 24 + 4 + capacity * (4 + 8 * rank));
+            if width <= 16 {
+                check_against_the_deque::<[f64; 16]>(capacity, rank, rotations, &values)?;
             }
+            check_against_the_deque::<Box<[f64]>>(capacity, rank, rotations, &values)?;
         }
     }
 }

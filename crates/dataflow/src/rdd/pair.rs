@@ -221,12 +221,20 @@ where
     }
 
     /// Scatters one map partition's records into per-reduce-partition
-    /// vectors in scan order, lifting each value with `lift`.
+    /// vectors in scan order, lifting each value with `lift`. Each bucket
+    /// is counted first and allocated at its final size, so no vector
+    /// outgrows its buffer and leaves the smaller ones behind.
     fn scatter<X>(&self, data: Vec<(K, V)>, lift: impl Fn(V) -> X) -> Vec<Vec<(K, X)>> {
-        let num_reduce = self.partitioner.num_partitions();
-        let mut buckets: Vec<Vec<(K, X)>> = (0..num_reduce).map(|_| Vec::new()).collect();
-        for (k, v) in data {
-            let b = self.partitioner.partition(&k);
+        let targets: Vec<usize> = data
+            .iter()
+            .map(|(k, _)| self.partitioner.partition(k))
+            .collect();
+        let mut sizes = vec![0; self.partitioner.num_partitions()];
+        for &b in &targets {
+            sizes[b] += 1;
+        }
+        let mut buckets: Vec<Vec<(K, X)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for ((k, v), b) in data.into_iter().zip(targets) {
             buckets[b].push((k, lift(v)));
         }
         buckets

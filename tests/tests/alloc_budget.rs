@@ -1,17 +1,18 @@
 //! Allocation budget of the record layout, counted with a
 //! `#[global_allocator]` of this binary's own: a plain nonzero owns no
-//! heap block, a queued nonzero exactly one, one QCOO CP-ALS iteration
-//! allocates at most 25 blocks per nonzero (≈ 55 when a `QRecord` was a
-//! coordinate box, a deque buffer and a box per queued row, and the join
-//! cloned every record it paired), and one COO iteration at most 4250
-//! bytes per nonzero. `perf/` measures the same quantities as
+//! heap block, a queued nonzero none with an inline stripe and one with a
+//! boxed stripe, one QCOO CP-ALS iteration allocates at most 8 blocks per
+//! nonzero (≈ 15.7 when every queue stripe was boxed, ≈ 55 when a
+//! `QRecord` was a coordinate box, a deque buffer and a box per queued
+//! row, and the join cloned every record it paired), and one COO iteration
+//! at most 3300 bytes per nonzero. `perf/` measures the same quantities as
 //! `core.alloc.count_per_nnz_iter` and `core.alloc.bytes_per_nnz_iter`;
 //! this keeps the gains under tier-1.
 //!
 //! One `#[test]` only: the counter is process-wide, so nothing else may
 //! run beside the counted sections.
 
-use cstf_core::records::{CooRecord, QRecord, Row};
+use cstf_core::records::{CooRecord, QRecord, Row, Stripe};
 use cstf_core::{CpAls, Strategy};
 use cstf_dataflow::prelude::*;
 use cstf_tensor::random::RandomTensor;
@@ -84,15 +85,24 @@ fn records_and_one_qcoo_iteration_stay_within_the_allocation_budget() {
     assert_eq!(copy, records);
     assert_eq!(blocks, 1, "a CooRecord owns a heap block");
 
-    // A full queue clones as one block: the stripe.
-    let mut queued = QRecord::new(records[0].clone());
-    for fill in [1.5, 2.5, 3.5] {
-        let row: Row = vec![fill; 8].into_boxed_slice();
-        queued.rotate(row, 2);
+    // A full queue clones as a flat copy with an inline stripe, and as
+    // one block, the stripe, with a boxed one.
+    fn full_queue<S: Stripe>(entry: &CooRecord) -> QRecord<S> {
+        let mut queued = QRecord::new(entry.clone());
+        for fill in [1.5, 2.5, 3.5] {
+            let row: Row = vec![fill; 8].into_boxed_slice();
+            queued.rotate(row, 2);
+        }
+        queued
     }
-    let (copy, blocks, _) = allocated(|| queued.clone());
-    assert_eq!(copy, queued);
-    assert_eq!(blocks, 1, "a full QRecord owns more than its stripe");
+    let inline = full_queue::<[f64; 16]>(&records[0]);
+    let (copy, blocks, _) = allocated(|| inline.clone());
+    assert_eq!(copy, inline);
+    assert_eq!(blocks, 0, "a full inline QRecord owns a heap block");
+    let boxed = full_queue::<Box<[f64]>>(&records[0]);
+    let (copy, blocks, _) = allocated(|| boxed.clone());
+    assert_eq!(copy, boxed);
+    assert_eq!(blocks, 1, "a full boxed QRecord owns more than its stripe");
 
     // One iteration = N MTTKRPs + solves: a run of one minus a run of
     // none, which pays the same cluster start-up, tensor distribution and
@@ -114,19 +124,20 @@ fn records_and_one_qcoo_iteration_stay_within_the_allocation_budget() {
     let (_, none, _) = allocated(|| run(Strategy::Qcoo, 0));
     let per_nnz = one.saturating_sub(none) as f64 / tensor.nnz() as f64;
     assert!(
-        per_nnz <= 25.0,
-        "one QCOO iteration allocated {per_nnz:.1} blocks per nonzero (budget 25)"
+        per_nnz <= 8.0,
+        "one QCOO iteration allocated {per_nnz:.1} blocks per nonzero (budget 8)"
     );
 
-    // One COO iteration, measured the same way, in bytes: ≈ 3730 per
-    // nonzero with the Hadamard product taken in place and each join's
-    // pairs written once, ≈ 4770 when every product took a fresh row and
-    // each join built per-key vectors and flattened them.
+    // One COO iteration, measured the same way, in bytes: ≈ 2980 per
+    // nonzero with every shuffle bucket allocated at its final size,
+    // ≈ 3730 when the buckets grew by doubling, ≈ 4770 when every
+    // Hadamard product took a fresh row and each join built per-key
+    // vectors and flattened them.
     let (_, _, one) = allocated(|| run(Strategy::Coo, 1));
     let (_, _, none) = allocated(|| run(Strategy::Coo, 0));
     let bytes_per_nnz = one.saturating_sub(none) as f64 / tensor.nnz() as f64;
     assert!(
-        bytes_per_nnz <= 4250.0,
-        "one COO iteration allocated {bytes_per_nnz:.0} bytes per nonzero (budget 4250)"
+        bytes_per_nnz <= 3300.0,
+        "one COO iteration allocated {bytes_per_nnz:.0} bytes per nonzero (budget 3300)"
     );
 }
