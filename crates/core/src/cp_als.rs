@@ -48,7 +48,6 @@ pub struct CpAls {
     nonnegative: bool,
     cache_tensor: bool,
     tensor_storage: StorageLevel,
-    kernel: KernelStrategy,
     init: Option<KruskalTensor>,
 }
 
@@ -68,7 +67,6 @@ impl CpAls {
             nonnegative: false,
             cache_tensor: true,
             tensor_storage: StorageLevel::MemoryRaw,
-            kernel: KernelStrategy::default(),
             init: None,
         }
     }
@@ -138,18 +136,6 @@ impl CpAls {
     /// model charges the spill traffic.
     pub fn tensor_storage(mut self, level: StorageLevel) -> Self {
         self.tensor_storage = level;
-        self
-    }
-
-    /// Selects the task kernel of every MTTKRP's row-summing
-    /// `reduceByKey` ([`crate::PlanConfig::kernel`]). The default,
-    /// [`KernelStrategy::SortedRuns`], combines sorted key runs in place;
-    /// [`KernelStrategy::RecordAtATime`] is the legacy
-    /// hash-probe path. Measured in isolation the two are within noise of
-    /// each other (DESIGN.md §5f). Every strategy yields bit-identical
-    /// factors.
-    pub fn kernel(mut self, k: KernelStrategy) -> Self {
-        self.kernel = k;
         self
     }
 
@@ -239,7 +225,7 @@ impl CpAls {
                 rank: self.rank,
                 partitions,
                 partitioning: self.partitioning,
-                kernel: self.kernel,
+                kernel: KernelStrategy::default(),
                 cache_tensor: self.cache_tensor,
                 storage: self.tensor_storage,
             },
@@ -720,44 +706,6 @@ mod tests {
                             "{strategy}/{level} diverged from the shuffled path"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_strategies_are_bit_identical() {
-        // The kernel only changes how each task combines (sorted runs)
-        // — never the per-key operation order — so full CP-ALS
-        // trajectories must match bit for bit.
-        let t = RandomTensor::new(vec![9, 16, 16]).nnz(300).seed(55).build();
-        let run = |kernel: KernelStrategy, strategy: Strategy| {
-            let c = cluster();
-            CpAls::new(2)
-                .strategy(strategy)
-                .kernel(kernel)
-                .max_iterations(3)
-                .skip_fit()
-                .seed(17)
-                .run(&c, &t)
-                .unwrap()
-                .kruskal
-        };
-        for strategy in [
-            Strategy::Coo,
-            Strategy::Qcoo,
-            Strategy::CooBroadcast,
-            Strategy::DfactoSpmv,
-        ] {
-            let baseline = run(KernelStrategy::RecordAtATime, strategy);
-            let got = run(KernelStrategy::SortedRuns, strategy);
-            for (a, b) in baseline.factors.iter().zip(got.factors.iter()) {
-                for (x, y) in a.data().iter().zip(b.data().iter()) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{strategy}: sorted runs diverged from record-at-a-time"
-                    );
                 }
             }
         }

@@ -60,7 +60,6 @@ pub(crate) struct JoinContext {
     pub(crate) partitions: usize,
     rank: usize,
     co_partition_factors: bool,
-    kernel: KernelStrategy,
 }
 
 impl JoinContext {
@@ -70,7 +69,6 @@ impl JoinContext {
             partitions: config.partitions,
             rank: config.rank,
             co_partition_factors: config.partitioning != Partitioning::None,
-            kernel: config.kernel,
         }
     }
 
@@ -87,21 +85,21 @@ impl JoinContext {
         )
     }
 
-    /// The reduce every pipeline ends its stages with: sums rows per key
-    /// through the configured combine kernel, reduce-side only (the
-    /// paper's Table 4 accounting; `ablation_combine` measures Spark's
-    /// map-side combine beside it). The sorted-runs kernel emits rows in
-    /// key order instead of hash order, so callers consume the result
-    /// order-insensitively (or canonicalize it, as SpMV's intermediate
-    /// reduces do).
+    /// The reduce every pipeline ends its stages with: sums rows per key,
+    /// reduce-side only (the paper's Table 4 accounting; `ablation_combine`
+    /// measures Spark's map-side combine beside it), merging fetched rows
+    /// in place by reference so each task clones one row per distinct key.
+    /// Rows emit in the order their keys first arrived, so callers consume
+    /// the result order-insensitively (or canonicalize it, as SpMV's
+    /// intermediate reduces do).
     pub(crate) fn reduce_rows<K>(&self, rows: Rdd<(K, Row)>) -> Rdd<(K, Row)>
     where
-        K: Key + Ord + EstimateSize,
+        K: Key + EstimateSize,
     {
         rows.reduce_by_key_kernel(
             self.partitions,
             false,
-            self.kernel,
+            KernelStrategy::default(),
             add_rows,
             row_kernel_ops(),
         )

@@ -140,7 +140,8 @@ pub struct PlanConfig {
     pub partitions: usize,
     /// Partitioner-awareness level.
     pub partitioning: Partitioning,
-    /// Task kernel for the hot per-partition loops.
+    /// A one-value placeholder: every reduce runs the one fold. Kept only
+    /// because `perf/` sets it; it goes with ROADMAP's benchmark-only item.
     pub kernel: KernelStrategy,
     /// Whether to persist (and eagerly materialize) the tensor datasets.
     pub cache_tensor: bool,

@@ -307,8 +307,9 @@ pub(crate) fn hadamard_rows(mut a: Row, b: &[f64]) -> Row {
     a
 }
 
-/// [`cstf_dataflow::kernel::KernelOps`] for `Row` accumulation with
-/// [`add_rows`] semantics: the same element-wise add, taken in place.
+/// The in-place merge ([`cstf_dataflow::kernel::KernelOps`]) that lets a
+/// row-summing reduce merge fetched rows by reference: [`add_rows`]'s
+/// element-wise add, taken in place.
 pub fn row_kernel_ops() -> KernelOps<Row> {
     KernelOps::new(|acc: &mut Row, b: &Row| {
         debug_assert_eq!(acc.len(), b.len());

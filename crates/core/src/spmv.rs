@@ -20,12 +20,12 @@
 //! pure arithmetic — no coordinates travel past the first shuffle. Each
 //! SpMV is one join + one `reduceByKey`: `2(N−1)` shuffles per MTTKRP, of
 //! which only the first two move nnz-sized data; the rest are fiber-sized.
-//! Both reduces ride the sorted-runs kernels (PR 8) — `u64` keys walk the
-//! same stable-sorted run combiner as `u32` ones.
+//! Every reduce merges fetched rows by reference, `u64` fiber keys as
+//! `u32` ones.
 //!
 //! Like the other strategies the pipeline is deterministic: joins and
-//! kernel reduces emit per-partition records in a fixed order, so results
-//! are bit-identical across retries, speculation, and kernel choices.
+//! reduces emit per-partition records in a fixed order, so results are
+//! bit-identical across retries, speculation and partitioning levels.
 
 use crate::mttkrp::JoinContext;
 use crate::planner::{join_order, PlanConfig};
@@ -42,7 +42,7 @@ use cstf_tensor::DenseMatrix;
 /// The result is the dense `Iₙ × R` MTTKRP assembled on the driver. It
 /// agrees with the sequential reference within floating-point
 /// reassociation tolerance (the summation tree groups by fiber first), and
-/// is bit-identical across tensor layouts, fault schedules and kernels.
+/// is bit-identical across tensor layouts and fault schedules.
 pub(crate) fn mttkrp_spmv(
     cluster: &Cluster,
     keyed: &Rdd<(u32, CooRecord)>,
@@ -67,11 +67,11 @@ pub(crate) fn mttkrp_spmv(
     }
 
     // Intermediate reduces feed further joins + reduces, so their emit
-    // order is load-bearing: the sorted kernels emit ascending key order
-    // while record-at-a-time emits hash order, which would change the
-    // downstream addition order. Canonicalize every intermediate fiber
-    // partition to ascending key order (a no-op for sorted kernels) so
-    // all kernels are bit-identical end to end.
+    // order is load-bearing: it sets the downstream addition order. A
+    // reduce emits keys in first-arrival order, which follows the
+    // upstream join's hash-map order; canonicalize every intermediate
+    // fiber partition to ascending key order so the chain's bits depend
+    // on the fiber set alone.
     let canonical = |rdd: Rdd<(u64, Row)>| {
         rdd.map_partitions(|_, mut recs| {
             recs.sort_by_key(|&(key, _)| key);

@@ -94,7 +94,7 @@ pub struct JobRecord {
 }
 
 /// The engine's additive counters: what a task attempt counts while it
-/// runs, what a kernel invocation reports, what the executor reports about
+/// runs, what a combine reports, what the executor reports about
 /// a stage's recovery. A stage's block is the [`merge`](Counters::merge)
 /// of its winning attempts' blocks and its executor batch's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
@@ -113,10 +113,10 @@ pub struct Counters {
     pub local_bytes_read: u64,
     /// Records read from shuffle buckets.
     pub shuffle_read_records: u64,
-    /// Sorted-runs kernel: contiguous key runs combined (= distinct keys
-    /// the kernel reduced). Zero on record-at-a-time stages.
+    /// Distinct keys combined by reduces that merge by reference
+    /// (`reduce_by_key_kernel`); zero on every other stage.
     pub kernel_runs: u64,
-    /// Sorted-runs kernel: records folded by the largest single combine —
+    /// Records folded by the largest single by-reference combine —
     /// a combine is one schedulable unit, so this is the stage's straggler
     /// bound. The one field that merges by `max`.
     pub kernel_max_subtask_records: u64,
@@ -618,12 +618,16 @@ impl JobMetrics {
         self.stages().map(|s| s.wasted_task_secs).sum()
     }
 
-    /// Total sorted-runs kernel key runs combined across all stages.
+    /// Distinct keys combined by reference across all stages. `perf/`
+    /// reports it as `dataflow.kernel.runs`; the name goes with ROADMAP's
+    /// benchmark-only item.
     pub fn total_kernel_runs(&self) -> u64 {
         self.stage_total(|c| c.kernel_runs)
     }
 
-    /// Records folded by the largest single kernel combine in any stage.
+    /// Records folded by the largest single by-reference combine in any
+    /// stage. `perf/` reports it as `dataflow.kernel.max_subtask_records`;
+    /// the name goes with ROADMAP's benchmark-only item.
     pub fn max_kernel_subtask_records(&self) -> u64 {
         self.stages()
             .map(|s| s.kernel_max_subtask_records)

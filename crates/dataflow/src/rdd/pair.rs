@@ -10,10 +10,13 @@
 //! private constructors — `wide` (the combining operators: `reduce_by_key*`,
 //! `group_by_key*`), `repartition` (`partition_by*`) and `co_side` (the two
 //! inputs of `cogroup*` and `join*`, grouped per key by one method,
-//! `CoGroupedRdd::group`) — and every per-key fold, map-side, reduce-side
-//! or shuffle-free, hash or sorted-runs, is one of the two methods of the
-//! private `Combiner`. A reduce partition is fetched in one place,
-//! `ShuffleDep::read`.
+//! `CoGroupedRdd::group`). Every combine — map-side, reduce-side or
+//! shuffle-free — runs one indexed fold, `fold`: a map from key to slot
+//! index beside one flat output in first-arrival order, through one of the
+//! two methods of the private `Combiner`. A reduce that supplies an
+//! in-place merge ([`Rdd::reduce_by_key_kernel`]) merges fetched records
+//! by reference, straight out of the shared shuffle buckets. A reduce
+//! partition is fetched in one place, `ShuffleDep::read`.
 //!
 //! **Partitioner-aware scheduling.** Every wide operation places keys with
 //! a [`HashPartitioner`] over its partition count and records it on the
@@ -34,7 +37,7 @@
 use super::{next_node_id, Dependency, NodeInfo, Rdd, RddNode, ShuffleDependency};
 use crate::context::{Cluster, TaskContext};
 use crate::hash::FxHashMap;
-use crate::kernel::{self, KernelOps, KernelPlan, KernelStrategy};
+use crate::kernel::{KernelOps, KernelStrategy, MergeFn};
 use crate::metrics::Counters;
 use crate::partitioner::HashPartitioner;
 use crate::size::EstimateSize;
@@ -47,125 +50,126 @@ use std::sync::Arc;
 /// from the left side and all values from the right side.
 pub(crate) type CoGrouped<K, V, W> = (K, (Vec<V>, Vec<W>));
 
-/// How shuffled values are combined into combiners (Spark's `Aggregator`).
-pub(crate) struct Aggregator<V, C> {
+/// How one wide operation combines records per key (Spark's
+/// `Aggregator`), plus, when the caller supplied one through
+/// [`Rdd::reduce_by_key_kernel`], the in-place merge that lets fetched
+/// combiners merge by reference. `fold_values` and `merge_fetched` are the
+/// only callers of [`fold`], the one per-key fold of the RDD layer.
+struct Combiner<V, C> {
     /// Lifts a single value into a combiner.
-    pub create: Arc<dyn Fn(V) -> C + Send + Sync>,
-    /// Folds a value into an existing combiner (map side).
-    pub merge_value: Arc<dyn Fn(C, V) -> C + Send + Sync>,
+    create: Box<dyn Fn(V) -> C + Send + Sync>,
+    /// Folds a value into an existing combiner (map side, shuffle-free).
+    merge_value: Box<dyn Fn(C, V) -> C + Send + Sync>,
     /// Merges two combiners (reduce side).
-    pub merge_combiners: Arc<dyn Fn(C, C) -> C + Send + Sync>,
+    merge_combiners: Box<dyn Fn(C, C) -> C + Send + Sync>,
+    /// Merges a fetched combiner into another in place, by reference.
+    merge_in_place: Option<MergeFn<C>>,
 }
 
-impl<V, C> Clone for Aggregator<V, C> {
-    fn clone(&self) -> Self {
-        Aggregator {
-            create: self.create.clone(),
-            merge_value: self.merge_value.clone(),
-            merge_combiners: self.merge_combiners.clone(),
-        }
-    }
-}
-
-impl<V: Data> Aggregator<V, V> {
-    /// Pass-through aggregator with a binary reduce function.
-    pub(crate) fn from_reduce(f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Self {
+impl<V: Data> Combiner<V, V> {
+    /// `reduceByKey`'s combiner: `f` merges values and combiners alike.
+    fn reduce(
+        f: impl Fn(V, V) -> V + Send + Sync + 'static,
+        merge_in_place: Option<MergeFn<V>>,
+    ) -> Self {
         let f = Arc::new(f);
-        let f2 = f.clone();
-        Aggregator {
-            create: Arc::new(|v| v),
-            merge_value: Arc::new(move |c, v| f(c, v)),
-            merge_combiners: Arc::new(move |a, b| f2(a, b)),
+        let g = f.clone();
+        Combiner {
+            create: Box::new(|v| v),
+            merge_value: Box::new(move |c, v| f(c, v)),
+            merge_combiners: Box::new(move |a, b| g(a, b)),
+            merge_in_place,
         }
     }
 
-    /// Identity aggregator (repartitioning only).
-    pub(crate) fn identity() -> Self {
-        Aggregator {
-            create: Arc::new(|v| v),
-            merge_value: Arc::new(|_c, v| v),
-            merge_combiners: Arc::new(|_a, b| b),
-        }
-    }
-}
-
-/// How one wide operation folds records per key: the [`Aggregator`] plus,
-/// when the caller opted into [`Rdd::reduce_by_key_kernel`], the
-/// sorted-runs [`KernelPlan`] that replaces the hash fold (its callers
-/// must tolerate sorted instead of hash-order key emission). These two
-/// methods are the only per-key folds in the RDD layer.
-struct Combiner<K, V, C> {
-    agg: Aggregator<V, C>,
-    kernel: Option<KernelPlan<K, C>>,
-}
-
-impl<K: Key, V: Data> Combiner<K, V, V> {
     /// Moves records without combining them (`partition_by`, `cogroup`).
     fn repartition() -> Self {
-        Combiner {
-            agg: Aggregator::identity(),
-            kernel: None,
-        }
+        Combiner::reduce(|_, b| b, None)
     }
 }
 
-impl<K: Key, V: Data, C: Data> Combiner<K, V, C> {
+impl<V: Data, C: Data> Combiner<V, C> {
     /// Folds owned values into one combiner per key — a map-side bucket,
-    /// or a whole partition of a co-partitioned input. Per key, values
-    /// fold in scan order on either arm; only the emit order differs
-    /// (hash order, or ascending keys under the kernel).
-    fn fold_values(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
-        let Some(plan) = &self.kernel else {
-            return hash_fold(data, &*self.agg.create, &*self.agg.merge_value);
-        };
-        let created: Vec<(K, C)> = data
-            .into_iter()
-            .map(|(k, v)| (k, (self.agg.create)(v)))
-            .collect();
-        let (out, counters) = kernel::combine_owned(plan, created);
-        ctx.stage.merge(&counters);
+    /// or a whole partition of a co-partitioned input.
+    fn fold_values<K: Key>(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
+        let records = data.len();
+        let out = fold_by_value(data, &self.create, &self.merge_value);
+        self.count_combine(records, out.len(), ctx);
         out
     }
 
     /// Merges one reduce partition's fetched combiners, walking the
-    /// buckets in map-partition order. Records are cloned straight out of
-    /// the buckets — still shared (`Arc`) with the shuffle service — with
-    /// no intermediate copy; the kernel clones only one accumulator per
-    /// distinct key.
-    fn merge_fetched(&self, buckets: &[Arc<Vec<(K, C)>>], ctx: &TaskContext<'_>) -> Vec<(K, C)> {
-        let Some(plan) = &self.kernel else {
-            let records = buckets.iter().flat_map(|b| b.iter().cloned());
-            return hash_fold(records, |c| c, &*self.agg.merge_combiners);
+    /// buckets — still shared (`Arc`) with the shuffle service — in
+    /// map-partition order. With an in-place merge, records merge by
+    /// reference and only the first of each key is cloned; without one,
+    /// each record is cloned out and merged by value.
+    fn merge_fetched<K: Key>(
+        &self,
+        buckets: &[Arc<Vec<(K, C)>>],
+        ctx: &TaskContext<'_>,
+    ) -> Vec<(K, C)> {
+        let records = buckets.iter().flat_map(|b| b.iter());
+        let Some(merge_in_place) = &self.merge_in_place else {
+            return fold_by_value(records.cloned(), |c| c, &self.merge_combiners);
         };
-        let (out, counters) = kernel::combine_fetched(plan, buckets);
-        ctx.stage.merge(&counters);
+        let by_ref = records.map(|(k, c)| (k.clone(), c));
+        let out = fold(by_ref, C::clone, &**merge_in_place);
+        let total = buckets.iter().map(|b| b.len()).sum();
+        self.count_combine(total, out.len(), ctx);
         out
+    }
+
+    /// Counts a combine of a reduce that supplied an in-place merge in the
+    /// `kernel_*` counters: one run per distinct key, and the combine's
+    /// record count for the largest-combine maximum.
+    fn count_combine(&self, records: usize, keys: usize, ctx: &TaskContext<'_>) {
+        if self.merge_in_place.is_some() {
+            ctx.stage.merge(&Counters {
+                kernel_runs: keys as u64,
+                kernel_max_subtask_records: records as u64,
+                ..Counters::default()
+            });
+        }
     }
 }
 
-/// The record-at-a-time fold: the first record of a key seeds its
-/// combiner with `create`, later ones `merge` into it in arrival order;
-/// keys emit in hash order. `Option<C>` slots let the entry API merge in
-/// place, so each record hashes exactly once instead of the
-/// remove-then-insert double lookup.
-fn hash_fold<K: Key, X, C>(
+/// The one per-key fold: the first record of a key seeds its slot, later
+/// records merge into it in arrival order, and slots emit in the order
+/// their keys first arrived — deterministic, since every input arrives in
+/// a fixed order. The map holds only each key's index into the flat
+/// output, so no combiner is ever moved out of a map.
+fn fold<K: Key, X, S>(
+    records: impl IntoIterator<Item = (K, X)>,
+    seed: impl Fn(X) -> S,
+    merge: impl Fn(&mut S, X),
+) -> Vec<(K, S)> {
+    let mut index: FxHashMap<K, usize> = FxHashMap::default();
+    let mut out: Vec<(K, S)> = Vec::new();
+    for (k, x) in records {
+        match index.entry(k) {
+            Entry::Occupied(slot) => merge(&mut out[*slot.get()].1, x),
+            Entry::Vacant(slot) => {
+                out.push((slot.key().clone(), seed(x)));
+                slot.insert(out.len() - 1);
+            }
+        }
+    }
+    out
+}
+
+/// [`fold`] with a by-value merge: `Option` slots let each merge take its
+/// combiner out and put the result back.
+fn fold_by_value<K: Key, X, C>(
     records: impl IntoIterator<Item = (K, X)>,
     create: impl Fn(X) -> C,
     merge: impl Fn(C, X) -> C,
 ) -> Vec<(K, C)> {
-    let mut merged: FxHashMap<K, Option<C>> = FxHashMap::default();
-    for (k, x) in records {
-        match merged.entry(k) {
-            Entry::Occupied(mut slot) => {
-                let prev = slot.get_mut().take().expect("combiner present");
-                *slot.get_mut() = Some(merge(prev, x));
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Some(create(x)));
-            }
-        }
-    }
-    merged
+    let slots = fold(
+        records,
+        |x| Some(create(x)),
+        |slot, x| *slot = Some(merge(slot.take().expect("combiner present"), x)),
+    );
+    slots
         .into_iter()
         .map(|(k, c)| (k, c.expect("combiner present")))
         .collect()
@@ -179,7 +183,7 @@ pub(crate) struct ShuffleDep<K: Key, V: Data, C: Data> {
     name: String,
     parent: Arc<dyn RddNode<(K, V)>>,
     partitioner: HashPartitioner,
-    combiner: Combiner<K, V, C>,
+    combiner: Combiner<V, C>,
     map_side_combine: bool,
     /// Cleanup handle: when the last reference to this dependency drops
     /// (its RDDs went out of scope), the shuffle's stored data is freed —
@@ -206,7 +210,7 @@ where
         input: &Rdd<(K, V)>,
         name: &str,
         partitioner: HashPartitioner,
-        combiner: Combiner<K, V, C>,
+        combiner: Combiner<V, C>,
         map_side_combine: bool,
     ) -> Self {
         ShuffleDep {
@@ -250,7 +254,7 @@ where
                 .map(|bucket| self.combiner.fold_values(bucket, ctx))
                 .collect()
         } else {
-            self.scatter(data, &*self.combiner.agg.create)
+            self.scatter(data, &self.combiner.create)
         };
         let bucket_bytes: Vec<u64> = buckets
             .iter()
@@ -637,7 +641,7 @@ where
         &self,
         name: &str,
         partitioner: HashPartitioner,
-        combiner: Combiner<K, V, C>,
+        combiner: Combiner<V, C>,
         map_side_combine: bool,
         reduce_side_combine: bool,
     ) -> Rdd<(K, C)> {
@@ -659,7 +663,7 @@ where
         &self,
         name: &str,
         partitioner: HashPartitioner,
-        combiner: Combiner<K, V, C>,
+        combiner: Combiner<V, C>,
         map_side_combine: bool,
     ) -> Rdd<(K, C)> {
         if self.skip_shuffle(name, partitioner) {
@@ -706,8 +710,7 @@ where
         map_side_combine: bool,
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
     ) -> Rdd<(K, V)> {
-        let agg = Aggregator::from_reduce(f);
-        let combiner = Combiner { agg, kernel: None };
+        let combiner = Combiner::reduce(f, None);
         self.wide(
             "reduce_by_key",
             HashPartitioner::new(partitions),
@@ -716,30 +719,25 @@ where
         )
     }
 
-    /// `reduceByKey` running the sorted-runs task kernel (see
-    /// [`crate::kernel`]): combines walk contiguous key runs of a
-    /// stable-sorted SoA tile instead of probing a hash map per record.
+    /// `reduceByKey` whose fetched combiners merge by reference through
+    /// `ops`, out of the shared shuffle buckets: a reduce task clones one
+    /// value per distinct key instead of one per record, and counts its
+    /// combines in the `kernel_*` counters.
     ///
     /// `ops.merge_in_place` must perform exactly the operations of
-    /// `f(acc, v)`, in the same order; the kernel then reproduces the
-    /// record-at-a-time within-key accumulation bit for bit. The output
-    /// holds the same records, but emitted in ascending key order rather
-    /// than hash order — callers must consume it order-insensitively.
-    /// [`KernelStrategy::RecordAtATime`] falls back to the legacy path.
+    /// `f(acc, v)`, in the same order, so the result is bit-identical to
+    /// [`Rdd::reduce_by_key_with`]'s, emitted in the same order. The
+    /// [`KernelStrategy`] argument selects nothing; it, and this name, go
+    /// with ROADMAP's benchmark-only item.
     pub fn reduce_by_key_kernel(
         &self,
         partitions: usize,
         map_side_combine: bool,
-        strategy: KernelStrategy,
+        _strategy: KernelStrategy,
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
         ops: KernelOps<V>,
-    ) -> Rdd<(K, V)>
-    where
-        K: Ord,
-    {
-        let agg = Aggregator::from_reduce(f);
-        let kernel = (strategy == KernelStrategy::SortedRuns).then(|| KernelPlan::new(ops));
-        let combiner = Combiner { agg, kernel };
+    ) -> Rdd<(K, V)> {
+        let combiner = Combiner::reduce(f, Some(ops.merge_in_place));
         self.wide(
             "reduce_by_key",
             HashPartitioner::new(partitions),
@@ -756,18 +754,18 @@ where
 
     /// `groupByKey` with explicit partition count.
     pub fn group_by_key_with(&self, partitions: usize) -> Rdd<(K, Vec<V>)> {
-        let agg: Aggregator<V, Vec<V>> = Aggregator {
-            create: Arc::new(|v| vec![v]),
-            merge_value: Arc::new(|mut c, v| {
+        let combiner = Combiner {
+            create: Box::new(|v| vec![v]),
+            merge_value: Box::new(|mut c: Vec<V>, v| {
                 c.push(v);
                 c
             }),
-            merge_combiners: Arc::new(|mut a, mut b| {
+            merge_combiners: Box::new(|mut a, mut b| {
                 a.append(&mut b);
                 a
             }),
+            merge_in_place: None,
         };
-        let combiner = Combiner { agg, kernel: None };
         self.wide(
             "group_by_key",
             HashPartitioner::new(partitions),
@@ -850,5 +848,51 @@ where
         // Every output record keeps its key, so the partitioner holds.
         self.derive(JoinedRdd(self.co_grouped(other, partitioner)))
             .with_partitioner(Some(partitioner))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::AttemptCounters;
+    use crate::ClusterConfig;
+
+    /// Runs `combine` in a fresh task with a summing combiner, merging by
+    /// reference when `in_place`: its output bits and the task's counters.
+    fn summed(
+        in_place: bool,
+        combine: impl FnOnce(&Combiner<f64, f64>, &TaskContext<'_>) -> Vec<(u32, f64)>,
+    ) -> (Vec<(u32, u64)>, Counters) {
+        let merge: MergeFn<f64> = Box::new(|a: &mut f64, b: &f64| *a += b);
+        let combiner = Combiner::reduce(|a: f64, b| a + b, in_place.then_some(merge));
+        let (cluster, stage) = (Cluster::new(ClusterConfig::local(1)), Default::default());
+        let out = combine(
+            &combiner,
+            &TaskContext {
+                cluster: &cluster,
+                stage: &stage,
+            },
+        );
+        let bits = out.into_iter().map(|(k, v)| (k, v.to_bits())).collect();
+        (bits, AttemptCounters::into_inner(stage))
+    }
+
+    #[test]
+    fn within_key_accumulation_preserves_arrival_order() {
+        // f64 addition is order-sensitive: 1.0 + 1e16 − 1e16 = 0.0 in
+        // arrival order, −1e16 + 1e16 + 1.0 = 1.0 reversed. Every path of
+        // the fold must replay arrival order exactly.
+        let data = vec![(7u32, 1.0f64), (7, 1e16), (7, -1e16)];
+        assert_ne!((-1e16f64 + 1e16 + 1.0).to_bits(), 0.0f64.to_bits());
+        // Split across map buckets the way a shuffle would deliver them.
+        let buckets = [Arc::new(data[..1].to_vec()), Arc::new(data[1..].to_vec())];
+        for in_place in [true, false] {
+            let (owned, c) = summed(in_place, |comb, ctx| comb.fold_values(data.clone(), ctx));
+            let (fetched, d) = summed(in_place, |comb, ctx| comb.merge_fetched(&buckets, ctx));
+            let zero = [(7, 0.0f64.to_bits())];
+            assert_eq!((owned, fetched), (zero.to_vec(), zero.to_vec()));
+            let counted = [c.kernel_runs, d.kernel_runs, d.kernel_max_subtask_records];
+            assert_eq!(counted, [1, 1, 3].map(|n| n * u64::from(in_place)));
+        }
     }
 }

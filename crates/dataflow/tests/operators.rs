@@ -94,7 +94,9 @@ fn many_partitions_stress() {
 /// changed within-key fold order shows up in the sums, a changed emit
 /// order in the sequence. Expected strings recorded at rev `33f3c41`
 /// (`JOINED_ONE_TO_MANY` and the narrow-left join at `e111037`, before the
-/// join's per-key expansion started moving values): `JOINED` holds
+/// join's per-key expansion started moving values; `SUMS`,
+/// `SUMS_MAP_SIDE` and `GROUPS` when every combine became one fold that
+/// emits keys in first-arrival order): `JOINED` holds
 /// many-to-many (key 0, 4 × 2) and many-to-one (keys 4 and 6, 4 × 1) keys,
 /// its mirror image one-to-many ones.
 #[test]
@@ -122,22 +124,18 @@ fn keyed_operators_emit_a_pinned_sequence() {
             seq(input.reduce_by_key_kernel(4, map_side, strategy, add, ops))
         }
     };
-    use KernelStrategy::{RecordAtATime, SortedRuns};
     // (input, map-side combine, kernel — `None` is `reduce_by_key_with`)
     let reduces = [
-        (&left, false, None, HASH_SUMS),
-        (&left, true, None, HASH_SUMS_MAP_SIDE),
-        (&left, false, Some(RecordAtATime), HASH_SUMS),
-        (&left, true, Some(RecordAtATime), HASH_SUMS_MAP_SIDE),
-        (&left, false, Some(SortedRuns), SORTED_SUMS),
-        (&left, true, Some(SortedRuns), SORTED_SUMS_MAP_SIDE),
-        (&parted, false, Some(RecordAtATime), HASH_SUMS),
-        (&parted, false, Some(SortedRuns), SORTED_SUMS),
+        (&left, false, None, SUMS),
+        (&left, true, None, SUMS_MAP_SIDE),
+        (&left, false, Some(KernelStrategy::default()), SUMS),
+        (&left, true, Some(KernelStrategy::default()), SUMS_MAP_SIDE),
+        (&parted, false, Some(KernelStrategy::default()), SUMS),
     ];
     for (row, (input, map_side, kernel, expected)) in reduces.into_iter().enumerate() {
         assert_eq!(sums(input, map_side, kernel), expected, "reduce row {row}");
     }
-    assert_eq!(seq(left.group_by_key_with(4)), GROUPED);
+    assert_eq!(seq(left.group_by_key_with(4)), GROUPS);
     assert_eq!(seq(left.cogroup_with(&right, 4)), COGROUPED);
     assert_eq!(seq(left.join_with(&right, 4)), JOINED);
     assert_eq!(seq(parted.join_with(&right, 4)), JOINED);
@@ -150,11 +148,9 @@ fn seq<T: cstf_dataflow::Data + std::fmt::Debug>(rdd: Rdd<T>) -> String {
     format!("{:?}", rdd.collect())
 }
 
-const HASH_SUMS: &str = "[(0, 37.0), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (10, -9999999999999990.0), (2, 6.0), (6, 29.5), (3, 33.0), (7, 12.0)]";
-const HASH_SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (6, 29.5), (10, -9999999999999990.0), (2, 4.0), (7, 12.0), (3, 33.0)]";
-const SORTED_SUMS: &str = "[(0, 37.0), (4, 16.0), (8, 0.0), (1, 1.000000000000002e16), (5, 2.0), (9, 25.5), (2, 6.0), (6, 29.5), (10, -9999999999999990.0), (3, 33.0), (7, 12.0)]";
-const SORTED_SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (1, 1.000000000000002e16), (5, 2.0), (9, 25.5), (2, 4.0), (6, 29.5), (10, -9999999999999990.0), (3, 33.0), (7, 12.0)]";
-const GROUPED: &str = "[(0, [0.5, -1e16, 1e16, 37.0]), (4, [1e16, 17.0, 0.5, -1e16]), (8, [0.5, -1e16, 1e16]), (5, [1.0, 0.5, -1e16, 1e16]), (9, [-1e16, 1e16, 25.0, 0.5]), (1, [1e16, 21.0, 0.5]), (10, [9.0, 0.5, -1e16]), (2, [5.0, 0.5, -1e16, 1e16]), (6, [-1e16, 1e16, 29.0, 0.5]), (3, [-1e16, 1e16, 33.0]), (7, [1e16, 13.0, 0.5, -1e16])]";
+const SUMS: &str = "[(0, 37.0), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (2, 6.0), (6, 29.5), (10, -9999999999999990.0), (7, 12.0), (3, 33.0)]";
+const SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (2, 4.0), (6, 29.5), (10, -9999999999999990.0), (7, 12.0), (3, 33.0)]";
+const GROUPS: &str = "[(0, [0.5, -1e16, 1e16, 37.0]), (4, [1e16, 17.0, 0.5, -1e16]), (8, [0.5, -1e16, 1e16]), (5, [1.0, 0.5, -1e16, 1e16]), (9, [-1e16, 1e16, 25.0, 0.5]), (1, [1e16, 21.0, 0.5]), (2, [5.0, 0.5, -1e16, 1e16]), (6, [-1e16, 1e16, 29.0, 0.5]), (10, [9.0, 0.5, -1e16]), (7, [1e16, 13.0, 0.5, -1e16]), (3, [-1e16, 1e16, 33.0])]";
 const COGROUPED: &str = "[(0, ([0.5, -1e16, 1e16, 37.0], [7, 9])), (8, ([0.5, -1e16, 1e16], [])), (4, ([1e16, 17.0, 0.5, -1e16], [8])), (12, ([], [1])), (5, ([1.0, 0.5, -1e16, 1e16], [])), (9, ([-1e16, 1e16, 25.0, 0.5], [])), (1, ([1e16, 21.0, 0.5], [])), (10, ([9.0, 0.5, -1e16], [])), (2, ([5.0, 0.5, -1e16, 1e16], [])), (6, ([-1e16, 1e16, 29.0, 0.5], [2])), (3, ([-1e16, 1e16, 33.0], [])), (7, ([1e16, 13.0, 0.5, -1e16], []))]";
 const JOINED: &str = "[(0, (0.5, 7)), (0, (0.5, 9)), (0, (-1e16, 7)), (0, (-1e16, 9)), (0, (1e16, 7)), (0, (1e16, 9)), (0, (37.0, 7)), (0, (37.0, 9)), (4, (1e16, 8)), (4, (17.0, 8)), (4, (0.5, 8)), (4, (-1e16, 8)), (6, (-1e16, 2)), (6, (1e16, 2)), (6, (29.0, 2)), (6, (0.5, 2))]";
 const JOINED_ONE_TO_MANY: &str = "[(0, (7, 0.5)), (0, (7, -1e16)), (0, (7, 1e16)), (0, (7, 37.0)), (0, (9, 0.5)), (0, (9, -1e16)), (0, (9, 1e16)), (0, (9, 37.0)), (4, (8, 1e16)), (4, (8, 17.0)), (4, (8, 0.5)), (4, (8, -1e16)), (6, (2, -1e16)), (6, (2, 1e16)), (6, (2, 29.0)), (6, (2, 0.5))]";
@@ -230,6 +226,33 @@ fn join_moves_the_many_side_and_clones_the_single_side_n_minus_1_times() {
         assert_eq!(many_total - many_read, 0, "many side cloned");
         assert_eq!(single_total - single_read, pairs - 4, "n − 1 per key");
     }
+}
+
+/// A reduce given an in-place merge merges fetched values by reference:
+/// its reduce tasks clone one value per distinct key out of the shared
+/// shuffle buckets and count one kernel run per key, where the by-value
+/// reduce clones every record. The values are made by a `map`, so reading
+/// the source partitions clones none of them.
+#[test]
+fn by_reference_reduce_clones_one_value_per_distinct_key() {
+    let c = cluster();
+    let clones = Arc::new(AtomicUsize::new(0));
+    let counter = clones.clone();
+    // 60 records over 7 keys, from 3 map partitions.
+    let keys: Vec<u32> = (0..60).map(|i| i % 7).collect();
+    let values = c
+        .parallelize(keys, 3)
+        .map(move |k| (k, Counted(counter.clone())));
+    let keep_first = |a: Counted, _: Counted| a;
+    let ops = KernelOps::new(|_: &mut Counted, _: &Counted| {});
+    let reduced = values.reduce_by_key_kernel(4, false, KernelStrategy::default(), keep_first, ops);
+    assert_eq!(reduced.collect().len(), 7);
+    assert_eq!(clones.load(Ordering::Relaxed), 7);
+    assert_eq!(c.metrics().snapshot().total_kernel_runs(), 7);
+
+    clones.store(0, Ordering::Relaxed);
+    assert_eq!(values.reduce_by_key_with(4, false, keep_first).count(), 7);
+    assert_eq!(clones.load(Ordering::Relaxed), 60);
 }
 
 /// `join` against its definition over `cogroup`: every key of the

@@ -27,8 +27,7 @@
 //!   distributed pipeline can re-key reduced fibers without carrying full
 //!   coordinates.
 //! * [`SpmvView`] — the CSR-like matricized view for the first SpMV of a
-//!   mode, sorted by fiber id (the layout the sorted-runs kernels combine
-//!   in linear passes).
+//!   mode, sorted by fiber id.
 
 use crate::matricize::unfold_strides;
 use crate::{CooTensor, DenseMatrix, Result, TensorError};

@@ -16,7 +16,6 @@
 //! | `workload` | `Cycle`: `planner::plan` + one `Plan::mttkrp` per mode with fixed random factors · `Als`: `CpAls::run`, init seed 7, as many iterations as the tensor's former suite ran (3 on `R12x10s93`; 2 on `Golden`, `R15s90`, `R15s51`, `LowRank74`, `LowRank85`; else 1) |
 //! | `strategy` | `Coo` · `Qcoo` · `CooBroadcast` · `DfactoSpmv` |
 //! | `partitioning` | `CoPartitionedFactors` · `None` · `PrePartitionedTensor` |
-//! | `kernel` | `SortedRuns` · `RecordAtATime` |
 //! | `scheduler` | concurrent · `sequential_stages` |
 //! | `storage` | unbudgeted `MemoryRaw` · `Spill` (`MemoryAndDisk` at a quarter of the working set) · `Recompute` (`MemoryRaw` at a quarter) |
 //! | `faults` | quiet · crash · late crash · crash + delay · delay + speculation · node loss |
@@ -26,8 +25,8 @@
 //!
 //! **Ground truth.** A row's bits are compared with its *reference row*:
 //! the same tensor, workload and strategy, quiet, concurrent, unbudgeted,
-//! submitted directly, with the default kernel and `CoPartitionedFactors`,
-//! on the thread and node counts the tensor's former suite used.
+//! submitted directly, with `CoPartitionedFactors`, on the thread and
+//! node counts the tensor's former suite used.
 //! Tenant *i* of a row is compared with its own variant's reference row.
 //! A reference row on `Golden` under `Als` must hash to the FNV-1a
 //! constants in [`oracle::GOLDEN`]; a reference row under `Cycle` must
@@ -37,10 +36,9 @@
 //! own partitioning level, and every row asserts that its non-reference
 //! columns took effect: faults fail attempts, backups launch,
 //! budgets evict and spill or recompute, lost nodes held something,
-//! partitioning levels skip exactly their shuffles, the record-at-a-time
-//! kernel forms no sorted runs, one node reads nothing remotely. (The
-//! sequential scheduler differs from the concurrent one only in log order,
-//! and only on some DAGs.)
+//! partitioning levels skip exactly their shuffles, one node reads nothing
+//! remotely. (The sequential scheduler differs from the concurrent one
+//! only in log order, and only on some DAGs.)
 //!
 //! **Rows.** [`oracle::GROUPS`] names every configuration the former
 //! suites ran, one group per former test; that test's name still runs

@@ -258,7 +258,6 @@ pub struct Row {
     pub workload: Workload,
     pub strategy: Strategy,
     pub partitioning: Partitioning,
-    pub kernel: KernelStrategy,
     pub sequential: bool,
     pub storage: Storage,
     pub faults: Faults,
@@ -284,7 +283,6 @@ const PARTITIONINGS: [Partitioning; 3] = [
     Partitioning::None,
     Partitioning::PrePartitionedTensor,
 ];
-const KERNELS: [KernelStrategy; 2] = [KernelStrategy::SortedRuns, KernelStrategy::RecordAtATime];
 const SEQUENTIAL: [bool; 2] = [false, true];
 const STORAGES: [Storage; 3] = [Storage::Unbudgeted, Storage::Spill, Storage::Recompute];
 const THREADS: [usize; 3] = [4, 1, 2];
@@ -297,7 +295,6 @@ pub const COLUMN_SIZES: &[usize] = &[
     WORKLOADS.len(),
     STRATEGIES.len(),
     PARTITIONINGS.len(),
-    KERNELS.len(),
     SEQUENTIAL.len(),
     STORAGES.len(),
     FAULT_SCHEDULES.len(),
@@ -317,7 +314,6 @@ pub fn cycle(tensor: Tensor, strategy: Strategy) -> Row {
         workload: Workload::Cycle,
         strategy,
         partitioning: Partitioning::CoPartitionedFactors,
-        kernel: KernelStrategy::SortedRuns,
         sequential: false,
         storage: Storage::Unbudgeted,
         faults: Faults::default(),
@@ -345,12 +341,11 @@ impl Row {
             1 => self.workload = WORKLOADS[value],
             2 => self.strategy = STRATEGIES[value],
             3 => self.partitioning = PARTITIONINGS[value],
-            4 => self.kernel = KERNELS[value],
-            5 => self.sequential = SEQUENTIAL[value],
-            6 => self.storage = STORAGES[value],
-            7 => self.faults = FAULT_SCHEDULES[value](seed),
-            8 => self.threads = THREADS[value],
-            9 => self.nodes = NODES[value],
+            4 => self.sequential = SEQUENTIAL[value],
+            5 => self.storage = STORAGES[value],
+            6 => self.faults = FAULT_SCHEDULES[value](seed),
+            7 => self.threads = THREADS[value],
+            8 => self.nodes = NODES[value],
             _ => self.tenants = TENANTS[value],
         }
         self
@@ -363,7 +358,6 @@ impl Row {
             position(&WORKLOADS, self.workload),
             position(&STRATEGIES, self.strategy),
             position(&PARTITIONINGS, self.partitioning),
-            position(&KERNELS, self.kernel),
             position(&SEQUENTIAL, self.sequential),
             position(&STORAGES, self.storage),
             self.faults.label(),
@@ -454,7 +448,6 @@ impl Row {
                 .seed(7 + self.variant)
                 .strategy(self.strategy)
                 .partitioning(self.partitioning)
-                .kernel(self.kernel)
                 .tensor_storage(storage)
                 .run(cluster, tensor)
                 .unwrap()
@@ -467,7 +460,7 @@ impl Row {
             rank,
             partitions,
             partitioning: self.partitioning,
-            kernel: self.kernel,
+            kernel: KernelStrategy::default(),
             cache_tensor: true,
             storage,
         };
@@ -718,8 +711,6 @@ pub fn check(row: &Row) -> Arc<Outcome> {
             k.speculative_launched == 0 || f.speculate.is_some(),
             "speculation is off, yet backups launched",
         );
-        let sorted_runs = row.kernel == KernelStrategy::SortedRuns;
-        ensure((k.kernel_runs > 0) == sorted_runs, "kernel");
         // The sequential scheduler logs stages in topological order, which
         // differs from wave order only on some DAGs: no general evidence.
         ensure(
@@ -813,7 +804,6 @@ fn under(row: Row, schedules: impl IntoIterator<Item = Faults>) -> Vec<Row> {
 /// The test of that name runs exactly its group.
 #[rustfmt::skip]
 pub const GROUPS: &[(&str, Rows)] = {
-    use KernelStrategy::RecordAtATime as Legacy;
     use Partitioning::{CoPartitionedFactors as Co, None as Unaware, PrePartitionedTensor as Pre};
     use Strategy::{Coo, DfactoSpmv, Qcoo};
     &[
@@ -831,14 +821,10 @@ pub const GROUPS: &[(&str, Rows)] = {
         }),
         ("chaos::fault_schedules_replay_deterministically",
             || under(cycle(R16s71, Coo), [42].into_iter().chain(0..8).map(|s| crash(s, 50)))),
-        ("kernel_identity::sorted_kernel_bit_identical_across_twenty_fault_schedules", || {
-            let rows = under(cycle(R14s91, Coo), (0..20).map(|s| crash(s, 70)));
-            [Row { kernel: Legacy, ..cycle(R14s91, Coo) }].into_iter().chain(rows).collect()
-        }),
-        ("kernel_identity::qcoo_sorted_kernel_bit_identical_under_faults", || {
-            let rows = under(cycle(R12s93, Qcoo), [5, 23, 58, 71, 104].map(|s| crash(s, 60)));
-            [Row { kernel: Legacy, ..cycle(R12s93, Qcoo) }].into_iter().chain(rows).collect()
-        }),
+        ("kernel_identity::sorted_kernel_bit_identical_across_twenty_fault_schedules",
+            || under(cycle(R14s91, Coo), (0..20).map(|s| crash(s, 70)))),
+        ("kernel_identity::qcoo_sorted_kernel_bit_identical_under_faults",
+            || under(cycle(R12s93, Qcoo), [5, 23, 58, 71, 104].map(|s| crash(s, 60)))),
         ("partitioning::pre_partitioned_mttkrp_recovers_from_every_node_failure",
             || under(Row { partitioning: Pre, ..cycle(R15s90, Coo) }, (0..4).map(node_loss))),
         ("partitioning::partitioning_levels_bit_identical_across_chaos_seeds", || {
