@@ -1,12 +1,16 @@
-//! A deterministic, fast, non-cryptographic hasher.
+//! A deterministic, fast, non-cryptographic hasher, and the engine's one
+//! per-key grouping.
 //!
-//! The engine must be reproducible run-to-run: partition assignment and
-//! hash-map iteration order feed directly into which bytes are counted as
-//! remote vs local and into floating-point accumulation order. The standard
+//! The engine must be reproducible run-to-run: partition assignment feeds
+//! directly into which bytes are counted as remote vs local. The standard
 //! library's `RandomState` is seeded per-process, so we use a fixed-key
 //! FxHash-style hasher (the multiply-rotate scheme used by rustc) instead.
+//! No output order comes from hash-map iteration: every keyed operator and
+//! every per-key report table groups through [`fold`], which emits its
+//! groups in the order their keys first arrived.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// FxHash-style deterministic hasher. Fast for the small integer keys that
 /// dominate tensor workloads (mode indices).
@@ -75,8 +79,33 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` with deterministic hashing.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// The engine's one per-key grouping: the first record of a key seeds its
+/// slot, later records merge into it in arrival order, and slots come out
+/// in the order their keys first arrived — deterministic, since every
+/// input arrives in a fixed order. Returns the key → slot index beside the
+/// slots, so a caller can look a key's slot up afterwards; the map holds
+/// only indices, so no slot is ever moved out of a map.
+pub(crate) fn fold<K: Eq + Hash + Clone, X, S>(
+    records: impl IntoIterator<Item = (K, X)>,
+    seed: impl Fn(X) -> S,
+    merge: impl Fn(&mut S, X),
+) -> (FxHashMap<K, usize>, Vec<(K, S)>) {
+    let mut index: FxHashMap<K, usize> = FxHashMap::default();
+    let mut slots: Vec<(K, S)> = Vec::new();
+    for (k, x) in records {
+        match index.entry(k) {
+            Entry::Occupied(slot) => merge(&mut slots[*slot.get()].1, x),
+            Entry::Vacant(slot) => {
+                slots.push((slot.key().clone(), seed(x)));
+                slot.insert(slots.len() - 1);
+            }
+        }
+    }
+    (index, slots)
+}
+
 /// Hashes one value with the deterministic hasher.
-pub(crate) fn fx_hash<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
+pub(crate) fn fx_hash<T: Hash + ?Sized>(v: &T) -> u64 {
     let mut h = FxHasher::default();
     v.hash(&mut h);
     h.finish()

@@ -17,7 +17,7 @@
 //! kind is a `Meter` variant, its row and a `record_*` one-liner; a new
 //! counter is a [`Counters`] field and its line in `merge`.
 
-use crate::hash::FxHashMap;
+use crate::hash::fold;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -380,18 +380,14 @@ pub enum Event {
 /// accumulator with `add`; groups come out in order of first appearance.
 pub(crate) fn group_in_order<K: Eq + Hash + Clone, V, A: Default>(
     items: impl IntoIterator<Item = (K, V)>,
-    mut add: impl FnMut(&mut A, V),
+    add: impl Fn(&mut A, V),
 ) -> Vec<(K, A)> {
-    let mut index: FxHashMap<K, usize> = FxHashMap::default();
-    let mut groups: Vec<(K, A)> = Vec::new();
-    for (key, value) in items {
-        let i = *index.entry(key).or_insert_with_key(|key| {
-            groups.push((key.clone(), A::default()));
-            groups.len() - 1
-        });
-        add(&mut groups[i].1, value);
-    }
-    groups
+    let seed = |value| {
+        let mut group = A::default();
+        add(&mut group, value);
+        group
+    };
+    fold(items, seed, &add).1
 }
 
 /// The distinct `keys`, in order of first appearance.

@@ -1,22 +1,25 @@
 //! Key-value (pair) RDD operations: the wide transformations.
 //!
 //! These are the operations whose shuffle behaviour the paper analyses
-//! (Table 2 workflows, Table 4 costs): `join`, `reduceByKey`,
-//! `groupByKey`, `partitionBy`. Every wide operation creates a
-//! [`ShuffleDep`]; the scheduler materializes it as a shuffle-map stage and
-//! reducers fetch buckets with remote/local byte attribution.
+//! (Table 2 workflows, Table 4 costs): `join`, `reduceByKey`, `cogroup`,
+//! `partitionBy`. Every wide operation creates a [`ShuffleDep`]; the
+//! scheduler materializes it as a shuffle-map stage and reducers fetch
+//! buckets with remote/local byte attribution.
 //!
 //! **One core.** Every public operator here is a thin default over three
-//! private constructors — `wide` (the combining operators: `reduce_by_key*`,
-//! `group_by_key*`), `repartition` (`partition_by*`) and `co_side` (the two
-//! inputs of `cogroup*` and `join*`, grouped per key by one method,
-//! `CoGroupedRdd::group`). Every combine — map-side, reduce-side or
-//! shuffle-free — runs one indexed fold, `fold`: a map from key to slot
-//! index beside one flat output in first-arrival order, through one of the
-//! two methods of the private `Combiner`. A reduce that supplies an
-//! in-place merge ([`Rdd::reduce_by_key_kernel`]) merges fetched records
-//! by reference, straight out of the shared shuffle buckets. A reduce
-//! partition is fetched in one place, `ShuffleDep::read`.
+//! private constructors — `wide` (the combining operators,
+//! `reduce_by_key*`), `repartition` (`partition_by*`) and `co_side` (the
+//! two inputs of `cogroup*` and `join*`). Every per-key grouping —
+//! map-side, reduce-side or shuffle-free combines, a cogroup, a join's
+//! right side — runs one indexed fold, [`fold`]: a map from key to slot
+//! index beside one flat output in first-arrival order. No keyed
+//! operator's output order comes from hash-map iteration. A reduce that
+//! supplies an in-place merge ([`Rdd::reduce_by_key_kernel`]) merges
+//! fetched records by reference, straight out of the shared shuffle
+//! buckets. A join is a hash join: it folds its right side, then streams
+//! its left side in read order, cloning each record out of the shared
+//! shuffle buckets as it goes. A reduce partition is fetched in one
+//! place, `ShuffleDep::fetch`.
 //!
 //! **Partitioner-aware scheduling.** Every wide operation places keys with
 //! a [`HashPartitioner`] over its partition count and records it on the
@@ -36,48 +39,38 @@
 
 use super::{next_node_id, Dependency, NodeInfo, Rdd, RddNode, ShuffleDependency};
 use crate::context::{Cluster, TaskContext};
-use crate::hash::FxHashMap;
+use crate::hash::fold;
 use crate::kernel::{KernelOps, KernelStrategy, MergeFn};
 use crate::metrics::Counters;
 use crate::partitioner::HashPartitioner;
 use crate::size::EstimateSize;
 use crate::{Data, Key};
-use std::collections::hash_map::Entry;
-use std::iter::repeat_n;
 use std::sync::Arc;
 
 /// Element type produced by [`Rdd::cogroup`]: per distinct key, all values
 /// from the left side and all values from the right side.
 pub(crate) type CoGrouped<K, V, W> = (K, (Vec<V>, Vec<W>));
 
-/// How one wide operation combines records per key (Spark's
-/// `Aggregator`), plus, when the caller supplied one through
+/// How one wide operation merges the values of a key (the function of
+/// Spark's `reduceByKey`), plus, when the caller supplied one through
 /// [`Rdd::reduce_by_key_kernel`], the in-place merge that lets fetched
-/// combiners merge by reference. `fold_values` and `merge_fetched` are the
-/// only callers of [`fold`], the one per-key fold of the RDD layer.
-struct Combiner<V, C> {
-    /// Lifts a single value into a combiner.
-    create: Box<dyn Fn(V) -> C + Send + Sync>,
-    /// Folds a value into an existing combiner (map side, shuffle-free).
-    merge_value: Box<dyn Fn(C, V) -> C + Send + Sync>,
-    /// Merges two combiners (reduce side).
-    merge_combiners: Box<dyn Fn(C, C) -> C + Send + Sync>,
-    /// Merges a fetched combiner into another in place, by reference.
-    merge_in_place: Option<MergeFn<C>>,
+/// values merge by reference. `fold_values` and `merge_fetched` are the
+/// reduce side's callers of [`fold`], the engine's one per-key grouping.
+struct Combiner<V> {
+    /// Merges a later value of a key into the earlier ones' result.
+    merge: Box<dyn Fn(V, V) -> V + Send + Sync>,
+    /// Merges a fetched value into another in place, by reference.
+    merge_in_place: Option<MergeFn<V>>,
 }
 
-impl<V: Data> Combiner<V, V> {
-    /// `reduceByKey`'s combiner: `f` merges values and combiners alike.
+impl<V: Data> Combiner<V> {
+    /// `reduceByKey`'s combiner.
     fn reduce(
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
         merge_in_place: Option<MergeFn<V>>,
     ) -> Self {
-        let f = Arc::new(f);
-        let g = f.clone();
         Combiner {
-            create: Box::new(|v| v),
-            merge_value: Box::new(move |c, v| f(c, v)),
-            merge_combiners: Box::new(move |a, b| g(a, b)),
+            merge: Box::new(f),
             merge_in_place,
         }
     }
@@ -86,34 +79,32 @@ impl<V: Data> Combiner<V, V> {
     fn repartition() -> Self {
         Combiner::reduce(|_, b| b, None)
     }
-}
 
-impl<V: Data, C: Data> Combiner<V, C> {
-    /// Folds owned values into one combiner per key — a map-side bucket,
-    /// or a whole partition of a co-partitioned input.
-    fn fold_values<K: Key>(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
+    /// Folds owned values into one value per key — a map-side bucket, or
+    /// a whole partition of a co-partitioned input.
+    fn fold_values<K: Key>(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> Vec<(K, V)> {
         let records = data.len();
-        let out = fold_by_value(data, &self.create, &self.merge_value);
+        let out = fold_by_value(data, &self.merge);
         self.count_combine(records, out.len(), ctx);
         out
     }
 
-    /// Merges one reduce partition's fetched combiners, walking the
-    /// buckets — still shared (`Arc`) with the shuffle service — in
-    /// map-partition order. With an in-place merge, records merge by
-    /// reference and only the first of each key is cloned; without one,
-    /// each record is cloned out and merged by value.
+    /// Merges one reduce partition's fetched values, walking the buckets
+    /// — still shared (`Arc`) with the shuffle service — in map-partition
+    /// order. With an in-place merge, records merge by reference and only
+    /// the first of each key is cloned; without one, each record is cloned
+    /// out and merged by value.
     fn merge_fetched<K: Key>(
         &self,
-        buckets: &[Arc<Vec<(K, C)>>],
+        buckets: &[Arc<Vec<(K, V)>>],
         ctx: &TaskContext<'_>,
-    ) -> Vec<(K, C)> {
+    ) -> Vec<(K, V)> {
         let records = buckets.iter().flat_map(|b| b.iter());
         let Some(merge_in_place) = &self.merge_in_place else {
-            return fold_by_value(records.cloned(), |c| c, &self.merge_combiners);
+            return fold_by_value(records.cloned(), &self.merge);
         };
-        let by_ref = records.map(|(k, c)| (k.clone(), c));
-        let out = fold(by_ref, C::clone, &**merge_in_place);
+        let by_ref = records.map(|(k, v)| (k.clone(), v));
+        let (_, out) = fold(by_ref, V::clone, &**merge_in_place);
         let total = buckets.iter().map(|b| b.len()).sum();
         self.count_combine(total, out.len(), ctx);
         out
@@ -133,57 +124,30 @@ impl<V: Data, C: Data> Combiner<V, C> {
     }
 }
 
-/// The one per-key fold: the first record of a key seeds its slot, later
-/// records merge into it in arrival order, and slots emit in the order
-/// their keys first arrived — deterministic, since every input arrives in
-/// a fixed order. The map holds only each key's index into the flat
-/// output, so no combiner is ever moved out of a map.
-fn fold<K: Key, X, S>(
-    records: impl IntoIterator<Item = (K, X)>,
-    seed: impl Fn(X) -> S,
-    merge: impl Fn(&mut S, X),
-) -> Vec<(K, S)> {
-    let mut index: FxHashMap<K, usize> = FxHashMap::default();
-    let mut out: Vec<(K, S)> = Vec::new();
-    for (k, x) in records {
-        match index.entry(k) {
-            Entry::Occupied(slot) => merge(&mut out[*slot.get()].1, x),
-            Entry::Vacant(slot) => {
-                out.push((slot.key().clone(), seed(x)));
-                slot.insert(out.len() - 1);
-            }
-        }
-    }
-    out
-}
-
 /// [`fold`] with a by-value merge: `Option` slots let each merge take its
-/// combiner out and put the result back.
-fn fold_by_value<K: Key, X, C>(
-    records: impl IntoIterator<Item = (K, X)>,
-    create: impl Fn(X) -> C,
-    merge: impl Fn(C, X) -> C,
-) -> Vec<(K, C)> {
-    let slots = fold(
-        records,
-        |x| Some(create(x)),
-        |slot, x| *slot = Some(merge(slot.take().expect("combiner present"), x)),
-    );
+/// key's value out and put the result back.
+fn fold_by_value<K: Key, V>(
+    records: impl IntoIterator<Item = (K, V)>,
+    merge: impl Fn(V, V) -> V,
+) -> Vec<(K, V)> {
+    let (_, slots) = fold(records, Some, |slot, v| {
+        *slot = Some(merge(slot.take().expect("value present"), v))
+    });
     slots
         .into_iter()
-        .map(|(k, c)| (k, c.expect("combiner present")))
+        .map(|(k, v)| (k, v.expect("value present")))
         .collect()
 }
 
 /// A shuffle boundary: repartitions `(K, V)` records from `parent` by key
-/// into `partitioner.num_partitions()` buckets, optionally combining
-/// map-side into combiners of type `C`.
-pub(crate) struct ShuffleDep<K: Key, V: Data, C: Data> {
+/// into `partitioner.num_partitions()` buckets, optionally combining them
+/// map-side.
+pub(crate) struct ShuffleDep<K: Key, V: Data> {
     shuffle_id: usize,
     name: String,
     parent: Arc<dyn RddNode<(K, V)>>,
     partitioner: HashPartitioner,
-    combiner: Combiner<V, C>,
+    combiner: Combiner<V>,
     map_side_combine: bool,
     /// Cleanup handle: when the last reference to this dependency drops
     /// (its RDDs went out of scope), the shuffle's stored data is freed —
@@ -192,17 +156,16 @@ pub(crate) struct ShuffleDep<K: Key, V: Data, C: Data> {
     service: std::sync::Arc<crate::shuffle::ShuffleService>,
 }
 
-impl<K: Key, V: Data, C: Data> Drop for ShuffleDep<K, V, C> {
+impl<K: Key, V: Data> Drop for ShuffleDep<K, V> {
     fn drop(&mut self) {
         self.service.remove(self.shuffle_id);
     }
 }
 
-impl<K, V, C> ShuffleDep<K, V, C>
+impl<K, V> ShuffleDep<K, V>
 where
     K: Key + EstimateSize,
-    V: Data,
-    C: Data + EstimateSize,
+    V: Data + EstimateSize,
 {
     /// A shuffle of `input` onto `partitioner`, staged as
     /// `shuffle-map(name)`.
@@ -210,7 +173,7 @@ where
         input: &Rdd<(K, V)>,
         name: &str,
         partitioner: HashPartitioner,
-        combiner: Combiner<V, C>,
+        combiner: Combiner<V>,
         map_side_combine: bool,
     ) -> Self {
         ShuffleDep {
@@ -225,10 +188,10 @@ where
     }
 
     /// Scatters one map partition's records into per-reduce-partition
-    /// vectors in scan order, lifting each value with `lift`. Each bucket
-    /// is counted first and allocated at its final size, so no vector
-    /// outgrows its buffer and leaves the smaller ones behind.
-    fn scatter<X>(&self, data: Vec<(K, V)>, lift: impl Fn(V) -> X) -> Vec<Vec<(K, X)>> {
+    /// vectors in scan order. Each bucket is counted first and allocated
+    /// at its final size, so no vector outgrows its buffer and leaves the
+    /// smaller ones behind.
+    fn scatter(&self, data: Vec<(K, V)>) -> Vec<Vec<(K, V)>> {
         let targets: Vec<usize> = data
             .iter()
             .map(|(k, _)| self.partitioner.partition(k))
@@ -237,9 +200,9 @@ where
         for &b in &targets {
             sizes[b] += 1;
         }
-        let mut buckets: Vec<Vec<(K, X)>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for ((k, v), b) in data.into_iter().zip(targets) {
-            buckets[b].push((k, lift(v)));
+        let mut buckets: Vec<Vec<(K, V)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (record, b) in data.into_iter().zip(targets) {
+            buckets[b].push(record);
         }
         buckets
     }
@@ -247,15 +210,14 @@ where
     /// Buckets one map partition's records by reduce partition, combining
     /// each bucket map-side when configured, and counts the shuffle write.
     /// Runs inside a (retryable) executor task.
-    fn bucket(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> (Vec<Vec<(K, C)>>, Vec<u64>) {
-        let buckets: Vec<Vec<(K, C)>> = if self.map_side_combine {
-            self.scatter(data, |v| v)
+    fn bucket(&self, data: Vec<(K, V)>, ctx: &TaskContext<'_>) -> (Vec<Vec<(K, V)>>, Vec<u64>) {
+        let mut buckets = self.scatter(data);
+        if self.map_side_combine {
+            buckets = buckets
                 .into_iter()
                 .map(|bucket| self.combiner.fold_values(bucket, ctx))
-                .collect()
-        } else {
-            self.scatter(data, &self.combiner.create)
-        };
+                .collect();
+        }
         let bucket_bytes: Vec<u64> = buckets
             .iter()
             .map(|b| b.iter().map(|r| r.estimate_size() as u64).sum())
@@ -268,16 +230,14 @@ where
         (buckets, bucket_bytes)
     }
 
-    /// Reads one reduce partition: fetches its buckets — still shared
-    /// with the shuffle service, in map-partition order — attributing
-    /// bytes to remote/local reads based on simulated node placement, then
-    /// merges them per key when `combine`, or copies the records out in
-    /// bucket order.
-    fn read(&self, reduce_partition: usize, combine: bool, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
+    /// Fetches one reduce partition's buckets — still shared with the
+    /// shuffle service, in map-partition order — attributing bytes to
+    /// remote/local reads based on simulated node placement.
+    fn fetch(&self, reduce_partition: usize, ctx: &TaskContext<'_>) -> Vec<Arc<Vec<(K, V)>>> {
         let fetched = ctx
             .cluster
             .shuffle_service()
-            .read::<(K, C)>(self.shuffle_id, reduce_partition);
+            .read::<(K, V)>(self.shuffle_id, reduce_partition);
         let config = ctx.cluster.config();
         let my_node = config.node_of(reduce_partition);
         let mut read = Counters::default();
@@ -292,10 +252,17 @@ where
             buckets.push(bucket.records);
         }
         ctx.stage.merge(&read);
+        buckets
+    }
+
+    /// Reads one reduce partition: its fetched buckets merged per key when
+    /// `combine`, or their records copied out in bucket order.
+    fn read(&self, reduce_partition: usize, combine: bool, ctx: &TaskContext<'_>) -> Vec<(K, V)> {
+        let buckets = self.fetch(reduce_partition, ctx);
         if combine {
             return self.combiner.merge_fetched(&buckets, ctx);
         }
-        let mut out = Vec::with_capacity(read.shuffle_read_records as usize);
+        let mut out = Vec::with_capacity(buckets.iter().map(|b| b.len()).sum());
         for bucket in &buckets {
             out.extend(bucket.iter().cloned());
         }
@@ -303,11 +270,10 @@ where
     }
 }
 
-impl<K, V, C> ShuffleDependency for ShuffleDep<K, V, C>
+impl<K, V> ShuffleDependency for ShuffleDep<K, V>
 where
     K: Key + EstimateSize,
-    V: Data,
-    C: Data + EstimateSize,
+    V: Data + EstimateSize,
 {
     fn shuffle_id(&self) -> usize {
         self.shuffle_id
@@ -351,7 +317,7 @@ where
             }),
             commit: Box::new(move |map_partition, out| {
                 let (buckets, bucket_bytes) = *out
-                    .downcast::<(Vec<Vec<(K, C)>>, Vec<u64>)>()
+                    .downcast::<(Vec<Vec<(K, V)>>, Vec<u64>)>()
                     .expect("shuffle map output downcast");
                 cluster.shuffle_service().put_map_output(
                     self.shuffle_id,
@@ -369,18 +335,17 @@ where
 }
 
 /// Post-shuffle RDD: reads its partition's buckets, optionally merging
-/// combiners for the same key.
-pub(crate) struct ShuffledRdd<K: Key, V: Data, C: Data> {
+/// the values of each key.
+pub(crate) struct ShuffledRdd<K: Key, V: Data> {
     id: usize,
-    dep: Arc<ShuffleDep<K, V, C>>,
+    dep: Arc<ShuffleDep<K, V>>,
     reduce_side_combine: bool,
 }
 
-impl<K, V, C> NodeInfo for ShuffledRdd<K, V, C>
+impl<K, V> NodeInfo for ShuffledRdd<K, V>
 where
     K: Key + EstimateSize,
-    V: Data,
-    C: Data + EstimateSize,
+    V: Data + EstimateSize,
 {
     fn id(&self) -> usize {
         self.id
@@ -396,13 +361,12 @@ where
     }
 }
 
-impl<K, V, C> RddNode<(K, C)> for ShuffledRdd<K, V, C>
+impl<K, V> RddNode<(K, V)> for ShuffledRdd<K, V>
 where
     K: Key + EstimateSize,
-    V: Data,
-    C: Data + EstimateSize,
+    V: Data + EstimateSize,
 {
-    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, C)> {
+    fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, V)> {
         let out = self.dep.read(partition, self.reduce_side_combine, ctx);
         ctx.stage.add_records_computed(out.len() as u64);
         out
@@ -418,7 +382,7 @@ enum CoSide<K: Key, V: Data> {
     /// the cogroup reads partition `p` of the parent, unshuffled.
     Narrow(Arc<dyn RddNode<(K, V)>>),
     /// Must be repartitioned through a shuffle-map stage.
-    Shuffled(Arc<ShuffleDep<K, V, V>>),
+    Shuffled(Arc<ShuffleDep<K, V>>),
 }
 
 impl<K, V> CoSide<K, V>
@@ -433,11 +397,24 @@ where
         }
     }
 
-    fn read(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, V)> {
-        match self {
-            CoSide::Narrow(parent) => parent.compute(partition, ctx),
-            CoSide::Shuffled(dep) => dep.read(partition, false, ctx),
-        }
+    /// The record count of `partition` and its records in read order. A
+    /// narrow side computes the partition; a shuffled side fetches its
+    /// buckets and clones each record out only as it is consumed, so no
+    /// copy of the whole partition is held.
+    fn read(
+        &self,
+        partition: usize,
+        ctx: &TaskContext<'_>,
+    ) -> (usize, impl Iterator<Item = (K, V)>) {
+        let (computed, fetched) = match self {
+            CoSide::Narrow(parent) => (parent.compute(partition, ctx), Vec::new()),
+            CoSide::Shuffled(dep) => (Vec::new(), dep.fetch(partition, ctx)),
+        };
+        let records = computed.len() + fetched.iter().map(|b| b.len()).sum::<usize>();
+        let shared = fetched
+            .into_iter()
+            .flat_map(|bucket| (0..bucket.len()).map(move |i| bucket[i].clone()));
+        (records, computed.into_iter().chain(shared))
     }
 }
 
@@ -472,45 +449,41 @@ where
     }
 }
 
-impl<K, V, W> CoGroupedRdd<K, V, W>
-where
-    K: Key + EstimateSize,
-    V: Data + EstimateSize,
-    W: Data + EstimateSize,
-{
-    /// Reads both sides of `partition` and groups their values per key,
-    /// each side's in read order — the one grouping behind both `cogroup`
-    /// and `join`.
-    fn group(&self, partition: usize, ctx: &TaskContext<'_>) -> FxHashMap<K, (Vec<V>, Vec<W>)> {
-        let mut groups: FxHashMap<K, (Vec<V>, Vec<W>)> = FxHashMap::default();
-        for (k, v) in self.left.read(partition, ctx) {
-            groups.entry(k).or_default().0.push(v);
-        }
-        for (k, w) in self.right.read(partition, ctx) {
-            groups.entry(k).or_default().1.push(w);
-        }
-        groups
-    }
-}
-
 impl<K, V, W> RddNode<(K, (Vec<V>, Vec<W>))> for CoGroupedRdd<K, V, W>
 where
     K: Key + EstimateSize,
     V: Data + EstimateSize,
     W: Data + EstimateSize,
 {
+    /// Folds both sides of `partition`, left first, into one group per
+    /// key: keys in first-arrival order, each side's values in read order.
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, (Vec<V>, Vec<W>))> {
-        let out: Vec<CoGrouped<K, V, W>> = self.group(partition, ctx).into_iter().collect();
+        // `Ok` carries a left value, `Err` a right one.
+        let (_, left) = self.left.read(partition, ctx);
+        let (_, right) = self.right.read(partition, ctx);
+        let sides = left
+            .map(|(k, v)| (k, Ok(v)))
+            .chain(right.map(|(k, w)| (k, Err(w))));
+        let add = |(vs, ws): &mut (Vec<V>, Vec<W>), x| match x {
+            Ok(v) => vs.push(v),
+            Err(w) => ws.push(w),
+        };
+        let seed = |x| {
+            let mut group = (Vec::new(), Vec::new());
+            add(&mut group, x);
+            group
+        };
+        let (_, out) = fold(sides, seed, add);
         ctx.stage.add_records_computed(out.len() as u64);
         out
     }
 }
 
-/// Inner join of two pair RDDs in one node: the [`CoGroupedRdd`] grouping,
-/// with each key's pairs written straight into the partition's output —
-/// keys in the grouping's hash order, pairs left-major, values moved or
-/// cloned as [`Rdd::join_with`] describes (a single value on one side is
-/// cloned for every pair but the last, which takes it).
+/// Inner join of two pair RDDs in one node, as a hash join: [`fold`]s the
+/// right side into per-key value lists, then streams the left side in
+/// read order, writing each left value's pairs with its key's right
+/// values, in right read order. The left value moves into its last pair;
+/// each right value is cloned once per pair.
 pub(crate) struct JoinedRdd<K: Key, V: Data, W: Data>(CoGroupedRdd<K, V, W>);
 
 impl<K, V, W> NodeInfo for JoinedRdd<K, V, W>
@@ -543,33 +516,26 @@ where
     W: Data + EstimateSize,
 {
     fn compute(&self, partition: usize, ctx: &TaskContext<'_>) -> Vec<(K, (V, W))> {
-        let groups = self.0.group(partition, ctx);
-        let keys = groups.len();
-        let pairs = groups.values().map(|(vs, ws)| vs.len() * ws.len()).sum();
-        let mut out = Vec::with_capacity(pairs);
-        for (k, (mut vs, mut ws)) in groups {
-            if ws.len() == 1 {
-                let w = ws.pop().expect("len checked");
-                let many = vs.len();
-                out.extend(
-                    vs.into_iter()
-                        .zip(repeat_n(w, many))
-                        .map(|p| (k.clone(), p)),
-                );
-            } else if vs.len() == 1 {
-                let v = vs.pop().expect("len checked");
-                let many = ws.len();
-                out.extend(repeat_n(v, many).zip(ws).map(|p| (k.clone(), p)));
-            } else {
-                for v in &vs {
-                    for w in &ws {
-                        out.push((k.clone(), (v.clone(), w.clone())));
-                    }
-                }
+        let (records, left) = self.0.left.read(partition, ctx);
+        let (_, right) = self.0.right.read(partition, ctx);
+        let (mut index, groups) = fold(right, |w| vec![w], Vec::push);
+        let mut out = Vec::with_capacity(records);
+        for (k, v) in left {
+            let Some((_, ws)) = index.get(&k).and_then(|&i| groups.get(i)) else {
+                // A key with no right value pairs with nothing, but
+                // counts as one group below, however often it comes.
+                index.insert(k, usize::MAX);
+                continue;
+            };
+            let (last, rest) = ws.split_last().expect("a group holds a value");
+            for w in rest {
+                out.push((k.clone(), (v.clone(), w.clone())));
             }
+            out.push((k, (v, last.clone())));
         }
-        // A group and a pair each count as one computed record, as they
-        // would across a cogroup and a flatten.
+        // A key of either side and a pair each count as one computed
+        // record, as a cogroup's group and a flatten's output would.
+        let keys = index.len();
         ctx.stage.add_records_computed((keys + out.len()) as u64);
         out
     }
@@ -637,14 +603,14 @@ where
 
     /// The one shuffle constructor: a [`ShuffleDep`] named `name` read by
     /// a [`ShuffledRdd`] that records `partitioner` as its provenance.
-    fn shuffled<C: Data + EstimateSize>(
+    fn shuffled(
         &self,
         name: &str,
         partitioner: HashPartitioner,
-        combiner: Combiner<V, C>,
+        combiner: Combiner<V>,
         map_side_combine: bool,
         reduce_side_combine: bool,
-    ) -> Rdd<(K, C)> {
+    ) -> Rdd<(K, V)> {
         let dep = ShuffleDep::new(self, name, partitioner, combiner, map_side_combine);
         self.derive(ShuffledRdd {
             id: next_node_id(),
@@ -659,13 +625,13 @@ where
     /// input already follows `partitioner`, in which case every key's
     /// records are co-located and each partition folds locally through a
     /// narrow one-to-one dependency, no shuffle at all.
-    fn wide<C: Data + EstimateSize>(
+    fn wide(
         &self,
         name: &str,
         partitioner: HashPartitioner,
-        combiner: Combiner<V, C>,
+        combiner: Combiner<V>,
         map_side_combine: bool,
-    ) -> Rdd<(K, C)> {
+    ) -> Rdd<(K, V)> {
         if self.skip_shuffle(name, partitioner) {
             let fold = move |_, data, ctx: &TaskContext<'_>| combiner.fold_values(data, ctx);
             return self
@@ -746,34 +712,6 @@ where
         )
     }
 
-    /// Groups all values per key (Spark `groupByKey`; no map-side combine,
-    /// as in Spark).
-    pub fn group_by_key(&self) -> Rdd<(K, Vec<V>)> {
-        self.group_by_key_with(self.default_partitions())
-    }
-
-    /// `groupByKey` with explicit partition count.
-    pub fn group_by_key_with(&self, partitions: usize) -> Rdd<(K, Vec<V>)> {
-        let combiner = Combiner {
-            create: Box::new(|v| vec![v]),
-            merge_value: Box::new(|mut c: Vec<V>, v| {
-                c.push(v);
-                c
-            }),
-            merge_combiners: Box::new(|mut a, mut b| {
-                a.append(&mut b);
-                a
-            }),
-            merge_in_place: None,
-        };
-        self.wide(
-            "group_by_key",
-            HashPartitioner::new(partitions),
-            combiner,
-            false,
-        )
-    }
-
     /// Repartitions by key, preserving duplicate records (Spark
     /// `partitionBy`). A no-op (and zero shuffles) when the RDD is already
     /// hash-partitioned into `partitions` buckets.
@@ -817,9 +755,10 @@ where
     }
 
     /// Inner join (Spark `join`): emits `(k, (v, w))` for every pair of
-    /// values sharing a key. Spark flattens a cogroup; here one node
-    /// groups both sides the way `cogroup` does and writes the pairs
-    /// straight out of the groups.
+    /// values sharing a key. Spark flattens a cogroup; here one node folds
+    /// the right side per key and streams the left side against it, so
+    /// each partition emits its left records in read order, each followed
+    /// by its key's right values in theirs.
     ///
     /// ```
     /// use cstf_dataflow::{Cluster, ClusterConfig};
@@ -834,11 +773,11 @@ where
     }
 
     /// `join` with explicit partition count; co-partitioned sides skip
-    /// their shuffle (see [`Rdd::cogroup_with`]). A key with a single
-    /// value on one side — the MTTKRP case, one factor row per index —
-    /// *moves* every value of the other side into its pair instead of
-    /// cloning it; only many-to-many keys pay the full cross product of
-    /// clones.
+    /// their shuffle (see [`Rdd::cogroup_with`]). Each left value *moves*
+    /// into its last pair and is cloned for the others; each right value
+    /// is cloned once per pair. Put the side with one value per key on
+    /// the right — the MTTKRP case, one factor row per index — and every
+    /// value of the many side moves.
     pub fn join_with<W: Data + EstimateSize>(
         &self,
         other: &Rdd<(K, W)>,
@@ -861,7 +800,7 @@ mod tests {
     /// reference when `in_place`: its output bits and the task's counters.
     fn summed(
         in_place: bool,
-        combine: impl FnOnce(&Combiner<f64, f64>, &TaskContext<'_>) -> Vec<(u32, f64)>,
+        combine: impl FnOnce(&Combiner<f64>, &TaskContext<'_>) -> Vec<(u32, f64)>,
     ) -> (Vec<(u32, u64)>, Counters) {
         let merge: MergeFn<f64> = Box::new(|a: &mut f64, b: &f64| *a += b);
         let combiner = Combiner::reduce(|a: f64, b| a + b, in_place.then_some(merge));

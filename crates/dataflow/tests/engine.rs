@@ -122,12 +122,16 @@ fn reduce_by_key_map_side_same_result_fewer_bytes() {
 }
 
 #[test]
-fn group_by_key_collects_all_values() {
+fn reduce_by_key_collects_all_values() {
     let c = cluster();
     let data = vec![(1u32, 10u32), (2, 20), (1, 11), (1, 12), (2, 21)];
     let grouped: BTreeMap<u32, Vec<u32>> = c
         .parallelize(data, 3)
-        .group_by_key()
+        .map_values(|v| vec![v])
+        .reduce_by_key(|mut a, mut b| {
+            a.append(&mut b);
+            a
+        })
         .collect()
         .into_iter()
         .map(|(k, v)| (k, sorted(v)))

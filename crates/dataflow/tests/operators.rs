@@ -1,6 +1,6 @@
 //! Tests for the operators past the basic suite: the broadcast-join
 //! idiom, the pinned emit sequence of every keyed operator, the join's
-//! clone count and its emit order against the cogroup's.
+//! clone count and its emit order against its definition.
 
 use cstf_dataflow::{
     Cluster, ClusterConfig, EstimateSize, KernelOps, KernelStrategy, Rdd, StageKind,
@@ -93,12 +93,14 @@ fn many_partitions_stress() {
 /// (`1.0 + 1e16 − 1e16` is `0.0` in that order and `1.0` reversed), so a
 /// changed within-key fold order shows up in the sums, a changed emit
 /// order in the sequence. Expected strings recorded at rev `33f3c41`
-/// (`JOINED_ONE_TO_MANY` and the narrow-left join at `e111037`, before the
-/// join's per-key expansion started moving values; `SUMS`,
-/// `SUMS_MAP_SIDE` and `GROUPS` when every combine became one fold that
-/// emits keys in first-arrival order): `JOINED` holds
+/// (`SUMS` and `SUMS_MAP_SIDE` when every combine became one fold that
+/// emits keys in first-arrival order; `COGROUPED`, `JOINED` and
+/// `JOINED_ONE_TO_MANY` when the cogroup began folding its sides, left
+/// first, through that fold, and the join began streaming its left side
+/// in read order against the fold of its right side). `JOINED` holds
 /// many-to-many (key 0, 4 × 2) and many-to-one (keys 4 and 6, 4 × 1) keys,
-/// its mirror image one-to-many ones.
+/// its mirror image one-to-many ones; `COGROUPED`'s left lists are the
+/// per-key groups of the left side, in its first-arrival key order.
 #[test]
 fn keyed_operators_emit_a_pinned_sequence() {
     let c = cluster();
@@ -135,7 +137,6 @@ fn keyed_operators_emit_a_pinned_sequence() {
     for (row, (input, map_side, kernel, expected)) in reduces.into_iter().enumerate() {
         assert_eq!(sums(input, map_side, kernel), expected, "reduce row {row}");
     }
-    assert_eq!(seq(left.group_by_key_with(4)), GROUPS);
     assert_eq!(seq(left.cogroup_with(&right, 4)), COGROUPED);
     assert_eq!(seq(left.join_with(&right, 4)), JOINED);
     assert_eq!(seq(parted.join_with(&right, 4)), JOINED);
@@ -150,10 +151,9 @@ fn seq<T: cstf_dataflow::Data + std::fmt::Debug>(rdd: Rdd<T>) -> String {
 
 const SUMS: &str = "[(0, 37.0), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (2, 6.0), (6, 29.5), (10, -9999999999999990.0), (7, 12.0), (3, 33.0)]";
 const SUMS_MAP_SIDE: &str = "[(0, 37.5), (4, 16.0), (8, 0.0), (5, 2.0), (9, 25.5), (1, 1.000000000000002e16), (2, 4.0), (6, 29.5), (10, -9999999999999990.0), (7, 12.0), (3, 33.0)]";
-const GROUPS: &str = "[(0, [0.5, -1e16, 1e16, 37.0]), (4, [1e16, 17.0, 0.5, -1e16]), (8, [0.5, -1e16, 1e16]), (5, [1.0, 0.5, -1e16, 1e16]), (9, [-1e16, 1e16, 25.0, 0.5]), (1, [1e16, 21.0, 0.5]), (2, [5.0, 0.5, -1e16, 1e16]), (6, [-1e16, 1e16, 29.0, 0.5]), (10, [9.0, 0.5, -1e16]), (7, [1e16, 13.0, 0.5, -1e16]), (3, [-1e16, 1e16, 33.0])]";
-const COGROUPED: &str = "[(0, ([0.5, -1e16, 1e16, 37.0], [7, 9])), (8, ([0.5, -1e16, 1e16], [])), (4, ([1e16, 17.0, 0.5, -1e16], [8])), (12, ([], [1])), (5, ([1.0, 0.5, -1e16, 1e16], [])), (9, ([-1e16, 1e16, 25.0, 0.5], [])), (1, ([1e16, 21.0, 0.5], [])), (10, ([9.0, 0.5, -1e16], [])), (2, ([5.0, 0.5, -1e16, 1e16], [])), (6, ([-1e16, 1e16, 29.0, 0.5], [2])), (3, ([-1e16, 1e16, 33.0], [])), (7, ([1e16, 13.0, 0.5, -1e16], []))]";
-const JOINED: &str = "[(0, (0.5, 7)), (0, (0.5, 9)), (0, (-1e16, 7)), (0, (-1e16, 9)), (0, (1e16, 7)), (0, (1e16, 9)), (0, (37.0, 7)), (0, (37.0, 9)), (4, (1e16, 8)), (4, (17.0, 8)), (4, (0.5, 8)), (4, (-1e16, 8)), (6, (-1e16, 2)), (6, (1e16, 2)), (6, (29.0, 2)), (6, (0.5, 2))]";
-const JOINED_ONE_TO_MANY: &str = "[(0, (7, 0.5)), (0, (7, -1e16)), (0, (7, 1e16)), (0, (7, 37.0)), (0, (9, 0.5)), (0, (9, -1e16)), (0, (9, 1e16)), (0, (9, 37.0)), (4, (8, 1e16)), (4, (8, 17.0)), (4, (8, 0.5)), (4, (8, -1e16)), (6, (2, -1e16)), (6, (2, 1e16)), (6, (2, 29.0)), (6, (2, 0.5))]";
+const COGROUPED: &str = "[(0, ([0.5, -1e16, 1e16, 37.0], [7, 9])), (4, ([1e16, 17.0, 0.5, -1e16], [8])), (8, ([0.5, -1e16, 1e16], [])), (12, ([], [1])), (5, ([1.0, 0.5, -1e16, 1e16], [])), (9, ([-1e16, 1e16, 25.0, 0.5], [])), (1, ([1e16, 21.0, 0.5], [])), (2, ([5.0, 0.5, -1e16, 1e16], [])), (6, ([-1e16, 1e16, 29.0, 0.5], [2])), (10, ([9.0, 0.5, -1e16], [])), (7, ([1e16, 13.0, 0.5, -1e16], [])), (3, ([-1e16, 1e16, 33.0], []))]";
+const JOINED: &str = "[(0, (0.5, 7)), (0, (0.5, 9)), (4, (1e16, 8)), (0, (-1e16, 7)), (0, (-1e16, 9)), (4, (17.0, 8)), (0, (1e16, 7)), (0, (1e16, 9)), (4, (0.5, 8)), (0, (37.0, 7)), (0, (37.0, 9)), (4, (-1e16, 8)), (6, (-1e16, 2)), (6, (1e16, 2)), (6, (29.0, 2)), (6, (0.5, 2))]";
+const JOINED_ONE_TO_MANY: &str = "[(0, (7, 0.5)), (0, (7, -1e16)), (0, (7, 1e16)), (0, (7, 37.0)), (4, (8, 1e16)), (4, (8, 17.0)), (4, (8, 0.5)), (4, (8, -1e16)), (0, (9, 0.5)), (0, (9, -1e16)), (0, (9, 1e16)), (0, (9, 37.0)), (6, (2, -1e16)), (6, (2, 1e16)), (6, (2, 29.0)), (6, (2, 0.5))]";
 
 /// A join value that counts its clones on the counter it carries.
 #[derive(Debug)]
@@ -172,15 +172,17 @@ impl EstimateSize for Counted {
     }
 }
 
-/// The join's per-key expansion moves what it can: where one side holds a
-/// single value (the MTTKRP shape — many nonzeros, one factor row), every
-/// value of the many side moves into its pair and the single value is
-/// cloned for all pairs but the last. Reading the inputs clones records
-/// too (out of the source partitions and the shuffle buckets), so the
-/// expansion's share is the join's clone count minus the cogroup's, which
-/// reads the same inputs the same way and expands nothing.
+/// The join streams its left side against the fold of its right side:
+/// a left value is cloned for each of its pairs but the last, which takes
+/// it, and a right value is cloned once per pair it joins. The MTTKRP
+/// shape — many nonzeros on the left, one factor row per key on the
+/// right — so moves every nonzero and clones the row once per nonzero.
+/// Reading the inputs clones records too (out of the source partitions
+/// and the shuffle buckets), so the expansion's share is the join's clone
+/// count minus the cogroup's, which reads the same inputs the same way
+/// and expands nothing.
 #[test]
-fn join_moves_the_many_side_and_clones_the_single_side_n_minus_1_times() {
+fn join_moves_left_values_and_clones_right_values_once_per_pair() {
     let c = cluster();
     let many_clones = Arc::new(AtomicUsize::new(0));
     let single_clones = Arc::new(AtomicUsize::new(0));
@@ -223,8 +225,20 @@ fn join_moves_the_many_side_and_clones_the_single_side_n_minus_1_times() {
             }
         });
         assert_eq!(records, pairs);
-        assert_eq!(many_total - many_read, 0, "many side cloned");
-        assert_eq!(single_total - single_read, pairs - 4, "n − 1 per key");
+        let (many_extra, single_extra) = (many_total - many_read, single_total - single_read);
+        // Every paired value of the many side is in one pair; the single
+        // side's 4 paired values are in 2 + k each.
+        let (left, right, left_values_paired) = if many_on_the_left {
+            (many_extra, single_extra, pairs)
+        } else {
+            (single_extra, many_extra, 4)
+        };
+        assert_eq!(
+            left,
+            pairs - left_values_paired,
+            "left: all pairs but the last"
+        );
+        assert_eq!(right, pairs, "right: one clone per pair");
     }
 }
 
@@ -255,15 +269,17 @@ fn by_reference_reduce_clones_one_value_per_distinct_key() {
     assert_eq!(clones.load(Ordering::Relaxed), 60);
 }
 
-/// `join` against its definition over `cogroup`: every key of the
-/// cogroup's `collect()`, in that order, expanded left-major into its
-/// `(v, w)` pairs — compared record for record, unsorted. The input holds
-/// keys with one right value (0–3), with one left value (10–13), with one
-/// of each (14), many-to-many keys (20, 21) and keys on one side only (30,
-/// 31). A join's result stage computes one record per group and one per
-/// pair.
+/// `join` against its definition: the left side in read order — the
+/// order `partition_by` delivers it in — with each left value paired
+/// with its key's right values in the order the cogroup lists them,
+/// compared record for record, unsorted. The input holds keys with one
+/// right value (0–3), with one left value (10–13), with one of each (14),
+/// many-to-many keys (20, 21) and keys on one side only (30, 31); the
+/// left values are dealt round-robin over their keys, so no key's pairs
+/// need be contiguous. A join's result stage computes one record per
+/// distinct key of either side and one per pair.
 #[test]
-fn join_writes_the_cogroup_pairs_in_cogroup_order() {
+fn join_pairs_each_left_value_in_read_order_with_its_right_values() {
     let c = cluster();
     let mut left: Vec<(u32, u32)> = Vec::new();
     let mut right: Vec<(u32, i64)> = Vec::new();
@@ -284,6 +300,8 @@ fn join_writes_the_cogroup_pairs_in_cogroup_order() {
         (21, 2101),
     ]);
     left.push((30, 3000));
+    // Round i holds the i-th left value of every key that has one.
+    left.sort_by_key(|&(k, v)| (v % 100, k));
     right.extend([
         (14, 140),
         (20, 200),
@@ -306,12 +324,13 @@ fn join_writes_the_cogroup_pairs_in_cogroup_order() {
     c.metrics().reset();
     let groups = left.cogroup_with(&right, 4).collect();
     assert_eq!(result_stage_records(), groups.len() as u64);
-    let expected: Vec<(u32, (u32, i64))> = groups
-        .iter()
-        .flat_map(|(k, (vs, ws))| {
-            vs.iter()
-                .flat_map(move |&v| ws.iter().map(move |&w| (*k, (v, w))))
-        })
+    let right_values: BTreeMap<u32, &Vec<i64>> =
+        groups.iter().map(|(k, (_, ws))| (*k, ws)).collect();
+    let expected: Vec<(u32, (u32, i64))> = left
+        .partition_by(4)
+        .collect()
+        .into_iter()
+        .flat_map(|(k, v)| right_values[&k].iter().map(move |&w| (k, (v, w))))
         .collect();
 
     c.metrics().reset();
@@ -320,6 +339,6 @@ fn join_writes_the_cogroup_pairs_in_cogroup_order() {
     assert_eq!(
         result_stage_records(),
         (groups.len() + expected.len()) as u64,
-        "groups + pairs"
+        "distinct keys + pairs"
     );
 }

@@ -28,9 +28,6 @@ fn shuffle_outputs_record_their_partitioner() {
     let parted = pairs.partition_by(3);
     assert_eq!(parted.partitioner(), Some(HashPartitioner::new(3)));
 
-    let grouped = pairs.group_by_key_with(5);
-    assert_eq!(grouped.partitioner(), Some(HashPartitioner::new(5)));
-
     let other = c.parallelize(vec![(1u32, 9u8)], 2);
     let joined = pairs.join_with(&other, 6);
     assert_eq!(joined.partitioner(), Some(HashPartitioner::new(6)));

@@ -74,21 +74,25 @@ proptest! {
     }
 
     #[test]
-    fn group_by_key_equals_reference(
-        data in prop::collection::vec((0u32..20, 0u32..1000), 0..200),
+    fn cogroup_equals_reference(
+        left in prop::collection::vec((0u32..20, 0u32..1000), 0..200),
+        right in prop::collection::vec((0u32..20, 0u8..100), 0..60),
         parts in 1usize..8,
     ) {
         let c = cluster(4);
-        let mut got: BTreeMap<u32, Vec<u32>> = c
-            .parallelize(data.clone(), parts)
-            .group_by_key()
+        let mut got: BTreeMap<u32, (Vec<u32>, Vec<u8>)> = c
+            .parallelize(left.clone(), parts)
+            .cogroup(&c.parallelize(right.clone(), parts))
             .collect()
             .into_iter()
             .collect();
-        for v in got.values_mut() { v.sort_unstable(); }
-        let mut expect: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (k, v) in data { expect.entry(k).or_default().push(v); }
-        for v in expect.values_mut() { v.sort_unstable(); }
+        let mut expect: BTreeMap<u32, (Vec<u32>, Vec<u8>)> = BTreeMap::new();
+        for (k, v) in left { expect.entry(k).or_default().0.push(v); }
+        for (k, w) in right { expect.entry(k).or_default().1.push(w); }
+        for (vs, ws) in got.values_mut().chain(expect.values_mut()) {
+            vs.sort_unstable();
+            ws.sort_unstable();
+        }
         prop_assert_eq!(got, expect);
     }
 

@@ -249,9 +249,7 @@ fn abort_names_the_stage_that_failed() {
 
     // A doomed map stage sharing wave 0 with a healthy one: the flat task
     // index of the wave must map back to the right stage.
-    let healthy = c
-        .parallelize(sample_data(), 4)
-        .reduce_by_key_with(4, false, |x, y| x ^ y);
+    let healthy = c.parallelize(sample_data(), 4).partition_by(4);
     let doomed_map = c
         .parallelize(sample_data(), 4)
         .map(|(k, v)| -> (u64, i64) {
@@ -260,12 +258,12 @@ fn abort_names_the_stage_that_failed() {
             }
             (k, v)
         })
-        .group_by_key_with(4);
+        .reduce_by_key_with(4, false, |x, y| x ^ y);
     let msg = abort_message(|| {
         let _ = healthy.join_with(&doomed_map, 4).count();
     });
     assert!(
-        msg.starts_with("stage 'shuffle-map(group_by_key)' aborted: task ")
+        msg.starts_with("stage 'shuffle-map(reduce_by_key)' aborted: task ")
             && msg.contains("map task dies"),
         "{msg}"
     );

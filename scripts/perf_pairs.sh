@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one perf/ workload — section 8 of the
-# choosing-metrics guide as one command. See --help.
+# Alternating parent/change pairs of one perf/ workload, or of every
+# workload in turn — section 8 of the choosing-metrics guide as one
+# command. See --help.
 set -euo pipefail
 
 usage() {
     cat <<'EOF'
-usage: scripts/perf_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]
+usage: scripts/perf_pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]
 
 Measures the working tree (the change) against <parent-rev> on one workload
-of BENCHMARK.json:
+of BENCHMARK.json, or with `all` on every workload it lists, in its order:
 
   1. checks <parent-rev> out into a scratch directory (git archive; the
      repository's own metadata is not touched) and builds both perf
@@ -20,6 +21,14 @@ of BENCHMARK.json:
      the ratio of the medians, in how many pairs the change read better
      (ties count for neither side) and a verdict, plus failed/incorrect runs
      per side.
+
+With `all`, steps 2 and 3 run once per workload on the same two builds, and
+the output ends with a summary: one line per workload and end-to-end metric,
+
+  <workload> <metric>: <verdict> ratio <change/parent medians> wins <n>/<pairs>
+
+and one line per workload with its failed/incorrect runs. A change that
+claims no gain must read `worse` on none of these lines.
 
 The verdict applies the metric's `bound` and `better` direction from
 BENCHMARK.json; the first that holds is printed:
@@ -53,16 +62,20 @@ if [ $# -lt 2 ] || [ $# -gt 4 ]; then
     exit 2
 fi
 parent_rev=$1
-workload=$2
 pairs=${3:-10}
 seed=${4:-1}
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 sha=$(git -C "$repo" rev-parse --verify "$parent_rev^{commit}")
-jq -e --arg w "$workload" '.workloads | any(.name == $w)' "$repo/BENCHMARK.json" >/dev/null || {
-    echo "unknown workload '$workload'; one of: $(jq -r '[.workloads[].name] | join(", ")' "$repo/BENCHMARK.json")" >&2
-    exit 2
-}
+if [ "$2" = all ]; then
+    mapfile -t workloads < <(jq -r '.workloads[].name' "$repo/BENCHMARK.json")
+else
+    jq -e --arg w "$2" '.workloads | any(.name == $w)' "$repo/BENCHMARK.json" >/dev/null || {
+        echo "unknown workload '$2'; one of: all, $(jq -r '[.workloads[].name] | join(", ")' "$repo/BENCHMARK.json")" >&2
+        exit 2
+    }
+    workloads=("$2")
+fi
 seconds=$(jq -r .run_seconds "$repo/BENCHMARK.json")
 
 work=${TMPDIR:-/tmp}/cstf-perf-pairs/$sha
@@ -85,29 +98,18 @@ for side in parent change; do
         cargo build --release --quiet --manifest-path "$(checkout $side)/perf/Cargo.toml"
 done
 
-runs=$work/runs/$workload-seed$seed-$(date +%Y%m%dT%H%M%S)
-mkdir -p "$runs"
-
-# One untraced driver run; its last stdout line is the result object. The
-# binary writes below $CARGO_MANIFEST_DIR/out, so each side stays inside
-# its own checkout.
+# One untraced driver run of side $1 on workload $2, appended to directory
+# $3; the run's last stdout line is its result object. The binary writes
+# below $CARGO_MANIFEST_DIR/out, so each side stays inside its own checkout.
 run_side() {
     CARGO_MANIFEST_DIR=$(checkout "$1")/perf "$work/target-$1/release/perf" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
-        tail -n 1 >>"$runs/$1.jsonl"
+        --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 |
+        tail -n 1 >>"$3/$1.jsonl"
 }
 
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    echo "pair $pair/$pairs: $order" >&2
-    for side in $order; do
-        run_side "$side"
-    done
-done
-
-echo "workload $workload, seed $seed, $pairs pairs of ${seconds}s runs, parent $sha ($(nproc) cores)"
-jq -rn --slurpfile parent "$runs/parent.jsonl" --slurpfile change "$runs/change.jsonl" \
-    --slurpfile bench "$repo/BENCHMARK.json" '
+# The rules of --help as jq definitions; `metrics` yields one object per
+# end-to-end metric of the runs in $parent and $change.
+jq_defs='
     def quantile($p): sort | ((length - 1) * $p) as $i
         | .[$i | floor] + (.[$i | ceil] - .[$i | floor]) * ($i - ($i | floor));
     def r: (. * 1e4 | round) / 1e4;
@@ -132,19 +134,54 @@ jq -rn --slurpfile parent "$runs/parent.jsonl" --slurpfile change "$runs/change.
               and ($pm - $cm) * $sign > $iqr
           then "gain"
           else "ok" end;
-    (
+    def metrics:
         $bench[0].end_to_end[] as $m
         | [$parent[].metrics[$m.name].value] as $p
         | [$change[].metrics[$m.name].value] as $c
         | (if $m.better == "lower" then 1 else -1 end) as $sign
         | ([range(0; [$p, $c] | map(length) | min)] | map(($c[.] - $p[.]) * $sign)) as $diff
-        | "\($m.name) [\($m.unit), \($m.better) is better, bound \($m.bound)]: "
-          + verdict($p; $c; $m.bound; $sign; $diff) + "\n"
-          + "  parent q1/median/q3: \($p | summary)\n"
-          + "  change q1/median/q3: \($c | summary)\n"
-          + "  change/parent medians: \($c | quantile(0.5) | ratio($p | quantile(0.5)))"
-          + "   change wins \($diff | map(select(. < 0)) | length),"
-          + " loses \($diff | map(select(. > 0)) | length) of \($diff | length)"
-    ),
-    "runs failed or incorrect: parent \($parent | bad), change \($change | bad)"'
-echo "per-run results: $runs"
+        | {m: $m, p: $p, c: $c, verdict: verdict($p; $c; $m.bound; $sign; $diff),
+           ratio: ($c | quantile(0.5) | ratio($p | quantile(0.5))),
+           wins: ($diff | map(select(. < 0)) | length),
+           losses: ($diff | map(select(. > 0)) | length), pairs: ($diff | length)};
+'
+
+# Evaluates jq program $3 after the definitions over the runs in directory
+# $1 of workload $2.
+evaluate() {
+    jq -rn --slurpfile parent "$1/parent.jsonl" --slurpfile change "$1/change.jsonl" \
+        --slurpfile bench "$repo/BENCHMARK.json" --arg workload "$2" "$jq_defs $3"
+}
+
+summary=()
+for workload in "${workloads[@]}"; do
+    runs=$work/runs/$workload-seed$seed-$(date +%Y%m%dT%H%M%S)
+    mkdir -p "$runs"
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        echo "$workload pair $pair/$pairs: $order" >&2
+        for side in $order; do
+            run_side "$side" "$workload" "$runs"
+        done
+    done
+
+    echo "workload $workload, seed $seed, $pairs pairs of ${seconds}s runs, parent $sha ($(nproc) cores)"
+    evaluate "$runs" "$workload" '
+        (metrics
+        | "\(.m.name) [\(.m.unit), \(.m.better) is better, bound \(.m.bound)]: \(.verdict)\n"
+          + "  parent q1/median/q3: \(.p | summary)\n"
+          + "  change q1/median/q3: \(.c | summary)\n"
+          + "  change/parent medians: \(.ratio)"
+          + "   change wins \(.wins), loses \(.losses) of \(.pairs)"),
+        "runs failed or incorrect: parent \($parent | bad), change \($change | bad)"'
+    echo "per-run results: $runs"
+    mapfile -t -O "${#summary[@]}" summary < <(evaluate "$runs" "$workload" '
+        (metrics | "\($workload) \(.m.name): \(.verdict) ratio \(.ratio) wins \(.wins)/\(.pairs)"),
+        "\($workload) runs failed or incorrect: parent \($parent | bad), change \($change | bad)"')
+done
+
+if [ "${#workloads[@]}" -gt 1 ]; then
+    echo
+    echo "summary: seed $seed, $pairs pairs per workload, parent $sha"
+    printf '%s\n' "${summary[@]}"
+fi

@@ -32,6 +32,23 @@ pub const GOLDEN: [(Strategy, Partitioning, u64); 6] = {
     ]
 };
 
+/// [`GOLDEN`] for the `Dense` tensor at rank 8, recorded at rev `3124d6f`
+/// and re-recorded (COO, QCOO, SpMV) when the join began streaming its
+/// left side against the fold of its right side. Its keys meet many terms
+/// in one reduce partition, so it also moves when a pipeline only
+/// reorders a per-key sum, which `Golden`'s two-term sums hide.
+pub const GOLDEN_DENSE: [(Strategy, Partitioning, u64); 6] = {
+    use Partitioning::{CoPartitionedFactors as Co, PrePartitionedTensor as Pre};
+    [
+        (Strategy::Coo, Co, 0x96f8_9247_ebe6_5db7),
+        (Strategy::Coo, Pre, 0x96f8_9247_ebe6_5db7),
+        (Strategy::Qcoo, Co, 0x8f4f_2ae7_5dc2_5e4b),
+        (Strategy::CooBroadcast, Co, 0xc9f1_f1ba_d4b4_7271),
+        (Strategy::DfactoSpmv, Co, 0xd219_d203_c752_301f),
+        (Strategy::DfactoSpmv, Pre, 0xd219_d203_c752_301f),
+    ]
+};
+
 /// FNV-1a over the bit patterns of `values`.
 fn fnv1a_of_bits(values: &[f64]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -61,6 +78,9 @@ pub enum Tensor {
     Arb(u64),
     /// The 10×10×10 generator of the former node-invariance property.
     Cube(u64),
+    /// 40×36×32 with 20 000 nonzeros, rank 8: the [`GOLDEN_DENSE`] rows
+    /// only, outside the sampled column values.
+    Dense,
 }
 
 use Tensor::*;
@@ -99,6 +119,7 @@ impl Tensor {
                 t.values_in(-1.0, 1.0).build()
             }
             Cube(seed) => random(&[10, 10, 10], 10 + (seed % 50) as usize, seed),
+            Dense => random(&[40, 36, 32], 20_000, 61),
         }
     }
 
@@ -106,6 +127,7 @@ impl Tensor {
         match self {
             Arb(_) => FIXED.len(),
             Cube(_) => FIXED.len() + 1,
+            Dense => FIXED.len() + 2,
             fixed => FIXED.iter().position(|&t| t == fixed).unwrap(),
         }
     }
@@ -113,6 +135,7 @@ impl Tensor {
     fn rank(self) -> usize {
         match self {
             Arb(seed) => 1 + (seed % 3) as usize,
+            Dense => 8,
             _ => 2,
         }
     }
@@ -121,7 +144,7 @@ impl Tensor {
     /// that the `threads` and `nodes` columns do not move it.
     fn partitions(self) -> usize {
         match self {
-            Golden => 16,
+            Golden | Dense => 16,
             Arb(seed) => 1 + (seed % 8) as usize,
             Cube(_) => 6,
             _ => 8,
@@ -132,7 +155,7 @@ impl Tensor {
     /// cluster the tensor's former suite used.
     fn home(self) -> (usize, usize) {
         match self {
-            Golden => (2, 4),
+            Golden | Dense => (2, 4),
             Arb(_) => (4, 3),
             Cube(_) => (2, 9),
             _ => (4, 4),
@@ -142,7 +165,7 @@ impl Tensor {
     /// CP-ALS iterations: as many as the tensor's former suite ran.
     fn iterations(self) -> usize {
         match self {
-            Golden | R15s90 | R15s51 | LowRank74 | LowRank85 => 2,
+            Golden | Dense | R15s90 | R15s51 | LowRank74 | LowRank85 => 2,
             R12x10s93 => 3,
             _ => 1,
         }
@@ -607,8 +630,8 @@ fn reference(row: Row) -> Arc<Outcome> {
     .clone()
 }
 
-/// `Golden` × `Als` hashes to its `GOLDEN` constant; a `Cycle` matches the
-/// sequential MTTKRP within 1e-9.
+/// `Golden` and `Dense` × `Als` hash to their `GOLDEN` and `GOLDEN_DENSE`
+/// constants; a `Cycle` matches the sequential MTTKRP within 1e-9.
 fn verify_ground_truth(row: &Row, values: &[f64]) {
     if row.workload == Workload::Cycle {
         let t = row.tensor.build();
@@ -620,8 +643,13 @@ fn verify_ground_truth(row: &Row, values: &[f64]) {
         for (i, (x, y)) in values.iter().zip(&seq).enumerate() {
             assert!((x - y).abs() < 1e-9, "{row:?}: element {i} vs sequential");
         }
-    } else if row.tensor == Golden && row.variant == 0 {
-        let want = GOLDEN.iter().find(|g| g.0 == row.strategy).unwrap().2;
+    } else if row.variant == 0 {
+        let table = match row.tensor {
+            Golden => GOLDEN,
+            Dense => GOLDEN_DENSE,
+            _ => return,
+        };
+        let want = table.iter().find(|g| g.0 == row.strategy).unwrap().2;
         let got = fnv1a_of_bits(values);
         assert_eq!(got, want, "{row:?}: factor bits moved (got {got:#018x})");
     }
@@ -894,6 +922,10 @@ pub const GROUPS: &[(&str, Rows)] = {
         ("golden_bits::factor_bits_match_the_recorded_constants", || {
             let row = |(s, partitioning, _)| Row { partitioning, ..als(Golden, s) };
             GOLDEN.map(row).to_vec()
+        }),
+        ("golden_bits::dense_factor_bits_match_the_recorded_constants", || {
+            let row = |(s, partitioning, _)| Row { partitioning, ..als(Dense, s) };
+            GOLDEN_DENSE.map(row).to_vec()
         }),
     ]
 };

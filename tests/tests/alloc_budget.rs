@@ -4,8 +4,9 @@
 //! boxed stripe, one QCOO CP-ALS iteration allocates at most 8 blocks per
 //! nonzero (≈ 15.7 when every queue stripe was boxed, ≈ 55 when a
 //! `QRecord` was a coordinate box, a deque buffer and a box per queued
-//! row, and the join cloned every record it paired), and one COO iteration
-//! at most 3300 bytes per nonzero. `perf/` measures the same quantities as
+//! row, and the join cloned every record it paired) and at most 2900
+//! bytes per nonzero, and one COO iteration at most 2100 bytes per
+//! nonzero. `perf/` measures the same quantities as
 //! `core.alloc.count_per_nnz_iter` and `core.alloc.bytes_per_nnz_iter`;
 //! this keeps the gains under tier-1.
 //!
@@ -120,24 +121,32 @@ fn records_and_one_qcoo_iteration_stay_within_the_allocation_budget() {
             .run(&cluster, &tensor)
             .unwrap()
     };
-    let (_, one, _) = allocated(|| run(Strategy::Qcoo, 1));
-    let (_, none, _) = allocated(|| run(Strategy::Qcoo, 0));
+    let (_, one, one_bytes) = allocated(|| run(Strategy::Qcoo, 1));
+    let (_, none, none_bytes) = allocated(|| run(Strategy::Qcoo, 0));
     let per_nnz = one.saturating_sub(none) as f64 / tensor.nnz() as f64;
     assert!(
         per_nnz <= 8.0,
         "one QCOO iteration allocated {per_nnz:.1} blocks per nonzero (budget 8)"
     );
+    // In bytes: ≈ 2570 per nonzero with the join streaming its tensor
+    // side, ≈ 3930 when it grouped both sides into per-key vectors that
+    // grew by doubling and moved their inline queue stripes each time.
+    let bytes_per_nnz = one_bytes.saturating_sub(none_bytes) as f64 / tensor.nnz() as f64;
+    assert!(
+        bytes_per_nnz <= 2900.0,
+        "one QCOO iteration allocated {bytes_per_nnz:.0} bytes per nonzero (budget 2900)"
+    );
 
-    // One COO iteration, measured the same way, in bytes: ≈ 2980 per
-    // nonzero with every shuffle bucket allocated at its final size,
-    // ≈ 3730 when the buckets grew by doubling, ≈ 4770 when every
-    // Hadamard product took a fresh row and each join built per-key
-    // vectors and flattened them.
+    // One COO iteration, measured the same way, in bytes: ≈ 1870 per
+    // nonzero with the join streaming its tensor side, ≈ 3000 when it
+    // grouped both sides into per-key vectors, ≈ 3730 when, besides, the
+    // shuffle buckets grew by doubling, ≈ 4770 when every Hadamard
+    // product took a fresh row and each join flattened its groups.
     let (_, _, one) = allocated(|| run(Strategy::Coo, 1));
     let (_, _, none) = allocated(|| run(Strategy::Coo, 0));
     let bytes_per_nnz = one.saturating_sub(none) as f64 / tensor.nnz() as f64;
     assert!(
-        bytes_per_nnz <= 3300.0,
-        "one COO iteration allocated {bytes_per_nnz:.0} bytes per nonzero (budget 3300)"
+        bytes_per_nnz <= 2100.0,
+        "one COO iteration allocated {bytes_per_nnz:.0} bytes per nonzero (budget 2100)"
     );
 }
