@@ -26,8 +26,6 @@ mod sim;
 use json::Json;
 use report::{write_json, Cell, Col, Report};
 
-use cstf_core::bigtensor_mttkrp;
-use cstf_core::cost::Algorithm;
 use cstf_core::factors::tensor_to_rdd;
 use cstf_core::planner::plan;
 use cstf_core::{CpAls, CpResult, Partitioning, PlanConfig, Strategy};
@@ -550,31 +548,19 @@ fn random_factors(shape: &[u32], rank: usize, seed: u64) -> Vec<DenseMatrix> {
         .collect()
 }
 
-/// Runs one steady-state mode-1 MTTKRP of `algorithm` (Table 2's three
-/// columns) on a 3rd-order tensor and returns the metrics of that MTTKRP
-/// alone: distributing and caching the tensor and initializing QCOO's
-/// queues happen before the log is reset. COO and QCOO run through the
-/// planner with `partitions` for the tensor and every join; BIGtensor is
-/// not a [`Strategy`] and keeps its own call.
+/// Runs one steady-state mode-1 MTTKRP of `strategy` (Table 2's columns)
+/// on a 3rd-order tensor through the planner, with `partitions` for the
+/// tensor and every join, and returns the metrics of that MTTKRP alone:
+/// distributing and caching the tensor and initializing QCOO's queues
+/// happen before the log is reset (BIGtensor caches nothing and re-reads
+/// its source inside the MTTKRP, as on Hadoop).
 fn mode1_mttkrp(
-    algorithm: Algorithm,
+    strategy: Strategy,
     cluster: &Cluster,
     tensor: &CooTensor,
     factors: &[DenseMatrix],
     partitions: usize,
 ) -> JobMetrics {
-    let strategy = match algorithm {
-        Algorithm::CstfCoo => Strategy::Coo,
-        Algorithm::CstfQcoo => Strategy::Qcoo,
-        Algorithm::BigTensor => {
-            let rdd = tensor_to_rdd(cluster, tensor, partitions);
-            cluster.metrics().reset();
-            bigtensor_mttkrp(cluster, &rdd, factors, tensor.shape(), 0, partitions)
-                .expect("BIGtensor MTTKRP");
-            return cluster.metrics().snapshot();
-        }
-        other => panic!("{other} is not a column of Table 2"),
-    };
     let config = PlanConfig {
         rank: factors[0].cols(),
         partitions,
@@ -608,19 +594,6 @@ fn mttkrp_shuffle_bytes(metrics: &JobMetrics) -> u64 {
         .filter(|(scope, _, _)| scope.starts_with("MTTKRP"))
         .map(|(_, remote, local)| remote + local)
         .sum()
-}
-
-/// A timed BIGtensor run (3rd-order only).
-fn run_bigtensor(
-    tensor: &CooTensor,
-    nodes: usize,
-    iters: usize,
-    seed: u64,
-) -> (JobMetrics, CpResult) {
-    let cluster = Cluster::new(ClusterConfig::auto().nodes(nodes));
-    let result = cstf_core::bigtensor_cp(&cluster, tensor, PAPER_RANK, iters, seed)
-        .expect("BIGtensor run failed");
-    (cluster.metrics().snapshot(), result)
 }
 
 /// `value`, recorded in `scope` over `iters` executed iterations, per
@@ -823,19 +796,19 @@ mod tests {
     fn mode1_mttkrp_counts_table4_shuffles() {
         let t = tiny();
         let factors = random_factors(t.shape(), 2, 7);
-        let shuffles = |algorithm| {
+        let shuffles = |strategy| {
             let c = Cluster::new(ClusterConfig::local(2).nodes(4));
-            mode1_mttkrp(algorithm, &c, &t, &factors, 8).significant_shuffle_count(50)
+            mode1_mttkrp(strategy, &c, &t, &factors, 8).significant_shuffle_count(50)
         };
         // Table 4, 3rd order: 3 / 2 / 4 tensor-sized shuffles.
-        assert_eq!(shuffles(Algorithm::CstfCoo), 3);
-        assert_eq!(shuffles(Algorithm::CstfQcoo), 2);
-        assert_eq!(shuffles(Algorithm::BigTensor), 4);
+        assert_eq!(shuffles(Strategy::Coo), 3);
+        assert_eq!(shuffles(Strategy::Qcoo), 2);
+        assert_eq!(shuffles(Strategy::BigTensor), 4);
     }
 
     #[test]
     fn run_bigtensor_produces_jobs() {
-        let (m, _) = run_bigtensor(&tiny(), 4, 1, 0);
+        let (m, _) = RunSpec::new(Strategy::BigTensor, 4, 1, 0).run(&tiny());
         assert!(m.job_count() > 0);
         assert!(m.total_disk_read() > 0);
     }

@@ -2,7 +2,7 @@
 //! order claim — one experiment each.
 
 use crate::*;
-use cstf_core::cost::{iteration_communication, mttkrp_cost, qcoo_savings};
+use cstf_core::cost::{iteration_communication, mttkrp_cost, qcoo_savings, Algorithm};
 use cstf_tensor::datasets::{ALL, DELICIOUS3D, FLICKR, FOURTH_ORDER, NELL1, SYNT3D, THIRD_ORDER};
 
 /// Figure 2: CP-ALS runtime vs cluster size on 3rd-order tensors —
@@ -63,15 +63,15 @@ fn runtime_vs_nodes(
         heading(&format!("{title} @ 1/{:.0}", setup.scale), &name, &tensor);
         let mut report = Report::new(cols.clone());
         for n in setup.node_counts() {
-            let secs = |strategy| {
+            let secs = |strategy, model| {
                 let (metrics, _) = RunSpec::new(strategy, n, iters, seed).run(&tensor);
-                per_iteration_secs_amortized(&spark, &metrics, iters)
+                per_iteration_secs_amortized(model, &metrics, iters)
             };
-            let (t_coo, t_qcoo) = (secs(Strategy::Coo), secs(Strategy::Qcoo));
+            let t_coo = secs(Strategy::Coo, &spark);
+            let t_qcoo = secs(Strategy::Qcoo, &spark);
             let mut row = vec![n.into(), Cell::fixed(t_coo, 1), Cell::fixed(t_qcoo, 1)];
             if bigtensor {
-                let (m_big, _) = run_bigtensor(&tensor, n, iters, seed);
-                let t_big = per_iteration_secs_amortized(&hadoop, &m_big, iters);
+                let t_big = secs(Strategy::BigTensor, &hadoop);
                 row.push(Cell::fixed(t_big, 1));
                 row.push(Cell::fixed(t_big / t_coo, 2));
                 row.push(Cell::fixed(t_big / t_qcoo, 2));
@@ -179,9 +179,10 @@ pub(crate) fn fig5_modes(setup: &Setup) {
             &name,
             &tensor,
         );
-        let (m_coo, _) = RunSpec::new(Strategy::Coo, nodes, iters, seed).run(&tensor);
-        let (m_qcoo, _) = RunSpec::new(Strategy::Qcoo, nodes, iters, seed).run(&tensor);
-        let (m_big, _) = run_bigtensor(&tensor, nodes, iters, seed);
+        let metrics = |strategy| RunSpec::new(strategy, nodes, iters, seed).run(&tensor).0;
+        let m_coo = metrics(Strategy::Coo);
+        let m_qcoo = metrics(Strategy::Qcoo);
+        let m_big = metrics(Strategy::BigTensor);
 
         // Per-mode seconds of one algorithm; `other` is the one-off cost.
         let per_mode = |model: &TimeModel, metrics: &JobMetrics, charge_other_to_mode1: bool| {
@@ -248,13 +249,14 @@ pub(crate) fn table2_workflow(_: &Setup) {
         "Table 2 workflow traces: mode-1 MTTKRP, {} nonzeros, rank {rank}",
         tensor.nnz()
     );
-    for (algorithm, column) in [
-        (Algorithm::CstfCoo, "middle"),
-        (Algorithm::CstfQcoo, "right"),
-        (Algorithm::BigTensor, "left"),
+    for (strategy, column) in [
+        (Strategy::Coo, "middle"),
+        (Strategy::Qcoo, "right"),
+        (Strategy::BigTensor, "left"),
     ] {
         let c = Cluster::new(ClusterConfig::local(4).nodes(4).default_parallelism(8));
-        let metrics = mode1_mttkrp(algorithm, &c, &tensor, &factors, 8);
+        let metrics = mode1_mttkrp(strategy, &c, &tensor, &factors, 8);
+        let algorithm = strategy.cost_algorithm();
         print_stages(&format!("{algorithm} (Table 2, {column} column)"), &metrics);
     }
 }
@@ -313,11 +315,11 @@ pub(crate) fn table4_cost(setup: &Setup) {
         "Table 4 reproduction: synt3d @ 1/{scale:.0}, nnz = {nnz}, R = {rank}, mode-1 MTTKRP\n"
     );
     let factors = random_factors(tensor.shape(), rank, setup.seed);
-    // (algorithm, stage whose shuffle carries the per-nonzero state)
+    // (strategy, stage whose shuffle carries the per-nonzero state)
     let columns = [
-        (Algorithm::CstfCoo, Some("reduce_by_key")),
-        (Algorithm::CstfQcoo, Some("cogroup-left")), // steady-state step
-        (Algorithm::BigTensor, None),
+        (Strategy::Coo, Some("reduce_by_key")),
+        (Strategy::Qcoo, Some("cogroup-left")), // steady-state step
+        (Strategy::BigTensor, None),
     ];
 
     let mut report = Report::new([
@@ -328,9 +330,10 @@ pub(crate) fn table4_cost(setup: &Setup) {
         Col::new("shuffles (measured)", "shuffles_measured"),
         Col::table("state shuffle payload"),
     ]);
-    for (alg, state_stage) in columns {
+    for (strategy, state_stage) in columns {
         let c = Cluster::new(ClusterConfig::auto().nodes(8));
-        let m = mode1_mttkrp(alg, &c, &tensor, &factors, 32);
+        let m = mode1_mttkrp(strategy, &c, &tensor, &factors, 32);
+        let alg = strategy.cost_algorithm();
         let meas_shuffles = m.significant_shuffle_count(nnz / 2);
         let state_bytes: u64 = m
             .stages()

@@ -1,8 +1,9 @@
-//! Distributed CP-ALS driver (Algorithms 1 and 3 of the paper).
+//! The distributed CP-ALS driver (Algorithms 1 and 3 of the paper), the
+//! one every [`Strategy`] runs under, the BIGtensor baseline included.
 //!
 //! Alternates factor-matrix updates `Aₙ ← Mₙ · (∗_{m≠n} AₘᵀAₘ)⁺` where `Mₙ`
-//! is the mode-`n` MTTKRP, computed with either the COO or the QCOO
-//! distributed pipeline. Gram matrices live on the driver (`R × R`,
+//! is the mode-`n` MTTKRP, computed by the strategy's distributed pipeline
+//! behind [`plan`]. Gram matrices live on the driver (`R × R`,
 //! recomputed only for the factor that changed — "the gram matrix for each
 //! factor is only computed once per CP-ALS iteration", §4.2); columns are
 //! normalized after every update with the norms kept as `λ`.

@@ -20,11 +20,11 @@
 //!   (Algorithm 3, Figure 1, Table 4 of the paper).
 //!
 //! [`planner::plan`] is the one entry point to a distributed MTTKRP under
-//! any [`Strategy`] (these two, broadcast COO and DFacTo-SpMV);
-//! [`CpAls`] drives full decompositions through it; [`bigtensor_cp`] and
-//! [`bigtensor_mttkrp`] implement the paper's baseline (the GigaTensor-style
-//! unfolding workflow BIGtensor uses on Hadoop); [`cost`] is the analytic
-//! cost model of Table 4 / §5.
+//! any [`Strategy`]: these two, broadcast COO, DFacTo-SpMV, and the
+//! paper's baseline [`Strategy::BigTensor`] (the GigaTensor-style
+//! unfolding workflow BIGtensor uses on Hadoop). [`CpAls`] is the one
+//! CP-ALS driver and runs every strategy through it; [`cost`] is the
+//! analytic cost model of Table 4 / §5.
 //!
 //! # Quickstart
 //!
@@ -61,7 +61,6 @@ mod mttkrp;
 mod qcoo;
 mod spmv;
 
-pub use bigtensor::{bigtensor_cp, bigtensor_mttkrp};
 pub use completion::CpCompletion;
 pub use cp_als::{CpAls, CpResult};
 pub use planner::{Partitioning, PlanConfig, Strategy};

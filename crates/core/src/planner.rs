@@ -1,5 +1,5 @@
 //! The MTTKRP planner: the one entry point to every distributed MTTKRP
-//! strategy.
+//! strategy, the paper's BIGtensor baseline included.
 //!
 //! [`plan`] builds the tensor datasets the [`Strategy`] can exploit, runs
 //! any prologue, and returns a [`Plan`]; the driver then runs *any*
@@ -10,10 +10,12 @@
 //!
 //! The per-strategy pipelines behind a plan are private to the crate: one
 //! function each for CSTF-COO and DFacTo-SpMV over a tensor already keyed
-//! by the first join mode, one for broadcast COO, and the carried queue
-//! state of CSTF-QCOO. Every input is checked here, once, before any of
-//! them runs: a bad input fails the same way under every strategy.
+//! by the first join mode, one each for broadcast COO and BIGtensor over
+//! the plain tensor, and the carried queue state of CSTF-QCOO. Every input
+//! is checked here, once, before any of them runs: a bad input fails the
+//! same way under every strategy.
 
+use crate::bigtensor::mttkrp_bigtensor;
 use crate::factors::{tensor_to_rdd, tensor_to_rdd_keyed};
 use crate::mttkrp::{mttkrp_coo, mttkrp_coo_broadcast, Persisted};
 use crate::qcoo::{self, QueueSteps};
@@ -38,6 +40,14 @@ pub enum Strategy {
     /// fiber-keyed rows — `2(N−1)` shuffles, of which only the first two
     /// move nnz-sized data; the rest are fiber-sized (`F ≤ nnz`).
     DfactoSpmv,
+    /// BIGtensor's unfolding workflow, the paper's Hadoop baseline (§4.3,
+    /// Table 2's left column): 4 tensor-sized shuffles per MTTKRP, for
+    /// 3rd-order tensors only. It runs as Hadoop would, whatever the
+    /// [`PlanConfig`] says: the tensor is never cached, the factor rows
+    /// are never pre-partitioned, and every MTTKRP records its MapReduce
+    /// job launches and HDFS traffic (priced by
+    /// `cstf_model::TimeModel::hadoop`).
+    BigTensor,
 }
 
 impl std::fmt::Display for Strategy {
@@ -47,6 +57,7 @@ impl std::fmt::Display for Strategy {
             Strategy::Qcoo => write!(f, "QCOO"),
             Strategy::CooBroadcast => write!(f, "COO-broadcast"),
             Strategy::DfactoSpmv => write!(f, "DFacTo-SpMV"),
+            Strategy::BigTensor => write!(f, "BIGtensor"),
         }
     }
 }
@@ -56,15 +67,16 @@ impl std::str::FromStr for Strategy {
 
     /// Parses the [`Display`](std::fmt::Display) form (case-insensitively)
     /// plus the short aliases the experiment binaries accept: `coo`,
-    /// `qcoo`, `broadcast`, `spmv`, `dfacto`.
+    /// `qcoo`, `broadcast`, `spmv`, `dfacto`, `bigtensor`.
     fn from_str(s: &str) -> Result<Self> {
         match s.to_ascii_lowercase().as_str() {
             "coo" => Ok(Strategy::Coo),
             "qcoo" => Ok(Strategy::Qcoo),
             "broadcast" | "coo-broadcast" => Ok(Strategy::CooBroadcast),
             "spmv" | "dfacto" | "dfacto-spmv" => Ok(Strategy::DfactoSpmv),
+            "bigtensor" => Ok(Strategy::BigTensor),
             other => Err(CstfError::Config(format!(
-                "unknown strategy '{other}' (expected coo, qcoo, broadcast, or spmv)"
+                "unknown strategy '{other}' (expected coo, qcoo, broadcast, spmv, or bigtensor)"
             ))),
         }
     }
@@ -126,6 +138,7 @@ impl Strategy {
             Strategy::Coo | Strategy::CooBroadcast => cost::Algorithm::CstfCoo,
             Strategy::Qcoo => cost::Algorithm::CstfQcoo,
             Strategy::DfactoSpmv => cost::Algorithm::DfactoSpmv,
+            Strategy::BigTensor => cost::Algorithm::BigTensor,
         }
     }
 }
@@ -194,6 +207,9 @@ pub struct Plan {
     /// `data` so `release` can unpersist it).
     qcoo: Option<Box<dyn QueueSteps>>,
     data: TensorData,
+    /// The tensor's nonzero count, by which BIGtensor charges its HDFS
+    /// traffic.
+    nnz: usize,
 }
 
 impl Plan {
@@ -233,6 +249,12 @@ impl Plan {
                     cluster, tensor, factors, shape, mode, config,
                 ));
             }
+            Strategy::BigTensor => {
+                let tensor = self.data.plain();
+                return Ok(mttkrp_bigtensor(
+                    cluster, tensor, self.nnz, factors, shape, mode, config,
+                ));
+            }
             Strategy::DfactoSpmv => mttkrp_spmv,
             _ => mttkrp_coo,
         };
@@ -249,11 +271,12 @@ impl Plan {
     }
 }
 
-/// Builds the plan for `strategy`: checks the tensor order and `factors`
-/// (as [`Plan::mttkrp`] does), distributes (and caches) the tensor in the
-/// layout the strategy's pipeline reads, runs any prologue (QCOO's
-/// queue initialization consumes `factors`), and returns the driver-facing
-/// plan object.
+/// Builds the plan for `strategy`: checks the tensor order (3 for
+/// BIGtensor, at least 2 otherwise) and `factors` (as [`Plan::mttkrp`]
+/// does), distributes (and caches) the tensor in the layout the
+/// strategy's pipeline reads, runs any prologue (QCOO's queue
+/// initialization consumes `factors`), and returns the driver-facing plan
+/// object.
 pub fn plan(
     cluster: &Cluster,
     tensor: &CooTensor,
@@ -268,7 +291,23 @@ pub fn plan(
             shape.len()
         )));
     }
+    if strategy == Strategy::BigTensor && shape.len() != 3 {
+        return Err(CstfError::Config(format!(
+            "BIGtensor supports only 3rd-order tensors (got order {})",
+            shape.len()
+        )));
+    }
     check(factors, &shape, config.rank)?;
+    // Hadoop keeps nothing between BIGtensor's jobs, and its joins shuffle
+    // both sides.
+    let config = &match strategy {
+        Strategy::BigTensor => PlanConfig {
+            cache_tensor: false,
+            partitioning: Partitioning::None,
+            ..*config
+        },
+        _ => *config,
+    };
     // Only COO and DFacTo-SpMV start from the tensor keyed by the first
     // join mode; QCOO keys its own queue and broadcast COO joins nothing.
     let use_pre = config.partitioning == Partitioning::PrePartitionedTensor
@@ -283,6 +322,7 @@ pub fn plan(
         config: *config,
         qcoo,
         data,
+        nnz: tensor.nnz(),
     })
 }
 
@@ -380,11 +420,14 @@ pub(crate) mod testing {
     use cstf_tensor::random::RandomTensor;
     use rand::{rngs::StdRng, SeedableRng};
 
-    pub(crate) const ALL_STRATEGIES: [Strategy; 4] = [
+    /// Every strategy; [`Strategy::BigTensor`] plans 3rd-order tensors
+    /// only.
+    pub(crate) const ALL_STRATEGIES: [Strategy; 5] = [
         Strategy::Coo,
         Strategy::Qcoo,
         Strategy::CooBroadcast,
         Strategy::DfactoSpmv,
+        Strategy::BigTensor,
     ];
     pub(crate) const ALL_PARTITIONINGS: [Partitioning; 3] = [
         Partitioning::None,
@@ -592,6 +635,10 @@ mod tests {
         );
         assert_eq!("spmv".parse::<Strategy>().unwrap(), Strategy::DfactoSpmv);
         assert_eq!("dfacto".parse::<Strategy>().unwrap(), Strategy::DfactoSpmv);
+        assert_eq!(
+            "bigtensor".parse::<Strategy>().unwrap(),
+            Strategy::BigTensor
+        );
         assert!("gigatensor".parse::<Strategy>().is_err());
         assert_eq!(
             "co".parse::<Partitioning>().unwrap(),
@@ -612,6 +659,10 @@ mod tests {
             Strategy::DfactoSpmv.cost_algorithm(),
             cost::Algorithm::DfactoSpmv
         );
+        assert_eq!(
+            Strategy::BigTensor.cost_algorithm(),
+            cost::Algorithm::BigTensor
+        );
     }
 
     #[test]
@@ -630,6 +681,9 @@ mod tests {
                 Partitioning::PrePartitionedTensor,
             ] {
                 for strategy in ALL_STRATEGIES {
+                    if strategy == Strategy::BigTensor && t.order() != 3 {
+                        continue;
+                    }
                     let c = cluster();
                     let mut plan = plan(&c, &t, strategy, &config(partitioning), &factors).unwrap();
                     assert_eq!(plan.strategy(), strategy);
@@ -735,8 +789,10 @@ mod tests {
                     );
                 }
             }
+            // BIGtensor's plan caches nothing, so it runs no job to abort.
+            let plan_runs_jobs = strategy != Strategy::BigTensor;
             assert!(
-                in_plan > 0 && in_mttkrp > 0,
+                (in_plan > 0) == plan_runs_jobs && in_mttkrp > 0,
                 "{strategy}: the seeds must abort both inside plan() ({in_plan}) and inside \
                  mttkrp() ({in_mttkrp})"
             );

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p cstf-examples --bin decompose_file -- \
-//!     <input.tns> [rank] [iterations] [coo|qcoo|broadcast|spmv]
+//!     <input.tns> [rank] [iterations] [coo|qcoo|broadcast|spmv|bigtensor]
 //! ```
 //!
 //! Reads the tensor (1-based indices, one nonzero per line), runs CP-ALS

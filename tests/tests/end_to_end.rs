@@ -2,7 +2,9 @@
 //! generation → distribution → CP-ALS → fit evaluation.
 
 use cstf_core::{CpAls, Strategy};
+use cstf_dataflow::{Cluster, ClusterConfig};
 use cstf_integration_tests::test_cluster;
+use cstf_model::TimeModel;
 use cstf_tensor::random::{sparse_low_rank_tensor, RandomTensor};
 use cstf_tensor::{io, CooTensor};
 
@@ -83,8 +85,75 @@ fn bigtensor_reaches_same_fit() {
         .run(&cluster, &tensor)
         .unwrap();
     let cluster2 = test_cluster(4);
-    let big = cstf_core::bigtensor_cp(&cluster2, &tensor, 2, 10, 4).unwrap();
+    let big = CpAls::new(2)
+        .strategy(Strategy::BigTensor)
+        .max_iterations(10)
+        .seed(4)
+        .run(&cluster2, &tensor)
+        .unwrap();
     assert!((cstf.stats.final_fit - big.stats.final_fit).abs() < 1e-6);
+}
+
+/// BIGtensor's factor bits and its Hadoop and shuffle log, pinned on two
+/// tensors: 2 iterations, init seed 5, 4 nodes, 16 partitions. FNV-1a
+/// runs over the weights, then each factor's data. Every MTTKRP launches
+/// 2 jobs, reads the tensor 3 times, writes and re-reads its 2
+/// intermediates, and shuffles 6 times (7 stages); the Hadoop model's
+/// seconds are pinned by their bits.
+#[test]
+fn bigtensor_factor_bits_and_log_are_pinned() {
+    // (shape, nnz, rank, FNV-1a, [jobs, disk read, disk write, shuffles,
+    // shuffle bytes, stages], Hadoop seconds' bits)
+    let pins = [
+        (
+            vec![9, 8, 7],
+            150,
+            2,
+            0x5846_b8c8_8e20_e1bb,
+            [12, 97_200, 43_200, 36, 95_904, 42],
+            0x4076_599e_8cd1_9b4c,
+        ),
+        (
+            vec![40, 36, 32],
+            20_000,
+            8,
+            0x88f4_542d_41bb_20c7,
+            [12, 24_480_000, 17_280_000, 36, 24_031_104, 42],
+            0x4076_5e24_56a3_9d21,
+        ),
+    ];
+    for (shape, nnz, rank, hash, log, secs) in pins {
+        let tensor = RandomTensor::new(shape.clone()).nnz(nnz).seed(61).build();
+        let cluster = Cluster::new(ClusterConfig::local(4).nodes(4).default_parallelism(16));
+        let res = CpAls::new(rank)
+            .strategy(Strategy::BigTensor)
+            .max_iterations(2)
+            .seed(5)
+            .run(&cluster, &tensor)
+            .unwrap();
+        assert_eq!(res.stats.strategy, Strategy::BigTensor);
+        let kruskal = &res.kruskal;
+        let factors = kruskal.factors.iter().flat_map(|f| f.data().iter());
+        let mut got = 0xcbf2_9ce4_8422_2325u64;
+        for x in kruskal.weights.iter().chain(factors) {
+            for byte in x.to_bits().to_le_bytes() {
+                got = (got ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(got, hash, "{shape:?}: factor bits moved (got {got:#018x})");
+        let m = cluster.metrics().snapshot();
+        let got_log = [
+            m.job_count() as u64,
+            m.total_disk_read(),
+            m.total_disk_write(),
+            m.shuffle_count() as u64,
+            m.total_shuffle_bytes(),
+            m.stages().count() as u64,
+        ];
+        assert_eq!(got_log, log, "{shape:?}: metrics log moved");
+        let got_secs = TimeModel::hadoop().job_time(&m).to_bits();
+        assert_eq!(got_secs, secs, "{shape:?}: modeled seconds moved");
+    }
 }
 
 /// The fit trajectory is (numerically) non-decreasing: ALS is a monotone

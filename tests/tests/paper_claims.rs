@@ -2,7 +2,6 @@
 //! engine's measured behaviour (Table 4, §5, §6.5 directions).
 
 use cstf_core::cost::{iteration_communication, mttkrp_cost, qcoo_savings, Algorithm};
-use cstf_core::factors::tensor_to_rdd;
 use cstf_core::planner::{plan, PlanConfig};
 use cstf_core::{CpAls, Partitioning, Strategy};
 use cstf_dataflow::prelude::*;
@@ -26,50 +25,34 @@ fn table4_shuffle_counts_all_algorithms() {
     let threshold = t.nnz() as u64 / 2;
     let factors = random_factors(t.shape(), 2, 2);
 
-    let algorithms = [
-        Algorithm::BigTensor,
-        Algorithm::CstfCoo,
-        Algorithm::CstfQcoo,
-        Algorithm::DfactoSpmv,
+    let strategies = [
+        Strategy::BigTensor,
+        Strategy::Coo,
+        Strategy::Qcoo,
+        Strategy::DfactoSpmv,
     ];
-    let counts: Vec<usize> = algorithms
+    let config = PlanConfig {
+        rank: 2,
+        partitions: 8,
+        partitioning: Partitioning::CoPartitionedFactors,
+        kernel: KernelStrategy::default(),
+        cache_tensor: true,
+        storage: StorageLevel::MemoryRaw,
+    };
+    let counts: Vec<usize> = strategies
         .iter()
-        .map(|alg| {
+        .map(|&strategy| {
             let c = test_cluster(4);
-            let rdd = tensor_to_rdd(&c, &t, 8).persist(StorageLevel::MemoryRaw);
-            let _ = rdd.count();
-            match alg {
-                Algorithm::BigTensor => {
-                    c.metrics().reset();
-                    let _ =
-                        cstf_core::bigtensor_mttkrp(&c, &rdd, &factors, t.shape(), 0, 8).unwrap();
-                }
-                alg => {
-                    let strategy = match alg {
-                        Algorithm::CstfCoo => Strategy::Coo,
-                        Algorithm::CstfQcoo => Strategy::Qcoo,
-                        _ => Strategy::DfactoSpmv,
-                    };
-                    let config = PlanConfig {
-                        rank: 2,
-                        partitions: 8,
-                        partitioning: Partitioning::CoPartitionedFactors,
-                        kernel: KernelStrategy::default(),
-                        cache_tensor: true,
-                        storage: StorageLevel::MemoryRaw,
-                    };
-                    let mut p = plan(&c, &t, strategy, &config, &factors).unwrap();
-                    c.metrics().reset();
-                    let _ = p.mttkrp(&factors, 0).unwrap();
-                }
-            }
+            let mut p = plan(&c, &t, strategy, &config, &factors).unwrap();
+            c.metrics().reset();
+            let _ = p.mttkrp(&factors, 0).unwrap();
             c.metrics().snapshot().significant_shuffle_count(threshold)
         })
         .collect();
 
-    let models: Vec<u32> = algorithms
+    let models: Vec<u32> = strategies
         .iter()
-        .map(|&alg| mttkrp_cost(alg, 3, t.nnz() as u64, 2, t.shape()).shuffles)
+        .map(|s| mttkrp_cost(s.cost_algorithm(), 3, t.nnz() as u64, 2, t.shape()).shuffles)
         .collect();
 
     // DFacTo-SpMV's four shuffles all clear the nnz/2 significance bar on
@@ -162,34 +145,27 @@ fn simulated_runtime_ordering_and_scaling() {
     let spark = TimeModel::spark().with_work_scale(100_000.0);
     let hadoop = TimeModel::hadoop().with_work_scale(100_000.0);
 
-    let run = |strategy: Option<Strategy>, nodes: usize| -> JobMetrics {
+    let run = |strategy: Strategy, nodes: usize| -> JobMetrics {
         let c = test_cluster(nodes);
-        match strategy {
-            Some(s) => {
-                let _ = CpAls::new(2)
-                    .strategy(s)
-                    .max_iterations(1)
-                    .skip_fit()
-                    .seed(3)
-                    .run(&c, &t)
-                    .unwrap();
-            }
-            None => {
-                let _ = cstf_core::bigtensor_cp(&c, &t, 2, 1, 3).unwrap();
-            }
-        }
+        let _ = CpAls::new(2)
+            .strategy(strategy)
+            .max_iterations(1)
+            .skip_fit()
+            .seed(3)
+            .run(&c, &t)
+            .unwrap();
         c.metrics().snapshot()
     };
 
     for nodes in [4usize, 16] {
-        let coo = spark.job_time(&run(Some(Strategy::Coo), nodes));
-        let qcoo = spark.job_time(&run(Some(Strategy::Qcoo), nodes));
-        let big = hadoop.job_time(&run(None, nodes));
+        let coo = spark.job_time(&run(Strategy::Coo, nodes));
+        let qcoo = spark.job_time(&run(Strategy::Qcoo, nodes));
+        let big = hadoop.job_time(&run(Strategy::BigTensor, nodes));
         assert!(big > coo, "{nodes} nodes: BIGtensor {big} vs COO {coo}");
         assert!(big > qcoo, "{nodes} nodes: BIGtensor {big} vs QCOO {qcoo}");
     }
-    let coo4 = spark.job_time(&run(Some(Strategy::Coo), 4));
-    let coo16 = spark.job_time(&run(Some(Strategy::Coo), 16));
+    let coo4 = spark.job_time(&run(Strategy::Coo, 4));
+    let coo16 = spark.job_time(&run(Strategy::Coo, 16));
     assert!(coo16 < coo4, "COO did not scale: {coo4} → {coo16}");
 }
 
