@@ -68,10 +68,15 @@ pub(crate) fn mttkrp_spmv(
 
     // Intermediate reduces feed further joins + reduces, so their emit
     // order is load-bearing: it sets the downstream addition order. A
-    // reduce emits keys in first-arrival order, which follows the
-    // upstream join's hash-map order; canonicalize every intermediate
-    // fiber partition to ascending key order so the chain's bits depend
-    // on the fiber set alone.
+    // reduce emits keys in first-arrival order and a join emits in its
+    // left side's read order, so unsorted, each round inherits its order
+    // from the round before and, through it, from the order of the
+    // tensor's nonzeros within their partitions. Canonicalize every
+    // intermediate fiber partition to ascending key order so the later
+    // rounds' addition order depends on the fiber set alone. Unsorted,
+    // every partitioning level, retry and node loss still gives the same
+    // bits (EXPERIMENTS.md, "SpMV's canonical sort"), but dropping the
+    // sort would move `GOLDEN_DENSE`'s SpMV constant.
     let canonical = |rdd: Rdd<(u64, Row)>| {
         rdd.map_partitions(|_, mut recs| {
             recs.sort_by_key(|&(key, _)| key);

@@ -109,12 +109,14 @@ impl ClusterConfig {
         self
     }
 
-    /// Bounds the bytes of cached blocks and — on a separate ledger — of
-    /// shuffle map outputs held in memory. Excess cached blocks are
-    /// LRU-evicted: dropped ([`crate::StorageLevel::MemoryRaw`]) or
-    /// spilled ([`crate::StorageLevel::MemoryAndDisk`]); excess map
-    /// outputs spill oldest first. Each eviction, spill, reload and
-    /// recompute is one event in [`crate::Cluster::metrics`].
+    /// Bounds the bytes held in memory by each of the cluster's two block
+    /// stores: the cached blocks and the shuffle map outputs, each store
+    /// on a ledger of its own, so the two together hold at most twice
+    /// `bytes`. Each store evicts its least recent in-memory block first:
+    /// a cached block is dropped ([`crate::StorageLevel::MemoryRaw`]) or
+    /// spilled ([`crate::StorageLevel::MemoryAndDisk`]), a map output
+    /// always spills. Each eviction, spill, reload and recompute is one
+    /// event in [`crate::Cluster::metrics`].
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = Some(bytes);
         self.check();

@@ -74,6 +74,7 @@ mod rdd;
 mod scheduler;
 mod shuffle;
 mod size;
+mod store;
 
 pub use cache::StorageLevel;
 pub use config::{ClusterConfig, JobServerConfig};

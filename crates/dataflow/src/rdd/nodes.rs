@@ -185,10 +185,9 @@ impl<T: Data + EstimateSize> RddNode<T> for CachedNode<T> {
             ctx.stage.add_records_computed(hit.len() as u64);
             return hit.as_ref().clone();
         }
-        // Miss. If the budget enforcer dropped this block earlier, this is
-        // a lineage recompute (counted in the storage metrics); either
-        // way the retained parent recomputes the partition.
-        bm.begin_recompute(self.id, partition);
+        // Miss: the block was never stored, or the budget dropped it (a
+        // lineage recompute, which `get` logged); either way the retained
+        // parent recomputes the partition.
         let data = self.parent.compute(partition, ctx);
         let bytes: u64 = data.iter().map(|r| r.estimate_size() as u64).sum();
         bm.put(self.id, partition, data.clone(), bytes, self.level);

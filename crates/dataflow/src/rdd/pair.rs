@@ -242,14 +242,14 @@ where
         let my_node = config.node_of(reduce_partition);
         let mut read = Counters::default();
         let mut buckets = Vec::with_capacity(fetched.len());
-        for bucket in fetched {
-            if config.node_of(bucket.map_partition) == my_node {
-                read.local_bytes_read += bucket.bytes;
+        for (map_partition, (records, bytes)) in fetched.into_iter().enumerate() {
+            if config.node_of(map_partition) == my_node {
+                read.local_bytes_read += bytes;
             } else {
-                read.remote_bytes_read += bucket.bytes;
+                read.remote_bytes_read += bytes;
             }
-            read.shuffle_read_records += bucket.records.len() as u64;
-            buckets.push(bucket.records);
+            read.shuffle_read_records += records.len() as u64;
+            buckets.push(records);
         }
         ctx.stage.merge(&read);
         buckets

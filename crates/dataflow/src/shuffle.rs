@@ -6,16 +6,16 @@
 //! time so the read side can attribute remote/local traffic without
 //! re-walking records.
 //!
-//! Map outputs are bounded by the cluster's memory budget
-//! ([`crate::ClusterConfig::memory_budget`]) on a ledger of their own:
-//! the service is handed the same figure as the block manager but counts
-//! only its own bytes, so each store stays within the budget and the two
-//! together within twice it. When stored outputs exceed it, the oldest
-//! outputs are *spilled*: they stay stored, flagged `spilled`, off the
-//! memory ledger (no file is written: see [`crate::cache`]), and every
-//! later fetch of one of their buckets logs a spill read. Spill writes
-//! and reads are [`crate::metrics::Meter`] events under the owner
-//! `shuffle-<id>`; the metrics log is the only count of them.
+//! Map outputs are blocks keyed `(shuffle, map partition)` in a
+//! [`crate::store`] of their own, under the cluster's memory budget
+//! ([`crate::ClusterConfig::memory_budget`]); the block manager keeps the
+//! cached partitions in a second store with the same budget figure. A map
+//! output over the budget always *spills*: it stays stored, off the memory
+//! ledger, and every later fetch of one of its buckets logs a spill read.
+//! A fetch takes its bucket in place: it neither refreshes recency nor
+//! brings the output back into memory. Spill writes and reads are
+//! [`crate::metrics::Meter`] events under the owner `shuffle-<id>`; the
+//! metrics log is the only count of them.
 //!
 //! A shuffle's outputs live until its dependency drops, or until the
 //! dataset they built is released: a cached dataset's lineage keeps every
@@ -26,68 +26,22 @@
 
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;
-use parking_lot::{Mutex, MutexGuard};
-use std::any::Any;
+use crate::store::Store;
 use std::sync::Arc;
 
-/// One map task's output: `buckets[r]` holds the records destined for
-/// reduce partition `r`. Stored type-erased; the typed shuffle dependency
-/// downcasts on read.
-struct MapOutput {
-    buckets: Box<dyn Any + Send + Sync>,
-    bucket_bytes: Vec<u64>,
-    total_bytes: u64,
-    /// Insertion order, for oldest-first spill.
-    tick: u64,
-    /// Whether this output has been spilled (is off the memory ledger).
-    spilled: bool,
-}
-
-struct ShuffleData {
-    num_reduce: usize,
-    map_outputs: Vec<Option<MapOutput>>,
-}
-
-#[derive(Default)]
-struct SvcInner {
-    shuffles: FxHashMap<usize, ShuffleData>,
-    /// Bytes of non-spilled map outputs (counted against the budget).
-    mem_bytes: u64,
-    tick: u64,
-}
-
-impl SvcInner {
-    /// Takes a dropped map output off the memory ledger (a spilled one
-    /// left it when it spilled).
-    fn release(&mut self, output: &MapOutput) {
-        if !output.spilled {
-            self.mem_bytes -= output.total_bytes;
-        }
-    }
-}
-
-/// One bucket fetched by a reducer. The records are shared with the
-/// service (`Arc`), so fetching is O(1) per bucket instead of an
-/// `nnz × R`-sized deep copy under the service lock; readers that need
-/// ownership copy outside the lock.
-pub(crate) struct FetchedBucket<T> {
-    /// Which map partition produced the bucket.
-    pub map_partition: usize,
-    /// The records, shared with the shuffle store.
-    pub records: Arc<Vec<T>>,
-    /// Estimated serialized size recorded at write time.
-    pub bytes: u64,
-}
+/// One bucket: the records a map task destined for one reduce partition,
+/// with their estimated bytes recorded at write time. A map output stores
+/// one per reduce partition. The records are shared (`Arc`), so a
+/// reducer's fetch is O(1) per bucket instead of an `nnz × R`-sized deep
+/// copy under the service lock; readers that need ownership copy outside
+/// the lock.
+pub(crate) type Bucket<T> = (Arc<Vec<T>>, u64);
 
 /// Cluster-wide registry of in-flight shuffle data.
 pub struct ShuffleService {
-    inner: Mutex<SvcInner>,
-    budget: Option<u64>,
-    metrics: Arc<MetricsRegistry>,
-}
-
-fn shuffle_owner(shuffle_id: usize) -> String {
-    format!("shuffle-{shuffle_id}")
+    /// Map outputs, and each registered shuffle's `(map partitions,
+    /// reduce partitions)`.
+    store: Store<FxHashMap<usize, (usize, usize)>>,
 }
 
 impl ShuffleService {
@@ -95,61 +49,25 @@ impl ShuffleService {
     /// in-memory map outputs, logging its spills to `metrics`.
     pub fn new(budget: Option<u64>, metrics: Arc<MetricsRegistry>) -> Self {
         ShuffleService {
-            inner: Mutex::default(),
-            budget,
-            metrics,
+            store: Store::new("shuffle", budget, metrics),
         }
     }
 
     /// Registers a shuffle before its map stage runs. Idempotent.
     pub fn register(&self, shuffle_id: usize, num_maps: usize, num_reduce: usize) {
-        let mut inner = self.inner.lock();
-        inner
-            .shuffles
-            .entry(shuffle_id)
-            .or_insert_with(|| ShuffleData {
-                num_reduce,
-                map_outputs: (0..num_maps).map(|_| None).collect(),
-            });
+        self.store.update(|ledger| {
+            ledger
+                .own
+                .entry(shuffle_id)
+                .or_insert((num_maps, num_reduce));
+        });
     }
 
-    /// Spills oldest-first until resident map-output bytes fit the budget.
-    fn enforce_budget(&self, inner: &mut SvcInner) {
-        let Some(budget) = self.budget else { return };
-        while inner.mem_bytes > budget {
-            let victim = inner
-                .shuffles
-                .iter()
-                .flat_map(|(&id, data)| {
-                    data.map_outputs
-                        .iter()
-                        .enumerate()
-                        .filter_map(move |(map, out)| {
-                            out.as_ref()
-                                .filter(|o| !o.spilled)
-                                .map(|o| (o.tick, id, map, o.total_bytes))
-                        })
-                })
-                .min();
-            let Some((_, shuffle_id, map_partition, bytes)) = victim else {
-                break;
-            };
-            let out = inner
-                .shuffles
-                .get_mut(&shuffle_id)
-                .expect("victim shuffle present")
-                .map_outputs[map_partition]
-                .as_mut()
-                .expect("victim output present");
-            out.spilled = true;
-            inner.mem_bytes -= bytes;
-            self.metrics
-                .record_spill_write(&shuffle_owner(shuffle_id), bytes);
-        }
-    }
-
-    /// Stores the bucketed output of one map task, spilling oldest outputs
-    /// if the memory budget would be exceeded.
+    /// Stores the bucketed output of one map task, spilling the oldest
+    /// outputs if the memory budget would be exceeded. The first output
+    /// stored for a map partition wins: the scheduler only commits winning
+    /// attempts, and a racing duplicate never clobbers an output a reducer
+    /// may already be reading.
     ///
     /// # Panics
     ///
@@ -162,63 +80,45 @@ impl ShuffleService {
         buckets: Vec<Vec<T>>,
         bucket_bytes: Vec<u64>,
     ) {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let data = inner
-            .shuffles
-            .get_mut(&shuffle_id)
-            .unwrap_or_else(|| panic!("shuffle {shuffle_id} not registered"));
-        assert_eq!(buckets.len(), data.num_reduce, "bucket count mismatch");
-        assert_eq!(bucket_bytes.len(), data.num_reduce);
-        // First writer wins: the scheduler only commits winning attempts,
-        // but stay idempotent so a racing duplicate can never clobber an
-        // output a reducer may already be reading.
-        if data.map_outputs[map_partition].is_some() {
-            return;
-        }
+        assert_eq!(buckets.len(), bucket_bytes.len(), "bucket count mismatch");
         let total_bytes = bucket_bytes.iter().sum();
         // Arc-wrap each bucket so reads hand out shared references
         // instead of deep copies.
-        let buckets: Vec<Arc<Vec<T>>> = buckets.into_iter().map(Arc::new).collect();
-        data.map_outputs[map_partition] = Some(MapOutput {
-            buckets: Box::new(buckets),
-            bucket_bytes,
-            total_bytes,
-            tick,
-            spilled: false,
+        let buckets: Vec<Bucket<T>> = buckets
+            .into_iter()
+            .map(Arc::new)
+            .zip(bucket_bytes)
+            .collect();
+        self.store.update(|ledger| {
+            let &(_, num_reduce) = ledger
+                .own
+                .get(&shuffle_id)
+                .unwrap_or_else(|| panic!("shuffle {shuffle_id} not registered"));
+            assert_eq!(buckets.len(), num_reduce, "bucket count mismatch");
+            let key = (shuffle_id, map_partition);
+            ledger.insert(key, Arc::new(buckets), total_bytes, true);
         });
-        inner.mem_bytes += total_bytes;
-        self.enforce_budget(&mut inner);
-    }
-
-    /// Whether every map output for `shuffle_id` has been stored.
-    pub(crate) fn is_complete(&self, shuffle_id: usize) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .shuffles
-            .get(&shuffle_id)
-            .map(|d| d.map_outputs.iter().all(Option::is_some))
-            .unwrap_or(false)
     }
 
     /// Map partitions of `shuffle_id` whose output is absent (never
     /// written, or lost to a simulated node failure). Unregistered
     /// shuffles report an empty list.
     pub(crate) fn missing_map_outputs(&self, shuffle_id: usize) -> Vec<usize> {
-        let inner = self.inner.lock();
-        inner
-            .shuffles
-            .get(&shuffle_id)
-            .map(|d| {
-                d.map_outputs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, o)| o.is_none())
-                    .map(|(i, _)| i)
-                    .collect()
+        self.store.read(|ledger| {
+            let num_maps = ledger.own.get(&shuffle_id).map_or(0, |&(maps, _)| maps);
+            (0..num_maps)
+                .filter(|&map| ledger.block((shuffle_id, map)).is_none())
+                .collect()
+        })
+    }
+
+    /// Whether every map output for `shuffle_id` has been stored.
+    pub(crate) fn is_complete(&self, shuffle_id: usize) -> bool {
+        self.store.read(|ledger| {
+            ledger.own.get(&shuffle_id).is_some_and(|&(num_maps, _)| {
+                (0..num_maps).all(|map| ledger.block((shuffle_id, map)).is_some())
             })
-            .unwrap_or_default()
+        })
     }
 
     /// Drops every map output written by a map partition for which
@@ -227,31 +127,8 @@ impl ShuffleService {
     /// Affected shuffles become incomplete and re-run their missing map
     /// tasks on next use.
     pub fn remove_map_outputs_where(&self, lost: impl Fn(usize) -> bool) -> usize {
-        let mut removed = Vec::new();
-        let mut inner = self.inner.lock();
-        let ids: Vec<usize> = inner.shuffles.keys().copied().collect();
-        for shuffle_id in ids {
-            let num_maps = inner.shuffles[&shuffle_id].map_outputs.len();
-            for map_partition in 0..num_maps {
-                if !lost(map_partition) {
-                    continue;
-                }
-                let slot = inner
-                    .shuffles
-                    .get_mut(&shuffle_id)
-                    .expect("shuffle present")
-                    .map_outputs[map_partition]
-                    .take();
-                if let Some(output) = slot {
-                    inner.release(&output);
-                    removed.push(output);
-                }
-            }
-        }
-        // The ledger is settled; the records themselves are freed after
-        // the lock is released, so no reader waits on the deallocation.
-        drop(inner);
-        removed.len()
+        self.store
+            .update(|ledger| ledger.remove_where(|(_, map_partition)| lost(map_partition)))
     }
 
     /// Fetches reduce partition `reduce_partition`'s bucket from every map
@@ -267,66 +144,43 @@ impl ShuffleService {
         &self,
         shuffle_id: usize,
         reduce_partition: usize,
-    ) -> Vec<FetchedBucket<T>> {
-        let inner = self.inner.lock();
-        let data = inner
-            .shuffles
-            .get(&shuffle_id)
-            .unwrap_or_else(|| panic!("shuffle {shuffle_id} not materialized"));
+    ) -> Vec<Bucket<T>> {
         let mut reloaded = 0u64;
-        let fetched: Vec<FetchedBucket<T>> = data
-            .map_outputs
-            .iter()
-            .enumerate()
-            .map(|(map_partition, out)| {
-                let out = out
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("shuffle {shuffle_id} map {map_partition} missing"));
-                let buckets = out
-                    .buckets
-                    .downcast_ref::<Vec<Arc<Vec<T>>>>()
-                    .expect("shuffle read with mismatched record type");
-                if out.spilled {
-                    reloaded += out.bucket_bytes[reduce_partition];
-                }
-                FetchedBucket {
-                    map_partition,
-                    records: buckets[reduce_partition].clone(),
-                    bytes: out.bucket_bytes[reduce_partition],
-                }
-            })
-            .collect();
-        drop(inner);
+        let fetched: Vec<Bucket<T>> = self.store.read(|ledger| {
+            let &(num_maps, _) = ledger
+                .own
+                .get(&shuffle_id)
+                .unwrap_or_else(|| panic!("shuffle {shuffle_id} not materialized"));
+            (0..num_maps)
+                .map(|map| {
+                    let out = ledger
+                        .block((shuffle_id, map))
+                        .unwrap_or_else(|| panic!("shuffle {shuffle_id} map {map} missing"));
+                    let buckets = out
+                        .data
+                        .downcast_ref::<Vec<Bucket<T>>>()
+                        .expect("shuffle read with mismatched record type");
+                    let bucket = buckets[reduce_partition].clone();
+                    if out.spilled {
+                        reloaded += bucket.1;
+                    }
+                    bucket
+                })
+                .collect()
+        });
         if reloaded > 0 {
-            self.metrics
-                .record_spill_read(&shuffle_owner(shuffle_id), reloaded);
+            let owner = self.store.owner(shuffle_id);
+            self.store.metrics().record_spill_read(&owner, reloaded);
         }
         fetched
     }
 
-    /// Settles the ledger for every output of the removed `shuffles`
-    /// under the lock, then releases it before the record data is freed:
-    /// freeing a tensor-sized shuffle takes milliseconds no other job's
-    /// `read` or `put_map_output` should wait for.
-    fn retire(
-        mut inner: MutexGuard<'_, SvcInner>,
-        shuffles: impl IntoIterator<Item = ShuffleData>,
-    ) {
-        let shuffles: Vec<ShuffleData> = shuffles.into_iter().collect();
-        for output in shuffles
-            .iter()
-            .flat_map(|data| data.map_outputs.iter().flatten())
-        {
-            inner.release(output);
-        }
-        drop(inner);
-    }
-
     /// Drops a shuffle's data (Spark's `unpersist` of shuffle files).
     pub fn remove(&self, shuffle_id: usize) {
-        let mut inner = self.inner.lock();
-        let removed = inner.shuffles.remove(&shuffle_id);
-        Self::retire(inner, removed);
+        self.store.update(|ledger| {
+            ledger.own.remove(&shuffle_id);
+            ledger.remove_where(|(id, _)| id == shuffle_id)
+        });
     }
 
     /// Drops every stored shuffle (the engine's analogue of Spark's
@@ -334,19 +188,20 @@ impl ShuffleService {
     /// re-materializes a cleared shuffle if a later job needs it, so this
     /// is always safe — merely a time/space trade.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let shuffles = std::mem::take(&mut inner.shuffles);
-        Self::retire(inner, shuffles.into_values());
+        self.store.update(|ledger| {
+            ledger.own.clear();
+            ledger.remove_where(|_| true)
+        });
     }
 
     /// Number of live shuffles (for leak checks in tests).
     pub fn live_shuffles(&self) -> usize {
-        self.inner.lock().shuffles.len()
+        self.store.read(|ledger| ledger.own.len())
     }
 
     /// Bytes of map outputs currently resident in memory (non-spilled).
     pub fn memory_bytes(&self) -> u64 {
-        self.inner.lock().mem_bytes
+        self.store.memory_bytes()
     }
 }
 
@@ -369,13 +224,13 @@ mod tests {
 
         let r0 = svc.read::<(u32, f64)>(1, 0);
         assert_eq!(r0.len(), 2);
-        assert_eq!(*r0[0].records, vec![(1, 1.0)]);
-        assert_eq!(*r0[1].records, vec![(3, 3.0)]);
-        assert_eq!(r0[0].bytes, 12);
+        assert_eq!(*r0[0].0, vec![(1, 1.0)]);
+        assert_eq!(*r0[1].0, vec![(3, 3.0)]);
+        assert_eq!(r0[0].1, 12);
 
         let r1 = svc.read::<(u32, f64)>(1, 1);
-        assert_eq!(*r1[0].records, vec![(2, 2.0)]);
-        assert!(r1[1].records.is_empty());
+        assert_eq!(*r1[0].0, vec![(2, 2.0)]);
+        assert!(r1[1].0.is_empty());
     }
 
     #[test]
@@ -457,9 +312,9 @@ mod tests {
         assert_eq!(svc.memory_bytes(), 16);
         // Data stays readable; fetching the spilled bucket pays a reload.
         let r = svc.read::<u64>(1, 0);
-        assert_eq!(*r[0].records, vec![1]);
-        assert_eq!(*r[1].records, vec![2]);
-        assert_eq!(*r[2].records, vec![3]);
+        assert_eq!(*r[0].0, vec![1]);
+        assert_eq!(*r[1].0, vec![2]);
+        assert_eq!(*r[2].0, vec![3]);
         assert_eq!(spill_read(), 8);
         // A second read of the spilled bucket pays again.
         let _ = svc.read::<u64>(1, 0);

@@ -221,12 +221,23 @@ fn recompute_cpu_lands_in_the_reading_stage() {
     assert!(computed > 0, "evicted partitions recomputed in-stage");
 }
 
+/// The sum of every value of a keyed RDD.
+fn sum_of(sums: &Rdd<(u64, u64)>) -> u64 {
+    sums.collect().iter().map(|&(_, v)| v).sum()
+}
+
+/// `0 + 1 + … + (n - 1)`.
+fn sum_below(n: usize) -> u64 {
+    let n = n as u64;
+    n * n.saturating_sub(1) / 2
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Resident memory never exceeds the budget, whatever the mix of
-    /// block sizes, storage levels, and access order — and every collect
-    /// still returns the right answer.
+    /// Resident memory never exceeds the budget in either store, whatever
+    /// the mix of block sizes, storage levels, and access order — and
+    /// every action still returns the right answer.
     #[test]
     fn memory_never_exceeds_budget(
         budget in 64u64..4096,
@@ -253,12 +264,28 @@ proptest! {
                 c.block_manager().memory_bytes(),
                 budget
             );
-            rdds.push((rdd, total));
+            // A shuffle of the cached records, kept alive: its map outputs
+            // stay in the shuffle service, under the same budget figure.
+            let sums = rdd.map(|x| (x % 5, x)).reduce_by_key(|a, b| a + b);
+            prop_assert_eq!(sum_of(&sums), sum_below(total));
+            prop_assert!(c.block_manager().memory_bytes() <= budget);
+            prop_assert!(
+                c.shuffle_service().memory_bytes() <= budget,
+                "map outputs {} over budget {}",
+                c.shuffle_service().memory_bytes(),
+                budget
+            );
+            rdds.push((rdd, sums, total));
         }
-        // Re-read everything (mixing cache hits, disk reloads, recomputes).
-        for (rdd, total) in &rdds {
+        // Re-read everything (mixing cache hits, disk reloads, recomputes,
+        // and reads of spilled map outputs).
+        for (rdd, sums, total) in &rdds {
             prop_assert_eq!(rdd.count() as usize, *total);
             prop_assert!(c.block_manager().memory_bytes() <= budget);
+            prop_assert!(c.shuffle_service().memory_bytes() <= budget);
+            prop_assert_eq!(sum_of(sums), sum_below(*total));
+            prop_assert!(c.block_manager().memory_bytes() <= budget);
+            prop_assert!(c.shuffle_service().memory_bytes() <= budget);
         }
         prop_assert!(c.block_manager().peak_memory_bytes() <= budget);
     }

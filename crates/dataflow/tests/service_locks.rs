@@ -1,7 +1,8 @@
-//! The shuffle service and the block manager free record data *after*
-//! releasing their lock: dropping a tensor-sized shuffle or cached
-//! partition takes milliseconds, and on a shared cluster every other
-//! job's `read`/`get`/`put` would wait behind it. The probe records here
+//! The shuffle service and the block manager, one block store each, free
+//! record data *after* releasing the store's lock: dropping a
+//! tensor-sized shuffle or cached partition takes milliseconds, and on a
+//! shared cluster every other job's `read`/`get`/`put` would wait behind
+//! it. The probe records here
 //! call back into the store that held them from their destructor — under
 //! the lock that is a self-deadlock, so each test runs under a deadline.
 
@@ -74,13 +75,14 @@ fn put_probe(bm: &Arc<BlockManager>, rdd: usize, partition: usize, level: Storag
 
 #[test]
 fn block_manager_frees_records_outside_its_lock() {
-    within(LIMIT, "remove_rdd / remove_where / replacing put", || {
+    within(LIMIT, "remove_rdd / remove_where / duplicate put", || {
         let bm = Arc::new(BlockManager::new(None, Arc::default()));
         for partition in 0..3 {
             put_probe(&bm, 7, partition, StorageLevel::MemoryRaw);
         }
         put_probe(&bm, 8, 0, StorageLevel::MemoryAndDisk);
-        // Replacing a resident block retires the stale copy.
+        // A duplicate put loses to the resident block: the first writer
+        // wins, and the duplicate's records are dropped after the lock.
         put_probe(&bm, 7, 0, StorageLevel::MemoryRaw);
         assert_eq!(bm.remove_where(|partition| partition == 2), 1);
         assert_eq!(bm.remove_rdd(7), 2);
